@@ -20,14 +20,11 @@
 //!   rows `queue_bench_heap` / `queue_bench_calendar`;
 //! - `--sparse`: additionally run the sparse-regime churn — a few dozen
 //!   events in flight with millisecond-scale hops (hundreds of empty
-//!   buckets between occupied ones), comparing four lanes that must pop
-//!   identically: the heap, the calendar queue's reference linear
-//!   bucket scan, its fixed-width occupancy-bitmap advance, and the
-//!   adaptive queue, which watches its advance telemetry and widens the
-//!   buckets until consecutive events sit a handful of buckets apart.
-//!   This is the regime the bitmap and the resizer exist for: the
-//!   linear scan probes every empty bucket, the bitmap skips them a
-//!   word at a time, and the adaptive queue makes them mostly disappear;
+//!   buckets between occupied ones) and ultra-sparse hops (beyond the
+//!   default ring window), heap against calendar queue, which must pop
+//!   identically. This is the regime the occupancy bitmap and the
+//!   bucket-width resizer exist for: the bitmap skips empty buckets a
+//!   word at a time, and widening makes them mostly disappear;
 //! - `--quick`: small churn and the digest gate only — no benchmark
 //!   ledger writes, exit 1 on any mismatch (`check.sh` runs
 //!   `--quick --sparse`);
@@ -45,6 +42,7 @@ use xc_bench::findings_json;
 use xc_bench::harness::{fig3, fig4};
 use xc_bench::runner::{record_bench, BenchEntry, Runner};
 use xc_sim::calendar::{key, key_time, CalendarQueue, HeapQueue};
+use xc_sim::fnv::{fnv1a, FNV_OFFSET};
 use xc_sim::rng::Rng;
 use xc_sim::time::Nanos;
 
@@ -69,8 +67,8 @@ const SPARSE_HOP: (u64, u64) = (200_000, 4_000_000);
 /// Ultra-sparse hop bounds: 4–40 ms, i.e. up to ~10,000 default bucket
 /// widths. At the default width most pushes overshoot the ring window
 /// entirely and fall into the overflow heap — the regime where a fixed
-/// wheel degenerates into a worse binary heap and adaptive widening
-/// restores ring residency.
+/// wheel would degenerate into a worse binary heap and adaptive
+/// widening restores ring residency.
 const ULTRA_HOP: (u64, u64) = (4_000_000, 40_000_000);
 
 /// The subset of the queue API the churn workload exercises, so one
@@ -164,10 +162,8 @@ fn fig4_digest() -> (String, f64) {
     let start = Instant::now();
     let out = fig4::run(&Runner::new(1));
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let mut h = 0xcbf29ce484222325u64;
-    for b in out.text.bytes().chain(findings_json(&out.findings).bytes()) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-    }
+    let h = fnv1a(FNV_OFFSET, out.text.as_bytes());
+    let h = fnv1a(h, findings_json(&out.findings).as_bytes());
     (format!("{h:016x}"), wall_ms)
 }
 
@@ -214,58 +210,41 @@ fn main() {
     );
 
     let mut sparse_diverged = false;
-    let mut sparse_timings: Option<(f64, f64, f64, f64)> = None;
-    let mut ultra_timings: Option<(f64, f64, f64)> = None;
+    let mut sparse_timings = Vec::new();
     if sparse {
-        let (sh_sum, sh_s) = sparse_churn(&mut HeapQueue::with_capacity(64), events, SPARSE_HOP);
-        let (sl_sum, sl_s) =
-            sparse_churn(&mut CalendarQueue::new_linear_scan(), events, SPARSE_HOP);
-        let (sb_sum, sb_s) =
-            sparse_churn(&mut CalendarQueue::new_fixed_width(), events, SPARSE_HOP);
-        let mut adaptive = CalendarQueue::with_capacity(64);
-        let (sa_sum, sa_s) = sparse_churn(&mut adaptive, events, SPARSE_HOP);
-        sparse_diverged = sh_sum != sl_sum || sh_sum != sb_sum || sh_sum != sa_sum;
-        sparse_timings = Some((sh_s, sl_s, sb_s, sa_s));
-        println!(
-            "sparse churn ({events} events, {SPARSE_SEED_EVENTS} in flight): \
-             heap {:.1} Mops, linear-scan {:.1} Mops, fixed bitmap {:.1} Mops, \
-             adaptive {:.1} Mops (bitmap vs linear {:.2}x, settled at 2^{} ns \
-             buckets), checksums {}",
-            mops(sh_s),
-            mops(sl_s),
-            mops(sb_s),
-            mops(sa_s),
-            sl_s / sb_s,
-            adaptive.bucket_bits(),
-            if sparse_diverged {
-                "DIVERGED"
-            } else {
-                "identical"
-            }
-        );
-
-        let (uh_sum, uh_s) = sparse_churn(&mut HeapQueue::with_capacity(64), events, ULTRA_HOP);
-        let (uf_sum, uf_s) = sparse_churn(&mut CalendarQueue::new_fixed_width(), events, ULTRA_HOP);
-        let mut ultra = CalendarQueue::with_capacity(64);
-        let (ua_sum, ua_s) = sparse_churn(&mut ultra, events, ULTRA_HOP);
-        sparse_diverged |= uh_sum != uf_sum || uh_sum != ua_sum;
-        ultra_timings = Some((uh_s, uf_s, ua_s));
-        println!(
-            "ultra-sparse churn ({events} events, {SPARSE_SEED_EVENTS} in flight, \
-             4-40 ms hops): heap {:.1} Mops, fixed bitmap {:.1} Mops, adaptive \
-             {:.1} Mops (adaptive vs fixed {:.2}x, settled at 2^{} ns buckets), \
-             checksums {}",
-            mops(uh_s),
-            mops(uf_s),
-            mops(ua_s),
-            uf_s / ua_s,
-            ultra.bucket_bits(),
-            if uh_sum != uf_sum || uh_sum != ua_sum {
-                "DIVERGED"
-            } else {
-                "identical"
-            }
-        );
+        // (lane, hop bounds, ledger rows for heap and calendar)
+        for (lane, hop, rows) in [
+            (
+                "sparse churn (0.2-4 ms hops)",
+                SPARSE_HOP,
+                ["queue_bench_sparse_heap", "queue_bench_sparse_adaptive"],
+            ),
+            (
+                "ultra-sparse churn (4-40 ms hops)",
+                ULTRA_HOP,
+                ["queue_bench_ultra_heap", "queue_bench_ultra_adaptive"],
+            ),
+        ] {
+            let (heap_sum, heap_s) = sparse_churn(&mut HeapQueue::with_capacity(64), events, hop);
+            let mut cal = CalendarQueue::with_capacity(64);
+            let (cal_sum, cal_s) = sparse_churn(&mut cal, events, hop);
+            sparse_diverged |= heap_sum != cal_sum;
+            sparse_timings.push((rows, heap_s, cal_s));
+            println!(
+                "{lane}, {events} events, {SPARSE_SEED_EVENTS} in flight: \
+                 heap {:.1} Mops, calendar {:.1} Mops ({:.2}x, settled at 2^{} ns \
+                 buckets), checksums {}",
+                mops(heap_s),
+                mops(cal_s),
+                heap_s / cal_s,
+                cal.bucket_bits(),
+                if heap_sum == cal_sum {
+                    "identical"
+                } else {
+                    "DIVERGED"
+                }
+            );
+        }
     }
 
     let fig3_start = Instant::now();
@@ -285,40 +264,9 @@ fn main() {
     if !quick {
         record_bench(&BenchEntry::timing("queue_bench_heap", 1, heap_s * 1e3));
         record_bench(&BenchEntry::timing("queue_bench_calendar", 1, cal_s * 1e3));
-        if let Some((sh_s, sl_s, sb_s, sa_s)) = sparse_timings {
-            record_bench(&BenchEntry::timing(
-                "queue_bench_sparse_heap",
-                1,
-                sh_s * 1e3,
-            ));
-            record_bench(&BenchEntry::timing(
-                "queue_bench_sparse_linear",
-                1,
-                sl_s * 1e3,
-            ));
-            record_bench(&BenchEntry::timing(
-                "queue_bench_sparse_bitmap",
-                1,
-                sb_s * 1e3,
-            ));
-            record_bench(&BenchEntry::timing(
-                "queue_bench_sparse_adaptive",
-                1,
-                sa_s * 1e3,
-            ));
-        }
-        if let Some((uh_s, uf_s, ua_s)) = ultra_timings {
-            record_bench(&BenchEntry::timing("queue_bench_ultra_heap", 1, uh_s * 1e3));
-            record_bench(&BenchEntry::timing(
-                "queue_bench_ultra_fixed",
-                1,
-                uf_s * 1e3,
-            ));
-            record_bench(&BenchEntry::timing(
-                "queue_bench_ultra_adaptive",
-                1,
-                ua_s * 1e3,
-            ));
+        for ([heap_row, cal_row], heap_s, cal_s) in sparse_timings {
+            record_bench(&BenchEntry::timing(heap_row, 1, heap_s * 1e3));
+            record_bench(&BenchEntry::timing(cal_row, 1, cal_s * 1e3));
         }
     }
     if heap_sum != cal_sum {

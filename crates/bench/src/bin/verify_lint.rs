@@ -26,18 +26,11 @@ use xc_bench::harness::verify_lint::{
 };
 use xc_bench::record;
 use xc_bench::runner::{record_bench, BenchEntry, Runner};
+use xc_sim::fnv::{fnv1a, FNV_OFFSET};
 
 /// Committed golden digest of the serial sweep output, relative to the
 /// repository root.
 const GOLDEN_PATH: &str = "crates/bench/golden/verify_lint.digest";
-
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> String {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-    }
-    format!("{h:016x}")
-}
 
 fn main() {
     let mut quick = false;
@@ -63,7 +56,8 @@ fn main() {
     }
 
     // The digest always hashes the serial sweep, independent of --jobs.
-    let digest = fnv1a(verify_lint::run(&Runner::new(1)).stable_digest().bytes());
+    let stable = verify_lint::run(&Runner::new(1)).stable_digest();
+    let digest = format!("{:016x}", fnv1a(FNV_OFFSET, stable.as_bytes()));
     if write_golden {
         std::fs::write(GOLDEN_PATH, format!("{digest}\n")).expect("write golden digest");
         println!("verify_lint: wrote golden digest {digest} to {GOLDEN_PATH}");

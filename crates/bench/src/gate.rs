@@ -19,9 +19,9 @@
 use std::fmt::Write as _;
 
 /// Harnesses whose wall time the gate enforces: the heaviest pipelines,
-/// where a reducer or arena regression would actually show, plus the
-/// fast analysis gates (`chaos_study`, `verify_lint`) whose arenas and
-/// copy-on-write paths this round optimizes.
+/// where a reducer or event-queue regression would actually show, plus
+/// the fast analysis gates (`chaos_study`, `verify_lint`), which cover
+/// the chaos world and the verifier's copy-on-write fixpoint.
 pub const GATED_HARNESSES: [&str; 5] = [
     "fig3_macro",
     "all_experiments",

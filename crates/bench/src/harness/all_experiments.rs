@@ -299,6 +299,5 @@ fn render_cells(cells: Vec<Vec<Finding>>) -> HarnessOutput {
         text,
         findings,
         cache_stats: None,
-        metrics: Vec::new(),
     }
 }

@@ -12,7 +12,6 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use xcontainers::faults::chaos::arena_counters;
 use xcontainers::prelude::*;
 
 use super::{HarnessOutput, Journaled};
@@ -276,19 +275,8 @@ impl Grid {
 /// to `[0, rate]` (the `--fault-rate` flag).
 pub fn run_with(runner: &Runner, quick: bool, rate_override: Option<f64>) -> HarnessOutput {
     let grid = Grid::new(quick, rate_override);
-    let (allocs_before, reuses_before) = arena_counters();
     let outcomes: Vec<CellOutcome> = runner.run(grid.cells(), |i| grid.cell(i));
-    let mut out = render_cells(&grid.rates, &outcomes);
-    // Chaos-world arena effectiveness over this sweep: after the first
-    // cell on each worker thread, every world should be rebuilt from
-    // recycled storage. Ledger-only — the split depends on thread
-    // count, so it stays out of the deterministic text/findings.
-    let (allocs_after, reuses_after) = arena_counters();
-    out.metrics = vec![
-        ("arena_allocs", (allocs_after - allocs_before) as f64),
-        ("arena_reuses", (reuses_after - reuses_before) as f64),
-    ];
-    out
+    render_cells(&grid.rates, &outcomes)
 }
 
 /// The crash-safe variant of [`run_with`]: checkpoints each completed
@@ -443,7 +431,6 @@ fn render_cells(rates: &[f64], outcomes: &[CellOutcome]) -> HarnessOutput {
         text,
         findings,
         cache_stats: None,
-        metrics: Vec::new(),
     }
 }
 

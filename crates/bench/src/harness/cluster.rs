@@ -19,7 +19,7 @@ use std::path::Path;
 
 use xcontainers::prelude::*;
 use xcontainers::workloads::apps::microservice;
-use xcontainers::workloads::cluster::{arena_counters, run_cluster_range};
+use xcontainers::workloads::cluster::run_cluster_range;
 
 use super::{HarnessOutput, Journaled};
 use crate::journal::{
@@ -198,27 +198,14 @@ impl Grid {
 /// merged per platform in host order, rendered as one density table.
 pub fn run(runner: &Runner, quick: bool) -> HarnessOutput {
     let grid = Grid::new(quick);
-    let (allocs_before, reuses_before) = arena_counters();
     let cells = runner.run(grid.cells(), |i| grid.cell(i));
-    let mut out = grid.render(cells);
-    // World-arena effectiveness over this grid: in steady state nearly
-    // every host world is assembled from recycled storage (one
-    // allocation per worker thread, not one per host). Ledger-only —
-    // the counters depend on thread count, so they must stay out of the
-    // deterministic text/findings.
-    let (allocs_after, reuses_after) = arena_counters();
-    out.metrics = vec![
-        ("arena_allocs", (allocs_after - allocs_before) as f64),
-        ("arena_reuses", (reuses_after - reuses_before) as f64),
-    ];
-    out
+    grid.render(cells)
 }
 
 /// The crash-safe variant: checkpoints each completed cell under
 /// `root`, resumes from any compatible journal, and stops gracefully on
 /// SIGINT or the `resume` limits. Completed output is byte-identical to
-/// [`run`]'s (the arena metrics differ, but those are ledger-only and
-/// journaled runs skip the ledger anyway).
+/// [`run`]'s.
 ///
 /// # Errors
 ///

@@ -3,7 +3,6 @@
 
 use xcontainers::prelude::*;
 use xcontainers::workloads::apps::figure3_profiles;
-use xcontainers::workloads::http::arena_counters;
 
 use super::HarnessOutput;
 use crate::runner::Runner;
@@ -110,7 +109,6 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
     let costs = CostModel::skylake_cloud();
     let profiles = figure3_profiles();
     let (hits0, misses0) = (cache.hits(), cache.misses());
-    let (allocs0, reuses0) = arena_counters();
     let grid: Vec<(CloudEnv, RequestProfile)> = clouds()
         .into_iter()
         .flat_map(|cloud| profiles.iter().map(move |p| (cloud, p.clone())))
@@ -121,13 +119,6 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
     });
     let mut out = HarnessOutput::merge(cells);
     out.cache_stats = Some((cache.hits() - hits0, cache.misses() - misses0));
-    // Closed-loop worker-world arena effectiveness (ledger-only; the
-    // alloc/reuse split depends on thread count and cache hits).
-    let (allocs1, reuses1) = arena_counters();
-    out.metrics = vec![
-        ("arena_allocs", (allocs1 - allocs0) as f64),
-        ("arena_reuses", (reuses1 - reuses0) as f64),
-    ];
     out.text.push_str(
         "Shape (§5.3): X-Containers lead Docker most on memcached (syscall-\n\
          dense ops), moderately on NGINX, and only match it on Redis (user-\n\

@@ -99,6 +99,5 @@ pub fn run(runner: &Runner) -> HarnessOutput {
         text,
         findings,
         cache_stats: None,
-        metrics: Vec::new(),
     }
 }

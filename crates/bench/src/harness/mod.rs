@@ -54,7 +54,6 @@ where
         entry.cache_hits = Some(hits);
         entry.cache_misses = Some(misses);
     }
-    entry.metrics.extend(out.metrics.iter().copied());
     if runner.jobs() > 1 {
         let serial_start = Instant::now();
         let serial = run(&Runner::new(1));
@@ -186,11 +185,6 @@ pub struct HarnessOutput {
     /// e.g. deduplicated closed-loop simulations — for the benchmark
     /// ledger. `None` when the harness has no cache.
     pub cache_stats: Option<(u64, u64)>,
-    /// Extra named numeric metrics for the benchmark ledger (folded into
-    /// [`BenchEntry::metrics`] by [`measure`]) — e.g. the cluster
-    /// study's world-arena allocation counters. Excluded from the
-    /// harness's deterministic text/findings output.
-    pub metrics: Vec<(&'static str, f64)>,
 }
 
 impl HarnessOutput {
@@ -206,7 +200,6 @@ impl HarnessOutput {
             text,
             findings,
             cache_stats: None,
-            metrics: Vec::new(),
         }
     }
 }

@@ -57,6 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use xc_sim::fnv::{fnv1a, fnv1a_u64, FNV_OFFSET};
 use xcontainers::prelude::{Histogram, HistogramCheckpoint, Json};
 
 use crate::runner::{CellFailure, RunCtl, RunPolicy, Runner};
@@ -68,36 +69,14 @@ pub const JOURNAL_ROOT: &str = "results/.journal";
 /// Journal record schema version.
 const VERSION: u64 = 1;
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-/// FNV-1a over a byte slice, from `seed` (use [`FNV_OFFSET`]-seeded
-/// [`fnv`] unless chaining).
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a digest of `bytes` from the standard offset basis.
-pub fn fnv(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
-}
-
 /// Configuration fingerprint: FNV-1a over a harness tag and the
 /// parameter words that select the grid (seeds, sizes, platform counts;
 /// floats via `to_bits`). Two runs share a fingerprint iff their cells
 /// compute the same values at the same indices.
 pub fn fingerprint(tag: &str, words: &[u64]) -> u64 {
-    let mut h = fnv(tag.as_bytes());
-    for &w in words {
-        h = fnv1a(h, &w.to_le_bytes());
-    }
-    h
+    words
+        .iter()
+        .fold(fnv1a(FNV_OFFSET, tag.as_bytes()), |h, &w| fnv1a_u64(h, w))
 }
 
 /// Writes `bytes` to `path` atomically: the content lands in a
@@ -323,7 +302,7 @@ pub fn discard(root: &Path, harness: &str) -> io::Result<()> {
 /// Serializes one journal record line (trailing newline included).
 fn encode_record<T: CellPayload>(index: usize, fingerprint: u64, value: &T) -> String {
     let payload = value.to_payload().to_string_compact();
-    let digest = fnv(payload.as_bytes());
+    let digest = fnv1a(FNV_OFFSET, payload.as_bytes());
     format!(
         "{{\"v\":{VERSION},\"cell\":{index},\"fp\":\"{fingerprint:016x}\",\
          \"payload\":{payload},\"digest\":\"{digest:016x}\"}}\n"
@@ -354,7 +333,7 @@ fn decode_record<T: CellPayload>(
         .and_then(Json::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or(())?;
-    if digest != fnv(payload.to_string_compact().as_bytes()) {
+    if digest != fnv1a(FNV_OFFSET, payload.to_string_compact().as_bytes()) {
         return Err(());
     }
     let fp = json

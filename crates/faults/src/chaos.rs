@@ -33,14 +33,13 @@
 //! substreams plus one jitter stream, so a cell's result is a pure
 //! function of `(seed, params)` — byte-identical at any `--jobs` value.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use xc_libos::backend::Backend;
 use xc_libos::config::KernelConfig;
 use xc_libos::DispatchTable;
 use xc_sim::engine::{EventQueue, Simulation, World};
+use xc_sim::fnv::{fnv1a_u64, FNV_OFFSET};
 use xc_sim::rng::Rng;
 use xc_sim::stats::Histogram;
 use xc_sim::time::Nanos;
@@ -52,7 +51,7 @@ use xc_xen::{Hypercall, HypervisorAccounting, XenError};
 
 use crate::backoff::RetryPolicy;
 use crate::degrade::warm_up;
-use crate::plan::{fnv_fold, FaultKind, FaultPlan, FaultStats};
+use crate::plan::{FaultKind, FaultPlan, FaultStats};
 use crate::watchdog::Watchdog;
 
 /// The server (backend) domain.
@@ -571,7 +570,7 @@ impl ChaosResult {
     /// FNV-1a fingerprint of every counter plus latency/recovery shape —
     /// what the determinism suite compares across worker counts.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for v in [
             self.issued,
             self.completed,
@@ -597,106 +596,17 @@ impl ChaosResult {
             self.recovery.count(),
             self.recovery.quantile(0.99),
         ] {
-            h = fnv_fold(h, v);
+            h = fnv1a_u64(h, v);
         }
         for k in 0..crate::FAULT_KINDS {
-            h = fnv_fold(h, self.fault_stats.drawn[k]);
-            h = fnv_fold(h, self.fault_stats.injected[k]);
+            h = fnv1a_u64(h, self.fault_stats.drawn[k]);
+            h = fnv1a_u64(h, self.fault_stats.injected[k]);
         }
         h
     }
 }
 
-/// Chaos worlds assembled from freshly allocated (or grown) storage.
-static ARENA_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Chaos worlds assembled entirely from recycled arena storage.
-static ARENA_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative `(allocated, reused)` world-construction counters across
-/// every thread's chaos arena, for the bench ledger: in steady state a
-/// sweep should report almost all reuses — one allocation per worker
-/// thread, not one per grid cell.
-pub fn arena_counters() -> (u64, u64) {
-    (
-        ARENA_ALLOCS.load(Ordering::Relaxed),
-        ARENA_REUSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Reusable backing storage for chaos worlds.
-///
-/// Every cell of a chaos sweep rebuilds the same heap structure — the
-/// event-channel port tables, the grant slab, the connection vector,
-/// the waiting/in-service queues and the calendar wheel — so the arena
-/// keeps one set alive per thread and hands it out reset instead of
-/// letting each cell reallocate it. [`EventChannels::reset`] and
-/// [`GrantTable::reset`] restore the exact logical state of fresh
-/// subsystems (port numbering and grant generations restart from zero),
-/// so arena-backed runs are byte-identical to freshly-allocated ones —
-/// a feature-gated proptest pins that equivalence.
-#[derive(Default)]
-pub struct ChaosArena {
-    ev: EventChannels,
-    gt: GrantTable,
-    conns: Vec<Conn>,
-    waiting: VecDeque<usize>,
-    in_service: Vec<usize>,
-    queue: Option<EventQueue<Ev>>,
-}
-
-impl ChaosArena {
-    /// Creates an empty arena; storage is allocated on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the pooled storage for a run of `params` and bumps the
-    /// global alloc/reuse counters; returns the recycled (or fresh)
-    /// event queue.
-    fn prepare(&mut self, params: &ChaosParams) -> EventQueue<Ev> {
-        if self.queue.is_some() {
-            ARENA_REUSES.fetch_add(1, Ordering::Relaxed);
-        } else {
-            ARENA_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        self.ev.reset();
-        self.gt.reset();
-        self.conns.clear();
-        self.conns.reserve(params.connections);
-        self.waiting.clear();
-        self.waiting.reserve(params.connections);
-        self.in_service.clear();
-        self.in_service.reserve(params.parallelism);
-        match self.queue.take() {
-            Some(mut q) => {
-                q.reset();
-                q
-            }
-            None => EventQueue::with_capacity(4 * params.connections + 16),
-        }
-    }
-}
-
-thread_local! {
-    /// One arena per worker thread: the parallel runner hands each
-    /// thread a stream of sweep cells, and every cell on that thread
-    /// reuses the same world storage.
-    static ARENA: RefCell<ChaosArena> = RefCell::new(ChaosArena::new());
-}
-
-/// Runs one chaos cell to completion and collects the ledgers, drawing
-/// world storage from the calling thread's arena.
-///
-/// # Panics
-///
-/// See [`run_chaos_in`].
-pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> ChaosResult {
-    ARENA.with(|arena| run_chaos_in(&mut arena.borrow_mut(), params, plan, jitter_seed))
-}
-
-/// Runs one chaos cell to completion and collects the ledgers, drawing
-/// world storage from `arena` and returning it there afterwards.
-/// Byte-identical to a run over a fresh arena.
+/// Runs one chaos cell to completion and collects the ledgers.
 ///
 /// # Panics
 ///
@@ -704,12 +614,7 @@ pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> Chao
 /// if the timing invariant `rtt/2 + retry budget + delay_max <
 /// resend_timeout` does not hold — the resend timer must never race a
 /// delivery that is merely slow, or the event ledger would miscount.
-pub fn run_chaos_in(
-    arena: &mut ChaosArena,
-    params: ChaosParams,
-    plan: FaultPlan,
-    jitter_seed: u64,
-) -> ChaosResult {
+pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> ChaosResult {
     assert!(params.connections > 0, "need at least one connection");
     assert!(params.parallelism > 0, "need at least one service slot");
     assert!(
@@ -721,9 +626,8 @@ pub fn run_chaos_in(
         params.resend_timeout
     );
     let costs = CostModel::skylake_cloud();
-    let queue = arena.prepare(&params);
-    let mut ev = std::mem::take(&mut arena.ev);
-    let mut conns = std::mem::take(&mut arena.conns);
+    let mut ev = EventChannels::new();
+    let mut conns = Vec::with_capacity(params.connections);
     for i in 0..params.connections {
         let port_server = ev.alloc_unbound(SERVER).expect("server ports available");
         let port_client = ev.alloc_unbound(CLIENT).expect("client ports available");
@@ -745,14 +649,14 @@ pub fn run_chaos_in(
         jitter: Rng::new(jitter_seed),
         costs,
         ev,
-        gt: std::mem::take(&mut arena.gt),
+        gt: GrantTable::new(),
         acct: HypervisorAccounting::default(),
         table: None,
         demotion_extra: Nanos::ZERO,
         wd: Watchdog::new(1, params.watchdog_timeout),
         conns,
-        waiting: std::mem::take(&mut arena.waiting),
-        in_service: std::mem::take(&mut arena.in_service),
+        waiting: VecDeque::with_capacity(params.connections),
+        in_service: Vec::with_capacity(params.parallelism),
         epoch: 0,
         stalled: false,
         crashed: false,
@@ -772,7 +676,7 @@ pub fn run_chaos_in(
         recovery: Histogram::new(),
     };
     world.warm_abom();
-    let mut sim = Simulation::from_parts(world, queue);
+    let mut sim = Simulation::with_capacity(world, 4 * params.connections + 16);
     for conn in 0..params.connections {
         // Stagger first issues across one RTT so the run does not start
         // with a synchronized burst.
@@ -782,13 +686,13 @@ pub fn run_chaos_in(
     sim.queue_mut()
         .schedule_at(params.watchdog_period, Ev::Watchdog);
     sim.run_until(params.duration);
-    let (w, queue) = sim.into_parts();
+    let w = sim.into_world();
     let in_flight = w
         .conns
         .iter()
         .filter(|c| c.state != ConnState::Idle)
         .count() as u64;
-    let result = ChaosResult {
+    ChaosResult {
         issued: w.issued,
         completed: w.completed,
         abandoned: w.abandoned,
@@ -813,16 +717,7 @@ pub fn run_chaos_in(
         recovery: w.recovery,
         fault_stats: *w.plan.stats(),
         duration: w.p.duration,
-    };
-    // Return the storage for the next cell on this thread. The
-    // histograms moved into the result, so those stay per-run.
-    arena.ev = w.ev;
-    arena.gt = w.gt;
-    arena.conns = w.conns;
-    arena.waiting = w.waiting;
-    arena.in_service = w.in_service;
-    arena.queue = Some(queue);
-    result
+    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ pub mod plan;
 pub mod watchdog;
 
 pub use backoff::RetryPolicy;
-pub use chaos::{run_chaos, run_chaos_in, ChaosArena, ChaosParams, ChaosResult};
+pub use chaos::{run_chaos, ChaosParams, ChaosResult};
 pub use degrade::{warm_up, WarmupReport};
 pub use plan::{FaultKind, FaultPlan, FaultRates, FaultStats, FAULT_KINDS};
 pub use watchdog::Watchdog;

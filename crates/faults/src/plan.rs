@@ -10,6 +10,7 @@
 //! shard-merge order. That is what makes a chaos run byte-identical at
 //! `--jobs 1` and `--jobs N`.
 
+use xc_sim::fnv::{fnv1a_u64, FNV_OFFSET};
 use xc_sim::rng::Rng;
 use xc_sim::time::Nanos;
 use xc_xen::XenError;
@@ -254,13 +255,13 @@ impl FaultPlan {
     /// shard-merge orders.
     pub fn schedule_digest(seed: u64, rates: FaultRates, draws_per_kind: u32) -> u64 {
         let mut plan = FaultPlan::new(seed, rates);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for kind in FaultKind::ALL {
             for _ in 0..draws_per_kind {
-                h = fnv_fold(h, u64::from(plan.should_inject(kind)));
+                h = fnv1a_u64(h, u64::from(plan.should_inject(kind)));
             }
         }
-        h = fnv_fold(
+        h = fnv1a_u64(
             h,
             plan.delay_between(Nanos::from_nanos(1), Nanos::from_micros(100))
                 .as_nanos(),
@@ -270,18 +271,8 @@ impl FaultPlan {
             XenError::GrantTableFull => 1,
             _ => 2,
         };
-        h = fnv_fold(h, err_tag);
-        h
+        fnv1a_u64(h, err_tag)
     }
-}
-
-/// One FNV-1a fold step over a `u64` word.
-pub(crate) fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

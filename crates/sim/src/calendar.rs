@@ -50,11 +50,25 @@
 //! 1024-bucket ring — instead of probing buckets one by one. The
 //! difference is invisible when events are dense (the very next bucket
 //! is almost always populated) but decisive in the sparse regime, where
-//! event spacing far exceeds the bucket width and the old linear scan
-//! walked hundreds of empty buckets per pop. The pre-bitmap scan
-//! survives behind [`CalendarQueue::new_linear_scan`] purely as the
-//! reference strategy `queue_bench --sparse` measures against.
+//! event spacing far exceeds the bucket width and a bucket-by-bucket
+//! probe would walk hundreds of empty buckets per pop.
+//!
+//! # Pooled storage
+//!
+//! Simulation drivers build thousands of short-lived worlds (one per
+//! cluster host, closed-loop worker or chaos cell), each with its own
+//! queue. To keep that cheap, a dropped queue clears its three buffers
+//! — the open bucket, the ring (every bucket keeps its capacity) and
+//! the overflow heap — and parks them in a per-thread spare slot keyed
+//! by event type; the next [`CalendarQueue::new`] or
+//! [`CalendarQueue::with_capacity`] of that type on the thread takes
+//! them back. Only allocations travel: every logical field (cursor,
+//! bucket width, adaptation telemetry) is built fresh by the
+//! constructor, so a queue on recycled storage is observationally
+//! identical to one on new storage.
 
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -63,8 +77,8 @@ use crate::time::Nanos;
 /// log2 of the starting bucket width in nanoseconds: 2^12 ns ≈ 4.1 µs
 /// per bucket. Service times and RTTs in the workload models are
 /// microsecond-scale, so a saturated simulation lands a handful of
-/// events in each bucket. Adaptive queues resize away from this when
-/// the observed occupancy drifts out of band (see
+/// events in each bucket. The queue resizes away from this when the
+/// observed occupancy drifts out of band (see
 /// [`CalendarQueue::advance`]).
 const DEFAULT_BUCKET_BITS: u32 = 12;
 /// Narrowest adaptive bucket width: 2^8 ns = 256 ns.
@@ -217,7 +231,11 @@ impl<E> Default for HeapQueue<E> {
 /// pop. The one contract inherited from the engine: a pushed key must
 /// not be smaller than the last key popped (the engine's
 /// "no scheduling into the past" rule guarantees it).
-pub struct CalendarQueue<E> {
+///
+/// Construction reuses the buffers of the last queue of the same event
+/// type dropped on this thread (see the module docs), which is why the
+/// event type must be `'static`.
+pub struct CalendarQueue<E: 'static> {
     /// Open bucket: all events with epoch ≤ `cursor`, sorted by key
     /// descending (next event at the tail).
     current: Vec<Entry<E>>,
@@ -233,70 +251,87 @@ pub struct CalendarQueue<E> {
     occupancy: [u64; OCC_WORDS],
     /// Events at or beyond the window's far edge, min-keyed first.
     overflow: BinaryHeap<Entry<E>>,
-    /// log2 of the current bucket width in nanoseconds. Fixed at
-    /// [`DEFAULT_BUCKET_BITS`] for non-adaptive queues.
+    /// log2 of the current bucket width in nanoseconds.
     bucket_bits: u32,
-    /// Whether the queue resizes its bucket width when occupancy
-    /// drifts out of band (see [`CalendarQueue::advance`]).
-    adaptive: bool,
     /// Advances since the last adaptation check.
     advances: u32,
     /// Events opened into `current` since the last adaptation check.
     opened: u64,
     /// Sum of cursor-epoch jumps since the last adaptation check.
     jump_sum: u64,
-    /// Use the pre-bitmap linear empty-bucket probe in [`advance`]
-    /// (`Self::advance`) — the reference strategy `queue_bench --sparse`
-    /// compares the bitmap scan against. Never set on engine queues.
-    linear_advance: bool,
 }
 
-impl<E> CalendarQueue<E> {
-    /// Creates an empty queue with the cursor at epoch zero and
-    /// adaptive bucket-width resizing enabled (the engine default).
+/// A dropped queue's buffers, emptied, waiting on its thread for the
+/// next queue of the same event type.
+struct Spare<E> {
+    current: Vec<Entry<E>>,
+    ring: Vec<Vec<Entry<E>>>,
+    overflow: BinaryHeap<Entry<E>>,
+}
+
+thread_local! {
+    /// One spare slot per event type (a handful of types per process,
+    /// so a linear scan beats hashing).
+    static SPARES: RefCell<Vec<(TypeId, Box<dyn Any>)>> = const { RefCell::new(Vec::new()) };
+}
+
+impl<E: 'static> Spare<E> {
+    /// Takes this thread's spare storage for `E`, or empty buffers.
+    fn take() -> Self {
+        SPARES
+            .try_with(|spares| {
+                let mut spares = spares.try_borrow_mut().ok()?;
+                let i = spares.iter().position(|(id, _)| *id == TypeId::of::<E>())?;
+                spares.swap_remove(i).1.downcast::<Self>().ok()
+            })
+            .ok()
+            .flatten()
+            .map_or_else(
+                || Spare {
+                    current: Vec::new(),
+                    ring: Vec::new(),
+                    overflow: BinaryHeap::new(),
+                },
+                |spare| *spare,
+            )
+    }
+
+    /// Parks emptied buffers in this thread's slot for `E` unless the
+    /// slot is already full (then they are freed). Never panics, so it
+    /// is safe in `Drop`: a busy or torn-down slot just frees them.
+    fn put(self) {
+        let _ = SPARES.try_with(|spares| {
+            if let Ok(mut spares) = spares.try_borrow_mut() {
+                if !spares.iter().any(|(id, _)| *id == TypeId::of::<E>()) {
+                    spares.push((TypeId::of::<E>(), Box::new(self)));
+                }
+            }
+        });
+    }
+}
+
+impl<E: 'static> CalendarQueue<E> {
+    /// Creates an empty queue with the cursor at epoch zero and the
+    /// default bucket width, on this thread's spare storage if a queue
+    /// of the same event type was dropped here before.
     pub fn new() -> Self {
+        let spare = Spare::take();
         CalendarQueue {
-            current: Vec::new(),
+            current: spare.current,
             cursor: 0,
-            ring: Vec::new(),
+            ring: spare.ring,
             ring_len: 0,
             occupancy: [0; OCC_WORDS],
-            overflow: BinaryHeap::new(),
+            overflow: spare.overflow,
             bucket_bits: DEFAULT_BUCKET_BITS,
-            adaptive: true,
             advances: 0,
             opened: 0,
             jump_sum: 0,
-            linear_advance: false,
-        }
-    }
-
-    /// Creates a queue pinned to the default bucket width — the
-    /// pre-adaptive behaviour, kept as the fixed-width reference lane
-    /// `queue_bench --sparse` measures the adaptive queue against.
-    pub fn new_fixed_width() -> Self {
-        CalendarQueue {
-            adaptive: false,
-            ..CalendarQueue::new()
-        }
-    }
-
-    /// Creates a queue whose `advance` probes ring buckets one by one
-    /// (the pre-bitmap strategy, fixed width). Kept only so
-    /// `queue_bench --sparse` and the equivalence tests can measure the
-    /// bitmap scan against its predecessor; the engine always uses
-    /// [`CalendarQueue::new`].
-    pub fn new_linear_scan() -> Self {
-        CalendarQueue {
-            adaptive: false,
-            linear_advance: true,
-            ..CalendarQueue::new()
         }
     }
 
     /// log2 of the current bucket width in nanoseconds (observability
-    /// for benches and tests; starts at 12, moves only on adaptive
-    /// queues).
+    /// for benches and tests; starts at 12 and adapts to the schedule).
     pub fn bucket_bits(&self) -> u32 {
         self.bucket_bits
     }
@@ -313,30 +348,6 @@ impl<E> CalendarQueue<E> {
     /// bucket.
     pub fn reserve(&mut self, additional: usize) {
         self.current.reserve(additional);
-    }
-
-    /// Clears every pending event and rewinds the queue to its
-    /// just-constructed logical state while keeping the allocations (the
-    /// open bucket's capacity, the lazily-allocated ring, the overflow
-    /// heap's buffer). The adaptive state rewinds too — bucket width back
-    /// to the default, telemetry counters zeroed — so a reused queue is
-    /// observationally identical to a fresh one. Arena-backed simulation
-    /// worlds rely on that to stay byte-identical to freshly-allocated
-    /// runs. The construction-time strategy flags (`adaptive`,
-    /// `linear_advance`) are preserved.
-    pub fn reset(&mut self) {
-        self.current.clear();
-        self.cursor = 0;
-        for bucket in &mut self.ring {
-            bucket.clear();
-        }
-        self.ring_len = 0;
-        self.occupancy = [0; OCC_WORDS];
-        self.overflow.clear();
-        self.bucket_bits = DEFAULT_BUCKET_BITS;
-        self.advances = 0;
-        self.opened = 0;
-        self.jump_sum = 0;
     }
 
     /// Number of pending events.
@@ -422,18 +433,16 @@ impl<E> CalendarQueue<E> {
         if self.ring_len == 0 && self.overflow.is_empty() {
             return false;
         }
-        if self.adaptive {
-            self.advances += 1;
-            if self.advances >= ADAPT_PERIOD && self.maybe_resize() {
-                // A coarsening rebucket can fold pending epochs into the
-                // open bucket; if it did, that's this advance's refill.
-                if !self.current.is_empty() {
-                    if self.current.len() > 1 {
-                        self.current
-                            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
-                    }
-                    return true;
+        self.advances += 1;
+        if self.advances >= ADAPT_PERIOD && self.maybe_resize() {
+            // A coarsening rebucket can fold pending epochs into the
+            // open bucket; if it did, that's this advance's refill.
+            if !self.current.is_empty() {
+                if self.current.len() > 1 {
+                    self.current
+                        .sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
                 }
+                return true;
             }
         }
         // The next cursor is the nearest populated epoch: the occupancy
@@ -446,8 +455,6 @@ impl<E> CalendarQueue<E> {
             .map(|e| epoch_of(e.key, self.bucket_bits));
         let ring_epoch = if self.ring_len == 0 {
             None
-        } else if self.linear_advance {
-            self.next_ring_epoch_linear(overflow_epoch)
         } else {
             self.next_ring_epoch()
         };
@@ -456,9 +463,7 @@ impl<E> CalendarQueue<E> {
             (r, o) => r.or(o),
         };
         let Some(next) = next else { return false };
-        if self.adaptive {
-            self.jump_sum += next - self.cursor;
-        }
+        self.jump_sum += next - self.cursor;
         self.cursor = next;
         // Pull overflow entries that are now inside the window. The
         // minimum's epoch is already in hand, so the common case (empty
@@ -498,9 +503,7 @@ impl<E> CalendarQueue<E> {
             self.current
                 .sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
         }
-        if self.adaptive {
-            self.opened += self.current.len() as u64;
-        }
+        self.opened += self.current.len() as u64;
         debug_assert!(!self.current.is_empty());
         true
     }
@@ -579,28 +582,29 @@ impl<E> CalendarQueue<E> {
         }
         None
     }
+}
 
-    /// The pre-bitmap strategy: probe ring buckets one by one outward
-    /// from the cursor, giving up once `bound` (the overflow minimum)
-    /// is at least as near. Reachable only through
-    /// [`CalendarQueue::new_linear_scan`].
-    fn next_ring_epoch_linear(&self, bound: Option<u64>) -> Option<u64> {
-        for d in 1..NUM_BUCKETS as u64 {
-            let ep = self.cursor + d;
-            if matches!(bound, Some(limit) if ep >= limit) {
-                return None;
-            }
-            if !self.ring[(ep & EPOCH_MASK) as usize].is_empty() {
-                return Some(ep);
-            }
-        }
-        None
+impl<E: 'static> Default for CalendarQueue<E> {
+    fn default() -> Self {
+        CalendarQueue::new()
     }
 }
 
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        CalendarQueue::new()
+impl<E: 'static> Drop for CalendarQueue<E> {
+    /// Drops every pending event, then parks the emptied buffers for
+    /// the next queue of this event type on the thread.
+    fn drop(&mut self) {
+        let mut spare = Spare {
+            current: std::mem::take(&mut self.current),
+            ring: std::mem::take(&mut self.ring),
+            overflow: std::mem::take(&mut self.overflow),
+        };
+        spare.current.clear();
+        for bucket in &mut spare.ring {
+            bucket.clear();
+        }
+        spare.overflow.clear();
+        spare.put();
     }
 }
 
@@ -708,79 +712,68 @@ mod tests {
     }
 
     #[test]
-    fn sparse_spacing_matches_heap_and_linear_reference() {
+    fn sparse_spacing_matches_heap() {
         // Millisecond-scale spacing (hundreds of empty buckets between
         // events) drives the bitmap scan through full-word skips and
-        // ring wrap-around; the linear-scan reference must agree too.
+        // ring wrap-around.
         let mut cal = CalendarQueue::new();
-        let mut lin = CalendarQueue::new_linear_scan();
         let mut heap = HeapQueue::new();
         let mut ns = 0u64;
         for i in 0..64u64 {
             ns += 700_000 + (i * 137_911) % 2_900_000; // 0.7–3.6 ms gaps
             let k = key(Nanos::from_nanos(ns), i);
             cal.push(k, i as u32);
-            lin.push(k, i as u32);
             heap.push(k, i as u32);
         }
-        loop {
-            assert_eq!(cal.peek_key(), heap.peek_key());
-            assert_eq!(lin.peek_key(), heap.peek_key());
-            let (a, b, c) = (cal.pop(), lin.pop(), heap.pop());
-            assert_eq!(a, c);
-            assert_eq!(b, c);
-            if c.is_none() {
-                break;
-            }
+        drain_both(cal, heap);
+    }
+
+    /// Drives `cal` through a self-perpetuating sparse schedule in
+    /// lockstep with `heap` — every pop schedules the next event ~1 ms
+    /// out, so the cursor leaps ~244 epochs per advance at the default
+    /// 4.1 µs width — starting from `pending` events. Returns the next
+    /// sequence number and the last scheduled time.
+    fn sparse_phase(
+        cal: &mut CalendarQueue<u32>,
+        heap: &mut HeapQueue<u32>,
+        pending: u64,
+        pops: usize,
+    ) -> (u64, u64) {
+        let mut seq = 0u64;
+        let mut ns = 0u64;
+        for _ in 0..pending {
+            ns += 900_000 + (seq * 77_017) % 300_000;
+            let k = key(Nanos::from_nanos(ns), seq);
+            cal.push(k, seq as u32);
+            heap.push(k, seq as u32);
+            seq += 1;
         }
+        for _ in 0..pops {
+            let (k, v) = heap.pop().expect("heap has events");
+            assert_eq!(cal.pop(), Some((k, v)), "sparse pop order diverged");
+            ns = key_time(k).as_nanos() + 900_000 + (seq * 77_017) % 300_000;
+            let nk = key(Nanos::from_nanos(ns), seq);
+            cal.push(nk, seq as u32);
+            heap.push(nk, seq as u32);
+            seq += 1;
+        }
+        (seq, ns)
     }
 
     #[test]
     fn adaptive_widening_matches_heap_on_sparse_schedule() {
-        // A self-perpetuating sparse schedule: every pop schedules the
-        // next event ~1 ms out, so the cursor leaps ~244 epochs per
-        // advance at the default 4.1 µs width. After ADAPT_PERIOD
-        // advances the adaptive queue must have widened its buckets —
-        // and still pop in exactly the heap's order throughout.
+        // After ADAPT_PERIOD advances of a sparse schedule the queue
+        // must have widened its buckets — and still pop in exactly the
+        // heap's order throughout.
         let mut cal = CalendarQueue::new();
-        let mut fixed = CalendarQueue::new_fixed_width();
         let mut heap = HeapQueue::new();
-        let mut seq = 0u64;
-        let mut ns = 0u64;
-        for _ in 0..8 {
-            ns += 900_000 + (seq * 77_017) % 300_000;
-            let k = key(Nanos::from_nanos(ns), seq);
-            cal.push(k, seq as u32);
-            fixed.push(k, seq as u32);
-            heap.push(k, seq as u32);
-            seq += 1;
-        }
-        for _ in 0..1500 {
-            let (k, v) = heap.pop().expect("heap has events");
-            assert_eq!(cal.pop(), Some((k, v)), "adaptive pop order diverged");
-            assert_eq!(fixed.pop(), Some((k, v)), "fixed pop order diverged");
-            ns = key_time(k).as_nanos() + 900_000 + (seq * 77_017) % 300_000;
-            let nk = key(Nanos::from_nanos(ns), seq);
-            cal.push(nk, seq as u32);
-            fixed.push(nk, seq as u32);
-            heap.push(nk, seq as u32);
-            seq += 1;
-        }
+        sparse_phase(&mut cal, &mut heap, 8, 1500);
         assert!(
             cal.bucket_bits() > DEFAULT_BUCKET_BITS,
             "sparse schedule should widen buckets, still at {}",
             cal.bucket_bits()
         );
-        assert_eq!(fixed.bucket_bits(), DEFAULT_BUCKET_BITS);
-        // Drain the remainder in lockstep too.
-        loop {
-            let (a, b, c) = (cal.pop(), fixed.pop(), heap.pop());
-            assert_eq!(a, c);
-            assert_eq!(b, c);
-            if c.is_none() {
-                break;
-            }
-        }
+        drain_both(cal, heap);
     }
 
     #[test]
@@ -791,27 +784,10 @@ mod tests {
         // preserving heap order.
         let mut cal = CalendarQueue::new();
         let mut heap = HeapQueue::new();
-        let mut seq = 0u64;
-        let mut ns = 0u64;
         // Sparse phase: jittered ~1 ms spacing (distinct timestamps, so
         // every pop drains the open bucket and triggers an advance)
         // widens the buckets.
-        for _ in 0..4 {
-            ns += 900_000 + (seq * 77_017) % 300_000;
-            let k = key(Nanos::from_nanos(ns), seq);
-            cal.push(k, seq as u32);
-            heap.push(k, seq as u32);
-            seq += 1;
-        }
-        for _ in 0..1500 {
-            let (k, v) = heap.pop().unwrap();
-            assert_eq!(cal.pop(), Some((k, v)));
-            ns = key_time(k).as_nanos() + 900_000 + (seq * 77_017) % 300_000;
-            let nk = key(Nanos::from_nanos(ns), seq);
-            cal.push(nk, seq as u32);
-            heap.push(nk, seq as u32);
-            seq += 1;
-        }
+        let (mut seq, mut ns) = sparse_phase(&mut cal, &mut heap, 4, 1500);
         let widened = cal.bucket_bits();
         assert!(widened > DEFAULT_BUCKET_BITS, "setup should widen first");
         // Dense phase: 50 events in flight rescheduled ~40 µs out, so
@@ -857,46 +833,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reset_queue_is_observationally_fresh() {
-        // Drive an adaptive queue through a sparse phase so it widens its
-        // buckets and populates every tier, then reset and replay a fixed
-        // schedule against a genuinely fresh queue: pops must agree and
-        // the adaptive state must have rewound.
-        let mut used = CalendarQueue::new();
-        let mut seq = 0u64;
-        let mut ns = 0u64;
-        for _ in 0..8 {
-            ns += 900_000 + (seq * 77_017) % 300_000;
-            used.push(key(Nanos::from_nanos(ns), seq), seq as u32);
-            seq += 1;
-        }
-        for _ in 0..1500 {
-            let (k, _) = used.pop().expect("events pending");
-            ns = key_time(k).as_nanos() + 900_000 + (seq * 77_017) % 300_000;
-            used.push(key(Nanos::from_nanos(ns), seq), seq as u32);
-            seq += 1;
-        }
-        assert!(used.bucket_bits() > DEFAULT_BUCKET_BITS, "setup must widen");
-        // Leave ring + overflow populated, then reset.
-        used.push(key(Nanos::from_secs(30), seq), 0);
-        used.reset();
-        assert!(used.is_empty());
-        assert_eq!(used.bucket_bits(), DEFAULT_BUCKET_BITS);
-        let mut fresh = CalendarQueue::new();
+    /// Every `(peek_key, pop)` pair of a replay.
+    type Trace = Vec<(Option<u128>, Option<(u128, u32)>)>;
+
+    /// Checks a just-built queue's logical state, then replays a fixed
+    /// schedule spanning all three tiers, recording every peek and pop.
+    fn fresh_replay(mut q: CalendarQueue<u32>) -> Trace {
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.bucket_bits(), DEFAULT_BUCKET_BITS);
         for (i, t) in [5u64, 4096, 1 << 33, 1 << 40, 12].iter().enumerate() {
-            let k = key(Nanos::from_nanos(*t), i as u64);
-            used.push(k, i as u32);
-            fresh.push(k, i as u32);
+            q.push(key(Nanos::from_nanos(*t), i as u64), i as u32);
         }
+        let mut trace = Vec::new();
         loop {
-            assert_eq!(used.peek_key(), fresh.peek_key());
-            let (a, b) = (used.pop(), fresh.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+            let step = (q.peek_key(), q.pop());
+            trace.push(step);
+            if step.1.is_none() {
+                return trace;
             }
         }
+    }
+
+    #[test]
+    fn pooled_storage_is_observationally_fresh() {
+        // Widen a queue with a sparse phase and leave events in every
+        // tier, then drop it: its buffers go to this thread's spare slot.
+        let mut used = CalendarQueue::new();
+        let (seq, _) = sparse_phase(&mut used, &mut HeapQueue::new(), 8, 1500);
+        assert!(used.bucket_bits() > DEFAULT_BUCKET_BITS, "setup must widen");
+        let front = key_time(used.peek_key().expect("events pending")).as_nanos();
+        let bucket_ns = 1u64 << used.bucket_bits();
+        used.push(key(Nanos::from_nanos(front), seq), 0);
+        used.push(key(Nanos::from_nanos(front + 2 * bucket_ns), seq + 1), 0);
+        used.push(key(Nanos::from_secs(30), seq + 2), 0);
+        assert!(!used.current.is_empty() && used.ring_len > 0 && !used.overflow.is_empty());
+        drop(used);
+        // The next queue on this thread takes the spare storage (its
+        // ring is already allocated); one on a new thread starts bare.
+        let reused = CalendarQueue::new();
+        assert_eq!(reused.ring.len(), NUM_BUCKETS, "spare storage not reused");
+        let recycled = fresh_replay(reused);
+        let fresh = std::thread::spawn(|| {
+            let q = CalendarQueue::new();
+            assert!(q.ring.is_empty(), "a new thread has no spare storage");
+            fresh_replay(q)
+        })
+        .join()
+        .expect("fresh-thread replay");
+        assert_eq!(recycled, fresh);
     }
 
     #[test]

@@ -46,8 +46,10 @@ use crate::time::Nanos;
 /// Implementors own *all* mutable state of a simulation; the engine owns the
 /// clock and the pending-event queue.
 pub trait World: Sized {
-    /// The event type driving this world (usually an enum).
-    type Event;
+    /// The event type driving this world (usually an enum). `'static`
+    /// because the event queue recycles its storage per event type (see
+    /// [`crate::calendar`]).
+    type Event: 'static;
 
     /// Handles one event at simulated time `now`.
     ///
@@ -68,13 +70,13 @@ pub trait World: Sized {
 /// in the same strictly ascending order the previous binary heap did,
 /// with O(1) amortised push/pop instead of O(log n).
 #[derive(Default)]
-pub struct EventQueue<E> {
+pub struct EventQueue<E: 'static> {
     cal: CalendarQueue<E>,
     seq: u64,
     now: Nanos,
 }
 
-impl<E> EventQueue<E> {
+impl<E: 'static> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
@@ -101,17 +103,6 @@ impl<E> EventQueue<E> {
     /// Reserves room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
         self.cal.reserve(additional);
-    }
-
-    /// Clears pending events and rewinds the clock and sequence counter
-    /// to zero, keeping the calendar queue's allocations (see
-    /// [`CalendarQueue::reset`]). A reset queue behaves exactly like a
-    /// fresh one, which is what lets world arenas recycle it across
-    /// simulations without perturbing determinism.
-    pub fn reset(&mut self) {
-        self.cal.reset();
-        self.seq = 0;
-        self.now = Nanos::ZERO;
     }
 
     /// Current simulated time.
@@ -189,7 +180,7 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> std::fmt::Debug for EventQueue<E> {
+impl<E: 'static> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
@@ -252,28 +243,9 @@ impl<W: World> Simulation<W> {
         &mut self.queue
     }
 
-    /// Wraps a world around an existing — typically recycled — event
-    /// queue. For a reproducible run the queue should be in its reset
-    /// state (time zero, no pending events, see [`EventQueue::reset`]);
-    /// the step counter starts at zero either way.
-    pub fn from_parts(world: W, queue: EventQueue<W::Event>) -> Self {
-        Simulation {
-            world,
-            queue,
-            steps: 0,
-        }
-    }
-
     /// Consumes the simulation, returning the final world state.
     pub fn into_world(self) -> W {
         self.world
-    }
-
-    /// Consumes the simulation, returning both the world and the event
-    /// queue so callers can recycle the queue's allocations (the
-    /// counterpart to [`Simulation::from_parts`]).
-    pub fn into_parts(self) -> (W, EventQueue<W::Event>) {
-        (self.world, self.queue)
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -509,38 +481,6 @@ mod tests {
         }
         assert_eq!(a.pop(), b.pop());
         assert_eq!(a.pop(), Some((Nanos::from_nanos(3), 1)));
-    }
-
-    #[test]
-    fn reset_rewinds_clock_seq_and_pending() {
-        let mut q: EventQueue<u8> = EventQueue::with_capacity(8);
-        q.schedule_at(Nanos::from_nanos(3), 1);
-        q.schedule_at(Nanos::from_nanos(9), 2);
-        assert_eq!(q.pop(), Some((Nanos::from_nanos(3), 1)));
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), Nanos::ZERO);
-        // Scheduling at time zero is legal again and insertion order
-        // restarts from seq 0 — a recycled queue is a fresh queue.
-        q.schedule_at(Nanos::ZERO, 7);
-        q.schedule_at(Nanos::ZERO, 8);
-        assert_eq!(q.pop(), Some((Nanos::ZERO, 7)));
-        assert_eq!(q.pop(), Some((Nanos::ZERO, 8)));
-    }
-
-    #[test]
-    fn from_parts_recycles_a_reset_queue() {
-        let mut s = sim();
-        s.queue_mut().schedule_at(Nanos::ZERO, Ev::Chain(4));
-        s.run();
-        let (_, mut queue) = s.into_parts();
-        queue.reset();
-        let mut s2 = Simulation::from_parts(Recorder { log: Vec::new() }, queue);
-        assert_eq!(s2.steps(), 0);
-        s2.queue_mut().schedule_at(Nanos::ZERO, Ev::Chain(4));
-        let end = s2.run();
-        assert_eq!(end, Nanos::from_nanos(20));
-        assert_eq!(s2.steps(), 5);
     }
 
     #[test]

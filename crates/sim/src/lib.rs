@@ -7,6 +7,7 @@
 //! * [`rng`] — deterministic pseudo-random number generation
 //!   ([`Rng`], SplitMix64 seeding + xoshiro256\*\* stream),
 //! * [`engine`] — a deterministic discrete-event simulation engine,
+//! * [`fnv`] — the stable FNV-1a hash behind digests and fingerprints,
 //! * [`stats`] — streaming summaries and log-bucketed latency histograms,
 //! * [`cost`] — the primitive cost model all container architectures are
 //!   composed from,
@@ -37,6 +38,7 @@
 pub mod calendar;
 pub mod cost;
 pub mod engine;
+pub mod fnv;
 pub mod report;
 pub mod rng;
 pub mod stats;

@@ -272,17 +272,6 @@ impl Histogram {
         }
     }
 
-    /// Resets to the empty state while keeping the bucket allocation —
-    /// the reuse hook world arenas call instead of building a fresh
-    /// histogram (2 048 buckets) per simulation.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
-        self.sum = 0;
-        self.max = 0;
-        self.min = u64::MAX;
-    }
-
     /// Records a single value.
     #[inline]
     pub fn record(&mut self, value: u64) {
@@ -679,17 +668,6 @@ mod tests {
         assert_eq!(merged.count(), union.count());
         assert_eq!(merged.quantile(0.5), union.quantile(0.5));
         assert_eq!(merged.max(), union.max());
-    }
-
-    #[test]
-    fn histogram_clear_restores_empty_state() {
-        let mut h: Histogram = (1..5000u64).collect();
-        h.clear();
-        assert_eq!(h, Histogram::new());
-        h.record(9);
-        assert_eq!(h.min(), 9);
-        assert_eq!(h.max(), 9);
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

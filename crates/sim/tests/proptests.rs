@@ -185,8 +185,8 @@ proptest! {
         }
     }
 
-    /// The occupancy-bitmap advance agrees with the binary heap (and the
-    /// reference linear bucket scan) under sparse and bursty schedules:
+    /// The occupancy-bitmap advance agrees with the binary heap under
+    /// sparse and bursty schedules:
     /// delays alternate between sub-µs bursts (events pile into one or
     /// two buckets) and millisecond gaps (hundreds of empty buckets —
     /// the regime where the bitmap scan, not the per-bucket probe, finds
@@ -199,7 +199,6 @@ proptest! {
         ),
     ) {
         let mut cal = CalendarQueue::new();
-        let mut lin = CalendarQueue::new_linear_scan();
         let mut heap = HeapQueue::new();
         let mut now = 0u64;
         for (i, &(raw, burst, pop)) in ops.iter().enumerate() {
@@ -208,13 +207,11 @@ proptest! {
             let delay = if burst { raw % 2_000 } else { 200_000 + raw };
             let k = key(Nanos::from_nanos(now.saturating_add(delay)), i as u64);
             cal.push(k, i as u32);
-            lin.push(k, i as u32);
             heap.push(k, i as u32);
             if pop {
                 prop_assert_eq!(cal.peek_key(), heap.peek_key());
-                let (a, l, b) = (cal.pop(), lin.pop(), heap.pop());
+                let (a, b) = (cal.pop(), heap.pop());
                 prop_assert_eq!(a, b);
-                prop_assert_eq!(l, b);
                 if let Some((k, _)) = a {
                     now = (k >> 64) as u64;
                 }
@@ -222,10 +219,8 @@ proptest! {
         }
         loop {
             prop_assert_eq!(cal.peek_key(), heap.peek_key());
-            prop_assert_eq!(lin.peek_key(), heap.peek_key());
-            let (a, l, b) = (cal.pop(), lin.pop(), heap.pop());
+            let (a, b) = (cal.pop(), heap.pop());
             prop_assert_eq!(a, b);
-            prop_assert_eq!(l, b);
             if a.is_none() {
                 break;
             }

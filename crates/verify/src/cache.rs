@@ -50,23 +50,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use xc_isa::image::BinaryImage;
+use xc_sim::fnv::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
 use crate::report::{ReasonChain, SiteReport, UnknownReason, UnsafeReason, Verdict, VerifyReport};
 use crate::verifier::{Analysis, DetourHazard, Verifier};
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Content fingerprint of everything [`Verifier::analyze`] depends on
 /// *modulo translation*: length, byte content, the base-relative offsets
@@ -76,7 +63,7 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// uniform shift, which [`CachedAnalysis`] applies at query time.
 fn fingerprint(verifier: &Verifier, image: &BinaryImage) -> u64 {
     let mut h = FNV_OFFSET;
-    h = fnv1a(h, &(image.len() as u64).to_le_bytes());
+    h = fnv1a_u64(h, image.len() as u64);
     h = fnv1a(h, &verifier.config().max_syscall_nr.to_le_bytes());
     // The interprocedural inputs are part of the analysis function: two
     // configurations that window the frame, bound the summary fixpoint,
@@ -96,7 +83,7 @@ fn fingerprint(verifier: &Verifier, image: &BinaryImage) -> u64 {
     let mut offsets: Vec<u64> = image.symbols().map(|(_, a)| a - image.base()).collect();
     offsets.sort_unstable();
     for off in offsets {
-        h = fnv1a(h, &off.to_le_bytes());
+        h = fnv1a_u64(h, off);
     }
     h
 }

@@ -24,9 +24,7 @@
 //! byte-identical results. The bench harness exploits that by making
 //! host chunks its parallel runner cells.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use xc_sim::engine::{EventQueue, Simulation, World};
 use xc_sim::rng::Rng;
@@ -83,11 +81,8 @@ impl ClusterParams {
 /// queue discipline — FIFO order, drop when `len >= queue_cap` — is
 /// exactly the old per-deque behaviour (a unit test pins the cap-64
 /// drop boundary against a `VecDeque` model).
-#[derive(Default)]
 struct DomainFifos {
-    /// All domains' ring storage, `stride` slots each. Slack beyond the
-    /// live `domains * stride` prefix (from a larger earlier grid) is
-    /// dead data — indexing never leaves a domain's own window.
+    /// All domains' ring storage, `stride` slots each.
     slots: Vec<Nanos>,
     /// Per-domain head counters (wrapping).
     heads: Vec<u32>,
@@ -100,7 +95,19 @@ struct DomainFifos {
 }
 
 impl DomainFifos {
-    /// Number of domains currently configured.
+    /// Empty FIFOs for `domains` domains with logical cap `queue_cap`.
+    fn new(domains: usize, queue_cap: usize) -> Self {
+        let stride = queue_cap.max(1).next_power_of_two();
+        DomainFifos {
+            slots: vec![Nanos::ZERO; domains * stride],
+            heads: vec![0; domains],
+            tails: vec![0; domains],
+            in_service: vec![false; domains],
+            stride,
+        }
+    }
+
+    /// Number of domains configured.
     #[cfg(test)]
     fn domains(&self) -> usize {
         self.heads.len()
@@ -149,41 +156,13 @@ impl DomainFifos {
     fn set_in_service(&mut self, d: usize, v: bool) {
         self.in_service[d] = v;
     }
-
-    /// Reconfigures for `domains` domains with logical cap `queue_cap`,
-    /// emptying every FIFO (counters to zero) while keeping the slab
-    /// allocation when it is already large enough. Stale slot contents
-    /// are unreachable once `head == tail`, so they are left in place.
-    fn reset(&mut self, domains: usize, queue_cap: usize) {
-        self.stride = queue_cap.max(1).next_power_of_two();
-        let need = domains * self.stride;
-        if self.slots.len() < need {
-            self.slots.resize(need, Nanos::ZERO);
-        }
-        self.heads.clear();
-        self.heads.resize(domains, 0);
-        self.tails.clear();
-        self.tails.resize(domains, 0);
-        self.in_service.clear();
-        self.in_service.resize(domains, false);
-    }
-
-    /// Whether the slab already covers `domains` domains at `queue_cap`
-    /// (i.e. a [`DomainFifos::reset`] would not allocate).
-    fn covers(&self, domains: usize, queue_cap: usize) -> bool {
-        let stride = queue_cap.max(1).next_power_of_two();
-        self.slots.len() >= domains * stride && self.heads.capacity() >= domains
-    }
 }
 
 /// One host's world: open-loop Poisson arrivals over Zipf-ranked
 /// domains, cores as the shared bottleneck.
 ///
-/// The heap-backed pieces (domain FIFOs, the core run queue, the
-/// latency histogram) are *borrowed* from a [`WorldArena`] so the
-/// cluster grid reuses one set of allocations across hosts and cells
-/// instead of rebuilding them per host; the histogram doubles as the
-/// range accumulator (integer bucket adds are order-independent, so
+/// The latency histogram is borrowed from the range result it
+/// accumulates into (integer bucket adds are order-independent, so
 /// recording hosts straight into one histogram is byte-identical to
 /// merging per-host ones).
 struct HostWorld<'a> {
@@ -197,11 +176,11 @@ struct HostWorld<'a> {
     /// Domains on this host (the Zipf draw's range; the ring slab's
     /// configured domain count always matches).
     n_domains: u64,
-    fifos: &'a mut DomainFifos,
+    fifos: DomainFifos,
     /// Domains ready to serve (idle, pending non-empty) waiting for a
     /// free core, FIFO. A domain is queued at most once: it enters only
     /// on its idle-with-work transition and leaves when started.
-    core_queue: &'a mut VecDeque<u32>,
+    core_queue: VecDeque<u32>,
     completed: u64,
     dropped: u64,
     latency: &'a mut Histogram,
@@ -399,86 +378,10 @@ impl ClusterResult {
     }
 }
 
-/// Worlds assembled from freshly allocated (or grown) storage.
-static ARENA_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Worlds assembled entirely from recycled arena storage.
-static ARENA_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative `(allocated, reused)` world-construction counters across
-/// every thread's arena, for the bench ledger: in steady state the grid
-/// should report almost all reuses — one allocation per worker thread
-/// per storage growth, not one per host.
-pub fn arena_counters() -> (u64, u64) {
-    (
-        ARENA_ALLOCS.load(Ordering::Relaxed),
-        ARENA_REUSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Reusable backing storage for [`HostWorld`]s and their event queues.
-///
-/// Every host in the cluster grid needs the same heap structure — the
-/// flat [`DomainFifos`] ring slab, a core run queue, a 2 048-bucket
-/// latency histogram, and a calendar-queue wheel — so the arena keeps
-/// one set alive and hands it out reset instead of letting each host
-/// reallocate it. The resets restore the exact logical state of fresh
-/// storage ([`EventQueue::reset`] rewinds even the adaptive bucket
-/// width), so arena-backed runs are byte-identical to
-/// freshly-allocated ones — a feature-gated proptest pins that
-/// equivalence.
-#[derive(Default)]
-pub struct WorldArena {
-    fifos: DomainFifos,
-    core_queue: VecDeque<u32>,
-    queue: Option<EventQueue<Ev>>,
-}
-
-impl WorldArena {
-    /// Creates an empty arena; storage is allocated on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the pooled storage for a world of `domains` domains with
-    /// per-domain queue cap `queue_cap` and bumps the global alloc/reuse
-    /// counters. The ring slab keeps its buffer whenever it already
-    /// covers the requested geometry.
-    fn prepare(
-        &mut self,
-        domains: usize,
-        queue_cap: usize,
-        queue_capacity: usize,
-    ) -> EventQueue<Ev> {
-        let reused = self.queue.is_some() && self.fifos.covers(domains, queue_cap);
-        if reused {
-            ARENA_REUSES.fetch_add(1, Ordering::Relaxed);
-        } else {
-            ARENA_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        self.fifos.reset(domains, queue_cap);
-        self.core_queue.clear();
-        match self.queue.take() {
-            Some(mut q) => {
-                q.reset();
-                q
-            }
-            None => EventQueue::with_capacity(queue_capacity),
-        }
-    }
-}
-
-thread_local! {
-    /// One arena per worker thread: the parallel runner hands each
-    /// thread a stream of grid cells, and every cell on that thread
-    /// reuses the same world storage.
-    static ARENA: RefCell<WorldArena> = RefCell::new(WorldArena::new());
-}
-
 /// Simulates one host of the cluster. Pure function of
 /// `(table, params, host_index)` — the unit every driver composes from.
 pub fn simulate_host(table: &PlatformCosts, params: &ClusterParams, host: u32) -> HostResult {
-    let mut arena = WorldArena::new();
-    let r = run_cluster_range_in(&mut arena, table, params, host, 1);
+    let r = run_cluster_range(table, params, host, 1);
     HostResult {
         completed: r.completed,
         dropped: r.dropped,
@@ -488,14 +391,11 @@ pub fn simulate_host(table: &PlatformCosts, params: &ClusterParams, host: u32) -
 }
 
 /// Simulates the contiguous host range `[first, first + count)` into a
-/// single [`ClusterResult`], drawing world storage from `arena`.
-///
-/// Byte-identical to simulating each host with fresh storage and
-/// merging in host-index order: the resets restore fresh logical state,
-/// and the shared latency histogram accumulates integer bucket counts,
-/// which sum the same whether recorded directly or merged per host.
-pub fn run_cluster_range_in(
-    arena: &mut WorldArena,
+/// single [`ClusterResult`]. Byte-identical to simulating each host on
+/// its own and merging in host-index order: the shared latency
+/// histogram accumulates integer bucket counts, which sum the same
+/// whether recorded directly or merged per host.
+pub fn run_cluster_range(
     table: &PlatformCosts,
     params: &ClusterParams,
     first: u32,
@@ -509,7 +409,6 @@ pub fn run_cluster_range_in(
             continue;
         }
         let n = params.domains_per_host as usize;
-        let queue = arena.prepare(n, params.queue_cap.max(1), n + 2);
         let world = HostWorld {
             table: *table,
             jitter: 0.15,
@@ -519,36 +418,23 @@ pub fn run_cluster_range_in(
             cores: params.host_cores.max(1),
             busy_cores: 0,
             n_domains: n as u64,
-            fifos: &mut arena.fifos,
-            core_queue: &mut arena.core_queue,
+            fifos: DomainFifos::new(n, params.queue_cap.max(1)),
+            core_queue: VecDeque::with_capacity(n),
             completed: 0,
             dropped: 0,
             latency: &mut out.latency,
             busy_ns: 0,
             rng: Rng::substream(params.seed, u64::from(host)),
         };
-        let mut sim = Simulation::from_parts(world, queue);
+        let mut sim = Simulation::with_capacity(world, n + 2);
         sim.queue_mut().schedule_at(Nanos::ZERO, Ev::Arrive);
         sim.run_until(params.duration);
-        let (world, queue) = sim.into_parts();
+        let world = sim.into_world();
         out.completed += world.completed;
         out.dropped += world.dropped;
         out.busy_ns += world.busy_ns;
-        arena.queue = Some(queue);
     }
     out
-}
-
-/// Simulates the contiguous host range `[first, first + count)` and
-/// merges in host-index order, using the calling thread's arena (world
-/// storage is recycled across every range this thread simulates).
-pub fn run_cluster_range(
-    table: &PlatformCosts,
-    params: &ClusterParams,
-    first: u32,
-    count: u32,
-) -> ClusterResult {
-    ARENA.with(|arena| run_cluster_range_in(&mut arena.borrow_mut(), table, params, first, count))
 }
 
 /// Simulates the whole cluster serially — the golden reference the
@@ -601,8 +487,7 @@ mod tests {
         // boundary repeatedly: fill past full, drain partially, refill.
         const CAP: usize = 64;
         const DOMS: usize = 3;
-        let mut ring = DomainFifos::default();
-        ring.reset(DOMS, CAP);
+        let mut ring = DomainFifos::new(DOMS, CAP);
         assert_eq!(ring.domains(), DOMS);
         let mut model: Vec<VecDeque<Nanos>> = vec![VecDeque::new(); DOMS];
         let mut rng = Rng::new(7);
@@ -639,12 +524,6 @@ mod tests {
             }
             assert!(ring.is_empty(d));
         }
-        // A reset empties every FIFO without reallocating the slab.
-        ring.push(1, Nanos::from_nanos(9));
-        ring.set_in_service(2, true);
-        assert!(ring.covers(DOMS, CAP));
-        ring.reset(DOMS, CAP);
-        assert!(ring.is_empty(1) && !ring.in_service(2));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! simulation can observe.
 
 use xc_sim::cost::CostModel;
+use xc_sim::fnv::{fnv1a_u64, FNV_OFFSET};
 use xc_sim::time::Nanos;
 
 use crate::http::ServerModel;
@@ -52,20 +53,13 @@ impl PlatformCosts {
     /// values, not this digest, so a collision can never alias two
     /// simulations.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        for word in [
+        [
             self.service.as_nanos(),
             self.rtt.as_nanos(),
             u64::from(self.parallelism),
-        ] {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        }
-        h
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, fnv1a_u64)
     }
 
     /// Open-loop capacity ceiling in requests/second.

@@ -22,7 +22,6 @@
 //! ranges on OS threads and merges in the same order, so its output is
 //! byte-identical to the serial reference at any shard count.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -225,113 +224,10 @@ impl World for WorkerLoop {
     }
 }
 
-/// Worker worlds assembled from freshly allocated (or grown) storage.
-static ARENA_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Worker worlds assembled entirely from recycled arena storage.
-static ARENA_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative `(allocated, reused)` closed-loop world-construction
-/// counters across every thread's arena, for the bench ledger: a figure
-/// grid should report almost all reuses — one allocation per worker
-/// thread, not one per simulated worker world.
-pub fn arena_counters() -> (u64, u64) {
-    (
-        ARENA_ALLOCS.load(Ordering::Relaxed),
-        ARENA_REUSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Reusable backing storage for closed-loop worker worlds: the waiting
-/// FIFO and the calendar-queue wheel. [`EventQueue::reset`] restores
-/// the exact logical state of a fresh queue, so arena-backed worker
-/// runs are byte-identical to freshly-allocated ones — a feature-gated
-/// proptest pins that equivalence.
-#[derive(Default)]
-pub struct LoopArena {
-    waiting: VecDeque<Nanos>,
-    queue: Option<EventQueue<Ev>>,
-}
-
-impl LoopArena {
-    /// Creates an empty arena; storage is allocated on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the pooled storage and bumps the global alloc/reuse
-    /// counters; returns the recycled (or fresh) event queue.
-    fn prepare(&mut self, queue_capacity: usize) -> EventQueue<Ev> {
-        if self.queue.is_some() {
-            ARENA_REUSES.fetch_add(1, Ordering::Relaxed);
-        } else {
-            ARENA_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        self.waiting.clear();
-        match self.queue.take() {
-            Some(mut q) => {
-                q.reset();
-                q
-            }
-            None => EventQueue::with_capacity(queue_capacity),
-        }
-    }
-}
-
-thread_local! {
-    /// One arena per thread: serial figure grids recycle one set of
-    /// worker-world storage across every cell, and each shard thread of
-    /// [`run_closed_loop_sharded`] recycles across its worker range.
-    static ARENA: RefCell<LoopArena> = RefCell::new(LoopArena::new());
-}
-
 /// Runs one worker's world: the contiguous global-connection range
 /// `[first, first + count)` of `total` connections, seeded from worker
-/// `index`'s RNG substream, drawing storage from `arena`. Pure function
-/// of its non-arena arguments — the unit both the serial and the
-/// sharded drivers compose from.
-#[allow(clippy::too_many_arguments)]
-fn run_worker_in(
-    arena: &mut LoopArena,
-    table: &PlatformCosts,
-    index: u32,
-    first: u64,
-    count: u64,
-    total: u64,
-    duration: Nanos,
-    seed: u64,
-) -> (u64, Histogram) {
-    // Steady state holds at most one pending event per connection (its
-    // in-flight Arrive or Finish); pre-size the queue so it never grows
-    // mid-run.
-    let queue = arena.prepare(count as usize + 1);
-    let world = WorkerLoop {
-        service: table.service,
-        jitter: 0.15,
-        rtt: table.rtt,
-        busy: false,
-        completed: 0,
-        latency: Histogram::new(),
-        rng: Rng::substream(seed, u64::from(index)),
-        waiting: std::mem::take(&mut arena.waiting),
-        uniforms: [0.0; UNIFORM_SLAB],
-        uniform_pos: UNIFORM_SLAB, // first draw triggers a refill
-    };
-    let mut sim = Simulation::from_parts(world, queue);
-    for g in first..first + count {
-        // Stagger initial arrivals across one RTT by *global* connection
-        // index, matching the single-world schedule shape.
-        let offset = table.rtt * g / total.max(1);
-        sim.queue_mut()
-            .schedule_at(offset, Ev::Arrive { issued_at: offset });
-    }
-    sim.run_until(duration);
-    let (world, queue) = sim.into_parts();
-    arena.waiting = world.waiting;
-    arena.queue = Some(queue);
-    (world.completed, world.latency)
-}
-
-/// [`run_worker_in`] on the calling thread's recycled arena.
+/// `index`'s RNG substream. Pure function of its arguments — the unit
+/// both the serial and the sharded drivers compose from.
 fn run_worker(
     table: &PlatformCosts,
     index: u32,
@@ -341,25 +237,40 @@ fn run_worker(
     duration: Nanos,
     seed: u64,
 ) -> (u64, Histogram) {
-    ARENA.with(|arena| {
-        run_worker_in(
-            &mut arena.borrow_mut(),
-            table,
-            index,
-            first,
-            count,
-            total,
-            duration,
-            seed,
-        )
-    })
+    let world = WorkerLoop {
+        service: table.service,
+        jitter: 0.15,
+        rtt: table.rtt,
+        busy: false,
+        completed: 0,
+        latency: Histogram::new(),
+        rng: Rng::substream(seed, u64::from(index)),
+        waiting: VecDeque::new(),
+        uniforms: [0.0; UNIFORM_SLAB],
+        uniform_pos: UNIFORM_SLAB, // first draw triggers a refill
+    };
+    // Steady state holds at most one pending event per connection (its
+    // in-flight Arrive or Finish); pre-size the queue so it never grows
+    // mid-run.
+    let mut sim = Simulation::with_capacity(world, count as usize + 1);
+    for g in first..first + count {
+        // Stagger initial arrivals across one RTT by *global* connection
+        // index, matching the single-world schedule shape.
+        let offset = table.rtt * g / total.max(1);
+        sim.queue_mut()
+            .schedule_at(offset, Ev::Arrive { issued_at: offset });
+    }
+    sim.run_until(duration);
+    let world = sim.into_world();
+    (world.completed, world.latency)
 }
 
-/// [`run_closed_loop_from`] drawing every worker world's storage from
-/// `arena` — the seam the recycled-vs-fresh equivalence proptest
-/// drives. Byte-identical to a run over a fresh arena.
-pub fn run_closed_loop_from_in(
-    arena: &mut LoopArena,
+/// Runs a closed-loop benchmark from a precomputed [`PlatformCosts`]
+/// table: `connections` concurrent clients, for `duration` of simulated
+/// time. This is the serial golden reference — worker worlds run one
+/// after another on the calling thread, results merged in worker-index
+/// order.
+pub fn run_closed_loop_from(
     table: &PlatformCosts,
     connections: u32,
     duration: Nanos,
@@ -372,7 +283,7 @@ pub fn run_closed_loop_from_in(
     let mut first = 0u64;
     for w in 0..workers {
         let count = shard_share(total, u64::from(workers), u64::from(w));
-        let (done, hist) = run_worker_in(arena, table, w, first, count, total, duration, seed);
+        let (done, hist) = run_worker(table, w, first, count, total, duration, seed);
         completed += done;
         latency.merge(&hist);
         first += count;
@@ -381,22 +292,6 @@ pub fn run_closed_loop_from_in(
         throughput_rps: completed as f64 / duration.as_secs_f64(),
         latency,
     }
-}
-
-/// Runs a closed-loop benchmark from a precomputed [`PlatformCosts`]
-/// table: `connections` concurrent clients, for `duration` of simulated
-/// time. This is the serial golden reference — worker worlds run one
-/// after another on the calling thread's recycled arena, results merged
-/// in worker-index order.
-pub fn run_closed_loop_from(
-    table: &PlatformCosts,
-    connections: u32,
-    duration: Nanos,
-    seed: u64,
-) -> ClosedLoopResult {
-    ARENA.with(|arena| {
-        run_closed_loop_from_in(&mut arena.borrow_mut(), table, connections, duration, seed)
-    })
 }
 
 /// Runs a closed-loop benchmark: `connections` concurrent clients against

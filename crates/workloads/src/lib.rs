@@ -58,4 +58,4 @@ pub mod table1;
 pub mod unixbench;
 
 pub use costs::PlatformCosts;
-pub use http::{ClosedLoopResult, LoopArena, RequestProfile, ServerModel};
+pub use http::{ClosedLoopResult, RequestProfile, ServerModel};

@@ -13,11 +13,8 @@ use xc_runtimes::platform::Platform;
 use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
 use xc_workloads::apps;
-use xc_workloads::cluster::{run_cluster_range_in, ClusterParams, WorldArena};
 use xc_workloads::costs::PlatformCosts;
-use xc_workloads::http::{
-    run_closed_loop_from, run_closed_loop_from_in, run_closed_loop_sharded, LoopArena, ServerModel,
-};
+use xc_workloads::http::{run_closed_loop_from, run_closed_loop_sharded, ServerModel};
 
 fn arb_cloud() -> impl Strategy<Value = CloudEnv> {
     prop_oneof![
@@ -103,85 +100,5 @@ proptest! {
         // And the capacity ceiling follows from those fields alone.
         let expect = f64::from(server.parallelism()) / table.service.as_secs_f64();
         prop_assert_eq!(table.capacity_rps().to_bits(), expect.to_bits());
-    }
-
-    /// Closed-loop arena recycling is observationally invisible: a
-    /// [`LoopArena`] reused across a random sequence of closed-loop
-    /// runs reproduces each run's throughput to the last mantissa bit
-    /// and its latency histogram bucket-for-bucket, exactly as a fresh
-    /// arena per run would — the contract behind the thread-local
-    /// arenas inside `run_closed_loop_from` and the sharded workers.
-    #[test]
-    fn loop_arena_reuse_matches_fresh_worlds(
-        runs in proptest::collection::vec(
-            (arb_platform(), arb_profile(), 1u32..40, 2u64..25, any::<u64>()),
-            1..5,
-        ),
-    ) {
-        let costs = CostModel::skylake_cloud();
-        let mut recycled = LoopArena::new();
-        for (platform, profile, connections, duration_ms, seed) in runs {
-            let server = ServerModel { platform, profile, workers: 2, cores: 4 };
-            let table = PlatformCosts::derive(&server, &costs);
-            let duration = Nanos::from_millis(duration_ms);
-            let reused =
-                run_closed_loop_from_in(&mut recycled, &table, connections, duration, seed);
-            let fresh =
-                run_closed_loop_from_in(&mut LoopArena::new(), &table, connections, duration, seed);
-            prop_assert_eq!(reused.throughput_rps.to_bits(), fresh.throughput_rps.to_bits());
-            prop_assert_eq!(reused.latency, fresh.latency);
-        }
-    }
-
-    /// Arena reuse is observationally invisible: running a host range
-    /// through one continuously-recycled [`WorldArena`] produces the
-    /// same [`ClusterResult`] — every counter and every histogram
-    /// bucket — as giving each host a factory-fresh arena, for any
-    /// platform, grid shape, and seed. This is the property that makes
-    /// the cluster study's thread-local arena safe under work stealing:
-    /// whichever worker's arena a cell lands on, the bytes match.
-    #[test]
-    fn world_arena_reuse_matches_fresh_worlds(
-        platform in arb_platform(),
-        hosts in 1u32..5,
-        domains_per_host in 1u32..5,
-        clients in 0u64..2_000,
-        duration_ms in 1u64..10,
-        queue_cap in 1usize..32,
-        seed in any::<u64>(),
-    ) {
-        let costs = CostModel::skylake_cloud();
-        let server = ServerModel {
-            platform,
-            profile: apps::microservice(),
-            workers: 1,
-            cores: 1,
-        };
-        let table = PlatformCosts::derive(&server, &costs);
-        let params = ClusterParams {
-            hosts,
-            domains_per_host,
-            clients,
-            think_time: Nanos::from_millis(50),
-            duration: Nanos::from_millis(duration_ms),
-            queue_cap,
-            zipf_theta: 0.2,
-            host_cores: 4,
-            seed,
-        };
-
-        // One arena recycled across the whole range…
-        let mut reused = WorldArena::new();
-        let whole = run_cluster_range_in(&mut reused, &table, &params, 0, hosts);
-
-        // …versus a brand-new arena per host, merged in host order.
-        let mut fresh = xc_workloads::cluster::ClusterResult::default();
-        for host in 0..hosts {
-            let mut arena = WorldArena::new();
-            let one = run_cluster_range_in(&mut arena, &table, &params, host, 1);
-            fresh.merge(&one);
-        }
-
-        prop_assert_eq!(whole, fresh);
     }
 }

@@ -71,20 +71,6 @@ impl EventChannels {
         EventChannels::default()
     }
 
-    /// Rewinds the subsystem to its freshly-constructed state while
-    /// keeping the per-domain port `Vec`s' allocations, so a recycled
-    /// table is observationally identical to [`EventChannels::new`] but
-    /// re-populating it allocates nothing. The world-arena recycling in
-    /// `xc-faults` leans on this.
-    pub fn reset(&mut self) {
-        for table in &mut self.domains {
-            table.ports.clear();
-        }
-        self.sends = 0;
-        self.deliveries = 0;
-        self.drops = 0;
-    }
-
     /// Allocates a fresh unbound port for `dom`.
     ///
     /// # Errors

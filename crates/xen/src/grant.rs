@@ -86,20 +86,6 @@ impl GrantTable {
         GrantTable::default()
     }
 
-    /// Rewinds the table to its freshly-constructed state — slab
-    /// emptied, generations back to zero, counters cleared — while
-    /// keeping the slab and free-list allocations. Grant references
-    /// handed out by a recycled table are therefore bit-identical to a
-    /// fresh one's (same slot indices *and* generations), which the
-    /// world-arena recycling in `xc-faults` depends on.
-    pub fn reset(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.live = 0;
-        self.bytes_copied = 0;
-        self.maps = 0;
-    }
-
     /// Grants `grantee` access to `granter`'s `frame`.
     ///
     /// # Errors

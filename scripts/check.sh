@@ -25,7 +25,7 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (workspace, all targets incl. feature-gated code, warnings are errors) =="
 cargo clippy --workspace --all-targets \
-    --features xc-sim/proptest,xc-workloads/proptest,xc-faults/proptest,xc-verify/proptest,xc-verify/profile \
+    --features xc-sim/proptest,xc-workloads/proptest,xc-verify/proptest,xc-verify/profile \
     -- -D warnings
 
 echo "== runner determinism suite =="
