@@ -22,7 +22,7 @@
 
 use std::path::Path;
 
-use xc_bench::harness::{all_experiments, measure, Journaled};
+use xc_bench::harness::{all_experiments, completed_or_exit, measure};
 use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
 use xc_bench::record;
 use xc_bench::runner::{record_bench, Runner};
@@ -34,62 +34,33 @@ fn main() {
     });
     let runner = Runner::from_args();
 
-    if resume.journaled() {
+    let (out, diverged) = if resume.journaled() {
         let root = Path::new(JOURNAL_ROOT);
-        match all_experiments::run_journaled(&runner, root, "all_experiments", &resume) {
-            Ok(Journaled::Complete {
-                out,
-                replayed,
-                executed,
-            }) => {
-                eprintln!(
-                    "all_experiments: {replayed} groups replayed from the journal, \
-                     {executed} executed"
-                );
-                print!("{}", out.text);
-                record("all_experiments", &out.findings);
-                let out_of_band = out.findings.iter().filter(|f| !f.in_band).count();
-                if out_of_band > 0 {
-                    std::process::exit(1);
-                }
-            }
-            Ok(Journaled::Interrupted { completed, total }) => {
-                eprintln!(
-                    "all_experiments: interrupted after {completed}/{total} groups; \
-                     rerun with --resume to continue"
-                );
-                std::process::exit(3);
-            }
-            Err(e) => {
-                eprintln!("all_experiments: journal error: {e}");
-                std::process::exit(1);
-            }
+        let run = all_experiments::run_journaled(&runner, root, "all_experiments", &resume);
+        (completed_or_exit("all_experiments", run), false)
+    } else {
+        let (out, entry) = measure("all_experiments", &runner, all_experiments::run);
+        match (entry.serial_wall_ms, entry.parallel_matches_serial) {
+            (Some(serial_ms), Some(matches)) => eprintln!(
+                "all_experiments: {:.1} ms at --jobs {}, {:.1} ms serial reference, outputs {}",
+                entry.wall_ms,
+                runner.jobs(),
+                serial_ms,
+                if matches { "identical" } else { "DIVERGED" }
+            ),
+            _ => eprintln!("all_experiments: {:.1} ms at --jobs 1", entry.wall_ms),
         }
-        return;
-    }
-
-    let (out, entry) = measure("all_experiments", &runner, all_experiments::run);
-    match (entry.serial_wall_ms, entry.parallel_matches_serial) {
-        (Some(serial_ms), Some(matches)) => eprintln!(
-            "all_experiments: {:.1} ms at --jobs {}, {:.1} ms serial reference, outputs {}",
-            entry.wall_ms,
-            runner.jobs(),
-            serial_ms,
-            if matches { "identical" } else { "DIVERGED" }
-        ),
-        _ => eprintln!("all_experiments: {:.1} ms at --jobs 1", entry.wall_ms),
-    }
-
+        record_bench(&entry);
+        (out, entry.parallel_matches_serial == Some(false))
+    };
     print!("{}", out.text);
     record("all_experiments", &out.findings);
-    record_bench(&entry);
 
-    if entry.parallel_matches_serial == Some(false) {
+    if diverged {
         eprintln!("error: parallel output differs from the serial reference");
         std::process::exit(1);
     }
-    let out_of_band = out.findings.iter().filter(|f| !f.in_band).count();
-    if out_of_band > 0 {
+    if out.findings.iter().any(|f| !f.in_band) {
         std::process::exit(1);
     }
 }

@@ -11,12 +11,12 @@
 //! Crash-safe flags (DESIGN.md §4j): `--resume` replays completed cells
 //! from the journal, `--fresh` discards it first; both checkpoint each
 //! cell and stop gracefully on SIGINT (exit 3, resumable).
-//! `--halt-after N` / `--max-wall-ms N` bound a checkpointing run.
-//! Journaled runs skip the wall-time ledger.
+//! `--halt-after N` bounds a checkpointing run for testing. Journaled
+//! runs skip the wall-time ledger.
 
 use std::path::Path;
 
-use xc_bench::harness::{chaos, measure, Journaled};
+use xc_bench::harness::{chaos, completed_or_exit, measure};
 use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
 use xc_bench::record;
 use xc_bench::runner::{record_bench, Runner};
@@ -44,43 +44,21 @@ fn main() {
         "chaos_study"
     };
 
-    if resume.journaled() {
-        let root = Path::new(JOURNAL_ROOT);
-        match chaos::run_journaled(&runner, quick, rate, root, name, &resume) {
-            Ok(Journaled::Complete {
-                out,
-                replayed,
-                executed,
-            }) => {
-                eprintln!(
-                    "{name}: {replayed} cells replayed from the journal, {executed} executed"
-                );
-                print!("{}", out.text);
-                record("chaos", &out.findings);
-            }
-            Ok(Journaled::Interrupted { completed, total }) => {
-                eprintln!(
-                    "{name}: interrupted after {completed}/{total} cells; \
-                     rerun with --resume to continue"
-                );
-                std::process::exit(3);
-            }
-            Err(e) => {
-                eprintln!("{name}: journal error: {e}");
-                std::process::exit(1);
-            }
+    let out = if resume.journaled() {
+        let run =
+            chaos::run_journaled(&runner, quick, rate, Path::new(JOURNAL_ROOT), name, &resume);
+        completed_or_exit(name, run)
+    } else {
+        let (out, entry) = measure(name, &runner, |r| chaos::run_with(r, quick, rate));
+        // A pinned --fault-rate changes the sweep axis; keep those runs
+        // out of the wall-time trajectory.
+        if rate.is_none() {
+            record_bench(&entry);
         }
-        return;
-    }
-
-    let (out, entry) = measure(name, &runner, |r| chaos::run_with(r, quick, rate));
+        out
+    };
     print!("{}", out.text);
     record("chaos", &out.findings);
-    // A pinned --fault-rate changes the sweep axis; keep those runs out
-    // of the wall-time trajectory.
-    if rate.is_none() {
-        record_bench(&entry);
-    }
 }
 
 /// Parses `--fault-rate <r>` / `--fault-rate=<r>`; the rate must be a

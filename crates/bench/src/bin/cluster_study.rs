@@ -11,13 +11,13 @@
 //! from the journal and executes only the missing ones; `--fresh`
 //! discards any journal first. Both checkpoint each cell as it
 //! completes and stop gracefully on SIGINT (exit 3, resumable).
-//! `--halt-after N` and `--max-wall-ms N` bound a checkpointing run for
-//! testing and operations. Journaled runs skip the `BENCH_runner.json`
-//! ledger — a partial wall time would poison the perf trajectory.
+//! `--halt-after N` bounds a checkpointing run for testing. Journaled
+//! runs skip the `BENCH_runner.json` ledger — a partial wall time would
+//! poison the perf trajectory.
 
 use std::path::Path;
 
-use xc_bench::harness::{cluster, measure, Journaled};
+use xc_bench::harness::{cluster, completed_or_exit, measure};
 use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
 use xc_bench::record;
 use xc_bench::runner::{record_bench, Runner};
@@ -35,41 +35,18 @@ fn main() {
         "cluster_study"
     };
 
-    if resume.journaled() {
-        let root = Path::new(JOURNAL_ROOT);
-        match cluster::run_journaled(&runner, quick, root, name, &resume) {
-            Ok(Journaled::Complete {
-                out,
-                replayed,
-                executed,
-            }) => {
-                eprintln!(
-                    "{name}: {replayed} cells replayed from the journal, {executed} executed"
-                );
-                print!("{}", out.text);
-                record("cluster", &out.findings);
-            }
-            Ok(Journaled::Interrupted { completed, total }) => {
-                eprintln!(
-                    "{name}: interrupted after {completed}/{total} cells; \
-                     rerun with --resume to continue"
-                );
-                std::process::exit(3);
-            }
-            Err(e) => {
-                eprintln!("{name}: journal error: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let (out, mut entry) = measure(name, &runner, |r| cluster::run(r, quick));
+    let out = if resume.journaled() {
+        let run = cluster::run_journaled(&runner, quick, Path::new(JOURNAL_ROOT), name, &resume);
+        completed_or_exit(name, run)
+    } else {
+        let (out, mut entry) = measure(name, &runner, |r| cluster::run(r, quick));
+        let p = cluster::params(quick);
+        entry.metrics.push(("hosts", f64::from(p.hosts)));
+        entry.metrics.push(("domains", p.total_domains() as f64));
+        entry.metrics.push(("clients", p.clients as f64));
+        record_bench(&entry);
+        out
+    };
     print!("{}", out.text);
     record("cluster", &out.findings);
-    let p = cluster::params(quick);
-    entry.metrics.push(("hosts", f64::from(p.hosts)));
-    entry.metrics.push(("domains", p.total_domains() as f64));
-    entry.metrics.push(("clients", p.clients as f64));
-    record_bench(&entry);
 }

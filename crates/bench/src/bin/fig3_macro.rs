@@ -8,27 +8,20 @@
 //! prints the result and records findings plus wall time and
 //! closed-loop cache counters.
 //!
-//! One [`ClosedLoopCache`] persists across everything this process
-//! runs — the measured grid *and* the serial reference pass at
-//! `--jobs > 1` — and it is keyed on derived
-//! [`xcontainers::prelude::PlatformCosts`] tables, so platforms that
-//! derive to identical costs (the baseline inside the matrix, the
-//! patch-blind X-Container/Clear pairs) and whole repeated grids all
-//! hit. The ledger therefore records the cumulative hit/miss counts,
-//! not just the first grid's.
+//! Each call of [`xc_bench::harness::fig3::run`] builds a fresh
+//! `ClosedLoopCache`, so at `--jobs > 1` the serial reference pass
+//! inside [`xc_bench::harness::measure`] simulates cold, like the
+//! measured grid, and the ledger's cache counters are the measured
+//! grid's alone.
 
 use xc_bench::harness::{fig3, measure};
 use xc_bench::record;
 use xc_bench::runner::{record_bench, Runner};
-use xcontainers::prelude::ClosedLoopCache;
 
 fn main() {
     let runner = Runner::from_args();
-    let cache = ClosedLoopCache::new();
-    let (out, mut entry) = measure("fig3_macro", &runner, |r| fig3::run_with(r, &cache));
+    let (out, entry) = measure("fig3_macro", &runner, fig3::run);
     print!("{}", out.text);
     record("fig3", &out.findings);
-    entry.cache_hits = Some(cache.hits());
-    entry.cache_misses = Some(cache.misses());
     record_bench(&entry);
 }

@@ -96,9 +96,9 @@ fn cell(
 }
 
 /// Runs the full cloud × profile grid, one cell per (cloud, profile),
-/// every cell sharing `cache`. The `fig3_macro` binary passes one cache
-/// that persists across its measured run *and* the serial reference run
-/// inside [`super::measure`], so repeated grids cost almost nothing.
+/// every cell sharing `cache`. A cache that outlives one call makes a
+/// repeated grid almost free (`tests/determinism.rs` pins that a warm
+/// rerun renders the same bytes).
 ///
 /// Cell text and findings are unaffected by cache state (results are
 /// observationally identical to uncached simulation), so output stays
@@ -128,8 +128,9 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
     out
 }
 
-/// [`run_with`] against a fresh cache — the entry point `all_experiments`
-/// and the determinism suite use.
+/// [`run_with`] against a fresh cache — the entry point of `fig3_macro`
+/// (measured grid and serial reference alike), `all_experiments` and
+/// the determinism suite.
 pub fn run(runner: &Runner) -> HarnessOutput {
     let cache = ClosedLoopCache::new();
     run_with(runner, &cache)

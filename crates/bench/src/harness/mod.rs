@@ -32,7 +32,7 @@ use crate::journal::{
     self, install_sigint_handler, run_resumable, CellPayload, Interrupt, Journal, ResumeArgs,
     ResumeMode,
 };
-use crate::runner::{BenchEntry, RunPolicy, Runner};
+use crate::runner::{BenchEntry, Runner};
 use crate::Finding;
 
 /// Runs one harness under `runner` and produces its fully-populated
@@ -79,9 +79,9 @@ pub enum Journaled {
         /// Cells executed (and checkpointed) by this process.
         executed: usize,
     },
-    /// The run stopped gracefully (SIGINT, `--max-wall-ms`,
-    /// `--halt-after`); completed cells are checkpointed and a
-    /// `--resume` invocation picks up from here.
+    /// The run stopped gracefully (SIGINT or `--halt-after`); completed
+    /// cells are checkpointed and a `--resume` invocation picks up from
+    /// here.
     Interrupted {
         /// Cells checkpointed so far (this process plus the journal).
         completed: usize,
@@ -103,8 +103,9 @@ pub enum Journaled {
 ///
 /// # Panics
 ///
-/// Mirrors [`Runner::run`]: if any cell exhausts its retry budget the
-/// grid finishes and then panics with the structured failure summary.
+/// Mirrors [`Runner::run`]: if any cell panics, the grid finishes (every
+/// healthy cell checkpointed) and then panics with the structured
+/// failure summary.
 #[allow(clippy::too_many_arguments)]
 pub fn run_journaled<T, F, R>(
     runner: &Runner,
@@ -138,40 +139,49 @@ where
     if let Some(n) = resume.halt_after {
         interrupt = interrupt.with_halt_after(n);
     }
-    if let Some(limit) = resume.max_wall {
-        interrupt = interrupt.with_max_wall(limit);
-    }
-    let out = run_resumable(runner, RunPolicy::default(), &mut journal, &interrupt, cell);
-    assert!(
-        out.failures.is_empty(),
-        "{} of {cells} cells failed:{}",
-        out.failures.len(),
-        out.failures
-            .iter()
-            .map(|f| format!(
-                "\n  cell {} ({} attempt{}): {}",
-                f.index,
-                f.attempts,
-                if f.attempts == 1 { "" } else { "s" },
-                f.message
-            ))
-            .collect::<String>()
-    );
-    if out.interrupted {
-        let completed = out.results.iter().flatten().count();
+    let out = run_resumable(runner, &mut journal, &interrupt, cell);
+    assert!(out.ok(), "{}", out.failure_summary());
+    if out.unrun > 0 {
         return Ok(Journaled::Interrupted {
-            completed,
+            completed: cells - out.unrun,
             total: cells,
         });
     }
-    let values: Vec<T> = out.results.into_iter().flatten().collect();
-    let rendered = render(values);
+    let rendered = render(out.results.into_iter().flatten().collect());
     journal.remove();
     Ok(Journaled::Complete {
         out: rendered,
-        replayed: out.replayed,
-        executed: out.executed,
+        replayed: scan.replayed,
+        executed: cells - scan.replayed,
     })
+}
+
+/// Settles a resumable binary's journaled run: a completed run notes
+/// its replay split on stderr and hands back the output to print and
+/// record; an interrupted run exits 3 (resumable) and a journal error
+/// exits 1.
+pub fn completed_or_exit(name: &str, run: io::Result<Journaled>) -> HarnessOutput {
+    match run {
+        Ok(Journaled::Complete {
+            out,
+            replayed,
+            executed,
+        }) => {
+            eprintln!("{name}: {replayed} cells replayed from the journal, {executed} executed");
+            out
+        }
+        Ok(Journaled::Interrupted { completed, total }) => {
+            eprintln!(
+                "{name}: interrupted after {completed}/{total} cells; \
+                 rerun with --resume to continue"
+            );
+            std::process::exit(3);
+        }
+        Err(e) => {
+            eprintln!("{name}: journal error: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Rendered text plus machine-readable findings from one harness run.

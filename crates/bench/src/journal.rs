@@ -55,12 +55,11 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use xc_sim::fnv::{fnv1a, fnv1a_u64, FNV_OFFSET};
 use xcontainers::prelude::{Histogram, HistogramCheckpoint, Json};
 
-use crate::runner::{CellFailure, RunCtl, RunPolicy, Runner};
+use crate::runner::{RunCtl, RunReport, Runner};
 
 /// Journal root shared by the resumable harnesses (hidden inside the
 /// results directory so `results/*.json` globs never pick it up).
@@ -439,13 +438,12 @@ fn reset_sigint() {
     SIGINT_RECEIVED.store(false, Ordering::Relaxed);
 }
 
-/// Graceful-cancellation sources for a resumable run: SIGINT, a
-/// run-level wall deadline, and a deterministic halt-after-N-cells
-/// testing hook (how the check.sh resume gate "kills" a run mid-grid
-/// without racing a real signal against the scheduler).
+/// Graceful-cancellation sources for a resumable run: SIGINT and a
+/// deterministic halt-after-N-cells testing hook (how the check.sh
+/// resume gate "kills" a run mid-grid without racing a real signal
+/// against the scheduler). A wall-clock bound comes from outside:
+/// `timeout -s INT` delivers the same SIGINT.
 pub struct Interrupt {
-    started: Instant,
-    max_wall: Option<Duration>,
     halt_after: Option<usize>,
     completed: AtomicUsize,
 }
@@ -454,19 +452,9 @@ impl Interrupt {
     /// An interrupt source honoring SIGINT only.
     pub fn new() -> Self {
         Interrupt {
-            started: Instant::now(),
-            max_wall: None,
             halt_after: None,
             completed: AtomicUsize::new(0),
         }
-    }
-
-    /// Adds a run-level wall-clock deadline (graceful, unlike the
-    /// per-cell [`RunPolicy::hard_deadline`]: the grid stops claiming
-    /// and checkpoints what finished).
-    pub fn with_max_wall(mut self, limit: Duration) -> Self {
-        self.max_wall = Some(limit);
-        self
     }
 
     /// Stops claiming cells once `n` have completed in this process.
@@ -483,20 +471,10 @@ impl Interrupt {
 
     /// Whether the run should stop claiming new cells.
     pub fn stop_requested(&self) -> bool {
-        if sigint_received() {
-            return true;
-        }
-        if let Some(limit) = self.max_wall {
-            if self.started.elapsed() >= limit {
-                return true;
-            }
-        }
-        if let Some(n) = self.halt_after {
-            if self.completed.load(Ordering::Relaxed) >= n {
-                return true;
-            }
-        }
-        false
+        sigint_received()
+            || self
+                .halt_after
+                .is_some_and(|n| self.completed.load(Ordering::Relaxed) >= n)
     }
 }
 
@@ -532,8 +510,6 @@ pub struct ResumeArgs {
     /// `--halt-after N`: stop claiming after N cells complete (testing
     /// hook; implies checkpointing even in [`ResumeMode::Off`]).
     pub halt_after: Option<usize>,
-    /// `--max-wall-ms N`: graceful run-level deadline.
-    pub max_wall: Option<Duration>,
 }
 
 impl ResumeArgs {
@@ -575,20 +551,9 @@ impl ResumeArgs {
                     out.mode = ResumeMode::Fresh;
                 }
                 "--halt-after" => out.halt_after = Some(value(&mut args, None, "--halt-after")?),
-                "--max-wall-ms" => {
-                    out.max_wall =
-                        Some(Duration::from_millis(
-                            value(&mut args, None, "--max-wall-ms")? as u64,
-                        ));
-                }
                 other => {
                     if let Some(v) = other.strip_prefix("--halt-after=") {
                         out.halt_after = Some(value(&mut args, Some(v), "--halt-after")?);
-                    } else if let Some(v) = other.strip_prefix("--max-wall-ms=") {
-                        out.max_wall =
-                            Some(Duration::from_millis(
-                                value(&mut args, Some(v), "--max-wall-ms")? as u64,
-                            ));
                     }
                 }
             }
@@ -598,56 +563,30 @@ impl ResumeArgs {
 
     /// Whether any flag asks for checkpointing machinery.
     pub fn journaled(&self) -> bool {
-        self.mode != ResumeMode::Off || self.halt_after.is_some() || self.max_wall.is_some()
-    }
-}
-
-/// Outcome of [`run_resumable`].
-#[derive(Debug)]
-pub struct ResumeReport<T> {
-    /// Per-cell results in grid-index order; `None` for cells that
-    /// failed or were skipped by cancellation.
-    pub results: Vec<Option<T>>,
-    /// Failed cells (grid indices), in index order.
-    pub failures: Vec<CellFailure>,
-    /// Cells satisfied from the journal.
-    pub replayed: usize,
-    /// Cells executed (and checkpointed) by this process.
-    pub executed: usize,
-    /// Whether the run stopped before claiming every cell.
-    pub interrupted: bool,
-}
-
-impl<T> ResumeReport<T> {
-    /// Cells with neither a result nor a failure (skipped by
-    /// cancellation).
-    pub fn pending(&self) -> usize {
-        self.results.iter().filter(|r| r.is_none()).count() - self.failures.len()
+        self.mode != ResumeMode::Off || self.halt_after.is_some()
     }
 }
 
 /// The journaled grid run: replays checkpointed cells, executes the
-/// missing ones through [`Runner::try_run_ctl`] (checkpointing each as
-/// it completes), and honors `interrupt` gracefully — in-flight cells
-/// finish and flush before the report comes back. The merged results
-/// are index-ordered and, for a completed run, byte-identical to
-/// [`Runner::try_run`] output: replay returns exactly the values the
-/// cells produced.
+/// missing ones through [`Runner::try_run`] (checkpointing each as it
+/// completes), and honors `interrupt` gracefully — in-flight cells
+/// finish and flush before the report comes back. The report is indexed
+/// by grid cell, replayed cells included; `unrun` counts the cells the
+/// interruption left for a later `--resume`. For a completed run the
+/// results are byte-identical to a straight [`Runner::try_run`]: replay
+/// returns exactly the values the cells produced.
 pub fn run_resumable<T, F>(
     runner: &Runner,
-    policy: RunPolicy,
     journal: &mut Journal<T>,
     interrupt: &Interrupt,
     cell: F,
-) -> ResumeReport<T>
+) -> RunReport<T>
 where
     T: CellPayload + Send + Sync,
     F: Fn(usize) -> T + Sync,
 {
-    let cells = journal.cells;
     let missing = journal.missing();
-    let replayed = journal.replayed.len();
-    let out = {
+    let executed = {
         let journal_ref: &Journal<T> = journal;
         let should_stop = || interrupt.stop_requested();
         let on_success = |j: usize, v: &T| {
@@ -658,37 +597,24 @@ where
             should_stop: &should_stop,
             on_success: &on_success,
         };
-        runner.try_run_ctl(missing.len(), policy, ctl, |j| cell(missing[j]))
+        runner.try_run(missing.len(), ctl, |j| cell(missing[j]))
     };
-    let interrupted = out.unrun > 0;
-    let mut results: Vec<Option<T>> = (0..cells).map(|_| None).collect();
-    let mut executed = 0;
-    for (j, r) in out.report.results.into_iter().enumerate() {
-        if let Some(v) = r {
-            results[missing[j]] = Some(v);
-            executed += 1;
-        }
+    let mut report = RunReport {
+        results: (0..journal.cells).map(|_| None).collect(),
+        failures: executed.failures,
+        unrun: executed.unrun,
+    };
+    for (j, r) in executed.results.into_iter().enumerate() {
+        report.results[missing[j]] = r;
     }
     for (index, value) in std::mem::take(&mut journal.replayed) {
-        results[index] = Some(value);
+        report.results[index] = Some(value);
     }
-    let mut failures: Vec<CellFailure> = out
-        .report
-        .failures
-        .into_iter()
-        .map(|mut f| {
-            f.index = missing[f.index];
-            f
-        })
-        .collect();
-    failures.sort_by_key(|f| f.index);
-    ResumeReport {
-        results,
-        failures,
-        replayed,
-        executed,
-        interrupted,
+    // `missing` ascends, so remapped failures stay in index order.
+    for f in &mut report.failures {
+        f.index = missing[f.index];
     }
+    report
 }
 
 #[cfg(test)]
@@ -883,17 +809,9 @@ mod tests {
         let fp = fingerprint("probe", &[7]);
         let mut j = Journal::<Probe>::open_at(&root, "probe", fp, 6).unwrap();
         let runner = Runner::new(4);
-        let out = run_resumable(
-            &runner,
-            RunPolicy::default(),
-            &mut j,
-            &Interrupt::new(),
-            probe,
-        );
-        assert!(!out.interrupted);
-        assert_eq!(out.executed, 6);
-        assert_eq!(out.replayed, 0);
-        assert!(out.failures.is_empty());
+        let out = run_resumable(&runner, &mut j, &Interrupt::new(), probe);
+        assert_eq!(out.unrun, 0);
+        assert!(out.ok());
         let values: Vec<Probe> = out.results.into_iter().flatten().collect();
         assert_eq!(values, (0..6).map(probe).collect::<Vec<_>>());
         j.remove();
@@ -911,31 +829,55 @@ mod tests {
         // First leg: halt after 3 completions.
         let mut j = Journal::<Probe>::open_at(&root, "probe", fp, 10).unwrap();
         let halted = Interrupt::new().with_halt_after(3);
-        let first = run_resumable(&runner, RunPolicy::default(), &mut j, &halted, probe);
-        assert!(first.interrupted);
-        assert!(first.executed >= 3, "in-flight cells still flushed");
-        assert!(first.executed < 10);
+        let first = run_resumable(&runner, &mut j, &halted, probe);
+        assert!(first.unrun > 0);
+        let executed = first.results.iter().flatten().count();
+        assert!(executed >= 3, "in-flight cells still flushed");
+        assert_eq!(executed + first.unrun, 10);
         drop(j);
         // Second leg: resume and finish.
         let mut j = Journal::<Probe>::open_at(&root, "probe", fp, 10).unwrap();
         assert_eq!(
             j.scan().replayed,
-            first.executed,
+            executed,
             "every completion was journaled"
         );
-        let second = run_resumable(
-            &runner,
-            RunPolicy::default(),
-            &mut j,
-            &Interrupt::new(),
-            probe,
-        );
-        assert!(!second.interrupted);
-        assert_eq!(second.replayed, first.executed);
-        assert_eq!(second.replayed + second.executed, 10);
+        let second = run_resumable(&runner, &mut j, &Interrupt::new(), probe);
+        assert_eq!(second.unrun, 0);
         let resumed: Vec<Probe> = second.results.into_iter().flatten().collect();
         let straight: Vec<Probe> = (0..10).map(probe).collect();
         assert_eq!(resumed, straight, "resume is invisible in the results");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Why panic isolation stays: a panicking cell must not cost the
+    /// healthy cells their checkpoints, so a rerun executes only it.
+    #[test]
+    fn panicking_cell_leaves_every_healthy_cell_checkpointed() {
+        let _guard = SIGINT_LATCH_LOCK.lock().unwrap();
+        reset_sigint();
+        let root = temp_root("resume-panic");
+        let fp = fingerprint("probe", &[4]);
+        let runner = Runner::new(2);
+        let mut j = Journal::<Probe>::open_at(&root, "probe", fp, 10).unwrap();
+        let out = run_resumable(&runner, &mut j, &Interrupt::new(), |i| {
+            assert!(i != 4, "cell {i} is poisoned");
+            probe(i)
+        });
+        assert_eq!(out.unrun, 0);
+        let indices: Vec<usize> = out.failures.iter().map(|f| f.index).collect();
+        assert_eq!(indices, vec![4], "failure reported at its grid index");
+        let summary = out.failure_summary();
+        assert!(summary.contains("cell 4 is poisoned"), "{summary}");
+        drop(j);
+        let mut j = Journal::<Probe>::open_at(&root, "probe", fp, 10).unwrap();
+        assert_eq!(j.scan().replayed, 9, "every healthy cell was journaled");
+        assert_eq!(j.missing(), vec![4]);
+        let fixed = run_resumable(&runner, &mut j, &Interrupt::new(), probe);
+        assert!(fixed.ok());
+        assert_eq!(fixed.unrun, 0);
+        let resumed: Vec<Probe> = fixed.results.into_iter().flatten().collect();
+        assert_eq!(resumed, (0..10).map(probe).collect::<Vec<_>>());
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -952,18 +894,16 @@ mod tests {
         assert_eq!(h.halt_after, Some(8));
         assert!(h.journaled(), "halt-after implies checkpointing");
         assert_eq!(
-            parse(&["--halt-after=5", "--max-wall-ms=250"]).unwrap(),
+            parse(&["--halt-after=5"]).unwrap(),
             ResumeArgs {
                 mode: ResumeMode::Off,
                 halt_after: Some(5),
-                max_wall: Some(Duration::from_millis(250)),
             }
         );
         assert!(parse(&["--resume", "--fresh"]).is_err());
         assert!(parse(&["--fresh", "--resume"]).is_err());
         assert!(parse(&["--halt-after"]).is_err());
         assert!(parse(&["--halt-after", "soon"]).is_err());
-        assert!(parse(&["--max-wall-ms=never"]).is_err());
     }
 
     #[test]
@@ -976,8 +916,6 @@ mod tests {
         i.note_completion();
         assert!(!i.stop_requested());
         i.note_completion();
-        assert!(i.stop_requested());
-        let i = Interrupt::new().with_max_wall(Duration::from_nanos(0));
         assert!(i.stop_requested());
         // The SIGINT latch reaches every Interrupt.
         let i = Interrupt::new();

@@ -14,12 +14,18 @@
 //! 1. **Cell purity** — cells share nothing mutable; each owns its world,
 //!    RNG, and statistics.
 //! 2. **Substream seeding** — a sharded experiment gives shard `i` the
-//!    generator [`Rng::substream`]`(seed, i)`, a function of the shard
+//!    generator `Rng::substream(seed, i)`, a function of the shard
 //!    index alone, never of the executing worker or claim order.
 //! 3. **Index-ordered merge** — workers record `(index, result)` pairs;
 //!    the merge sorts by index before any fold, so order-sensitive
-//!    reducers ([`Histogram::merge`], [`Summary::merge`], report
+//!    reducers (`Histogram::merge`, `Summary::merge`, report
 //!    rendering) see the serial order.
+//!
+//! Every grid goes through one path, [`Runner::try_run`]: each cell runs
+//! once under `catch_unwind`, so a panicking cell becomes a
+//! [`CellFailure`] in the [`RunReport`] while every healthy cell still
+//! runs — and, under the journal, is checkpointed before the run fails.
+//! Cells are pure, so a retry would only panic the same way again.
 //!
 //! The runner also owns the perf trajectory file, `BENCH_runner.json`:
 //! each harness upserts a [`BenchEntry`] (wall time, jobs, serial
@@ -27,9 +33,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
-use xcontainers::prelude::{json_object, shard_share, Histogram, Json, Rng, Summary};
+use xcontainers::prelude::{json_object, Json};
 
 /// Where harnesses record wall-clock and cache measurements.
 pub const BENCH_PATH: &str = "BENCH_runner.json";
@@ -39,66 +44,30 @@ pub const BENCH_PATH: &str = "BENCH_runner.json";
 /// value is an error, not a silent fallback.
 pub const JOBS_ENV: &str = "XC_JOBS";
 
-/// How [`Runner::try_run`] treats a failing cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunPolicy {
-    /// Times a panicking (or hard-deadline-busting) cell is attempted
-    /// before it is reported as failed (≥ 1; cells are pure, so retries
-    /// mainly catch harness bugs that depend on ambient state, e.g.
-    /// filesystem races).
-    pub max_attempts: u32,
-    /// Wall-clock budget per cell. Exceeding it cannot abort the cell —
-    /// cells are ordinary closures — but it is flagged on stderr so a
-    /// wedged grid is diagnosable. Never affects results.
-    pub soft_deadline: Option<Duration>,
-    /// Per-cell hard timeout. A cell whose attempt runs longer than
-    /// this has its result *discarded* and the attempt counted as
-    /// failed — bounded-retry escalation, with the final failure
-    /// reported as a [`CellFailure`] with `timed_out` set. Unlike the
-    /// soft deadline this can turn a slow-but-correct cell into a
-    /// failure, so it trades determinism for liveness: leave it `None`
-    /// (the default) for the byte-gated harnesses, and reserve it for
-    /// operational sweeps where a wedged cell must not hold the whole
-    /// grid's checkpoint hostage.
-    pub hard_deadline: Option<Duration>,
-}
-
-impl Default for RunPolicy {
-    fn default() -> Self {
-        RunPolicy {
-            max_attempts: 2,
-            soft_deadline: None,
-            hard_deadline: None,
-        }
-    }
-}
-
-/// One cell that kept panicking (or timing out) through every attempt.
+/// One cell that panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's grid index.
     pub index: usize,
-    /// Attempts made.
-    pub attempts: u32,
-    /// The final panic's message (or the timeout description).
+    /// The panic's message.
     pub message: String,
-    /// Whether the final attempt failed by exceeding
-    /// [`RunPolicy::hard_deadline`] rather than panicking.
-    pub timed_out: bool,
 }
 
-/// Outcome of a fault-tolerant grid run: per-cell results in index
-/// order, with failed cells as `None` plus a structured failure record.
+/// Outcome of [`Runner::try_run`]: per-cell results in index order,
+/// with failed cells as `None` plus a structured failure record, and
+/// cells a cancellation left unclaimed as `None` with no record.
 #[derive(Debug)]
 pub struct RunReport<T> {
     /// `results[i]` is `Some` iff cell `i` succeeded; index order.
     pub results: Vec<Option<T>>,
     /// Failed cells, in index order.
     pub failures: Vec<CellFailure>,
+    /// Cells never claimed because the run was cancelled.
+    pub unrun: usize,
 }
 
 impl<T> RunReport<T> {
-    /// Whether every cell succeeded.
+    /// Whether no cell failed.
     pub fn ok(&self) -> bool {
         self.failures.is_empty()
     }
@@ -114,13 +83,7 @@ impl<T> RunReport<T> {
             self.results.len()
         );
         for f in &self.failures {
-            s.push_str(&format!(
-                "\n  cell {} ({} attempt{}): {}",
-                f.index,
-                f.attempts,
-                if f.attempts == 1 { "" } else { "s" },
-                f.message
-            ));
+            s.push_str(&format!("\n  cell {}: {}", f.index, f.message));
         }
         s
     }
@@ -139,11 +102,11 @@ impl<T> RunReport<T> {
     }
 }
 
-/// Cooperative control surface for [`Runner::try_run_ctl`]: a
-/// cancellation predicate checked before each cell claim, and a
-/// success observer invoked from worker threads as cells complete (in
-/// completion order, not index order — observers that care about order
-/// must key on the index they are handed).
+/// Cooperative control surface for [`Runner::try_run`]: a cancellation
+/// predicate checked before each cell claim, and a success observer
+/// invoked from worker threads as cells complete (in completion order,
+/// not index order — observers that care about order must key on the
+/// index they are handed).
 pub struct RunCtl<'a, T> {
     /// Checked before every claim; `true` stops further claims while
     /// in-flight cells finish gracefully.
@@ -153,24 +116,13 @@ pub struct RunCtl<'a, T> {
 }
 
 impl<'a, T> RunCtl<'a, T> {
-    /// A control surface that never cancels and observes nothing — the
-    /// plain [`Runner::try_run`] behavior.
+    /// A control surface that never cancels and observes nothing.
     pub fn never_stopping() -> Self {
         RunCtl {
             should_stop: &|| false,
             on_success: &|_, _| (),
         }
     }
-}
-
-/// Outcome of a cancellable grid run.
-#[derive(Debug)]
-pub struct CtlReport<T> {
-    /// Per-cell results; a cell skipped by cancellation is `None` with
-    /// no matching [`CellFailure`].
-    pub report: RunReport<T>,
-    /// Cells never claimed because the run was cancelled.
-    pub unrun: usize,
 }
 
 /// A deterministic parallel cell executor (see the module docs).
@@ -213,18 +165,17 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// A panicking cell no longer takes the whole grid down mid-flight:
-    /// every other cell still runs to completion ([`Runner::try_run`]
-    /// with the default [`RunPolicy`]), and only then does the runner
-    /// panic with a structured per-cell report naming each failed index
-    /// and its panic message.
+    /// A panicking cell does not take the whole grid down mid-flight:
+    /// every other cell still runs to completion ([`Runner::try_run`]),
+    /// and only then does the runner panic with a structured per-cell
+    /// report naming each failed index and its panic message.
     pub fn run<T, F>(&self, cells: usize, cell: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         match self
-            .try_run(cells, RunPolicy::default(), cell)
+            .try_run(cells, RunCtl::never_stopping(), cell)
             .into_results()
         {
             Ok(results) => results,
@@ -232,57 +183,34 @@ impl Runner {
         }
     }
 
-    /// Fault-isolating grid run: evaluates `cell(i)` for `i in 0..cells`
-    /// under `policy`, catching per-cell panics so one bad cell cannot
+    /// The one grid-run path: evaluates `cell(i)` for `i in 0..cells`,
+    /// each cell once under `catch_unwind`, so one bad cell cannot
     /// poison its worker's remaining claims. Results come back in index
     /// order with failures recorded per cell — identically at every
-    /// worker count (retries and deadlines are wall-clock concerns and
-    /// never alter a successful cell's value).
-    pub fn try_run<T, F>(&self, cells: usize, policy: RunPolicy, cell: F) -> RunReport<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let ctl = RunCtl::never_stopping();
-        let ctl_report = self.try_run_ctl(cells, policy, ctl, cell);
-        debug_assert_eq!(
-            ctl_report.unrun, 0,
-            "an uncancellable run cannot stop early"
-        );
-        ctl_report.report
-    }
-
-    /// The generalized grid run every other entry point reduces to:
-    /// like [`Runner::try_run`], but with a cooperative cancellation
-    /// check consulted before each cell claim and a per-success observer
-    /// invoked from the executing worker the moment a cell completes —
-    /// the seam the crash-safe journal ([`crate::journal`]) hooks to
-    /// checkpoint finished cells before an interrupted process exits.
+    /// worker count.
     ///
-    /// Cancellation is graceful by construction: in-flight cells run to
-    /// completion (and are observed); only *unclaimed* cells are
-    /// skipped, coming back as `None` results with no failure record
-    /// and counted in [`CtlReport::unrun`].
-    pub fn try_run_ctl<T, F>(
-        &self,
-        cells: usize,
-        policy: RunPolicy,
-        ctl: RunCtl<'_, T>,
-        cell: F,
-    ) -> CtlReport<T>
+    /// `ctl.should_stop` is consulted before each claim and
+    /// `ctl.on_success` runs on the executing worker the moment a cell
+    /// completes — the seam the crash-safe journal ([`crate::journal`])
+    /// hooks to checkpoint finished cells before an interrupted process
+    /// exits. Cancellation is graceful by construction: in-flight cells
+    /// run to completion (and are observed); only *unclaimed* cells are
+    /// skipped, counted in [`RunReport::unrun`].
+    pub fn try_run<T, F>(&self, cells: usize, ctl: RunCtl<'_, T>, cell: F) -> RunReport<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         let workers = self.jobs.min(cells);
         let run_one = |i: usize| {
-            let outcome = attempt_cell(&cell, i, policy);
+            let outcome =
+                catch_unwind(AssertUnwindSafe(|| cell(i))).map_err(|p| panic_message(p.as_ref()));
             if let Ok(v) = &outcome {
                 (ctl.on_success)(i, v);
             }
             (i, outcome)
         };
-        let outcomes: Vec<(usize, Result<T, CellFailure>)> = if workers <= 1 {
+        let outcomes: Vec<(usize, Result<T, String>)> = if workers <= 1 {
             let mut local = Vec::new();
             for i in 0..cells {
                 if (ctl.should_stop)() {
@@ -293,7 +221,7 @@ impl Runner {
             local
         } else {
             let next = AtomicUsize::new(0);
-            let mut indexed: Vec<(usize, Result<T, CellFailure>)> = std::thread::scope(|scope| {
+            let mut indexed: Vec<(usize, Result<T, String>)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|| {
@@ -322,68 +250,15 @@ impl Runner {
         let mut report = RunReport {
             results: (0..cells).map(|_| None).collect(),
             failures: Vec::new(),
+            unrun: cells - outcomes.len(),
         };
-        let unrun = cells - outcomes.len();
-        for (i, outcome) in outcomes {
+        for (index, outcome) in outcomes {
             match outcome {
-                Ok(v) => report.results[i] = Some(v),
-                Err(f) => report.failures.push(f),
+                Ok(v) => report.results[index] = Some(v),
+                Err(message) => report.failures.push(CellFailure { index, message }),
             }
         }
-        CtlReport { report, unrun }
-    }
-
-    /// Runs a sharded experiment: shard `i` of `shards` receives its own
-    /// substream generator `Rng::substream(seed, i)` and the results come
-    /// back in shard order. The output is a function of `(shards, seed)`
-    /// only — never of the worker count.
-    pub fn run_sharded<T, F>(&self, shards: usize, seed: u64, shard: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, Rng) -> T + Sync,
-    {
-        self.run(shards, |i| shard(i, Rng::substream(seed, i as u64)))
-    }
-
-    /// Draws `total` samples of `sample` split across `shards` substreams
-    /// and folds the per-shard histograms in shard order with one
-    /// [`Histogram::merge_many`] pass (integer buckets are
-    /// order-independent, so the one-pass reduce is byte-identical to the
-    /// old sequential merges).
-    pub fn sharded_histogram<F>(&self, shards: usize, total: u64, seed: u64, sample: F) -> Histogram
-    where
-        F: Fn(&mut Rng) -> u64 + Sync,
-    {
-        let parts = self.run_sharded(shards.max(1), seed, |i, mut rng| {
-            let mut h = Histogram::new();
-            for _ in 0..shard_len(total, shards.max(1), i) {
-                h.record(sample(&mut rng));
-            }
-            h
-        });
-        let mut merged = Histogram::new();
-        merged.merge_many(&parts.iter().collect::<Vec<_>>());
-        merged
-    }
-
-    /// Draws `total` samples of `sample` split across `shards` substreams
-    /// and merges the per-shard summaries in shard order with
-    /// [`Summary::merge_many`] (a sequential fold — Welford combination is
-    /// order-sensitive, so summaries never tree-reduce).
-    pub fn sharded_summary<F>(&self, shards: usize, total: u64, seed: u64, sample: F) -> Summary
-    where
-        F: Fn(&mut Rng) -> f64 + Sync,
-    {
-        let parts = self.run_sharded(shards.max(1), seed, |i, mut rng| {
-            let mut s = Summary::new();
-            for _ in 0..shard_len(total, shards.max(1), i) {
-                s.record(sample(&mut rng));
-            }
-            s
-        });
-        let mut merged = Summary::new();
-        merged.merge_many(&parts.iter().collect::<Vec<_>>());
-        merged
+        report
     }
 }
 
@@ -391,74 +266,6 @@ impl Default for Runner {
     fn default() -> Self {
         Runner::from_args()
     }
-}
-
-/// Samples shard `i` draws when `total` samples split over `shards`
-/// shards — [`shard_share`], so the runner, the per-worker closed loop
-/// and the cluster study all cut ranges with the same arithmetic.
-fn shard_len(total: u64, shards: usize, i: usize) -> u64 {
-    shard_share(total, shards as u64, i as u64)
-}
-
-/// Runs one cell under `policy`: up to `max_attempts` tries with
-/// per-attempt panic isolation, soft-deadline reporting on stderr, and
-/// hard-deadline escalation (a too-slow attempt's result is discarded
-/// and the attempt counted as failed).
-fn attempt_cell<T, F>(cell: &F, index: usize, policy: RunPolicy) -> Result<T, CellFailure>
-where
-    F: Fn(usize) -> T,
-{
-    let attempts = policy.max_attempts.max(1);
-    let mut message = String::new();
-    let mut timed_out = false;
-    for attempt in 1..=attempts {
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| cell(index)));
-        let elapsed = started.elapsed();
-        if let Some(deadline) = policy.soft_deadline {
-            if elapsed > deadline {
-                eprintln!(
-                    "note: cell {index} took {:.1}s (soft deadline {:.1}s)",
-                    elapsed.as_secs_f64(),
-                    deadline.as_secs_f64()
-                );
-            }
-        }
-        match outcome {
-            Ok(v) => match policy.hard_deadline {
-                Some(hard) if elapsed > hard => {
-                    timed_out = true;
-                    message = format!(
-                        "exceeded hard deadline: ran {:.1}s (budget {:.1}s)",
-                        elapsed.as_secs_f64(),
-                        hard.as_secs_f64()
-                    );
-                    if attempt < attempts {
-                        eprintln!(
-                            "note: cell {index} {message} (attempt {attempt}/{attempts}); \
-                                 retrying"
-                        );
-                    }
-                }
-                _ => return Ok(v),
-            },
-            Err(payload) => {
-                timed_out = false;
-                message = panic_message(payload.as_ref());
-                if attempt < attempts {
-                    eprintln!(
-                        "note: cell {index} panicked (attempt {attempt}/{attempts}): {message}"
-                    );
-                }
-            }
-        }
-    }
-    Err(CellFailure {
-        index,
-        attempts,
-        message,
-        timed_out,
-    })
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -656,47 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_is_jobs_invariant() {
-        let draw = |_i: usize, mut rng: Rng| (0..100).map(|_| rng.next_u64()).collect::<Vec<_>>();
-        let serial = Runner::new(1).run_sharded(8, 2019, draw);
-        let parallel = Runner::new(4).run_sharded(8, 2019, draw);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn sharded_histogram_is_jobs_invariant() {
-        let sample = |rng: &mut Rng| rng.next_below(10_000);
-        let a = Runner::new(1).sharded_histogram(8, 10_000, 7, sample);
-        let b = Runner::new(4).sharded_histogram(8, 10_000, 7, sample);
-        assert_eq!(a.count(), 10_000);
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean(), b.mean());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), b.quantile(q));
-        }
-    }
-
-    #[test]
-    fn sharded_summary_is_jobs_invariant() {
-        let sample = |rng: &mut Rng| rng.next_f64();
-        let a = Runner::new(1).sharded_summary(5, 1_000, 42, sample);
-        let b = Runner::new(8).sharded_summary(5, 1_000, 42, sample);
-        assert_eq!(a.count(), 1_000);
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.stddev(), b.stddev());
-    }
-
-    #[test]
-    fn shard_len_splits_exactly() {
-        for total in [0u64, 1, 7, 100] {
-            for shards in [1usize, 3, 8] {
-                let sum: u64 = (0..shards).map(|i| shard_len(total, shards, i)).sum();
-                assert_eq!(sum, total);
-            }
-        }
-    }
-
-    #[test]
     fn jobs_flag_parsing() {
         let parse = |args: &[&str]| jobs_from(args.iter().map(|s| (*s).to_owned()), None);
         assert_eq!(parse(&["--jobs", "4"]), Ok(4));
@@ -738,7 +504,7 @@ mod tests {
     #[test]
     fn panicking_cell_is_isolated_and_reported() {
         for jobs in [1, 4] {
-            let report = Runner::new(jobs).try_run(10, RunPolicy::default(), |i| {
+            let report = Runner::new(jobs).try_run(10, RunCtl::never_stopping(), |i| {
                 assert!(i != 3 && i != 7, "cell {i} exploded");
                 i * 2
             });
@@ -749,13 +515,13 @@ mod tests {
             }
             assert_eq!(report.results[3], None);
             assert_eq!(report.results[7], None);
+            assert_eq!(report.unrun, 0, "a failure is not a skipped cell");
             let indices: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
             assert_eq!(
                 indices,
                 vec![3, 7],
                 "failures in index order at jobs={jobs}"
             );
-            assert_eq!(report.failures[0].attempts, 2);
             assert!(report.failures[0].message.contains("cell 3 exploded"));
             let summary = report.failure_summary();
             assert!(summary.contains("2 of 10 cells failed"), "{summary}");
@@ -765,7 +531,7 @@ mod tests {
 
     #[test]
     fn try_run_with_no_failures_matches_run() {
-        let report = Runner::new(4).try_run(20, RunPolicy::default(), |i| i + 1);
+        let report = Runner::new(4).try_run(20, RunCtl::never_stopping(), |i| i + 1);
         assert!(report.ok());
         assert!(report.failure_summary().is_empty());
         assert_eq!(
@@ -788,99 +554,12 @@ mod tests {
         let message = panic_message(payload.as_ref());
         assert!(message.contains("1 of 8 cells failed"), "{message}");
         assert!(message.contains("boom in cell 5"), "{message}");
-        // Every cell ran (the failing one twice) before the panic.
-        assert_eq!(touched.load(Ordering::Relaxed), 9);
+        // Every cell ran exactly once before the panic.
+        assert_eq!(touched.load(Ordering::Relaxed), 8);
     }
 
     #[test]
-    fn retry_recovers_a_flaky_cell() {
-        // A cell that panics on its first attempt but succeeds on the
-        // second is rescued by the default two-attempt policy, and the
-        // rescue is invisible in the results.
-        let first_tries = std::sync::Mutex::new(std::collections::HashSet::new());
-        let report = Runner::new(1).try_run(5, RunPolicy::default(), |i| {
-            if i == 2 && first_tries.lock().unwrap().insert(i) {
-                panic!("transient failure in cell {i}");
-            }
-            i * 10
-        });
-        assert!(report.ok(), "{}", report.failure_summary());
-        assert_eq!(report.results[2], Some(20));
-    }
-
-    #[test]
-    fn zero_max_attempts_clamps_to_one() {
-        let runs = AtomicUsize::new(0);
-        let policy = RunPolicy {
-            max_attempts: 0,
-            ..RunPolicy::default()
-        };
-        let report = Runner::new(1).try_run(1, policy, |i| {
-            runs.fetch_add(1, Ordering::Relaxed);
-            assert!(i != 0, "always fails");
-        });
-        assert_eq!(runs.load(Ordering::Relaxed), 1, "exactly one attempt");
-        assert_eq!(report.failures[0].attempts, 1);
-        assert!(!report.failures[0].timed_out);
-    }
-
-    #[test]
-    fn soft_deadline_reports_but_never_fails_a_cell() {
-        let policy = RunPolicy {
-            max_attempts: 1,
-            soft_deadline: Some(Duration::from_nanos(1)),
-            hard_deadline: None,
-        };
-        let report = Runner::new(1).try_run(3, policy, |i| {
-            std::thread::sleep(Duration::from_millis(2));
-            i
-        });
-        assert!(report.ok(), "soft deadline is advisory only");
-        assert_eq!(report.results, vec![Some(0), Some(1), Some(2)]);
-    }
-
-    #[test]
-    fn hard_deadline_discards_slow_cells_and_marks_the_timeout() {
-        let policy = RunPolicy {
-            max_attempts: 2,
-            soft_deadline: None,
-            hard_deadline: Some(Duration::from_nanos(1)),
-        };
-        let attempts_made = AtomicUsize::new(0);
-        let report = Runner::new(1).try_run(1, policy, |i| {
-            attempts_made.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(2));
-            i
-        });
-        assert!(!report.ok());
-        assert_eq!(
-            attempts_made.load(Ordering::Relaxed),
-            2,
-            "the timeout consumed the retry budget"
-        );
-        let f = &report.failures[0];
-        assert!(f.timed_out, "failure records the deadline overrun");
-        assert!(f.message.contains("hard deadline"), "{}", f.message);
-        assert_eq!(report.results[0], None, "the slow result was discarded");
-    }
-
-    #[test]
-    fn generous_hard_deadline_changes_nothing() {
-        let policy = RunPolicy {
-            max_attempts: 2,
-            soft_deadline: None,
-            hard_deadline: Some(Duration::from_secs(3600)),
-        };
-        let report = Runner::new(4).try_run(10, policy, |i| i + 1);
-        assert!(report.ok());
-        assert_eq!(
-            report.into_results().expect("all pass"),
-            (1..=10).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn try_run_ctl_stops_claiming_after_cancellation() {
+    fn try_run_stops_claiming_after_cancellation() {
         for jobs in [1, 4] {
             let done = AtomicUsize::new(0);
             let ctl = RunCtl {
@@ -889,13 +568,13 @@ mod tests {
                     done.fetch_add(1, Ordering::Relaxed);
                 },
             };
-            let out = Runner::new(jobs).try_run_ctl(100, RunPolicy::default(), ctl, |i| i);
-            assert!(out.unrun > 0, "jobs={jobs}: cancellation skipped cells");
-            assert!(out.report.ok(), "skipped cells are not failures");
-            let completed = out.report.results.iter().flatten().count();
-            assert_eq!(completed + out.unrun, 100, "jobs={jobs}");
+            let report = Runner::new(jobs).try_run(100, ctl, |i| i);
+            assert!(report.unrun > 0, "jobs={jobs}: cancellation skipped cells");
+            assert!(report.ok(), "skipped cells are not failures");
+            let completed = report.results.iter().flatten().count();
+            assert_eq!(completed + report.unrun, 100, "jobs={jobs}");
             // Every completed cell landed at its own index.
-            for (i, r) in out.report.results.iter().enumerate() {
+            for (i, r) in report.results.iter().enumerate() {
                 if let Some(v) = r {
                     assert_eq!(*v, i);
                 }
@@ -904,14 +583,14 @@ mod tests {
     }
 
     #[test]
-    fn try_run_ctl_observer_sees_every_success_with_its_index() {
+    fn try_run_observer_sees_every_success_with_its_index() {
         let seen = std::sync::Mutex::new(Vec::new());
         let ctl = RunCtl {
             should_stop: &|| false,
             on_success: &|i, v: &usize| seen.lock().unwrap().push((i, *v)),
         };
-        let out = Runner::new(4).try_run_ctl(20, RunPolicy::default(), ctl, |i| i * 3);
-        assert_eq!(out.unrun, 0);
+        let report = Runner::new(4).try_run(20, ctl, |i| i * 3);
+        assert_eq!(report.unrun, 0);
         let mut observed = seen.into_inner().unwrap();
         observed.sort_unstable();
         assert_eq!(

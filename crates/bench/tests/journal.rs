@@ -30,11 +30,7 @@ fn temp_root(tag: &str) -> PathBuf {
 }
 
 fn resume_args(mode: ResumeMode, halt_after: Option<usize>) -> ResumeArgs {
-    ResumeArgs {
-        mode,
-        halt_after,
-        max_wall: None,
-    }
+    ResumeArgs { mode, halt_after }
 }
 
 /// Interrupt a quick cluster study partway, resume it, and demand the
