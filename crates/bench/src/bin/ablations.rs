@@ -2,8 +2,7 @@
 //! global-bit mappings, hierarchical scheduling, the Meltdown patch tax,
 //! and the 9-byte phase 2. The logic lives in
 //! [`xc_bench::harness::ablations`]; this wrapper parses `--jobs`,
-//! prints the result and records findings plus wall time and (when
-//! parallel) a serial reference run.
+//! prints the result and records findings plus wall time.
 
 use xc_bench::harness::{ablations, measure};
 use xc_bench::record;

@@ -4,21 +4,16 @@
 //!
 //! The experiment logic lives in [`xc_bench::harness::all_experiments`]
 //! and runs through the deterministic parallel [`Runner`] (`--jobs N`,
-//! default: available parallelism). When running with more than one
-//! worker, [`measure`] also re-runs the pass serially and this wrapper
-//! fails unless the parallel output is byte-identical — the determinism
-//! contract, enforced on every invocation. Timings go to stderr and
+//! default: available parallelism). Timings go to stderr and
 //! `BENCH_runner.json`, never stdout, so stdout stays byte-comparable
 //! across `--jobs` values.
 //!
-//! Crash-safe flags (DESIGN.md §4j): `--resume` replays completed
+//! Crash-safe flags (DESIGN.md §4d): `--resume` replays completed
 //! measurement groups from the journal, `--fresh` discards it first;
 //! both checkpoint each group and stop gracefully on SIGINT (exit 3,
-//! resumable). Journaled runs skip the serial reference re-run and the
-//! wall-time ledger (a partial wall would poison the trajectory) but
-//! keep the acceptance-band exit status.
-//!
-//! [`measure`]: xc_bench::harness::measure
+//! resumable). Journaled runs skip the wall-time ledger (a partial wall
+//! would poison the trajectory) but keep the acceptance-band exit
+//! status.
 
 use std::path::Path;
 
@@ -34,32 +29,23 @@ fn main() {
     });
     let runner = Runner::from_args();
 
-    let (out, diverged) = if resume.journaled() {
+    let out = if resume.journaled() {
         let root = Path::new(JOURNAL_ROOT);
         let run = all_experiments::run_journaled(&runner, root, "all_experiments", &resume);
-        (completed_or_exit("all_experiments", run), false)
+        completed_or_exit("all_experiments", run)
     } else {
         let (out, entry) = measure("all_experiments", &runner, all_experiments::run);
-        match (entry.serial_wall_ms, entry.parallel_matches_serial) {
-            (Some(serial_ms), Some(matches)) => eprintln!(
-                "all_experiments: {:.1} ms at --jobs {}, {:.1} ms serial reference, outputs {}",
-                entry.wall_ms,
-                runner.jobs(),
-                serial_ms,
-                if matches { "identical" } else { "DIVERGED" }
-            ),
-            _ => eprintln!("all_experiments: {:.1} ms at --jobs 1", entry.wall_ms),
-        }
+        eprintln!(
+            "all_experiments: {:.1} ms at --jobs {}",
+            entry.wall_ms,
+            runner.jobs()
+        );
         record_bench(&entry);
-        (out, entry.parallel_matches_serial == Some(false))
+        out
     };
     print!("{}", out.text);
     record("all_experiments", &out.findings);
 
-    if diverged {
-        eprintln!("error: parallel output differs from the serial reference");
-        std::process::exit(1);
-    }
     if out.findings.iter().any(|f| !f.in_band) {
         std::process::exit(1);
     }

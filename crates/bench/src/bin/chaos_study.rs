@@ -8,7 +8,7 @@
 //! `--fault-rate <r>` (pins the fault axis to `[0, r]`), prints the
 //! result and records findings plus wall time.
 //!
-//! Crash-safe flags (DESIGN.md §4j): `--resume` replays completed cells
+//! Crash-safe flags (DESIGN.md §4d): `--resume` replays completed cells
 //! from the journal, `--fresh` discards it first; both checkpoint each
 //! cell and stop gracefully on SIGINT (exit 3, resumable).
 //! `--halt-after N` bounds a checkpointing run for testing. Journaled

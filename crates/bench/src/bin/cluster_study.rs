@@ -1,13 +1,13 @@
 //! Cluster study — per-host container density, tail latency and drop
 //! rate for 100+ simulated hosts × 1000+ X-Container/Docker/gVisor
 //! domains under open-loop traffic from over a million modelled clients
-//! (extension; DESIGN.md §4g).
+//! (extension; DESIGN.md §4d).
 //!
 //! Flags: `--quick` runs the 8-host CI smoke configuration instead of
 //! the full 120-host study; `--jobs N` controls the worker pool (the
 //! output is byte-identical at every value).
 //!
-//! Crash-safe flags (DESIGN.md §4j): `--resume` replays completed cells
+//! Crash-safe flags (DESIGN.md §4d): `--resume` replays completed cells
 //! from the journal and executes only the missing ones; `--fresh`
 //! discards any journal first. Both checkpoint each cell as it
 //! completes and stop gracefully on SIGINT (exit 3, resumable).

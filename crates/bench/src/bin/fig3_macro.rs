@@ -5,14 +5,8 @@
 //! Each cell comes from a deterministic closed-loop simulation of the
 //! benchmark client against the platform's server model. The logic
 //! lives in [`xc_bench::harness::fig3`]; this wrapper parses `--jobs`,
-//! prints the result and records findings plus wall time and
-//! closed-loop cache counters.
-//!
-//! Each call of [`xc_bench::harness::fig3::run`] builds a fresh
-//! `ClosedLoopCache`, so at `--jobs > 1` the serial reference pass
-//! inside [`xc_bench::harness::measure`] simulates cold, like the
-//! measured grid, and the ledger's cache counters are the measured
-//! grid's alone.
+//! prints the result and records findings plus wall time and the
+//! counters of the fresh closed-loop cache the grid ran behind.
 
 use xc_bench::harness::{fig3, measure};
 use xc_bench::record;

@@ -4,8 +4,7 @@
 //! concurrent (4 copies), on both clouds, normalized to patched Docker —
 //! the paper's exact presentation. The logic lives in
 //! [`xc_bench::harness::fig4`]; this wrapper parses `--jobs`, prints the
-//! result and records findings plus wall time and (when parallel) a
-//! serial reference run.
+//! result and records findings plus wall time.
 
 use xc_bench::harness::{fig4, measure};
 use xc_bench::record;

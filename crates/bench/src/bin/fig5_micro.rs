@@ -3,8 +3,7 @@
 //! Process Creation, and iperf, in the paper's four panels
 //! (Amazon/Google × single/concurrent), normalized to patched Docker.
 //! The logic lives in [`xc_bench::harness::fig5`]; this wrapper parses
-//! `--jobs`, prints the result and records findings plus wall time and
-//! (when parallel) a serial reference run.
+//! `--jobs`, prints the result and records findings plus wall time.
 
 use xc_bench::harness::{fig5, measure};
 use xc_bench::record;

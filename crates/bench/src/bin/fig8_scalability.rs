@@ -2,8 +2,7 @@
 //! increases (NGINX+PHP-FPM per container, wrk with 1 thread / 5
 //! connections each, one 16-core 96 GB host). The logic lives in
 //! [`xc_bench::harness::fig8`]; this wrapper parses `--jobs`, prints the
-//! result and records findings plus wall time and (when parallel) a
-//! serial reference run.
+//! result and records findings plus wall time.
 
 use xc_bench::harness::{fig8, measure};
 use xc_bench::record;

@@ -1,23 +1,15 @@
-//! Queue microbenchmark — the event-queue half of the DES-core
-//! optimisation story, plus the perf-smoke gate `scripts/check.sh`
-//! runs on every invocation.
-//!
-//! Two measurements:
-//!
-//! 1. **Churn throughput** of [`HeapQueue`] vs [`CalendarQueue`] under
-//!    the engine's access pattern: pop the earliest event, schedule a
-//!    deterministic pseudo-random number of successors a short
-//!    deterministic delay into the future. Both queues must pop the
-//!    exact same `(key, event)` sequence (checksummed) — the calendar
-//!    queue's O(1) claim is only interesting if the order contract
-//!    holds.
-//! 2. **Harness wall time** of the serial `fig3` and `fig4` runs, the
-//!    end-to-end numbers the calendar queue is meant to move.
+//! Queue microbenchmark — churn throughput of [`HeapQueue`] vs
+//! [`CalendarQueue`] under the engine's access pattern: pop the earliest
+//! event and schedule one successor a short pseudo-random (seeded)
+//! delay into the future. Both queues must pop the
+//! exact same `(key, event)` sequence (checksummed) — the calendar
+//! queue's O(1) claim is only interesting if the order contract holds —
+//! and the binary exits 1 if they diverge.
 //!
 //! Modes:
 //!
-//! - default: full-size churn, digest gate, and `BENCH_runner.json`
-//!   rows `queue_bench_heap` / `queue_bench_calendar`;
+//! - default: full-size churn and `BENCH_runner.json` rows
+//!   `queue_bench_heap` / `queue_bench_calendar`;
 //! - `--sparse`: additionally run the sparse-regime churn — a few dozen
 //!   events in flight with millisecond-scale hops (hundreds of empty
 //!   buckets between occupied ones) and ultra-sparse hops (beyond the
@@ -25,51 +17,67 @@
 //!   identically. This is the regime the occupancy bitmap and the
 //!   bucket-width resizer exist for: the bitmap skips empty buckets a
 //!   word at a time, and widening makes them mostly disappear;
-//! - `--quick`: small churn and the digest gate only — no benchmark
-//!   ledger writes, exit 1 on any mismatch (`check.sh` runs
-//!   `--quick --sparse`);
-//! - `--write-golden`: refresh the committed fig4 digest at
-//!   [`GOLDEN_PATH`] (run from the repository root).
-//!
-//! The digest gate hashes the serial `fig4` harness output (rendered
-//! text plus findings JSON) and compares it against the committed
-//! golden digest: any queue or cost-model change that perturbs
-//! simulated results is caught here before it lands.
+//! - `--quick`: small churn only — no benchmark ledger writes
+//!   (`check.sh --bench` runs `--quick --sparse`).
 
 use std::time::Instant;
 
-use xc_bench::findings_json;
-use xc_bench::harness::{fig3, fig4};
-use xc_bench::runner::{record_bench, BenchEntry, Runner};
+use xc_bench::runner::{record_bench, BenchEntry};
 use xc_sim::calendar::{key, key_time, CalendarQueue, HeapQueue};
-use xc_sim::fnv::{fnv1a, FNV_OFFSET};
 use xc_sim::rng::Rng;
 use xc_sim::time::Nanos;
-
-/// Committed golden digest of the serial `fig4` harness output,
-/// relative to the repository root (every bench binary runs from
-/// there — `BENCH_runner.json` is resolved the same way).
-const GOLDEN_PATH: &str = "crates/bench/golden/fig4_syscall.digest";
 
 /// Events popped by the full-size churn run.
 const FULL_EVENTS: u64 = 2_000_000;
 /// Events popped by the `--quick` churn run.
 const QUICK_EVENTS: u64 = 200_000;
-/// Events pre-seeded before the churn loop starts.
-const SEED_EVENTS: u64 = 4096;
-/// Events in flight during the sparse-regime churn: few enough that
-/// consecutive events sit tens of empty ~4µs buckets apart.
-const SPARSE_SEED_EVENTS: u64 = 48;
-/// Sparse hop bounds in nanoseconds: 0.2–4 ms, i.e. 50–1000 default
-/// bucket widths, so the wheel is almost entirely empty between events
-/// but hops still land inside the 1024-bucket ring window.
-const SPARSE_HOP: (u64, u64) = (200_000, 4_000_000);
-/// Ultra-sparse hop bounds: 4–40 ms, i.e. up to ~10,000 default bucket
-/// widths. At the default width most pushes overshoot the ring window
-/// entirely and fall into the overflow heap — the regime where a fixed
-/// wheel would degenerate into a worse binary heap and adaptive
+
+/// One churn regime: events in flight, RNG seed, and hop bounds in
+/// nanoseconds. Events are seeded over `[0, hop.1]`.
+struct Lane {
+    name: &'static str,
+    in_flight: u64,
+    seed: u64,
+    hop: (u64, u64),
+    /// `BENCH_runner.json` rows for the heap and calendar timings.
+    rows: [&'static str; 2],
+}
+
+/// The engine's closed loop at steady state: every pop schedules one
+/// successor a microsecond-scale hop out (the workload models'
+/// service-time/RTT scale), so the queue holds a constant population
+/// spanning a few wheel epochs.
+const DENSE: Lane = Lane {
+    name: "churn",
+    in_flight: 4096,
+    seed: 0x5eed_cafe,
+    hop: (1, 50_000),
+    rows: ["queue_bench_heap", "queue_bench_calendar"],
+};
+
+/// Sparse lanes: few enough events in flight that consecutive events
+/// sit tens of empty ~4µs buckets apart, so advance and tiering cost —
+/// not push/pop — dominates. 0.2–4 ms hops are 50–1000 default bucket
+/// widths and still land inside the 1024-bucket ring window; 4–40 ms
+/// hops mostly overshoot it at the default width, the regime where a
+/// fixed wheel degenerates into a worse binary heap and adaptive
 /// widening restores ring residency.
-const ULTRA_HOP: (u64, u64) = (4_000_000, 40_000_000);
+const SPARSE: [Lane; 2] = [
+    Lane {
+        name: "sparse churn (0.2-4 ms hops)",
+        in_flight: 48,
+        seed: 0x0dd_ba11,
+        hop: (200_000, 4_000_000),
+        rows: ["queue_bench_sparse_heap", "queue_bench_sparse_adaptive"],
+    },
+    Lane {
+        name: "ultra-sparse churn (4-40 ms hops)",
+        in_flight: 48,
+        seed: 0x0dd_ba11,
+        hop: (4_000_000, 40_000_000),
+        rows: ["queue_bench_ultra_heap", "queue_bench_ultra_adaptive"],
+    },
+];
 
 /// The subset of the queue API the churn workload exercises, so one
 /// generic driver measures both implementations.
@@ -97,18 +105,14 @@ impl ChurnQueue for CalendarQueue<u64> {
 }
 
 /// One churn run: identical event sequence for any queue honouring the
-/// `(time, seq)` pop order. Returns `(checksum, wall_seconds)`.
-///
-/// The shape is the engine's closed loop at steady state: `SEED_EVENTS`
-/// events in flight, and every pop schedules exactly one successor a
-/// deterministic microsecond-scale hop into the future (the workload
-/// models' service-time/RTT scale), so the queue holds a constant
-/// population spanning a few wheel epochs.
-fn churn<Q: ChurnQueue>(queue: &mut Q, events: u64) -> (u64, f64) {
-    let mut rng = Rng::new(0x5eed_cafe);
+/// `(time, seq)` pop order. Every pop schedules exactly one successor a
+/// `lane.hop`-bounded hop into the future. Returns
+/// `(checksum, wall_seconds)`.
+fn churn<Q: ChurnQueue>(queue: &mut Q, events: u64, lane: &Lane) -> (u64, f64) {
+    let mut rng = Rng::new(lane.seed);
     let mut seq = 0u64;
-    for _ in 0..SEED_EVENTS {
-        let at = Nanos::from_nanos(rng.range_inclusive(0, 50_000));
+    for _ in 0..lane.in_flight {
+        let at = Nanos::from_nanos(rng.range_inclusive(0, lane.hop.1));
         queue.push(key(at, seq), seq);
         seq += 1;
     }
@@ -120,62 +124,20 @@ fn churn<Q: ChurnQueue>(queue: &mut Q, events: u64) -> (u64, f64) {
             .wrapping_mul(0x100000001b3)
             .wrapping_add((k as u64) ^ (k >> 64) as u64)
             .wrapping_add(ev);
-        let at = key_time(k) + Nanos::from_nanos(rng.range_inclusive(1, 50_000));
+        let at = key_time(k) + Nanos::from_nanos(rng.range_inclusive(lane.hop.0, lane.hop.1));
         queue.push(key(at, seq), seq);
         seq += 1;
     }
     (checksum, start.elapsed().as_secs_f64())
-}
-
-/// A sparse-regime churn: [`SPARSE_SEED_EVENTS`] events in flight,
-/// every pop rescheduling one successor a `hop`-bounded hop out. Same
-/// order contract and checksum as [`churn`], different occupancy: the
-/// wheel holds a handful of occupied buckets separated by hundreds
-/// ([`SPARSE_HOP`]) or thousands ([`ULTRA_HOP`]) of empty ones, so
-/// advance and tiering cost — not push/pop — dominates.
-fn sparse_churn<Q: ChurnQueue>(queue: &mut Q, events: u64, hop: (u64, u64)) -> (u64, f64) {
-    let mut rng = Rng::new(0x0dd_ba11);
-    let mut seq = 0u64;
-    for _ in 0..SPARSE_SEED_EVENTS {
-        let at = Nanos::from_nanos(rng.range_inclusive(0, hop.1));
-        queue.push(key(at, seq), seq);
-        seq += 1;
-    }
-    let start = Instant::now();
-    let mut checksum = 0u64;
-    for _ in 0..events {
-        let Some((k, ev)) = queue.pop() else { break };
-        checksum = checksum
-            .wrapping_mul(0x100000001b3)
-            .wrapping_add((k as u64) ^ (k >> 64) as u64)
-            .wrapping_add(ev);
-        let at = key_time(k) + Nanos::from_nanos(rng.range_inclusive(hop.0, hop.1));
-        queue.push(key(at, seq), seq);
-        seq += 1;
-    }
-    (checksum, start.elapsed().as_secs_f64())
-}
-
-/// FNV-1a over the serial fig4 harness output: rendered text plus the
-/// findings JSON, the same bytes `check.sh` compares across `--jobs`.
-fn fig4_digest() -> (String, f64) {
-    let start = Instant::now();
-    let out = fig4::run(&Runner::new(1));
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let h = fnv1a(FNV_OFFSET, out.text.as_bytes());
-    let h = fnv1a(h, findings_json(&out.findings).as_bytes());
-    (format!("{h:016x}"), wall_ms)
 }
 
 fn main() {
     let mut quick = false;
     let mut sparse = false;
-    let mut write_golden = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" => quick = true,
             "--sparse" => sparse = true,
-            "--write-golden" => write_golden = true,
             other => {
                 eprintln!("queue_bench: unknown argument {other:?}");
                 std::process::exit(2);
@@ -183,102 +145,38 @@ fn main() {
         }
     }
 
-    let (digest, fig4_ms) = fig4_digest();
-    if write_golden {
-        std::fs::write(GOLDEN_PATH, format!("{digest}\n")).expect("write golden digest");
-        println!("queue_bench: wrote fig4 golden digest {digest} to {GOLDEN_PATH}");
-        return;
-    }
-
     let events = if quick { QUICK_EVENTS } else { FULL_EVENTS };
-    let (heap_sum, heap_s) = churn(&mut HeapQueue::with_capacity(SEED_EVENTS as usize), events);
-    let (cal_sum, cal_s) = churn(
-        &mut CalendarQueue::with_capacity(SEED_EVENTS as usize),
-        events,
-    );
     let mops = |s: f64| events as f64 / s / 1e6;
-    println!(
-        "churn ({events} events): heap {:.1} Mops, calendar {:.1} Mops ({:.2}x), checksums {}",
-        mops(heap_s),
-        mops(cal_s),
-        heap_s / cal_s,
-        if heap_sum == cal_sum {
-            "identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-
-    let mut sparse_diverged = false;
-    let mut sparse_timings = Vec::new();
-    if sparse {
-        // (lane, hop bounds, ledger rows for heap and calendar)
-        for (lane, hop, rows) in [
-            (
-                "sparse churn (0.2-4 ms hops)",
-                SPARSE_HOP,
-                ["queue_bench_sparse_heap", "queue_bench_sparse_adaptive"],
-            ),
-            (
-                "ultra-sparse churn (4-40 ms hops)",
-                ULTRA_HOP,
-                ["queue_bench_ultra_heap", "queue_bench_ultra_adaptive"],
-            ),
-        ] {
-            let (heap_sum, heap_s) = sparse_churn(&mut HeapQueue::with_capacity(64), events, hop);
-            let mut cal = CalendarQueue::with_capacity(64);
-            let (cal_sum, cal_s) = sparse_churn(&mut cal, events, hop);
-            sparse_diverged |= heap_sum != cal_sum;
-            sparse_timings.push((rows, heap_s, cal_s));
-            println!(
-                "{lane}, {events} events, {SPARSE_SEED_EVENTS} in flight: \
-                 heap {:.1} Mops, calendar {:.1} Mops ({:.2}x, settled at 2^{} ns \
-                 buckets), checksums {}",
-                mops(heap_s),
-                mops(cal_s),
-                heap_s / cal_s,
-                cal.bucket_bits(),
-                if heap_sum == cal_sum {
-                    "identical"
-                } else {
-                    "DIVERGED"
-                }
-            );
+    let lanes = std::iter::once(&DENSE).chain(SPARSE.iter().filter(|_| sparse));
+    let mut diverged = false;
+    for lane in lanes {
+        let capacity = lane.in_flight as usize;
+        let (heap_sum, heap_s) = churn(&mut HeapQueue::with_capacity(capacity), events, lane);
+        let mut cal = CalendarQueue::with_capacity(capacity);
+        let (cal_sum, cal_s) = churn(&mut cal, events, lane);
+        diverged |= heap_sum != cal_sum;
+        println!(
+            "{}, {events} events, {} in flight: heap {:.1} Mops, calendar {:.1} Mops \
+             ({:.2}x, settled at 2^{} ns buckets), checksums {}",
+            lane.name,
+            lane.in_flight,
+            mops(heap_s),
+            mops(cal_s),
+            heap_s / cal_s,
+            cal.bucket_bits(),
+            if heap_sum == cal_sum {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        );
+        if !quick {
+            record_bench(&BenchEntry::timing(lane.rows[0], 1, heap_s * 1e3));
+            record_bench(&BenchEntry::timing(lane.rows[1], 1, cal_s * 1e3));
         }
     }
-
-    let fig3_start = Instant::now();
-    let _ = fig3::run(&Runner::new(1));
-    let fig3_ms = fig3_start.elapsed().as_secs_f64() * 1e3;
-    println!("harness (serial): fig3 {fig3_ms:.1} ms, fig4 {fig4_ms:.2} ms");
-
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .unwrap_or_else(|e| panic!("read {GOLDEN_PATH} (run --write-golden first): {e}"));
-    let golden = golden.trim();
-    let digest_ok = digest == golden;
-    println!(
-        "fig4 digest {digest} vs golden {golden}: {}",
-        if digest_ok { "ok" } else { "MISMATCH" }
-    );
-
-    if !quick {
-        record_bench(&BenchEntry::timing("queue_bench_heap", 1, heap_s * 1e3));
-        record_bench(&BenchEntry::timing("queue_bench_calendar", 1, cal_s * 1e3));
-        for ([heap_row, cal_row], heap_s, cal_s) in sparse_timings {
-            record_bench(&BenchEntry::timing(heap_row, 1, heap_s * 1e3));
-            record_bench(&BenchEntry::timing(cal_row, 1, cal_s * 1e3));
-        }
-    }
-    if heap_sum != cal_sum {
+    if diverged {
         eprintln!("error: calendar queue pop order diverged from the binary heap");
-        std::process::exit(1);
-    }
-    if sparse_diverged {
-        eprintln!("error: sparse churn pop order diverged across queue implementations");
-        std::process::exit(1);
-    }
-    if !digest_ok {
-        eprintln!("error: fig4 harness output differs from the committed golden digest");
         std::process::exit(1);
     }
 }

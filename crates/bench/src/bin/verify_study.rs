@@ -2,8 +2,9 @@
 //! coverage, post-patch shape, and the pre-flight redundancy ablation.
 //! The logic lives in [`xc_bench::harness::verify_study`]; this wrapper
 //! parses `--jobs`, prints the result and records findings plus wall
-//! time, analysis-cache hit accounting, and (when parallel) a serial
-//! reference run compared on the wall-time-blanked stable digest.
+//! time and analysis-cache hit accounting. Each application's analysis
+//! wall time goes to stderr, so stdout stays byte-identical across runs
+//! and `--jobs` values.
 //!
 //! `--profile` appends a per-library worklist profile of the
 //! abstract-interpretation fixpoint (pops, merges, phase wall times)
@@ -22,18 +23,13 @@ fn main() {
     let out = verify_study::run(&runner);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     print!("{}", out.render());
+    for r in &out.rows {
+        eprintln!("verify_study: {} analysis {:.1} µs", r.name, r.micros);
+    }
     record("verify_study", &out.findings());
     let mut entry = BenchEntry::timing("verify_study", runner.jobs(), wall_ms);
     entry.cache_hits = Some(out.cache_hits());
     entry.cache_misses = Some(out.cache_misses());
-    if runner.jobs() > 1 {
-        // The rendered table carries per-profile wall times, so the
-        // serial comparison uses the digest with those columns blanked.
-        let serial_start = Instant::now();
-        let serial = verify_study::run(&Runner::new(1));
-        entry.serial_wall_ms = Some(serial_start.elapsed().as_secs_f64() * 1e3);
-        entry.parallel_matches_serial = Some(serial.stable_digest() == out.stable_digest());
-    }
     if profile {
         let rows = verify_study::worklist_profiles(&runner);
         print!("\n{}", verify_study::render_worklist_profiles(&rows));

@@ -34,8 +34,8 @@ use crate::Finding;
 /// function of the parameters.
 const CHUNKS: u32 = 16;
 
-/// Study shape for one mode. `--quick` must stay cheap enough for
-/// `scripts/check.sh`; the full run is the headline ≥100 hosts ×
+/// Study shape for one mode. `--quick` must stay cheap enough for the
+/// golden table's debug runs; the full run is the headline ≥100 hosts ×
 /// ≥1000 domains × ≥1M clients configuration.
 pub fn params(quick: bool) -> ClusterParams {
     if quick {

@@ -128,9 +128,8 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
     out
 }
 
-/// [`run_with`] against a fresh cache — the entry point of `fig3_macro`
-/// (measured grid and serial reference alike), `all_experiments` and
-/// the determinism suite.
+/// [`run_with`] against a fresh cache — the entry point of `fig3_macro`,
+/// `all_experiments` and the determinism suite.
 pub fn run(runner: &Runner) -> HarnessOutput {
     let cache = ClosedLoopCache::new();
     run_with(runner, &cache)

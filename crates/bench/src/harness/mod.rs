@@ -8,7 +8,10 @@
 //!
 //! Every `run` function is a pure function of its inputs plus the
 //! experiment constants, and returns *identical* output at every
-//! [`Runner::jobs`] value (enforced by `tests/determinism.rs`).
+//! [`Runner::jobs`] value: `tests/determinism.rs` compares the library
+//! output across worker counts, and `tests/golden.rs` pins every
+//! binary's bytes at `--jobs 1` and `--jobs 3` against one committed
+//! table.
 //!
 //! [`Runner`]: crate::runner::Runner
 //! [`Runner::jobs`]: crate::runner::Runner::jobs
@@ -35,16 +38,11 @@ use crate::journal::{
 use crate::runner::{BenchEntry, Runner};
 use crate::Finding;
 
-/// Runs one harness under `runner` and produces its fully-populated
-/// benchmark ledger row: wall time, any cache counters the harness
-/// reports, and — when `runner` is parallel — a serial (`--jobs 1`)
-/// reference run with `serial_wall_ms` and the byte-identity bit set.
-///
-/// Serial invocations get a timing-plus-cache row only; the optional
-/// reference fields stay unset (and therefore unserialized).
+/// Runs one harness under `runner` and produces its benchmark ledger
+/// row: wall time plus any cache counters the harness reports.
 pub fn measure<F>(harness: &'static str, runner: &Runner, run: F) -> (HarnessOutput, BenchEntry)
 where
-    F: Fn(&Runner) -> HarnessOutput,
+    F: FnOnce(&Runner) -> HarnessOutput,
 {
     let start = Instant::now();
     let out = run(runner);
@@ -53,15 +51,6 @@ where
     if let Some((hits, misses)) = out.cache_stats {
         entry.cache_hits = Some(hits);
         entry.cache_misses = Some(misses);
-    }
-    if runner.jobs() > 1 {
-        let serial_start = Instant::now();
-        let serial = run(&Runner::new(1));
-        entry.serial_wall_ms = Some(serial_start.elapsed().as_secs_f64() * 1e3);
-        entry.parallel_matches_serial = Some(
-            serial.text == out.text
-                && crate::findings_json(&serial.findings) == crate::findings_json(&out.findings),
-        );
     }
     (out, entry)
 }

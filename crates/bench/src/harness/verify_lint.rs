@@ -9,10 +9,10 @@
 //! rule id (`XV0xx` coverage gaps, `XV1xx` proven-unsafe structure,
 //! `XV000` upgrade notes), a severity, the rendered reason chain, and a
 //! fix hint. The sweep reports per-rule counts and the corpus coverage
-//! percentage, and the binary gates both against committed floors.
+//! percentage, and the binary gates coverage against committed floors.
 //!
 //! Everything here is deterministic (no wall-time columns), so the
-//! binary's digest gate hashes the full rendered output.
+//! golden table (`tests/golden.rs`) pins the binary's full output.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -219,18 +219,6 @@ impl Output {
             self.total_unknown()
         );
         out
-    }
-
-    /// Every deterministic output, for digest gates and `--jobs`
-    /// byte-comparison (the sweep has no wall-time columns, so this is
-    /// simply everything).
-    pub fn stable_digest(&self) -> String {
-        format!(
-            "{}\n{}\n{}",
-            self.render(),
-            self.machine_json(),
-            crate::findings_json(&self.findings())
-        )
     }
 }
 

@@ -24,8 +24,9 @@
 //! [`AnalysisCache`]: the coverage pass populates it and the offline
 //! patcher's pre-flight re-reads it, so every profile contributes one
 //! guaranteed cache hit. The per-row analysis wall time is the only
-//! nondeterministic output; [`Output::stable_digest`] excludes it so
-//! tests can compare runs byte-for-byte.
+//! nondeterministic value; it stays out of [`Output::render`] and the
+//! findings (the binary prints it to stderr), so runs compare
+//! byte-for-byte.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -81,7 +82,7 @@ pub struct ProfileRow {
     pub v1_unknown: usize,
     /// Sites the interprocedural pass upgraded to `Safe`.
     pub upgraded: usize,
-    /// Analysis wall time — nondeterministic, excluded from digests.
+    /// Analysis wall time — nondeterministic, never rendered to stdout.
     pub micros: f64,
     pub reverify_ok: bool,
     pub detours: usize,
@@ -212,7 +213,6 @@ impl Output {
                 "unknown",
                 "v1 unk",
                 "upgraded",
-                "µs",
                 "reverify",
                 "detours",
             ],
@@ -229,7 +229,6 @@ impl Output {
                 Cell::Num(r.unknown as f64, 0),
                 Cell::Num(r.v1_unknown as f64, 0),
                 Cell::Num(r.upgraded as f64, 0),
-                Cell::Num(r.micros, 1),
                 Cell::from(if r.reverify_ok { "ok" } else { "FAIL" }),
                 Cell::Num(r.detours as f64, 0),
             ]);
@@ -259,21 +258,6 @@ impl Output {
             rate = self.cache_hit_rate() * 100.0,
         );
         out
-    }
-
-    /// Every deterministic output — rendered text with the wall-time
-    /// column blanked, plus the findings — for byte-comparison across
-    /// `--jobs` values.
-    pub fn stable_digest(&self) -> String {
-        let mut stable = self.clone();
-        for r in &mut stable.rows {
-            r.micros = 0.0;
-        }
-        format!(
-            "{}\n{}",
-            stable.render(),
-            crate::findings_json(&stable.findings())
-        )
     }
 }
 
@@ -399,7 +383,7 @@ pub struct WorklistProfile {
 /// corpus: one `AbsInt::analyze_profiled` run per library, reporting
 /// worklist traffic and phase wall times. The counters are a pure
 /// function of each image; the µs columns are host noise, so the whole
-/// pass stays out of the findings, digests and the benchmark gate.
+/// pass stays out of the findings and the benchmark gate.
 pub fn worklist_profiles(runner: &Runner) -> Vec<WorklistProfile> {
     let profiles = table1_profiles();
     runner.run(profiles.len(), |i| {

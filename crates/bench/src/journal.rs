@@ -439,9 +439,9 @@ fn reset_sigint() {
 }
 
 /// Graceful-cancellation sources for a resumable run: SIGINT and a
-/// deterministic halt-after-N-cells testing hook (how the check.sh
-/// resume gate "kills" a run mid-grid without racing a real signal
-/// against the scheduler). A wall-clock bound comes from outside:
+/// deterministic halt-after-N-cells testing hook (how the golden
+/// table's resume case "kills" a run mid-grid without racing a real
+/// signal against the scheduler). A wall-clock bound comes from outside:
 /// `timeout -s INT` delivers the same SIGINT.
 pub struct Interrupt {
     halt_after: Option<usize>,

@@ -17,18 +17,25 @@
 //! | `security_matrix` | §3.4 — TCB and attack-surface comparison (extension) |
 //! | `rdma_study` | §5.7 — soft-RDMA capability study (extension) |
 //! | `verify_study` | §4.4 — static patch-safety verdicts, re-verification, pre-flight ablation (extension) |
-//! | `cluster_study` | DESIGN.md §4g — per-host container density and tail latency at cluster scale (extension) |
+//! | `verify_lint` | §4.4 — structured diagnostics and coverage gates over the Table 1 corpus (extension) |
+//! | `cluster_study` | DESIGN.md §4d — per-host container density and tail latency at cluster scale (extension) |
+//! | `chaos_study` | DESIGN.md §5 — fault rate × platform sweep with conservation checks (extension) |
 //! | `all_experiments` | combined acceptance pass over all findings |
 //!
 //! Every harness prints the paper's expected shape next to the measured
-//! value and appends a machine-readable record through [`record`].
+//! value and writes its findings through [`record`]. Two more binaries
+//! serve the repository itself: `queue_bench` races the event queues and
+//! `bench_gate` is the wall-time regression gate ([`gate`]).
 //!
 //! The experiment logic itself lives in [`harness`] (one module per
 //! figure), executed through the deterministic parallel [`runner`]:
-//! every binary accepts `--jobs N` (default: available parallelism,
-//! `--jobs 1` = legacy serial path) and produces byte-identical output
-//! at every worker count. Wall-clock and cache measurements accumulate
-//! in `BENCH_runner.json` (see [`runner::record_bench`]).
+//! every grid binary accepts `--jobs N` (default: available
+//! parallelism, `--jobs 1` = serial path) and produces byte-identical
+//! output at every worker count. `tests/golden.rs` pins each binary's
+//! stdout and `results/*.json` against one committed table,
+//! `golden/outputs.txt` (see DESIGN.md §4d for how to update a row).
+//! Wall-clock and cache measurements accumulate in `BENCH_runner.json`
+//! (see [`runner::record_bench`]).
 //!
 //! The Criterion benches (`cargo bench -p xc-bench`) measure the *model
 //! itself* (simulator throughput, ABOM patch latency, platform cost
@@ -95,9 +102,9 @@ pub fn write_findings<W: io::Write>(sink: &mut W, findings: &[Finding]) -> io::R
     sink.write_all(b"]")
 }
 
-/// Renders findings exactly as [`record`] serializes them — shared by the
-/// determinism tests and the runner's serial-vs-parallel self-checks.
-/// Delegates to [`write_findings`] so the two can never drift.
+/// Renders findings exactly as [`record`] serializes them, for the
+/// determinism tests. Delegates to [`write_findings`] so the two can
+/// never drift.
 pub fn findings_json(findings: &[Finding]) -> String {
     let mut out = Vec::new();
     write_findings(&mut out, findings).expect("Vec sink cannot fail");

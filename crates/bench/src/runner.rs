@@ -28,8 +28,8 @@
 //! Cells are pure, so a retry would only panic the same way again.
 //!
 //! The runner also owns the perf trajectory file, `BENCH_runner.json`:
-//! each harness upserts a [`BenchEntry`] (wall time, jobs, serial
-//! reference time, cache hit rates) through [`record_bench`].
+//! each harness upserts a [`BenchEntry`] (wall time, jobs, cache hit
+//! rates) through [`record_bench`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -326,12 +326,6 @@ pub struct BenchEntry {
     pub jobs: usize,
     /// Wall-clock time of the measured run, milliseconds.
     pub wall_ms: f64,
-    /// Wall-clock time of a serial (`--jobs 1`) reference run, when the
-    /// harness performed one.
-    pub serial_wall_ms: Option<f64>,
-    /// Whether the parallel output was byte-identical to the serial
-    /// reference (only set when a reference ran).
-    pub parallel_matches_serial: Option<bool>,
     /// Analysis-cache hits observed by the run, for caching harnesses.
     pub cache_hits: Option<u64>,
     /// Analysis-cache misses observed by the run.
@@ -343,23 +337,20 @@ pub struct BenchEntry {
 }
 
 impl BenchEntry {
-    /// A timing-only entry (no serial reference, no cache accounting).
+    /// A timing-only entry (no cache accounting, no extra metrics).
     pub fn timing(harness: &'static str, jobs: usize, wall_ms: f64) -> Self {
         BenchEntry {
             harness,
             jobs,
             wall_ms,
-            serial_wall_ms: None,
-            parallel_matches_serial: None,
             cache_hits: None,
             cache_misses: None,
             metrics: Vec::new(),
         }
     }
 
-    /// Serializes the populated fields only: a harness that never ran a
-    /// serial reference or has no cache simply omits those keys instead
-    /// of emitting `null` placeholders.
+    /// Serializes the populated fields only: a harness with no cache
+    /// simply omits those keys instead of emitting `null` placeholders.
     fn to_json(&self) -> Json {
         let mut fields = vec![
             ("harness", Json::from(self.harness)),
@@ -373,12 +364,6 @@ impl BenchEntry {
             ),
             ("wall_ms", Json::Num(self.wall_ms)),
         ];
-        if let Some(v) = self.serial_wall_ms {
-            fields.push(("serial_wall_ms", Json::Num(v)));
-        }
-        if let Some(v) = self.parallel_matches_serial {
-            fields.push(("parallel_matches_serial", Json::Bool(v)));
-        }
         if let Some(h) = self.cache_hits {
             fields.push(("cache_hits", Json::Num(h as f64)));
         }
@@ -612,28 +597,15 @@ mod tests {
         assert!(json.contains("\"jobs\":4"));
         assert!(json.contains("\"cache_hit_rate\":0.9"));
         assert!(
-            !json.contains("serial_wall_ms"),
-            "never-populated fields are dropped, not serialized as null: {json}"
-        );
-        assert!(
             !json.contains("null"),
             "no null placeholders at all: {json}"
         );
-    }
-
-    #[test]
-    fn bench_entry_with_serial_reference_serializes_it() {
-        let e = BenchEntry {
-            serial_wall_ms: Some(40.0),
-            parallel_matches_serial: Some(true),
-            ..BenchEntry::timing("fig3_macro", 4, 12.5)
-        };
-        let json = e.to_json().to_string_compact();
-        assert!(json.contains("\"serial_wall_ms\":40"));
-        assert!(json.contains("\"parallel_matches_serial\":true"));
+        let timing = BenchEntry::timing("fig3_macro", 4, 12.5)
+            .to_json()
+            .to_string_compact();
         assert!(
-            !json.contains("cache_hits"),
-            "absent cache stays absent: {json}"
+            !timing.contains("cache_hits") && !timing.contains("null"),
+            "never-populated fields are dropped, not serialized as null: {timing}"
         );
     }
 

@@ -1,0 +1,216 @@
+//! One golden table pins every harness binary.
+//!
+//! Each run starts a harness binary in a fresh directory and checks its
+//! exit status, that every finding in the `results/*.json` file it
+//! wrote is `in_band`, and that FNV-1a over its stdout followed by that
+//! file equals the case's row in `golden/outputs.txt`. Grid harnesses
+//! run at `--jobs 1` and `--jobs 3` against one row, which pins
+//! worker-count invariance. A `cluster_study --quick` run halted after 8
+//! cells (exit 3) and then resumed must match the uninterrupted row and
+//! leave no journal. On a mismatch the failure prints the whole
+//! corrected table: check that only the rows meant to move did, and
+//! paste it over `golden/outputs.txt`.
+
+use std::fs;
+use std::path::Path;
+use std::process::Command;
+
+use xc_bench::journal::JOURNAL_ROOT;
+use xc_bench::runner::{Runner, JOBS_ENV};
+use xc_bench::RESULTS_DIR;
+use xc_sim::fnv::{fnv1a, FNV_OFFSET};
+
+/// Comment lines, then one `<binary> [args] <digest>` row per case.
+const TABLE: &str = include_str!("../golden/outputs.txt");
+
+/// One table row: the binary and the arguments that shape its output,
+/// and whether it runs a `Runner` grid (and so takes `--jobs`).
+struct Case {
+    key: &'static str,
+    exe: &'static str,
+    grid: bool,
+}
+
+macro_rules! case {
+    ($bin:literal $(, $arg:literal)*; $grid:expr) => {
+        Case {
+            key: concat!($bin $(, " ", $arg)*),
+            exe: env!(concat!("CARGO_BIN_EXE_", $bin)),
+            grid: $grid,
+        }
+    };
+}
+
+const CASES: &[Case] = &[
+    case!("fig3_macro"; true),
+    case!("fig4_syscall"; true),
+    case!("fig5_micro"; true),
+    case!("fig8_scalability"; true),
+    case!("ablations"; true),
+    case!("verify_study"; true),
+    case!("verify_lint"; true),
+    case!("all_experiments"; true),
+    case!("cluster_study"; true),
+    case!("cluster_study", "--quick"; true),
+    case!("chaos_study"; true),
+    case!("chaos_study", "--quick"; true),
+    case!("table1"; false),
+    case!("fig6_libos"; false),
+    case!("fig9_loadbalance"; false),
+    case!("spawn_time"; false),
+    case!("security_matrix"; false),
+    case!("rdma_study"; false),
+];
+
+/// One checked run: the invocations it makes in one directory, each
+/// with the exit status it must return. The digest is taken after the
+/// last.
+struct Run {
+    case: usize,
+    steps: Vec<(Vec<&'static str>, i32)>,
+}
+
+fn plan() -> Vec<Run> {
+    let mut runs = Vec::new();
+    for (case, c) in CASES.iter().enumerate() {
+        let args: Vec<&str> = c.key.split(' ').skip(1).collect();
+        let jobs: &[&[&str]] = if c.grid {
+            &[&["--jobs", "1"], &["--jobs", "3"]]
+        } else {
+            &[&[]]
+        };
+        for j in jobs {
+            let steps = vec![([&args[..], j].concat(), 0)];
+            runs.push(Run { case, steps });
+        }
+    }
+    let quick = CASES.iter().position(|c| c.key == "cluster_study --quick");
+    runs.push(Run {
+        case: quick.expect("quick cluster case"),
+        steps: vec![
+            (
+                vec!["--quick", "--jobs", "2", "--fresh", "--halt-after", "8"],
+                3,
+            ),
+            (vec!["--quick", "--jobs", "2", "--resume"], 0),
+        ],
+    });
+    runs
+}
+
+/// Executes `run` in `dir` and checks it against the committed digest
+/// `want`; returns the digest it measured (when it wrote one results
+/// file) and every problem found.
+fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String>) {
+    let bin = CASES[run.case].key.split(' ').next().unwrap_or_default();
+    let command = |args: &[&str]| format!("`{}`", [&[bin], args].concat().join(" "));
+    let _ = fs::remove_dir_all(dir);
+    fs::create_dir_all(dir).expect("create run directory");
+    let mut problems = Vec::new();
+    let mut stdout = Vec::new();
+    for (args, want) in &run.steps {
+        let out = Command::new(CASES[run.case].exe)
+            .args(args)
+            .current_dir(dir)
+            .env_remove(JOBS_ENV)
+            .output()
+            .expect("spawn harness binary");
+        if out.status.code() != Some(*want) {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let status = out.status;
+            problems.push(format!(
+                "{}: {status}, want exit {want}:\n{stderr}",
+                command(args)
+            ));
+        }
+        stdout = out.stdout;
+    }
+    let label = command(&run.steps[run.steps.len() - 1].0);
+    let results: Vec<_> = fs::read_dir(dir.join(RESULTS_DIR))
+        .into_iter()
+        .flatten()
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    let [path] = &results[..] else {
+        problems.push(format!("{label}: wrote {results:?}, want one results file"));
+        return (None, problems);
+    };
+    let json = fs::read(path).expect("read results file");
+    let text = String::from_utf8_lossy(&json);
+    let findings = text.matches("\"in_band\":").count();
+    if findings == 0 || text.matches("\"in_band\":true").count() != findings {
+        problems.push(format!("{label}: not every finding in {path:?} is in band"));
+    }
+    let journals = fs::read_dir(dir.join(JOURNAL_ROOT)).into_iter().flatten();
+    if journals
+        .flatten()
+        .any(|e| e.path().join("cells.jsonl").exists())
+    {
+        problems.push(format!("{label}: left a journal behind"));
+    }
+    let digest = fnv1a(fnv1a(FNV_OFFSET, &stdout), &json);
+    if want != Some(digest) {
+        let key = CASES[run.case].key;
+        problems.push(format!(
+            "{label}: digest {digest:016x} differs from row `{key}`"
+        ));
+    }
+    if problems.is_empty() {
+        let _ = fs::remove_dir_all(dir);
+    }
+    (Some(digest), problems)
+}
+
+#[test]
+fn every_harness_binary_matches_its_golden_row() {
+    let (comments, rows): (Vec<&str>, Vec<&str>) = TABLE
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .partition(|l| l.starts_with('#'));
+    let golden: Vec<(&str, u64)> = rows
+        .iter()
+        .map(|l| {
+            let (key, hex) = l.rsplit_once(' ').expect("row is `<case> <digest>`");
+            let digest = u64::from_str_radix(hex, 16).expect("digest is 16 hex digits");
+            (key.trim(), digest)
+        })
+        .collect();
+    let row = |key: &str| golden.iter().find(|(k, _)| *k == key).map(|&(_, d)| d);
+
+    let runs = plan();
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let outcomes = Runner::new(workers).run(runs.len(), |i| {
+        let want = row(CASES[runs[i].case].key);
+        execute(&runs[i], &root.join(format!("run{i:02}")), want)
+    });
+
+    let mut problems = Vec::new();
+    let mut fresh: Vec<Option<u64>> = vec![None; CASES.len()];
+    for (run, (digest, run_problems)) in runs.iter().zip(outcomes) {
+        problems.extend(run_problems);
+        if let Some(digest) = digest {
+            fresh[run.case].get_or_insert(digest);
+        }
+    }
+    for (key, _) in &golden {
+        if !CASES.iter().any(|c| c.key == *key) {
+            problems.push(format!("golden row `{key}` matches no case"));
+        }
+    }
+
+    let width = CASES.iter().map(|c| c.key.len()).max().unwrap_or(0);
+    let mut corrected: String = comments.iter().map(|l| format!("{l}\n")).collect();
+    for (c, digest) in CASES.iter().zip(fresh) {
+        let digest = digest.or_else(|| row(c.key));
+        let digest = digest.map_or("missing".to_owned(), |d| format!("{d:016x}"));
+        corrected.push_str(&format!("{:<width$} {digest}\n", c.key));
+    }
+    assert!(
+        problems.is_empty(),
+        "{} golden problem(s):\n{}\n\ncorrected golden/outputs.txt:\n\n{corrected}",
+        problems.len(),
+        problems.join("\n"),
+    );
+}

@@ -1,4 +1,4 @@
-//! Crash-safety contract, end to end (DESIGN.md §4j): an interrupted
+//! Crash-safety contract, end to end (DESIGN.md §4d): an interrupted
 //! journaled harness run, resumed, must render byte-identical output to
 //! an uninterrupted run — and a damaged journal must degrade to partial
 //! re-execution, never to a panic or to different bytes.

@@ -107,8 +107,8 @@ pub mod prelude {
     pub use xc_workloads::costs::PlatformCosts;
     pub use xc_workloads::fig6::{DbTopology, LibOsPlatform};
     pub use xc_workloads::http::{
-        run_closed_loop, run_closed_loop_cached, run_closed_loop_from, run_closed_loop_sharded,
-        ClosedLoopCache, ClosedLoopResult, RequestProfile, ServerModel,
+        run_closed_loop, run_closed_loop_cached, run_closed_loop_from, ClosedLoopCache,
+        ClosedLoopResult, RequestProfile, ServerModel,
     };
     pub use xc_workloads::loadbalance::LbMode;
     pub use xc_workloads::scalability::ScalabilityConfig;

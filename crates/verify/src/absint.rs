@@ -277,11 +277,9 @@ impl AbsInt {
     }
 
     /// Runs the fixpoint with a timing/counting probe attached,
-    /// returning the analysis plus its profile. Only compiled with the
-    /// `profile` feature; [`AbsInt::analyze`] monomorphizes the same
-    /// driver against a no-op probe, so the production path pays
-    /// nothing for the instrumentation seam.
-    #[cfg(feature = "profile")]
+    /// returning the analysis plus its profile. [`AbsInt::analyze`]
+    /// monomorphizes the same driver against a no-op probe, so the
+    /// production path pays nothing for the instrumentation seam.
     pub fn analyze_profiled(
         disasm: &Disassembly,
         cfg: &Cfg,

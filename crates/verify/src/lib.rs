@@ -79,7 +79,6 @@ pub use disasm::{disassemble_image, Disassembly};
 pub use lint::{
     lint_report, render_json, render_text, summarize, LintFinding, LintSummary, Severity,
 };
-#[cfg(feature = "profile")]
 pub use profile::AbsIntProfile;
 pub use report::{
     ReasonChain, SiteKind, SiteReport, UnknownReason, UnsafeReason, Verdict, VerifyReport,

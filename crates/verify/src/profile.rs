@@ -4,9 +4,8 @@
 //! into a [`Probe`] at the worklist's hot points. The default probe
 //! methods are empty `#[inline]` bodies and the production path
 //! monomorphizes against the [`NoProbe`] ZST, so the hooks compile to
-//! nothing unless a caller opts into the `profile` feature and runs
-//! [`crate::AbsInt::analyze_profiled`] — the classic zero-cost
-//! instrumentation seam.
+//! nothing unless a caller runs [`crate::AbsInt::analyze_profiled`] —
+//! the classic zero-cost instrumentation seam.
 
 /// Observation points inside the worklist driver. Every method has an
 /// empty inlined default so a probe only pays for what it overrides.
@@ -49,7 +48,6 @@ pub(crate) struct NoProbe;
 
 impl Probe for NoProbe {}
 
-#[cfg(feature = "profile")]
 mod timing {
     use std::time::Instant;
 
@@ -129,5 +127,4 @@ mod timing {
     }
 }
 
-#[cfg(feature = "profile")]
 pub use timing::AbsIntProfile;

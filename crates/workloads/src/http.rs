@@ -15,12 +15,9 @@
 //! each worker process owns its accept queue (`SO_REUSEPORT`-style), so
 //! worker `w` of `P` serves a fixed
 //! [`shard_share`](xc_sim::stats::shard_share) of the connections with
-//! its own RNG substream, independent of every other worker. That makes
-//! the whole simulation embarrassingly parallel: the serial path runs
-//! the worker worlds one after another and merges their histograms in
-//! worker order; [`run_closed_loop_sharded`] runs contiguous worker
-//! ranges on OS threads and merges in the same order, so its output is
-//! byte-identical to the serial reference at any shard count.
+//! its own RNG substream, independent of every other worker. The driver
+//! runs the worker worlds one after another and merges their histograms
+//! in worker order.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,8 +223,7 @@ impl World for WorkerLoop {
 
 /// Runs one worker's world: the contiguous global-connection range
 /// `[first, first + count)` of `total` connections, seeded from worker
-/// `index`'s RNG substream. Pure function of its arguments — the unit
-/// both the serial and the sharded drivers compose from.
+/// `index`'s RNG substream. Pure function of its arguments.
 fn run_worker(
     table: &PlatformCosts,
     index: u32,
@@ -267,9 +263,8 @@ fn run_worker(
 
 /// Runs a closed-loop benchmark from a precomputed [`PlatformCosts`]
 /// table: `connections` concurrent clients, for `duration` of simulated
-/// time. This is the serial golden reference — worker worlds run one
-/// after another on the calling thread, results merged in worker-index
-/// order.
+/// time. Worker worlds run one after another on the calling thread,
+/// results merged in worker-index order.
 pub fn run_closed_loop_from(
     table: &PlatformCosts,
     connections: u32,
@@ -305,64 +300,6 @@ pub fn run_closed_loop(
 ) -> ClosedLoopResult {
     let table = PlatformCosts::derive(server, costs);
     run_closed_loop_from(&table, connections, duration, seed)
-}
-
-/// [`run_closed_loop_from`] with worker worlds distributed over `shards`
-/// OS threads. Workers are split into contiguous index ranges (the same
-/// [`shard_share`] partition the runner uses for cells) and each
-/// thread's partial results are merged back in worker-index order, so
-/// the output is **byte-identical** to the serial reference at any
-/// shard count — `shards` only changes wall-clock time.
-pub fn run_closed_loop_sharded(
-    table: &PlatformCosts,
-    connections: u32,
-    duration: Nanos,
-    seed: u64,
-    shards: u32,
-) -> ClosedLoopResult {
-    let workers = table.parallelism.max(1);
-    let shards = shards.clamp(1, workers);
-    if shards == 1 {
-        return run_closed_loop_from(table, connections, duration, seed);
-    }
-    let total = u64::from(connections);
-    // Per-worker world descriptors in worker order: (index, first, count).
-    let mut plan = Vec::with_capacity(workers as usize);
-    let mut first = 0u64;
-    for w in 0..workers {
-        let count = shard_share(total, u64::from(workers), u64::from(w));
-        plan.push((w, first, count));
-        first += count;
-    }
-    let mut partials: Vec<Vec<(u64, Histogram)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards as usize);
-        let mut start = 0usize;
-        for s in 0..shards {
-            let len = shard_share(u64::from(workers), u64::from(shards), u64::from(s)) as usize;
-            let slice = &plan[start..start + len];
-            start += len;
-            handles.push(scope.spawn(move || {
-                slice
-                    .iter()
-                    .map(|&(w, first, count)| {
-                        run_worker(table, w, first, count, total, duration, seed)
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        partials = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    });
-    let mut completed = 0u64;
-    let mut latency = Histogram::new();
-    for (done, hist) in partials.iter().flatten() {
-        completed += done;
-        latency.merge(hist);
-    }
-    ClosedLoopResult {
-        throughput_rps: completed as f64 / duration.as_secs_f64(),
-        latency,
-    }
 }
 
 /// Memoizes closed-loop results by the simulation's *true* inputs.
@@ -544,23 +481,6 @@ mod tests {
     fn gvisor_cannot_use_multicore() {
         let s = server(Platform::gvisor(CloudEnv::AmazonEc2, true), 4);
         assert_eq!(s.parallelism(), 1);
-    }
-
-    #[test]
-    fn sharded_matches_serial_reference_exactly() {
-        let costs = CostModel::skylake_cloud();
-        let s = server(Platform::docker(CloudEnv::AmazonEc2, true), 4);
-        let table = PlatformCosts::derive(&s, &costs);
-        let serial = run_closed_loop_from(&table, 50, Nanos::from_millis(100), 7);
-        for shards in [1, 2, 3, 4, 9] {
-            let sharded = run_closed_loop_sharded(&table, 50, Nanos::from_millis(100), 7, shards);
-            assert_eq!(
-                serial.throughput_rps.to_bits(),
-                sharded.throughput_rps.to_bits(),
-                "{shards} shards"
-            );
-            assert_eq!(serial.latency, sharded.latency, "{shards} shards");
-        }
     }
 
     #[test]

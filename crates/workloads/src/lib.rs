@@ -9,8 +9,7 @@
 //!   (Figures 4 and 5),
 //! * [`iperf`] — TCP stream throughput (Figure 5),
 //! * [`http`] — the closed-loop request/response engine behind `ab`,
-//!   `wrk` and `memtier_benchmark`, decomposed into per-worker shard
-//!   worlds ([`http::run_closed_loop_sharded`]),
+//!   `wrk` and `memtier_benchmark`, decomposed into per-worker worlds,
 //! * [`costs`] — the precomputed [`PlatformCosts`] table every
 //!   request/response simulation reads instead of re-deriving platform
 //!   costs per event,

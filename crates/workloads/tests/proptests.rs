@@ -1,20 +1,17 @@
-//! Property-based tests for the sharded closed loop and the derived
-//! cost table (enable with `--features proptest`).
+//! Property-based tests for the derived cost table.
 //!
-//! The always-on unit suites pin these properties at fixed points; the
-//! properties here quantify over the interesting inputs: *any* shard
-//! count must reproduce the serial reference bit-for-bit, and *any*
-//! deployment in the evaluation matrix must derive the same costs
-//! through [`PlatformCosts`] as through the per-event path.
+//! The unit suites pin these properties at fixed points; the properties
+//! here quantify over the interesting inputs: *any* deployment in the
+//! evaluation matrix must derive the same costs through
+//! [`PlatformCosts`] as through the per-event path.
 
 use proptest::prelude::*;
 use xc_runtimes::cloud::CloudEnv;
 use xc_runtimes::platform::Platform;
 use xc_sim::cost::CostModel;
-use xc_sim::time::Nanos;
 use xc_workloads::apps;
 use xc_workloads::costs::PlatformCosts;
-use xc_workloads::http::{run_closed_loop_from, run_closed_loop_sharded, ServerModel};
+use xc_workloads::http::ServerModel;
 
 fn arb_cloud() -> impl Strategy<Value = CloudEnv> {
     prop_oneof![
@@ -45,34 +42,6 @@ fn arb_profile() -> impl Strategy<Value = xc_workloads::http::RequestProfile> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Sharding is pure plumbing: any shard count (including counts
-    /// above the worker count, which clamp) reproduces the serial
-    /// worker-index-order merge bit-for-bit — throughput to the last
-    /// mantissa bit, latency histogram bucket-for-bucket.
-    #[test]
-    fn sharded_closed_loop_matches_serial(
-        platform in arb_platform(),
-        profile in arb_profile(),
-        connections in 1u32..48,
-        workers in 1u32..5,
-        duration_ms in 5u64..40,
-        seed in any::<u64>(),
-        shards in 1u32..13,
-    ) {
-        let costs = CostModel::skylake_cloud();
-        let server = ServerModel { platform, profile, workers, cores: 4 };
-        let table = PlatformCosts::derive(&server, &costs);
-        let duration = Nanos::from_millis(duration_ms);
-        let serial = run_closed_loop_from(&table, connections, duration, seed);
-        let sharded = run_closed_loop_sharded(&table, connections, duration, seed, shards);
-        prop_assert_eq!(
-            serial.throughput_rps.to_bits(),
-            sharded.throughput_rps.to_bits(),
-            "throughput diverged at {} shards", shards
-        );
-        prop_assert_eq!(serial.latency, sharded.latency, "histogram diverged at {} shards", shards);
-    }
 
     /// The precomputed table is exactly the per-event derivation for
     /// every deployment: same service time, same wire RTT, same
