@@ -20,9 +20,7 @@ pub const VSYSCALL_BASE: u64 = 0xffff_ffff_ff60_0000;
 /// Offset of the stack-dispatch entry region within the vsyscall page.
 pub const STACK_DISPATCH_OFFSET: u64 = 0xc00;
 
-/// Highest syscall number with a dedicated entry (the x86-64 table has
-/// ~335 entries in the kernel generation the paper used; we round up).
-pub const MAX_SYSCALL_NR: u64 = 351;
+pub use xc_verify::MAX_SYSCALL_NR;
 
 /// How a vsyscall-table entry resolves the syscall number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

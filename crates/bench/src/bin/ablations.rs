@@ -2,16 +2,14 @@
 //! global-bit mappings, hierarchical scheduling, the Meltdown patch tax,
 //! and the 9-byte phase 2. The logic lives in
 //! [`xc_bench::harness::ablations`]; this wrapper parses `--jobs`,
-//! prints the result and records findings plus wall time.
+//! prints the result and records findings.
 
-use xc_bench::harness::{ablations, measure};
+use xc_bench::harness::ablations;
 use xc_bench::record;
-use xc_bench::runner::{record_bench, Runner};
+use xc_bench::runner::Runner;
 
 fn main() {
-    let runner = Runner::from_args();
-    let (out, entry) = measure("ablations", &runner, ablations::run);
+    let out = ablations::run(&Runner::from_args());
     print!("{}", out.text);
     record("ablations", &out.findings);
-    record_bench(&entry);
 }

@@ -4,23 +4,20 @@
 //!
 //! The experiment logic lives in [`xc_bench::harness::all_experiments`]
 //! and runs through the deterministic parallel [`Runner`] (`--jobs N`,
-//! default: available parallelism). Timings go to stderr and
-//! `BENCH_runner.json`, never stdout, so stdout stays byte-comparable
-//! across `--jobs` values.
+//! default: available parallelism); stdout is byte-identical across
+//! `--jobs` values.
 //!
 //! Crash-safe flags (DESIGN.md §4d): `--resume` replays completed
 //! measurement groups from the journal, `--fresh` discards it first;
 //! both checkpoint each group and stop gracefully on SIGINT (exit 3,
-//! resumable). Journaled runs skip the wall-time ledger (a partial wall
-//! would poison the trajectory) but keep the acceptance-band exit
-//! status.
+//! resumable). Journaled runs keep the acceptance-band exit status.
 
 use std::path::Path;
 
-use xc_bench::harness::{all_experiments, completed_or_exit, measure};
+use xc_bench::harness::{all_experiments, completed_or_exit};
 use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
 use xc_bench::record;
-use xc_bench::runner::{record_bench, Runner};
+use xc_bench::runner::Runner;
 
 fn main() {
     let resume = ResumeArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
@@ -34,14 +31,7 @@ fn main() {
         let run = all_experiments::run_journaled(&runner, root, "all_experiments", &resume);
         completed_or_exit("all_experiments", run)
     } else {
-        let (out, entry) = measure("all_experiments", &runner, all_experiments::run);
-        eprintln!(
-            "all_experiments: {:.1} ms at --jobs {}",
-            entry.wall_ms,
-            runner.jobs()
-        );
-        record_bench(&entry);
-        out
+        all_experiments::run(&runner)
     };
     print!("{}", out.text);
     record("all_experiments", &out.findings);

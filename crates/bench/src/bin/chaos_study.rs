@@ -6,20 +6,19 @@
 //! The logic lives in [`xc_bench::harness::chaos`]; this wrapper parses
 //! `--jobs`, `--quick` (smaller grid, shorter simulated duration), and
 //! `--fault-rate <r>` (pins the fault axis to `[0, r]`), prints the
-//! result and records findings plus wall time.
+//! result and records findings.
 //!
 //! Crash-safe flags (DESIGN.md §4d): `--resume` replays completed cells
 //! from the journal, `--fresh` discards it first; both checkpoint each
 //! cell and stop gracefully on SIGINT (exit 3, resumable).
-//! `--halt-after N` bounds a checkpointing run for testing. Journaled
-//! runs skip the wall-time ledger.
+//! `--halt-after N` bounds a checkpointing run for testing.
 
 use std::path::Path;
 
-use xc_bench::harness::{chaos, completed_or_exit, measure};
+use xc_bench::harness::{chaos, completed_or_exit};
 use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
 use xc_bench::record;
-use xc_bench::runner::{record_bench, Runner};
+use xc_bench::runner::Runner;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -33,11 +32,8 @@ fn main() {
         std::process::exit(2);
     });
     let runner = Runner::from_args();
-    // Quick and full sweeps are different workloads, so they get
-    // distinct ledger rows (mirroring cluster_study) — otherwise the
-    // check-script's quick byte gate overwrites the full entry with a
-    // quick wall time at whatever --jobs it happened to use, and the
-    // perf gate compares apples to oranges.
+    // Quick and full sweeps are different grids, so they journal under
+    // distinct names.
     let name = if quick {
         "chaos_study_quick"
     } else {
@@ -49,13 +45,7 @@ fn main() {
             chaos::run_journaled(&runner, quick, rate, Path::new(JOURNAL_ROOT), name, &resume);
         completed_or_exit(name, run)
     } else {
-        let (out, entry) = measure(name, &runner, |r| chaos::run_with(r, quick, rate));
-        // A pinned --fault-rate changes the sweep axis; keep those runs
-        // out of the wall-time trajectory.
-        if rate.is_none() {
-            record_bench(&entry);
-        }
-        out
+        chaos::run_with(&runner, quick, rate)
     };
     print!("{}", out.text);
     record("chaos", &out.findings);

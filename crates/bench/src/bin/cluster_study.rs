@@ -11,16 +11,14 @@
 //! from the journal and executes only the missing ones; `--fresh`
 //! discards any journal first. Both checkpoint each cell as it
 //! completes and stop gracefully on SIGINT (exit 3, resumable).
-//! `--halt-after N` bounds a checkpointing run for testing. Journaled
-//! runs skip the `BENCH_runner.json` ledger — a partial wall time would
-//! poison the perf trajectory.
+//! `--halt-after N` bounds a checkpointing run for testing.
 
 use std::path::Path;
 
-use xc_bench::harness::{cluster, completed_or_exit, measure};
+use xc_bench::harness::{cluster, completed_or_exit};
 use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
 use xc_bench::record;
-use xc_bench::runner::{record_bench, Runner};
+use xc_bench::runner::Runner;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -39,13 +37,7 @@ fn main() {
         let run = cluster::run_journaled(&runner, quick, Path::new(JOURNAL_ROOT), name, &resume);
         completed_or_exit(name, run)
     } else {
-        let (out, mut entry) = measure(name, &runner, |r| cluster::run(r, quick));
-        let p = cluster::params(quick);
-        entry.metrics.push(("hosts", f64::from(p.hosts)));
-        entry.metrics.push(("domains", p.total_domains() as f64));
-        entry.metrics.push(("clients", p.clients as f64));
-        record_bench(&entry);
-        out
+        cluster::run(&runner, quick)
     };
     print!("{}", out.text);
     record("cluster", &out.findings);

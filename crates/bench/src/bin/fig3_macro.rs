@@ -5,17 +5,14 @@
 //! Each cell comes from a deterministic closed-loop simulation of the
 //! benchmark client against the platform's server model. The logic
 //! lives in [`xc_bench::harness::fig3`]; this wrapper parses `--jobs`,
-//! prints the result and records findings plus wall time and the
-//! counters of the fresh closed-loop cache the grid ran behind.
+//! prints the result and records findings.
 
-use xc_bench::harness::{fig3, measure};
+use xc_bench::harness::fig3;
 use xc_bench::record;
-use xc_bench::runner::{record_bench, Runner};
+use xc_bench::runner::Runner;
 
 fn main() {
-    let runner = Runner::from_args();
-    let (out, entry) = measure("fig3_macro", &runner, fig3::run);
+    let out = fig3::run(&Runner::from_args());
     print!("{}", out.text);
     record("fig3", &out.findings);
-    record_bench(&entry);
 }

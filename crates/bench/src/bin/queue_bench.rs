@@ -8,8 +8,7 @@
 //!
 //! Modes:
 //!
-//! - default: full-size churn and `BENCH_runner.json` rows
-//!   `queue_bench_heap` / `queue_bench_calendar`;
+//! - default: full-size churn;
 //! - `--sparse`: additionally run the sparse-regime churn — a few dozen
 //!   events in flight with millisecond-scale hops (hundreds of empty
 //!   buckets between occupied ones) and ultra-sparse hops (beyond the
@@ -17,12 +16,11 @@
 //!   identically. This is the regime the occupancy bitmap and the
 //!   bucket-width resizer exist for: the bitmap skips empty buckets a
 //!   word at a time, and widening makes them mostly disappear;
-//! - `--quick`: small churn only — no benchmark ledger writes
-//!   (`check.sh --bench` runs `--quick --sparse`).
+//! - `--quick`: small churn only (`check.sh --bench` runs
+//!   `--quick --sparse`).
 
 use std::time::Instant;
 
-use xc_bench::runner::{record_bench, BenchEntry};
 use xc_sim::calendar::{key, key_time, CalendarQueue, HeapQueue};
 use xc_sim::rng::Rng;
 use xc_sim::time::Nanos;
@@ -39,8 +37,6 @@ struct Lane {
     in_flight: u64,
     seed: u64,
     hop: (u64, u64),
-    /// `BENCH_runner.json` rows for the heap and calendar timings.
-    rows: [&'static str; 2],
 }
 
 /// The engine's closed loop at steady state: every pop schedules one
@@ -52,7 +48,6 @@ const DENSE: Lane = Lane {
     in_flight: 4096,
     seed: 0x5eed_cafe,
     hop: (1, 50_000),
-    rows: ["queue_bench_heap", "queue_bench_calendar"],
 };
 
 /// Sparse lanes: few enough events in flight that consecutive events
@@ -68,14 +63,12 @@ const SPARSE: [Lane; 2] = [
         in_flight: 48,
         seed: 0x0dd_ba11,
         hop: (200_000, 4_000_000),
-        rows: ["queue_bench_sparse_heap", "queue_bench_sparse_adaptive"],
     },
     Lane {
         name: "ultra-sparse churn (4-40 ms hops)",
         in_flight: 48,
         seed: 0x0dd_ba11,
         hop: (4_000_000, 40_000_000),
-        rows: ["queue_bench_ultra_heap", "queue_bench_ultra_adaptive"],
     },
 ];
 
@@ -170,10 +163,6 @@ fn main() {
                 "DIVERGED"
             }
         );
-        if !quick {
-            record_bench(&BenchEntry::timing(lane.rows[0], 1, heap_s * 1e3));
-            record_bench(&BenchEntry::timing(lane.rows[1], 1, cal_s * 1e3));
-        }
     }
     if diverged {
         eprintln!("error: calendar queue pop order diverged from the binary heap");

@@ -3,22 +3,18 @@
 //! [`xc_bench::harness::verify_lint`].
 //!
 //! The binary prints the table and findings (or, with `--json`, the
-//! machine-readable sweep), writes `results/verify_lint.json`, upserts
-//! a `BENCH_runner.json` row whose extra metrics (`coverage_pct`,
-//! `unknown_sites`, `upgraded_sites`) record the coverage trajectory,
-//! and exits 1 if coverage falls below [`COVERAGE_FLOOR_PCT`] or the
+//! machine-readable sweep), writes `results/verify_lint.json`, and
+//! exits 1 if coverage falls below [`COVERAGE_FLOOR_PCT`] or the
 //! `Unknown` count exceeds [`UNKNOWN_CEILING`]. The golden table
 //! (`crates/bench/tests/golden.rs`) pins the full output, so any
 //! verifier change that moves a verdict, a rule id, or a reason chain
 //! is caught before it lands.
 
-use std::time::Instant;
-
 use xc_bench::harness::verify_lint::{
     self, within_unknown_ceiling, COVERAGE_FLOOR_PCT, UNKNOWN_CEILING,
 };
 use xc_bench::record;
-use xc_bench::runner::{record_bench, BenchEntry, Runner};
+use xc_bench::runner::Runner;
 
 fn main() {
     let mut json = false;
@@ -26,9 +22,9 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            // Both --jobs forms are handled by Runner::from_args; the
-            // space-separated one needs its value consumed here too.
-            "--jobs" => {
+            // Every --jobs form is handled by Runner::from_args; the
+            // space-separated ones need their value consumed here too.
+            "--jobs" | "-j" => {
                 args.next();
             }
             other if other.starts_with("--jobs=") => {}
@@ -39,10 +35,7 @@ fn main() {
         }
     }
 
-    let runner = Runner::from_args();
-    let start = Instant::now();
-    let out = verify_lint::run(&runner);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let out = verify_lint::run(&Runner::from_args());
 
     if json {
         println!("{}", out.machine_json());
@@ -50,13 +43,6 @@ fn main() {
         print!("{}", out.render());
     }
     record("verify_lint", &out.findings());
-    let mut entry = BenchEntry::timing("verify_lint", runner.jobs(), wall_ms);
-    entry.metrics = vec![
-        ("coverage_pct", out.coverage_pct()),
-        ("unknown_sites", out.total_unknown() as f64),
-        ("upgraded_sites", out.total_upgraded() as f64),
-    ];
-    record_bench(&entry);
 
     println!(
         "coverage {:.1}% (floor {COVERAGE_FLOOR_PCT}%), {} Unknown (ceiling {UNKNOWN_CEILING})",

@@ -295,9 +295,5 @@ fn render_cells(cells: Vec<Vec<Finding>>) -> HarnessOutput {
         findings.len(),
         out_of_band
     );
-    HarnessOutput {
-        text,
-        findings,
-        cache_stats: None,
-    }
+    HarnessOutput { text, findings }
 }

@@ -427,11 +427,7 @@ fn render_cells(rates: &[f64], outcomes: &[CellOutcome]) -> HarnessOutput {
          flight — never lost; demoted ABOM sites fall back to the syscall trap (§4.4)."
     );
 
-    HarnessOutput {
-        text,
-        findings,
-        cache_stats: None,
-    }
+    HarnessOutput { text, findings }
 }
 
 /// Full sweep with default axes.

@@ -37,7 +37,7 @@ const CHUNKS: u32 = 16;
 /// Study shape for one mode. `--quick` must stay cheap enough for the
 /// golden table's debug runs; the full run is the headline ≥100 hosts ×
 /// ≥1000 domains × ≥1M clients configuration.
-pub fn params(quick: bool) -> ClusterParams {
+fn params(quick: bool) -> ClusterParams {
     if quick {
         ClusterParams {
             hosts: 8,

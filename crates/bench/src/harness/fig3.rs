@@ -103,12 +103,10 @@ fn cell(
 /// Cell text and findings are unaffected by cache state (results are
 /// observationally identical to uncached simulation), so output stays
 /// byte-identical at every `--jobs` value even though hit/miss totals
-/// depend on cell scheduling. The reported `cache_stats` are this
-/// call's delta, not the cache's lifetime totals.
+/// depend on cell scheduling.
 pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
     let costs = CostModel::skylake_cloud();
     let profiles = figure3_profiles();
-    let (hits0, misses0) = (cache.hits(), cache.misses());
     let grid: Vec<(CloudEnv, RequestProfile)> = clouds()
         .into_iter()
         .flat_map(|cloud| profiles.iter().map(move |p| (cloud, p.clone())))
@@ -118,7 +116,6 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
         cell(*cloud, profile, &costs, cache)
     });
     let mut out = HarnessOutput::merge(cells);
-    out.cache_stats = Some((cache.hits() - hits0, cache.misses() - misses0));
     out.text.push_str(
         "Shape (§5.3): X-Containers lead Docker most on memcached (syscall-\n\
          dense ops), moderately on NGINX, and only match it on Redis (user-\n\

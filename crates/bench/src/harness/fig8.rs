@@ -95,9 +95,5 @@ pub fn run(runner: &Runner) -> HarnessOutput {
             in_band: d50 > x50,
         },
     ];
-    HarnessOutput {
-        text,
-        findings,
-        cache_stats: None,
-    }
+    HarnessOutput { text, findings }
 }

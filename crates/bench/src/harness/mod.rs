@@ -10,7 +10,7 @@
 //! experiment constants, and returns *identical* output at every
 //! [`Runner::jobs`] value: `tests/determinism.rs` compares the library
 //! output across worker counts, and `tests/golden.rs` pins every
-//! binary's bytes at `--jobs 1` and `--jobs 3` against one committed
+//! binary's bytes at `--jobs 1` and `-j 3` against one committed
 //! table.
 //!
 //! [`Runner`]: crate::runner::Runner
@@ -29,31 +29,13 @@ pub mod verify_study;
 
 use std::io;
 use std::path::Path;
-use std::time::Instant;
 
 use crate::journal::{
     self, install_sigint_handler, run_resumable, CellPayload, Interrupt, Journal, ResumeArgs,
     ResumeMode,
 };
-use crate::runner::{BenchEntry, Runner};
+use crate::runner::Runner;
 use crate::Finding;
-
-/// Runs one harness under `runner` and produces its benchmark ledger
-/// row: wall time plus any cache counters the harness reports.
-pub fn measure<F>(harness: &'static str, runner: &Runner, run: F) -> (HarnessOutput, BenchEntry)
-where
-    F: FnOnce(&Runner) -> HarnessOutput,
-{
-    let start = Instant::now();
-    let out = run(runner);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let mut entry = BenchEntry::timing(harness, runner.jobs(), wall_ms);
-    if let Some((hits, misses)) = out.cache_stats {
-        entry.cache_hits = Some(hits);
-        entry.cache_misses = Some(misses);
-    }
-    (out, entry)
-}
 
 /// Outcome of a journaled (crash-safe) harness run.
 #[derive(Debug)]
@@ -180,10 +162,6 @@ pub struct HarnessOutput {
     pub text: String,
     /// The paper-vs-measured rows for `results/<experiment>.json`.
     pub findings: Vec<Finding>,
-    /// `(hits, misses)` of any memoization the harness ran behind —
-    /// e.g. deduplicated closed-loop simulations — for the benchmark
-    /// ledger. `None` when the harness has no cache.
-    pub cache_stats: Option<(u64, u64)>,
 }
 
 impl HarnessOutput {
@@ -195,10 +173,6 @@ impl HarnessOutput {
             text.push_str(&t);
             findings.extend(f);
         }
-        HarnessOutput {
-            text,
-            findings,
-            cache_stats: None,
-        }
+        HarnessOutput { text, findings }
     }
 }

@@ -276,7 +276,6 @@ fn cell(profile: &AppProfile, syscalls: u64, rng: Rng) -> ProfileRow {
     let upgraded = summarize(analysis.report()).upgraded;
     let (_, _, v1_unknown) = Verifier::with_config(VerifierConfig {
         interprocedural_upgrades: false,
-        ..VerifierConfig::default()
     })
     .analyze(&image)
     .report()
@@ -383,7 +382,7 @@ pub struct WorklistProfile {
 /// corpus: one `AbsInt::analyze_profiled` run per library, reporting
 /// worklist traffic and phase wall times. The counters are a pure
 /// function of each image; the µs columns are host noise, so the whole
-/// pass stays out of the findings and the benchmark gate.
+/// pass stays out of the findings.
 pub fn worklist_profiles(runner: &Runner) -> Vec<WorklistProfile> {
     let profiles = table1_profiles();
     runner.run(profiles.len(), |i| {
@@ -392,10 +391,8 @@ pub fn worklist_profiles(runner: &Runner) -> Vec<WorklistProfile> {
         let d = disassemble_image(&image);
         let cfg = Cfg::build(&d);
         let cg = CallGraph::build(&d, &cfg);
-        let config = VerifierConfig::default();
-        let summaries = Summaries::build(&d, &cfg, &cg, config.max_summary_depth);
-        let (_, prof) =
-            AbsInt::analyze_profiled(&d, &cfg, &cg, &summaries, config.stack_window_slots);
+        let summaries = Summaries::build(&d, &cfg, &cg);
+        let (_, prof) = AbsInt::analyze_profiled(&d, &cfg, &cg, &summaries);
         WorklistProfile {
             name: p.name,
             blocks: cfg.blocks.len(),

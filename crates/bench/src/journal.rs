@@ -45,9 +45,9 @@
 //! ## Atomicity
 //!
 //! [`atomic_write`] is the tmp-file + `rename(2)` primitive shared with
-//! [`crate::runner::record_bench`] and [`crate::record`]: the ledger and
-//! findings files are replaced whole, never written in place, so a kill
-//! at any instant leaves either the old complete file or the new one.
+//! [`crate::record`]: journal repairs and findings files are replaced
+//! whole, never written in place, so a kill at any instant leaves either
+//! the old complete file or the new one.
 
 use std::collections::BTreeMap;
 use std::fs;

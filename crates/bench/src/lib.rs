@@ -23,9 +23,9 @@
 //! | `all_experiments` | combined acceptance pass over all findings |
 //!
 //! Every harness prints the paper's expected shape next to the measured
-//! value and writes its findings through [`record`]. Two more binaries
-//! serve the repository itself: `queue_bench` races the event queues and
-//! `bench_gate` is the wall-time regression gate ([`gate`]).
+//! value and writes its findings through [`record`]; it writes nothing
+//! else. One more binary serves the repository itself: `queue_bench`
+//! races the event queues and exits 1 if their pop orders diverge.
 //!
 //! The experiment logic itself lives in [`harness`] (one module per
 //! figure), executed through the deterministic parallel [`runner`]:
@@ -34,15 +34,11 @@
 //! output at every worker count. `tests/golden.rs` pins each binary's
 //! stdout and `results/*.json` against one committed table,
 //! `golden/outputs.txt` (see DESIGN.md §4d for how to update a row).
-//! Wall-clock and cache measurements accumulate in `BENCH_runner.json`
-//! (see [`runner::record_bench`]).
 //!
-//! The Criterion benches (`cargo bench -p xc-bench`) measure the *model
-//! itself* (simulator throughput, ABOM patch latency, platform cost
-//! evaluation) so regressions in the reproduction infrastructure are
-//! caught.
+//! The harnesses do not time themselves. The repository's speed is
+//! measured by the separate benchmark in `benchmark/` (repeated runs,
+//! medians and per-layer metrics; see `benchmark/README.md`).
 
-pub mod gate;
 pub mod harness;
 pub mod journal;
 pub mod runner;
@@ -114,7 +110,7 @@ pub fn findings_json(findings: &[Finding]) -> String {
 /// Serializes findings to `results/<experiment>.json` (creates the
 /// directory as needed). The document is staged into a same-directory
 /// temp file and renamed into place ([`journal::atomic_write`]), so a
-/// crash mid-write can never leave a truncated ledger behind — readers
+/// crash mid-write can never leave a truncated file behind — readers
 /// see either the old findings or the new ones, whole. Errors are
 /// reported but non-fatal: harnesses must still print their tables on
 /// read-only filesystems.

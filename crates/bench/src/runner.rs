@@ -26,18 +26,9 @@
 //! [`CellFailure`] in the [`RunReport`] while every healthy cell still
 //! runs — and, under the journal, is checkpointed before the run fails.
 //! Cells are pure, so a retry would only panic the same way again.
-//!
-//! The runner also owns the perf trajectory file, `BENCH_runner.json`:
-//! each harness upserts a [`BenchEntry`] (wall time, jobs, cache hit
-//! rates) through [`record_bench`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use xcontainers::prelude::{json_object, Json};
-
-/// Where harnesses record wall-clock and cache measurements.
-pub const BENCH_PATH: &str = "BENCH_runner.json";
 
 /// Environment variable consulted for the worker count when no `--jobs`
 /// flag is present. Parsed as strictly as the flag: a malformed or zero
@@ -317,115 +308,6 @@ fn jobs_from<I: Iterator<Item = String>>(mut args: I, env: Option<&str>) -> Resu
         .unwrap_or(1))
 }
 
-/// One harness's entry in [`BENCH_PATH`].
-#[derive(Debug, Clone)]
-pub struct BenchEntry {
-    /// Harness name, e.g. `fig4_syscall`.
-    pub harness: &'static str,
-    /// Worker count the measured run used.
-    pub jobs: usize,
-    /// Wall-clock time of the measured run, milliseconds.
-    pub wall_ms: f64,
-    /// Analysis-cache hits observed by the run, for caching harnesses.
-    pub cache_hits: Option<u64>,
-    /// Analysis-cache misses observed by the run.
-    pub cache_misses: Option<u64>,
-    /// Extra named numeric metrics (e.g. `coverage_pct`), serialized as
-    /// additional top-level keys so the trajectory file tracks harness
-    /// quality measures alongside wall time.
-    pub metrics: Vec<(&'static str, f64)>,
-}
-
-impl BenchEntry {
-    /// A timing-only entry (no cache accounting, no extra metrics).
-    pub fn timing(harness: &'static str, jobs: usize, wall_ms: f64) -> Self {
-        BenchEntry {
-            harness,
-            jobs,
-            wall_ms,
-            cache_hits: None,
-            cache_misses: None,
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Serializes the populated fields only: a harness with no cache
-    /// simply omits those keys instead of emitting `null` placeholders.
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("harness", Json::from(self.harness)),
-            ("jobs", Json::Num(self.jobs as f64)),
-            (
-                "host_parallelism",
-                Json::Num(
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-                        as f64,
-                ),
-            ),
-            ("wall_ms", Json::Num(self.wall_ms)),
-        ];
-        if let Some(h) = self.cache_hits {
-            fields.push(("cache_hits", Json::Num(h as f64)));
-        }
-        if let Some(m) = self.cache_misses {
-            fields.push(("cache_misses", Json::Num(m as f64)));
-        }
-        if let (Some(h), Some(m)) = (self.cache_hits, self.cache_misses) {
-            if h + m > 0 {
-                fields.push(("cache_hit_rate", Json::Num(h as f64 / (h + m) as f64)));
-            }
-        }
-        for &(name, value) in &self.metrics {
-            fields.push((name, Json::Num(value)));
-        }
-        json_object(fields)
-    }
-}
-
-/// Upserts `entry` into [`BENCH_PATH`] (one JSON object per line inside a
-/// top-level array, keyed by harness name, sorted for stable diffs).
-/// The replacement body lands via tmp-file + atomic rename
-/// ([`crate::journal::atomic_write`]), so a harness killed mid-upsert
-/// can never leave a torn ledger behind — readers see the old complete
-/// file or the new complete file, nothing in between. Errors are
-/// reported but non-fatal, mirroring [`crate::record`].
-pub fn record_bench(entry: &BenchEntry) {
-    let mut lines = read_bench_lines(BENCH_PATH);
-    let marker = format!(
-        "\"harness\":{}",
-        Json::from(entry.harness).to_string_compact()
-    );
-    lines.retain(|l| !l.contains(&marker));
-    lines.push(entry.to_json().to_string_compact());
-    lines.sort_unstable();
-    let mut body = String::from("[\n");
-    for (i, line) in lines.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        body.push_str(line);
-    }
-    body.push_str("\n]\n");
-    if let Err(e) = crate::journal::atomic_write(std::path::Path::new(BENCH_PATH), body.as_bytes())
-    {
-        eprintln!("note: cannot write {BENCH_PATH}: {e}");
-    }
-}
-
-/// Reads the entry lines (one compact JSON object per line) back out of
-/// the bench file; tolerates a missing or malformed file by starting
-/// fresh.
-fn read_bench_lines(path: &str) -> Vec<String> {
-    let Ok(body) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    body.lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with('{'))
-        .map(|l| l.trim_end_matches(',').to_owned())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,41 +465,5 @@ mod tests {
             (0..20).map(|i| (i, i * 3)).collect::<Vec<_>>(),
             "observer fired exactly once per cell"
         );
-    }
-
-    #[test]
-    fn bench_entry_serializes_expected_fields() {
-        let e = BenchEntry {
-            cache_hits: Some(9),
-            cache_misses: Some(1),
-            ..BenchEntry::timing("fig4_syscall", 4, 12.5)
-        };
-        let json = e.to_json().to_string_compact();
-        assert!(json.contains("\"harness\":\"fig4_syscall\""));
-        assert!(json.contains("\"jobs\":4"));
-        assert!(json.contains("\"cache_hit_rate\":0.9"));
-        assert!(
-            !json.contains("null"),
-            "no null placeholders at all: {json}"
-        );
-        let timing = BenchEntry::timing("fig3_macro", 4, 12.5)
-            .to_json()
-            .to_string_compact();
-        assert!(
-            !timing.contains("cache_hits") && !timing.contains("null"),
-            "never-populated fields are dropped, not serialized as null: {timing}"
-        );
-    }
-
-    #[test]
-    fn bench_entry_metrics_serialize_as_extra_keys() {
-        let e = BenchEntry {
-            metrics: vec![("coverage_pct", 100.0), ("unknown_sites", 0.0)],
-            ..BenchEntry::timing("verify_lint", 1, 3.0)
-        };
-        let json = e.to_json().to_string_compact();
-        assert!(json.contains("\"coverage_pct\":100"));
-        assert!(json.contains("\"unknown_sites\":0"));
-        assert!(!json.contains("null"));
     }
 }

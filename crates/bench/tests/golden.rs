@@ -1,21 +1,21 @@
 //! One golden table pins every harness binary.
 //!
 //! Each run starts a harness binary in a fresh directory and checks its
-//! exit status, that every finding in the `results/*.json` file it
-//! wrote is `in_band`, and that FNV-1a over its stdout followed by that
-//! file equals the case's row in `golden/outputs.txt`. Grid harnesses
-//! run at `--jobs 1` and `--jobs 3` against one row, which pins
-//! worker-count invariance. A `cluster_study --quick` run halted after 8
-//! cells (exit 3) and then resumed must match the uninterrupted row and
-//! leave no journal. On a mismatch the failure prints the whole
-//! corrected table: check that only the rows meant to move did, and
-//! paste it over `golden/outputs.txt`.
+//! exit status, that the one `results/*.json` file it wrote is the only
+//! file it left (no journal, nothing outside `results/`), that every
+//! finding in that file is `in_band`, and that FNV-1a over its stdout
+//! followed by that file equals the case's row in `golden/outputs.txt`.
+//! Grid harnesses run at `--jobs 1` and `-j 3` against one row, which
+//! pins worker-count invariance and both spellings of the flag. A
+//! `cluster_study --quick` run halted after 8 cells (exit 3) and then
+//! resumed must match the uninterrupted row. On a mismatch the failure
+//! prints the whole corrected table: check that only the rows meant to
+//! move did, and paste it over `golden/outputs.txt`.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use xc_bench::journal::JOURNAL_ROOT;
 use xc_bench::runner::{Runner, JOBS_ENV};
 use xc_bench::RESULTS_DIR;
 use xc_sim::fnv::{fnv1a, FNV_OFFSET};
@@ -75,7 +75,7 @@ fn plan() -> Vec<Run> {
     for (case, c) in CASES.iter().enumerate() {
         let args: Vec<&str> = c.key.split(' ').skip(1).collect();
         let jobs: &[&[&str]] = if c.grid {
-            &[&["--jobs", "1"], &["--jobs", "3"]]
+            &[&["--jobs", "1"], &["-j", "3"]]
         } else {
             &[&[]]
         };
@@ -96,6 +96,23 @@ fn plan() -> Vec<Run> {
         ],
     });
     runs
+}
+
+/// Every file under `dir`, at any depth.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in fs::read_dir(&d).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                files.push(path);
+            }
+        }
+    }
+    files
 }
 
 /// Executes `run` in `dir` and checks it against the committed digest
@@ -132,6 +149,13 @@ fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String
         .filter_map(|e| Some(e.ok()?.path()))
         .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json"))
         .collect();
+    let strays: Vec<_> = files_under(dir)
+        .into_iter()
+        .filter(|p| !results.contains(p))
+        .collect();
+    if !strays.is_empty() {
+        problems.push(format!("{label}: left {strays:?} besides its results file"));
+    }
     let [path] = &results[..] else {
         problems.push(format!("{label}: wrote {results:?}, want one results file"));
         return (None, problems);
@@ -141,13 +165,6 @@ fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String
     let findings = text.matches("\"in_band\":").count();
     if findings == 0 || text.matches("\"in_band\":true").count() != findings {
         problems.push(format!("{label}: not every finding in {path:?} is in band"));
-    }
-    let journals = fs::read_dir(dir.join(JOURNAL_ROOT)).into_iter().flatten();
-    if journals
-        .flatten()
-        .any(|e| e.path().join("cells.jsonl").exists())
-    {
-        problems.push(format!("{label}: left a journal behind"));
     }
     let digest = fnv1a(fnv1a(FNV_OFFSET, &stdout), &json);
     if want != Some(digest) {

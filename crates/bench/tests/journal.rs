@@ -35,7 +35,7 @@ fn resume_args(mode: ResumeMode, halt_after: Option<usize>) -> ResumeArgs {
 
 /// Interrupt a quick cluster study partway, resume it, and demand the
 /// merged output — text and serialized findings — is byte-identical to
-/// a straight (journal-free) run. This is the acceptance criterion for
+/// a straight (journal-free) run. This is the acceptance test for
 /// the whole subsystem.
 #[test]
 fn interrupted_cluster_resume_matches_a_straight_run() {

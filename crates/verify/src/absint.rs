@@ -211,6 +211,11 @@ pub struct AbsInt {
 /// widened straight to `Top` (defence in depth; see module docs).
 const BLOCK_VISIT_CAP: u32 = 64;
 
+/// How many 8-byte `rsp`-relative slots the analysis tracks per frame:
+/// displacements at or beyond `8 × STACK_WINDOW_SLOTS` bytes are
+/// untracked.
+const STACK_WINDOW_SLOTS: u8 = 16;
+
 /// Bitset worklist over dense block ids. `pop_first` returns the lowest
 /// set id, so with ids assigned in ascending block-address order the
 /// scheduling is identical to the old `BTreeSet<u64>` pop-minimum — one
@@ -264,16 +269,14 @@ impl AbsInt {
             .map_or(AbsValue::Unreached, |s| s.reg(Reg::Rax))
     }
 
-    /// Runs the fixpoint. `stack_window_slots` bounds the tracked frame
-    /// window to displacements below `8 * stack_window_slots` bytes.
+    /// Runs the fixpoint.
     pub fn analyze(
         disasm: &Disassembly,
         cfg: &Cfg,
         cg: &CallGraph,
         summaries: &Summaries,
-        stack_window_slots: u8,
     ) -> AbsInt {
-        Self::analyze_with(disasm, cfg, cg, summaries, stack_window_slots, &mut NoProbe)
+        Self::analyze_with(disasm, cfg, cg, summaries, &mut NoProbe)
     }
 
     /// Runs the fixpoint with a timing/counting probe attached,
@@ -285,10 +288,9 @@ impl AbsInt {
         cfg: &Cfg,
         cg: &CallGraph,
         summaries: &Summaries,
-        stack_window_slots: u8,
     ) -> (AbsInt, crate::profile::AbsIntProfile) {
         let mut probe = crate::profile::AbsIntProfile::new();
-        let out = Self::analyze_with(disasm, cfg, cg, summaries, stack_window_slots, &mut probe);
+        let out = Self::analyze_with(disasm, cfg, cg, summaries, &mut probe);
         (out, probe)
     }
 
@@ -314,10 +316,9 @@ impl AbsInt {
         cfg: &Cfg,
         cg: &CallGraph,
         summaries: &Summaries,
-        stack_window_slots: u8,
         probe: &mut P,
     ) -> AbsInt {
-        let window = u16::from(stack_window_slots) * 8;
+        let window = u16::from(STACK_WINDOW_SLOTS) * 8;
         let starts: Vec<u64> = cfg.blocks.keys().copied().collect();
         let id_of = |addr: u64| starts.binary_search(&addr).ok();
         let mut arena: Vec<AbsState> = Vec::with_capacity(starts.len());
@@ -677,7 +678,6 @@ fn transfer(
 mod tests {
     use super::*;
     use crate::disasm::disassemble_image;
-    use crate::verifier::VerifierConfig;
     use xc_isa::asm::Assembler;
 
     fn run(a: Assembler) -> (Disassembly, AbsInt) {
@@ -685,9 +685,8 @@ mod tests {
         let d = disassemble_image(&image);
         let cfg = Cfg::build(&d);
         let cg = CallGraph::build(&d, &cfg);
-        let config = VerifierConfig::default();
-        let summaries = Summaries::build(&d, &cfg, &cg, config.max_summary_depth);
-        let a = AbsInt::analyze(&d, &cfg, &cg, &summaries, config.stack_window_slots);
+        let summaries = Summaries::build(&d, &cfg, &cg);
+        let a = AbsInt::analyze(&d, &cfg, &cg, &summaries);
         (d, a)
     }
 

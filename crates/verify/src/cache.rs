@@ -58,24 +58,15 @@ use crate::verifier::{Analysis, DetourHazard, Verifier};
 /// Content fingerprint of everything [`Verifier::analyze`] depends on
 /// *modulo translation*: length, byte content, the base-relative offsets
 /// of the image's entry symbols (they seed the recursive descent), and
-/// the verifier's syscall-number bound. The load address is deliberately
+/// the verifier's configuration. The load address is deliberately
 /// excluded — the analysis of identical content is identical up to a
 /// uniform shift, which [`CachedAnalysis`] applies at query time.
 fn fingerprint(verifier: &Verifier, image: &BinaryImage) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv1a_u64(h, image.len() as u64);
-    h = fnv1a(h, &verifier.config().max_syscall_nr.to_le_bytes());
-    // The interprocedural inputs are part of the analysis function: two
-    // configurations that window the frame, bound the summary fixpoint,
-    // or gate upgrades differently must not share verdicts.
-    h = fnv1a(
-        h,
-        &[
-            verifier.config().stack_window_slots,
-            verifier.config().max_summary_depth,
-            u8::from(verifier.config().interprocedural_upgrades),
-        ],
-    );
+    // Gating upgrades changes verdicts, so the two configurations must
+    // not share them.
+    h = fnv1a(h, &[u8::from(verifier.config().interprocedural_upgrades)]);
     let body = image
         .read_bytes(image.base(), image.len())
         .expect("whole-image read is in bounds by construction");
@@ -484,27 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn config_participates_in_the_key() {
-        let image = wrapper_image();
-        let mut cache = AnalysisCache::new();
-        let default = Verifier::new();
-        let narrow = Verifier::with_config(crate::verifier::VerifierConfig {
-            max_syscall_nr: 0,
-            ..Default::default()
-        });
-        cache.analyze(&default, &image);
-        cache.analyze(&narrow, &image);
-        assert_eq!(cache.misses(), 2, "different configs must not collide");
-    }
-
-    #[test]
     fn interprocedural_config_participates_in_the_key() {
         let image = wrapper_image();
         let mut cache = AnalysisCache::new();
         let on = Verifier::new();
         let off = Verifier::with_config(crate::verifier::VerifierConfig {
             interprocedural_upgrades: false,
-            ..Default::default()
         });
         cache.analyze(&on, &image);
         cache.analyze(&off, &image);

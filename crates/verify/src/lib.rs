@@ -85,4 +85,4 @@ pub use report::{
 };
 pub use reverify::{reverify, ReverifyReport, Violation};
 pub use summaries::{FnSummary, RaxEffect, Summaries};
-pub use verifier::{Analysis, DetourHazard, Verifier, VerifierConfig};
+pub use verifier::{Analysis, DetourHazard, Verifier, VerifierConfig, MAX_SYSCALL_NR};

@@ -10,7 +10,7 @@
 //!   absorb callee clobbers until stable. A function containing an
 //!   *unresolved* call (vsyscall page, escaped indirect) is pinned at
 //!   clobber-everything. If the fixpoint has not stabilised within
-//!   `max_summary_depth` rounds, every summary collapses to
+//!   `MAX_SUMMARY_DEPTH` rounds, every summary collapses to
 //!   clobber-everything — an early stop on a growing iteration would be
 //!   an *under*-approximation, which is the unsound direction.
 //! * **`%rax` effects** start pessimistic ([`RaxEffect::Unknown`]) and
@@ -28,6 +28,11 @@ use xc_isa::inst::{Inst, Reg};
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::disasm::Disassembly;
+
+/// Growth-round cap for the summary fixpoint: clobber sets that have
+/// not stabilised within this many rounds collapse to
+/// clobber-everything.
+const MAX_SUMMARY_DEPTH: u8 = 8;
 
 /// Bit for `reg` in a clobber mask.
 #[inline]
@@ -87,23 +92,17 @@ impl Summaries {
     }
 
     /// Computes summaries bottom-up to a fixpoint (capped at
-    /// `max_summary_depth` growth rounds, collapsing to
+    /// `MAX_SUMMARY_DEPTH` growth rounds, collapsing to
     /// clobber-everything if the cap is hit before stability).
-    pub fn build(
-        disasm: &Disassembly,
-        cfg: &Cfg,
-        cg: &CallGraph,
-        max_summary_depth: u8,
-    ) -> Summaries {
+    pub fn build(disasm: &Disassembly, cfg: &Cfg, cg: &CallGraph) -> Summaries {
         let own: BTreeMap<u64, u8> = cg
             .nodes
             .iter()
             .map(|&head| (head, own_clobbers(head, disasm, cfg, cg)))
             .collect();
         let mut clobbers = own.clone();
-        let rounds = max_summary_depth.max(1);
         let mut stable = false;
-        for _ in 0..rounds {
+        for _ in 0..MAX_SUMMARY_DEPTH {
             let mut changed = false;
             for &head in &cg.nodes {
                 let mut mask = own[&head];
@@ -143,7 +142,7 @@ impl Summaries {
                 })
                 .collect(),
         };
-        for _ in 0..rounds {
+        for _ in 0..MAX_SUMMARY_DEPTH {
             let mut changed = false;
             for &head in &cg.nodes {
                 let effect = entry_block_rax_effect(head, disasm, cfg, cg, &summaries);

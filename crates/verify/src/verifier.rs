@@ -13,22 +13,19 @@ use crate::report::{
 };
 use crate::summaries::Summaries;
 
+/// Highest syscall number with a dedicated vsyscall entry (the x86-64
+/// table has ~335 entries in the kernel generation the paper used; we
+/// round up). `xc_abom::table` re-exports it.
+pub const MAX_SYSCALL_NR: u64 = 351;
+
+/// Whether `nr` names a syscall with a dedicated vsyscall entry.
+fn in_syscall_range(nr: i64) -> bool {
+    u64::try_from(nr).is_ok_and(|n| n <= MAX_SYSCALL_NR)
+}
+
 /// Analysis parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifierConfig {
-    /// Highest syscall number with a dedicated vsyscall entry. Mirrors
-    /// `xc_abom::table::MAX_SYSCALL_NR` (this crate sits below `xc-abom`
-    /// in the dependency order, so the constant is duplicated, not
-    /// imported).
-    pub max_syscall_nr: i64,
-    /// How many 8-byte `rsp`-relative slots the abstract interpreter
-    /// tracks per frame (displacements at or beyond `8 × slots` are
-    /// treated as untracked).
-    pub stack_window_slots: u8,
-    /// Growth-round cap for the per-function summary fixpoint; if the
-    /// clobber sets have not stabilised within this many rounds they
-    /// collapse to clobber-everything.
-    pub max_summary_depth: u8,
     /// Whether the interprocedural pass may upgrade
     /// `Unknown(NumberNotConstant | MultipleDefinitions)` verdicts to
     /// `Safe` [`SiteKind::PropagatedNumber`] sites. Upgrades are
@@ -39,9 +36,6 @@ pub struct VerifierConfig {
 impl Default for VerifierConfig {
     fn default() -> Self {
         VerifierConfig {
-            max_syscall_nr: 351,
-            stack_window_slots: 16,
-            max_summary_depth: 8,
             interprocedural_upgrades: true,
         }
     }
@@ -94,14 +88,8 @@ impl Verifier {
         let cfg = Cfg::build(&disasm);
         let dataflow = Dataflow::run(&disasm, &cfg);
         let callgraph = CallGraph::build(&disasm, &cfg);
-        let summaries = Summaries::build(&disasm, &cfg, &callgraph, self.config.max_summary_depth);
-        let absint = AbsInt::analyze(
-            &disasm,
-            &cfg,
-            &callgraph,
-            &summaries,
-            self.config.stack_window_slots,
-        );
+        let summaries = Summaries::build(&disasm, &cfg, &callgraph);
+        let absint = AbsInt::analyze(&disasm, &cfg, &callgraph, &summaries);
         let mut analysis = Analysis {
             config: self.config,
             disasm,
@@ -341,7 +329,7 @@ impl Analysis {
         else {
             return None;
         };
-        if !(0..=self.config.max_syscall_nr).contains(&v) {
+        if !in_syscall_range(v) {
             return None;
         }
         if def_addr >= syscall_addr {
@@ -578,7 +566,7 @@ impl Analysis {
             // Stack-dispatch entries validate the number at run time, so
             // only immediate numbers get the static range check.
             let nr = number.expect("immediate sites carry a number");
-            if !(0..=self.config.max_syscall_nr).contains(&nr) {
+            if !in_syscall_range(nr) {
                 return Verdict::Unknown(UnknownReason::NumberOutOfRange { nr });
             }
         }
@@ -833,7 +821,6 @@ mod tests {
         let shim = image.symbol("shim").unwrap();
         let an = Verifier::with_config(VerifierConfig {
             interprocedural_upgrades: false,
-            ..VerifierConfig::default()
         })
         .analyze(&image);
         let site = an.report().site(shim + 3).unwrap();

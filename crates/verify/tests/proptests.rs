@@ -58,7 +58,6 @@ fn image_from(insts: &[Inst]) -> BinaryImage {
 fn v1() -> Verifier {
     Verifier::with_config(VerifierConfig {
         interprocedural_upgrades: false,
-        ..VerifierConfig::default()
     })
 }
 
