@@ -10,10 +10,14 @@
 
 use proptest::prelude::*;
 
-use xc_abom::binaries::{invoke, invoke_with, library_image, WrapperSpec, WrapperStyle};
+use xc_abom::binaries::{
+    invoke, invoke_reusing, invoke_with, library_image, WrapperSpec, WrapperStyle,
+};
 use xc_abom::handler::XContainerKernel;
 use xc_abom::patcher::AbomConfig;
 use xc_abom::table::MAX_SYSCALL_NR;
+use xc_isa::cpu::Cpu;
+use xc_isa::image::BinaryImage;
 
 fn arb_style() -> impl Strategy<Value = WrapperStyle> {
     prop_oneof![
@@ -53,11 +57,14 @@ fn arb_plan() -> impl Strategy<Value = LibraryPlan> {
         })
 }
 
-/// Runs the plan under a kernel config and returns the syscall-number
-/// trace.
-fn run_plan(plan: &LibraryPlan, config: AbomConfig) -> Vec<u64> {
-    let mut image = library_image(&plan.specs);
-    let mut kernel = XContainerKernel::with_config(config);
+/// Makes the plan's calls against `image` under `kernel`: through
+/// `invoke_reusing` on `cpu` when one is given, else `invoke_with`.
+fn run_calls(
+    plan: &LibraryPlan,
+    image: &mut BinaryImage,
+    kernel: &mut XContainerKernel,
+    mut cpu: Option<&mut Cpu>,
+) {
     for &(widx, stack_nr) in &plan.calls {
         let spec = plan.specs[widx];
         let entry = image
@@ -65,8 +72,20 @@ fn run_plan(plan: &LibraryPlan, config: AbomConfig) -> Vec<u64> {
             .expect("wrapper symbol");
         let arg = spec.style.takes_stack_number().then_some(stack_nr);
         let rdi = spec.style.takes_register_number().then_some(stack_nr);
-        invoke_with(&mut image, &mut kernel, entry, arg, rdi).expect("invocation");
+        match cpu.as_deref_mut() {
+            Some(cpu) => invoke_reusing(cpu, image, kernel, entry, arg, rdi),
+            None => invoke_with(image, kernel, entry, arg, rdi),
+        }
+        .expect("invocation");
     }
+}
+
+/// Runs the plan under a kernel config and returns the syscall-number
+/// trace.
+fn run_plan(plan: &LibraryPlan, config: AbomConfig) -> Vec<u64> {
+    let mut image = library_image(&plan.specs);
+    let mut kernel = XContainerKernel::with_config(config);
+    run_calls(plan, &mut image, &mut kernel, None);
     kernel.syscall_numbers()
 }
 
@@ -81,15 +100,7 @@ fn run_plan_offline(plan: &LibraryPlan) -> Vec<u64> {
         nine_byte_phase2: true,
         preflight_verify: false,
     });
-    for &(widx, stack_nr) in &plan.calls {
-        let spec = plan.specs[widx];
-        let entry = patched
-            .symbol(&format!("wrapper_{}", spec.index))
-            .expect("wrapper symbol");
-        let arg = spec.style.takes_stack_number().then_some(stack_nr);
-        let rdi = spec.style.takes_register_number().then_some(stack_nr);
-        invoke_with(&mut patched, &mut kernel, entry, arg, rdi).expect("invocation");
-    }
+    run_calls(plan, &mut patched, &mut kernel, None);
     kernel.syscall_numbers()
 }
 
@@ -122,6 +133,22 @@ proptest! {
         let baseline = run_plan(&plan, AbomConfig { enabled: false, nine_byte_phase2: true, preflight_verify: false });
         let offline = run_plan_offline(&plan);
         prop_assert_eq!(baseline, offline);
+    }
+
+    /// One CPU rewound for every call behaves like a fresh CPU per call:
+    /// the same trace, statistics and patched image bytes.
+    #[test]
+    fn reused_cpu_matches_fresh_cpu_per_call(plan in arb_plan()) {
+        let library = library_image(&plan.specs);
+        let mut fresh_image = library.clone();
+        let mut fresh = XContainerKernel::new();
+        run_calls(&plan, &mut fresh_image, &mut fresh, None);
+        let mut reused_image = library;
+        let mut reused = XContainerKernel::new();
+        run_calls(&plan, &mut reused_image, &mut reused, Some(&mut Cpu::new(0)));
+        prop_assert_eq!(fresh.trace(), reused.trace());
+        prop_assert_eq!(fresh.stats(), reused.stats());
+        prop_assert_eq!(fresh_image, reused_image);
     }
 
     /// Re-running a fully patched image yields pure function-call dispatch:

@@ -72,7 +72,7 @@ pub enum CpuError {
         /// The runaway address.
         addr: u64,
     },
-    /// Stack overflow/underflow or unaligned stack access.
+    /// Stack access outside `[STACK_TOP − STACK_SIZE, STACK_TOP)`.
     StackFault {
         /// Faulting stack address.
         addr: u64,
@@ -156,17 +156,18 @@ pub struct Cpu {
     rip: u64,
     regs: [u64; 8],
     zf: bool,
+    /// The written top of the stack, top-down: byte `i` is at address
+    /// `STACK_TOP − 1 − i`. It grows to the deepest byte written; bytes
+    /// below it read as zero.
     stack: Vec<u8>,
-    /// Lowest stack offset written since the last reset — the only region
-    /// [`Cpu::reset`] needs to re-zero.
-    touched_low: usize,
     halted: bool,
     steps: u64,
 }
 
 impl Cpu {
-    /// Creates a CPU with `rip` at `entry`, an empty stack, and zeroed
-    /// registers (except `rsp`, which points at [`STACK_TOP`]).
+    /// Creates a CPU with `rip` at `entry`, an all-zero stack, and zeroed
+    /// registers (except `rsp`, which points at [`STACK_TOP`]). Nothing is
+    /// allocated until the first stack write.
     pub fn new(entry: u64) -> Self {
         let mut regs = [0u64; 8];
         regs[Reg::Rsp as usize] = STACK_TOP;
@@ -174,21 +175,20 @@ impl Cpu {
             rip: entry,
             regs,
             zf: false,
-            stack: vec![0; STACK_SIZE as usize],
-            touched_low: STACK_SIZE as usize,
+            stack: Vec::new(),
             halted: false,
             steps: 0,
         }
     }
 
     /// Rewinds this CPU to exactly the state [`Cpu::new`]`(entry)` would
-    /// produce, without reallocating the stack: only the bytes earlier
-    /// runs actually wrote are re-zeroed. Drivers that invoke many short
-    /// functions (the Table 1 study runs hundreds of thousands) reuse one
-    /// CPU this way instead of paying a 64 KiB zeroed allocation each time.
+    /// produce, but keeps the stack buffer's capacity. Drivers that invoke
+    /// many short functions reuse one CPU this way to skip the small
+    /// allocation a fresh CPU makes on its first push: the Table 1 study
+    /// runs 480,000 wrappers of a few instructions each, where that one
+    /// allocation is a visible share of every call.
     pub fn reset(&mut self, entry: u64) {
-        self.stack[self.touched_low..].fill(0);
-        self.touched_low = self.stack.len();
+        self.stack.clear();
         self.regs = [0u64; 8];
         self.regs[Reg::Rsp as usize] = STACK_TOP;
         self.rip = entry;
@@ -227,12 +227,16 @@ impl Cpu {
         self.steps
     }
 
-    fn stack_offset(&self, addr: u64, len: u64) -> Result<usize, CpuError> {
-        let bottom = STACK_TOP - STACK_SIZE;
-        if addr < bottom || addr + len > STACK_TOP {
-            return Err(CpuError::StackFault { addr });
+    /// Index in the top-down stack of the 8-byte access at `addr`:
+    /// `stack[i..i + 8]` holds bytes `addr + 7` down to `addr`, so the
+    /// little-endian value reads there as big-endian.
+    fn stack_index(addr: u64) -> Result<usize, CpuError> {
+        match addr.checked_add(8) {
+            Some(end) if addr >= STACK_TOP - STACK_SIZE && end <= STACK_TOP => {
+                Ok((STACK_TOP - end) as usize)
+            }
+            _ => Err(CpuError::StackFault { addr }),
         }
-        Ok((addr - bottom) as usize)
     }
 
     /// Reads a little-endian u64 from the stack region.
@@ -241,10 +245,13 @@ impl Cpu {
     ///
     /// Returns [`CpuError::StackFault`] outside the stack range.
     pub fn read_stack_u64(&self, addr: u64) -> Result<u64, CpuError> {
-        let off = self.stack_offset(addr, 8)?;
-        Ok(u64::from_le_bytes(
-            self.stack[off..off + 8].try_into().expect("8-byte slice"),
-        ))
+        let i = Self::stack_index(addr)?;
+        let mut bytes = [0u8; 8];
+        if let Some(written) = self.stack.get(i..) {
+            let n = written.len().min(8);
+            bytes[..n].copy_from_slice(&written[..n]);
+        }
+        Ok(u64::from_be_bytes(bytes))
     }
 
     /// Writes a little-endian u64 to the stack region.
@@ -253,9 +260,14 @@ impl Cpu {
     ///
     /// Returns [`CpuError::StackFault`] outside the stack range.
     pub fn write_stack_u64(&mut self, addr: u64, value: u64) -> Result<(), CpuError> {
-        let off = self.stack_offset(addr, 8)?;
-        self.stack[off..off + 8].copy_from_slice(&value.to_le_bytes());
-        self.touched_low = self.touched_low.min(off);
+        let i = Self::stack_index(addr)?;
+        if self.stack.len() < i + 8 {
+            // The first write reserves enough for a typical wrapper's
+            // frames, so a short call allocates once.
+            self.stack.reserve((i + 8).max(64) - self.stack.len());
+            self.stack.resize(i + 8, 0);
+        }
+        self.stack[i..i + 8].copy_from_slice(&value.to_be_bytes());
         Ok(())
     }
 
@@ -265,7 +277,8 @@ impl Cpu {
     ///
     /// Returns [`CpuError::StackFault`] on overflow.
     pub fn push(&mut self, value: u64) -> Result<(), CpuError> {
-        let rsp = self.reg(Reg::Rsp) - 8;
+        // x86 wraps `rsp` modulo 2^64; a wrapped address faults below.
+        let rsp = self.reg(Reg::Rsp).wrapping_sub(8);
         self.write_stack_u64(rsp, value)?;
         self.set_reg(Reg::Rsp, rsp);
         Ok(())
@@ -367,18 +380,18 @@ impl Cpu {
                 self.rip = at + len;
             }
             Inst::LoadRspDisp8R32 { reg, disp } => {
-                let v = self.read_stack_u64(self.reg(Reg::Rsp) + u64::from(disp))?;
+                let v = self.read_stack_u64(self.reg(Reg::Rsp).wrapping_add(u64::from(disp)))?;
                 self.set_reg(reg, v & 0xffff_ffff);
                 self.rip = at + len;
             }
             Inst::LoadRspDisp8R64 { reg, disp } => {
-                let v = self.read_stack_u64(self.reg(Reg::Rsp) + u64::from(disp))?;
+                let v = self.read_stack_u64(self.reg(Reg::Rsp).wrapping_add(u64::from(disp)))?;
                 self.set_reg(reg, v);
                 self.rip = at + len;
             }
             Inst::StoreRspDisp8R64 { reg, disp } => {
                 let v = self.reg(reg);
-                self.write_stack_u64(self.reg(Reg::Rsp) + u64::from(disp), v)?;
+                self.write_stack_u64(self.reg(Reg::Rsp).wrapping_add(u64::from(disp)), v)?;
                 self.rip = at + len;
             }
             Inst::MovRegReg64 { dst, src } => {
@@ -433,12 +446,12 @@ impl Cpu {
                 self.rip = at + len;
             }
             Inst::AddRspImm8 { imm } => {
-                let rsp = self.reg(Reg::Rsp) + u64::from(imm);
+                let rsp = self.reg(Reg::Rsp).wrapping_add(u64::from(imm));
                 self.set_reg(Reg::Rsp, rsp);
                 self.rip = at + len;
             }
             Inst::SubRspImm8 { imm } => {
-                let rsp = self.reg(Reg::Rsp) - u64::from(imm);
+                let rsp = self.reg(Reg::Rsp).wrapping_sub(u64::from(imm));
                 self.set_reg(Reg::Rsp, rsp);
                 self.rip = at + len;
             }
@@ -504,6 +517,8 @@ impl Cpu {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::asm::Assembler;
 
@@ -728,6 +743,164 @@ mod tests {
         let mut cpu = Cpu::new(0x1000);
         // rsp at STACK_TOP: reading the return address underflows the range.
         assert!(cpu.pop().is_err());
+    }
+
+    #[test]
+    fn wrapped_rsp_faults_instead_of_panicking() {
+        // Runs `mov $imm,%rsp` and then `rest`. rsp arithmetic wraps
+        // modulo 2^64, and the stack access that follows faults.
+        fn run_after_mov_rsp(imm: i32, rest: &[Inst]) -> Result<(), CpuError> {
+            let mut a = Assembler::new(0x1000);
+            a.inst(Inst::MovImm32SxR64 { reg: Reg::Rsp, imm });
+            for &inst in rest {
+                a.inst(inst);
+            }
+            let mut image = a.finish().unwrap();
+            Cpu::new(0x1000).run(&mut image, &mut Recorder::new(), 10)
+        }
+        let wrapped = Err(CpuError::StackFault {
+            addr: 0xffff_ffff_ffff_fffc,
+        });
+        assert_eq!(run_after_mov_rsp(-4, &[Inst::Ret]), wrapped);
+        assert_eq!(run_after_mov_rsp(4, &[Inst::PushRbp]), wrapped);
+        let sub = Inst::SubRspImm8 { imm: 8 };
+        assert_eq!(run_after_mov_rsp(4, &[sub, Inst::Ret]), wrapped);
+
+        let at_4 = Err(CpuError::StackFault { addr: 4 });
+        let add = Inst::AddRspImm8 { imm: 8 };
+        assert_eq!(run_after_mov_rsp(-4, &[add, Inst::Ret]), at_4);
+        let (reg, disp) = (Reg::Rax, 8);
+        for inst in [
+            Inst::LoadRspDisp8R32 { reg, disp },
+            Inst::LoadRspDisp8R64 { reg, disp },
+            Inst::StoreRspDisp8R64 { reg, disp },
+        ] {
+            assert_eq!(run_after_mov_rsp(-4, &[inst]), at_4, "{inst:?}");
+        }
+    }
+
+    /// A CPU's stack checked, access by access, against a zero-filled
+    /// `STACK_SIZE`-byte little-endian array.
+    struct ModelStack {
+        cpu: Cpu,
+        model: Vec<u8>,
+    }
+
+    impl ModelStack {
+        fn new() -> Self {
+            ModelStack {
+                cpu: Cpu::new(0),
+                model: vec![0; STACK_SIZE as usize],
+            }
+        }
+
+        fn model_range(addr: u64) -> Result<std::ops::Range<usize>, CpuError> {
+            let bottom = STACK_TOP - STACK_SIZE;
+            if addr < bottom || addr > STACK_TOP - 8 {
+                return Err(CpuError::StackFault { addr });
+            }
+            let off = (addr - bottom) as usize;
+            Ok(off..off + 8)
+        }
+
+        fn read(&self, addr: u64) -> Result<u64, CpuError> {
+            let want = Self::model_range(addr)
+                .map(|r| u64::from_le_bytes(self.model[r].try_into().expect("8 bytes")));
+            let got = self.cpu.read_stack_u64(addr);
+            assert_eq!(got, want, "read at {addr:#x}");
+            got
+        }
+
+        fn write(&mut self, addr: u64, value: u64) -> Result<(), CpuError> {
+            let want = Self::model_range(addr)
+                .map(|r| self.model[r].copy_from_slice(&value.to_le_bytes()));
+            let got = self.cpu.write_stack_u64(addr, value);
+            assert_eq!(got, want, "write at {addr:#x}");
+            got
+        }
+    }
+
+    /// `STACK_TOP` minus a depth: mostly near the top, where the lazy
+    /// stack's edge moves, or near the bottom, with 16 bytes past either
+    /// end so faults are drawn too.
+    fn arb_stack_addr() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0..=96u64,
+            0..=STACK_SIZE + 16,
+            STACK_SIZE - 96..=STACK_SIZE + 16,
+        ]
+        .prop_map(|depth| STACK_TOP - depth)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random reads and writes, unaligned ones included, see and
+        /// fault exactly like the zeroed model; afterwards so does a read
+        /// at every in-range address.
+        #[test]
+        fn lazy_stack_matches_zeroed_model(
+            ops in proptest::collection::vec((any::<bool>(), arb_stack_addr(), any::<u64>()), 1..48),
+        ) {
+            let mut stack = ModelStack::new();
+            for (write, addr, value) in ops {
+                if write {
+                    let _ = stack.write(addr, value);
+                } else {
+                    let _ = stack.read(addr);
+                }
+            }
+            for addr in STACK_TOP - STACK_SIZE..=STACK_TOP - 8 {
+                let _ = stack.read(addr);
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_stack_edges_match_zeroed_model() {
+        let bottom = STACK_TOP - STACK_SIZE;
+        let mut stack = ModelStack::new();
+        assert_eq!(stack.write(STACK_TOP - 16, 0x1122_3344_5566_7788), Ok(()));
+        // Far below every write.
+        assert_eq!(stack.read(bottom), Ok(0));
+        assert_eq!(stack.read(STACK_TOP - 4096), Ok(0));
+        // Straddling the deepest written byte, and unaligned above it.
+        assert_eq!(stack.read(STACK_TOP - 20), Ok(0x5566_7788_0000_0000));
+        assert_eq!(stack.read(STACK_TOP - 13), Ok(0x0000_0011_2233_4455));
+        assert_eq!(stack.read(STACK_TOP - 8), Ok(0));
+        // The whole range is usable, and nothing outside it.
+        assert_eq!(stack.write(bottom, 1), Ok(()));
+        assert_eq!(stack.read(bottom), Ok(1));
+        assert_eq!(
+            stack.write(bottom - 1, 1),
+            Err(CpuError::StackFault { addr: bottom - 1 })
+        );
+        assert_eq!(
+            stack.read(STACK_TOP - 7),
+            Err(CpuError::StackFault {
+                addr: STACK_TOP - 7
+            })
+        );
+        assert_eq!(stack.read(STACK_TOP - 16), Ok(0x1122_3344_5566_7788));
+    }
+
+    #[test]
+    fn stack_holds_exactly_8192_pushes() {
+        let bottom = STACK_TOP - STACK_SIZE;
+        let mut cpu = Cpu::new(0);
+        for i in 0..STACK_SIZE / 8 {
+            cpu.push(i).unwrap();
+        }
+        assert_eq!(cpu.reg(Reg::Rsp), bottom);
+        assert_eq!(cpu.push(0), Err(CpuError::StackFault { addr: bottom - 8 }));
+        assert_eq!(cpu.reg(Reg::Rsp), bottom);
+        for i in (0..STACK_SIZE / 8).rev() {
+            assert_eq!(cpu.pop(), Ok(i));
+        }
+        assert_eq!(cpu.pop(), Err(CpuError::StackFault { addr: STACK_TOP }));
+        // A reset forgets a full-depth stack.
+        cpu.reset(0);
+        assert_eq!(cpu.read_stack_u64(bottom), Ok(0));
     }
 
     #[test]
