@@ -1,9 +1,10 @@
 //! Deterministic pseudo-random number generation.
 //!
 //! Every experiment harness carries an explicit seed; all stochastic workload
-//! decisions (request inter-arrival jitter, key distributions, SET/GET mixes)
-//! flow from a [`Rng`] derived from that seed, making every figure
-//! regeneration byte-for-byte reproducible.
+//! decisions (request inter-arrival jitter, service times, domain
+//! popularity) flow from a [`Rng`] derived from that seed, making every
+//! figure regeneration byte-for-byte reproducible. Skewed popularity is
+//! drawn through a [`Zipf`] table built once per distribution.
 //!
 //! The generator is xoshiro256\*\* (Blackman & Vigna), seeded through
 //! SplitMix64 as its authors recommend. Both are implemented here directly so
@@ -181,23 +182,6 @@ impl Rng {
         -mean * (1.0 - self.next_f64()).ln()
     }
 
-    /// Zipf-like rank selection over `n` items with skew `theta` in `(0,1)`.
-    ///
-    /// Approximated by inverse-power sampling; adequate for key-popularity
-    /// workload generation (YCSB-style) where only the popularity *shape*
-    /// matters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
-        assert!(n > 0, "zipf over empty domain");
-        let u = self.next_f64();
-        let exp = 1.0 / (1.0 - theta.clamp(0.0, 0.999));
-        let rank = ((n as f64) * u.powf(exp)).floor() as u64;
-        rank.min(n - 1)
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -236,9 +220,158 @@ impl Rng {
     }
 }
 
+/// Number of 53-bit draws: `next_u64() >> 11` is always below it.
+const DRAWS: u64 = 1 << 53;
+
+/// Skewed rank selection over `n` items, tabulated once per `(n, θ)`.
+///
+/// The distribution is `P(rank < k) = (k/n)^(1−θ)` for `k` in `1..=n`,
+/// with `θ` clamped to `[0, 0.999]`; `θ = 0` is uniform. Inverse-power
+/// sampling gives it: a 53-bit draw `m`, read as `u = m·2⁻⁵³`, has rank
+/// `min(⌊n·u^(1/(1−θ))⌋, n − 1)`.
+///
+/// That closed form costs a `powf` and a division per draw, so `Zipf`
+/// evaluates it only when it is built. For each rank `k` in `1..n` it
+/// stores the *cut*: the smallest draw whose closed-form rank is at least
+/// `k`, found by bisecting the draw space with the closed form itself as
+/// the test. [`sample`](Zipf::sample) takes one `next_u64` and counts the
+/// cuts at or below its draw, which is the rank the closed form returns
+/// for that draw on this platform. Away from a cut, `n·u^(1/(1−θ))` is
+/// far from an integer compared with `powf`'s rounding error, so the floor
+/// cannot flip; the tests compare the draws around every cut one by one.
+///
+/// # Example
+///
+/// ```
+/// use xc_sim::rng::{Rng, Zipf};
+///
+/// let domains = Zipf::new(24, 0.2); // built once
+/// let mut rng = Rng::new(7);
+/// let hits = (0..1_000).filter(|_| domains.sample(&mut rng) < 12).count();
+/// assert!(hits > 500); // the first half of the ranks draws more than half
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Zipf {
+    /// `cuts[k − 1]` is the smallest 53-bit draw whose rank is at least
+    /// `k` (`DRAWS` if no draw reaches it).
+    cuts: Vec<u64>,
+}
+
+impl Zipf {
+    /// Tabulates the distribution over `n` items with skew `theta`,
+    /// clamped to `[0, 0.999]` (so `±∞` clamps to an end).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `theta` is NaN.
+    pub fn new(n: u64, theta: f64) -> Zipf {
+        assert!(n > 0, "zipf over empty domain");
+        assert!(!theta.is_nan(), "zipf skew theta is NaN");
+        let theta = theta.clamp(0.0, 0.999);
+        let exp = 1.0 / (1.0 - theta);
+        let cuts = (1..n)
+            .map(|k| {
+                let guess = (k as f64 / n as f64).powf(1.0 - theta) * DRAWS as f64;
+                first_reaching(guess as u64, |m| {
+                    m == DRAWS || closed_form_rank(n, exp, m) >= k
+                })
+            })
+            .collect();
+        Zipf { cuts }
+    }
+
+    /// Draws a rank in `[0, n)`, consuming exactly one `next_u64`.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
+        let m = rng.next_u64() >> 11;
+        self.cuts.partition_point(|&cut| cut <= m) as u64
+    }
+}
+
+/// Inverse-power rank of the 53-bit draw `m` over `n` items, with the
+/// arithmetic of `Rng::next_f64` and exponent `exp = 1/(1−θ)`.
+fn closed_form_rank(n: u64, exp: f64, m: u64) -> u64 {
+    let u = m as f64 * (1.0 / DRAWS as f64);
+    let rank = ((n as f64) * u.powf(exp)).floor() as u64;
+    rank.min(n - 1)
+}
+
+/// Smallest `m` in `[0, DRAWS]` for which `reaches(m)` holds, given that
+/// `reaches` is monotone, false at 0 and true at `DRAWS`. Widens a window
+/// around `guess` until it brackets the answer, then bisects.
+fn first_reaching(guess: u64, reaches: impl Fn(u64) -> bool) -> u64 {
+    let mut step = 1;
+    let (mut lo, mut hi) = loop {
+        let (lo, hi) = (guess.saturating_sub(step), (guess + step).min(DRAWS));
+        if !reaches(lo) && reaches(hi) {
+            break (lo, hi);
+        }
+        step *= 2;
+    };
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    impl Rng {
+        /// The per-draw closed form [`Zipf`] tabulates: the reference
+        /// every `Zipf` test compares against.
+        fn zipf(&mut self, n: u64, theta: f64) -> u64 {
+            assert!(n > 0, "zipf over empty domain");
+            let u = self.next_f64();
+            let exp = 1.0 / (1.0 - theta.clamp(0.0, 0.999));
+            let rank = ((n as f64) * u.powf(exp)).floor() as u64;
+            rank.min(n - 1)
+        }
+    }
+
+    /// A generator whose next `next_u64` returns `x`: xoshiro256** outputs
+    /// `rotl(s1·5, 7)·9`, and 5 and 9 are invertible mod 2⁶⁴.
+    fn yielding(x: u64) -> Rng {
+        const INV9: u64 = 0x8e38_e38e_38e3_8e39;
+        const INV5: u64 = 0xcccc_cccc_cccc_cccd;
+        let s1 = x.wrapping_mul(INV9).rotate_right(7).wrapping_mul(INV5);
+        let rng = Rng {
+            state: [1, s1, 2, 3],
+        };
+        assert_eq!(rng.clone().next_u64(), x);
+        rng
+    }
+
+    /// Checks every draw within ±4 096 of each cut against the reference,
+    /// and that rank `k` really starts at `cuts[k − 1]`.
+    fn assert_exact_around_cuts(n: u64, theta: f64) {
+        let z = Zipf::new(n, theta);
+        assert_eq!(z.cuts.len() as u64, n - 1);
+        for (k, &cut) in (1..).zip(&z.cuts) {
+            assert!(
+                yielding((cut - 1) << 11).zipf(n, theta) < k,
+                "cut {k} too late"
+            );
+            assert!(yielding(cut << 11).zipf(n, theta) >= k, "cut {k} too early");
+            for m in cut - 4_096..=(cut + 4_096).min(DRAWS - 1) {
+                // The low 11 bits are discarded; vary them anyway.
+                let x = m << 11 | (m & 0x7ff);
+                assert_eq!(
+                    z.sample(&mut yielding(x)),
+                    yielding(x).zipf(n, theta),
+                    "({n}, {theta}): draw {m} near cut {k} at {cut}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn deterministic_stream() {
@@ -352,9 +485,10 @@ mod tests {
     #[test]
     fn zipf_is_skewed_and_in_range() {
         let mut r = Rng::new(31);
+        let z = Zipf::new(1000, 0.9);
         let mut head = 0u32;
         for _ in 0..10_000 {
-            let v = r.zipf(1000, 0.9);
+            let v = z.sample(&mut r);
             assert!(v < 1000);
             if v < 100 {
                 head += 1;
@@ -362,6 +496,90 @@ mod tests {
         }
         // With strong skew, the top decile should absorb most draws.
         assert!(head > 5_000, "head draws {head}");
+    }
+
+    #[test]
+    fn zipf_table_is_exact_around_every_cut() {
+        assert_exact_around_cuts(24, 0.2); // cluster_study
+        assert_exact_around_cuts(6, 0.2); // cluster_study --quick
+    }
+
+    #[test]
+    fn uniform_zipf_matches_reference_at_exact_boundaries() {
+        for n in [2, 3, 6, 7, 24, 100, 511] {
+            let z = Zipf::new(n, 0.0);
+            for k in 1..n {
+                let first = (k << 53).div_ceil(n);
+                for m in [first - 1, first] {
+                    assert_eq!(
+                        z.sample(&mut yielding(m << 11)),
+                        yielding(m << 11).zipf(n, 0.0),
+                        "n {n}, k {k}, draw {m}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_item_zipf_has_no_cuts() {
+        for theta in [0.0, 0.2, 0.999] {
+            let z = Zipf::new(1, theta);
+            assert!(z.cuts.is_empty());
+            for x in [0, 0x0123_4567_89ab_cdef, u64::MAX] {
+                assert_eq!(z.sample(&mut yielding(x)), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_sample_consumes_one_draw() {
+        let z = Zipf::new(24, 0.2);
+        let mut sampled = Rng::new(5);
+        let mut advanced = sampled.clone();
+        for _ in 0..100 {
+            z.sample(&mut sampled);
+            advanced.next_u64();
+            assert_eq!(sampled, advanced);
+        }
+    }
+
+    #[test]
+    fn zipf_clamps_theta() {
+        assert_eq!(Zipf::new(24, f64::INFINITY), Zipf::new(24, 0.999));
+        assert_eq!(Zipf::new(24, 1.5), Zipf::new(24, 0.999));
+        assert_eq!(Zipf::new(24, f64::NEG_INFINITY), Zipf::new(24, 0.0));
+        assert_eq!(Zipf::new(24, -0.5), Zipf::new(24, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf over empty domain")]
+    fn zipf_over_no_items_panics() {
+        let _ = Zipf::new(0, 0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf skew theta is NaN")]
+    fn zipf_rejects_nan_theta() {
+        let _ = Zipf::new(24, f64::NAN);
+    }
+
+    proptest! {
+        /// Any table size and skew, both clamps included, ranks a stream
+        /// of draws exactly as the closed form does.
+        #[test]
+        fn zipf_sample_matches_closed_form(
+            n in 1u64..=512,
+            theta in -0.5f64..1.5,
+            seed in any::<u64>(),
+        ) {
+            let z = Zipf::new(n, theta);
+            let mut sampled = Rng::new(seed);
+            let mut reference = sampled.clone();
+            for _ in 0..256 {
+                prop_assert_eq!(z.sample(&mut sampled), reference.zipf(n, theta));
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::collections::VecDeque;
 
 use xc_sim::engine::{EventQueue, Simulation, World};
-use xc_sim::rng::Rng;
+use xc_sim::rng::{Rng, Zipf};
 use xc_sim::stats::{shard_share, Histogram};
 use xc_sim::time::Nanos;
 
@@ -50,7 +50,10 @@ pub struct ClusterParams {
     pub duration: Nanos,
     /// Per-domain pending-request cap; arrivals beyond it are dropped.
     pub queue_cap: usize,
-    /// Zipf skew of domain popularity in `[0, 1)` (0 = uniform).
+    /// Skew θ of domain popularity: a request picks a domain of rank
+    /// below `k` with probability `(k/n)^(1−θ)` over the host's `n`
+    /// domains, with θ clamped to `[0, 0.999]` (0 = uniform). See
+    /// [`Zipf`]; a NaN θ panics.
     pub zipf_theta: f64,
     /// CPU cores per host.
     pub host_cores: u32,
@@ -164,18 +167,16 @@ impl DomainFifos {
 /// The latency histogram is borrowed from the range result it
 /// accumulates into (integer bucket adds are order-independent, so
 /// recording hosts straight into one histogram is byte-identical to
-/// merging per-host ones).
+/// merging per-host ones), and the domain rank table from the range
+/// run that built it once for all its hosts.
 struct HostWorld<'a> {
     table: PlatformCosts,
     jitter: f64,
     arrival_mean_ns: f64,
-    zipf_theta: f64,
+    popularity: &'a Zipf,
     queue_cap: usize,
     cores: u32,
     busy_cores: u32,
-    /// Domains on this host (the Zipf draw's range; the ring slab's
-    /// configured domain count always matches).
-    n_domains: u64,
     fifos: DomainFifos,
     /// Domains ready to serve (idle, pending non-empty) waiting for a
     /// free core, FIFO. A domain is queued at most once: it enters only
@@ -233,7 +234,7 @@ impl World for HostWorld<'_> {
                 // independent of what this arrival does.
                 let gap = self.rng.exponential(self.arrival_mean_ns);
                 queue.schedule_in(Nanos::from_nanos(gap as u64), Ev::Arrive);
-                let d = self.rng.zipf(self.n_domains, self.zipf_theta) as u32;
+                let d = self.popularity.sample(&mut self.rng) as u32;
                 let du = d as usize;
                 if self.fifos.in_service(du) || !self.fifos.is_empty(du) {
                     // Busy or already in line: join the domain FIFO.
@@ -267,19 +268,6 @@ impl World for HostWorld<'_> {
     }
 }
 
-/// One host's contribution to a cluster run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HostResult {
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Requests dropped at a full domain queue.
-    pub dropped: u64,
-    /// Completed-request latency distribution (nanoseconds).
-    pub latency: Histogram,
-    /// Core-nanoseconds of service consumed.
-    pub busy_ns: u64,
-}
-
 /// Merged results of a host range (or the whole cluster).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterResult {
@@ -296,18 +284,10 @@ pub struct ClusterResult {
 }
 
 impl ClusterResult {
-    /// Folds `host` in. Callers must merge in host-index order — the
-    /// histogram merge is exact, so order only matters for keeping the
-    /// float throughput sums bit-identical across run arrangements.
-    pub fn absorb(&mut self, host: &HostResult) {
-        self.hosts += 1;
-        self.completed += host.completed;
-        self.dropped += host.dropped;
-        self.latency.merge(&host.latency);
-        self.busy_ns += host.busy_ns;
-    }
-
-    /// Folds another merged range in (same ordering contract).
+    /// Folds another merged range in. Callers must merge in host-index
+    /// order — the histogram merge is exact, so order only matters for
+    /// keeping the float throughput sums bit-identical across run
+    /// arrangements.
     pub fn merge(&mut self, other: &ClusterResult) {
         self.hosts += other.hosts;
         self.completed += other.completed;
@@ -378,46 +358,44 @@ impl ClusterResult {
     }
 }
 
-/// Simulates one host of the cluster. Pure function of
-/// `(table, params, host_index)` — the unit every driver composes from.
-pub fn simulate_host(table: &PlatformCosts, params: &ClusterParams, host: u32) -> HostResult {
-    let r = run_cluster_range(table, params, host, 1);
-    HostResult {
-        completed: r.completed,
-        dropped: r.dropped,
-        latency: r.latency,
-        busy_ns: r.busy_ns,
-    }
-}
-
 /// Simulates the contiguous host range `[first, first + count)` into a
-/// single [`ClusterResult`]. Byte-identical to simulating each host on
-/// its own and merging in host-index order: the shared latency
-/// histogram accumulates integer bucket counts, which sum the same
-/// whether recorded directly or merged per host.
+/// single [`ClusterResult`]; host `h` alone is `run_cluster_range(table,
+/// params, h, 1)`, a pure function of `(table, params, h)`. Byte-identical
+/// to simulating each host on its own and merging in host-index order:
+/// the shared latency histogram accumulates integer bucket counts, which
+/// sum the same whether recorded directly or merged per host.
+///
+/// # Panics
+///
+/// Panics if `params.zipf_theta` is NaN and the hosts have domains.
 pub fn run_cluster_range(
     table: &PlatformCosts,
     params: &ClusterParams,
     first: u32,
     count: u32,
 ) -> ClusterResult {
-    let mut out = ClusterResult::default();
+    let mut out = ClusterResult {
+        hosts: count,
+        ..ClusterResult::default()
+    };
+    if params.domains_per_host == 0 {
+        return out;
+    }
+    let n = params.domains_per_host as usize;
+    let popularity = Zipf::new(u64::from(params.domains_per_host), params.zipf_theta);
     for host in first..first + count {
-        out.hosts += 1;
         let clients = shard_share(params.clients, u64::from(params.hosts), u64::from(host));
-        if clients == 0 || params.domains_per_host == 0 {
+        if clients == 0 {
             continue;
         }
-        let n = params.domains_per_host as usize;
         let world = HostWorld {
             table: *table,
             jitter: 0.15,
             arrival_mean_ns: params.think_time.as_nanos() as f64 / clients as f64,
-            zipf_theta: params.zipf_theta,
+            popularity: &popularity,
             queue_cap: params.queue_cap.max(1),
             cores: params.host_cores.max(1),
             busy_cores: 0,
-            n_domains: n as u64,
             fifos: DomainFifos::new(n, params.queue_cap.max(1)),
             core_queue: VecDeque::with_capacity(n),
             completed: 0,
@@ -552,13 +530,37 @@ mod tests {
         // Substream seeding: hosts are distinct worlds, none degenerate.
         let t = table(Platform::docker(CloudEnv::LocalCluster, true));
         let p = params();
-        let h0 = simulate_host(&t, &p, 0);
-        let h1 = simulate_host(&t, &p, 1);
+        let h0 = run_cluster_range(&t, &p, 0, 1);
+        let h1 = run_cluster_range(&t, &p, 1, 1);
         assert!(h0.completed > 0 && h1.completed > 0);
         assert_ne!(
             h0.latency, h1.latency,
             "distinct substreams must decorrelate hosts"
         );
+    }
+
+    #[test]
+    fn empty_hosts_count_without_running() {
+        let t = table(Platform::docker(CloudEnv::LocalCluster, true));
+        // No domains: every host counts and nothing completes, whatever
+        // the skew (a NaN one would panic if the rank table were built).
+        let mut bare = params();
+        bare.domains_per_host = 0;
+        bare.zipf_theta = f64::NAN;
+        let r = run_cluster_range(&t, &bare, 1, 3);
+        assert_eq!((r.hosts, r.completed, r.dropped, r.busy_ns), (3, 0, 0, 0));
+        assert_eq!(r.latency, Histogram::default());
+        // More hosts than clients: hosts 3.. get no clients and still
+        // count, while the ones that have clients are served.
+        let mut sparse = params();
+        sparse.hosts = 8;
+        sparse.clients = 3;
+        sparse.duration = Nanos::from_secs(10);
+        let idle = run_cluster_range(&t, &sparse, 3, 5);
+        assert_eq!((idle.hosts, idle.completed, idle.dropped), (5, 0, 0));
+        let all = run_cluster(&t, &sparse);
+        assert_eq!(all.hosts, 8);
+        assert!(all.completed > 0);
     }
 
     #[test]

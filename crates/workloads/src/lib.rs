@@ -48,7 +48,6 @@ pub mod costs;
 pub mod fig6;
 pub mod http;
 pub mod iperf;
-pub mod kv;
 pub mod loadbalance;
 pub mod rdma;
 pub mod scalability;
