@@ -7,16 +7,8 @@
 //! `--jobs`, `--quick` (smaller grid, shorter simulated duration), and
 //! `--fault-rate <r>` (pins the fault axis to `[0, r]`), prints the
 //! result and records findings.
-//!
-//! Crash-safe flags (DESIGN.md §4d): `--resume` replays completed cells
-//! from the journal, `--fresh` discards it first; both checkpoint each
-//! cell and stop gracefully on SIGINT (exit 3, resumable).
-//! `--halt-after N` bounds a checkpointing run for testing.
 
-use std::path::Path;
-
-use xc_bench::harness::{chaos, completed_or_exit};
-use xc_bench::journal::{ResumeArgs, JOURNAL_ROOT};
+use xc_bench::harness::chaos;
 use xc_bench::record;
 use xc_bench::runner::Runner;
 
@@ -27,26 +19,7 @@ fn main() {
         eprintln!("chaos_study: {e}");
         std::process::exit(2);
     });
-    let resume = ResumeArgs::parse(args.iter().skip(1).cloned()).unwrap_or_else(|e| {
-        eprintln!("chaos_study: {e}");
-        std::process::exit(2);
-    });
-    let runner = Runner::from_args();
-    // Quick and full sweeps are different grids, so they journal under
-    // distinct names.
-    let name = if quick {
-        "chaos_study_quick"
-    } else {
-        "chaos_study"
-    };
-
-    let out = if resume.journaled() {
-        let run =
-            chaos::run_journaled(&runner, quick, rate, Path::new(JOURNAL_ROOT), name, &resume);
-        completed_or_exit(name, run)
-    } else {
-        chaos::run_with(&runner, quick, rate)
-    };
+    let out = chaos::run_with(&Runner::from_args(), quick, rate);
     print!("{}", out.text);
     record("chaos", &out.findings);
 }

@@ -5,8 +5,6 @@
 //! merged summary stays in fixed experiment order.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use xcontainers::prelude::*;
 use xcontainers::workloads::apps::{memcached, nginx_static, redis};
@@ -16,8 +14,7 @@ use xcontainers::workloads::scalability::{throughput as sc_throughput, Scalabili
 use xcontainers::workloads::table1::run_table1;
 use xcontainers::workloads::unixbench::MicroBench;
 
-use super::{HarnessOutput, Journaled};
-use crate::journal::{self, CellPayload, ResumeArgs};
+use super::HarnessOutput;
 use crate::runner::Runner;
 use crate::Finding;
 
@@ -178,42 +175,8 @@ fn fig9_cell(costs: &CostModel) -> Vec<Finding> {
     }]
 }
 
-/// Experiment ids this pass can emit — the intern table the journal
-/// decoder uses to restore [`Finding::experiment`]'s `&'static str`.
-const EXPERIMENTS: [&str; 7] = ["table1", "fig4", "fig3", "fig5", "fig6", "fig8", "fig9"];
-
-fn intern_experiment(name: &str) -> Option<&'static str> {
-    EXPERIMENTS.iter().find(|e| **e == name).copied()
-}
-
-/// Exact checkpoint codec for one measurement group's findings. The
-/// serialized form is [`Finding::to_json`] (what `results/*.json`
-/// holds); decode interns the experiment id against [`EXPERIMENTS`] and
-/// rejects records naming unknown experiments.
-impl CellPayload for Vec<Finding> {
-    fn to_payload(&self) -> Json {
-        Json::Arr(self.iter().map(Finding::to_json).collect())
-    }
-
-    fn from_payload(payload: &Json) -> Option<Self> {
-        payload
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                Some(Finding {
-                    experiment: intern_experiment(e.get("experiment")?.as_str()?)?,
-                    metric: e.get("metric")?.as_str()?.to_owned(),
-                    paper: e.get("paper")?.as_str()?.to_owned(),
-                    measured: e.get("measured")?.as_num()?,
-                    in_band: e.get("in_band")?.as_bool()?,
-                })
-            })
-            .collect()
-    }
-}
-
 /// Grid size: the nine independent measurement groups.
-pub const CELLS: usize = 9;
+const CELLS: usize = 9;
 
 /// Executes measurement group `i`.
 fn cell(i: usize, costs: &CostModel) -> Vec<Finding> {
@@ -228,45 +191,10 @@ fn cell(i: usize, costs: &CostModel) -> Vec<Finding> {
     }
 }
 
-/// Journal fingerprint: the sample sizes and seed that select what the
-/// cells measure (the platform matrices are compile-time constants).
-pub fn grid_fingerprint() -> u64 {
-    journal::fingerprint(
-        "all_experiments",
-        &[TABLE1_SYSCALLS, TABLE1_SEED, CELLS as u64],
-    )
-}
-
 /// Runs every experiment slice and renders the combined summary.
 pub fn run(runner: &Runner) -> HarnessOutput {
     let costs = CostModel::skylake_cloud();
     render_cells(runner.run(CELLS, |i| cell(i, &costs)))
-}
-
-/// The crash-safe variant of [`run`]: checkpoints each measurement
-/// group under `root`, resumes from any compatible journal, and stops
-/// gracefully on SIGINT or the `resume` limits.
-///
-/// # Errors
-///
-/// Filesystem errors opening or repairing the journal.
-pub fn run_journaled(
-    runner: &Runner,
-    root: &Path,
-    name: &str,
-    resume: &ResumeArgs,
-) -> io::Result<Journaled> {
-    let costs = CostModel::skylake_cloud();
-    super::run_journaled(
-        runner,
-        root,
-        name,
-        grid_fingerprint(),
-        CELLS,
-        resume,
-        |i| cell(i, &costs),
-        render_cells,
-    )
 }
 
 /// Renders the combined summary from the index-ordered cell findings.

@@ -9,16 +9,10 @@
 //! work down or route it onto fallback paths, but never lose it.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use xcontainers::prelude::*;
 
-use super::{HarnessOutput, Journaled};
-use crate::journal::{
-    fingerprint, hex_u64, histogram_from_json, histogram_to_json, u64_from_hex, CellPayload,
-    ResumeArgs,
-};
+use super::HarnessOutput;
 use crate::runner::Runner;
 use crate::Finding;
 
@@ -99,109 +93,8 @@ struct CellOutcome {
     result: ChaosResult,
 }
 
-/// Exact checkpoint codec for a chaos cell. Counters are hex strings
-/// (`u64`-exact), times ride as raw nanosecond counts, histograms
-/// through the sparse checkpoint codec, and the `&'static str` label is
-/// re-derived from the platform index rather than stored.
-impl CellPayload for CellOutcome {
-    fn to_payload(&self) -> Json {
-        let r = &self.result;
-        json_object([
-            ("platform", Json::Num(self.platform as f64)),
-            ("rate", Json::Num(self.rate)),
-            ("issued", hex_u64(r.issued)),
-            ("completed", hex_u64(r.completed)),
-            ("abandoned", hex_u64(r.abandoned)),
-            ("in_flight", hex_u64(r.in_flight)),
-            ("resends", hex_u64(r.resends)),
-            ("hypercall_retries", hex_u64(r.hypercall_retries)),
-            ("grant_faults", hex_u64(r.grant_faults)),
-            ("stalls", hex_u64(r.stalls)),
-            ("crashes", hex_u64(r.crashes)),
-            ("restarts", hex_u64(r.restarts)),
-            ("sends", hex_u64(r.sends)),
-            ("deliveries", hex_u64(r.deliveries)),
-            ("drops", hex_u64(r.drops)),
-            ("pending", hex_u64(r.pending)),
-            ("hypercalls", hex_u64(r.hypercalls)),
-            ("hypervisor_ns", hex_u64(r.hypervisor_ns.as_nanos())),
-            ("bytes_copied", hex_u64(r.bytes_copied)),
-            ("live_grants", hex_u64(r.live_grants)),
-            ("demoted", hex_u64(r.demoted)),
-            ("corpus_sites", hex_u64(r.corpus_sites)),
-            ("latency", histogram_to_json(&r.latency)),
-            ("recovery", histogram_to_json(&r.recovery)),
-            (
-                "drawn",
-                Json::Arr(r.fault_stats.drawn.iter().map(|&v| hex_u64(v)).collect()),
-            ),
-            (
-                "injected",
-                Json::Arr(r.fault_stats.injected.iter().map(|&v| hex_u64(v)).collect()),
-            ),
-            ("duration", hex_u64(r.duration.as_nanos())),
-        ])
-    }
-
-    fn from_payload(payload: &Json) -> Option<Self> {
-        let field = |k: &str| u64_from_hex(payload.get(k)?);
-        let counters = |k: &str| -> Option<[u64; 8]> {
-            let arr = payload.get(k)?.as_arr()?;
-            if arr.len() != 8 {
-                return None;
-            }
-            let mut out = [0u64; 8];
-            for (slot, v) in out.iter_mut().zip(arr) {
-                *slot = u64_from_hex(v)?;
-            }
-            Some(out)
-        };
-        let platform = payload.get("platform")?.as_num()?;
-        if platform.fract() != 0.0 || platform < 0.0 {
-            return None;
-        }
-        let platform = platform as usize;
-        let (label, _) = *platforms().get(platform)?;
-        Some(CellOutcome {
-            platform,
-            label,
-            rate: payload.get("rate")?.as_num()?,
-            result: ChaosResult {
-                issued: field("issued")?,
-                completed: field("completed")?,
-                abandoned: field("abandoned")?,
-                in_flight: field("in_flight")?,
-                resends: field("resends")?,
-                hypercall_retries: field("hypercall_retries")?,
-                grant_faults: field("grant_faults")?,
-                stalls: field("stalls")?,
-                crashes: field("crashes")?,
-                restarts: field("restarts")?,
-                sends: field("sends")?,
-                deliveries: field("deliveries")?,
-                drops: field("drops")?,
-                pending: field("pending")?,
-                hypercalls: field("hypercalls")?,
-                hypervisor_ns: Nanos::from_nanos(field("hypervisor_ns")?),
-                bytes_copied: field("bytes_copied")?,
-                live_grants: field("live_grants")?,
-                demoted: field("demoted")?,
-                corpus_sites: field("corpus_sites")?,
-                latency: histogram_from_json(payload.get("latency")?)?,
-                recovery: histogram_from_json(payload.get("recovery")?)?,
-                fault_stats: FaultStats {
-                    drawn: counters("drawn")?,
-                    injected: counters("injected")?,
-                },
-                duration: Nanos::from_nanos(field("duration")?),
-            },
-        })
-    }
-}
-
-/// The sweep's cell grid (fault rate × platform): geometry, the cell
-/// function and the journal fingerprint, shared by [`run_with`] and the
-/// crash-safe [`run_journaled`].
+/// The sweep's cell grid (fault rate × platform): geometry and the cell
+/// function that [`run_with`] runs.
 pub struct Grid {
     rates: Vec<f64>,
     duration: Nanos,
@@ -252,22 +145,6 @@ impl Grid {
             result: run_chaos(params, plan, jitter_seed),
         }
     }
-
-    /// Journal fingerprint over everything that selects a cell's value:
-    /// the seed, the fault-rate axis, the simulated duration and the
-    /// platform count.
-    pub fn fingerprint(&self) -> u64 {
-        let mut words = vec![
-            SEED,
-            self.duration.as_nanos(),
-            self.platforms.len() as u64,
-            CORPUS_SITES,
-            SYSCALLS_PER_REQUEST,
-            APP_COMPUTE.as_nanos(),
-        ];
-        words.extend(self.rates.iter().map(|r| r.to_bits()));
-        fingerprint("chaos_study", &words)
-    }
 }
 
 /// Runs the sweep. `quick` shrinks the grid and the simulated duration
@@ -279,37 +156,8 @@ pub fn run_with(runner: &Runner, quick: bool, rate_override: Option<f64>) -> Har
     render_cells(&grid.rates, &outcomes)
 }
 
-/// The crash-safe variant of [`run_with`]: checkpoints each completed
-/// cell under `root`, resumes from any compatible journal, and stops
-/// gracefully on SIGINT or the `resume` limits.
-///
-/// # Errors
-///
-/// Filesystem errors opening or repairing the journal.
-pub fn run_journaled(
-    runner: &Runner,
-    quick: bool,
-    rate_override: Option<f64>,
-    root: &Path,
-    name: &str,
-    resume: &ResumeArgs,
-) -> io::Result<Journaled> {
-    let grid = Grid::new(quick, rate_override);
-    super::run_journaled(
-        runner,
-        root,
-        name,
-        grid.fingerprint(),
-        grid.cells(),
-        resume,
-        |i| grid.cell(i),
-        |outcomes| render_cells(&grid.rates, &outcomes),
-    )
-}
-
 /// Renders the sweep table, shape notes and findings from the
-/// index-ordered cell outcomes — the deterministic output both paths
-/// share.
+/// index-ordered cell outcomes.
 fn render_cells(rates: &[f64], outcomes: &[CellOutcome]) -> HarnessOutput {
     let mut findings = Vec::new();
     let mut table = Table::new(

@@ -14,18 +14,11 @@
 //! (platform, contiguous host chunk) pairs whose [`ClusterResult`]s
 //! merge in host-index order — byte-identical output at any `--jobs`.
 
-use std::io;
-use std::path::Path;
-
 use xcontainers::prelude::*;
 use xcontainers::workloads::apps::microservice;
 use xcontainers::workloads::cluster::run_cluster_range;
 
-use super::{HarnessOutput, Journaled};
-use crate::journal::{
-    fingerprint, hex_u64, histogram_from_json, histogram_to_json, u64_from_hex, CellPayload,
-    ResumeArgs,
-};
+use super::HarnessOutput;
 use crate::runner::Runner;
 use crate::Finding;
 
@@ -90,38 +83,8 @@ fn derive_table(platform: &Platform, costs: &CostModel) -> PlatformCosts {
     )
 }
 
-/// Exact checkpoint codec for one cell's [`ClusterResult`]: raw `u64`
-/// counters ride as hex (a `Json::Num` is an `f64` and would round
-/// them), the latency histogram through the sparse checkpoint codec.
-impl CellPayload for ClusterResult {
-    fn to_payload(&self) -> Json {
-        json_object([
-            ("hosts", Json::Num(f64::from(self.hosts))),
-            ("completed", hex_u64(self.completed)),
-            ("dropped", hex_u64(self.dropped)),
-            ("busy_ns", hex_u64(self.busy_ns)),
-            ("latency", histogram_to_json(&self.latency)),
-        ])
-    }
-
-    fn from_payload(payload: &Json) -> Option<Self> {
-        let hosts = payload.get("hosts")?.as_num()?;
-        if hosts.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&hosts) {
-            return None;
-        }
-        Some(ClusterResult {
-            hosts: hosts as u32,
-            completed: u64_from_hex(payload.get("completed")?)?,
-            dropped: u64_from_hex(payload.get("dropped")?)?,
-            busy_ns: u64_from_hex(payload.get("busy_ns")?)?,
-            latency: histogram_from_json(payload.get("latency")?)?,
-        })
-    }
-}
-
-/// The study's cell grid: geometry, the cell function, and the config
-/// fingerprint that guards journal replay — shared by the straight
-/// [`run`] and the crash-safe [`run_journaled`] so the two can never
+/// The study's cell grid: geometry and the cell function, shared by
+/// [`run`] and the benchmark's equivalence test so the two can never
 /// disagree on what a cell computes.
 pub struct Grid {
     p: ClusterParams,
@@ -163,35 +126,6 @@ impl Grid {
         let count = base + u32::from(ci < rem);
         run_cluster_range(&self.tables[pi], &self.p, first, count)
     }
-
-    /// Journal fingerprint: every parameter that selects what a cell
-    /// computes. Two runs replay each other's checkpoints iff these
-    /// match.
-    pub fn fingerprint(&self) -> u64 {
-        let p = &self.p;
-        fingerprint(
-            "cluster_study",
-            &[
-                u64::from(p.hosts),
-                u64::from(p.domains_per_host),
-                p.clients,
-                p.think_time.as_nanos(),
-                p.duration.as_nanos(),
-                p.queue_cap as u64,
-                p.zipf_theta.to_bits(),
-                u64::from(p.host_cores),
-                p.seed,
-                u64::from(self.chunks),
-                self.plats.len() as u64,
-            ],
-        )
-    }
-
-    /// Merges the index-ordered cell results and renders the density
-    /// table plus findings — the deterministic output both paths share.
-    pub fn render(&self, cells: Vec<ClusterResult>) -> HarnessOutput {
-        render_cells(&self.p, &self.plats, self.chunks, self.quick, &cells)
-    }
 }
 
 /// Runs the study: a (platform × host-chunk) cell grid under `runner`,
@@ -199,35 +133,7 @@ impl Grid {
 pub fn run(runner: &Runner, quick: bool) -> HarnessOutput {
     let grid = Grid::new(quick);
     let cells = runner.run(grid.cells(), |i| grid.cell(i));
-    grid.render(cells)
-}
-
-/// The crash-safe variant: checkpoints each completed cell under
-/// `root`, resumes from any compatible journal, and stops gracefully on
-/// SIGINT or the `resume` limits. Completed output is byte-identical to
-/// [`run`]'s.
-///
-/// # Errors
-///
-/// Filesystem errors opening or repairing the journal.
-pub fn run_journaled(
-    runner: &Runner,
-    quick: bool,
-    root: &Path,
-    name: &str,
-    resume: &ResumeArgs,
-) -> io::Result<Journaled> {
-    let grid = Grid::new(quick);
-    super::run_journaled(
-        runner,
-        root,
-        name,
-        grid.fingerprint(),
-        grid.cells(),
-        resume,
-        |i| grid.cell(i),
-        |cells| grid.render(cells),
-    )
+    render_cells(&grid.p, &grid.plats, grid.chunks, grid.quick, &cells)
 }
 
 /// Renders the merged per-platform results (host order) as the density

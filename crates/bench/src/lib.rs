@@ -24,8 +24,7 @@
 //!
 //! Every harness prints the paper's expected shape next to the measured
 //! value and writes its findings through [`record`]; it writes nothing
-//! else. One more binary serves the repository itself: `queue_bench`
-//! races the event queues and exits 1 if their pop orders diverge.
+//! else.
 //!
 //! The experiment logic itself lives in [`harness`] (one module per
 //! figure), executed through the deterministic parallel [`runner`]:
@@ -39,12 +38,13 @@
 //! measured by the separate benchmark in `benchmark/` (repeated runs,
 //! medians and per-layer metrics; see `benchmark/README.md`).
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
-pub mod journal;
 pub mod runner;
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 use xcontainers::prelude::{json_object, CloudEnv, Json, Platform};
@@ -109,11 +109,11 @@ pub fn findings_json(findings: &[Finding]) -> String {
 
 /// Serializes findings to `results/<experiment>.json` (creates the
 /// directory as needed). The document is staged into a same-directory
-/// temp file and renamed into place ([`journal::atomic_write`]), so a
-/// crash mid-write can never leave a truncated file behind — readers
-/// see either the old findings or the new ones, whole. Errors are
-/// reported but non-fatal: harnesses must still print their tables on
-/// read-only filesystems.
+/// temp file and renamed into place ([`atomic_write`]), so a crash
+/// mid-write can never leave a truncated file behind — readers see
+/// either the old findings or the new ones, whole. Errors are reported
+/// but non-fatal: harnesses must still print their tables on read-only
+/// filesystems.
 pub fn record(experiment: &str, findings: &[Finding]) {
     let dir = Path::new(RESULTS_DIR);
     if let Err(e) = fs::create_dir_all(dir) {
@@ -124,11 +124,35 @@ pub fn record(experiment: &str, findings: &[Finding]) {
     let write = || -> io::Result<()> {
         let mut body = Vec::new();
         write_findings(&mut body, findings)?;
-        journal::atomic_write(&path, &body)
+        atomic_write(&path, &body)
     };
     if let Err(e) = write() {
         eprintln!("note: cannot write {}: {e}", path.display());
     }
+}
+
+/// Writes `bytes` to `path` atomically: the content lands in a
+/// same-directory temp file first and is `rename(2)`d over the target,
+/// so readers only ever see a complete old file or a complete new file.
+/// The temp name carries the pid, so concurrent writers cannot tear
+/// each other's staging files either — last rename wins whole.
+fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let file_name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
+    let tmp = path.with_file_name(format!(".{file_name}.{}.tmp", std::process::id()));
+    let write = || -> io::Result<()> {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.flush()?;
+        fs::rename(&tmp, path)
+    };
+    let result = write();
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// The two evaluation clouds, in the figures' presentation order.
@@ -206,6 +230,29 @@ mod tests {
         let mut empty = Vec::new();
         write_findings(&mut empty, &[]).unwrap();
         assert_eq!(empty, b"[]");
+    }
+
+    #[test]
+    fn atomic_write_replaces_whole_files() {
+        let root = std::env::temp_dir().join(format!(
+            "xc-bench-atomic-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(&root).unwrap();
+        let path = root.join("ledger.json");
+        atomic_write(&path, b"first").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"first");
+        atomic_write(&path, b"second, longer body").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"second, longer body");
+        // No staging debris left behind.
+        let names: Vec<_> = fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names.len(), 1, "{names:?}");
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

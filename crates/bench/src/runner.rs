@@ -24,8 +24,7 @@
 //! Every grid goes through one path, [`Runner::try_run`]: each cell runs
 //! once under `catch_unwind`, so a panicking cell becomes a
 //! [`CellFailure`] in the [`RunReport`] while every healthy cell still
-//! runs — and, under the journal, is checkpointed before the run fails.
-//! Cells are pure, so a retry would only panic the same way again.
+//! runs. Cells are pure, so a retry would only panic the same way again.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,16 +44,13 @@ pub struct CellFailure {
 }
 
 /// Outcome of [`Runner::try_run`]: per-cell results in index order,
-/// with failed cells as `None` plus a structured failure record, and
-/// cells a cancellation left unclaimed as `None` with no record.
+/// with failed cells as `None` plus a structured failure record.
 #[derive(Debug)]
 pub struct RunReport<T> {
     /// `results[i]` is `Some` iff cell `i` succeeded; index order.
     pub results: Vec<Option<T>>,
     /// Failed cells, in index order.
     pub failures: Vec<CellFailure>,
-    /// Cells never claimed because the run was cancelled.
-    pub unrun: usize,
 }
 
 impl<T> RunReport<T> {
@@ -89,29 +85,6 @@ impl<T> RunReport<T> {
             Ok(self.results.into_iter().flatten().collect())
         } else {
             Err(self.failure_summary())
-        }
-    }
-}
-
-/// Cooperative control surface for [`Runner::try_run`]: a cancellation
-/// predicate checked before each cell claim, and a success observer
-/// invoked from worker threads as cells complete (in completion order,
-/// not index order — observers that care about order must key on the
-/// index they are handed).
-pub struct RunCtl<'a, T> {
-    /// Checked before every claim; `true` stops further claims while
-    /// in-flight cells finish gracefully.
-    pub should_stop: &'a (dyn Fn() -> bool + Sync),
-    /// Called with `(index, &result)` for each successful cell.
-    pub on_success: &'a (dyn Fn(usize, &T) + Sync),
-}
-
-impl<'a, T> RunCtl<'a, T> {
-    /// A control surface that never cancels and observes nothing.
-    pub fn never_stopping() -> Self {
-        RunCtl {
-            should_stop: &|| false,
-            on_success: &|_, _| (),
         }
     }
 }
@@ -165,10 +138,7 @@ impl Runner {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        match self
-            .try_run(cells, RunCtl::never_stopping(), cell)
-            .into_results()
-        {
+        match self.try_run(cells, cell).into_results() {
             Ok(results) => results,
             Err(summary) => panic!("{summary}"),
         }
@@ -179,15 +149,7 @@ impl Runner {
     /// poison its worker's remaining claims. Results come back in index
     /// order with failures recorded per cell — identically at every
     /// worker count.
-    ///
-    /// `ctl.should_stop` is consulted before each claim and
-    /// `ctl.on_success` runs on the executing worker the moment a cell
-    /// completes — the seam the crash-safe journal ([`crate::journal`])
-    /// hooks to checkpoint finished cells before an interrupted process
-    /// exits. Cancellation is graceful by construction: in-flight cells
-    /// run to completion (and are observed); only *unclaimed* cells are
-    /// skipped, counted in [`RunReport::unrun`].
-    pub fn try_run<T, F>(&self, cells: usize, ctl: RunCtl<'_, T>, cell: F) -> RunReport<T>
+    pub fn try_run<T, F>(&self, cells: usize, cell: F) -> RunReport<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -196,20 +158,10 @@ impl Runner {
         let run_one = |i: usize| {
             let outcome =
                 catch_unwind(AssertUnwindSafe(|| cell(i))).map_err(|p| panic_message(p.as_ref()));
-            if let Ok(v) = &outcome {
-                (ctl.on_success)(i, v);
-            }
             (i, outcome)
         };
         let outcomes: Vec<(usize, Result<T, String>)> = if workers <= 1 {
-            let mut local = Vec::new();
-            for i in 0..cells {
-                if (ctl.should_stop)() {
-                    break;
-                }
-                local.push(run_one(i));
-            }
-            local
+            (0..cells).map(run_one).collect()
         } else {
             let next = AtomicUsize::new(0);
             let mut indexed: Vec<(usize, Result<T, String>)> = std::thread::scope(|scope| {
@@ -218,9 +170,6 @@ impl Runner {
                         scope.spawn(|| {
                             let mut local = Vec::new();
                             loop {
-                                if (ctl.should_stop)() {
-                                    return local;
-                                }
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 if i >= cells {
                                     return local;
@@ -241,7 +190,6 @@ impl Runner {
         let mut report = RunReport {
             results: (0..cells).map(|_| None).collect(),
             failures: Vec::new(),
-            unrun: cells - outcomes.len(),
         };
         for (index, outcome) in outcomes {
             match outcome {
@@ -371,7 +319,7 @@ mod tests {
     #[test]
     fn panicking_cell_is_isolated_and_reported() {
         for jobs in [1, 4] {
-            let report = Runner::new(jobs).try_run(10, RunCtl::never_stopping(), |i| {
+            let report = Runner::new(jobs).try_run(10, |i| {
                 assert!(i != 3 && i != 7, "cell {i} exploded");
                 i * 2
             });
@@ -382,7 +330,6 @@ mod tests {
             }
             assert_eq!(report.results[3], None);
             assert_eq!(report.results[7], None);
-            assert_eq!(report.unrun, 0, "a failure is not a skipped cell");
             let indices: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
             assert_eq!(
                 indices,
@@ -398,7 +345,7 @@ mod tests {
 
     #[test]
     fn try_run_with_no_failures_matches_run() {
-        let report = Runner::new(4).try_run(20, RunCtl::never_stopping(), |i| i + 1);
+        let report = Runner::new(4).try_run(20, |i| i + 1);
         assert!(report.ok());
         assert!(report.failure_summary().is_empty());
         assert_eq!(
@@ -423,47 +370,5 @@ mod tests {
         assert!(message.contains("boom in cell 5"), "{message}");
         // Every cell ran exactly once before the panic.
         assert_eq!(touched.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn try_run_stops_claiming_after_cancellation() {
-        for jobs in [1, 4] {
-            let done = AtomicUsize::new(0);
-            let ctl = RunCtl {
-                should_stop: &|| done.load(Ordering::Relaxed) >= 3,
-                on_success: &|_, _| {
-                    done.fetch_add(1, Ordering::Relaxed);
-                },
-            };
-            let report = Runner::new(jobs).try_run(100, ctl, |i| i);
-            assert!(report.unrun > 0, "jobs={jobs}: cancellation skipped cells");
-            assert!(report.ok(), "skipped cells are not failures");
-            let completed = report.results.iter().flatten().count();
-            assert_eq!(completed + report.unrun, 100, "jobs={jobs}");
-            // Every completed cell landed at its own index.
-            for (i, r) in report.results.iter().enumerate() {
-                if let Some(v) = r {
-                    assert_eq!(*v, i);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_run_observer_sees_every_success_with_its_index() {
-        let seen = std::sync::Mutex::new(Vec::new());
-        let ctl = RunCtl {
-            should_stop: &|| false,
-            on_success: &|i, v: &usize| seen.lock().unwrap().push((i, *v)),
-        };
-        let report = Runner::new(4).try_run(20, ctl, |i| i * 3);
-        assert_eq!(report.unrun, 0);
-        let mut observed = seen.into_inner().unwrap();
-        observed.sort_unstable();
-        assert_eq!(
-            observed,
-            (0..20).map(|i| (i, i * 3)).collect::<Vec<_>>(),
-            "observer fired exactly once per cell"
-        );
     }
 }

@@ -7,7 +7,7 @@
 
 use xc_bench::findings_json;
 use xc_bench::harness::{chaos, cluster, fig3, fig4, fig5, fig8, verify_lint, verify_study};
-use xc_bench::runner::{RunCtl, Runner};
+use xc_bench::runner::Runner;
 use xcontainers::prelude::{ClosedLoopCache, FaultPlan, FaultRates, Rng};
 
 /// Byte-compares one harness's full output across worker counts.
@@ -172,7 +172,7 @@ fn fault_plan_schedule_is_jobs_and_merge_order_invariant() {
 #[test]
 fn panicking_cell_is_isolated_from_the_grid() {
     for jobs in [1, 4] {
-        let report = Runner::new(jobs).try_run(6, RunCtl::never_stopping(), |i| {
+        let report = Runner::new(jobs).try_run(6, |i| {
             assert!(i != 3, "cell 3 always panics");
             i * 10
         });

@@ -1,16 +1,15 @@
 //! One golden table pins every harness binary.
 //!
-//! Each run starts a harness binary in a fresh directory and checks its
-//! exit status, that the one `results/*.json` file it wrote is the only
-//! file it left (no journal, nothing outside `results/`), that every
-//! finding in that file is `in_band`, and that FNV-1a over its stdout
-//! followed by that file equals the case's row in `golden/outputs.txt`.
-//! Grid harnesses run at `--jobs 1` and `-j 3` against one row, which
-//! pins worker-count invariance and both spellings of the flag. A
-//! `cluster_study --quick` run halted after 8 cells (exit 3) and then
-//! resumed must match the uninterrupted row. On a mismatch the failure
-//! prints the whole corrected table: check that only the rows meant to
-//! move did, and paste it over `golden/outputs.txt`.
+//! Each run starts a harness binary in a fresh directory and checks that
+//! it exits 0, that the one `results/*.json` file it wrote is the only
+//! file it left (nothing outside `results/`), that every finding in
+//! that file is `in_band`, and that FNV-1a over its stdout followed by
+//! that file equals the case's row in `golden/outputs.txt`. Grid
+//! harnesses run at `--jobs 1` and `-j 3` against one row, which pins
+//! worker-count invariance and both spellings of the flag. On a
+//! mismatch the failure prints the whole corrected table: check that
+//! only the rows meant to move did, and paste it over
+//! `golden/outputs.txt`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -62,12 +61,11 @@ const CASES: &[Case] = &[
     case!("rdma_study"; false),
 ];
 
-/// One checked run: the invocations it makes in one directory, each
-/// with the exit status it must return. The digest is taken after the
-/// last.
+/// One checked run: a single invocation of a case's binary, in a
+/// directory of its own.
 struct Run {
     case: usize,
-    steps: Vec<(Vec<&'static str>, i32)>,
+    args: Vec<&'static str>,
 }
 
 fn plan() -> Vec<Run> {
@@ -80,21 +78,10 @@ fn plan() -> Vec<Run> {
             &[&[]]
         };
         for j in jobs {
-            let steps = vec![([&args[..], j].concat(), 0)];
-            runs.push(Run { case, steps });
+            let args = [&args[..], j].concat();
+            runs.push(Run { case, args });
         }
     }
-    let quick = CASES.iter().position(|c| c.key == "cluster_study --quick");
-    runs.push(Run {
-        case: quick.expect("quick cluster case"),
-        steps: vec![
-            (
-                vec!["--quick", "--jobs", "2", "--fresh", "--halt-after", "8"],
-                3,
-            ),
-            (vec!["--quick", "--jobs", "2", "--resume"], 0),
-        ],
-    });
     runs
 }
 
@@ -120,29 +107,20 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 /// file) and every problem found.
 fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String>) {
     let bin = CASES[run.case].key.split(' ').next().unwrap_or_default();
-    let command = |args: &[&str]| format!("`{}`", [&[bin], args].concat().join(" "));
+    let label = format!("`{}`", [&[bin], &run.args[..]].concat().join(" "));
     let _ = fs::remove_dir_all(dir);
     fs::create_dir_all(dir).expect("create run directory");
     let mut problems = Vec::new();
-    let mut stdout = Vec::new();
-    for (args, want) in &run.steps {
-        let out = Command::new(CASES[run.case].exe)
-            .args(args)
-            .current_dir(dir)
-            .env_remove(JOBS_ENV)
-            .output()
-            .expect("spawn harness binary");
-        if out.status.code() != Some(*want) {
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            let status = out.status;
-            problems.push(format!(
-                "{}: {status}, want exit {want}:\n{stderr}",
-                command(args)
-            ));
-        }
-        stdout = out.stdout;
+    let out = Command::new(CASES[run.case].exe)
+        .args(&run.args)
+        .current_dir(dir)
+        .env_remove(JOBS_ENV)
+        .output()
+        .expect("spawn harness binary");
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        problems.push(format!("{label}: {}, want exit 0:\n{stderr}", out.status));
     }
-    let label = command(&run.steps[run.steps.len() - 1].0);
     let results: Vec<_> = fs::read_dir(dir.join(RESULTS_DIR))
         .into_iter()
         .flatten()
@@ -166,7 +144,7 @@ fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String
     if findings == 0 || text.matches("\"in_band\":true").count() != findings {
         problems.push(format!("{label}: not every finding in {path:?} is in band"));
     }
-    let digest = fnv1a(fnv1a(FNV_OFFSET, &stdout), &json);
+    let digest = fnv1a(fnv1a(FNV_OFFSET, &out.stdout), &json);
     if want != Some(digest) {
         let key = CASES[run.case].key;
         problems.push(format!(

@@ -100,7 +100,7 @@ pub mod prelude {
     pub use xc_sim::cost::CostModel;
     pub use xc_sim::report::{json_array, json_object, Cell, Json, Table};
     pub use xc_sim::rng::Rng;
-    pub use xc_sim::stats::{shard_share, Histogram, HistogramCheckpoint, Summary};
+    pub use xc_sim::stats::{shard_share, Histogram, Summary};
     pub use xc_sim::time::Nanos;
     pub use xc_verify::{AnalysisCache, Verdict, Verifier, VerifyReport};
     pub use xc_workloads::cluster::{run_cluster, run_cluster_range, ClusterParams, ClusterResult};

@@ -86,19 +86,15 @@ impl BootPlan {
 /// 180 ms, and the bootloader spawns container processes directly —
 /// no init system, no getty, no services.
 pub fn boot_plan(image: &DockerImage, toolstack: SpawnMethod) -> BootPlan {
-    let toolstack_time = match toolstack {
-        SpawnMethod::XlToolstack => Nanos::from_millis(2_820),
-        SpawnMethod::LightVmToolstack => Nanos::from_millis(4),
-        // The wrapper only drives Xen toolstacks; other methods take their
-        // whole budget as one opaque step.
-        other => {
-            return BootPlan {
-                steps: vec![BootStep {
-                    description: format!("opaque spawn via {other}"),
-                    duration: other.spawn_time(),
-                }],
-            }
-        }
+    // The wrapper only drives Xen toolstacks; other methods take their
+    // whole budget as one opaque step.
+    let Some(toolstack_time) = toolstack.toolstack_time() else {
+        return BootPlan {
+            steps: vec![BootStep {
+                description: format!("opaque spawn via {toolstack}"),
+                duration: toolstack.spawn_time(),
+            }],
+        };
     };
     let image_attach = Nanos::from_millis(35); // device-mapper snapshot attach
     let libos_boot = Nanos::from_millis(120); // X-LibOS bring-up

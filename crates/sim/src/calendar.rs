@@ -18,8 +18,8 @@
 //! order within an instant — is a total order independent of the
 //! container: heap and wheel are observationally identical. The
 //! [`HeapQueue`] reference implementation (the engine's previous
-//! container, verbatim) exists so tests and the `queue_bench` binary can
-//! check that equivalence empirically on random schedules.
+//! container, verbatim) exists so the tests can check that equivalence
+//! empirically, on random schedules and on the engine's churn.
 //!
 //! # Structure
 //!
@@ -153,7 +153,7 @@ impl<E> Ord for Entry<E> {
 
 /// The engine's previous event container — a plain binary min-heap on
 /// the packed key — kept as the reference implementation the calendar
-/// queue is checked against (equivalence proptest, `queue_bench`).
+/// queue is checked against (equivalence proptest, churn tests).
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
 }
@@ -611,6 +611,7 @@ impl<E: 'static> Drop for CalendarQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
 
     #[test]
     fn key_packs_lexicographically() {
@@ -831,6 +832,53 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// Drives both queues in lockstep through the engine's steady-state
+    /// churn: `in_flight` events seeded over `[0, hop.1]`, then `pops`
+    /// pops, each scheduling one successor `hop.0..=hop.1` ns after the
+    /// popped event. Every pop must be equal. Returns the calendar queue
+    /// so a caller can check where its bucket width settled.
+    fn churn_lockstep(in_flight: u64, seed: u64, hop: (u64, u64), pops: u64) -> CalendarQueue<u64> {
+        let mut rng = Rng::new(seed);
+        let mut cal = CalendarQueue::with_capacity(in_flight as usize);
+        let mut heap = HeapQueue::with_capacity(in_flight as usize);
+        for seq in 0..in_flight {
+            let k = key(Nanos::from_nanos(rng.range_inclusive(0, hop.1)), seq);
+            cal.push(k, seq);
+            heap.push(k, seq);
+        }
+        for seq in in_flight..in_flight + pops {
+            let (k, v) = heap.pop().expect("churn keeps its events in flight");
+            assert_eq!(cal.pop(), Some((k, v)), "churn diverged before event {seq}");
+            let at = key_time(k) + Nanos::from_nanos(rng.range_inclusive(hop.0, hop.1));
+            cal.push(key(at, seq), seq);
+            heap.push(key(at, seq), seq);
+        }
+        cal
+    }
+
+    #[test]
+    fn dense_churn_matches_heap() {
+        // The engine's closed loop at steady state: 4,096 events in
+        // flight, each rescheduled a microsecond-scale hop out, so the
+        // queue spans a few wheel epochs.
+        churn_lockstep(4096, 0x5eed_cafe, (1, 50_000), 200_000);
+    }
+
+    #[test]
+    fn sparse_churn_matches_heap() {
+        // 48 events in flight. 0.2–4 ms hops are 50–1000 default bucket
+        // widths and stay inside the ring window, so advance and the
+        // occupancy bitmap do the work; 4–40 ms hops mostly overshoot
+        // the window at the default width, which widening must fix.
+        churn_lockstep(48, 0x0dd_ba11, (200_000, 4_000_000), 200_000);
+        let ultra = churn_lockstep(48, 0x0dd_ba11, (4_000_000, 40_000_000), 200_000);
+        assert!(
+            ultra.bucket_bits() > DEFAULT_BUCKET_BITS,
+            "ultra-sparse churn should widen buckets, still at {}",
+            ultra.bucket_bits()
+        );
     }
 
     /// Every `(peek_key, pop)` pair of a replay.

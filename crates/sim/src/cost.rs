@@ -164,8 +164,6 @@ cost_model! {
     tlb_flush_full: 220,
     /// Amortized page-walk cost to refill one hot TLB entry after a flush.
     tlb_refill_per_page: 22,
-    /// Minor page fault service (no I/O).
-    page_fault: 900,
     /// Validating and applying one page-table entry update via the
     /// hypervisor (`mmu_update`); batched updates pay one
     /// [`hypercall`](CostModel::hypercall) plus this per entry.

@@ -1,7 +1,7 @@
 //! FNV-1a (64-bit): the one content hash behind the workspace's
 //! digests, fingerprints and cache keys. Unlike `std`'s randomly keyed
 //! `DefaultHasher`, it is stable across runs, hosts and toolchains, so
-//! committed golden digests and on-disk journals stay valid.
+//! the committed golden digests stay valid.
 //!
 //! The hash is streaming: folding `a` then `b` equals folding their
 //! concatenation.

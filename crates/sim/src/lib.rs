@@ -47,5 +47,5 @@ pub mod time;
 pub use cost::CostModel;
 pub use engine::{EventQueue, Simulation, World};
 pub use rng::Rng;
-pub use stats::{Histogram, HistogramCheckpoint, Summary};
+pub use stats::{Histogram, Summary};
 pub use time::Nanos;

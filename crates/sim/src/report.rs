@@ -240,8 +240,8 @@ impl Json {
     /// value, modulo surrounding whitespace). The inverse of
     /// [`write_into`](Self::write_into): everything the emitter produces
     /// parses back, including `f64` round-trips via Rust's shortest
-    /// `Display` form — which is what lets the bench journal replay
-    /// checkpointed cell results byte-identically.
+    /// `Display` form — which is what lets the benchmark in `benchmark/`
+    /// read its own result files and child reports back exactly.
     ///
     /// # Errors
     ///
@@ -277,14 +277,6 @@ impl Json {
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -777,9 +769,10 @@ mod tests {
 
     #[test]
     fn parse_f64_display_is_exact() {
-        // The journal's replay contract: every f64 the emitter writes
-        // parses back to identical bits (Rust Display is shortest
-        // round-trip), including values with long fractional parts.
+        // Every f64 the emitter writes parses back to identical bits
+        // (Rust Display is shortest round-trip), including values with
+        // long fractional parts, so a result file read back compares
+        // exactly with the run that wrote it.
         for v in [
             0.1 + 0.2,
             1.0 / 3.0,
@@ -827,7 +820,6 @@ mod tests {
         assert_eq!(j.get("x").and_then(Json::as_num), Some(1.0));
         assert_eq!(j.get("s").and_then(Json::as_str), Some("v"));
         assert_eq!(j.get("missing"), None);
-        assert_eq!(Json::Bool(true).as_bool(), Some(true));
         assert_eq!(Json::Bool(true).as_num(), None);
         assert_eq!(Json::Null.get("x"), None);
     }

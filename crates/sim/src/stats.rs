@@ -386,54 +386,6 @@ impl Histogram {
     /// branching, which LLVM autovectorizes.
     const LANES: usize = 8;
 
-    /// Sparse checkpoint view for crash-safe serialization: the exact
-    /// raw counters — including the `u64::MAX`/`0` min/max sentinels an
-    /// empty histogram carries — plus every non-zero `(bucket, count)`
-    /// pair in ascending bucket order. [`from_checkpoint`] rebuilds a
-    /// structurally identical histogram from this view, which is what
-    /// lets the bench journal replay a checkpointed cell result
-    /// bit-for-bit (`PartialEq` compares the raw fields).
-    ///
-    /// [`from_checkpoint`]: Self::from_checkpoint
-    pub fn checkpoint(&self) -> HistogramCheckpoint {
-        HistogramCheckpoint {
-            total: self.total,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-            counts: self
-                .counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c != 0)
-                .map(|(i, &c)| (i as u32, c))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a histogram from a [`checkpoint`](Self::checkpoint)
-    /// view. Returns `None` when the view is structurally invalid — a
-    /// bucket index out of range, a duplicated or unsorted index, or a
-    /// zero count (which the sparse form never produces) — so corrupted
-    /// journal payloads degrade to re-execution instead of silently
-    /// reconstructing a different distribution.
-    pub fn from_checkpoint(view: &HistogramCheckpoint) -> Option<Histogram> {
-        let mut h = Histogram::new();
-        let mut prev: Option<u32> = None;
-        for &(index, count) in &view.counts {
-            if index as usize >= h.counts.len() || count == 0 || prev.is_some_and(|p| p >= index) {
-                return None;
-            }
-            h.counts[index as usize] = count;
-            prev = Some(index);
-        }
-        h.total = view.total;
-        h.sum = view.sum;
-        h.min = view.min;
-        h.max = view.max;
-        Some(h)
-    }
-
     /// Merges every histogram in `others` into `self` in one pass over the
     /// bucket array.
     ///
@@ -474,22 +426,6 @@ impl Histogram {
             self.min = self.min.min(other.min);
         }
     }
-}
-
-/// The exact serializable state of a [`Histogram`]: raw counters plus
-/// sparse non-zero buckets (see [`Histogram::checkpoint`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramCheckpoint {
-    /// Recorded-value count (saturating).
-    pub total: u64,
-    /// Exact sum of recorded values.
-    pub sum: u128,
-    /// Raw minimum (the `u64::MAX` sentinel when empty).
-    pub min: u64,
-    /// Raw maximum (0 when empty).
-    pub max: u64,
-    /// Non-zero `(bucket index, count)` pairs, ascending.
-    pub counts: Vec<(u32, u64)>,
 }
 
 /// Items shard `index` owns when `total` items split across `shards`
@@ -747,41 +683,6 @@ mod tests {
         assert_eq!(h.max(), u64::MAX);
         // Quantile clamps into the observed envelope.
         assert!(h.quantile(0.5) >= u64::MAX / 2);
-    }
-
-    #[test]
-    fn histogram_checkpoint_roundtrips_exactly() {
-        let mut h = Histogram::new();
-        for v in (0..50_000u64).map(|v| v * 97 + 3) {
-            h.record(v);
-        }
-        h.record(u64::MAX);
-        let back = Histogram::from_checkpoint(&h.checkpoint()).expect("valid view");
-        assert_eq!(back, h, "structural equality, raw fields included");
-        // The empty histogram's sentinels survive the trip too.
-        let empty = Histogram::new();
-        assert_eq!(
-            Histogram::from_checkpoint(&empty.checkpoint()).expect("valid"),
-            empty
-        );
-    }
-
-    #[test]
-    fn histogram_checkpoint_rejects_corrupt_views() {
-        let h: Histogram = (1..100u64).collect();
-        let good = h.checkpoint();
-        let mut out_of_range = good.clone();
-        out_of_range.counts.push((1 << 20, 1));
-        assert!(Histogram::from_checkpoint(&out_of_range).is_none());
-        let mut zero_count = good.clone();
-        zero_count.counts[0].1 = 0;
-        assert!(Histogram::from_checkpoint(&zero_count).is_none());
-        let mut unsorted = good.clone();
-        unsorted.counts.swap(0, 1);
-        assert!(Histogram::from_checkpoint(&unsorted).is_none());
-        let mut duplicated = good;
-        duplicated.counts[1].0 = duplicated.counts[0].0;
-        assert!(Histogram::from_checkpoint(&duplicated).is_none());
     }
 
     #[test]

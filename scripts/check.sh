@@ -4,22 +4,16 @@
 # failure. The golden test (crates/bench/tests/golden.rs) runs every
 # harness binary at --jobs 1 and -j 3 and checks its exit status, that
 # it left only its results file, its findings and the FNV-1a of its
-# stdout and results/*.json against crates/bench/golden/outputs.txt,
-# including a halted-then-resumed cluster_study --quick run.
-#
-# `--bench` additionally runs the queue_bench churn races: the heap and
-# the calendar queue must pop the same sequence. Speed itself is
-# measured by the benchmark in benchmark/ (see benchmark/README.md).
+# stdout and results/*.json against crates/bench/golden/outputs.txt.
+# Speed is measured by the benchmark in benchmark/ (see
+# benchmark/README.md). Takes no arguments.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench=0
-for arg in "$@"; do
-    case "$arg" in
-        --bench) bench=1 ;;
-        *) echo "usage: $0 [--bench]" >&2; exit 2 ;;
-    esac
-done
+if [ "$#" -ne 0 ]; then
+    echo "usage: $0" >&2
+    exit 2
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -33,13 +27,7 @@ cargo test -q -p xc-bench --test determinism
 echo "== panic isolation smoke: a poisoned cell must not abort the grid =="
 cargo test -q -p xc-bench --test determinism panicking_cell_is_isolated_from_the_grid
 
-echo "== golden table: every harness binary, --jobs 1 and 3, halt and resume =="
+echo "== golden table: every harness binary, --jobs 1 and 3 =="
 cargo test -q -p xc-bench --test golden
-
-if [ "$bench" -eq 1 ]; then
-    echo "== queue_bench --quick --sparse (heap vs calendar churn races) =="
-    cargo build -q --release -p xc-bench --bin queue_bench
-    target/release/queue_bench --quick --sparse
-fi
 
 echo "ok: formatting clean, no lints, deterministic at any --jobs, every harness at its golden row"
