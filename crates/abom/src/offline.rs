@@ -9,7 +9,7 @@
 //!
 //! The tool performs classic **detour patching**:
 //!
-//! 1. linear-sweep disassemble the text section,
+//! 1. linear-sweep disassemble the text section ([`xc_verify::disasm::sweep`]),
 //! 2. dataflow-track the syscall number: the most recent immediate `mov`
 //!    into `%rax` that provably survives to each `syscall`,
 //! 3. adjacent `mov`+`syscall` pairs are handed to the online patcher
@@ -32,9 +32,10 @@
 use std::error::Error;
 use std::fmt;
 
-use xc_isa::decode::{decode, DecodeError};
+use xc_isa::decode::DecodeError;
 use xc_isa::image::{BinaryImage, PAGE_SIZE};
 use xc_isa::inst::{Inst, Reg};
+use xc_verify::disasm::sweep;
 use xc_verify::{AnalysisCache, DetourHazard, SiteKind, Verdict, Verifier};
 
 use crate::patcher::{Abom, PatchOutcome};
@@ -406,21 +407,15 @@ impl OfflinePatcher {
     fn scan(&self, image: &BinaryImage) -> (Vec<Site>, Vec<(u64, SkipReason)>) {
         let mut sites = Vec::new();
         let mut skipped = Vec::new();
-        let mut addr = image.base();
         // (mov_addr, mov_len, nr) of the live immediate load into rax.
         let mut live: Option<(u64, usize, u64)> = None;
 
-        while addr < image.end() {
-            let window = match image.read_upto(addr, 16) {
-                Ok(w) => w,
-                Err(_) => break,
-            };
-            let d = match decode(window) {
+        for (addr, decoded) in sweep(image) {
+            let d = match decoded {
                 Ok(d) => d,
                 Err(DecodeError::InvalidOpcode(_)) | Err(DecodeError::Unsupported(_)) => {
-                    // Padding or data: resync one byte at a time.
+                    // Padding or data: the sweep resyncs one byte at a time.
                     live = None;
-                    addr += 1;
                     continue;
                 }
                 Err(DecodeError::Truncated) => break,
@@ -500,7 +495,6 @@ impl OfflinePatcher {
                 | Inst::StoreRspDisp8R64 { .. }
                 | Inst::MovRegReg64 { .. } => {}
             }
-            addr += d.len as u64;
         }
         (sites, skipped)
     }

@@ -3,21 +3,26 @@
 //! regressions (moved out of the property-test suite so they run in
 //! default builds).
 
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
 use xc_isa::asm::Assembler;
 use xc_isa::cpu::Cpu;
+use xc_isa::image::{BinaryImage, PAGE_SIZE};
 use xc_isa::inst::{Inst, Reg};
-use xc_verify::reverify;
+use xc_verify::reverify::VSYSCALL_BASE;
+use xc_verify::{disassemble_image, reverify, ReverifyReport, Violation};
 
 use xc_abom::binaries::{invoke, library_image, WrapperSpec, WrapperStyle};
 use xc_abom::handler::XContainerKernel;
-use xc_abom::offline::{OfflinePatcher, SkipReason};
+use xc_abom::offline::{OfflineConfig, OfflinePatcher, SkipReason};
 use xc_abom::patcher::{Abom, AbomConfig, PatchOutcome};
 
 /// A library whose second wrapper has a side entrance: another routine
 /// tail-jumps into the wrapper's interior with its own `%rax` setup. The
 /// linear scanner alone would detour the whole region and break the side
 /// entrance; the verifier must veto it.
-fn poisoned_library() -> xc_isa::image::BinaryImage {
+fn poisoned_library() -> BinaryImage {
     let mut a = Assembler::new(0x40_0000);
     // A clean detour candidate (mov / nop / syscall).
     a.label("clean").unwrap();
@@ -138,13 +143,13 @@ fn reverify_catches_a_corrupted_detour() {
     for b in &mut bytes[off..off + 5] {
         *b = 0xcc;
     }
-    let corrupted = xc_isa::image::BinaryImage::new(patched.base(), bytes);
+    let corrupted = BinaryImage::new(patched.base(), bytes);
     let shape = reverify(&corrupted, image.len());
     assert!(!shape.ok());
     assert!(shape
         .violations
         .iter()
-        .any(|v| matches!(v, xc_verify::Violation::TrampolineUntargeted { .. })));
+        .any(|v| matches!(v, Violation::TrampolineUntargeted { .. })));
 }
 
 #[test]
@@ -209,7 +214,7 @@ fn preflight_verify_rejects_rcx_consumer() {
 }
 
 /// Same shape as in `preflight_verify_rejects_rcx_consumer`, fresh image.
-fn poisonless_copy() -> xc_isa::image::BinaryImage {
+fn poisonless_copy() -> BinaryImage {
     let mut a = Assembler::new(0x40_0000);
     a.label("wrapper").unwrap();
     a.inst(Inst::MovImm32 {
@@ -308,4 +313,198 @@ fn jump_into_patched_call_interior_recovers() {
     invoke(&mut image, &mut kernel, jumper, None).unwrap();
     assert_eq!(kernel.syscall_numbers(), vec![7, 7]);
     assert_eq!(kernel.stats().ud_fixups, 1);
+}
+
+fn is_vsyscall(addr: u64) -> bool {
+    (VSYSCALL_BASE..VSYSCALL_BASE + 0x1000).contains(&addr)
+}
+
+/// The map-based `reverify`, kept as the reference its linear-sweep
+/// replacement must agree with: it walks [`disassemble_image`]'s
+/// instruction map one address at a time.
+fn reverify_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
+    let base = image.base();
+    let text_end = base + text_len as u64;
+    let area_end = image.end();
+    let disasm = disassemble_image(image);
+    let mut report = ReverifyReport::default();
+
+    // Classify vsyscall call sites in the text.
+    for (&at, d) in disasm.insts.range(base..text_end) {
+        if let Inst::CallAbsIndirect { target } = d.inst {
+            if !is_vsyscall(target) {
+                continue;
+            }
+            let next = at + d.len as u64;
+            let nine = matches!(
+                disasm.insts.get(&next).map(|n| n.inst),
+                Some(Inst::JmpRel8 { rel: -9 })
+            );
+            if nine {
+                report.nine_byte.push(at);
+            } else {
+                report.seven_byte.push(at);
+            }
+        }
+    }
+
+    // Detour jumps: text JmpRel32 landing in the trampoline area.
+    let mut targeted: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for (&at, d) in disasm.insts.range(base..text_end) {
+        if d.inst.branch_kind() == xc_isa::inst::BranchKind::DirectJump {
+            if let Some(t) = d.inst.branch_target(at) {
+                if (text_end..area_end).contains(&t) {
+                    targeted.entry(t).or_default().push(at);
+                }
+            }
+        }
+    }
+
+    // Walk the trampoline area: alternating int3 fill and trampolines.
+    let mut tramp_spans: Vec<(u64, u64)> = Vec::new();
+    let mut at = text_end;
+    while at < area_end {
+        let Some(d) = disasm.insts.get(&at) else {
+            // Undecodable byte inside the area: attribute it to whatever
+            // trampoline walk failed below; just resync here.
+            at += 1;
+            continue;
+        };
+        if d.inst == Inst::Int3 {
+            at += 1;
+            continue;
+        }
+        // A trampoline starts here.
+        let start = at;
+        match targeted.get(&start).map(Vec::len).unwrap_or(0) {
+            0 => report
+                .violations
+                .push(Violation::TrampolineUntargeted { at: start }),
+            1 => {}
+            _ => report
+                .violations
+                .push(Violation::TrampolineMultiplyTargeted { at: start }),
+        }
+        let mut calls = 0usize;
+        let mut returned = false;
+        while at < area_end {
+            let Some(d) = disasm.insts.get(&at) else {
+                break;
+            };
+            match d.inst {
+                Inst::CallAbsIndirect { target } if is_vsyscall(target) => calls += 1,
+                Inst::JmpRel32 { .. } => {
+                    let t = d.inst.branch_target(at).expect("jmp has target");
+                    if (base..text_end).contains(&t) {
+                        returned = true;
+                    }
+                    at += d.len as u64;
+                    break;
+                }
+                Inst::Int3 => break,
+                _ => {}
+            }
+            at += d.len as u64;
+        }
+        if calls != 1 {
+            report
+                .violations
+                .push(Violation::TrampolineMissingCall { at: start });
+        }
+        if !returned {
+            report
+                .violations
+                .push(Violation::TrampolineMissingReturn { at: start });
+        }
+        tramp_spans.push((start, at));
+        if let Some(srcs) = targeted.get(&start) {
+            for &src in srcs {
+                report.detours.push((src, start));
+            }
+        }
+    }
+
+    // Detour jumps must land exactly on trampoline starts.
+    for (&t, srcs) in &targeted {
+        if !tramp_spans.iter().any(|&(s, _)| s == t) {
+            for &src in srcs {
+                report
+                    .violations
+                    .push(Violation::DetourIntoNonTrampoline { at: src });
+            }
+        }
+    }
+
+    // Nothing may branch strictly into a trampoline.
+    for (&at, d) in &disasm.insts {
+        if let Some(t) = d.inst.branch_target(at) {
+            for &(s, e) in &tramp_spans {
+                if t > s && t < e && !(s..e).contains(&at) {
+                    report
+                        .violations
+                        .push(Violation::TrampolineInteriorTargeted { target: t });
+                }
+            }
+        }
+    }
+
+    report
+}
+
+const STYLES: [WrapperStyle; 7] = [
+    WrapperStyle::GlibcSmall,
+    WrapperStyle::GlibcLarge,
+    WrapperStyle::GoStack,
+    WrapperStyle::PthreadCancellable,
+    WrapperStyle::IndirectNumber,
+    WrapperStyle::XorZeroRead,
+    WrapperStyle::LibcShim,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `reverify` equals the map-based reference on offline-patched
+    /// libraries with a few bytes overwritten: in the text, in the
+    /// trampoline pages or anywhere, with `int3`, a jump opcode or a
+    /// random byte. One case in ten also moves the text boundary.
+    #[test]
+    fn reverify_matches_the_reference(
+        wrappers in proptest::collection::vec((0usize..STYLES.len(), 0u64..352), 1..=8),
+        mutations in proptest::collection::vec((0u8..3, any::<u64>(), 0u8..4, any::<u8>()), 1..=4),
+        len_draw in (0u8..10, any::<u64>()),
+    ) {
+        let specs: Vec<WrapperSpec> = wrappers
+            .iter()
+            .enumerate()
+            .map(|(index, &(style, nr))| WrapperSpec {
+                index,
+                style: STYLES[style],
+                nr,
+            })
+            .collect();
+        let image = library_image(&specs);
+        let patcher = OfflinePatcher::with_config(OfflineConfig {
+            interprocedural: true,
+            ..OfflineConfig::default()
+        });
+        let (patched, _) = patcher.patch(&image).unwrap();
+        let mut bytes = patched.read_bytes(patched.base(), patched.len()).unwrap().to_vec();
+        let tramp_start = ((image.len() as u64).div_ceil(PAGE_SIZE) * PAGE_SIZE) as usize;
+        for (region, pos, kind, random) in mutations {
+            let (from, to) = match region {
+                0 => (0, image.len()),
+                1 if tramp_start < bytes.len() => (tramp_start, bytes.len()),
+                _ => (0, bytes.len()),
+            };
+            let at = from + (pos % (to - from) as u64) as usize;
+            bytes[at] = [0xcc, 0xe9, 0xeb, random][usize::from(kind)];
+        }
+        let m = BinaryImage::new(patched.base(), bytes);
+        let len = match len_draw {
+            (0, raw) => (raw % (m.len() as u64 + 1)) as usize,
+            _ => image.len(),
+        };
+        prop_assert_eq!(reverify(&m, len), reverify_reference(&m, len));
+    }
 }

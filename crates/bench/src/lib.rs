@@ -109,7 +109,7 @@ pub fn findings_json(findings: &[Finding]) -> String {
 
 /// Serializes findings to `results/<experiment>.json` (creates the
 /// directory as needed). The document is staged into a same-directory
-/// temp file and renamed into place ([`atomic_write`]), so a crash
+/// temp file and renamed into place (`atomic_write`), so a crash
 /// mid-write can never leave a truncated file behind — readers see
 /// either the old findings or the new ones, whole. Errors are reported
 /// but non-fatal: harnesses must still print their tables on read-only

@@ -3,7 +3,7 @@
 //! The workspace's property tests were written against the real
 //! [proptest](https://crates.io/crates/proptest) crate, which cannot be
 //! fetched in registry-less environments. This crate implements exactly
-//! the slice of proptest's API those tests use — [`Strategy`],
+//! the slice of proptest's API those tests use — [`Strategy`](strategy::Strategy),
 //! [`strategy::Just`], [`arbitrary::any`], range/tuple/vec/regex
 //! strategies, [`strategy::Union`] (for `prop_oneof!`) and the
 //! [`proptest!`]/[`prop_assert!`]/[`prop_assert_eq!`] macros — on top of

@@ -1,15 +1,17 @@
 //! Hybrid linear-sweep + recursive-descent disassembly of a
 //! [`BinaryImage`] text section.
 //!
-//! The linear sweep (the same resynchronizing walk the offline ABOM
-//! scanner uses) yields the *authoritative* instruction map: every byte is
-//! either inside exactly one sweep instruction or recorded as
-//! undecodable. The recursive descent then replays control flow from the
-//! image's entry points and cross-checks every direct branch destination
-//! against the sweep boundaries — a destination strictly inside a sweep
-//! instruction is an **overlapping decode**, the case the verifier must
-//! refuse to reason about (the same bytes have two valid readings; see
-//! `xc_isa::decode` tests for a constructed example).
+//! [`sweep`] is the one resynchronizing linear sweep. Three passes read
+//! it: [`disassemble_image`], [`reverify`](crate::reverify::reverify)
+//! and the offline ABOM scanner. Here it yields the *authoritative*
+//! instruction map: every byte is either inside exactly one sweep
+//! instruction or recorded as undecodable. The recursive descent then
+//! replays control flow from the image's entry points and cross-checks
+//! every direct branch destination against the sweep boundaries — a
+//! destination strictly inside a sweep instruction is an **overlapping
+//! decode**, the case the verifier must refuse to reason about (the same
+//! bytes have two valid readings; see `xc_isa::decode` tests for a
+//! constructed example).
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -79,6 +81,27 @@ impl Disassembly {
     }
 }
 
+/// The resynchronizing linear sweep over all of `image`, in ascending
+/// address order: `Ok` for each decoded instruction, one
+/// `Err(InvalidOpcode | Unsupported)` for each byte it resyncs over, and
+/// one `Err(Truncated)` where the image ends mid-instruction, after which
+/// it ends.
+pub fn sweep(
+    image: &BinaryImage,
+) -> impl Iterator<Item = (u64, Result<Decoded, DecodeError>)> + '_ {
+    let mut addr = image.base();
+    std::iter::from_fn(move || {
+        let at = addr;
+        let decoded = decode(image.read_upto(at, 16).ok()?);
+        addr = match decoded {
+            Ok(d) => at + d.len as u64,
+            Err(DecodeError::Truncated) => image.end(),
+            Err(_) => at + 1,
+        };
+        Some((at, decoded))
+    })
+}
+
 /// Disassembles `image` (linear sweep + recursive descent from the base
 /// address and every symbol).
 pub fn disassemble_image(image: &BinaryImage) -> Disassembly {
@@ -88,27 +111,15 @@ pub fn disassemble_image(image: &BinaryImage) -> Disassembly {
     let mut undecodable = BTreeSet::new();
 
     // Pass 1: resynchronizing linear sweep.
-    let mut addr = base;
-    while addr < end {
-        let window = match image.read_upto(addr, 16) {
-            Ok(w) => w,
-            Err(_) => break,
-        };
-        match decode(window) {
+    for (at, decoded) in sweep(image) {
+        match decoded {
             Ok(d) => {
-                insts.insert(addr, d);
-                addr += d.len as u64;
+                insts.insert(at, d);
             }
-            Err(DecodeError::Truncated) => {
-                // The image ends mid-instruction; everything left is data.
-                for a in addr..end {
-                    undecodable.insert(a);
-                }
-                break;
-            }
+            // The image ends mid-instruction; everything left is data.
+            Err(DecodeError::Truncated) => undecodable.extend(at..end),
             Err(_) => {
-                undecodable.insert(addr);
-                addr += 1;
+                undecodable.insert(at);
             }
         }
     }
@@ -211,6 +222,27 @@ mod tests {
         assert_eq!(d.insts.len(), 2);
         assert!(d.undecodable.contains(&0x1001));
         assert_eq!(d.contiguous_code(0x1000, 0x1003), Err(0x1001));
+    }
+
+    #[test]
+    fn sweep_yields_one_error_per_resynced_byte_and_stops_at_a_truncated_tail() {
+        // ret; 0x60 (#UD); ret; truncated mov.
+        let image = BinaryImage::new(0x1000, vec![0xc3, 0x60, 0xc3, 0xb8, 0x01]);
+        let items: Vec<_> = sweep(&image).collect();
+        let ret = Ok(Decoded {
+            inst: Inst::Ret,
+            len: 1,
+        });
+        assert_eq!(
+            items,
+            vec![
+                (0x1000, ret),
+                (0x1001, Err(DecodeError::InvalidOpcode(0x60))),
+                (0x1002, ret),
+                (0x1003, Err(DecodeError::Truncated)),
+            ]
+        );
+        assert_eq!(sweep(&BinaryImage::new(0x1000, vec![])).count(), 0);
     }
 
     #[test]

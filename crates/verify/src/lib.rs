@@ -14,7 +14,7 @@
 //! over [`xc_isa`] images:
 //!
 //! 1. [`disasm`] — hybrid linear-sweep + recursive-descent disassembly,
-//! 2. [`cfg`] — a basic-block control-flow graph whose direct-branch
+//! 2. [`cfg`](mod@cfg) — a basic-block control-flow graph whose direct-branch
 //!    target set is *complete* (the modelled subset has no indirect
 //!    jumps; see [`xc_isa::inst::BranchKind`]),
 //! 3. [`dataflow`] — forward `%rax` syscall-number reaching values and
@@ -34,7 +34,10 @@
 //!    chains, fix hints) rendered as text or JSON,
 //! 7. [`reverify`](mod@reverify) — post-patch shape checking: patched sites decode
 //!    to the documented 7/9-byte replacements and trampolines are
-//!    reachable only through their detour jump.
+//!    reachable only through their detour jump. It reads the image's
+//!    linear [`disasm::sweep`] directly, not the full disassembly:
+//!    `sweep` is the one linear sweep, read by [`disassemble_image`],
+//!    `reverify` and the offline ABOM scan.
 //!
 //! # Example
 //!

@@ -11,12 +11,11 @@
 //!   back into the text,
 //! * nothing branches into the middle of a trampoline.
 
-use std::collections::BTreeMap;
-
+use xc_isa::decode::Decoded;
 use xc_isa::image::BinaryImage;
-use xc_isa::inst::Inst;
+use xc_isa::inst::{BranchKind, Inst};
 
-use crate::disasm::disassemble_image;
+use crate::disasm::sweep;
 
 /// Base of the vsyscall page (mirrors `xc_abom::table::VSYSCALL_BASE`;
 /// this crate sits below `xc-abom` in the dependency order).
@@ -66,7 +65,7 @@ pub enum Violation {
 }
 
 /// The post-patch shape report.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReverifyReport {
     /// Addresses of 7-byte `call *entry` replacements in the text.
     pub seven_byte: Vec<u64>,
@@ -88,23 +87,32 @@ impl ReverifyReport {
 /// Re-verifies a patched image whose original text occupied the first
 /// `text_len` bytes; everything after that is trampoline area (possibly
 /// empty, for images with only adjacent in-place patches).
+///
+/// The checks read the image's linear [`sweep`] only: its decoded
+/// non-`int3` instructions, in address order. The `int3` fill and the
+/// undecodable bytes are gaps between entries, and a trampoline ends at
+/// the first gap.
 pub fn reverify(image: &BinaryImage, text_len: usize) -> ReverifyReport {
     let base = image.base();
     let text_end = base + text_len as u64;
     let area_end = image.end();
-    let disasm = disassemble_image(image);
+    let insts: Vec<(u64, Decoded)> = sweep(image)
+        .filter_map(|(at, decoded)| Some((at, decoded.ok().filter(|d| d.inst != Inst::Int3)?)))
+        .collect();
+    let split = insts.partition_point(|&(at, _)| at < text_end);
+    let (text, area) = insts.split_at(split);
     let mut report = ReverifyReport::default();
 
-    // Classify vsyscall call sites in the text.
-    for (&at, d) in disasm.insts.range(base..text_end) {
+    // Classify vsyscall call sites in the text: 9-byte when the sweep's
+    // next instruction is the `jmp -9` right behind the call.
+    for (i, &(at, d)) in text.iter().enumerate() {
         if let Inst::CallAbsIndirect { target } = d.inst {
             if !is_vsyscall(target) {
                 continue;
             }
-            let next = at + d.len as u64;
             let nine = matches!(
-                disasm.insts.get(&next).map(|n| n.inst),
-                Some(Inst::JmpRel8 { rel: -9 })
+                insts.get(i + 1),
+                Some(&(next, n)) if next == at + d.len as u64 && n.inst == Inst::JmpRel8 { rel: -9 }
             );
             if nine {
                 report.nine_byte.push(at);
@@ -114,35 +122,25 @@ pub fn reverify(image: &BinaryImage, text_len: usize) -> ReverifyReport {
         }
     }
 
-    // Detour jumps: text JmpRel32 landing in the trampoline area.
-    let mut targeted: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for (&at, d) in disasm.insts.range(base..text_end) {
-        if d.inst.branch_kind() == xc_isa::inst::BranchKind::DirectJump {
-            if let Some(t) = d.inst.branch_target(at) {
-                if (text_end..area_end).contains(&t) {
-                    targeted.entry(t).or_default().push(at);
-                }
-            }
-        }
-    }
+    // Detour jumps: text jumps landing in the trampoline area, as
+    // `(destination, jump address)` sorted by destination.
+    let mut targeted: Vec<(u64, u64)> = text
+        .iter()
+        .filter(|(_, d)| d.inst.branch_kind() == BranchKind::DirectJump)
+        .filter_map(|&(at, d)| Some((d.inst.branch_target(at)?, at)))
+        .filter(|(t, _)| (text_end..area_end).contains(t))
+        .collect();
+    targeted.sort_unstable();
+    let sources = |start: u64| targeted.iter().filter(move |&&(t, _)| t == start);
 
-    // Walk the trampoline area: alternating int3 fill and trampolines.
+    // Walk the trampoline area: every instruction not consumed by an
+    // earlier trampoline starts one, which runs through contiguous
+    // instructions up to and including a `jmp rel32`.
     let mut tramp_spans: Vec<(u64, u64)> = Vec::new();
-    let mut at = text_end;
-    while at < area_end {
-        let Some(d) = disasm.insts.get(&at) else {
-            // Undecodable byte inside the area: attribute it to whatever
-            // trampoline walk failed below; just resync here.
-            at += 1;
-            continue;
-        };
-        if d.inst == Inst::Int3 {
-            at += 1;
-            continue;
-        }
-        // A trampoline starts here.
-        let start = at;
-        match targeted.get(&start).map(Vec::len).unwrap_or(0) {
+    let mut i = 0;
+    while i < area.len() {
+        let start = area[i].0;
+        match sources(start).count() {
             0 => report
                 .violations
                 .push(Violation::TrampolineUntargeted { at: start }),
@@ -151,26 +149,24 @@ pub fn reverify(image: &BinaryImage, text_len: usize) -> ReverifyReport {
                 .violations
                 .push(Violation::TrampolineMultiplyTargeted { at: start }),
         }
+        let mut at = start;
         let mut calls = 0usize;
         let mut returned = false;
-        while at < area_end {
-            let Some(d) = disasm.insts.get(&at) else {
+        while let Some(&(next, d)) = area.get(i) {
+            if next != at {
                 break;
-            };
+            }
+            i += 1;
+            at += d.len as u64;
             match d.inst {
                 Inst::CallAbsIndirect { target } if is_vsyscall(target) => calls += 1,
                 Inst::JmpRel32 { .. } => {
-                    let t = d.inst.branch_target(at).expect("jmp has target");
-                    if (base..text_end).contains(&t) {
-                        returned = true;
-                    }
-                    at += d.len as u64;
+                    let t = d.inst.branch_target(next).expect("jmp has target");
+                    returned = (base..text_end).contains(&t);
                     break;
                 }
-                Inst::Int3 => break,
                 _ => {}
             }
-            at += d.len as u64;
         }
         if calls != 1 {
             report
@@ -183,26 +179,22 @@ pub fn reverify(image: &BinaryImage, text_len: usize) -> ReverifyReport {
                 .push(Violation::TrampolineMissingReturn { at: start });
         }
         tramp_spans.push((start, at));
-        if let Some(srcs) = targeted.get(&start) {
-            for &src in srcs {
-                report.detours.push((src, start));
-            }
-        }
+        report
+            .detours
+            .extend(sources(start).map(|&(_, src)| (src, start)));
     }
 
     // Detour jumps must land exactly on trampoline starts.
-    for (&t, srcs) in &targeted {
+    for &(t, src) in &targeted {
         if !tramp_spans.iter().any(|&(s, _)| s == t) {
-            for &src in srcs {
-                report
-                    .violations
-                    .push(Violation::DetourIntoNonTrampoline { at: src });
-            }
+            report
+                .violations
+                .push(Violation::DetourIntoNonTrampoline { at: src });
         }
     }
 
     // Nothing may branch strictly into a trampoline.
-    for (&at, d) in &disasm.insts {
+    for &(at, d) in &insts {
         if let Some(t) = d.inst.branch_target(at) {
             for &(s, e) in &tramp_spans {
                 if t > s && t < e && !(s..e).contains(&at) {
@@ -285,6 +277,106 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::TrampolineUntargeted { .. })));
+    }
+
+    #[test]
+    fn doubly_targeted_trampoline_is_flagged() {
+        let mut a = Assembler::new(0x1000);
+        a.label("w").unwrap();
+        a.jmp_to("tramp");
+        a.jmp_to("tramp");
+        a.inst(Inst::Ret);
+        a.align(16);
+        let text_len = (a.here() - 0x1000) as usize;
+        a.label("tramp").unwrap();
+        a.inst(Inst::CallAbsIndirect {
+            target: VSYSCALL_BASE + 8,
+        });
+        a.jmp_to("w");
+        let image = a.finish().unwrap();
+        let tramp = image.symbol("tramp").unwrap();
+        let r = reverify(&image, text_len);
+        assert_eq!(
+            r.violations,
+            vec![Violation::TrampolineMultiplyTargeted { at: tramp }]
+        );
+        assert_eq!(r.detours, vec![(0x1000, tramp), (0x1005, tramp)]);
+    }
+
+    #[test]
+    fn detour_into_fill_is_flagged() {
+        let mut a = Assembler::new(0x1000);
+        a.label("w").unwrap();
+        a.jmp_to("tramp");
+        a.jmp_to("fill");
+        a.inst(Inst::Ret);
+        a.align(16);
+        let text_len = (a.here() - 0x1000) as usize;
+        a.inst(Inst::Int3);
+        a.label("fill").unwrap();
+        a.inst(Inst::Int3);
+        a.label("tramp").unwrap();
+        a.inst(Inst::CallAbsIndirect {
+            target: VSYSCALL_BASE + 8,
+        });
+        a.jmp_to("w");
+        let image = a.finish().unwrap();
+        let tramp = image.symbol("tramp").unwrap();
+        let r = reverify(&image, text_len);
+        assert_eq!(
+            r.violations,
+            vec![Violation::DetourIntoNonTrampoline { at: 0x1005 }]
+        );
+        assert_eq!(r.detours, vec![(0x1000, tramp)]);
+    }
+
+    #[test]
+    fn empty_image_reverifies_ok() {
+        let image = BinaryImage::new(0x1000, vec![]);
+        for text_len in [0, 16] {
+            let r = reverify(&image, text_len);
+            assert!(r.ok());
+            assert_eq!(r, ReverifyReport::default());
+        }
+    }
+
+    #[test]
+    fn text_past_the_image_end_has_no_trampolines() {
+        let (image, _) = patched_image();
+        let adj = image.symbol("adj").unwrap();
+        let tramp = image.symbol("tramp").unwrap();
+        let r = reverify(&image, image.len() + 100);
+        // The trampoline's call is text now, and its detour jump lands
+        // in the text, so nothing counts as a detour.
+        assert_eq!(
+            r,
+            ReverifyReport {
+                seven_byte: vec![adj, tramp + 2],
+                ..ReverifyReport::default()
+            }
+        );
+    }
+
+    #[test]
+    fn truncated_return_jump_is_flagged() {
+        let mut a = Assembler::new(0x1000);
+        a.jmp_to("tramp");
+        a.inst(Inst::Ret);
+        a.align(16);
+        let text_len = (a.here() - 0x1000) as usize;
+        a.label("tramp").unwrap();
+        a.inst(Inst::CallAbsIndirect {
+            target: VSYSCALL_BASE + 8,
+        });
+        a.raw(&[0xe9, 0xe0, 0xff]); // jmp rel32 cut off by the image end
+        let image = a.finish().unwrap();
+        let tramp = image.symbol("tramp").unwrap();
+        let r = reverify(&image, text_len);
+        assert_eq!(
+            r.violations,
+            vec![Violation::TrampolineMissingReturn { at: tramp }]
+        );
+        assert_eq!(r.detours, vec![(0x1000, tramp)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Precomputed per-platform derived costs.
 //!
 //! A closed-loop (or open-loop) simulation never consults the
-//! [`Platform`] or [`CostModel`] mid-run: the platform enters the
+//! [`Platform`](xc_runtimes::platform::Platform) or [`CostModel`] mid-run: the platform enters the
 //! event stream only through three derived scalars — the per-request
 //! service time, the wire round-trip, and the effective parallelism.
 //! [`PlatformCosts`] computes those once per

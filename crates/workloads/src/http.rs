@@ -14,7 +14,7 @@
 //! The closed loop is modelled the way the real servers are deployed:
 //! each worker process owns its accept queue (`SO_REUSEPORT`-style), so
 //! worker `w` of `P` serves a fixed
-//! [`shard_share`](xc_sim::stats::shard_share) of the connections with
+//! [`shard_share`] of the connections with
 //! its own RNG substream, independent of every other worker. The driver
 //! runs the worker worlds one after another and merges their histograms
 //! in worker order.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repository hygiene gate: formatting, lints, the runner determinism
-# suite and the golden table. Fails on any diff, warning or test
+# Repository hygiene gate: formatting, lints, rustdoc links, the runner
+# determinism suite and the golden table. Fails on any diff, warning or test
 # failure. The golden test (crates/bench/tests/golden.rs) runs every
 # harness binary at --jobs 1 and -j 3 and checks its exit status, that
 # it left only its results file, its findings and the FNV-1a of its
@@ -21,6 +21,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== runner determinism suite =="
 cargo test -q -p xc-bench --test determinism
 
@@ -30,4 +33,4 @@ cargo test -q -p xc-bench --test determinism panicking_cell_is_isolated_from_the
 echo "== golden table: every harness binary, --jobs 1 and 3 =="
 cargo test -q -p xc-bench --test golden
 
-echo "ok: formatting clean, no lints, deterministic at any --jobs, every harness at its golden row"
+echo "ok: formatting clean, no lints, docs link, deterministic at any --jobs, every harness at its golden row"
