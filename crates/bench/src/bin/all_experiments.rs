@@ -1,11 +1,14 @@
-//! The combined acceptance pass: every table/figure reduced to its
-//! headline paper-vs-measured findings in one summary table, with a
-//! nonzero exit status when any finding leaves its acceptance band.
+//! The combined acceptance pass: the findings of the seven table and
+//! figure harnesses (`table1`, `fig3_macro`, `fig4_syscall`,
+//! `fig5_micro`, `fig6_libos`, `fig8_scalability`, `fig9_loadbalance`)
+//! in one summary table, with a nonzero exit status when any finding
+//! leaves its acceptance band. `results/all_experiments.json` is the
+//! concatenation of those seven results files, in that order.
 //!
-//! The experiment logic lives in [`xc_bench::harness::all_experiments`]
-//! and runs through the deterministic parallel [`Runner`] (`--jobs N`,
-//! default: available parallelism); stdout is byte-identical across
-//! `--jobs` values.
+//! The logic lives in [`xc_bench::harness::all_experiments`]; the grid
+//! harnesses run through the deterministic parallel [`Runner`]
+//! (`--jobs N`, default: available parallelism), so stdout is
+//! byte-identical across `--jobs` values.
 
 use xc_bench::harness::all_experiments;
 use xc_bench::record;

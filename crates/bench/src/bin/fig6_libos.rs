@@ -1,114 +1,14 @@
 //! Figure 6 — throughput comparison for Unikernel (U), Graphene (G) and
 //! X-Container (X) on the local cluster: NGINX with 1 and 4 workers, and
-//! the 2×PHP+MySQL topologies of Figure 7.
+//! the 2×PHP+MySQL topologies of Figure 7. The logic lives in
+//! [`xc_bench::harness::fig6`]; this wrapper prints the result and
+//! records findings.
 
-use xc_bench::{record, Finding};
-use xcontainers::prelude::*;
-use xcontainers::workloads::fig6::{fig6a_nginx_1worker, fig6b_nginx_4workers, fig6c_php_mysql};
+use xc_bench::harness::fig6;
+use xc_bench::record;
 
 fn main() {
-    let costs = CostModel::skylake_cloud();
-    let mut findings = Vec::new();
-
-    // ---- (a) NGINX, 1 worker ------------------------------------------
-    let mut a = Table::new(
-        "Figure 6a: NGINX 1 worker (requests/s)",
-        &["platform", "req/s"],
-    );
-    for p in LibOsPlatform::ALL {
-        a.row([
-            Cell::from(p.letter()),
-            Cell::Num(fig6a_nginx_1worker(p, &costs), 0),
-        ]);
-    }
-    println!("{a}");
-    let g = fig6a_nginx_1worker(LibOsPlatform::Graphene, &costs);
-    let u = fig6a_nginx_1worker(LibOsPlatform::Unikernel, &costs);
-    let x = fig6a_nginx_1worker(LibOsPlatform::XContainer, &costs);
-    findings.push(Finding {
-        experiment: "fig6",
-        metric: "nginx1_x_vs_unikernel".to_owned(),
-        paper: "comparable (≈1x)".to_owned(),
-        measured: x / u,
-        in_band: (0.85..1.35).contains(&(x / u)),
-    });
-    findings.push(Finding {
-        experiment: "fig6",
-        metric: "nginx1_x_vs_graphene".to_owned(),
-        paper: "over twice Graphene".to_owned(),
-        measured: x / g,
-        in_band: (1.6..2.8).contains(&(x / g)),
-    });
-
-    // ---- (b) NGINX, 4 workers ------------------------------------------
-    let mut b = Table::new(
-        "Figure 6b: NGINX 4 workers (requests/s)",
-        &["platform", "req/s"],
-    );
-    for p in LibOsPlatform::ALL {
-        match fig6b_nginx_4workers(p, &costs) {
-            Some(v) => b.row([Cell::from(p.letter()), Cell::Num(v, 0)]),
-            None => b.row([
-                Cell::from(p.letter()),
-                Cell::from("unsupported (single process)"),
-            ]),
-        };
-    }
-    println!("{b}");
-    let g4 = fig6b_nginx_4workers(LibOsPlatform::Graphene, &costs).expect("graphene 4w");
-    let x4 = fig6b_nginx_4workers(LibOsPlatform::XContainer, &costs).expect("x 4w");
-    findings.push(Finding {
-        experiment: "fig6",
-        metric: "nginx4_x_vs_graphene".to_owned(),
-        paper: "more than 50% over Graphene".to_owned(),
-        measured: x4 / g4,
-        in_band: x4 / g4 > 1.5,
-    });
-
-    // ---- (c) 2×PHP + MySQL ---------------------------------------------
-    let mut c = Table::new(
-        "Figure 6c: 2×PHP+MySQL total throughput (requests/s)",
-        &["topology", "Unikernel", "X-Container"],
-    );
-    for topo in DbTopology::ALL {
-        let fmt = |v: Option<f64>| match v {
-            Some(v) => Cell::Num(v, 0),
-            None => Cell::from("n/a"),
-        };
-        c.row([
-            Cell::from(topo.label()),
-            fmt(fig6c_php_mysql(LibOsPlatform::Unikernel, topo, &costs)),
-            fmt(fig6c_php_mysql(LibOsPlatform::XContainer, topo, &costs)),
-        ]);
-    }
-    println!("{c}");
-    let u_ded = fig6c_php_mysql(LibOsPlatform::Unikernel, DbTopology::Dedicated, &costs).unwrap();
-    let x_ded = fig6c_php_mysql(LibOsPlatform::XContainer, DbTopology::Dedicated, &costs).unwrap();
-    let x_merged = fig6c_php_mysql(
-        LibOsPlatform::XContainer,
-        DbTopology::DedicatedMerged,
-        &costs,
-    )
-    .unwrap();
-    findings.push(Finding {
-        experiment: "fig6",
-        metric: "php_x_vs_unikernel_dedicated".to_owned(),
-        paper: "over 40% above Unikernel".to_owned(),
-        measured: x_ded / u_ded,
-        in_band: x_ded / u_ded > 1.4,
-    });
-    findings.push(Finding {
-        experiment: "fig6",
-        metric: "php_merged_vs_unikernel_dedicated".to_owned(),
-        paper: "about three times Unikernel Dedicated".to_owned(),
-        measured: x_merged / u_ded,
-        in_band: (2.0..4.0).contains(&(x_merged / u_ded)),
-    });
-
-    println!(
-        "Mechanisms (§5.5): Graphene coordinates POSIX state over IPC; a\n\
-         unikernel cannot host two processes, so PHP and MySQL must talk\n\
-         across VMs — the Merged X-Container deletes that round trip."
-    );
-    record("fig6", &findings);
+    let out = fig6::run();
+    print!("{}", out.text);
+    record("fig6", &out.findings);
 }

@@ -1,76 +1,13 @@
 //! Figure 9 — kernel-level load balancing (§5.7): HAProxy on Docker,
-//! HAProxy on X-Containers, IPVS NAT, and IPVS direct routing.
+//! HAProxy on X-Containers, IPVS NAT, and IPVS direct routing. The logic
+//! lives in [`xc_bench::harness::fig9`]; this wrapper prints the result
+//! and records findings.
 
-use xc_bench::{record, Finding};
-use xcontainers::prelude::*;
-use xcontainers::workloads::loadbalance::{
-    balancer_cost, bottleneck, throughput, Bottleneck, LbMode,
-};
+use xc_bench::harness::fig9;
+use xc_bench::record;
 
 fn main() {
-    let costs = CostModel::skylake_cloud();
-
-    let mut table = Table::new(
-        "Figure 9: load balancing throughput (3 NGINX backends)",
-        &[
-            "configuration",
-            "balancer cost/req",
-            "total req/s",
-            "bottleneck",
-        ],
-    );
-    for mode in LbMode::ALL {
-        table.row([
-            Cell::from(mode.label()),
-            Cell::from(balancer_cost(mode, &costs).to_string()),
-            Cell::Num(throughput(mode, &costs), 0),
-            Cell::from(match bottleneck(mode, &costs) {
-                Bottleneck::Balancer => "balancer",
-                Bottleneck::Backends => "backends",
-            }),
-        ]);
-    }
-    println!("{table}");
-
-    let docker = throughput(LbMode::HaproxyDocker, &costs);
-    let hx = throughput(LbMode::HaproxyXContainer, &costs);
-    let nat = throughput(LbMode::IpvsNat, &costs);
-    let dr = throughput(LbMode::IpvsDirectRouting, &costs);
-
-    println!(
-        "HAProxy on X vs Docker: {:.2}x (paper: 2x). IPVS NAT over HAProxy-X:\n\
-         +{:.0}% (paper: +12%, balancer still the bottleneck). Direct routing\n\
-         over NAT: {:.2}x (paper: ~2.5x, bottleneck shifts to the backends).",
-        hx / docker,
-        (nat / hx - 1.0) * 100.0,
-        dr / nat
-    );
-
-    record(
-        "fig9",
-        &[
-            Finding {
-                experiment: "fig9",
-                metric: "haproxy_x_vs_docker".to_owned(),
-                paper: "2x".to_owned(),
-                measured: hx / docker,
-                in_band: (1.5..2.8).contains(&(hx / docker)),
-            },
-            Finding {
-                experiment: "fig9",
-                metric: "ipvs_nat_gain_pct".to_owned(),
-                paper: "+12%".to_owned(),
-                measured: (nat / hx - 1.0) * 100.0,
-                in_band: (2.0..60.0).contains(&((nat / hx - 1.0) * 100.0)),
-            },
-            Finding {
-                experiment: "fig9",
-                metric: "direct_routing_vs_nat".to_owned(),
-                paper: "~2.5x, backend-bound".to_owned(),
-                measured: dr / nat,
-                in_band: (1.7..3.5).contains(&(dr / nat))
-                    && bottleneck(LbMode::IpvsDirectRouting, &costs) == Bottleneck::Backends,
-            },
-        ],
-    );
+    let out = fig9::run();
+    print!("{}", out.text);
+    record("fig9", &out.findings);
 }

@@ -42,7 +42,8 @@ fn measure(
 }
 
 /// One (cloud, profile) cell: a whole normalized table plus its
-/// findings, against a shared [`ClosedLoopCache`].
+/// findings and patched X-Container's relative throughput, against a
+/// shared [`ClosedLoopCache`].
 ///
 /// The cache is keyed on the derived [`PlatformCosts`] table, so every
 /// coincidence in derived parameters — the normalization baseline vs
@@ -55,7 +56,7 @@ fn cell(
     profile: &RequestProfile,
     costs: &CostModel,
     cache: &ClosedLoopCache,
-) -> (String, Vec<Finding>) {
+) -> (String, Vec<Finding>, f64) {
     let mut findings = Vec::new();
     let mut table = Table::new(
         &format!("Figure 3: {} — {}", profile.name, cloud.name()),
@@ -63,36 +64,58 @@ fn cell(
     );
     let (baseline, matrix) = platform_matrix(cloud);
     let (base_tput, base_lat) = measure(&baseline, profile, costs, cache);
+    let cloud_name = cloud.name().to_lowercase();
+    let memcached = profile.name == "memcached";
+    let mut x_gain = f64::NAN;
     for platform in matrix {
         let (tput, lat) = measure(&platform, profile, costs, cache);
+        let (rel_tput, rel_lat) = (tput / base_tput, lat / base_lat);
         table.row([
             Cell::from(platform.name()),
-            Cell::Num(tput / base_tput, 2),
-            Cell::Num(lat / base_lat, 2),
+            Cell::Num(rel_tput, 2),
+            Cell::Num(rel_lat, 2),
         ]);
-        if platform.kind() == PlatformKind::XContainer && platform.is_patched() {
+        if !platform.is_patched() {
+            continue;
+        }
+        if platform.kind() == PlatformKind::XContainer {
             let (paper, band): (&str, (f64, f64)) = match profile.name {
                 "nginx-static" => ("1.21-1.50x Docker", (1.0, 1.9)),
                 "memcached" => ("1.34-2.08x Docker", (1.2, 2.6)),
                 _ => ("≈1x Docker (Redis)", (0.8, 1.5)),
             };
+            x_gain = rel_tput;
             findings.push(Finding {
                 experiment: "fig3",
-                metric: format!(
-                    "x_{}_{}_throughput",
-                    profile.name,
-                    cloud.name().to_lowercase()
-                ),
+                metric: format!("x_{}_{cloud_name}_throughput", profile.name),
                 paper: paper.to_owned(),
-                measured: tput / base_tput,
-                in_band: (band.0..band.1).contains(&(tput / base_tput)),
+                measured: rel_tput,
+                in_band: (band.0..band.1).contains(&rel_tput),
+            });
+            if memcached {
+                findings.push(Finding {
+                    experiment: "fig3",
+                    metric: format!("x_memcached_{cloud_name}_latency"),
+                    paper: "below Docker".to_owned(),
+                    measured: rel_lat,
+                    in_band: rel_lat < 1.0,
+                });
+            }
+        }
+        if platform.kind() == PlatformKind::Gvisor && memcached {
+            findings.push(Finding {
+                experiment: "fig3",
+                metric: format!("gvisor_memcached_{cloud_name}_latency"),
+                paper: "multiples of Docker (2.7-10x annotations)".to_owned(),
+                measured: rel_lat,
+                in_band: (2.0..40.0).contains(&rel_lat),
             });
         }
     }
     let mut text = String::new();
     table.render_into(&mut text);
     text.push('\n');
-    (text, findings)
+    (text, findings, x_gain)
 }
 
 /// Runs the full cloud × profile grid, one cell per (cloud, profile),
@@ -115,7 +138,24 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
         let (cloud, profile) = &grid[i];
         cell(*cloud, profile, &costs, cache)
     });
-    let mut out = HarnessOutput::merge(cells);
+    let gains: Vec<f64> = cells.iter().map(|c| c.2).collect();
+    let mut out = HarnessOutput::merge(cells.into_iter().map(|(t, f, _)| (t, f)).collect());
+    // §5.3's ordering: memcached gains most, then NGINX, then Redis.
+    for (cloud, gains) in clouds().into_iter().zip(gains.chunks(profiles.len())) {
+        let gain = |name: &str| {
+            let i = profiles.iter().position(|p| p.name == name);
+            gains[i.expect("figure 3 profile")]
+        };
+        let order =
+            (gain("memcached") / gain("nginx-static")).min(gain("nginx-static") / gain("redis"));
+        out.findings.push(Finding {
+            experiment: "fig3",
+            metric: format!("x_gain_order_{}", cloud.name().to_lowercase()),
+            paper: "memcached > NGINX > Redis".to_owned(),
+            measured: order,
+            in_band: order > 1.0,
+        });
+    }
     out.text.push_str(
         "Shape (§5.3): X-Containers lead Docker most on memcached (syscall-\n\
          dense ops), moderately on NGINX, and only match it on Redis (user-\n\

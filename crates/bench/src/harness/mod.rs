@@ -1,10 +1,15 @@
-//! Experiment harness logic, one module per figure.
+//! Experiment harness logic, one module per binary.
 //!
-//! The binaries in `src/bin/` are thin wrappers: they parse `--jobs`,
-//! call the matching `run` function here with a [`Runner`], print the
-//! returned text, and record the findings. Keeping the logic in the
-//! library makes it callable from the determinism integration tests and
-//! from the combined `all_experiments` pass without shelling out.
+//! Every binary in `src/bin/` is the same thin wrapper: it parses its
+//! flags, calls the matching `run` function here (with a [`Runner`] when
+//! the harness is a grid), prints the returned text, and records the
+//! findings. Keeping the logic in the library makes it callable from the
+//! determinism integration tests and from [`all_experiments`], which is
+//! the union of the seven table and figure harnesses' findings.
+//!
+//! A harness that draws a figure is the only code that computes that
+//! figure's paper claims and sets their acceptance bands; each claim is
+//! one [`Finding`].
 //!
 //! Every `run` function is a pure function of its inputs plus the
 //! experiment constants, and returns *identical* output at every
@@ -23,7 +28,13 @@ pub mod cluster;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
+pub mod fig6;
 pub mod fig8;
+pub mod fig9;
+pub mod rdma_study;
+pub mod security_matrix;
+pub mod spawn_time;
+pub mod table1;
 pub mod verify_lint;
 pub mod verify_study;
 

@@ -20,19 +20,22 @@
 //! | `verify_lint` | §4.4 — structured diagnostics and coverage gates over the Table 1 corpus (extension) |
 //! | `cluster_study` | DESIGN.md §4d — per-host container density and tail latency at cluster scale (extension) |
 //! | `chaos_study` | DESIGN.md §5 — fault rate × platform sweep with conservation checks (extension) |
-//! | `all_experiments` | combined acceptance pass over all findings |
+//! | `all_experiments` | the union of the findings of `table1`, `fig3_macro`, `fig4_syscall`, `fig5_micro`, `fig6_libos`, `fig8_scalability` and `fig9_loadbalance`, in paper order |
 //!
 //! Every harness prints the paper's expected shape next to the measured
 //! value and writes its findings through [`record`]; it writes nothing
-//! else.
+//! else. Each paper claim is a finding of the harness that draws its
+//! figure, which computes it once and sets its band.
 //!
 //! The experiment logic itself lives in [`harness`] (one module per
-//! figure), executed through the deterministic parallel [`runner`]:
-//! every grid binary accepts `--jobs N` (default: available
-//! parallelism, `--jobs 1` = serial path) and produces byte-identical
-//! output at every worker count. `tests/golden.rs` pins each binary's
-//! stdout and `results/*.json` against one committed table,
-//! `golden/outputs.txt` (see DESIGN.md §4d for how to update a row).
+//! binary); every binary parses its flags, calls its module's `run`,
+//! prints the text and calls [`record`]. The grid harnesses run through
+//! the deterministic parallel [`runner`]: they accept `--jobs N`
+//! (default: available parallelism, `--jobs 1` = serial path) and
+//! produce byte-identical output at every worker count.
+//! `tests/golden.rs` pins each binary's stdout and `results/*.json`
+//! against one committed table, `golden/outputs.txt` (see DESIGN.md §4d
+//! for how to update a row), and checks that every finding is in band.
 //!
 //! The harnesses do not time themselves. The repository's speed is
 //! measured by the separate benchmark in `benchmark/` (repeated runs,

@@ -4,7 +4,10 @@
 //! it exits 0, that the one `results/*.json` file it wrote is the only
 //! file it left (nothing outside `results/`), that every finding in
 //! that file is `in_band`, and that FNV-1a over its stdout followed by
-//! that file equals the case's row in `golden/outputs.txt`. Grid
+//! that file equals the case's row in `golden/outputs.txt`. The
+//! `in_band` check is the one test over the paper's claims: each claim
+//! is a finding of the harness that draws its figure, and a failure
+//! names every finding outside its band. Grid
 //! harnesses run at `--jobs 1` and `-j 3` against one row, which pins
 //! worker-count invariance and both spellings of the flag. On a
 //! mismatch the failure prints the whole corrected table: check that
@@ -18,6 +21,7 @@ use std::process::Command;
 use xc_bench::runner::{Runner, JOBS_ENV};
 use xc_bench::RESULTS_DIR;
 use xc_sim::fnv::{fnv1a, FNV_OFFSET};
+use xc_sim::report::Json;
 
 /// Comment lines, then one `<binary> [args] <digest>` row per case.
 const TABLE: &str = include_str!("../golden/outputs.txt");
@@ -139,11 +143,11 @@ fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String
         return (None, problems);
     };
     let json = fs::read(path).expect("read results file");
-    let text = String::from_utf8_lossy(&json);
-    let findings = text.matches("\"in_band\":").count();
-    if findings == 0 || text.matches("\"in_band\":true").count() != findings {
-        problems.push(format!("{label}: not every finding in {path:?} is in band"));
-    }
+    problems.extend(
+        out_of_band(&String::from_utf8_lossy(&json))
+            .into_iter()
+            .map(|p| format!("{label}: {p}")),
+    );
     let digest = fnv1a(fnv1a(FNV_OFFSET, &out.stdout), &json);
     if want != Some(digest) {
         let key = CASES[run.case].key;
@@ -155,6 +159,36 @@ fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String
         let _ = fs::remove_dir_all(dir);
     }
     (Some(digest), problems)
+}
+
+/// Names every finding in a results file that is not in its band: its
+/// experiment, metric, measured value and paper text. A file that does
+/// not parse, or holds no findings, is a problem too.
+fn out_of_band(results: &str) -> Vec<String> {
+    let doc = match Json::parse(results) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("results file does not parse: {e}")],
+    };
+    let findings = doc.as_arr().unwrap_or_default();
+    if findings.is_empty() {
+        return vec!["results file holds no findings".to_owned()];
+    }
+    let text = |f: &Json, key| f.get(key).and_then(Json::as_str).unwrap_or("?").to_owned();
+    findings
+        .iter()
+        .filter(|f| f.get("in_band") != Some(&Json::Bool(true)))
+        .map(|f| {
+            let measured = f
+                .get("measured")
+                .map_or("?".to_owned(), Json::to_string_compact);
+            format!(
+                "{}/{} measured {measured}, outside its band (paper: {})",
+                text(f, "experiment"),
+                text(f, "metric"),
+                text(f, "paper"),
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -208,4 +242,19 @@ fn every_harness_binary_matches_its_golden_row() {
         problems.len(),
         problems.join("\n"),
     );
+}
+
+#[test]
+fn out_of_band_names_each_broken_claim() {
+    let ok = r#"{"experiment":"fig4","metric":"a","paper":"27x","measured":32,"in_band":true}"#;
+    let bad = r#"{"experiment":"fig4","metric":"b","paper":"27x","measured":9.5,"in_band":false}"#;
+    assert!(out_of_band(&format!("[{ok}]")).is_empty());
+    let problems = out_of_band(&format!("[{ok},{bad}]"));
+    assert_eq!(problems.len(), 1, "{problems:?}");
+    assert_eq!(
+        problems[0],
+        "fig4/b measured 9.5, outside its band (paper: 27x)"
+    );
+    assert_eq!(out_of_band("[]"), ["results file holds no findings"]);
+    assert!(out_of_band("[{")[0].starts_with("results file does not parse"));
 }

@@ -37,7 +37,7 @@ mod tests {
     #[test]
     fn x_container_headline_ratio() {
         // "up to 27× higher raw system call throughput compared to Docker
-        // containers" (abstract) — accept the 20–40× band.
+        // containers" (abstract) — accept the 15–45× band.
         let costs = CostModel::skylake_cloud();
         for cloud in [CloudEnv::AmazonEc2, CloudEnv::GoogleGce] {
             let docker = SystemCallBench::score(&Platform::docker(cloud, true), &costs);
