@@ -4,10 +4,11 @@
 //! it exits 0, that the one `results/*.json` file it wrote is the only
 //! file it left (nothing outside `results/`), that every finding in
 //! that file is `in_band`, and that FNV-1a over its stdout followed by
-//! that file equals the case's row in `golden/outputs.txt`. The
-//! `in_band` check is the one test over the paper's claims: each claim
-//! is a finding of the harness that draws its figure, and a failure
-//! names every finding outside its band. Grid
+//! that file equals the case's row in `golden/outputs.txt`. Each paper
+//! claim is a finding of the harness that draws its figure, so the
+//! `in_band` check covers every claim, and a failure names every
+//! finding outside its band (`tests/paper_claims.rs` groups the same
+//! findings into one test per claim). Grid
 //! harnesses run at `--jobs 1` and `-j 3` against one row, which pins
 //! worker-count invariance and both spellings of the flag. On a
 //! mismatch the failure prints the whole corrected table: check that
