@@ -36,7 +36,6 @@
 use std::collections::VecDeque;
 
 use xc_libos::backend::Backend;
-use xc_libos::config::KernelConfig;
 use xc_libos::DispatchTable;
 use xc_sim::engine::{EventQueue, Simulation, World};
 use xc_sim::fnv::{fnv1a_u64, FNV_OFFSET};
@@ -212,12 +211,7 @@ impl ChaosWorld {
         if self.p.corpus_sites == 0 {
             return;
         }
-        let mut table = DispatchTable::resolve(
-            Backend::XKernel,
-            &KernelConfig::xlibos_default(),
-            true,
-            &self.costs,
-        );
+        let mut table = DispatchTable::resolve(Backend::XKernel, true);
         let report = warm_up(&mut self.plan, &mut table, self.p.corpus_sites);
         // demoted/corpus of this request's syscalls take the trap path.
         self.demotion_extra = self

@@ -109,19 +109,12 @@ pub fn warm_up(plan: &mut FaultPlan, table: &mut DispatchTable, sites: u64) -> W
 mod tests {
     use super::*;
     use xc_libos::backend::Backend;
-    use xc_libos::config::KernelConfig;
     use xc_libos::SyscallRoute;
-    use xc_sim::CostModel;
 
     use crate::plan::FaultRates;
 
     fn fresh_table() -> DispatchTable {
-        DispatchTable::resolve(
-            Backend::XKernel,
-            &KernelConfig::xlibos_default(),
-            true,
-            &CostModel::skylake_cloud(),
-        )
+        DispatchTable::resolve(Backend::XKernel, true)
     }
 
     #[test]

@@ -19,14 +19,15 @@
 //!   deployments,
 //! * [`process`] — processes, threads, fork/exec/exit with address-space
 //!   bookkeeping through `xc-xen`,
-//! * [`sched`] — a CFS-style fair scheduler (the *inner* level of
-//!   Figure 8's hierarchy),
 //! * [`vfs`] — a small in-memory VFS with a page-cache cost model
 //!   (File Copy microbenchmark),
 //! * [`pipe`] — kernel pipes (Pipe Throughput and Context Switching
 //!   microbenchmarks),
 //! * [`net`] — the network stack path model (iperf, macrobenchmarks,
-//!   Figure 9 load balancing).
+//!   Figure 9 load balancing),
+//! * [`syscalls`] — the x86-64 syscall numbers and the per-domain
+//!   [`DispatchTable`] of dispatch routes, which ABOM degradation
+//!   demotes (`xc-faults`).
 //!
 //! # Example
 //!
@@ -49,18 +50,13 @@
 
 pub mod backend;
 pub mod config;
-pub mod kernel;
 pub mod net;
-pub mod netdev;
 pub mod pipe;
 pub mod process;
-pub mod sched;
 pub mod syscalls;
 pub mod vfs;
 
 pub use backend::Backend;
 pub use config::KernelConfig;
-pub use kernel::GuestKernel;
 pub use process::{Pid, ProcessTable};
-pub use sched::FairScheduler;
 pub use syscalls::{DispatchTable, SyscallRoute};

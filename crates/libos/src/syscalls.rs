@@ -5,14 +5,9 @@
 //! dynamic calls over them. This module gives the numbers names so
 //! profiles and tests read like strace output instead of integer soup,
 //! and provides the per-domain [`DispatchTable`] that resolves every
-//! number's dispatch route and cost once per kernel instead of on every
-//! syscall.
-
-use xc_sim::cost::CostModel;
-use xc_sim::time::Nanos;
+//! number's dispatch route once per kernel instead of on every syscall.
 
 use crate::backend::Backend;
-use crate::config::KernelConfig;
 
 /// `read` — the Figure 2 case-1 example.
 pub const SYS_READ: u64 = 0;
@@ -142,16 +137,13 @@ pub enum SyscallRoute {
     FunctionCall,
 }
 
-/// Per-domain syscall-dispatch fast path.
+/// Per-domain syscall dispatch routes.
 ///
-/// [`Backend::syscall_cost`] recomposes the dispatch price — ABI
-/// constants plus the KPTI tax — from scratch on every call, and the
-/// route decision (trap vs bounce vs function call) is re-derived with
-/// it. Both are fixed once a kernel's `(backend, config, optimized)`
-/// triple is known, so a [`DispatchTable`] resolves them a single time:
-/// a dense `SyscallRoute` table indexed by syscall number plus the
-/// per-dispatch cost. `GuestKernel` builds one lazily on its first
-/// syscall and afterwards charges syscalls with a field read.
+/// The route of every syscall number (trap vs bounce vs function call)
+/// is fixed once a kernel's backend and ABOM setting are known, so a
+/// [`DispatchTable`] resolves them a single time into a dense
+/// `SyscallRoute` table indexed by syscall number. ABOM degradation
+/// (`xc-faults`) then demotes the numbers whose patches it rolls back.
 #[derive(Debug, Clone)]
 pub struct DispatchTable {
     /// Route per syscall number (dense, `VSYSCALL_TABLE_ENTRIES` long);
@@ -159,23 +151,15 @@ pub struct DispatchTable {
     routes: Box<[SyscallRoute]>,
     /// Route for numbers without a dedicated vsyscall entry.
     fallback: SyscallRoute,
-    /// Dispatch cost shared by every routed syscall (the cost model
-    /// prices the crossing, not the number).
-    dispatch_cost: Nanos,
     /// Sites permanently demoted from their resolved route back to the
     /// fallback (see [`DispatchTable::demote`]).
     demoted: u64,
 }
 
 impl DispatchTable {
-    /// Resolves the route and dispatch cost for every syscall number
-    /// under the given kernel deployment.
-    pub fn resolve(
-        backend: Backend,
-        config: &KernelConfig,
-        optimized: bool,
-        costs: &CostModel,
-    ) -> Self {
+    /// Resolves the route for every syscall number under the given
+    /// kernel deployment.
+    pub fn resolve(backend: Backend, optimized: bool) -> Self {
         let (table_route, fallback) = match backend {
             Backend::Native => (SyscallRoute::Trap, SyscallRoute::Trap),
             Backend::XenPv => (SyscallRoute::Forwarded, SyscallRoute::Forwarded),
@@ -187,7 +171,6 @@ impl DispatchTable {
         DispatchTable {
             routes: vec![table_route; VSYSCALL_TABLE_ENTRIES as usize].into_boxed_slice(),
             fallback,
-            dispatch_cost: backend.syscall_cost(costs, config, optimized),
             demoted: 0,
         }
     }
@@ -222,12 +205,6 @@ impl DispatchTable {
             .get(nr as usize)
             .copied()
             .unwrap_or(self.fallback)
-    }
-
-    /// The resolved per-dispatch cost.
-    #[inline]
-    pub fn dispatch_cost(&self) -> Nanos {
-        self.dispatch_cost
     }
 }
 
@@ -270,25 +247,9 @@ mod tests {
 
     #[test]
     fn dispatch_routes_per_backend() {
-        let costs = CostModel::skylake_cloud();
-        let native = DispatchTable::resolve(
-            Backend::Native,
-            &KernelConfig::docker_default(),
-            false,
-            &costs,
-        );
-        let pv = DispatchTable::resolve(
-            Backend::XenPv,
-            &KernelConfig::docker_default(),
-            false,
-            &costs,
-        );
-        let xc = DispatchTable::resolve(
-            Backend::XKernel,
-            &KernelConfig::xlibos_default(),
-            true,
-            &costs,
-        );
+        let native = DispatchTable::resolve(Backend::Native, false);
+        let pv = DispatchTable::resolve(Backend::XenPv, false);
+        let xc = DispatchTable::resolve(Backend::XKernel, true);
         assert_eq!(native.route(SYS_READ), SyscallRoute::Trap);
         assert_eq!(pv.route(SYS_READ), SyscallRoute::Forwarded);
         assert_eq!(xc.route(SYS_READ), SyscallRoute::FunctionCall);
@@ -299,32 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_cost_matches_backend_composition() {
-        let costs = CostModel::skylake_cloud();
-        for (backend, config, optimized) in [
-            (Backend::Native, KernelConfig::docker_default(), false),
-            (Backend::XenPv, KernelConfig::docker_default(), false),
-            (Backend::XKernel, KernelConfig::xlibos_default(), true),
-            (Backend::XKernel, KernelConfig::xlibos_default(), false),
-        ] {
-            let table = DispatchTable::resolve(backend, &config, optimized, &costs);
-            assert_eq!(
-                table.dispatch_cost(),
-                backend.syscall_cost(&costs, &config, optimized),
-                "{backend:?} optimized={optimized}"
-            );
-        }
-    }
-
-    #[test]
     fn demote_falls_back_permanently() {
-        let costs = CostModel::skylake_cloud();
-        let mut xc = DispatchTable::resolve(
-            Backend::XKernel,
-            &KernelConfig::xlibos_default(),
-            true,
-            &costs,
-        );
+        let mut xc = DispatchTable::resolve(Backend::XKernel, true);
         assert_eq!(xc.route(SYS_READ), SyscallRoute::FunctionCall);
         assert!(xc.demote(SYS_READ));
         assert_eq!(xc.route(SYS_READ), SyscallRoute::Forwarded);
@@ -340,13 +277,7 @@ mod tests {
 
     #[test]
     fn unoptimized_xkernel_never_routes_function_calls() {
-        let costs = CostModel::skylake_cloud();
-        let xc = DispatchTable::resolve(
-            Backend::XKernel,
-            &KernelConfig::xlibos_default(),
-            false,
-            &costs,
-        );
+        let xc = DispatchTable::resolve(Backend::XKernel, false);
         for nr in 0..VSYSCALL_TABLE_ENTRIES {
             assert_eq!(xc.route(nr), SyscallRoute::Forwarded);
         }

@@ -1,44 +1,15 @@
-//! Property-based tests for the guest-kernel substrate: CFS fairness,
-//! VFS/pipe data integrity, and cost-model monotonicity.
+//! Property-based tests for the guest-kernel substrate: VFS/pipe data
+//! integrity and cost-model monotonicity.
 
 use proptest::prelude::*;
 use xc_libos::backend::Backend;
 use xc_libos::config::KernelConfig;
 use xc_libos::net::{NetPath, NetStack};
 use xc_libos::pipe::Pipe;
-use xc_libos::sched::{FairScheduler, WEIGHT_NICE_0};
 use xc_libos::vfs::Vfs;
 use xc_sim::cost::CostModel;
-use xc_sim::time::Nanos;
 
 proptest! {
-    /// CFS gives weight-proportional shares for arbitrary weights.
-    #[test]
-    fn cfs_weighted_fairness(weights in proptest::collection::vec(1u32..8, 2..6)) {
-        let mut s = FairScheduler::new();
-        let tasks: Vec<_> = weights
-            .iter()
-            .map(|w| s.add_task(w * WEIGHT_NICE_0))
-            .collect();
-        for &t in &tasks {
-            s.set_runnable(t, true);
-        }
-        s.run_for(Nanos::from_secs(2));
-        let total_weight: f64 = weights.iter().map(|&w| f64::from(w)).sum();
-        let total_time: f64 = tasks
-            .iter()
-            .map(|&t| s.run_time(t).unwrap().as_secs_f64())
-            .sum();
-        for (&t, &w) in tasks.iter().zip(&weights) {
-            let share = s.run_time(t).unwrap().as_secs_f64() / total_time;
-            let expect = f64::from(w) / total_weight;
-            prop_assert!(
-                (share - expect).abs() < 0.05,
-                "weight {w}: share {share:.3} expect {expect:.3}"
-            );
-        }
-    }
-
     /// Pipes are exact FIFOs: any interleaving of writes and reads
     /// reproduces the written byte stream in order.
     #[test]

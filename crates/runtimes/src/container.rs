@@ -28,34 +28,18 @@ pub enum SpawnMethod {
     FullVmBoot,
 }
 
-/// The Docker-Wrapper bootloader's share of an X-Container spawn: an
-/// X-LibOS with one bash process is up 180 ms after the toolstack has
-/// created its domain (§4.5).
-const BOOTLOADER: Nanos = Nanos::from_millis(180);
-
 impl SpawnMethod {
     /// Wall-clock instantiation latency.
     pub fn spawn_time(self) -> Nanos {
         match self {
             // Docker engine overhead for a small image.
             SpawnMethod::DockerEngine => Nanos::from_millis(700),
-            // Bootloader + toolstack (`xl` totals ≈ 3 s, §4.5).
-            SpawnMethod::XlToolstack | SpawnMethod::LightVmToolstack => {
-                BOOTLOADER + self.toolstack_time().expect("Xen methods use a toolstack")
-            }
+            // 180 ms bootloader + ~2.8 s toolstack (totals ≈ 3 s, §4.5).
+            SpawnMethod::XlToolstack => Nanos::from_millis(180 + 2_820),
+            // 180 ms bootloader + 4 ms toolstack.
+            SpawnMethod::LightVmToolstack => Nanos::from_millis(184),
             // Ordinary VM: firmware + full distro boot.
             SpawnMethod::FullVmBoot => Nanos::from_secs(25),
-        }
-    }
-
-    /// Time the Xen toolstack takes to create the domain: ~2.8 s for
-    /// `xl`, 4 ms for LightVM's (§4.5). `None` for Docker and full-VM
-    /// boot, which use no Xen toolstack.
-    pub fn toolstack_time(self) -> Option<Nanos> {
-        match self {
-            SpawnMethod::XlToolstack => Some(Nanos::from_millis(2_820)),
-            SpawnMethod::LightVmToolstack => Some(Nanos::from_millis(4)),
-            SpawnMethod::DockerEngine | SpawnMethod::FullVmBoot => None,
         }
     }
 
@@ -173,8 +157,6 @@ mod tests {
         );
         assert!(SpawnMethod::DockerEngine.spawn_time() < Nanos::from_secs(1));
         assert!(SpawnMethod::FullVmBoot.spawn_time() > Nanos::from_secs(10));
-        assert_eq!(SpawnMethod::DockerEngine.toolstack_time(), None);
-        assert_eq!(SpawnMethod::FullVmBoot.toolstack_time(), None);
     }
 
     #[test]

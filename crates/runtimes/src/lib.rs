@@ -43,7 +43,6 @@ pub mod cloud;
 pub mod container;
 pub mod platform;
 pub mod security;
-pub mod wrapper;
 
 pub use cloud::CloudEnv;
 pub use container::{Container, SpawnMethod};

@@ -4,9 +4,11 @@
 //! (capacity vs offered load). This module re-runs the same scenario as
 //! a **discrete-event simulation** on the `xc-sim` engine — N containers,
 //! each a closed loop of 5 wrk connections feeding a bounded-parallelism
-//! server, all competing for 16 cores — and the integration suite
-//! requires the two approaches to agree. Disagreement would mean the
-//! closed-form shortcut (not the architecture comparison) is wrong.
+//! server, all competing for 16 cores — and the unit test
+//! `closed_form_matches_des_at_saturation` requires the two approaches
+//! to agree. No harness runs this module; that test is its reader.
+//! Disagreement would mean the closed-form shortcut (not the
+//! architecture comparison) is wrong.
 
 use std::collections::VecDeque;
 

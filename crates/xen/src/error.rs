@@ -15,7 +15,8 @@ pub enum XenError {
     /// Reference to a domain that does not exist (or was destroyed).
     NoSuchDomain(DomainId),
     /// The calling domain lacks the privilege for this operation (e.g. a
-    /// DomU invoking a Dom0-only control operation).
+    /// domain mapping a grant made out to another, or revoking one it did
+    /// not make).
     PermissionDenied {
         /// The calling domain.
         caller: DomainId,
@@ -42,8 +43,6 @@ pub enum XenError {
         /// MiB available.
         available_mb: u64,
     },
-    /// A vCPU identifier is unknown to the scheduler.
-    NoSuchVcpu(u32),
 }
 
 impl fmt::Display for XenError {
@@ -67,7 +66,6 @@ impl fmt::Display for XenError {
                 f,
                 "out of memory: requested {requested_mb} MiB, {available_mb} MiB available"
             ),
-            XenError::NoSuchVcpu(v) => write!(f, "no such vcpu {v}"),
         }
     }
 }

@@ -17,14 +17,11 @@
 //! * [`abi`] — the [`XenAbi`] enum capturing the Xen-PV vs
 //!   X-Kernel differences in syscall forwarding, `iret`, interrupt
 //!   delivery and context switching (§4.1–4.3),
-//! * [`sched`] — the credit scheduler mapping vCPUs to physical CPUs
-//!   (the outer level of Figure 8's hierarchical scheduling),
 //! * [`blanket`] — the Xen-Blanket shim that lets the whole stack run
 //!   nested inside cloud VMs,
-//! * [`tmem`] — transcendent memory for sharing page cache across
-//!   statically-sized domains (§4.5),
-//! * [`migrate`] — pre-copy live migration and checkpoint/restore, the
-//!   Xen-ecosystem features §3.3 credits.
+//! * [`tlb`] — a tagged TLB with global-bit semantics, the reference
+//!   model the integration suite checks the cost model's §4.3 refill
+//!   constants against.
 //!
 //! # Example
 //!
@@ -50,16 +47,10 @@ pub mod error;
 pub mod events;
 pub mod grant;
 pub mod hypercall;
-pub mod migrate;
 pub mod pgtable;
-pub mod ring;
-pub mod sched;
 pub mod tlb;
-pub mod tmem;
-pub mod xenstore;
 
 pub use abi::XenAbi;
 pub use domain::{Domain, DomainId, DomainKind};
 pub use error::XenError;
 pub use hypercall::{Hypercall, HypercallNr, HypervisorAccounting};
-pub use sched::CreditScheduler;

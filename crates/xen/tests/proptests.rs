@@ -1,43 +1,11 @@
-//! Property-based tests for the hypervisor substrate: scheduler
-//! fairness, memory accounting, tmem conservation, and migration
-//! algebra.
+//! Property-based tests for the hypervisor substrate: machine memory
+//! accounting and hypercall batching.
 
 use proptest::prelude::*;
 use xc_sim::cost::CostModel;
-use xc_sim::time::Nanos;
-use xc_xen::domain::{DomainId, DomainKind, Machine};
-use xc_xen::migrate::{plan_precopy, MigrationParams};
-use xc_xen::sched::CreditScheduler;
-use xc_xen::tmem::{PoolKind, Tmem};
+use xc_xen::domain::{DomainKind, Machine};
 
 proptest! {
-    /// The credit scheduler distributes time proportionally to weight
-    /// for any runnable population.
-    #[test]
-    fn credit_weighted_fairness(weights in proptest::collection::vec(1u32..8, 2..6)) {
-        let mut s = CreditScheduler::new(1);
-        let vcpus: Vec<_> = weights.iter().map(|w| s.add_vcpu(w * 256)).collect();
-        for &v in &vcpus {
-            s.set_runnable(v, true).unwrap();
-        }
-        for _ in 0..4000 {
-            s.tick();
-        }
-        let total_weight: f64 = weights.iter().map(|&w| f64::from(w)).sum();
-        let total_time: f64 = vcpus
-            .iter()
-            .map(|&v| s.run_time(v).unwrap().as_secs_f64())
-            .sum();
-        for (&v, &w) in vcpus.iter().zip(&weights) {
-            let share = s.run_time(v).unwrap().as_secs_f64() / total_time;
-            let expect = f64::from(w) / total_weight;
-            prop_assert!(
-                (share - expect).abs() < 0.05,
-                "weight {w}: share {share:.3} expect {expect:.3}"
-            );
-        }
-    }
-
     /// Machine memory accounting conserves: free + sum(reserved) = total,
     /// under any create/destroy interleaving.
     #[test]
@@ -53,66 +21,6 @@ proptest! {
             }
             let reserved: u64 = m.domains().map(|d| d.memory_mb()).sum();
             prop_assert_eq!(m.free_memory_mb() + reserved, 8_192);
-        }
-    }
-
-    /// tmem never stores more pages than its capacity, and persistent
-    /// puts that report success are always retrievable (until consumed).
-    #[test]
-    fn tmem_capacity_and_persistence(
-        capacity in 1u64..32,
-        keys in proptest::collection::vec((0u64..16, 0u32..4, any::<bool>()), 1..64),
-    ) {
-        let mut t = Tmem::new(capacity);
-        let dom = DomainId(1);
-        let eph = t.new_pool(dom, PoolKind::Ephemeral);
-        let pers = t.new_pool(dom, PoolKind::Persistent);
-        let mut guaranteed = Vec::new();
-        for (obj, idx, persistent) in keys {
-            let key = (obj, idx);
-            if persistent {
-                if t.put(dom, pers, key, obj).unwrap() {
-                    guaranteed.retain(|(k, _)| *k != key);
-                    guaranteed.push((key, obj));
-                }
-            } else {
-                let _ = t.put(dom, eph, key, obj).unwrap();
-            }
-            prop_assert!(t.used_pages() <= capacity, "capacity respected");
-        }
-        for (key, value) in guaranteed {
-            prop_assert_eq!(t.get(dom, pers, key).unwrap(), Some(value), "guarantee broken");
-        }
-    }
-
-    /// Migration algebra: total data sent ≥ memory footprint; converged
-    /// plans respect the downtime bound; rounds strictly shrink.
-    #[test]
-    fn migration_invariants(
-        memory in 32.0f64..2048.0,
-        dirty in 0.0f64..2000.0,
-        link in 100.0f64..4000.0,
-    ) {
-        let p = MigrationParams {
-            memory_mb: memory,
-            dirty_rate_mb_s: dirty,
-            link_mb_s: link,
-            downtime_threshold_mb: 4.0,
-            max_rounds: 30,
-        };
-        let plan = plan_precopy(p);
-        prop_assert!(plan.total_sent_mb() >= memory - 1e-6);
-        prop_assert!(!plan.rounds.is_empty());
-        for pair in plan.rounds.windows(2) {
-            prop_assert!(pair[1].sent_mb <= pair[0].sent_mb + 1e-9, "rounds must not grow");
-        }
-        if plan.converged {
-            let bound = Nanos::from_secs_f64(p.downtime_threshold_mb / link)
-                + Nanos::from_millis(3);
-            prop_assert!(plan.downtime <= bound + Nanos::from_nanos(1));
-        }
-        if dirty < link * 0.5 {
-            prop_assert!(plan.converged, "slow dirtier must converge");
         }
     }
 

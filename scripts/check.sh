@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Repository hygiene gate: formatting, lints, rustdoc links, the runner
-# determinism suite and the golden table. Fails on any diff, warning or test
-# failure. The golden test (crates/bench/tests/golden.rs) runs every
-# harness binary at --jobs 1 and -j 3 and checks its exit status, that
-# it left only its results file, its findings and the FNV-1a of its
-# stdout and results/*.json against crates/bench/golden/outputs.txt.
+# determinism suite, the golden table and the examples. Fails on any diff,
+# warning, test failure or failing example. The golden test
+# (crates/bench/tests/golden.rs) runs every harness binary at --jobs 1 and
+# -j 3 and checks its exit status, that it left only its results file, its
+# findings and the FNV-1a of its stdout and results/*.json against
+# crates/bench/golden/outputs.txt. Each example in examples/ runs from an
+# empty directory, must exit 0 and must leave that directory empty.
 # Speed is measured by the benchmark in benchmark/ (see
 # benchmark/README.md). Takes no arguments.
 set -euo pipefail
@@ -33,4 +35,19 @@ cargo test -q -p xc-bench --test determinism panicking_cell_is_isolated_from_the
 echo "== golden table: every harness binary, --jobs 1 and 3 =="
 cargo test -q -p xc-bench --test golden
 
-echo "ok: formatting clean, no lints, docs link, deterministic at any --jobs, every harness at its golden row"
+echo "== examples: each exits 0 and writes no file =="
+root=$PWD
+workdir=$(mktemp -d)
+trap 'rm -rf "$workdir"' EXIT
+for src in examples/*.rs; do
+    example=$(basename "$src" .rs)
+    echo "-- $example"
+    (cd "$workdir" && cargo run -q --manifest-path "$root/Cargo.toml" --example "$example" > /dev/null)
+    if [ -n "$(ls -A "$workdir")" ]; then
+        echo "example $example wrote files:" >&2
+        ls -A "$workdir" >&2
+        exit 1
+    fi
+done
+
+echo "ok: formatting clean, no lints, docs link, deterministic at any --jobs, every harness at its golden row, every example runs"
