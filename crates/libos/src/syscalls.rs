@@ -211,6 +211,9 @@ impl DispatchTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::KernelConfig;
+    use xc_sim::cost::CostModel;
+    use xc_sim::time::Nanos;
 
     #[test]
     fn figure2_numbers() {
@@ -257,6 +260,34 @@ mod tests {
         assert_eq!(xc.route(VSYSCALL_TABLE_ENTRIES), SyscallRoute::Forwarded);
         assert_eq!(xc.route(9999), SyscallRoute::Forwarded);
         assert_eq!(native.route(9999), SyscallRoute::Trap);
+    }
+
+    #[test]
+    fn dispatch_cost_matches_backend_composition() {
+        // `Backend::syscall_cost` and the resolved route describe the
+        // same crossing: only a function-call route skips the hardware
+        // trap, so only it escapes the KPTI tax (§5.4).
+        let costs = CostModel::skylake_cloud();
+        let mut patched = KernelConfig::xlibos_default();
+        patched.kpti = true;
+        let mut unpatched = patched.clone();
+        unpatched.kpti = false;
+        for (backend, optimized) in [
+            (Backend::Native, false),
+            (Backend::XenPv, false),
+            (Backend::XKernel, true),
+            (Backend::XKernel, false),
+        ] {
+            let route = DispatchTable::resolve(backend, optimized).route(SYS_READ);
+            let tax = backend.syscall_cost(&costs, &patched, optimized)
+                - backend.syscall_cost(&costs, &unpatched, optimized);
+            let expected = if route == SyscallRoute::FunctionCall {
+                Nanos::ZERO
+            } else {
+                costs.kpti_trap_extra
+            };
+            assert_eq!(tax, expected, "{backend:?} optimized={optimized} {route:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The module tests cover one rejection each; these integration tests
 //! exercise the paths the fault-injection layer (`xc-faults`) leans on:
-//! exhaustion is stable and per-domain, and revoked grant references
-//! stay dead through slot reuse.
+//! exhaustion is stable and per-domain, revoked grant references stay
+//! dead through slot reuse, and a third domain can neither use nor
+//! revoke a grant made between two others.
 
 use xc_xen::domain::DomainId;
 use xc_xen::events::{EventChannels, MAX_PORTS};
@@ -78,4 +79,50 @@ fn grant_table_exhaustion_reports_full() {
     gt.revoke(front, last).expect("revoke");
     gt.grant(front, back, 0xbeef, GrantAccess::ReadOnly)
         .expect("freed slot is reusable");
+}
+
+#[test]
+fn domu_control_ops_are_permission_denied() {
+    let mut gt = GrantTable::new();
+    let (front, back, intruder) = (DomainId(1), DomainId(2), DomainId(6));
+    let gref = gt
+        .grant(front, back, 0x7000, GrantAccess::ReadWrite)
+        .expect("grant");
+    gt.map(back, gref).expect("the grantee maps");
+
+    // A DomU holding a guessed or leaked reference may not touch a grant
+    // made out to another domain — the classic cross-domain escape.
+    for (result, op) in [
+        (gt.map(intruder, gref).map(drop), "grant access"),
+        (gt.copy(intruder, gref, 4096).map(drop), "grant access"),
+        (gt.unmap(intruder, gref), "grant access"),
+        (gt.revoke(intruder, gref), "grant revoke"),
+    ] {
+        assert_eq!(
+            result,
+            Err(XenError::PermissionDenied {
+                caller: intruder,
+                op
+            })
+        );
+    }
+    // Nor may the grantee revoke what it was given.
+    assert_eq!(
+        gt.revoke(back, gref),
+        Err(XenError::PermissionDenied {
+            caller: back,
+            op: "grant revoke"
+        })
+    );
+
+    // The denied operations left the grant untouched and usable by its
+    // rightful owners.
+    assert_eq!(gt.live_grants(), 1);
+    assert_eq!(gt.maps(), 1);
+    assert_eq!(gt.bytes_copied(), 0);
+    assert_eq!(gt.access(gref), Some(GrantAccess::ReadWrite));
+    assert_eq!(gt.copy(back, gref, 1500), Ok(1500));
+    gt.unmap(back, gref).expect("still mapped by the grantee");
+    gt.revoke(front, gref).expect("the granter revokes");
+    assert_eq!(gt.live_grants(), 0);
 }
