@@ -2,14 +2,16 @@
 //! through the *real* hypervisor subsystems under injected faults.
 //!
 //! A client domain issues requests over per-connection event channels;
-//! a server domain drains its pending bitmap, negotiates a grant for
-//! the payload, copies it, and finishes after a modeled service time.
+//! a server domain drains its pending bitmap into one reused buffer,
+//! negotiates a grant for the payload, copies it, and finishes after a
+//! modeled service time.
 //! Every layer can fail on the plan's schedule:
 //!
 //! * the notification hypercall fails transiently → bounded
 //!   exponential-backoff retry ([`RetryPolicy`]), then abandon;
-//! * the pending bit is dropped before delivery → a resend timer
-//!   recovers the request (bounded resends, then abandon);
+//! * the pending bit is dropped before delivery → a resend timer, armed
+//!   only for a dropped notification, recovers the request (bounded
+//!   resends, then abandon);
 //! * delivery is delayed by a bounded random amount;
 //! * the grant is revoked mid-transfer → the mapper observes
 //!   [`xc_xen::XenError::BadGrantRef`] and re-negotiates;
@@ -174,11 +176,14 @@ struct ChaosWorld {
     ev: EventChannels,
     gt: GrantTable,
     acct: HypervisorAccounting,
-    table: Option<DispatchTable>,
+    /// Sites the last ABOM warm-up demoted to the trap path.
+    demoted: u64,
     /// Per-request surcharge from demoted (trap-path) syscall sites.
     demotion_extra: Nanos,
     wd: Watchdog,
     conns: Vec<Conn>,
+    /// Server ports the last `Deliver` drained, reused across drains.
+    drained: Vec<u32>,
     waiting: VecDeque<usize>,
     in_service: Vec<usize>,
     /// Bumped on every restart; invalidates in-flight `Finish` events.
@@ -204,27 +209,27 @@ struct ChaosWorld {
 }
 
 impl ChaosWorld {
-    /// Builds (or rebuilds, after a restart) the dispatch table by
-    /// running ABOM over the wrapper corpus under the fault plan, and
-    /// reprices the per-request demotion surcharge.
+    /// Runs ABOM over the wrapper corpus under the fault plan on a fresh
+    /// dispatch table (at start, and after a restart), records how many
+    /// sites it demoted, and reprices the per-request demotion surcharge.
     fn warm_abom(&mut self) {
         if self.p.corpus_sites == 0 {
             return;
         }
         let mut table = DispatchTable::resolve(Backend::XKernel, true);
         let report = warm_up(&mut self.plan, &mut table, self.p.corpus_sites);
+        self.demoted = report.demoted;
         // demoted/corpus of this request's syscalls take the trap path.
         self.demotion_extra = self
             .p
             .trap_extra
             .saturating_mul(report.demoted.saturating_mul(self.p.syscalls_per_request))
             / self.p.corpus_sites;
-        self.table = Some(table);
     }
 
     /// Client-side notification send for `conn`'s next request, with
-    /// transient-failure retry. Schedules delivery (unless the event is
-    /// dropped) and the resend timer.
+    /// transient-failure retry. Schedules the delivery, or, if the event
+    /// is dropped, the resend timer; an undropped send arms no timer.
     fn send_request(&mut self, conn: usize, now: Nanos, queue: &mut EventQueue<Ev>) {
         let mut extra = Nanos::ZERO;
         let mut attempt = 0u32;
@@ -265,20 +270,25 @@ impl ChaosWorld {
                 .drop_pending(SERVER, port_server)
                 .expect("server port exists");
         }
-        if !dropped {
+        if dropped {
+            // Nothing else moves a request whose notification was lost,
+            // so this timer finds it still AwaitDelivery { token }.
+            queue.schedule_at(
+                now + self.p.resend_timeout + extra,
+                Ev::Resend { conn, token },
+            );
+        } else {
+            // No timer: `run_chaos` asserts rtt/2 + retry budget +
+            // delay_max < resend_timeout, so this `Deliver` pops before
+            // the timer would, and its drain moves the request off
+            // AwaitDelivery. Such a timer would change nothing, and the
+            // queue pops every other event in the same (time, seq) order.
             let mut deliver_delay = self.p.rtt / 2 + extra;
             if self.plan.should_inject(FaultKind::EventDelay) {
                 deliver_delay += self.plan.delay_between(Nanos::ZERO, self.p.delay_max);
             }
             queue.schedule_at(now + deliver_delay, Ev::Deliver);
         }
-        // `run_chaos` asserts rtt/2 + max delay + retry budget <
-        // resend_timeout, so this timer can only find a *lost* request
-        // still AwaitDelivery — a delivered one has already moved on.
-        queue.schedule_at(
-            now + self.p.resend_timeout + extra,
-            Ev::Resend { conn, token },
-        );
     }
 
     /// Starts service on queued requests while slots are free and the
@@ -387,7 +397,8 @@ impl World for ChaosWorld {
                 // port, possibly acknowledging other connections' sends
                 // early — exactly how the shared bitmap behaves. Intake
                 // keeps running during a stall; only *service* stops.
-                for port in self.ev.take_pending(SERVER) {
+                self.ev.take_pending(SERVER, &mut self.drained);
+                for &port in &self.drained {
                     let conn = port as usize;
                     if matches!(self.conns[conn].state, ConnState::AwaitDelivery { .. }) {
                         self.conns[conn].state = ConnState::Queued;
@@ -397,11 +408,13 @@ impl World for ChaosWorld {
                 self.try_start(now, queue);
             }
             Ev::Resend { conn, token } => {
-                // Only meaningful while the exact send it guards is
-                // still undelivered (i.e. it was dropped).
-                if self.conns[conn].state != (ConnState::AwaitDelivery { token }) {
-                    return;
-                }
+                // Armed only for a dropped send (`send_request`), so the
+                // request it guards is still waiting.
+                let state = self.conns[conn].state;
+                assert!(
+                    state == ConnState::AwaitDelivery { token },
+                    "resend timer for connection {conn}, token {token}, found it in state {state:?}"
+                );
                 self.conns[conn].resend_attempts += 1;
                 if self.conns[conn].resend_attempts >= self.p.retry.max_attempts {
                     self.abandoned += 1;
@@ -509,7 +522,7 @@ pub struct ChaosResult {
     pub bytes_copied: u64,
     /// Grants still live at the end (must be zero).
     pub live_grants: u64,
-    /// ABOM sites demoted to the trap path (current table).
+    /// ABOM sites demoted to the trap path by the last warm-up.
     pub demoted: u64,
     /// ABOM warm-up corpus size.
     pub corpus_sites: u64,
@@ -606,11 +619,16 @@ impl ChaosResult {
 ///
 /// Panics if `params` are degenerate (zero connections/parallelism) or
 /// if the timing invariant `rtt/2 + retry budget + delay_max <
-/// resend_timeout` does not hold — the resend timer must never race a
-/// delivery that is merely slow, or the event ledger would miscount.
+/// resend_timeout` does not hold. The invariant is the precondition for
+/// arming a resend timer only for a dropped notification: every
+/// undropped send is delivered before its timer would fire, so a timer
+/// per send would act only on the dropped ones, and a delivery that is
+/// merely slow is never mistaken for a lost one.
 pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> ChaosResult {
     assert!(params.connections > 0, "need at least one connection");
     assert!(params.parallelism > 0, "need at least one service slot");
+    // Precondition of `send_request` arming no timer for an undropped
+    // send (see # Panics).
     assert!(
         params.rtt / 2 + params.retry.total_delay() + params.delay_max < params.resend_timeout,
         "resend timeout must exceed worst-case delivery: rtt/2 {} + retries {} + delay {} vs {}",
@@ -645,10 +663,11 @@ pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> Chao
         ev,
         gt: GrantTable::new(),
         acct: HypervisorAccounting::default(),
-        table: None,
+        demoted: 0,
         demotion_extra: Nanos::ZERO,
         wd: Watchdog::new(1, params.watchdog_timeout),
         conns,
+        drained: Vec::with_capacity(params.connections),
         waiting: VecDeque::with_capacity(params.connections),
         in_service: Vec::with_capacity(params.parallelism),
         epoch: 0,
@@ -705,7 +724,7 @@ pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> Chao
         hypervisor_ns: w.acct.total_time(),
         bytes_copied: w.gt.bytes_copied(),
         live_grants: w.gt.live_grants() as u64,
-        demoted: w.table.as_ref().map_or(0, DispatchTable::demoted),
+        demoted: w.demoted,
         corpus_sites: w.p.corpus_sites,
         latency: w.latency,
         recovery: w.recovery,
@@ -819,6 +838,40 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         let c = run_chaos(params, FaultPlan::new(5, FaultRates::scaled(0.05)), 11);
         assert_ne!(a.digest(), c.digest(), "seed must matter");
+    }
+
+    #[test]
+    fn every_armed_resend_finds_its_request_waiting() {
+        // A drop-heavy mix at the tightest timing `run_chaos` accepts. The
+        // `Resend` handler asserts that each timer it pops still guards a
+        // request awaiting delivery.
+        let base = quick_params();
+        let params = ChaosParams {
+            duration: Nanos::from_secs(1),
+            corpus_sites: 64,
+            resend_timeout: base.rtt / 2
+                + base.retry.total_delay()
+                + base.delay_max
+                + Nanos::from_nanos(1),
+            ..base
+        };
+        let rates = FaultRates::disabled()
+            .with_rate(FaultKind::EventDrop, 0.3)
+            .with_rate(FaultKind::EventDelay, 0.5)
+            .with_rate(FaultKind::HypercallTransient, 0.3);
+        for seed in 1..=4 {
+            let r = run_chaos(params, FaultPlan::new(seed, rates), seed);
+            r.check_conservation().expect("drop-heavy run conserves");
+            assert!(r.resends > 0, "seed {seed}: drops must trigger resends");
+            // Each issue or resend either sends or runs out of hypercall
+            // retries and abandons; every other abandon ran out of resends.
+            let out_of_retries = r.issued + r.resends - r.sends;
+            assert!(
+                r.abandoned > out_of_retries,
+                "seed {seed}: no request ran out of resends ({} abandoned, {out_of_retries} of them out of retries)",
+                r.abandoned
+            );
+        }
     }
 
     #[test]

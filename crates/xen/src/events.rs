@@ -2,9 +2,12 @@
 //!
 //! "Exceptions and interrupts are virtualized through efficient event
 //! channels" (§4.1). The model implements the port state machine
-//! (allocate → bind → send → pending → deliver) with the same
-//! pending/masked bitmap semantics real Xen uses; delivery *costs* are
-//! charged by the caller through [`crate::abi::XenAbi::event_delivery_cost`].
+//! (allocate → bind → send → pending → deliver). Pending and mask state
+//! live in per-domain `u64` bitmaps, as in Xen's shared-info page
+//! (`evtchn_pending`/`evtchn_mask`): port `p` is bit `p % 64` of word
+//! `p / 64`, so a drain tests 64 ports at a time. Delivery *costs* are
+//! charged by the caller through
+//! [`crate::abi::XenAbi::event_delivery_cost`].
 
 use crate::domain::DomainId;
 use crate::error::XenError;
@@ -12,6 +15,9 @@ use crate::error::XenError;
 /// Maximum ports per domain (Xen's 2-level ABI allows 4096 on x86-64;
 /// the model keeps the same bound).
 pub const MAX_PORTS: u32 = 4096;
+
+/// Ports per bitmap word.
+const WORD_BITS: u32 = u64::BITS;
 
 /// State of one event channel port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,19 +28,20 @@ enum PortState {
     Bound { peer: DomainId, peer_port: u32 },
 }
 
-#[derive(Debug, Clone)]
-struct Port {
-    state: PortState,
-    pending: bool,
-    masked: bool,
-}
-
 /// Per-domain event channel table. Ports are allocated sequentially and
-/// never freed, so the port number *is* the `Vec` index — every lookup
-/// on the send/deliver hot path is one bounds-checked array access.
+/// never freed, so the port number *is* the `Vec` index of its state and
+/// picks its word and bit in the two bitmaps, which grow one word per
+/// 64 ports.
 #[derive(Debug, Clone, Default)]
 struct DomainPorts {
-    ports: Vec<Port>,
+    ports: Vec<PortState>,
+    pending: Vec<u64>,
+    masked: Vec<u64>,
+}
+
+/// Word index and bit mask of `port` in a domain's bitmaps.
+fn word_bit(port: u32) -> (usize, u64) {
+    ((port / WORD_BITS) as usize, 1 << (port % WORD_BITS))
 }
 
 /// The hypervisor's event-channel subsystem.
@@ -52,7 +59,9 @@ struct DomainPorts {
 /// ev.bind(front, fp, back, bp)?;
 ///
 /// ev.send(back, bp)?;                    // backend notifies frontend
-/// assert_eq!(ev.take_pending(front), vec![fp]);
+/// let mut ports = Vec::new();
+/// ev.take_pending(front, &mut ports);
+/// assert_eq!(ports, [fp]);
 /// # Ok::<(), xc_xen::XenError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -86,11 +95,11 @@ impl EventChannels {
             return Err(XenError::NoFreePorts);
         }
         let port = table.ports.len() as u32;
-        table.ports.push(Port {
-            state: PortState::Unbound,
-            pending: false,
-            masked: false,
-        });
+        table.ports.push(PortState::Unbound);
+        if port.is_multiple_of(WORD_BITS) {
+            table.pending.push(0);
+            table.masked.push(0);
+        }
         Ok(port)
     }
 
@@ -109,30 +118,26 @@ impl EventChannels {
     ) -> Result<(), XenError> {
         // Validate both ends before mutating either.
         for (dom, port) in [(a, a_port), (b, b_port)] {
-            let p = self
-                .domains
-                .get(dom.0 as usize)
-                .and_then(|t| t.ports.get(port as usize))
-                .ok_or(XenError::BadEventPort(port))?;
-            if p.state != PortState::Unbound {
+            if self.table_mut(dom, port)?.ports[port as usize] != PortState::Unbound {
                 return Err(XenError::BadEventPort(port));
             }
         }
-        self.port_mut(a, a_port)?.state = PortState::Bound {
+        self.table_mut(a, a_port)?.ports[a_port as usize] = PortState::Bound {
             peer: b,
             peer_port: b_port,
         };
-        self.port_mut(b, b_port)?.state = PortState::Bound {
+        self.table_mut(b, b_port)?.ports[b_port as usize] = PortState::Bound {
             peer: a,
             peer_port: a_port,
         };
         Ok(())
     }
 
-    fn port_mut(&mut self, dom: DomainId, port: u32) -> Result<&mut Port, XenError> {
+    /// The table of `dom`, if it holds `port`.
+    fn table_mut(&mut self, dom: DomainId, port: u32) -> Result<&mut DomainPorts, XenError> {
         self.domains
             .get_mut(dom.0 as usize)
-            .and_then(|t| t.ports.get_mut(port as usize))
+            .filter(|t| (port as usize) < t.ports.len())
             .ok_or(XenError::BadEventPort(port))
     }
 
@@ -143,12 +148,12 @@ impl EventChannels {
     ///
     /// Returns [`XenError::BadEventPort`] for unbound ports.
     pub fn send(&mut self, dom: DomainId, port: u32) -> Result<(), XenError> {
-        let (peer, peer_port) = match self.port_mut(dom, port)?.state {
+        let (peer, peer_port) = match self.table_mut(dom, port)?.ports[port as usize] {
             PortState::Bound { peer, peer_port } => (peer, peer_port),
             PortState::Unbound => return Err(XenError::BadEventPort(port)),
         };
-        let p = self.port_mut(peer, peer_port)?;
-        p.pending = true;
+        let (word, bit) = word_bit(peer_port);
+        self.table_mut(peer, peer_port)?.pending[word] |= bit;
         self.sends += 1;
         Ok(())
     }
@@ -160,33 +165,46 @@ impl EventChannels {
     ///
     /// Returns [`XenError::BadEventPort`] for unknown ports.
     pub fn set_masked(&mut self, dom: DomainId, port: u32, masked: bool) -> Result<(), XenError> {
-        self.port_mut(dom, port)?.masked = masked;
+        let (word, bit) = word_bit(port);
+        let mask = &mut self.table_mut(dom, port)?.masked[word];
+        if masked {
+            *mask |= bit;
+        } else {
+            *mask &= !bit;
+        }
         Ok(())
     }
 
     /// Whether any unmasked event is pending for `dom` (the shared
     /// variable the guest polls, §4.2).
     pub fn has_pending(&self, dom: DomainId) -> bool {
-        self.domains
-            .get(dom.0 as usize)
-            .is_some_and(|t| t.ports.iter().any(|p| p.pending && !p.masked))
+        self.domains.get(dom.0 as usize).is_some_and(|t| {
+            t.pending
+                .iter()
+                .zip(&t.masked)
+                .any(|(pending, masked)| pending & !masked != 0)
+        })
     }
 
-    /// Takes (clears and returns) all unmasked pending ports for `dom`,
-    /// in port order.
-    pub fn take_pending(&mut self, dom: DomainId) -> Vec<u32> {
+    /// Takes (clears) every unmasked pending port of `dom` and writes
+    /// them to `out` in port order, replacing its contents. The drain
+    /// walks `pending & !masked` one word at a time, so a caller that
+    /// keeps one buffer drains without allocating.
+    pub fn take_pending(&mut self, dom: DomainId, out: &mut Vec<u32>) {
+        out.clear();
         let Some(table) = self.domains.get_mut(dom.0 as usize) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
-        for (port, p) in table.ports.iter_mut().enumerate() {
-            if p.pending && !p.masked {
-                p.pending = false;
-                out.push(port as u32);
+        for (word, (pending, masked)) in table.pending.iter_mut().zip(&table.masked).enumerate() {
+            let mut ready = *pending & !masked;
+            *pending &= masked;
+            let base = word as u32 * WORD_BITS;
+            while ready != 0 {
+                out.push(base + ready.trailing_zeros());
+                ready &= ready - 1;
             }
         }
         self.deliveries += out.len() as u64;
-        out
     }
 
     /// Fault-injection hook: clears `dom`'s pending bit on `port` as if
@@ -201,9 +219,10 @@ impl EventChannels {
     ///
     /// Returns [`XenError::BadEventPort`] for unknown ports.
     pub fn drop_pending(&mut self, dom: DomainId, port: u32) -> Result<bool, XenError> {
-        let p = self.port_mut(dom, port)?;
-        let was_pending = p.pending;
-        p.pending = false;
+        let (word, bit) = word_bit(port);
+        let pending = &mut self.table_mut(dom, port)?.pending[word];
+        let was_pending = *pending & bit != 0;
+        *pending &= !bit;
         if was_pending {
             self.drops += 1;
         }
@@ -213,9 +232,9 @@ impl EventChannels {
     /// Number of ports currently pending (masked or not) for `dom` — the
     /// outstanding side of the send/delivery conservation ledger.
     pub fn pending_count(&self, dom: DomainId) -> usize {
-        self.domains
-            .get(dom.0 as usize)
-            .map_or(0, |t| t.ports.iter().filter(|p| p.pending).count())
+        self.domains.get(dom.0 as usize).map_or(0, |t| {
+            t.pending.iter().map(|w| w.count_ones() as usize).sum()
+        })
     }
 
     /// Total sends performed.
@@ -248,13 +267,19 @@ mod tests {
         (ev, a, ap, b, bp)
     }
 
+    fn drain(ev: &mut EventChannels, dom: DomainId) -> Vec<u32> {
+        let mut ports = Vec::new();
+        ev.take_pending(dom, &mut ports);
+        ports
+    }
+
     #[test]
     fn send_sets_peer_pending() {
         let (mut ev, a, ap, b, bp) = setup();
         ev.send(a, ap).unwrap();
         assert!(ev.has_pending(b));
         assert!(!ev.has_pending(a));
-        assert_eq!(ev.take_pending(b), vec![bp]);
+        assert_eq!(drain(&mut ev, b), vec![bp]);
         assert!(!ev.has_pending(b));
     }
 
@@ -265,7 +290,7 @@ mod tests {
         ev.send(a, ap).unwrap();
         ev.send(a, ap).unwrap();
         ev.send(a, ap).unwrap();
-        assert_eq!(ev.take_pending(b).len(), 1);
+        assert_eq!(drain(&mut ev, b).len(), 1);
         assert_eq!(ev.sends(), 3);
         assert_eq!(ev.deliveries(), 1);
     }
@@ -276,10 +301,10 @@ mod tests {
         ev.set_masked(b, bp, true).unwrap();
         ev.send(a, ap).unwrap();
         assert!(!ev.has_pending(b));
-        assert!(ev.take_pending(b).is_empty());
+        assert!(drain(&mut ev, b).is_empty());
         ev.set_masked(b, bp, false).unwrap();
         assert!(ev.has_pending(b));
-        assert_eq!(ev.take_pending(b), vec![bp]);
+        assert_eq!(drain(&mut ev, b), vec![bp]);
     }
 
     #[test]
@@ -287,7 +312,7 @@ mod tests {
         let (mut ev, a, ap, b, bp) = setup();
         ev.send(b, bp).unwrap();
         assert!(ev.has_pending(a));
-        assert_eq!(ev.take_pending(a), vec![ap]);
+        assert_eq!(drain(&mut ev, a), vec![ap]);
     }
 
     #[test]
@@ -314,6 +339,9 @@ mod tests {
             ev.set_masked(DomainId(9), 7, true),
             Err(XenError::BadEventPort(7))
         );
+        let mut ports = vec![1, 2];
+        ev.take_pending(DomainId(9), &mut ports);
+        assert!(ports.is_empty(), "an unknown domain drains nothing");
     }
 
     #[test]
@@ -324,13 +352,13 @@ mod tests {
         assert_eq!(ev.pending_count(b), 1);
         assert_eq!(ev.drop_pending(b, bp), Ok(true));
         assert!(!ev.has_pending(b));
-        assert!(ev.take_pending(b).is_empty());
+        assert!(drain(&mut ev, b).is_empty());
         // Dropping an already-clear bit suppresses nothing.
         assert_eq!(ev.drop_pending(b, bp), Ok(false));
         assert_eq!(ev.drops(), 1);
         // Ledger: every send is delivered, dropped, or still pending.
         ev.send(a, ap).unwrap();
-        assert_eq!(ev.take_pending(b), vec![bp]);
+        assert_eq!(drain(&mut ev, b), vec![bp]);
         ev.send(a, ap).unwrap();
         assert_eq!(
             ev.sends(),

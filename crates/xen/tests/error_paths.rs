@@ -30,7 +30,9 @@ fn port_exhaustion_is_stable_and_per_domain() {
     ev.bind(full, 0, neighbor, np)
         .expect("bind survives exhaustion");
     ev.send(neighbor, np).expect("send survives exhaustion");
-    assert_eq!(ev.take_pending(full), vec![0]);
+    let mut drained = Vec::new();
+    ev.take_pending(full, &mut drained);
+    assert_eq!(drained, [0]);
 }
 
 #[test]

@@ -26,11 +26,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (workspace, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== runner determinism suite =="
+echo "== runner determinism suite (incl. panicking_cell_is_isolated_from_the_grid) =="
 cargo test -q -p xc-bench --test determinism
-
-echo "== panic isolation smoke: a poisoned cell must not abort the grid =="
-cargo test -q -p xc-bench --test determinism panicking_cell_is_isolated_from_the_grid
 
 echo "== golden table: every harness binary, --jobs 1 and 3 =="
 cargo test -q -p xc-bench --test golden

@@ -81,8 +81,9 @@ fn split_driver_handshake() {
         .unwrap();
     events.send(guest, fe_port).unwrap();
     assert!(events.has_pending(backend));
-    let pending = events.take_pending(backend);
-    assert_eq!(pending, vec![be_port]);
+    let mut pending = Vec::new();
+    events.take_pending(backend, &mut pending);
+    assert_eq!(pending, [be_port]);
     let copied = grants.copy(backend, gref, 1448).unwrap();
     assert_eq!(copied, 1448);
     events.send(backend, be_port).unwrap(); // completion interrupt
