@@ -480,6 +480,18 @@ impl World for ChaosWorld {
                 self.try_start(now, queue);
             }
         }
+        // Every handler that queues work or frees a slot ends in
+        // `try_start`, so no work is left startable between events, and
+        // a `Deliver` that drains nothing can start nothing and draw
+        // nothing. The early returns above change no state.
+        debug_assert!(
+            self.waiting.is_empty()
+                || self.in_service.len() >= self.p.parallelism
+                || self.stalled
+                || self.crashed
+                || self.restarting,
+            "startable work left waiting after {event:?}"
+        );
     }
 }
 

@@ -38,7 +38,7 @@
 //! assert_eq!(sim.now(), Nanos::from_nanos(20));
 //! ```
 
-use crate::calendar::{key, key_time, CalendarQueue};
+use crate::calendar::{key, key_time, SortedQueue};
 use crate::time::Nanos;
 
 /// Simulation state that reacts to events.
@@ -46,10 +46,8 @@ use crate::time::Nanos;
 /// Implementors own *all* mutable state of a simulation; the engine owns the
 /// clock and the pending-event queue.
 pub trait World: Sized {
-    /// The event type driving this world (usually an enum). `'static`
-    /// because the event queue recycles its storage per event type (see
-    /// [`crate::calendar`]).
-    type Event: 'static;
+    /// The event type driving this world (usually an enum).
+    type Event;
 
     /// Handles one event at simulated time `now`.
     ///
@@ -65,44 +63,38 @@ pub trait World: Sized {
 /// scheduling into the past is a logic error and panics, because it would
 /// silently corrupt causality.
 ///
-/// Storage is a [`CalendarQueue`] (see [`crate::calendar`]): events are
-/// keyed by `(time, seq)` packed into a `u128`, and the wheel pops keys
-/// in the same strictly ascending order the previous binary heap did,
-/// with O(1) amortised push/pop instead of O(log n).
+/// Storage is a [`SortedQueue`] (see [`crate::calendar`]): events are
+/// keyed by `(time, seq)` packed into a `u128` and kept sorted by key in
+/// one buffer, so a pop takes the next event off its end.
 #[derive(Default)]
-pub struct EventQueue<E: 'static> {
-    cal: CalendarQueue<E>,
+pub struct EventQueue<E> {
+    sorted: SortedQueue<E>,
     seq: u64,
     now: Nanos,
 }
 
-impl<E: 'static> EventQueue<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            cal: CalendarQueue::new(),
+            sorted: SortedQueue::new(),
             seq: 0,
             now: Nanos::ZERO,
         }
     }
 
     /// Creates an empty queue with room for `capacity` pending events
-    /// before the open bucket reallocates.
+    /// before the buffer reallocates.
     ///
     /// Closed-loop workloads know their steady-state queue depth up front
     /// (roughly one in-flight event per connection plus one per busy
     /// worker); pre-sizing removes every mid-run growth.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            cal: CalendarQueue::with_capacity(capacity),
+            sorted: SortedQueue::with_capacity(capacity),
             seq: 0,
             now: Nanos::ZERO,
         }
-    }
-
-    /// Reserves room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.cal.reserve(additional);
     }
 
     /// Current simulated time.
@@ -112,12 +104,12 @@ impl<E: 'static> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.cal.len()
+        self.sorted.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.cal.is_empty()
+        self.sorted.is_empty()
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -134,7 +126,7 @@ impl<E: 'static> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.cal.push(key(at, seq), event);
+        self.sorted.push(key(at, seq), event);
     }
 
     /// Schedules `event` after a relative `delay`.
@@ -144,17 +136,15 @@ impl<E: 'static> EventQueue<E> {
         self.schedule_at(at, event);
     }
 
-    /// The instant of the next pending event, if any. Takes `&mut self`
-    /// because finding the front may advance the wheel cursor; the
-    /// visible state (pending events, `now`) is unchanged.
+    /// The instant of the next pending event, if any.
     #[inline]
-    pub fn peek_at(&mut self) -> Option<Nanos> {
-        self.cal.peek_key().map(key_time)
+    pub fn peek_at(&self) -> Option<Nanos> {
+        self.sorted.peek_key().map(key_time)
     }
 
     #[inline]
     fn pop(&mut self) -> Option<(Nanos, E)> {
-        self.cal.pop().map(|(key, event)| {
+        self.sorted.pop().map(|(key, event)| {
             let at = key_time(key);
             debug_assert!(at >= self.now);
             self.now = at;
@@ -169,7 +159,7 @@ impl<E: 'static> EventQueue<E> {
     fn pop_due(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
         // Every seq at time `deadline` qualifies, so the limit key is
         // (deadline, u64::MAX).
-        self.cal
+        self.sorted
             .pop_due(key(deadline, u64::MAX))
             .map(|(key, event)| {
                 let at = key_time(key);
@@ -180,11 +170,11 @@ impl<E: 'static> EventQueue<E> {
     }
 }
 
-impl<E: 'static> std::fmt::Debug for EventQueue<E> {
+impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.cal.len())
+            .field("pending", &self.sorted.len())
             .finish()
     }
 }
@@ -194,7 +184,6 @@ impl<E: 'static> std::fmt::Debug for EventQueue<E> {
 pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
-    steps: u64,
 }
 
 impl<W: World> Simulation<W> {
@@ -203,7 +192,6 @@ impl<W: World> Simulation<W> {
         Simulation {
             world,
             queue: EventQueue::new(),
-            steps: 0,
         }
     }
 
@@ -213,7 +201,6 @@ impl<W: World> Simulation<W> {
         Simulation {
             world,
             queue: EventQueue::with_capacity(capacity),
-            steps: 0,
         }
     }
 
@@ -222,20 +209,9 @@ impl<W: World> Simulation<W> {
         self.queue.now()
     }
 
-    /// Total number of events processed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
     /// Shared access to the world.
     pub fn world(&self) -> &W {
         &self.world
-    }
-
-    /// Mutable access to the world (e.g. to inspect or seed state between
-    /// phases).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
     }
 
     /// Mutable access to the event queue (e.g. to schedule initial events).
@@ -253,7 +229,6 @@ impl<W: World> Simulation<W> {
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
             Some((at, event)) => {
-                self.steps += 1;
                 self.world.handle(at, event, &mut self.queue);
                 true
             }
@@ -271,7 +246,6 @@ impl<W: World> Simulation<W> {
     /// comes first. Events scheduled at exactly `deadline` are processed.
     pub fn run_until(&mut self, deadline: Nanos) -> Nanos {
         while let Some((at, event)) = self.queue.pop_due(deadline) {
-            self.steps += 1;
             self.world.handle(at, event, &mut self.queue);
         }
         // Advance the clock to the deadline even if the queue drained early,
@@ -280,16 +254,6 @@ impl<W: World> Simulation<W> {
             self.queue.now = deadline;
         }
         self.now()
-    }
-
-    /// Runs for at most `max_steps` additional events (a runaway backstop for
-    /// property tests). Returns the number of events processed.
-    pub fn run_steps(&mut self, max_steps: u64) -> u64 {
-        let mut n = 0;
-        while n < max_steps && self.step() {
-            n += 1;
-        }
-        n
     }
 }
 
@@ -356,7 +320,7 @@ mod tests {
         s.queue_mut().schedule_at(Nanos::ZERO, Ev::Chain(4));
         let end = s.run();
         assert_eq!(end, Nanos::from_nanos(20));
-        assert_eq!(s.steps(), 5);
+        assert_eq!(s.world().log.len(), 5);
     }
 
     #[test]
@@ -388,15 +352,6 @@ mod tests {
             .schedule_at(Nanos::from_nanos(10), Ev::Mark(1));
         s.run();
         s.queue_mut().schedule_at(Nanos::from_nanos(5), Ev::Mark(2));
-    }
-
-    #[test]
-    fn run_steps_backstop() {
-        let mut s = sim();
-        s.queue_mut().schedule_at(Nanos::ZERO, Ev::Chain(u32::MAX));
-        let n = s.run_steps(100);
-        assert_eq!(n, 100);
-        assert!(!s.queue.is_empty());
     }
 
     /// A handler that reschedules at the *current* instant mid-drain must
@@ -441,22 +396,23 @@ mod tests {
         assert_eq!(q.pop(), Some((Nanos::MAX, 4)));
     }
 
-    /// Events whose epochs collide on the same wheel residue (exactly one
-    /// window apart) must still fire in time order across the rollover.
+    /// Three chains keep rescheduling in front of a far-future event, so
+    /// each of their pushes moves the chains still pending; every event
+    /// fires in time order, the far one last.
     #[test]
-    fn wheel_epoch_rollover_preserves_order() {
-        let mut s = sim();
-        // ~4.2 ms apart: same ring residue at 4 µs × 1024 buckets.
-        let window = Nanos::from_nanos((1 << 12) * 1024);
+    fn far_future_event_fires_after_rescheduling_chains() {
+        let mut s = Simulation::with_capacity(Recorder { log: Vec::new() }, 4);
         s.queue_mut()
-            .schedule_at(Nanos::from_nanos(100), Ev::Mark(1));
-        s.queue_mut()
-            .schedule_at(Nanos::from_nanos(100) + window, Ev::Mark(2));
-        s.queue_mut()
-            .schedule_at(Nanos::from_nanos(100) + window * 2, Ev::Mark(3));
+            .schedule_at(Nanos::from_millis(1), Ev::Mark(u32::MAX));
+        for start in 0..3 {
+            s.queue_mut()
+                .schedule_at(Nanos::from_nanos(start), Ev::Chain(100));
+        }
         s.run();
-        let ids: Vec<u32> = s.world().log.iter().map(|&(_, id)| id).collect();
-        assert_eq!(ids, vec![1, 2, 3]);
+        let log = &s.world().log;
+        assert_eq!(log.len(), 3 * 101 + 1);
+        assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "time order");
+        assert_eq!(log.last(), Some(&(1_000_000, u32::MAX)));
     }
 
     #[test]
@@ -477,7 +433,6 @@ mod tests {
         for q in [&mut a, &mut b] {
             q.schedule_at(Nanos::from_nanos(3), 1);
             q.schedule_at(Nanos::from_nanos(1), 2);
-            q.reserve(16);
         }
         assert_eq!(a.pop(), b.pop());
         assert_eq!(a.pop(), Some((Nanos::from_nanos(3), 1)));

@@ -7,6 +7,8 @@
 //! * [`rng`] — deterministic pseudo-random number generation
 //!   ([`Rng`], SplitMix64 seeding + xoshiro256\*\* stream),
 //! * [`engine`] — a deterministic discrete-event simulation engine,
+//! * [`calendar`] — the engine's pending events, kept in one sorted
+//!   buffer, and the binary heap it is tested against,
 //! * [`fnv`] — the stable FNV-1a hash behind digests and fingerprints,
 //! * [`stats`] — streaming summaries and log-bucketed latency histograms,
 //! * [`cost`] — the primitive cost model all container architectures are

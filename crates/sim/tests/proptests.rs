@@ -2,7 +2,7 @@
 //! statistics invariants, and RNG bounds.
 
 use proptest::prelude::*;
-use xc_sim::calendar::{key, CalendarQueue, HeapQueue};
+use xc_sim::calendar::{key, HeapQueue, SortedQueue};
 use xc_sim::engine::{EventQueue, Simulation, World};
 use xc_sim::rng::Rng;
 use xc_sim::stats::{Histogram, Summary};
@@ -149,26 +149,26 @@ proptest! {
         }
     }
 
-    /// The calendar queue pops random interleaved schedules in exactly
-    /// the order the old binary heap did: same keys, same payloads, same
-    /// peeks, through pushes that land in the open bucket, the ring, and
-    /// the overflow heap (delays up to 2^36 ns span many windows).
+    /// The sorted queue pops random interleaved schedules in exactly the
+    /// order the binary heap does: same keys, same payloads, same peeks,
+    /// with delays from nanoseconds up to 2^36 ns, so pushes land at
+    /// every position of the buffer.
     #[test]
-    fn calendar_queue_matches_heap_on_random_interleaves(
+    fn sorted_queue_matches_heap_on_random_interleaves(
         ops in proptest::collection::vec((0u64..(1 << 36), any::<bool>()), 1..400),
     ) {
-        let mut cal = CalendarQueue::new();
+        let mut sorted = SortedQueue::new();
         let mut heap = HeapQueue::new();
         let mut now = 0u64;
         for (i, &(delay, pop)) in ops.iter().enumerate() {
             // Schedule relative to the last popped time, like the engine.
             let k = key(Nanos::from_nanos(now.saturating_add(delay)), i as u64);
-            cal.push(k, i as u32);
+            sorted.push(k, i as u32);
             heap.push(k, i as u32);
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(sorted.len(), heap.len());
             if pop {
-                prop_assert_eq!(cal.peek_key(), heap.peek_key());
-                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(sorted.peek_key(), heap.peek_key());
+                let (a, b) = (sorted.pop(), heap.pop());
                 prop_assert_eq!(a, b);
                 if let Some((k, _)) = a {
                     now = (k >> 64) as u64;
@@ -176,8 +176,8 @@ proptest! {
             }
         }
         loop {
-            prop_assert_eq!(cal.peek_key(), heap.peek_key());
-            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(sorted.peek_key(), heap.peek_key());
+            let (a, b) = (sorted.pop(), heap.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -185,32 +185,29 @@ proptest! {
         }
     }
 
-    /// The occupancy-bitmap advance agrees with the binary heap under
-    /// sparse and bursty schedules:
-    /// delays alternate between sub-µs bursts (events pile into one or
-    /// two buckets) and millisecond gaps (hundreds of empty buckets —
-    /// the regime where the bitmap scan, not the per-bucket probe, finds
-    /// the next occupied epoch).
+    /// The sorted queue agrees with the binary heap under sparse and
+    /// bursty schedules: delays alternate between sub-2 µs bursts, which
+    /// fire before most pending events, and 0.2–4 ms gaps, which mostly
+    /// fire after all of them.
     #[test]
-    fn calendar_queue_matches_heap_on_sparse_bursty_schedules(
+    fn sorted_queue_matches_heap_on_sparse_bursty_schedules(
         ops in proptest::collection::vec(
             (0u64..3_800_000, any::<bool>(), any::<bool>()),
             1..300,
         ),
     ) {
-        let mut cal = CalendarQueue::new();
+        let mut sorted = SortedQueue::new();
         let mut heap = HeapQueue::new();
         let mut now = 0u64;
         for (i, &(raw, burst, pop)) in ops.iter().enumerate() {
-            // Bimodal delays: bursts land within a bucket or two, gaps
-            // skip 50–1000 bucket widths.
+            // Bimodal delays: bursts within 2 µs, gaps of 0.2–4 ms.
             let delay = if burst { raw % 2_000 } else { 200_000 + raw };
             let k = key(Nanos::from_nanos(now.saturating_add(delay)), i as u64);
-            cal.push(k, i as u32);
+            sorted.push(k, i as u32);
             heap.push(k, i as u32);
             if pop {
-                prop_assert_eq!(cal.peek_key(), heap.peek_key());
-                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(sorted.peek_key(), heap.peek_key());
+                let (a, b) = (sorted.pop(), heap.pop());
                 prop_assert_eq!(a, b);
                 if let Some((k, _)) = a {
                     now = (k >> 64) as u64;
@@ -218,8 +215,8 @@ proptest! {
             }
         }
         loop {
-            prop_assert_eq!(cal.peek_key(), heap.peek_key());
-            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(sorted.peek_key(), heap.peek_key());
+            let (a, b) = (sorted.pop(), heap.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
