@@ -5,8 +5,10 @@
 //! application's analysis wall time goes to stderr, so stdout stays
 //! byte-identical across runs and `--jobs` values.
 //!
-//! `--profile` appends a per-library worklist profile of the
-//! abstract-interpretation fixpoint (pops, merges, phase wall times).
+//! `--profile` also writes a per-library profile of the verifier
+//! pipeline to stderr: the median wall time of each stage (disassembly,
+//! CFG, dataflow, call graph, summaries, abstract interpretation,
+//! judging), with the sweep, block and worklist-pop counts.
 
 use xc_bench::harness::verify_study;
 use xc_bench::record;
@@ -22,7 +24,7 @@ fn main() {
     }
     record("verify_study", &out.findings());
     if profile {
-        let rows = verify_study::worklist_profiles(&runner);
-        print!("\n{}", verify_study::render_worklist_profiles(&rows));
+        let rows = verify_study::stage_profiles(&runner);
+        eprint!("\n{}", verify_study::render_stage_profiles(&rows));
     }
 }

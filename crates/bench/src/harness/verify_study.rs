@@ -36,10 +36,7 @@ use xcontainers::abom::handler::XContainerKernel;
 use xcontainers::abom::offline::{OfflineConfig, OfflinePatcher};
 use xcontainers::abom::stats::AbomStats;
 use xcontainers::prelude::*;
-use xcontainers::verify::{
-    disassemble_image, reverify, summarize, AbsInt, CallGraph, Cfg, Summaries, Verifier,
-    VerifierConfig,
-};
+use xcontainers::verify::{reverify, summarize, PipelineProfile, Stage, Verifier, VerifierConfig};
 use xcontainers::workloads::table1::{table1_profiles, AppProfile};
 
 use crate::runner::Runner;
@@ -353,88 +350,82 @@ pub fn run(runner: &Runner) -> Output {
     run_with(runner, SYSCALLS_PER_APP, SEED)
 }
 
-/// One application's abstract-interpretation worklist profile (the
-/// `--profile` flag; see [`worklist_profiles`]).
+/// Timed runs per library behind each [`StageProfile`] (the median is
+/// reported, so one slow run does not move a row).
+pub const PROFILE_RUNS: usize = 15;
+
+/// One application's pipeline profile (the `--profile` flag; see
+/// [`stage_profiles`]).
 #[derive(Debug, Clone)]
-pub struct WorklistProfile {
+pub struct StageProfile {
     /// Table 1 application name.
     pub name: &'static str,
+    /// Instructions in the library's linear sweep.
+    pub insts: usize,
     /// Basic blocks in the library's CFG.
     pub blocks: usize,
-    /// Worklist pops (fixpoint iterations).
+    /// Abstract-interpretation worklist pops.
     pub pops: u64,
-    /// Edge-state merges attempted.
-    pub merges: u64,
-    /// Merges that moved the lattice and re-queued a block.
-    pub merges_changed: u64,
-    /// `AbsState`s physically copied; `cloned + shared` is what the
-    /// pre-copy-on-write driver cloned.
-    pub states_cloned: u64,
-    /// `AbsState`s adopted by arena id instead of cloned.
-    pub states_shared: u64,
-    /// Fixpoint-phase wall time — nondeterministic.
-    pub fixpoint_micros: f64,
-    /// Materialisation-phase wall time — nondeterministic.
-    pub materialize_micros: f64,
+    /// Median wall time of each stage over [`PROFILE_RUNS`] runs, in µs,
+    /// indexed by `Stage as usize` — nondeterministic.
+    pub stage_micros: [f64; 7],
+    /// Median wall time of the whole pipeline, in µs — nondeterministic.
+    pub total_micros: f64,
 }
 
-/// Profiles the abstract-interpretation fixpoint over the Table 1
-/// corpus: one `AbsInt::analyze_profiled` run per library, reporting
-/// worklist traffic and phase wall times. The counters are a pure
-/// function of each image; the µs columns are host noise, so the whole
-/// pass stays out of the findings.
-pub fn worklist_profiles(runner: &Runner) -> Vec<WorklistProfile> {
+/// The median of `xs` (upper median for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Profiles the verifier pipeline over the Table 1 corpus: for each
+/// library, [`PROFILE_RUNS`] runs of `Verifier::analyze_profiled`,
+/// reporting the median wall time of every stage plus the deterministic
+/// sizes and worklist pops. The µs columns are host noise, so the whole
+/// pass stays out of stdout and the findings.
+pub fn stage_profiles(runner: &Runner) -> Vec<StageProfile> {
     let profiles = table1_profiles();
     runner.run(profiles.len(), |i| {
         let p = &profiles[i];
         let image = p.library();
-        let d = disassemble_image(&image);
-        let cfg = Cfg::build(&d);
-        let cg = CallGraph::build(&d, &cfg);
-        let summaries = Summaries::build(&d, &cfg, &cg);
-        let (_, prof) = AbsInt::analyze_profiled(&d, &cfg, &cg, &summaries);
-        WorklistProfile {
+        let runs: Vec<_> = (0..PROFILE_RUNS)
+            .map(|_| Verifier::new().analyze_profiled(&image))
+            .collect();
+        let (analysis, first) = &runs[0];
+        let nanos = |f: &dyn Fn(&PipelineProfile) -> u64| {
+            median(runs.iter().map(|(_, prof)| f(prof) as f64 / 1e3).collect())
+        };
+        StageProfile {
             name: p.name,
-            blocks: cfg.blocks.len(),
-            pops: prof.pops,
-            merges: prof.merges,
-            merges_changed: prof.merges_changed,
-            states_cloned: prof.states_cloned,
-            states_shared: prof.states_shared,
-            fixpoint_micros: prof.fixpoint_nanos as f64 / 1e3,
-            materialize_micros: prof.materialize_nanos as f64 / 1e3,
+            insts: analysis.disasm.insts.len(),
+            blocks: analysis.cfg.blocks.len(),
+            pops: first.absint.pops,
+            stage_micros: Stage::ALL.map(|stage| nanos(&|prof| prof.nanos(stage))),
+            total_micros: nanos(&PipelineProfile::total_nanos),
         }
     })
 }
 
-/// Renders the `--profile` table appended after the study output.
-pub fn render_worklist_profiles(rows: &[WorklistProfile]) -> String {
+/// Renders the `--profile` table (the binary writes it to stderr).
+pub fn render_stage_profiles(rows: &[StageProfile]) -> String {
+    let mut headers = vec!["Application", "insts", "blocks", "pops"];
+    headers.extend(Stage::ALL.map(Stage::name));
+    headers.push("total");
     let mut table = Table::new(
-        "Worklist profile: abstract-interpretation fixpoint per library",
-        &[
-            "Application",
-            "blocks",
-            "pops",
-            "merges",
-            "changed",
-            "cloned",
-            "shared",
-            "fixpoint µs",
-            "materialize µs",
-        ],
+        "Verifier pipeline profile: median µs per stage and library",
+        &headers,
     );
     for r in rows {
-        table.row([
+        let mut cells = vec![
             Cell::from(r.name),
+            Cell::Num(r.insts as f64, 0),
             Cell::Num(r.blocks as f64, 0),
             Cell::Num(r.pops as f64, 0),
-            Cell::Num(r.merges as f64, 0),
-            Cell::Num(r.merges_changed as f64, 0),
-            Cell::Num(r.states_cloned as f64, 0),
-            Cell::Num(r.states_shared as f64, 0),
-            Cell::Num(r.fixpoint_micros, 1),
-            Cell::Num(r.materialize_micros, 1),
-        ]);
+        ];
+        cells.extend(r.stage_micros.map(|us| Cell::Num(us, 1)));
+        cells.push(Cell::Num(r.total_micros, 1));
+        table.row(cells);
     }
     let mut out = String::new();
     table.render_into(&mut out);

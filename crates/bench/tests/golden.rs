@@ -10,7 +10,10 @@
 //! finding outside its band (`tests/paper_claims.rs` groups the same
 //! findings into one test per claim). Grid
 //! harnesses run at `--jobs 1` and `-j 3` against one row, which pins
-//! worker-count invariance and both spellings of the flag. On a
+//! worker-count invariance and both spellings of the flag. A flag that
+//! only adds diagnostics on stderr (`verify_study --profile`) runs
+//! against the row of the plain case, which pins that it leaves stdout
+//! and the results file alone. On a
 //! mismatch the failure prints the whole corrected table: check that
 //! only the rows meant to move did, and paste it over
 //! `golden/outputs.txt`.
@@ -28,19 +31,23 @@ use xc_sim::report::Json;
 const TABLE: &str = include_str!("../golden/outputs.txt");
 
 /// One table row: the binary and the arguments that shape its output,
-/// and whether it runs a `Runner` grid (and so takes `--jobs`).
+/// whether it runs a `Runner` grid (and so takes `--jobs`), and flags
+/// that must leave its stdout and results file unchanged (the case also
+/// runs with each of them, against the same row).
 struct Case {
     key: &'static str,
     exe: &'static str,
     grid: bool,
+    same_with: &'static [&'static str],
 }
 
 macro_rules! case {
-    ($bin:literal $(, $arg:literal)*; $grid:expr) => {
+    ($bin:literal $(, $arg:literal)*; $grid:expr $(; $($same:literal),+)?) => {
         Case {
             key: concat!($bin $(, " ", $arg)*),
             exe: env!(concat!("CARGO_BIN_EXE_", $bin)),
             grid: $grid,
+            same_with: &[$($($same),+)?],
         }
     };
 }
@@ -51,7 +58,7 @@ const CASES: &[Case] = &[
     case!("fig5_micro"; true),
     case!("fig8_scalability"; true),
     case!("ablations"; true),
-    case!("verify_study"; true),
+    case!("verify_study"; true; "--profile"),
     case!("verify_lint"; true),
     case!("all_experiments"; true),
     case!("cluster_study"; true),
@@ -82,9 +89,12 @@ fn plan() -> Vec<Run> {
         } else {
             &[&[]]
         };
-        for j in jobs {
-            let args = [&args[..], j].concat();
-            runs.push(Run { case, args });
+        let extras = std::iter::once(&[][..]).chain(c.same_with.iter().map(std::slice::from_ref));
+        for extra in extras {
+            for j in jobs {
+                let args = [&args[..], extra, j].concat();
+                runs.push(Run { case, args });
+            }
         }
     }
     runs

@@ -35,7 +35,7 @@ use xc_isa::inst::{Inst, Reg};
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::disasm::Disassembly;
-use crate::profile::{NoProbe, Probe};
+use crate::profile::{AbsIntProfile, NoProbe, Probe};
 use crate::summaries::{reg_bit, RaxEffect, Summaries};
 
 /// Abstract value of one register or stack slot.
@@ -279,8 +279,8 @@ impl AbsInt {
         Self::analyze_with(disasm, cfg, cg, summaries, &mut NoProbe)
     }
 
-    /// Runs the fixpoint with a timing/counting probe attached,
-    /// returning the analysis plus its profile. [`AbsInt::analyze`]
+    /// Runs the fixpoint with a counting probe attached, returning the
+    /// analysis plus its worklist counters. [`AbsInt::analyze`]
     /// monomorphizes the same driver against a no-op probe, so the
     /// production path pays nothing for the instrumentation seam.
     pub fn analyze_profiled(
@@ -288,8 +288,8 @@ impl AbsInt {
         cfg: &Cfg,
         cg: &CallGraph,
         summaries: &Summaries,
-    ) -> (AbsInt, crate::profile::AbsIntProfile) {
-        let mut probe = crate::profile::AbsIntProfile::new();
+    ) -> (AbsInt, AbsIntProfile) {
+        let mut probe = AbsIntProfile::default();
         let out = Self::analyze_with(disasm, cfg, cg, summaries, &mut probe);
         (out, probe)
     }
@@ -311,7 +311,7 @@ impl AbsInt {
     /// [`Probe::state_shared`] account for (each share replaces what
     /// the pre-CoW driver cloned, so `cloned + shared` is the old clone
     /// count).
-    fn analyze_with<P: Probe>(
+    pub(crate) fn analyze_with<P: Probe>(
         disasm: &Disassembly,
         cfg: &Cfg,
         cg: &CallGraph,
@@ -409,7 +409,6 @@ impl AbsInt {
                 }
             }
         }
-        probe.fixpoint_done();
 
         // Converged: materialise per-instruction pre-states in order.
         // Instructions whose transfer left the state untouched share
@@ -444,7 +443,6 @@ impl AbsInt {
                 );
             }
         }
-        probe.materialize_done();
         AbsInt {
             states: arena,
             state_in,

@@ -82,7 +82,7 @@ pub use disasm::{disassemble_image, Disassembly};
 pub use lint::{
     lint_report, render_json, render_text, summarize, LintFinding, LintSummary, Severity,
 };
-pub use profile::AbsIntProfile;
+pub use profile::{AbsIntProfile, PipelineProfile, Stage};
 pub use report::{
     ReasonChain, SiteKind, SiteReport, UnknownReason, UnsafeReason, Verdict, VerifyReport,
 };

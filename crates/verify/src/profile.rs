@@ -1,14 +1,63 @@
-//! Self-timing probes for the abstract-interpretation fixpoint.
+//! Self-timing probes for the analysis pipeline.
 //!
-//! [`crate::AbsInt::analyze`] runs through a generic driver that calls
-//! into a [`Probe`] at the worklist's hot points. The default probe
-//! methods are empty `#[inline]` bodies and the production path
-//! monomorphizes against the [`NoProbe`] ZST, so the hooks compile to
-//! nothing unless a caller runs [`crate::AbsInt::analyze_profiled`] —
-//! the classic zero-cost instrumentation seam.
+//! [`crate::Verifier::analyze`] and [`crate::AbsInt::analyze`] run
+//! through generic drivers that call into a [`Probe`] after each pipeline
+//! stage and at the abstract interpreter's worklist hot points. The
+//! default probe methods are empty `#[inline]` bodies and the production
+//! path monomorphizes against the [`NoProbe`] ZST, so the hooks compile
+//! to nothing unless a caller runs [`crate::Verifier::analyze_profiled`]
+//! or [`crate::AbsInt::analyze_profiled`] — the classic zero-cost
+//! instrumentation seam.
 
-/// Observation points inside the worklist driver. Every method has an
-/// empty inlined default so a probe only pays for what it overrides.
+use std::time::Instant;
+
+/// The stages of one [`crate::Verifier::analyze`] run, in pipeline order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Linear sweep plus recursive descent ([`crate::disassemble_image`]).
+    Disasm,
+    /// Basic blocks and edges ([`crate::Cfg::build`]).
+    Cfg,
+    /// `%rax` and `%rcx` fixpoints ([`crate::Dataflow::run`]).
+    Dataflow,
+    /// Function heads, bodies and call edges ([`crate::CallGraph::build`]).
+    CallGraph,
+    /// Clobber masks and `%rax` effects ([`crate::Summaries::build`]).
+    Summaries,
+    /// The interprocedural worklist ([`crate::AbsInt::analyze`]).
+    AbsInt,
+    /// Per-site verdicts.
+    Judge,
+}
+
+impl Stage {
+    /// Every stage, in pipeline order (`ALL[s as usize] == s`).
+    pub const ALL: [Stage; 7] = [
+        Stage::Disasm,
+        Stage::Cfg,
+        Stage::Dataflow,
+        Stage::CallGraph,
+        Stage::Summaries,
+        Stage::AbsInt,
+        Stage::Judge,
+    ];
+
+    /// Short column name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Disasm => "disasm",
+            Stage::Cfg => "cfg",
+            Stage::Dataflow => "dataflow",
+            Stage::CallGraph => "callgraph",
+            Stage::Summaries => "summaries",
+            Stage::AbsInt => "absint",
+            Stage::Judge => "judge",
+        }
+    }
+}
+
+/// Observation points inside the pipeline. Every method has an empty
+/// inlined default so a probe only pays for what it overrides.
 pub(crate) trait Probe {
     /// A block was popped off the worklist (one fixpoint iteration).
     #[inline]
@@ -34,13 +83,11 @@ pub(crate) trait Probe {
     #[inline]
     fn state_shared(&mut self) {}
 
-    /// The worklist drained — the fixpoint phase is over.
+    /// `stage` finished.
     #[inline]
-    fn fixpoint_done(&mut self) {}
-
-    /// Per-instruction pre-states have been materialised.
-    #[inline]
-    fn materialize_done(&mut self) {}
+    fn stage_done(&mut self, stage: Stage) {
+        let _ = stage;
+    }
 }
 
 /// The production probe: every hook is a no-op, erased by inlining.
@@ -48,83 +95,104 @@ pub(crate) struct NoProbe;
 
 impl Probe for NoProbe {}
 
-mod timing {
-    use std::time::Instant;
+/// Worklist counters from one profiled abstract interpretation (see
+/// [`crate::AbsInt::analyze_profiled`]). They are a pure function of
+/// the image.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AbsIntProfile {
+    /// Worklist pops (fixpoint iterations).
+    pub pops: u64,
+    /// Edge-state merges attempted.
+    pub merges: u64,
+    /// Merges that moved the lattice and re-queued a block.
+    pub merges_changed: u64,
+    /// `AbsState`s physically copied (scratch refreshes plus arena
+    /// interns). `states_cloned + states_shared` is what the
+    /// pre-copy-on-write driver cloned.
+    pub states_cloned: u64,
+    /// `AbsState`s adopted by arena id instead of cloned.
+    pub states_shared: u64,
+}
 
-    /// Counters and phase wall times from one profiled analysis run
-    /// (see [`crate::AbsInt::analyze_profiled`]). Wall times are
-    /// host-dependent; the counters are deterministic per image.
-    #[derive(Debug, Clone)]
-    pub struct AbsIntProfile {
-        /// Worklist pops (fixpoint iterations).
-        pub pops: u64,
-        /// Edge-state merges attempted.
-        pub merges: u64,
-        /// Merges that moved the lattice and re-queued a block.
-        pub merges_changed: u64,
-        /// `AbsState`s physically copied (scratch refreshes plus arena
-        /// interns). `states_cloned + states_shared` is what the
-        /// pre-copy-on-write driver cloned.
-        pub states_cloned: u64,
-        /// `AbsState`s adopted by arena id instead of cloned.
-        pub states_shared: u64,
-        /// Wall time of the fixpoint phase, in nanoseconds.
-        pub fixpoint_nanos: u64,
-        /// Wall time of the materialisation phase, in nanoseconds.
-        pub materialize_nanos: u64,
-        started: Instant,
-        fixpoint_end: Option<Instant>,
+impl Probe for AbsIntProfile {
+    #[inline]
+    fn block_popped(&mut self) {
+        self.pops += 1;
     }
 
-    impl AbsIntProfile {
-        pub(crate) fn new() -> Self {
-            AbsIntProfile {
-                pops: 0,
-                merges: 0,
-                merges_changed: 0,
-                states_cloned: 0,
-                states_shared: 0,
-                fixpoint_nanos: 0,
-                materialize_nanos: 0,
-                started: Instant::now(),
-                fixpoint_end: None,
-            }
-        }
+    #[inline]
+    fn state_merged(&mut self, changed: bool) {
+        self.merges += 1;
+        self.merges_changed += u64::from(changed);
     }
 
-    impl super::Probe for AbsIntProfile {
-        #[inline]
-        fn block_popped(&mut self) {
-            self.pops += 1;
-        }
+    #[inline]
+    fn state_cloned(&mut self) {
+        self.states_cloned += 1;
+    }
 
-        #[inline]
-        fn state_merged(&mut self, changed: bool) {
-            self.merges += 1;
-            self.merges_changed += u64::from(changed);
-        }
-
-        #[inline]
-        fn state_cloned(&mut self) {
-            self.states_cloned += 1;
-        }
-
-        #[inline]
-        fn state_shared(&mut self) {
-            self.states_shared += 1;
-        }
-
-        fn fixpoint_done(&mut self) {
-            let now = Instant::now();
-            self.fixpoint_nanos = now.duration_since(self.started).as_nanos() as u64;
-            self.fixpoint_end = Some(now);
-        }
-
-        fn materialize_done(&mut self) {
-            let end = self.fixpoint_end.unwrap_or(self.started);
-            self.materialize_nanos = end.elapsed().as_nanos() as u64;
-        }
+    #[inline]
+    fn state_shared(&mut self) {
+        self.states_shared += 1;
     }
 }
 
-pub use timing::AbsIntProfile;
+/// Wall time of every stage of one [`crate::Verifier::analyze_profiled`]
+/// run, plus the abstract interpreter's worklist counters. The times are
+/// host-dependent; the counters are not.
+#[derive(Debug, Clone)]
+pub struct PipelineProfile {
+    /// Nanoseconds per stage, indexed by `Stage as usize`.
+    pub stage_nanos: [u64; 7],
+    /// The abstract interpreter's worklist counters.
+    pub absint: AbsIntProfile,
+    lap: Instant,
+}
+
+impl PipelineProfile {
+    pub(crate) fn start() -> Self {
+        PipelineProfile {
+            stage_nanos: [0; 7],
+            absint: AbsIntProfile::default(),
+            lap: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds spent in `stage`.
+    pub fn nanos(&self, stage: Stage) -> u64 {
+        self.stage_nanos[stage as usize]
+    }
+
+    /// Nanoseconds spent in the whole pipeline.
+    pub fn total_nanos(&self) -> u64 {
+        self.stage_nanos.iter().sum()
+    }
+}
+
+impl Probe for PipelineProfile {
+    #[inline]
+    fn block_popped(&mut self) {
+        self.absint.block_popped();
+    }
+
+    #[inline]
+    fn state_merged(&mut self, changed: bool) {
+        self.absint.state_merged(changed);
+    }
+
+    #[inline]
+    fn state_cloned(&mut self) {
+        self.absint.state_cloned();
+    }
+
+    #[inline]
+    fn state_shared(&mut self) {
+        self.absint.state_shared();
+    }
+
+    fn stage_done(&mut self, stage: Stage) {
+        let now = Instant::now();
+        self.stage_nanos[stage as usize] = now.duration_since(self.lap).as_nanos() as u64;
+        self.lap = now;
+    }
+}

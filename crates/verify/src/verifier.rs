@@ -8,6 +8,7 @@ use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::dataflow::{Dataflow, RaxValue};
 use crate::disasm::{disassemble_image, Disassembly};
+use crate::profile::{NoProbe, PipelineProfile, Probe, Stage};
 use crate::report::{
     ReasonChain, SiteKind, SiteReport, UnknownReason, UnsafeReason, Verdict, VerifyReport,
 };
@@ -81,15 +82,35 @@ impl Verifier {
         &self.config
     }
 
-    /// Runs the full pipeline — disassembly, CFG construction, dataflow —
-    /// and renders a verdict for every `syscall` site in `image`.
+    /// Runs the full pipeline — disassembly, CFG construction, dataflow,
+    /// call graph, summaries and abstract interpretation — and renders a
+    /// verdict for every `syscall` site in `image`.
     pub fn analyze(&self, image: &BinaryImage) -> Analysis {
+        self.analyze_with(image, &mut NoProbe)
+    }
+
+    /// [`Verifier::analyze`] with every stage timed (see [`Stage`]). The
+    /// analysis is the same; only the profile is extra.
+    pub fn analyze_profiled(&self, image: &BinaryImage) -> (Analysis, PipelineProfile) {
+        let mut profile = PipelineProfile::start();
+        let analysis = self.analyze_with(image, &mut profile);
+        (analysis, profile)
+    }
+
+    /// The pipeline behind both entry points.
+    fn analyze_with<P: Probe>(&self, image: &BinaryImage, probe: &mut P) -> Analysis {
         let disasm = disassemble_image(image);
+        probe.stage_done(Stage::Disasm);
         let cfg = Cfg::build(&disasm);
+        probe.stage_done(Stage::Cfg);
         let dataflow = Dataflow::run(&disasm, &cfg);
+        probe.stage_done(Stage::Dataflow);
         let callgraph = CallGraph::build(&disasm, &cfg);
+        probe.stage_done(Stage::CallGraph);
         let summaries = Summaries::build(&disasm, &cfg, &callgraph);
-        let absint = AbsInt::analyze(&disasm, &cfg, &callgraph, &summaries);
+        probe.stage_done(Stage::Summaries);
+        let absint = AbsInt::analyze_with(&disasm, &cfg, &callgraph, &summaries, probe);
+        probe.stage_done(Stage::AbsInt);
         let mut analysis = Analysis {
             config: self.config,
             disasm,
@@ -101,6 +122,7 @@ impl Verifier {
             report: VerifyReport::default(),
         };
         analysis.report = analysis.judge_all();
+        probe.stage_done(Stage::Judge);
         analysis
     }
 }

@@ -16,11 +16,17 @@ fn arb_cond() -> impl Strategy<Value = Cond> {
     prop_oneof![Just(Cond::E), Just(Cond::Ne)]
 }
 
+/// Base of the vsyscall page (unresolved `call *abs` destinations).
+const VSYSCALL_BASE: u64 = 0xffff_ffff_ff60_0000;
+
 /// Straight-line-ish function bodies: every instruction the number
 /// tracker models, plus short forward/backward branches so regions
 /// cross basic blocks. Branch offsets are small enough to stay inside
 /// the assembled body or degenerate into verdict-relevant escapes —
-/// both interesting to the analyzer, neither fatal to it.
+/// both interesting to the analyzer, neither fatal to it. Calls reach
+/// the call graph, the summaries and the upgrade path: `call rel32` with
+/// the same short reach as the branches, and `call *abs` to the first
+/// bytes of the body (in-image) or to the vsyscall page.
 fn arb_body_inst() -> impl Strategy<Value = Inst> {
     prop_oneof![
         Just(Inst::Nop),
@@ -42,6 +48,13 @@ fn arb_body_inst() -> impl Strategy<Value = Inst> {
         }),
         (arb_cond(), -16i8..16).prop_map(|(cond, rel)| Inst::JccRel8 { cond, rel }),
         (-16i8..16).prop_map(|rel| Inst::JmpRel8 { rel }),
+        (-24i32..24).prop_map(|rel| Inst::CallRel32 { rel }),
+        (0u64..48).prop_map(|off| Inst::CallAbsIndirect {
+            target: 0x40_0000 + off,
+        }),
+        (0u64..8).prop_map(|k| Inst::CallAbsIndirect {
+            target: VSYSCALL_BASE + 8 * k,
+        }),
     ]
 }
 

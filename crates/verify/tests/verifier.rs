@@ -6,7 +6,10 @@
 use xc_isa::asm::Assembler;
 use xc_isa::image::BinaryImage;
 use xc_isa::inst::{Cond, Inst, Reg};
-use xc_verify::{DetourHazard, SiteKind, UnknownReason, UnsafeReason, Verdict, Verifier};
+use xc_verify::{
+    disassemble_image, AbsInt, CallGraph, Cfg, DetourHazard, SiteKind, Summaries, UnknownReason,
+    UnsafeReason, Verdict, Verifier,
+};
 
 /// A small synthetic libc: one wrapper of every patchable shape, padded
 /// between functions like a linker would.
@@ -227,4 +230,89 @@ fn report_display_renders_every_site() {
     assert!(rendered.contains("4 sites: 4 safe, 0 unsafe, 0 unknown"));
     assert!(rendered.contains("[stack]"));
     assert!(rendered.contains("[immediate]"));
+}
+
+/// A low-address join with `rungs` rungs below it. Rung `k` sets `%rbx`
+/// to `k` and jumps back to the join, so every rung widens the join's
+/// `%rbx` interval by one constant and re-queues it. The worklist pops
+/// the lowest block first, so the join is popped once on entry and once
+/// after each rung: `rungs + 1` times. `%rdi` carries 39 from the entry
+/// through the join to a shim tail after the last rung. Returns the image
+/// and the tail's `syscall` address.
+fn visit_cap_ladder(rungs: u32) -> (BinaryImage, u64) {
+    let mut a = Assembler::new(0x40_0000);
+    a.label("entry").unwrap();
+    a.inst(Inst::MovImm32 {
+        reg: Reg::Rdi,
+        imm: 39,
+    });
+    a.inst(Inst::MovImm32 {
+        reg: Reg::Rbx,
+        imm: 0,
+    });
+    a.label("join").unwrap();
+    a.jcc_to(Cond::E, "rung_1");
+    for k in 1..=rungs {
+        a.label(&format!("rung_{k}")).unwrap();
+        a.inst(Inst::MovImm32 {
+            reg: Reg::Rbx,
+            imm: k,
+        });
+        a.jcc_to(Cond::E, &format!("rung_{}", k + 1));
+        a.jmp_to("join");
+    }
+    a.label(&format!("rung_{}", rungs + 1)).unwrap();
+    a.inst(Inst::MovRegReg64 {
+        dst: Reg::Rax,
+        src: Reg::Rdi,
+    });
+    let syscall_at = a.here();
+    a.inst(Inst::Syscall);
+    a.inst(Inst::Ret);
+    (a.finish().unwrap(), syscall_at)
+}
+
+/// Worklist pops of the abstract interpretation over `image`.
+fn absint_pops(image: &BinaryImage) -> u64 {
+    let d = disassemble_image(image);
+    let cfg = Cfg::build(&d);
+    let cg = CallGraph::build(&d, &cfg);
+    let summaries = Summaries::build(&d, &cfg, &cg);
+    AbsInt::analyze_profiled(&d, &cfg, &cg, &summaries).1.pops
+}
+
+#[test]
+fn block_visit_cap_widens_the_sixty_fifth_pop_to_top() {
+    // 63 rungs: the join is popped 64 times, within the cap, so `%rdi`
+    // reaches the shim as the constant 39 and the site upgrades. Pops:
+    // the entry once, the join and the first rung (its in-state is the
+    // join's out-state) 64 times each, every other rung, every back jump
+    // and the tail once: 1 + 64 + 64 + 62 + 63 + 1.
+    let (image, syscall_at) = visit_cap_ladder(63);
+    assert_eq!(absint_pops(&image), 255);
+    let report = Verifier::new().analyze(&image).report().clone();
+    let site = report.site(syscall_at).unwrap();
+    assert_eq!(site.verdict, Verdict::Safe);
+    assert_eq!(site.kind, SiteKind::PropagatedNumber);
+    assert_eq!(site.number, Some(39));
+    assert_eq!(site.mov_addr, Some(syscall_at - 3));
+
+    // 64 rungs: the join's 65th pop exceeds the cap and widens its whole
+    // in-state to Top, `%rdi` included. The widened state flows down every
+    // rung to the shim, which is left with no constant to propagate. Pops:
+    // the entry once, the join and the first rung 65 times each, every
+    // other rung and every back jump twice (before and after the
+    // widening), and the tail once, since it is still queued when the
+    // widened state reaches it: 1 + 65 + 65 + 2 * 63 + 2 * 64 + 1.
+    let (image, syscall_at) = visit_cap_ladder(64);
+    assert_eq!(absint_pops(&image), 386);
+    let report = Verifier::new().analyze(&image).report().clone();
+    let site = report.site(syscall_at).unwrap();
+    assert_eq!(
+        site.verdict,
+        Verdict::Unknown(UnknownReason::NumberNotConstant)
+    );
+    assert_eq!(site.kind, SiteKind::Other);
+    assert_eq!(site.chain.blocker, Some(syscall_at - 3));
+    assert_eq!(site.chain.definer, None);
 }
