@@ -321,7 +321,7 @@ fn is_vsyscall(addr: u64) -> bool {
 
 /// The map-based `reverify`, kept as the reference its linear-sweep
 /// replacement must agree with: it walks [`disassemble_image`]'s
-/// instruction map one address at a time.
+/// instructions one address at a time, looking each up by binary search.
 fn reverify_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
     let base = image.base();
     let text_end = base + text_len as u64;
@@ -330,14 +330,15 @@ fn reverify_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
     let mut report = ReverifyReport::default();
 
     // Classify vsyscall call sites in the text.
-    for (&at, d) in disasm.insts.range(base..text_end) {
+    let text = &disasm.insts()[disasm.ids_in(base..text_end)];
+    for &(at, d) in text {
         if let Inst::CallAbsIndirect { target } = d.inst {
             if !is_vsyscall(target) {
                 continue;
             }
             let next = at + d.len as u64;
             let nine = matches!(
-                disasm.insts.get(&next).map(|n| n.inst),
+                disasm.get(next).map(|n| n.inst),
                 Some(Inst::JmpRel8 { rel: -9 })
             );
             if nine {
@@ -350,7 +351,7 @@ fn reverify_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
 
     // Detour jumps: text JmpRel32 landing in the trampoline area.
     let mut targeted: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for (&at, d) in disasm.insts.range(base..text_end) {
+    for &(at, d) in text {
         if d.inst.branch_kind() == xc_isa::inst::BranchKind::DirectJump {
             if let Some(t) = d.inst.branch_target(at) {
                 if (text_end..area_end).contains(&t) {
@@ -364,7 +365,7 @@ fn reverify_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
     let mut tramp_spans: Vec<(u64, u64)> = Vec::new();
     let mut at = text_end;
     while at < area_end {
-        let Some(d) = disasm.insts.get(&at) else {
+        let Some(d) = disasm.get(at) else {
             // Undecodable byte inside the area: attribute it to whatever
             // trampoline walk failed below; just resync here.
             at += 1;
@@ -388,7 +389,7 @@ fn reverify_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
         let mut calls = 0usize;
         let mut returned = false;
         while at < area_end {
-            let Some(d) = disasm.insts.get(&at) else {
+            let Some(d) = disasm.get(at) else {
                 break;
             };
             match d.inst {
@@ -436,7 +437,7 @@ fn reverify_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
     }
 
     // Nothing may branch strictly into a trampoline.
-    for (&at, d) in &disasm.insts {
+    for &(at, d) in disasm.insts() {
         if let Some(t) = d.inst.branch_target(at) {
             for &(s, e) in &tramp_spans {
                 if t > s && t < e && !(s..e).contains(&at) {

@@ -398,8 +398,8 @@ pub fn stage_profiles(runner: &Runner) -> Vec<StageProfile> {
         };
         StageProfile {
             name: p.name,
-            insts: analysis.disasm.insts.len(),
-            blocks: analysis.cfg.blocks.len(),
+            insts: analysis.disasm.insts().len(),
+            blocks: analysis.cfg.blocks().len(),
             pops: first.absint.pops,
             stage_micros: Stage::ALL.map(|stage| nanos(&|prof| prof.nanos(stage))),
             total_micros: nanos(&PipelineProfile::total_nanos),

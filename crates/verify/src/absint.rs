@@ -196,15 +196,16 @@ impl AbsState {
 /// Result of the interprocedural pass.
 ///
 /// Pre-states are interned: `states` is a dense arena and `state_in`
-/// maps instruction addresses to arena ids, so the many program points
-/// that share one abstract state (every instruction that does not move
-/// the lattice) share one allocation instead of each holding a clone.
+/// maps instruction ids to arena ids, so the many program points that
+/// share one abstract state (every instruction that does not move the
+/// lattice) share one allocation instead of each holding a clone.
 #[derive(Debug, Clone, Default)]
 pub struct AbsInt {
     /// Interned abstract states (the copy-on-write arena).
     states: Vec<AbsState>,
-    /// Arena id of the pre-state of every reachable instruction.
-    state_in: BTreeMap<u64, u32>,
+    /// Per instruction id: the arena id of its pre-state, `None` where
+    /// the instruction was never reached.
+    state_in: Vec<Option<u32>>,
 }
 
 /// A block is re-queued at most this many times before its in-state is
@@ -217,9 +218,9 @@ const BLOCK_VISIT_CAP: u32 = 64;
 const STACK_WINDOW_SLOTS: u8 = 16;
 
 /// Bitset worklist over dense block ids. `pop_first` returns the lowest
-/// set id, so with ids assigned in ascending block-address order the
-/// scheduling is identical to the old `BTreeSet<u64>` pop-minimum — one
-/// cache line per 64 blocks instead of a node allocation per entry.
+/// set id; block ids ascend with block addresses, so the schedule pops
+/// the lowest queued address first — one cache line per 64 blocks
+/// instead of a node allocation per entry.
 struct Worklist {
     words: Vec<u64>,
     /// Lowest word index that may contain a set bit (monotone scan
@@ -257,15 +258,16 @@ impl Worklist {
 }
 
 impl AbsInt {
-    /// The interned pre-state of the instruction at `at`, if reached.
-    pub fn state_at(&self, at: u64) -> Option<&AbsState> {
-        self.state_in.get(&at).map(|&id| &self.states[id as usize])
+    /// The interned pre-state of instruction `inst` (an id), if reached.
+    pub fn state_at(&self, inst: usize) -> Option<&AbsState> {
+        let id = (*self.state_in.get(inst)?)?;
+        Some(&self.states[id as usize])
     }
 
-    /// The abstract `%rax` value just before the instruction at `at`
-    /// ([`AbsValue::Unreached`] if the point was never reached).
-    pub fn rax_at(&self, at: u64) -> AbsValue {
-        self.state_at(at)
+    /// The abstract `%rax` value just before instruction `inst` (an id;
+    /// [`AbsValue::Unreached`] if the point was never reached).
+    pub fn rax_at(&self, inst: usize) -> AbsValue {
+        self.state_at(inst)
             .map_or(AbsValue::Unreached, |s| s.reg(Reg::Rax))
     }
 
@@ -297,17 +299,16 @@ impl AbsInt {
     /// The worklist driver behind both entry points.
     ///
     /// Block in-states are *interned*: the arena (`AbsInt::states`)
-    /// holds the actual `AbsState`s and `block_in` maps dense block ids
-    /// (rank in ascending start-address order, binary search for the
-    /// lookup) to arena ids. The arena is copy-on-write — `owned[id]`
+    /// holds the actual `AbsState`s and `block_in` maps block ids to
+    /// arena ids. The arena is copy-on-write — `owned[id]`
     /// says whether block `id` is the sole referent of its slot. When a
     /// popped block's transfer chain leaves the state untouched (the
     /// per-pop dirty bit stays clear), successors receive the in-state
     /// *by id* instead of by clone, and both sides drop ownership so a
     /// later join interns a fresh slot rather than mutating a shared
-    /// one. Join order, widening points and the pop schedule are
-    /// exactly the old `BTreeSet<u64>`-pop-minimum behaviour; only the
-    /// clone traffic changes, which [`Probe::state_cloned`] /
+    /// one. Join order, widening points and the pop schedule
+    /// (lowest block id first) do not depend on the sharing; only the
+    /// clone traffic does, which [`Probe::state_cloned`] /
     /// [`Probe::state_shared`] account for (each share replaces what
     /// the pre-CoW driver cloned, so `cloned + shared` is the old clone
     /// count).
@@ -319,15 +320,14 @@ impl AbsInt {
         probe: &mut P,
     ) -> AbsInt {
         let window = u16::from(STACK_WINDOW_SLOTS) * 8;
-        let starts: Vec<u64> = cfg.blocks.keys().copied().collect();
-        let id_of = |addr: u64| starts.binary_search(&addr).ok();
-        let mut arena: Vec<AbsState> = Vec::with_capacity(starts.len());
-        let mut block_in: Vec<Option<u32>> = vec![None; starts.len()];
-        let mut owned: Vec<bool> = vec![false; starts.len()];
-        let mut visits: Vec<u32> = vec![0; starts.len()];
-        let mut work = Worklist::new(starts.len());
+        let blocks = cfg.blocks.len();
+        let mut arena: Vec<AbsState> = Vec::with_capacity(blocks);
+        let mut block_in: Vec<Option<u32>> = vec![None; blocks];
+        let mut owned: Vec<bool> = vec![false; blocks];
+        let mut visits: Vec<u32> = vec![0; blocks];
+        let mut work = Worklist::new(blocks);
         for &e in &disasm.entries {
-            if let Some(id) = id_of(e) {
+            if let Some(id) = cfg.block_at(e) {
                 if block_in[id].is_none() {
                     arena.push(AbsState::top());
                     block_in[id] = Some((arena.len() - 1) as u32);
@@ -358,12 +358,11 @@ impl AbsInt {
             let in_id = block_in[id].expect("queued block has a state");
             scratch.clone_from(&arena[in_id as usize]);
             probe.state_cloned();
-            let start = starts[id];
-            let block = &cfg.blocks[&start];
+            let block = &cfg.blocks[id];
             let mut dirty = false;
-            for &at in &block.insts {
-                let d = &disasm.insts[&at];
-                if let Some(tid) = resolved_call_target(cg, at).and_then(id_of) {
+            for inst in block.insts.clone() {
+                let (at, d) = disasm.insts[inst];
+                if let Some(tid) = resolved_call_target(cg, inst, d.inst) {
                     let seed = scratch.call_seed();
                     let m = merge_into(
                         &mut arena,
@@ -382,30 +381,28 @@ impl AbsInt {
                         dirty |= tid == id;
                     }
                 }
-                dirty |= transfer(&mut scratch, d.inst, at, window, cg, summaries);
+                dirty |= transfer(&mut scratch, d.inst, inst, at, window, cg, summaries);
             }
             // A clean chain means the out-state *is* the in-state, so
             // successors may share its arena id.
             let out_id = if dirty { None } else { Some(in_id) };
-            for &succ in &block.succs {
-                if let Some(sid) = id_of(succ) {
-                    let m = merge_into(
-                        &mut arena,
-                        &mut block_in,
-                        &mut owned,
-                        probe,
-                        sid,
-                        &scratch,
-                        out_id,
-                    );
-                    if m.shared {
-                        // Two blocks now reference the slot; neither may
-                        // join into it in place.
-                        owned[id] = false;
-                    }
-                    if m.changed {
-                        work.insert(sid);
-                    }
+            for &sid in block.succs() {
+                let m = merge_into(
+                    &mut arena,
+                    &mut block_in,
+                    &mut owned,
+                    probe,
+                    sid,
+                    &scratch,
+                    out_id,
+                );
+                if m.shared {
+                    // Two blocks now reference the slot; neither may
+                    // join into it in place.
+                    owned[id] = false;
+                }
+                if m.changed {
+                    work.insert(sid);
                 }
             }
         }
@@ -414,16 +411,15 @@ impl AbsInt {
         // Instructions whose transfer left the state untouched share
         // the previous arena id; only a lattice-moving instruction
         // interns a fresh state.
-        let mut state_in = BTreeMap::new();
-        for (id, (start, block)) in cfg.blocks.iter().enumerate() {
-            debug_assert_eq!(*start, starts[id]);
+        let mut state_in = vec![None; disasm.insts.len()];
+        for (id, block) in cfg.blocks.iter().enumerate() {
             let Some(mut cur_id) = block_in[id] else {
                 continue;
             };
             scratch.clone_from(&arena[cur_id as usize]);
             probe.state_cloned();
             let mut dirty = false;
-            for &at in &block.insts {
+            for inst in block.insts.clone() {
                 if dirty {
                     arena.push(scratch.clone());
                     probe.state_cloned();
@@ -432,15 +428,9 @@ impl AbsInt {
                 } else {
                     probe.state_shared();
                 }
-                state_in.insert(at, cur_id);
-                dirty |= transfer(
-                    &mut scratch,
-                    disasm.insts[&at].inst,
-                    at,
-                    window,
-                    cg,
-                    summaries,
-                );
+                state_in[inst] = Some(cur_id);
+                let (at, d) = disasm.insts[inst];
+                dirty |= transfer(&mut scratch, d.inst, inst, at, window, cg, summaries);
             }
         }
         AbsInt {
@@ -520,17 +510,23 @@ fn merge_into<P: Probe>(
     outcome
 }
 
-/// Resolved in-image destination of a call instruction at `at`, if any.
-fn resolved_call_target(cg: &CallGraph, at: u64) -> Option<u64> {
-    cg.site_targets.get(&at).copied()
+/// Resolved callee head (block id) of instruction `id`, when it is a
+/// call that resolves in-image.
+fn resolved_call_target(cg: &CallGraph, id: usize, inst: Inst) -> Option<usize> {
+    match inst {
+        Inst::CallRel32 { .. } | Inst::CallAbsIndirect { .. } => cg.target_of(id),
+        _ => None,
+    }
 }
 
-/// One-instruction transfer function (mutates `state` in place).
-/// Returns whether the state actually moved — the copy-on-write driver
-/// uses this dirty bit to share untouched states by arena id.
+/// One-instruction transfer function for instruction `id` at `at`
+/// (mutates `state` in place). Returns whether the state actually moved
+/// — the copy-on-write driver uses this dirty bit to share untouched
+/// states by arena id.
 fn transfer(
     state: &mut AbsState,
     inst: Inst,
+    id: usize,
     at: u64,
     window: u16,
     cg: &CallGraph,
@@ -618,7 +614,7 @@ fn transfer(
             changed | state.clear_slots()
         }
         Inst::CallRel32 { .. } | Inst::CallAbsIndirect { .. } => {
-            let mut changed = match resolved_call_target(cg, at) {
+            let mut changed = match resolved_call_target(cg, id, inst) {
                 Some(target) => {
                     let s = summaries.summary(target);
                     let pre_rax = state.reg(Reg::Rax);
@@ -688,11 +684,10 @@ mod tests {
         (d, a)
     }
 
-    fn syscall_addrs(d: &Disassembly) -> Vec<u64> {
-        d.insts
-            .iter()
-            .filter(|(_, dec)| dec.inst == Inst::Syscall)
-            .map(|(&at, _)| at)
+    /// Instruction ids of every `syscall`.
+    fn syscall_ids(d: &Disassembly) -> Vec<usize> {
+        (0..d.insts.len())
+            .filter(|&id| d.insts[id].1.inst == Inst::Syscall)
             .collect()
     }
 
@@ -715,7 +710,7 @@ mod tests {
         a.inst(Inst::Syscall);
         a.inst(Inst::Ret);
         let (d, ai) = run(a);
-        let syscalls = syscall_addrs(&d);
+        let syscalls = syscall_ids(&d);
         assert_eq!(syscalls.len(), 1);
         assert_eq!(
             ai.rax_at(syscalls[0]),
@@ -751,7 +746,7 @@ mod tests {
         a.inst(Inst::Syscall);
         a.inst(Inst::Ret);
         let (d, ai) = run(a);
-        let syscalls = syscall_addrs(&d);
+        let syscalls = syscall_ids(&d);
         assert_eq!(ai.rax_at(syscalls[0]), AbsValue::Interval { lo: 0, hi: 60 });
     }
 
@@ -775,7 +770,7 @@ mod tests {
         a.inst(Inst::Syscall);
         a.inst(Inst::Ret);
         let (d, ai) = run(a);
-        let syscalls = syscall_addrs(&d);
+        let syscalls = syscall_ids(&d);
         assert_eq!(
             ai.rax_at(syscalls[0]),
             AbsValue::Const {
@@ -809,7 +804,7 @@ mod tests {
         a.inst(Inst::Syscall);
         a.inst(Inst::Ret);
         let (d, ai) = run(a);
-        let syscalls = syscall_addrs(&d);
+        let syscalls = syscall_ids(&d);
         assert_eq!(ai.rax_at(syscalls[0]), AbsValue::Top);
     }
 
@@ -832,8 +827,8 @@ mod tests {
         a.label("noisy").unwrap();
         a.inst(Inst::Syscall); // clobbers rax + rcx
         a.inst(Inst::Ret);
-        let (_, ai) = run(a);
-        let state = ai.state_at(after_call).unwrap();
+        let (d, ai) = run(a);
+        let state = ai.state_at(d.id_of(after_call).unwrap()).unwrap();
         // rax was clobbered by the callee's syscall; rbx survived.
         assert_eq!(state.reg(Reg::Rax), AbsValue::Top);
         assert_eq!(state.reg(Reg::Rbx).as_const(), Some(11));
@@ -846,7 +841,7 @@ mod tests {
         let first = a.here();
         a.inst(Inst::Syscall);
         a.inst(Inst::Ret);
-        let (_, ai) = run(a);
-        assert_eq!(ai.rax_at(first), AbsValue::Top);
+        let (d, ai) = run(a);
+        assert_eq!(ai.rax_at(d.id_of(first).unwrap()), AbsValue::Top);
     }
 }

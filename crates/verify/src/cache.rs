@@ -1,13 +1,14 @@
 //! Memoized analysis results, keyed by image *content*.
 //!
-//! The full pipeline — disassembly, CFG construction, dataflow, verdict
-//! judging — is a pure function of the image bytes, its entry offsets,
-//! and the verifier configuration, yet the hot paths that consume it
+//! The full pipeline — disassembly, CFG construction, dataflow, call
+//! graph, summaries, abstract interpretation, verdict judging — is a pure
+//! function of the image bytes, its symbol offsets, and the verifier
+//! configuration, yet the hot paths that consume it
 //! re-run it per query: the online patcher's pre-flight check analyzes
 //! the image on *every* trapped syscall, and the offline patcher
 //! re-analyzes an image the caller often just analyzed itself.
 //! [`AnalysisCache`] memoizes [`Verifier::analyze`] behind a content
-//! fingerprint of `(bytes, entry offsets, config)` — deliberately **not**
+//! fingerprint of `(bytes, symbol offsets, config)` — deliberately **not**
 //! the load address. The same function body mapped at two different bases
 //! is one analysis, so distinct patch sites over identical bodies share a
 //! single pipeline run instead of missing on the base.
@@ -56,11 +57,13 @@ use crate::report::{ReasonChain, SiteReport, UnknownReason, UnsafeReason, Verdic
 use crate::verifier::{Analysis, DetourHazard, Verifier};
 
 /// Content fingerprint of everything [`Verifier::analyze`] depends on
-/// *modulo translation*: length, byte content, the base-relative offsets
-/// of the image's entry symbols (they seed the recursive descent), and
-/// the verifier's configuration. The load address is deliberately
-/// excluded — the analysis of identical content is identical up to a
-/// uniform shift, which [`CachedAnalysis`] applies at query time.
+/// *modulo translation*: length, byte content, the sorted base-relative
+/// offsets of **every** symbol (entry points and local labels alike: all
+/// of them seed the recursive descent, and which of them are entries
+/// depends on the bytes), and the verifier's configuration. The load
+/// address is deliberately excluded — the analysis of identical content
+/// is identical up to a uniform shift, which [`CachedAnalysis`] applies
+/// at query time.
 fn fingerprint(verifier: &Verifier, image: &BinaryImage) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv1a_u64(h, image.len() as u64);
@@ -240,7 +243,7 @@ impl AnalysisCache {
     }
 
     /// Returns the memoized analysis of `image` under `verifier`, running
-    /// the full pipeline only when the `(bytes, entry offsets, config)`
+    /// the full pipeline only when the `(bytes, symbol offsets, config)`
     /// fingerprint has not been seen before — at *any* load address.
     pub fn analyze(&mut self, verifier: &Verifier, image: &BinaryImage) -> CachedAnalysis {
         let key = fingerprint(verifier, image);

@@ -14,111 +14,116 @@
 //! that is fine, every consumer of a body is conservative over a
 //! superset.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-
 use xc_isa::inst::Inst;
 
 use crate::cfg::Cfg;
 use crate::disasm::Disassembly;
 
-/// The call graph of one image.
+/// The call graph of one image, over the CFG's block ids and the
+/// disassembly's instruction ids.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
-    /// Function head addresses: entries plus resolved call targets.
-    pub nodes: BTreeSet<u64>,
-    /// Call-site address → resolved in-image destination. Sites whose
-    /// destination cannot be proven constant and in-image are *absent*
-    /// (the conservative escape set).
-    pub site_targets: BTreeMap<u64, u64>,
-    /// Call-site addresses with **no** resolvable in-image destination
-    /// (vsyscall-page and other external calls).
-    pub unresolved_sites: BTreeSet<u64>,
-    /// Function head → block start addresses of its intraprocedural body.
-    pub bodies: BTreeMap<u64, BTreeSet<u64>>,
-    /// Function head → heads of the functions it calls (resolved only).
-    pub callees: BTreeMap<u64, BTreeSet<u64>>,
-    /// Function head → whether its body contains an unresolved call.
-    pub has_unresolved_call: BTreeMap<u64, bool>,
+    /// Function heads (block ids), ascending: entries plus resolved call
+    /// targets.
+    pub(crate) nodes: Vec<usize>,
+    /// Resolved call sites as `(call instruction id, callee head block
+    /// id)`, ascending by instruction id. Sites whose destination cannot
+    /// be proven constant and in-image are *absent* (the conservative
+    /// escape set).
+    pub(crate) site_targets: Vec<(usize, usize)>,
+    /// Per node, index-aligned with `nodes`: the block ids of its
+    /// intraprocedural body, ascending.
+    pub(crate) bodies: Vec<Vec<usize>>,
+    /// Per node: the heads of the functions it calls (resolved only),
+    /// ascending.
+    pub(crate) callees: Vec<Vec<usize>>,
+    /// Per node: whether its body contains an unresolved call.
+    pub(crate) has_unresolved_call: Vec<bool>,
 }
 
 impl CallGraph {
     /// Builds the call graph from the disassembly and CFG.
     pub fn build(disasm: &Disassembly, cfg: &Cfg) -> CallGraph {
-        let mut site_targets = BTreeMap::new();
-        let mut unresolved_sites = BTreeSet::new();
-        for (&at, d) in &disasm.insts {
-            match d.inst {
+        let mut site_targets = Vec::new();
+        for (id, &(at, d)) in disasm.insts.iter().enumerate() {
+            let target = match d.inst {
                 Inst::CallRel32 { .. } => {
                     let t = d.inst.branch_target(at).expect("call rel32 has target");
-                    if cfg.blocks.contains_key(&t) {
-                        site_targets.insert(at, t);
-                    } else {
-                        unresolved_sites.insert(at);
-                    }
+                    cfg.block_at(t)
                 }
-                Inst::CallAbsIndirect { target } => {
-                    // The indirect destination is a compile-time constant
-                    // encoded in the instruction; it resolves exactly when
-                    // it names an in-image block head.
-                    if (disasm.base()..disasm.end()).contains(&target)
-                        && cfg.blocks.contains_key(&target)
-                    {
-                        site_targets.insert(at, target);
-                    } else {
-                        unresolved_sites.insert(at);
-                    }
-                }
-                _ => {}
+                // The indirect destination is a compile-time constant
+                // encoded in the instruction; it resolves exactly when
+                // it names an in-image block head.
+                Inst::CallAbsIndirect { target } => cfg.block_at(target),
+                _ => continue,
+            };
+            if let Some(head) = target {
+                site_targets.push((id, head));
             }
         }
 
-        let mut nodes: BTreeSet<u64> = disasm
+        let mut nodes: Vec<usize> = disasm
             .entries
             .iter()
-            .copied()
-            .filter(|e| cfg.blocks.contains_key(e))
+            .filter_map(|&e| cfg.block_at(e))
+            .chain(site_targets.iter().map(|&(_, head)| head))
             .collect();
-        nodes.extend(site_targets.values().copied());
+        nodes.sort_unstable();
+        nodes.dedup();
 
         let mut cg = CallGraph {
-            nodes,
             site_targets,
-            unresolved_sites,
             ..CallGraph::default()
         };
-        for &head in &cg.nodes.clone() {
-            let body = cg.body_blocks(head, cfg);
-            let mut callees = BTreeSet::new();
+        // `seen[b] == k + 1` marks block `b` as part of node `k`'s body.
+        let mut seen = vec![0usize; cfg.blocks.len()];
+        let mut stack = Vec::new();
+        for (k, &head) in nodes.iter().enumerate() {
+            let mut body = Vec::new();
+            stack.push(head);
+            while let Some(b) = stack.pop() {
+                if seen[b] == k + 1 {
+                    continue;
+                }
+                seen[b] = k + 1;
+                body.push(b);
+                stack.extend_from_slice(cfg.blocks[b].succs());
+            }
+            body.sort_unstable();
+            let mut callees = Vec::new();
             let mut unresolved = false;
-            for &start in &body {
-                for at in &cfg.blocks[&start].insts {
-                    if let Some(&t) = cg.site_targets.get(at) {
-                        callees.insert(t);
+            for &b in &body {
+                for id in cfg.blocks[b].insts.clone() {
+                    if !matches!(
+                        disasm.insts[id].1.inst,
+                        Inst::CallRel32 { .. } | Inst::CallAbsIndirect { .. }
+                    ) {
+                        continue;
                     }
-                    if cg.unresolved_sites.contains(at) {
-                        unresolved = true;
+                    match cg.target_of(id) {
+                        Some(t) => callees.push(t),
+                        None => unresolved = true,
                     }
                 }
             }
-            cg.bodies.insert(head, body);
-            cg.callees.insert(head, callees);
-            cg.has_unresolved_call.insert(head, unresolved);
+            callees.sort_unstable();
+            callees.dedup();
+            cg.bodies.push(body);
+            cg.callees.push(callees);
+            cg.has_unresolved_call.push(unresolved);
         }
+        cg.nodes = nodes;
         cg
     }
 
-    /// Blocks reachable from `head` along intraprocedural edges.
-    fn body_blocks(&self, head: u64, cfg: &Cfg) -> BTreeSet<u64> {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![head];
-        while let Some(b) = stack.pop() {
-            if !cfg.blocks.contains_key(&b) || !seen.insert(b) {
-                continue;
-            }
-            stack.extend(cfg.blocks[&b].succs.iter().copied());
-        }
-        seen
+    /// The resolved callee head (block id) of the call instruction
+    /// `inst`, if it resolves.
+    pub fn target_of(&self, inst: usize) -> Option<usize> {
+        let i = self
+            .site_targets
+            .binary_search_by_key(&inst, |&(site, _)| site)
+            .ok()?;
+        Some(self.site_targets[i].1)
     }
 }
 
@@ -129,11 +134,22 @@ mod tests {
     use xc_isa::asm::Assembler;
     use xc_isa::inst::Reg;
 
-    fn graph_of(a: Assembler) -> (CallGraph, Cfg) {
+    fn graph_of(a: Assembler) -> (CallGraph, Cfg, Disassembly) {
         let image = a.finish().unwrap();
         let d = disassemble_image(&image);
         let cfg = Cfg::build(&d);
-        (CallGraph::build(&d, &cfg), cfg)
+        (CallGraph::build(&d, &cfg), cfg, d)
+    }
+
+    /// Index into `nodes` of the function headed by block `head`.
+    fn node(cg: &CallGraph, head: usize) -> Option<usize> {
+        cg.nodes.binary_search(&head).ok()
+    }
+
+    /// The resolved callee head address of the call at `site`.
+    fn target_addr(cg: &CallGraph, cfg: &Cfg, d: &Disassembly, site: u64) -> Option<u64> {
+        let head = cg.target_of(d.id_of(site)?)?;
+        Some(cfg.blocks[head].start)
     }
 
     #[test]
@@ -144,12 +160,14 @@ mod tests {
         a.inst(Inst::Ret);
         a.label("helper").unwrap();
         a.inst(Inst::Ret);
-        let (cg, _) = graph_of(a);
-        assert!(cg.nodes.contains(&0x1000));
-        let helper = *cg.site_targets.get(&0x1000).unwrap();
+        let (cg, cfg, d) = graph_of(a);
+        assert_eq!(cfg.block_at(0x1000), Some(0));
+        assert_eq!(node(&cg, 0), Some(0));
+        let helper = cg.target_of(0).unwrap();
+        assert_eq!(target_addr(&cg, &cfg, &d, 0x1000), Some(0x1006));
         assert!(cg.nodes.contains(&helper));
-        assert!(cg.callees[&0x1000].contains(&helper));
-        assert!(!cg.has_unresolved_call[&0x1000]);
+        assert_eq!(cg.callees[0], vec![helper]);
+        assert!(!cg.has_unresolved_call[0]);
     }
 
     #[test]
@@ -160,9 +178,9 @@ mod tests {
             target: 0xffff_ffff_ff60_0008,
         });
         a.inst(Inst::Ret);
-        let (cg, _) = graph_of(a);
-        assert!(cg.unresolved_sites.contains(&0x1000));
-        assert!(cg.has_unresolved_call[&0x1000]);
+        let (cg, _, d) = graph_of(a);
+        assert_eq!(cg.target_of(d.id_of(0x1000).unwrap()), None);
+        assert!(cg.has_unresolved_call[0]);
         assert!(cg.site_targets.is_empty());
     }
 
@@ -180,9 +198,9 @@ mod tests {
             imm: 1,
         });
         a.inst(Inst::Ret);
-        let (cg, _) = graph_of(a);
-        assert_eq!(cg.site_targets.get(&0x1000), Some(&0x1008));
-        assert!(cg.nodes.contains(&0x1008));
+        let (cg, cfg, d) = graph_of(a);
+        assert_eq!(target_addr(&cg, &cfg, &d, 0x1000), Some(0x1008));
+        assert!(node(&cg, cfg.block_at(0x1008).unwrap()).is_some());
     }
 
     #[test]
@@ -194,12 +212,18 @@ mod tests {
         a.label("helper").unwrap();
         a.inst(Inst::Nop);
         a.inst(Inst::Ret);
-        let (cg, cfg) = graph_of(a);
-        let helper_head = *cg.site_targets.get(&0x1000).unwrap();
-        let main_body = &cg.bodies[&0x1000];
+        let (cg, cfg, d) = graph_of(a);
+        let helper_head = cg.target_of(d.id_of(0x1000).unwrap()).unwrap();
+        let main_body = &cg.bodies[node(&cg, 0).unwrap()];
         // The callee's blocks are not part of the caller's body.
         assert!(!main_body.contains(&helper_head));
-        assert!(cg.bodies[&helper_head].contains(&helper_head));
-        assert!(cfg.blocks.contains_key(&helper_head));
+        assert_eq!(
+            cg.bodies[node(&cg, helper_head).unwrap()],
+            vec![helper_head]
+        );
+        assert_eq!(
+            target_addr(&cg, &cfg, &d, 0x1000),
+            Some(cfg.blocks[helper_head].start)
+        );
     }
 }

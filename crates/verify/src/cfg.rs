@@ -11,9 +11,12 @@
 //! Indirect call *destinations* (the vsyscall table) escape the image;
 //! they are collected in [`Cfg::indirect_sites`] so callers can reason
 //! about them conservatively.
+//!
+//! Blocks live in one start-sorted `Vec`, so a block's id is its index;
+//! each holds the range of instruction ids it covers and its successors'
+//! block ids. Every later stage runs its worklist over these ids.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 use xc_isa::inst::BranchKind;
 
@@ -50,18 +53,44 @@ pub struct BasicBlock {
     pub start: u64,
     /// One past the last byte of the last instruction.
     pub end: u64,
-    /// Instruction addresses, in order.
-    pub insts: Vec<u64>,
-    /// Successor block-start addresses.
-    pub succs: Vec<u64>,
+    /// Ids of the block's instructions (consecutive in the sweep).
+    pub insts: Range<usize>,
+    /// Successor block ids; a block ends in at most one branch, so it
+    /// has at most two (the taken side first).
+    succ: [usize; 2],
+    succ_len: u8,
+}
+
+impl BasicBlock {
+    /// Successor block ids, in edge order (a conditional branch's taken
+    /// side before its fall-through).
+    pub fn succs(&self) -> &[usize] {
+        &self.succ[..usize::from(self.succ_len)]
+    }
+
+    /// Id of the block's last instruction.
+    pub fn last(&self) -> usize {
+        self.insts.end - 1
+    }
+
+    fn add_succ(&mut self, block: usize) {
+        if !self.succs().contains(&block) {
+            self.succ[usize::from(self.succ_len)] = block;
+            self.succ_len += 1;
+        }
+    }
 }
 
 /// The control-flow graph of one image.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    /// Blocks keyed by start address.
-    pub blocks: BTreeMap<u64, BasicBlock>,
-    /// Every direct control-flow edge (complete, by the subset property).
+    /// Blocks in ascending start-address order; a block's id is its
+    /// index. The blocks partition the sweep: every instruction id lies
+    /// in exactly one block's range.
+    pub(crate) blocks: Vec<BasicBlock>,
+    /// Every direct control-flow edge (complete, by the subset property):
+    /// the instructions' own edges in address order, then the implicit
+    /// fall-throughs between blocks in block order.
     pub edges: Vec<Edge>,
     /// Addresses of `call *disp32` instructions — the only control
     /// transfers whose destination is not statically known. Destinations
@@ -71,19 +100,33 @@ pub struct Cfg {
 }
 
 impl Cfg {
-    /// Builds the CFG from the linear-sweep instruction map.
+    /// Builds the CFG from the linear-sweep instructions.
     ///
     /// Leaders are: the descent entry points, every direct branch target
-    /// that is a sweep boundary, and every address following a
-    /// block-terminating instruction (`ret`, `jmp`, `jcc`, `int3`, `ud2`,
-    /// or an undecodable gap).
+    /// that is a sweep boundary, every instruction following a
+    /// block-terminating instruction (`ret`, `jmp`, `jcc`, `int3`,
+    /// `ud2`), and every instruction following an undecodable gap.
     pub fn build(disasm: &Disassembly) -> Cfg {
-        let mut leaders: BTreeSet<u64> = disasm.entries.clone();
+        let insts = &disasm.insts;
+        let mut leader = vec![false; insts.len()];
+        let mark = |leader: &mut [bool], addr: u64| {
+            if let Some(id) = disasm.id_of(addr) {
+                leader[id] = true;
+            }
+        };
+        for &entry in &disasm.entries {
+            mark(&mut leader, entry);
+        }
         let mut edges = Vec::new();
         let mut indirect_sites = Vec::new();
-
-        for (&at, d) in &disasm.insts {
+        let mut prev_end = disasm.base();
+        for (id, &(at, d)) in insts.iter().enumerate() {
             let next = at + d.len as u64;
+            // Instructions right after a gap start a fresh block.
+            if at != prev_end {
+                leader[id] = true;
+            }
+            prev_end = next;
             match d.inst.branch_kind() {
                 BranchKind::DirectJump => {
                     let t = d.inst.branch_target(at).expect("direct jump has target");
@@ -92,8 +135,8 @@ impl Cfg {
                         target: t,
                         kind: EdgeKind::Jump,
                     });
-                    leaders.insert(t);
-                    leaders.insert(next);
+                    mark(&mut leader, t);
+                    mark(&mut leader, next);
                 }
                 BranchKind::ConditionalJump => {
                     let t = d.inst.branch_target(at).expect("jcc has target");
@@ -107,8 +150,8 @@ impl Cfg {
                         target: next,
                         kind: EdgeKind::FallThrough,
                     });
-                    leaders.insert(t);
-                    leaders.insert(next);
+                    mark(&mut leader, t);
+                    mark(&mut leader, next);
                 }
                 BranchKind::DirectCall => {
                     let t = d.inst.branch_target(at).expect("call rel32 has target");
@@ -117,108 +160,95 @@ impl Cfg {
                         target: t,
                         kind: EdgeKind::Call,
                     });
-                    leaders.insert(t);
+                    mark(&mut leader, t);
                     // A call does not end the block: control returns to
                     // the fall-through, which stays in the same block.
                 }
                 BranchKind::IndirectCall => indirect_sites.push(at),
-                BranchKind::Return | BranchKind::Trap => {
-                    leaders.insert(next);
-                }
+                BranchKind::Return | BranchKind::Trap => mark(&mut leader, next),
                 BranchKind::None => {}
             }
-            // An instruction bordering an undecodable gap ends its block.
-            if !disasm.is_boundary(next) && next < disasm.end() {
-                leaders.insert(next);
-            }
         }
-        // Instructions right after a gap start a fresh block.
-        for &gap in &disasm.undecodable {
-            if disasm.is_boundary(gap + 1) {
-                leaders.insert(gap + 1);
-            }
-        }
-        leaders.retain(|l| disasm.is_boundary(*l));
 
-        // Carve blocks between consecutive leaders.
-        let mut blocks = BTreeMap::new();
-        let leader_vec: Vec<u64> = leaders.iter().copied().collect();
-        for (i, &start) in leader_vec.iter().enumerate() {
-            let limit = leader_vec.get(i + 1).copied().unwrap_or(u64::MAX);
-            let mut insts = Vec::new();
-            let mut at = start;
-            let mut end = start;
-            let mut terminated = false;
-            while at < limit {
-                let Some(d) = disasm.insts.get(&at) else {
-                    break;
-                };
-                insts.push(at);
-                end = at + d.len as u64;
-                at = end;
-                if matches!(
+        // Carve blocks: each runs from a leader up to the next leader, a
+        // gap, or its first block-terminating instruction. The first
+        // instruction is the image base (an entry) or follows a gap, and
+        // every instruction after a terminator or a gap is a leader, so
+        // the blocks cover every instruction.
+        let mut blocks: Vec<BasicBlock> = Vec::new();
+        let mut id = 0;
+        while id < insts.len() {
+            let first = id;
+            let (terminated, end) = loop {
+                let (at, d) = insts[id];
+                id += 1;
+                let end = at + d.len as u64;
+                let terminated = matches!(
                     d.inst.branch_kind(),
                     BranchKind::DirectJump
                         | BranchKind::ConditionalJump
                         | BranchKind::Return
                         | BranchKind::Trap
-                ) {
-                    terminated = true;
-                    break;
+                );
+                let runs_on = insts.get(id).is_some_and(|&(a, _)| a == end) && !leader[id];
+                if terminated || !runs_on {
+                    break (terminated, end);
                 }
-            }
-            if insts.is_empty() {
-                continue;
-            }
+            };
             // Implicit fall-through into the next leader.
-            if !terminated && disasm.is_boundary(end) {
-                let last = *insts.last().expect("non-empty block");
+            if !terminated && insts.get(id).is_some_and(|&(a, _)| a == end) {
                 edges.push(Edge {
-                    src: last,
+                    src: insts[id - 1].0,
                     target: end,
                     kind: EdgeKind::FallThrough,
                 });
             }
-            blocks.insert(
-                start,
-                BasicBlock {
-                    start,
-                    end,
-                    insts,
-                    succs: Vec::new(),
-                },
-            );
+            blocks.push(BasicBlock {
+                start: insts[first].0,
+                end,
+                insts: first..id,
+                succ: [0; 2],
+                succ_len: 0,
+            });
         }
 
         // Resolve successor lists (call edges excluded: control returns).
+        // A non-call edge leaves from its block's last instruction.
         let mut cfg = Cfg {
             blocks,
             edges,
             indirect_sites,
         };
-        let succ_edges: Vec<(u64, u64)> = cfg
-            .edges
-            .iter()
-            .filter(|e| e.kind != EdgeKind::Call)
-            .map(|e| (e.src, e.target))
-            .collect();
-        for (src, target) in succ_edges {
-            if let Some(block_start) = cfg.block_of(src) {
-                if cfg.blocks.contains_key(&target) {
-                    let b = cfg.blocks.get_mut(&block_start).expect("block exists");
-                    if !b.succs.contains(&target) {
-                        b.succs.push(target);
-                    }
-                }
+        for i in 0..cfg.edges.len() {
+            let e = cfg.edges[i];
+            if e.kind == EdgeKind::Call {
+                continue;
+            }
+            if let (Some(from), Some(to)) = (cfg.block_of(e.src), cfg.block_at(e.target)) {
+                cfg.blocks[from].add_succ(to);
             }
         }
         cfg
     }
 
-    /// Start address of the block containing instruction `addr`.
-    pub fn block_of(&self, addr: u64) -> Option<u64> {
-        let (&start, b) = self.blocks.range(..=addr).next_back()?;
-        (addr < b.end).then_some(start)
+    /// The blocks in ascending start-address order; a block's id is its
+    /// index here.
+    pub fn blocks(&self) -> &[BasicBlock] {
+        &self.blocks
+    }
+
+    /// Id of the block starting at `addr`.
+    pub fn block_at(&self, addr: u64) -> Option<usize> {
+        self.blocks.binary_search_by_key(&addr, |b| b.start).ok()
+    }
+
+    /// Id of the block containing the instruction at `addr`.
+    pub fn block_of(&self, addr: u64) -> Option<usize> {
+        let id = self
+            .blocks
+            .partition_point(|b| b.start <= addr)
+            .checked_sub(1)?;
+        (addr < self.blocks[id].end).then_some(id)
     }
 
     /// All edges whose destination lies in `[lo, hi)`.
@@ -253,9 +283,11 @@ mod tests {
         a.inst(Inst::Ret);
         let cfg = cfg_of(a);
         assert_eq!(cfg.blocks.len(), 1);
-        let b = &cfg.blocks[&0x1000];
-        assert_eq!(b.insts.len(), 3);
-        assert!(b.succs.is_empty());
+        let b = &cfg.blocks[0];
+        assert_eq!(b.start, 0x1000);
+        assert_eq!(b.insts, 0..3);
+        assert!(b.succs().is_empty());
+        assert_eq!(cfg.block_of(0x1007), Some(0));
     }
 
     #[test]
@@ -276,10 +308,13 @@ mod tests {
         let cfg = cfg_of(a);
         // Blocks: [mov,test,jcc] [nop] [syscall,ret].
         assert_eq!(cfg.blocks.len(), 3);
-        let entry = &cfg.blocks[&0x1000];
-        assert_eq!(entry.succs.len(), 2);
-        let skip = cfg.blocks.keys().copied().nth(2).unwrap();
-        assert!(entry.succs.contains(&skip));
+        let entry = &cfg.blocks[0];
+        assert_eq!(entry.start, 0x1000);
+        // The taken side (skip) comes before the fall-through (nop).
+        assert_eq!(entry.succs(), [2, 1]);
+        assert_eq!(cfg.blocks[1].insts, 3..4);
+        assert_eq!(cfg.block_at(cfg.blocks[2].start), Some(2));
+        assert_eq!(cfg.block_at(cfg.blocks[2].start + 1), None);
     }
 
     #[test]
@@ -293,14 +328,14 @@ mod tests {
         a.label("helper").unwrap();
         a.inst(Inst::Ret);
         let cfg = cfg_of(a);
-        let main = &cfg.blocks[&0x1000];
+        let main = &cfg.blocks[0];
         // nop, call, nop, ret all in one block.
         assert_eq!(main.insts.len(), 4);
-        assert!(main.succs.is_empty());
+        assert!(main.succs().is_empty());
         assert!(cfg
             .edges
             .iter()
-            .any(|e| e.kind == EdgeKind::Call && cfg.blocks.contains_key(&e.target)));
+            .any(|e| e.kind == EdgeKind::Call && cfg.block_at(e.target).is_some()));
     }
 
     #[test]

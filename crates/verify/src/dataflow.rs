@@ -18,8 +18,6 @@
 //! `%rax` becomes [`RaxValue::Unknown`] and `%rcx` becomes live, each of
 //! which blocks a `Safe` verdict.
 
-use std::collections::BTreeMap;
-
 use xc_isa::inst::{Inst, Reg};
 
 use crate::cfg::Cfg;
@@ -89,78 +87,118 @@ impl RaxValue {
     }
 }
 
-/// Results of both dataflow passes, indexed by instruction address.
+/// Both dataflow facts at one `syscall` instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SyscallFacts {
+    /// Instruction id of the `syscall`.
+    pub inst: usize,
+    /// `%rax` value on entry to the `syscall`.
+    pub rax: RaxValue,
+    /// Whether `%rcx` is live after the `syscall` executes.
+    pub rcx_live_out: bool,
+}
+
+/// Results of both dataflow passes.
+///
+/// The fixpoints run per block; the verifier reads `%rax` and `%rcx`
+/// only at `syscall` instructions, so those are the only program points
+/// whose facts are kept, replayed from the block-level fixpoints.
 #[derive(Debug, Clone)]
 pub struct Dataflow {
-    /// `%rax` value *on entry to* each instruction.
-    pub rax_in: BTreeMap<u64, RaxValue>,
-    /// Whether `%rcx` is live *after* each instruction executes.
-    pub rcx_live_out: BTreeMap<u64, bool>,
+    /// Facts at every `syscall` instruction, ascending by instruction id
+    /// (every instruction lies in a block, so none is missing).
+    sites: Vec<SyscallFacts>,
 }
 
 impl Dataflow {
     /// Runs both analyses to fixpoint over `cfg`.
     pub fn run(disasm: &Disassembly, cfg: &Cfg) -> Dataflow {
-        let rax_in = rax_forward(disasm, cfg);
-        let rcx_live_out = rcx_backward(disasm, cfg);
-        Dataflow {
-            rax_in,
-            rcx_live_out,
+        let rax_block_in = rax_forward(disasm, cfg);
+        let rcx_block_out = rcx_backward(disasm, cfg);
+        let mut sites = Vec::new();
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            let first = sites.len();
+            let mut v = rax_block_in[b];
+            for id in block.insts.clone() {
+                let (at, d) = disasm.insts[id];
+                if d.inst == Inst::Syscall {
+                    sites.push(SyscallFacts {
+                        inst: id,
+                        rax: v,
+                        rcx_live_out: false,
+                    });
+                }
+                v = v.transfer(at, &d.inst);
+            }
+            let mut live = rcx_block_out[b];
+            let mut pending = sites.len();
+            for id in block.insts.clone().rev() {
+                if pending > first && sites[pending - 1].inst == id {
+                    pending -= 1;
+                    sites[pending].rcx_live_out = live;
+                }
+                live = rcx_step(live, &disasm.insts[id].1.inst);
+            }
         }
+        Dataflow { sites }
+    }
+
+    /// Facts at every `syscall` instruction, ascending by instruction id.
+    pub fn sites(&self) -> &[SyscallFacts] {
+        &self.sites
+    }
+
+    /// The facts at the `syscall` with instruction id `inst`, if it is
+    /// one.
+    pub fn at(&self, inst: usize) -> Option<&SyscallFacts> {
+        let i = self.sites.binary_search_by_key(&inst, |f| f.inst).ok()?;
+        Some(&self.sites[i])
     }
 }
 
-/// Forward worklist pass: `%rax` value at each instruction entry.
+/// Forward worklist pass: `%rax` value on entry to each block.
 ///
 /// Block-entry boundary conditions: descent entry points and direct-call
 /// targets start at `Unknown` (callers may pass anything); a block with no
 /// predecessors and no entry marking is unreachable and stays `Unreached`.
-fn rax_forward(disasm: &Disassembly, cfg: &Cfg) -> BTreeMap<u64, RaxValue> {
+/// The worklist starts with every block and pops the highest id first.
+fn rax_forward(disasm: &Disassembly, cfg: &Cfg) -> Vec<RaxValue> {
     use crate::cfg::EdgeKind;
 
-    let mut block_in: BTreeMap<u64, RaxValue> = BTreeMap::new();
-    for &start in cfg.blocks.keys() {
-        block_in.insert(start, RaxValue::Unreached);
-    }
+    let mut block_in = vec![RaxValue::Unreached; cfg.blocks.len()];
     for &entry in &disasm.entries {
-        block_in.insert(entry, RaxValue::Unknown);
+        if let Some(b) = cfg.block_at(entry) {
+            block_in[b] = RaxValue::Unknown;
+        }
     }
     for e in &cfg.edges {
-        if e.kind == EdgeKind::Call && cfg.blocks.contains_key(&e.target) {
-            block_in.insert(e.target, RaxValue::Unknown);
+        if e.kind == EdgeKind::Call {
+            if let Some(b) = cfg.block_at(e.target) {
+                block_in[b] = RaxValue::Unknown;
+            }
         }
     }
 
-    let mut worklist: Vec<u64> = cfg.blocks.keys().copied().collect();
-    let mut block_out: BTreeMap<u64, RaxValue> = BTreeMap::new();
-    let mut rax_in = BTreeMap::new();
-    while let Some(start) = worklist.pop() {
-        let block = &cfg.blocks[&start];
-        let mut v = block_in[&start];
-        for &at in &block.insts {
-            rax_in.insert(at, v);
-            v = v.transfer(at, &disasm.insts[&at].inst);
+    let mut worklist: Vec<usize> = (0..cfg.blocks.len()).collect();
+    let mut block_out: Vec<Option<RaxValue>> = vec![None; cfg.blocks.len()];
+    while let Some(b) = worklist.pop() {
+        let block = &cfg.blocks[b];
+        let mut v = block_in[b];
+        for &(at, d) in &disasm.insts[block.insts.clone()] {
+            v = v.transfer(at, &d.inst);
         }
-        let changed = block_out.insert(start, v) != Some(v);
-        if changed {
-            for &succ in &block.succs {
-                let joined = block_in[&succ].join(v);
-                if joined != block_in[&succ] {
-                    block_in.insert(succ, joined);
+        if block_out[b] != Some(v) {
+            block_out[b] = Some(v);
+            for &succ in block.succs() {
+                let joined = block_in[succ].join(v);
+                if joined != block_in[succ] {
+                    block_in[succ] = joined;
                     worklist.push(succ);
                 }
             }
         }
     }
-    // One final in-order pass so `rax_in` reflects the fixpoint `block_in`.
-    for (start, block) in &cfg.blocks {
-        let mut v = block_in[start];
-        for &at in &block.insts {
-            rax_in.insert(at, v);
-            v = v.transfer(at, &disasm.insts[&at].inst);
-        }
-    }
-    rax_in
+    block_in
 }
 
 /// `%rcx` access classification for the backward pass.
@@ -183,80 +221,78 @@ fn rcx_use_def(inst: &Inst) -> (bool, bool) {
     }
 }
 
-/// Backward worklist pass: is `%rcx` live after each instruction?
+/// `%rcx` liveness before `inst`, given its liveness after.
+fn rcx_step(live: bool, inst: &Inst) -> bool {
+    match rcx_use_def(inst) {
+        (true, _) => true,
+        (false, true) => false,
+        (false, false) => live,
+    }
+}
+
+/// Backward worklist pass: is `%rcx` live at each block's exit?
 ///
 /// Exit boundary conditions: dead at `ret` (caller-saved per SysV) and at
 /// traps; live when the block ends at an undecodable gap or falls off the
-/// image (we cannot see the continuation).
-fn rcx_backward(disasm: &Disassembly, cfg: &Cfg) -> BTreeMap<u64, bool> {
-    let mut block_out: BTreeMap<u64, bool> = BTreeMap::new();
-    for (&start, block) in &cfg.blocks {
-        let last = *block.insts.last().expect("blocks are non-empty");
-        let terminator = &disasm.insts[&last].inst;
-        let v = match terminator {
+/// image (we cannot see the continuation). The worklist starts with every
+/// block and pops the highest id first; a block whose entry liveness
+/// changes queues its predecessors in ascending id order.
+fn rcx_backward(disasm: &Disassembly, cfg: &Cfg) -> Vec<bool> {
+    let blocks = &cfg.blocks;
+    let exit_live: Vec<bool> = blocks
+        .iter()
+        .map(|block| match disasm.insts[block.last()].1.inst {
             Inst::Ret | Inst::Int3 | Inst::Ud2 => false,
             // Jumps / jcc: liveness flows from successors instead.
-            _ if !block.succs.is_empty() => false,
+            _ if !block.succs().is_empty() => false,
             // Block ends without successors for another reason (gap, image
             // edge, branch to a non-block address): assume live.
             _ => true,
-        };
-        block_out.insert(start, v);
-    }
+        })
+        .collect();
 
-    let mut preds_of: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for (&start, block) in &cfg.blocks {
-        for &s in &block.succs {
-            preds_of.entry(s).or_default().push(start);
+    // Predecessor lists, flattened: block `b`'s are
+    // `preds[pred_start[b]..pred_start[b + 1]]`, in ascending id order.
+    let mut pred_start = vec![0usize; blocks.len() + 1];
+    for block in blocks {
+        for &s in block.succs() {
+            pred_start[s + 1] += 1;
+        }
+    }
+    for b in 0..blocks.len() {
+        pred_start[b + 1] += pred_start[b];
+    }
+    let mut fill = pred_start.clone();
+    let mut preds = vec![0usize; pred_start[blocks.len()]];
+    for (b, block) in blocks.iter().enumerate() {
+        for &s in block.succs() {
+            preds[fill[s]] = b;
+            fill[s] += 1;
         }
     }
 
-    let mut block_in_live: BTreeMap<u64, bool> = BTreeMap::new();
-    let mut worklist: Vec<u64> = cfg.blocks.keys().copied().collect();
-    while let Some(start) = worklist.pop() {
-        let block = &cfg.blocks[&start];
-        let mut live = block_out[&start]
-            || block
-                .succs
+    let mut entry_live: Vec<Option<bool>> = vec![None; blocks.len()];
+    let live_at_exit = |entry_live: &[Option<bool>], b: usize| {
+        exit_live[b]
+            || blocks[b]
+                .succs()
                 .iter()
-                .any(|s| block_in_live.get(s).copied().unwrap_or(false));
-        for &at in block.insts.iter().rev() {
-            let (reads, writes) = rcx_use_def(&disasm.insts[&at].inst);
-            if writes {
-                live = false;
-            }
-            if reads {
-                live = true;
-            }
+                .any(|&s| entry_live[s].unwrap_or(false))
+    };
+    let mut worklist: Vec<usize> = (0..blocks.len()).collect();
+    while let Some(b) = worklist.pop() {
+        let mut live = live_at_exit(&entry_live, b);
+        for &(_, d) in disasm.insts[blocks[b].insts.clone()].iter().rev() {
+            live = rcx_step(live, &d.inst);
         }
-        let changed = block_in_live.insert(start, live) != Some(live);
-        if changed {
-            if let Some(preds) = preds_of.get(&start) {
-                worklist.extend(preds.iter().copied());
-            }
+        if entry_live[b] != Some(live) {
+            entry_live[b] = Some(live);
+            worklist.extend_from_slice(&preds[pred_start[b]..pred_start[b + 1]]);
         }
     }
-
-    // Final pass materializing per-instruction live-out.
-    let mut rcx_live_out = BTreeMap::new();
-    for (&start, block) in &cfg.blocks {
-        let mut live = block_out[&start]
-            || block
-                .succs
-                .iter()
-                .any(|s| block_in_live.get(s).copied().unwrap_or(false));
-        for &at in block.insts.iter().rev() {
-            rcx_live_out.insert(at, live);
-            let (reads, writes) = rcx_use_def(&disasm.insts[&at].inst);
-            if writes {
-                live = false;
-            }
-            if reads {
-                live = true;
-            }
-        }
-    }
-    rcx_live_out
+    (0..blocks.len())
+        .map(|b| live_at_exit(&entry_live, b))
+        .collect()
 }
 
 #[cfg(test)]
@@ -264,14 +300,34 @@ mod tests {
     use super::*;
     use crate::disasm::disassemble_image;
     use xc_isa::asm::Assembler;
+    use xc_isa::image::BinaryImage;
     use xc_isa::inst::Cond;
 
-    fn analyze(a: Assembler) -> (Disassembly, Cfg, Dataflow) {
-        let image = a.finish().unwrap();
-        let d = disassemble_image(&image);
-        let cfg = Cfg::build(&d);
-        let df = Dataflow::run(&d, &cfg);
-        (d, cfg, df)
+    /// The facts at each `syscall`, keyed by its address.
+    struct Facts(Disassembly, Dataflow);
+
+    impl Facts {
+        fn of(image: &BinaryImage) -> Facts {
+            let d = disassemble_image(image);
+            let df = Dataflow::run(&d, &Cfg::build(&d));
+            Facts(d, df)
+        }
+
+        fn at(&self, addr: u64) -> SyscallFacts {
+            *self.1.at(self.0.id_of(addr).unwrap()).unwrap()
+        }
+
+        fn rax(&self, addr: u64) -> RaxValue {
+            self.at(addr).rax
+        }
+
+        fn rcx_live_out(&self, addr: u64) -> bool {
+            self.at(addr).rcx_live_out
+        }
+    }
+
+    fn analyze(a: Assembler) -> Facts {
+        Facts::of(&a.finish().unwrap())
     }
 
     #[test]
@@ -284,9 +340,9 @@ mod tests {
         });
         a.inst(Inst::Syscall); // at 0x1005
         a.inst(Inst::Ret);
-        let (_, _, df) = analyze(a);
+        let df = analyze(a);
         assert_eq!(
-            df.rax_in[&0x1005],
+            df.rax(0x1005),
             RaxValue::Const {
                 nr: 39,
                 mov_addr: 0x1000,
@@ -294,7 +350,7 @@ mod tests {
             }
         );
         // rcx is clobber-dead: nothing reads it before the ret.
-        assert!(!df.rcx_live_out[&0x1005]);
+        assert!(!df.rcx_live_out(0x1005));
     }
 
     #[test]
@@ -314,11 +370,9 @@ mod tests {
         a.inst(Inst::Ret);
         let image = a.finish().unwrap();
         let syscall_at = image.symbol("skip").unwrap();
-        let d = disassemble_image(&image);
-        let cfg = Cfg::build(&d);
-        let df = Dataflow::run(&d, &cfg);
+        let df = Facts::of(&image);
         assert_eq!(
-            df.rax_in[&syscall_at],
+            df.rax(syscall_at),
             RaxValue::Const {
                 nr: 3,
                 mov_addr: 0x1000,
@@ -348,10 +402,8 @@ mod tests {
         a.inst(Inst::Ret);
         let image = a.finish().unwrap();
         let syscall_at = image.symbol("join").unwrap();
-        let d = disassemble_image(&image);
-        let cfg = Cfg::build(&d);
-        let df = Dataflow::run(&d, &cfg);
-        assert_eq!(df.rax_in[&syscall_at], RaxValue::MultipleDefs);
+        let df = Facts::of(&image);
+        assert_eq!(df.rax(syscall_at), RaxValue::MultipleDefs);
     }
 
     #[test]
@@ -369,9 +421,9 @@ mod tests {
         });
         a.inst(Inst::Syscall); // 0x100a
         a.inst(Inst::Ret);
-        let (_, _, df) = analyze(a);
-        assert_eq!(df.rax_in[&0x1003], RaxValue::Unknown);
-        assert_eq!(df.rax_in[&0x100a], RaxValue::Unknown);
+        let df = analyze(a);
+        assert_eq!(df.rax(0x1003), RaxValue::Unknown);
+        assert_eq!(df.rax(0x100a), RaxValue::Unknown);
     }
 
     #[test]
@@ -388,8 +440,8 @@ mod tests {
             src: Reg::Rcx,
         });
         a.inst(Inst::Ret);
-        let (_, _, df) = analyze(a);
-        assert!(df.rcx_live_out[&0x1005]);
+        let df = analyze(a);
+        assert!(df.rcx_live_out(0x1005));
     }
 
     #[test]
@@ -401,8 +453,8 @@ mod tests {
         a.inst(Inst::Ret);
         a.label("helper").unwrap();
         a.inst(Inst::Ret);
-        let (_, _, df) = analyze(a);
-        assert!(df.rcx_live_out[&0x1000]);
+        let df = analyze(a);
+        assert!(df.rcx_live_out(0x1000));
     }
 
     #[test]
@@ -419,7 +471,7 @@ mod tests {
             src: Reg::Rcx,
         });
         a.inst(Inst::Ret);
-        let (_, _, df) = analyze(a);
-        assert!(!df.rcx_live_out[&0x1000]);
+        let df = analyze(a);
+        assert!(!df.rcx_live_out(0x1000));
     }
 }

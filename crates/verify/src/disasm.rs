@@ -4,44 +4,60 @@
 //! [`sweep`] is the one resynchronizing linear sweep. Three passes read
 //! it: [`disassemble_image`], [`reverify`](crate::reverify::reverify)
 //! and the offline ABOM scanner. Here it yields the *authoritative*
-//! instruction map: every byte is either inside exactly one sweep
-//! instruction or recorded as undecodable. The recursive descent then
+//! instruction list: every byte is either inside exactly one sweep
+//! instruction or undecodable, in a gap between two of them (or after
+//! the last, for a truncated tail). The recursive descent then
 //! replays control flow from the image's entry points and cross-checks
 //! every direct branch destination against the sweep boundaries — a
 //! destination strictly inside a sweep instruction is an **overlapping
 //! decode**, the case the verifier must refuse to reason about (the same
 //! bytes have two valid readings; see `xc_isa::decode` tests for a
 //! constructed example).
+//!
+//! Every set the descent produces is a sorted `Vec` (entries,
+//! overlapping destinations) or a flag per instruction id
+//! (reachability), so no stage downstream keeps a map keyed by address.
+//! Undecodable bytes are not stored: they are the gaps between
+//! instructions that do not abut ([`Disassembly::prev_adjacent`],
+//! [`Disassembly::contiguous_code`]).
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 use xc_isa::decode::{decode, DecodeError, Decoded};
 use xc_isa::image::BinaryImage;
 
 /// The disassembled view of one image.
+///
+/// The sweep's instructions are the pipeline's dense id space: they sit
+/// in one address-sorted `Vec`, and an instruction's *id* is its index
+/// there. The CFG holds each block as a range of ids, the dataflow and
+/// the abstract interpreter index their facts by id, and an address is
+/// turned into an id by binary search ([`Disassembly::id_of`],
+/// [`Disassembly::enclosing`], [`Disassembly::ids_in`]). The sorted
+/// collections are read-only outside this crate, so the searches stay
+/// valid.
 #[derive(Debug, Clone)]
 pub struct Disassembly {
     base: u64,
     end: u64,
-    /// Linear-sweep instructions, keyed by address.
-    pub insts: BTreeMap<u64, Decoded>,
-    /// Bytes the sweep could not decode (padding bytes it resynced over,
-    /// or a truncated tail).
-    pub undecodable: BTreeSet<u64>,
-    /// External entry points: the image base plus every symbol that is
-    /// *not* the destination of an intra-image direct branch. A symbol
-    /// that is branched to is a local label (e.g. the `skip` label inside
-    /// a libpthread-style cancellable wrapper), not a place outside
+    /// Linear-sweep instructions in ascending address order; an
+    /// instruction's id is its index.
+    pub(crate) insts: Vec<(u64, Decoded)>,
+    /// External entry points, ascending: the image base plus every symbol
+    /// that is *not* the destination of an intra-image direct branch. A
+    /// symbol that is branched to is a local label (e.g. the `skip` label
+    /// inside a libpthread-style cancellable wrapper), not a place outside
     /// callers can enter — treating it as an entry would force the
     /// dataflow to assume arbitrary register state there.
-    pub entries: BTreeSet<u64>,
-    /// Instruction addresses proven reachable from the entry points by
-    /// following fall-throughs and direct branches.
-    pub reachable: BTreeSet<u64>,
+    pub(crate) entries: Vec<u64>,
+    /// Per instruction id: whether the instruction is proven reachable
+    /// from the entry points by following fall-throughs and direct
+    /// branches.
+    pub(crate) reachable: Vec<bool>,
     /// Direct-branch destinations that land strictly inside a sweep
-    /// instruction: destination → address of the enclosing instruction.
-    pub overlapping_targets: BTreeMap<u64, u64>,
+    /// instruction, as `(destination, id of the enclosing instruction)`,
+    /// ascending by destination.
+    pub(crate) overlapping_targets: Vec<(u64, usize)>,
 }
 
 impl Disassembly {
@@ -55,29 +71,87 @@ impl Disassembly {
         self.end
     }
 
-    /// The sweep instruction whose span contains `addr`, if any.
-    pub fn enclosing(&self, addr: u64) -> Option<(u64, Decoded)> {
-        let (&start, d) = self.insts.range(..=addr).next_back()?;
-        (start + d.len as u64 > addr).then_some((start, *d))
+    /// The sweep's instructions in ascending address order, each with
+    /// its address; an instruction's id is its index here.
+    pub fn insts(&self) -> &[(u64, Decoded)] {
+        &self.insts
     }
 
-    /// Whether `addr` is an instruction boundary in the sweep view.
-    pub fn is_boundary(&self, addr: u64) -> bool {
-        self.insts.contains_key(&addr)
+    /// External entry points, ascending.
+    pub fn entries(&self) -> &[u64] {
+        &self.entries
+    }
+
+    /// Address of instruction `id`.
+    pub fn addr(&self, id: usize) -> u64 {
+        self.insts[id].0
+    }
+
+    /// The id of the sweep instruction starting at `addr`, if any.
+    pub fn id_of(&self, addr: u64) -> Option<usize> {
+        self.insts.binary_search_by_key(&addr, |&(a, _)| a).ok()
+    }
+
+    /// The sweep instruction starting at `addr`, if any.
+    pub fn get(&self, addr: u64) -> Option<Decoded> {
+        self.id_of(addr).map(|id| self.insts[id].1)
+    }
+
+    /// Ids of the instructions whose addresses lie in `range`.
+    pub fn ids_in(&self, range: Range<u64>) -> Range<usize> {
+        let lo = self.insts.partition_point(|&(a, _)| a < range.start);
+        let hi = self.insts.partition_point(|&(a, _)| a < range.end);
+        lo..hi.max(lo)
+    }
+
+    /// The id of the sweep instruction whose span contains `addr`, if any.
+    pub fn enclosing(&self, addr: u64) -> Option<usize> {
+        let id = self
+            .insts
+            .partition_point(|&(a, _)| a <= addr)
+            .checked_sub(1)?;
+        let (start, d) = self.insts[id];
+        (start + d.len as u64 > addr).then_some(id)
+    }
+
+    /// The instruction that ends exactly where instruction `id` starts
+    /// (none when `id` follows an undecodable gap or starts the image).
+    pub fn prev_adjacent(&self, id: usize) -> Option<usize> {
+        let prev = id.checked_sub(1)?;
+        let (at, d) = self.insts[prev];
+        (at + d.len as u64 == self.insts[id].0).then_some(prev)
     }
 
     /// Whether every byte of `[start, end)` belongs to a contiguous run
     /// of sweep instructions beginning exactly at `start`. Returns the
     /// first offending address otherwise.
     pub fn contiguous_code(&self, start: u64, end: u64) -> Result<(), u64> {
-        let mut at = start;
-        while at < end {
-            match self.insts.get(&at) {
-                Some(d) => at += d.len as u64,
-                None => return Err(at),
+        if start >= end {
+            return Ok(());
+        }
+        let mut id = self.id_of(start).ok_or(start)?;
+        loop {
+            let (at, d) = self.insts[id];
+            let next = at + d.len as u64;
+            if next >= end {
+                return Ok(());
+            }
+            id += 1;
+            if self.insts.get(id).map(|&(a, _)| a) != Some(next) {
+                return Err(next);
             }
         }
-        Ok(())
+    }
+
+    /// The lowest overlapping branch destination in `range`, if any.
+    pub fn first_overlapping_target(&self, range: Range<u64>) -> Option<u64> {
+        let i = self
+            .overlapping_targets
+            .partition_point(|&(t, _)| t < range.start);
+        self.overlapping_targets
+            .get(i)
+            .map(|&(t, _)| t)
+            .filter(|t| range.contains(t))
     }
 }
 
@@ -107,75 +181,61 @@ pub fn sweep(
 pub fn disassemble_image(image: &BinaryImage) -> Disassembly {
     let base = image.base();
     let end = image.end();
-    let mut insts = BTreeMap::new();
-    let mut undecodable = BTreeSet::new();
 
-    // Pass 1: resynchronizing linear sweep.
-    for (at, decoded) in sweep(image) {
-        match decoded {
-            Ok(d) => {
-                insts.insert(at, d);
-            }
-            // The image ends mid-instruction; everything left is data.
-            Err(DecodeError::Truncated) => undecodable.extend(at..end),
-            Err(_) => {
-                undecodable.insert(at);
-            }
-        }
-    }
+    // Pass 1: resynchronizing linear sweep. Undecodable bytes (padding
+    // it resynced over, or a truncated tail) are the gaps left between
+    // the instructions it keeps.
+    let insts: Vec<(u64, Decoded)> = sweep(image)
+        .filter_map(|(at, decoded)| Some((at, decoded.ok()?)))
+        .collect();
 
     // Classify symbols: one that is also a direct branch destination is a
     // local label, not an external entry.
-    let mut direct_targets = BTreeSet::new();
-    for (&at, d) in &insts {
-        if let Some(t) = d.inst.branch_target(at) {
-            direct_targets.insert(t);
-        }
-    }
-    let mut entries: BTreeSet<u64> = BTreeSet::new();
-    entries.insert(base);
-    entries.extend(
-        image
-            .symbols()
-            .map(|(_, a)| a)
-            .filter(|a| !direct_targets.contains(a)),
-    );
-    entries.retain(|a| (base..end).contains(a));
+    let mut direct_targets: Vec<u64> = insts
+        .iter()
+        .filter_map(|&(at, d)| d.inst.branch_target(at))
+        .collect();
+    direct_targets.sort_unstable();
+    let symbols = || image.symbols().map(|(_, a)| a);
+    let mut entries: Vec<u64> = std::iter::once(base)
+        .chain(symbols().filter(|a| direct_targets.binary_search(a).is_err()))
+        .filter(|a| (base..end).contains(a))
+        .collect();
+    entries.sort_unstable();
+    entries.dedup();
 
     // Pass 2: recursive descent. Roots are the entries plus every symbol
     // (local labels too — reachability should not depend on the
-    // classification above).
-    let mut roots: BTreeSet<u64> = entries.clone();
-    roots.extend(image.symbols().map(|(_, a)| a));
-
+    // classification above), popped highest address first.
+    let mut worklist: Vec<u64> = entries.iter().copied().chain(symbols()).collect();
+    worklist.sort_unstable();
+    worklist.dedup();
     let mut disasm = Disassembly {
         base,
         end,
+        reachable: vec![false; insts.len()],
         insts,
-        undecodable,
         entries,
-        reachable: BTreeSet::new(),
-        overlapping_targets: BTreeMap::new(),
+        overlapping_targets: Vec::new(),
     };
-
-    let mut worklist: Vec<u64> = roots.into_iter().collect();
     while let Some(at) = worklist.pop() {
-        if !(base..end).contains(&at) || disasm.reachable.contains(&at) {
+        if !(base..end).contains(&at) {
             continue;
         }
-        let Some(d) = disasm.insts.get(&at).copied() else {
+        let Some(id) = disasm.id_of(at) else {
             // Not a sweep boundary: either the middle of an instruction
             // (overlapping decode) or an undecodable byte. Record and do
             // not descend further — no single reading of these bytes is
             // trustworthy.
-            if let Some((start, _)) = disasm.enclosing(at) {
-                if start != at {
-                    disasm.overlapping_targets.insert(at, start);
-                }
+            if let Some(id) = disasm.enclosing(at) {
+                disasm.overlapping_targets.push((at, id));
             }
             continue;
         };
-        disasm.reachable.insert(at);
+        if std::mem::replace(&mut disasm.reachable[id], true) {
+            continue;
+        }
+        let d = disasm.insts[id].1;
         if let Some(target) = d.inst.branch_target(at) {
             worklist.push(target);
         }
@@ -183,7 +243,8 @@ pub fn disassemble_image(image: &BinaryImage) -> Disassembly {
             worklist.push(at + d.len as u64);
         }
     }
-
+    disasm.overlapping_targets.sort_unstable();
+    disasm.overlapping_targets.dedup();
     disasm
 }
 
@@ -206,9 +267,12 @@ mod tests {
         let image = a.finish().unwrap();
         let d = disassemble_image(&image);
         assert_eq!(d.insts.len(), 3);
-        assert!(d.undecodable.is_empty());
-        assert_eq!(d.reachable.len(), 3);
+        assert_eq!(d.reachable, vec![true; 3]);
         assert!(d.contiguous_code(0x40_0000, 0x40_0000 + 8).is_ok());
+        assert_eq!(d.ids_in(0x40_0001..0x40_0007), 1..2);
+        assert_eq!(d.ids_in(0x40_0001..0x40_0008), 1..3);
+        assert_eq!(d.enclosing(0x40_0003), Some(0));
+        assert_eq!(d.prev_adjacent(1), Some(0));
     }
 
     #[test]
@@ -220,8 +284,9 @@ mod tests {
         let image = BinaryImage::new(0x1000, bytes);
         let d = disassemble_image(&image);
         assert_eq!(d.insts.len(), 2);
-        assert!(d.undecodable.contains(&0x1001));
         assert_eq!(d.contiguous_code(0x1000, 0x1003), Err(0x1001));
+        assert_eq!(d.enclosing(0x1001), None);
+        assert_eq!(d.prev_adjacent(1), None);
     }
 
     #[test]
@@ -252,7 +317,10 @@ mod tests {
         let image = BinaryImage::new(0x1000, bytes);
         let d = disassemble_image(&image);
         assert_eq!(d.insts.len(), 1);
-        assert_eq!(d.undecodable, BTreeSet::from([0x1001, 0x1002]));
+        // No instruction covers the two tail bytes.
+        assert_eq!(d.enclosing(0x1001), None);
+        assert_eq!(d.enclosing(0x1002), None);
+        assert_eq!(d.contiguous_code(0x1000, 0x1003), Err(0x1001));
     }
 
     #[test]
@@ -274,7 +342,9 @@ mod tests {
         image.add_symbol("evil", 0x1006);
 
         let d = disassemble_image(&image);
-        assert_eq!(d.overlapping_targets.get(&0x1001), Some(&0x1000));
+        assert_eq!(d.overlapping_targets, vec![(0x1001, 0)]);
+        assert_eq!(d.first_overlapping_target(0x1000..0x1005), Some(0x1001));
+        assert_eq!(d.first_overlapping_target(0x1002..0x1005), None);
     }
 
     #[test]
@@ -286,8 +356,7 @@ mod tests {
         a.inst(Inst::Nop);
         let image = a.finish().unwrap();
         let d = disassemble_image(&image);
-        assert!(d.is_boundary(0x1001));
-        assert!(d.reachable.contains(&0x1000));
-        assert!(!d.reachable.contains(&0x1001));
+        assert_eq!(d.id_of(0x1001), Some(1));
+        assert_eq!(d.reachable, vec![true, false]);
     }
 }

@@ -39,6 +39,16 @@
 //!    `sweep` is the one linear sweep, read by [`disassemble_image`],
 //!    `reverify` and the offline ABOM scan.
 //!
+//! Stages 1–5 share one dense id space. The disassembly keeps its sweep
+//! in one address-sorted `Vec`, and an instruction's id is its index;
+//! the CFG keeps its blocks in one start-sorted `Vec`, and a block's id
+//! is its index, holding its range of instruction ids and its
+//! successors' block ids. The dataflow, call graph, summaries and
+//! abstract interpretation run their worklists over those ids into
+//! `Vec`s. Addresses enter only at the edges — judging, the
+//! [`AnalysisCache`] views, the offline patcher — and become ids by
+//! binary search.
+//!
 //! # Example
 //!
 //! ```
@@ -77,7 +87,7 @@ pub use absint::{AbsInt, AbsState, AbsValue};
 pub use cache::{AnalysisCache, CachedAnalysis};
 pub use callgraph::CallGraph;
 pub use cfg::{BasicBlock, Cfg, Edge, EdgeKind};
-pub use dataflow::{Dataflow, RaxValue};
+pub use dataflow::{Dataflow, RaxValue, SyscallFacts};
 pub use disasm::{disassemble_image, Disassembly};
 pub use lint::{
     lint_report, render_json, render_text, summarize, LintFinding, LintSummary, Severity,

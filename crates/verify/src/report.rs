@@ -218,9 +218,14 @@ impl VerifyReport {
         t
     }
 
-    /// The record for the site at `syscall_addr`.
+    /// The record for the site at `syscall_addr` (a binary search: the
+    /// sites are in address order).
     pub fn site(&self, syscall_addr: u64) -> Option<&SiteReport> {
-        self.sites.iter().find(|s| s.syscall_addr == syscall_addr)
+        let i = self
+            .sites
+            .binary_search_by_key(&syscall_addr, |s| s.syscall_addr)
+            .ok()?;
+        Some(&self.sites[i])
     }
 }
 

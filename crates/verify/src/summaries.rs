@@ -21,8 +21,6 @@
 //!   gives [`RaxEffect::ArgReg`], and a function that provably never
 //!   writes `%rax` is [`RaxEffect::Preserved`].
 
-use std::collections::BTreeMap;
-
 use xc_isa::inst::{Inst, Reg};
 
 use crate::callgraph::CallGraph;
@@ -77,41 +75,43 @@ impl FnSummary {
 /// Summaries for every node of a call graph.
 #[derive(Debug, Clone, Default)]
 pub struct Summaries {
-    /// Function head → its summary.
-    pub by_fn: BTreeMap<u64, FnSummary>,
+    /// Summary per block id: a function head's own summary, and
+    /// [`FnSummary::UNRESOLVED`] for every other block.
+    by_block: Vec<FnSummary>,
 }
 
 impl Summaries {
-    /// Summary for `head`, conservatively [`FnSummary::UNRESOLVED`] for
-    /// unknown heads.
-    pub fn summary(&self, head: u64) -> FnSummary {
-        self.by_fn
-            .get(&head)
+    /// Summary of the function headed by block `head`, conservatively
+    /// [`FnSummary::UNRESOLVED`] for blocks that head no function.
+    pub fn summary(&self, head: usize) -> FnSummary {
+        self.by_block
+            .get(head)
             .copied()
             .unwrap_or(FnSummary::UNRESOLVED)
     }
 
     /// Computes summaries bottom-up to a fixpoint (capped at
     /// `MAX_SUMMARY_DEPTH` growth rounds, collapsing to
-    /// clobber-everything if the cap is hit before stability).
+    /// clobber-everything if the cap is hit before stability). Each round
+    /// visits the function heads in ascending order and reads the masks
+    /// and effects the round has already updated.
     pub fn build(disasm: &Disassembly, cfg: &Cfg, cg: &CallGraph) -> Summaries {
-        let own: BTreeMap<u64, u8> = cg
-            .nodes
-            .iter()
-            .map(|&head| (head, own_clobbers(head, disasm, cfg, cg)))
+        let own: Vec<u8> = (0..cg.nodes.len())
+            .map(|k| own_clobbers(k, disasm, cfg, cg))
             .collect();
-        let mut clobbers = own.clone();
+        let mut clobbers = vec![CLOBBER_ALL; cfg.blocks.len()];
+        for (k, &head) in cg.nodes.iter().enumerate() {
+            clobbers[head] = own[k];
+        }
         let mut stable = false;
         for _ in 0..MAX_SUMMARY_DEPTH {
             let mut changed = false;
-            for &head in &cg.nodes {
-                let mut mask = own[&head];
-                for callee in &cg.callees[&head] {
-                    mask |= clobbers.get(callee).copied().unwrap_or(CLOBBER_ALL);
-                }
-                let slot = clobbers.get_mut(&head).expect("seeded above");
-                if *slot != mask {
-                    *slot = mask;
+            for (k, &head) in cg.nodes.iter().enumerate() {
+                let mask = cg.callees[k]
+                    .iter()
+                    .fold(own[k], |mask, &callee| mask | clobbers[callee]);
+                if clobbers[head] != mask {
+                    clobbers[head] = mask;
                     changed = true;
                 }
             }
@@ -121,24 +121,17 @@ impl Summaries {
             }
         }
         if !stable {
-            for mask in clobbers.values_mut() {
-                *mask = CLOBBER_ALL;
-            }
+            clobbers.fill(CLOBBER_ALL);
         }
 
         // Effects start pessimistic, so every refinement round is sound
         // on its own and the cap needs no collapse step.
         let mut summaries = Summaries {
-            by_fn: clobbers
-                .iter()
-                .map(|(&head, &mask)| {
-                    (
-                        head,
-                        FnSummary {
-                            clobbers: mask,
-                            rax: RaxEffect::Unknown,
-                        },
-                    )
+            by_block: clobbers
+                .into_iter()
+                .map(|mask| FnSummary {
+                    clobbers: mask,
+                    rax: RaxEffect::Unknown,
                 })
                 .collect(),
         };
@@ -146,7 +139,7 @@ impl Summaries {
             let mut changed = false;
             for &head in &cg.nodes {
                 let effect = entry_block_rax_effect(head, disasm, cfg, cg, &summaries);
-                let cur = summaries.by_fn.get_mut(&head).expect("seeded above");
+                let cur = &mut summaries.by_block[head];
                 if cur.rax != effect {
                     cur.rax = effect;
                     changed = true;
@@ -189,36 +182,34 @@ fn inst_clobbers(inst: Inst) -> u8 {
     }
 }
 
-/// Clobbers contributed by `head`'s own body (calls folded in by the
-/// caller's fixpoint, except unresolved calls which pin everything).
-fn own_clobbers(head: u64, disasm: &Disassembly, cfg: &Cfg, cg: &CallGraph) -> u8 {
-    if cg.has_unresolved_call.get(&head).copied().unwrap_or(true) {
+/// Clobbers contributed by the own body of node `k` (calls folded in by
+/// the caller's fixpoint, except unresolved calls which pin everything).
+fn own_clobbers(k: usize, disasm: &Disassembly, cfg: &Cfg, cg: &CallGraph) -> u8 {
+    if cg.has_unresolved_call[k] {
         return CLOBBER_ALL;
     }
     let mut mask = 0u8;
-    for start in &cg.bodies[&head] {
-        for at in &cfg.blocks[start].insts {
-            mask |= inst_clobbers(disasm.insts[at].inst);
+    for &b in &cg.bodies[k] {
+        for &(_, d) in &disasm.insts[cfg.blocks[b].insts.clone()] {
+            mask |= inst_clobbers(d.inst);
         }
     }
     mask
 }
 
-/// Straight-line `%rax` effect of `head`'s entry block.
+/// Straight-line `%rax` effect of the entry block of the function headed
+/// by block `head`.
 fn entry_block_rax_effect(
-    head: u64,
+    head: usize,
     disasm: &Disassembly,
     cfg: &Cfg,
     cg: &CallGraph,
     summaries: &Summaries,
 ) -> RaxEffect {
-    let Some(block) = cfg.blocks.get(&head) else {
-        return RaxEffect::Unknown;
-    };
     let mut effect = RaxEffect::Preserved;
     let mut written = 0u8;
-    for &at in &block.insts {
-        let inst = disasm.insts[&at].inst;
+    for id in cfg.blocks[head].insts.clone() {
+        let inst = disasm.insts[id].1.inst;
         match inst {
             Inst::MovImm32 { reg: Reg::Rax, imm } => effect = RaxEffect::Const(i64::from(imm)),
             Inst::MovImm32SxR64 { reg: Reg::Rax, imm } => effect = RaxEffect::Const(i64::from(imm)),
@@ -231,21 +222,15 @@ fn entry_block_rax_effect(
                 };
             }
             Inst::CallRel32 { .. } | Inst::CallAbsIndirect { .. } => {
-                let callee_effect = match cg.site_targets.get(&at) {
-                    Some(&t) => summaries.summary(t).rax,
-                    None => RaxEffect::Unknown,
-                };
-                effect = match callee_effect {
+                let callee = cg.target_of(id).map(|t| summaries.summary(t));
+                effect = match callee.map_or(RaxEffect::Unknown, |s| s.rax) {
                     RaxEffect::Preserved => effect,
                     RaxEffect::Const(v) => RaxEffect::Const(v),
                     // The callee's "argument register" is in *its* frame;
                     // translating through two frames is not worth it.
                     RaxEffect::ArgReg(_) | RaxEffect::Unknown => RaxEffect::Unknown,
                 };
-                written |= match cg.site_targets.get(&at) {
-                    Some(&t) => summaries.summary(t).clobbers,
-                    None => CLOBBER_ALL,
-                };
+                written |= callee.map_or(CLOBBER_ALL, |s| s.clobbers);
                 continue;
             }
             Inst::Syscall => effect = RaxEffect::Unknown,

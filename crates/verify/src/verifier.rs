@@ -6,7 +6,7 @@ use xc_isa::inst::{Inst, Reg};
 use crate::absint::{AbsInt, AbsValue};
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
-use crate::dataflow::{Dataflow, RaxValue};
+use crate::dataflow::{Dataflow, RaxValue, SyscallFacts};
 use crate::disasm::{disassemble_image, Disassembly};
 use crate::profile::{NoProbe, PipelineProfile, Probe, Stage};
 use crate::report::{
@@ -232,16 +232,14 @@ impl Analysis {
     ) -> Option<DetourHazard> {
         let region_end = syscall_addr + 2;
         // An external entry point inside the region interior.
-        if let Some(&entry) = self
-            .disasm
-            .entries
-            .range(region_start + 1..region_end)
-            .next()
-        {
+        let entries = &self.disasm.entries;
+        let first = entries.partition_point(|&e| e <= region_start);
+        if let Some(&entry) = entries.get(first).filter(|&&e| e < region_end) {
             return Some(DetourHazard::InteriorJumpTarget { target: entry });
         }
         // Interior branches that escape the relocatable window.
-        for (&at, d) in self.disasm.insts.range(mov_end..syscall_addr) {
+        let interior = self.disasm.ids_in(mov_end..syscall_addr);
+        for &(at, d) in &self.disasm.insts[interior] {
             if let Some(t) = d.inst.branch_target(at) {
                 if !(mov_end..=syscall_addr).contains(&t) {
                     return Some(DetourHazard::EscapingInteriorBranch { src: at });
@@ -251,25 +249,21 @@ impl Analysis {
         None
     }
 
-    /// Judges every `syscall` site.
+    /// Judges every `syscall` site, in address order.
     fn judge_all(&self) -> VerifyReport {
-        let mut sites = Vec::new();
-        for (&at, d) in &self.disasm.insts {
-            if d.inst == Inst::Syscall {
-                sites.push(self.judge_site(at));
-            }
-        }
+        let sites = self
+            .dataflow
+            .sites()
+            .iter()
+            .map(|facts| self.judge_site(facts))
+            .collect();
         VerifyReport { sites }
     }
 
-    /// Judges the `syscall` at `syscall_addr`.
-    fn judge_site(&self, syscall_addr: u64) -> SiteReport {
-        let rax = self
-            .dataflow
-            .rax_in
-            .get(&syscall_addr)
-            .copied()
-            .unwrap_or(RaxValue::Unknown);
+    /// Judges the `syscall` whose dataflow facts are `facts`.
+    fn judge_site(&self, facts: &SyscallFacts) -> SiteReport {
+        let id = facts.inst;
+        let syscall_addr = self.disasm.addr(id);
 
         // Pick the candidate patch region the way the *linear* offline
         // scanner would (straight-line, flow-insensitive), then let the
@@ -278,7 +272,7 @@ impl Analysis {
         // pick, including regions the dataflow already knows are entered
         // from elsewhere.
         let (kind, number, mov_addr, mov_len, region) =
-            if let Some((mov, len, nr)) = self.syntactic_region(syscall_addr) {
+            if let Some((mov, len, nr)) = self.syntactic_region(id) {
                 (
                     SiteKind::ImmediateNumber,
                     Some(nr),
@@ -286,7 +280,7 @@ impl Analysis {
                     Some(len as u8),
                     Some((mov, mov + len)),
                 )
-            } else if let Some((load_addr, load_len)) = self.adjacent_stack_load(syscall_addr) {
+            } else if let Some((load_addr, load_len)) = self.adjacent_stack_load(id) {
                 (
                     SiteKind::StackNumber,
                     None,
@@ -298,7 +292,7 @@ impl Analysis {
                 (SiteKind::Other, None, None, None, None)
             };
 
-        let verdict = self.judge_region(syscall_addr, rax, kind, number, region);
+        let verdict = self.judge_region(facts, kind, number, region);
 
         // Interprocedural upgrade: only undecided number-tracking
         // verdicts are candidates, so `Safe` never regresses and proven
@@ -308,7 +302,7 @@ impl Analysis {
             Verdict::Unknown(UnknownReason::NumberNotConstant | UnknownReason::MultipleDefinitions)
         );
         if upgradable && self.config.interprocedural_upgrades {
-            if let Some((nr, def_addr, def_len)) = self.try_upgrade(syscall_addr) {
+            if let Some((nr, def_addr, def_len)) = self.try_upgrade(facts) {
                 return SiteReport {
                     syscall_addr,
                     kind: SiteKind::PropagatedNumber,
@@ -321,7 +315,7 @@ impl Analysis {
             }
         }
 
-        let chain = self.chain_for(syscall_addr, verdict, region);
+        let chain = self.chain_for(id, verdict, region);
         SiteReport {
             syscall_addr,
             kind,
@@ -343,11 +337,12 @@ impl Analysis {
     /// displaced interior may read `%rax`.
     ///
     /// Returns `(number, def_addr, def_len)` on success.
-    fn try_upgrade(&self, syscall_addr: u64) -> Option<(i64, u64, u8)> {
+    fn try_upgrade(&self, facts: &SyscallFacts) -> Option<(i64, u64, u8)> {
+        let syscall_addr = self.disasm.addr(facts.inst);
         let AbsValue::Const {
             v,
             def: Some((def_addr, def_len)),
-        } = self.absint.rax_at(syscall_addr)
+        } = self.absint.rax_at(facts.inst)
         else {
             return None;
         };
@@ -364,18 +359,18 @@ impl Analysis {
         self.disasm.contiguous_code(def_addr, region_end).ok()?;
         if self
             .disasm
-            .overlapping_targets
-            .range(def_addr..region_end)
-            .next()
+            .first_overlapping_target(def_addr..region_end)
             .is_some()
         {
             return None;
         }
         let mov_end = def_addr + u64::from(def_len);
-        for (_, d) in self.disasm.insts.range(mov_end..syscall_addr) {
-            if reads_rax(d.inst) {
-                return None;
-            }
+        let interior = self.disasm.ids_in(mov_end..syscall_addr);
+        if self.disasm.insts[interior]
+            .iter()
+            .any(|&(_, d)| reads_rax(d.inst))
+        {
+            return None;
         }
         if self
             .region_detour_hazard(def_addr, mov_end, syscall_addr)
@@ -383,13 +378,7 @@ impl Analysis {
         {
             return None;
         }
-        if self
-            .dataflow
-            .rcx_live_out
-            .get(&syscall_addr)
-            .copied()
-            .unwrap_or(true)
-        {
+        if facts.rcx_live_out {
             return None;
         }
         Some((v, def_addr, def_len))
@@ -398,13 +387,8 @@ impl Analysis {
     /// Builds the causal chain for a non-`Safe` verdict: which
     /// instruction blocked the proof and where the abstract interpreter
     /// last saw the value defined.
-    fn chain_for(
-        &self,
-        syscall_addr: u64,
-        verdict: Verdict,
-        region: Option<(u64, u64)>,
-    ) -> ReasonChain {
-        let definer = match self.absint.rax_at(syscall_addr) {
+    fn chain_for(&self, id: usize, verdict: Verdict, region: Option<(u64, u64)>) -> ReasonChain {
+        let definer = match self.absint.rax_at(id) {
             AbsValue::Const {
                 def: Some((at, _)), ..
             } => Some(at),
@@ -414,12 +398,10 @@ impl Analysis {
             Verdict::Safe => return ReasonChain::EMPTY,
             Verdict::Unsafe(UnsafeReason::InteriorJumpTarget { target }) => Some(target),
             Verdict::Unsafe(UnsafeReason::InteriorBranchEscapes { src }) => Some(src),
-            Verdict::Unsafe(UnsafeReason::RcxLiveAfterSite) => {
-                self.first_rcx_reader_after(syscall_addr)
-            }
+            Verdict::Unsafe(UnsafeReason::RcxLiveAfterSite) => self.first_rcx_reader_after(id),
             Verdict::Unknown(
                 UnknownReason::NumberNotConstant | UnknownReason::MultipleDefinitions,
-            ) => self.syntactic_blocker(syscall_addr).or(region.map(|r| r.0)),
+            ) => self.syntactic_blocker(id).or(region.map(|r| r.0)),
             Verdict::Unknown(UnknownReason::NumberOutOfRange { .. }) => region.map(|r| r.0),
             Verdict::Unknown(
                 UnknownReason::OverlappingDecode { at } | UnknownReason::UndecodedBytes { at },
@@ -428,16 +410,15 @@ impl Analysis {
         ReasonChain { blocker, definer }
     }
 
-    /// The instruction that stopped the syntactic backward walk (the
-    /// first rax-clobbering or flow-breaking instruction behind the
-    /// site), when the walk failed to find a defining immediate.
-    fn syntactic_blocker(&self, syscall_addr: u64) -> Option<u64> {
-        let mut at = syscall_addr;
+    /// The instruction that stopped the syntactic backward walk from the
+    /// `syscall` with id `id` (the first rax-clobbering or flow-breaking
+    /// instruction behind the site), when the walk failed to find a
+    /// defining immediate.
+    fn syntactic_blocker(&self, id: usize) -> Option<u64> {
+        let mut cur = id;
         loop {
-            let (prev, d) = self.disasm.enclosing(at.checked_sub(1)?)?;
-            if prev + d.len as u64 != at {
-                return Some(prev);
-            }
+            cur = self.disasm.prev_adjacent(cur)?;
+            let (prev, d) = self.disasm.insts[cur];
             match d.inst {
                 Inst::MovImm32 { reg: Reg::Rax, .. } | Inst::XorEaxEax => return None,
                 Inst::MovImm32SxR64 { reg: Reg::Rax, imm } if imm >= 0 => return None,
@@ -452,7 +433,7 @@ impl Analysis {
                 | Inst::JmpRel8 { .. }
                 | Inst::JmpRel32 { .. }
                 | Inst::Int3 => return Some(prev),
-                _ => at = prev,
+                _ => {}
             }
         }
     }
@@ -461,10 +442,9 @@ impl Analysis {
     /// (diagnostic pointer for [`UnsafeReason::RcxLiveAfterSite`]; the
     /// real liveness fact is CFG-wide, this names the adjacent witness
     /// when there is one).
-    fn first_rcx_reader_after(&self, syscall_addr: u64) -> Option<u64> {
-        self.disasm
-            .insts
-            .range(syscall_addr + 2..)
+    fn first_rcx_reader_after(&self, id: usize) -> Option<u64> {
+        self.disasm.insts[id + 1..]
+            .iter()
             .take(16)
             .find(|(_, d)| {
                 matches!(
@@ -473,21 +453,20 @@ impl Analysis {
                         | Inst::StoreRspDisp8R64 { reg: Reg::Rcx, .. }
                 )
             })
-            .map(|(&a, _)| a)
+            .map(|&(a, _)| a)
     }
 
     /// The region a straight-line scan would patch: walks backwards from
     /// the syscall over rax-preserving instructions to the defining
     /// immediate load. Mirrors the kill set of `xc-abom`'s offline
     /// scanner (rax writes, calls, unconditional control flow and `int3`
-    /// end the walk; conditional branches do not).
-    fn syntactic_region(&self, syscall_addr: u64) -> Option<(u64, u64, i64)> {
-        let mut at = syscall_addr;
+    /// end the walk; conditional branches do not). The walk stops at a
+    /// gap: the region must be one contiguous decode.
+    fn syntactic_region(&self, id: usize) -> Option<(u64, u64, i64)> {
+        let mut cur = id;
         loop {
-            let (prev, d) = self.disasm.enclosing(at.checked_sub(1)?)?;
-            if prev + d.len as u64 != at {
-                return None; // overlapping decode, not a clean adjacency
-            }
+            cur = self.disasm.prev_adjacent(cur)?;
+            let (prev, d) = self.disasm.insts[cur];
             match d.inst {
                 Inst::MovImm32 { reg: Reg::Rax, imm } => return Some((prev, 5, i64::from(imm))),
                 Inst::MovImm32SxR64 { reg: Reg::Rax, imm } if imm >= 0 => {
@@ -505,38 +484,39 @@ impl Analysis {
                 | Inst::JmpRel8 { .. }
                 | Inst::JmpRel32 { .. }
                 | Inst::Int3 => return None,
-                _ => at = prev,
+                _ => {}
             }
         }
     }
 
-    /// The instruction directly before `syscall_addr`, when it is a
-    /// `mov %rax, disp8(%rsp)`-style stack load (the Go wrapper shape).
-    fn adjacent_stack_load(&self, syscall_addr: u64) -> Option<(u64, u8)> {
-        let (at, d) = self.disasm.enclosing(syscall_addr.checked_sub(1)?)?;
-        let adjacent = at + d.len as u64 == syscall_addr;
+    /// The instruction directly before the `syscall` with id `id`, when
+    /// it is a `mov %rax, disp8(%rsp)`-style stack load (the Go wrapper
+    /// shape).
+    fn adjacent_stack_load(&self, id: usize) -> Option<(u64, u8)> {
+        let (at, d) = self.disasm.insts[self.disasm.prev_adjacent(id)?];
         let is_load = matches!(
             d.inst,
             Inst::LoadRspDisp8R64 { reg: Reg::Rax, .. }
                 | Inst::LoadRspDisp8R32 { reg: Reg::Rax, .. }
         );
-        (adjacent && is_load).then_some((at, d.len as u8))
+        is_load.then_some((at, d.len as u8))
     }
 
     fn judge_region(
         &self,
-        syscall_addr: u64,
-        rax: RaxValue,
+        facts: &SyscallFacts,
         kind: SiteKind,
         number: Option<i64>,
         region: Option<(u64, u64)>,
     ) -> Verdict {
+        let rax = facts.rax;
         let Some((region_start, mov_end)) = region else {
             return Verdict::Unknown(match rax {
                 RaxValue::MultipleDefs => UnknownReason::MultipleDefinitions,
                 _ => UnknownReason::NumberNotConstant,
             });
         };
+        let syscall_addr = self.disasm.addr(facts.inst);
         let region_end = syscall_addr + 2;
 
         // Structural soundness of the region bytes first: if the region is
@@ -544,11 +524,9 @@ impl Analysis {
         if let Err(at) = self.disasm.contiguous_code(region_start, region_end) {
             return Verdict::Unknown(UnknownReason::UndecodedBytes { at });
         }
-        if let Some((&at, _)) = self
+        if let Some(at) = self
             .disasm
-            .overlapping_targets
-            .range(region_start..region_end)
-            .next()
+            .first_overlapping_target(region_start..region_end)
         {
             return Verdict::Unknown(UnknownReason::OverlappingDecode { at });
         }
@@ -564,13 +542,7 @@ impl Analysis {
                 }
             });
         }
-        if self
-            .dataflow
-            .rcx_live_out
-            .get(&syscall_addr)
-            .copied()
-            .unwrap_or(true)
-        {
+        if facts.rcx_live_out {
             return Verdict::Unsafe(UnsafeReason::RcxLiveAfterSite);
         }
 
