@@ -453,9 +453,7 @@ struct MergeOutcome {
 /// already interned (a clean out-state); a first merge then shares the
 /// id instead of cloning. Joins mutate in place only when the target
 /// owns its slot; otherwise the joined state is interned fresh so
-/// sharers never observe the write. Merging into an address with no
-/// block used to park a state in the map that nothing ever read; the
-/// dense arena just skips it.
+/// sharers never observe the write.
 fn merge_into<P: Probe>(
     arena: &mut Vec<AbsState>,
     block_in: &mut [Option<u32>],

@@ -68,11 +68,6 @@ impl BasicBlock {
         &self.succ[..usize::from(self.succ_len)]
     }
 
-    /// Id of the block's last instruction.
-    pub fn last(&self) -> usize {
-        self.insts.end - 1
-    }
-
     fn add_succ(&mut self, block: usize) {
         if !self.succs().contains(&block) {
             self.succ[usize::from(self.succ_len)] = block;

@@ -241,7 +241,7 @@ fn rcx_backward(disasm: &Disassembly, cfg: &Cfg) -> Vec<bool> {
     let blocks = &cfg.blocks;
     let exit_live: Vec<bool> = blocks
         .iter()
-        .map(|block| match disasm.insts[block.last()].1.inst {
+        .map(|block| match disasm.insts[block.insts.end - 1].1.inst {
             Inst::Ret | Inst::Int3 | Inst::Ud2 => false,
             // Jumps / jcc: liveness flows from successors instead.
             _ if !block.succs().is_empty() => false,

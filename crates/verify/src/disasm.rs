@@ -77,11 +77,6 @@ impl Disassembly {
         &self.insts
     }
 
-    /// External entry points, ascending.
-    pub fn entries(&self) -> &[u64] {
-        &self.entries
-    }
-
     /// Address of instruction `id`.
     pub fn addr(&self, id: usize) -> u64 {
         self.insts[id].0

@@ -143,7 +143,7 @@ impl Probe for AbsIntProfile {
 #[derive(Debug, Clone)]
 pub struct PipelineProfile {
     /// Nanoseconds per stage, indexed by `Stage as usize`.
-    pub stage_nanos: [u64; 7],
+    stage_nanos: [u64; 7],
     /// The abstract interpreter's worklist counters.
     pub absint: AbsIntProfile,
     lap: Instant,

@@ -195,8 +195,8 @@ impl Analysis {
     /// `(region_start, mov_end, syscall_addr)` query with **one** pass
     /// over the CFG edge list instead of one full-list walk per region.
     /// The remaining per-region checks (entry points, interior branches)
-    /// are ordered-map range scans over the region only and stay
-    /// per-region. Results are index-aligned with `queries` and identical
+    /// binary-search the sorted entry and instruction lists and scan the
+    /// region only, so they stay per-region. Results are index-aligned with `queries` and identical
     /// to calling the single-region form on each query.
     pub fn region_detour_hazards(&self, queries: &[(u64, u64, u64)]) -> Vec<Option<DetourHazard>> {
         let mut out: Vec<Option<DetourHazard>> = vec![None; queries.len()];
