@@ -55,9 +55,8 @@ pub struct Disassembly {
     /// branches.
     pub(crate) reachable: Vec<bool>,
     /// Direct-branch destinations that land strictly inside a sweep
-    /// instruction, as `(destination, id of the enclosing instruction)`,
-    /// ascending by destination.
-    pub(crate) overlapping_targets: Vec<(u64, usize)>,
+    /// instruction, ascending.
+    pub(crate) overlapping_targets: Vec<u64>,
 }
 
 impl Disassembly {
@@ -142,10 +141,10 @@ impl Disassembly {
     pub fn first_overlapping_target(&self, range: Range<u64>) -> Option<u64> {
         let i = self
             .overlapping_targets
-            .partition_point(|&(t, _)| t < range.start);
+            .partition_point(|&t| t < range.start);
         self.overlapping_targets
             .get(i)
-            .map(|&(t, _)| t)
+            .copied()
             .filter(|t| range.contains(t))
     }
 }
@@ -222,8 +221,8 @@ pub fn disassemble_image(image: &BinaryImage) -> Disassembly {
             // (overlapping decode) or an undecodable byte. Record and do
             // not descend further — no single reading of these bytes is
             // trustworthy.
-            if let Some(id) = disasm.enclosing(at) {
-                disasm.overlapping_targets.push((at, id));
+            if disasm.enclosing(at).is_some() {
+                disasm.overlapping_targets.push(at);
             }
             continue;
         };
@@ -337,7 +336,8 @@ mod tests {
         image.add_symbol("evil", 0x1006);
 
         let d = disassemble_image(&image);
-        assert_eq!(d.overlapping_targets, vec![(0x1001, 0)]);
+        assert_eq!(d.overlapping_targets, vec![0x1001]);
+        assert_eq!(d.enclosing(0x1001), Some(0));
         assert_eq!(d.first_overlapping_target(0x1000..0x1005), Some(0x1001));
         assert_eq!(d.first_overlapping_target(0x1002..0x1005), None);
     }
