@@ -134,14 +134,8 @@ impl OfflineReport {
 }
 
 /// Configuration for the offline tool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OfflineConfig {
-    /// Allow the number-tracking dataflow to survive conditional branches
-    /// (required for libpthread cancellable wrappers, where the cancel
-    /// check branches but both paths reach the syscall with `%rax`
-    /// intact). The paper's tool is applied manually to known-safe sites;
-    /// this flag is that human judgement.
-    pub across_conditional_branches: bool,
     /// Consult the interprocedural verifier for sites the linear scan
     /// cannot resolve: a [`SkipReason::UnknownNumber`] site whose
     /// verdict is `Safe` with kind `PropagatedNumber` (constant proven
@@ -151,15 +145,6 @@ pub struct OfflineConfig {
     /// mirrors the paper's single-pass scan, so existing Table-1
     /// numbers are unchanged unless a caller opts in.
     pub interprocedural: bool,
-}
-
-impl Default for OfflineConfig {
-    fn default() -> Self {
-        OfflineConfig {
-            across_conditional_branches: true,
-            interprocedural: false,
-        }
-    }
 }
 
 /// One discovered syscall site.
@@ -248,7 +233,7 @@ impl OfflinePatcher {
                 if reason != SkipReason::UnknownNumber {
                     return true;
                 }
-                let Some(site) = analysis.site_at(addr) else {
+                let Some(site) = analysis.report().site(addr) else {
                     return true;
                 };
                 let propagated =
@@ -475,14 +460,13 @@ impl OfflinePatcher {
                 | Inst::Ret
                 | Inst::JmpRel8 { .. }
                 | Inst::JmpRel32 { .. } => live = None,
-                Inst::JccRel8 { .. } => {
-                    if !self.config.across_conditional_branches {
-                        live = None;
-                    }
-                }
                 Inst::Int3 => live = None,
-                // rax-preserving instructions.
-                Inst::Nop
+                // rax-preserving instructions. A conditional branch keeps
+                // the live number: libpthread's cancellable wrappers
+                // branch on the cancel state between the `mov` and the
+                // `syscall`, and both paths reach it with `%rax` intact.
+                Inst::JccRel8 { .. }
+                | Inst::Nop
                 | Inst::Ud2
                 | Inst::Leave
                 | Inst::PushRbp
@@ -602,21 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn conservative_config_skips_branchy_wrapper() {
-        let image = pthread_cancellable_wrapper_image(202);
-        let tool = OfflinePatcher::with_config(OfflineConfig {
-            across_conditional_branches: false,
-            ..OfflineConfig::default()
-        });
-        let (_, report) = tool.patch(&image).unwrap();
-        assert_eq!(report.total_patched(), 0);
-        assert!(report
-            .skipped
-            .iter()
-            .any(|(_, r)| *r == SkipReason::UnknownNumber));
-    }
-
-    #[test]
     fn unknown_number_skipped() {
         // A bare syscall with no immediate mov in sight.
         use xc_isa::asm::Assembler;
@@ -726,7 +695,6 @@ mod tests {
         }]);
         let tool = OfflinePatcher::with_config(OfflineConfig {
             interprocedural: true,
-            ..OfflineConfig::default()
         });
         let (mut patched, report) = tool.patch(&image).unwrap();
         assert_eq!(report.detour_patched, 1);

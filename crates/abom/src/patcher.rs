@@ -38,9 +38,11 @@ pub struct AbomConfig {
     /// [`Safe`](xc_verify::Verdict::Safe). Off by default: the online
     /// replacements carry their own safety argument (trap-driven, atomic,
     /// `#UD`-recoverable), so the analysis is redundant — this knob exists
-    /// to *measure* that redundancy (the `verify_study` ablation bench),
-    /// and the content-keyed [`xc_verify::AnalysisCache`] is what makes
-    /// the per-trap analysis affordable.
+    /// to *measure* that redundancy (the `verify_study` ablation bench).
+    /// The per-trap analysis is affordable because an
+    /// [`xc_verify::AnalysisCache`] keyed on the image as loaded runs the
+    /// pipeline once per image state; every other trap is a hit that
+    /// returns the shared analysis.
     pub preflight_verify: bool,
 }
 
@@ -112,11 +114,11 @@ pub struct Abom {
     config: AbomConfig,
     stats: AbomStats,
     /// Memoized pre-flight analyses (only populated with
-    /// [`AbomConfig::preflight_verify`]). Keyed by image content, so a
-    /// successful patch automatically invalidates: the next trap sees new
-    /// bytes and re-analyzes. Repeated traps over an unchanged image —
-    /// unrecognized and cancellable wrappers, the common steady state —
-    /// hit the cache.
+    /// [`AbomConfig::preflight_verify`]). Keyed on the image as loaded,
+    /// bytes included, so a successful patch automatically invalidates:
+    /// the next trap sees new bytes and re-analyzes. Repeated traps over
+    /// an unchanged image — unrecognized and cancellable wrappers, the
+    /// common steady state — hit the cache.
     verify_cache: xc_verify::AnalysisCache,
 }
 
@@ -154,12 +156,6 @@ impl Abom {
     /// Mutable statistics access (the syscall handler shares counters).
     pub fn stats_mut(&mut self) -> &mut AbomStats {
         &mut self.stats
-    }
-
-    /// The pre-flight analysis memo table (see
-    /// [`AbomConfig::preflight_verify`]).
-    pub fn verify_cache(&self) -> &xc_verify::AnalysisCache {
-        &self.verify_cache
     }
 
     /// Handles one trapped `syscall` at `syscall_addr`: recognizes and

@@ -487,7 +487,6 @@ proptest! {
         let image = library_image(&specs);
         let patcher = OfflinePatcher::with_config(OfflineConfig {
             interprocedural: true,
-            ..OfflineConfig::default()
         });
         let (patched, _) = patcher.patch(&image).unwrap();
         let mut bytes = patched.read_bytes(patched.base(), patched.len()).unwrap().to_vec();

@@ -289,7 +289,6 @@ fn cell(profile: &AppProfile, syscalls: u64, rng: Rng) -> ProfileRow {
     //    upgraded shim verdicts into detours.
     let (patched, report) = OfflinePatcher::with_config(OfflineConfig {
         interprocedural: true,
-        ..OfflineConfig::default()
     })
     .patch_with_cache(&image, &mut cache)
     .expect("offline patching");
@@ -400,7 +399,7 @@ pub fn stage_profiles(runner: &Runner) -> Vec<StageProfile> {
             name: p.name,
             insts: analysis.disasm.insts().len(),
             blocks: analysis.cfg.blocks().len(),
-            pops: first.absint.pops,
+            pops: first.pops,
             stage_micros: Stage::ALL.map(|stage| nanos(&|prof| prof.nanos(stage))),
             total_micros: nanos(&PipelineProfile::total_nanos),
         }

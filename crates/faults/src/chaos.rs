@@ -37,8 +37,6 @@
 
 use std::collections::VecDeque;
 
-use xc_libos::backend::Backend;
-use xc_libos::DispatchTable;
 use xc_sim::engine::{EventQueue, Simulation, World};
 use xc_sim::fnv::{fnv1a_u64, FNV_OFFSET};
 use xc_sim::rng::Rng;
@@ -209,15 +207,14 @@ struct ChaosWorld {
 }
 
 impl ChaosWorld {
-    /// Runs ABOM over the wrapper corpus under the fault plan on a fresh
-    /// dispatch table (at start, and after a restart), records how many
-    /// sites it demoted, and reprices the per-request demotion surcharge.
+    /// Runs ABOM over the wrapper corpus under the fault plan (at start,
+    /// and after a restart), records how many sites it demoted, and
+    /// reprices the per-request demotion surcharge.
     fn warm_abom(&mut self) {
         if self.p.corpus_sites == 0 {
             return;
         }
-        let mut table = DispatchTable::resolve(Backend::XKernel, true);
-        let report = warm_up(&mut self.plan, &mut table, self.p.corpus_sites);
+        let report = warm_up(&mut self.plan, self.p.corpus_sites);
         self.demoted = report.demoted;
         // demoted/corpus of this request's syscalls take the trap path.
         self.demotion_extra = self

@@ -7,14 +7,14 @@
 //! never patched) or fail a patch after the fact
 //! ([`FaultKind::PatchFail`], the patch is undone with
 //! [`Abom::rollback`]). Either way the site is permanently demoted to
-//! the forwarded/trap route via [`DispatchTable::demote`]; it costs more
-//! per syscall but never computes wrongly. The chaos world converts the
-//! demoted fraction into a per-request syscall surcharge.
+//! the forwarded/trap route; it costs more per syscall but never
+//! computes wrongly. The chaos world converts the demoted fraction into
+//! a per-request syscall surcharge.
 
 use xc_abom::binaries::glibc_wrapper_image;
 use xc_abom::patcher::{Abom, PatchOutcome};
 use xc_abom::AbomStats;
-use xc_libos::DispatchTable;
+use xc_libos::syscalls::VSYSCALL_TABLE_ENTRIES;
 
 use crate::plan::{FaultKind, FaultPlan};
 
@@ -35,7 +35,8 @@ pub struct WarmupReport {
     /// Sites patched and then rolled back after an injected failure.
     pub rolled_back: u64,
     /// Sites demoted to the fallback route (vetoed + rolled back +
-    /// anything ABOM itself refused).
+    /// anything ABOM itself refused), counting only numbers with a
+    /// vsyscall entry: the rest never left the fallback.
     pub demoted: u64,
     /// The optimizer's own counters for the pass.
     pub abom: AbomStats,
@@ -49,13 +50,13 @@ pub struct WarmupReport {
 /// Deterministic: decisions come from the plan's
 /// [`FaultKind::VerifyReject`] and [`FaultKind::PatchFail`] streams in
 /// site order. With a disabled plan every recognizable site ends up
-/// patched and the dispatch table is untouched.
+/// patched and nothing is demoted.
 ///
 /// # Panics
 ///
 /// Panics if the synthetic wrapper corpus is malformed (assembler
 /// invariants, not inputs).
-pub fn warm_up(plan: &mut FaultPlan, table: &mut DispatchTable, sites: u64) -> WarmupReport {
+pub fn warm_up(plan: &mut FaultPlan, sites: u64) -> WarmupReport {
     let mut abom = Abom::new();
     let mut report = WarmupReport {
         sites,
@@ -66,11 +67,14 @@ pub fn warm_up(plan: &mut FaultPlan, table: &mut DispatchTable, sites: u64) -> W
         abom: AbomStats::new(),
     };
     for nr in 0..sites {
+        // Each number is visited once, so leaving the function-call path
+        // demotes it exactly when it had a vsyscall entry to leave.
+        let demotable = u64::from(nr < VSYSCALL_TABLE_ENTRIES);
         if plan.should_inject(FaultKind::VerifyReject) {
             // Pre-flight verification vetoes the site: never patched,
             // permanently on the trap path.
             report.verify_rejected += 1;
-            report.demoted += u64::from(table.demote(nr));
+            report.demoted += demotable;
             continue;
         }
         let mut image = glibc_wrapper_image(nr);
@@ -89,15 +93,15 @@ pub fn warm_up(plan: &mut FaultPlan, table: &mut DispatchTable, sites: u64) -> W
                 abom.rollback(&mut image, entry, &patched, &original)
                     .expect("rollback of a fresh patch succeeds");
                 report.rolled_back += 1;
-                report.demoted += u64::from(table.demote(nr));
+                report.demoted += demotable;
             }
             PatchOutcome::Patched(_) | PatchOutcome::AlreadyPatched => {
                 report.patched += 1;
             }
             // ABOM itself refused (unrecognized, disabled, …): the site
-            // keeps trapping, so the route must not promise otherwise.
+            // keeps trapping, so it counts as demoted too.
             _ => {
-                report.demoted += u64::from(table.demote(nr));
+                report.demoted += demotable;
             }
         }
     }
@@ -108,24 +112,16 @@ pub fn warm_up(plan: &mut FaultPlan, table: &mut DispatchTable, sites: u64) -> W
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xc_libos::backend::Backend;
-    use xc_libos::SyscallRoute;
 
     use crate::plan::FaultRates;
-
-    fn fresh_table() -> DispatchTable {
-        DispatchTable::resolve(Backend::XKernel, true)
-    }
 
     #[test]
     fn disabled_plan_patches_everything() {
         let mut plan = FaultPlan::disabled(1);
-        let mut table = fresh_table();
-        let report = warm_up(&mut plan, &mut table, 32);
+        let report = warm_up(&mut plan, 32);
         assert_eq!(report.patched, 32);
         assert_eq!(report.demoted, 0);
         assert_eq!(report.rolled_back, 0);
-        assert_eq!(table.demoted(), 0);
         assert_eq!(report.abom.patched_case1, 32);
     }
 
@@ -135,8 +131,7 @@ mod tests {
             .with_rate(FaultKind::VerifyReject, 0.5)
             .with_rate(FaultKind::PatchFail, 0.5);
         let mut plan = FaultPlan::new(7, rates);
-        let mut table = fresh_table();
-        let report = warm_up(&mut plan, &mut table, 64);
+        let report = warm_up(&mut plan, 64);
         assert!(report.verify_rejected > 0, "veto stream must fire");
         assert!(report.rolled_back > 0, "rollback stream must fire");
         assert_eq!(
@@ -145,26 +140,13 @@ mod tests {
             "every failed site is demoted exactly once"
         );
         assert_eq!(report.patched + report.demoted, 64);
-        assert_eq!(table.demoted(), report.demoted);
         assert_eq!(report.abom.rolled_back, report.rolled_back);
-        // Demoted numbers route via the fallback; patched ones stay fast.
-        let mut fallback_routes = 0;
-        for nr in 0..64 {
-            if table.route(nr) == SyscallRoute::Forwarded {
-                fallback_routes += 1;
-            }
-        }
-        assert_eq!(fallback_routes, report.demoted);
     }
 
     #[test]
     fn warm_up_is_deterministic() {
         let rates = FaultRates::scaled(0.2);
-        let run = |seed| {
-            let mut plan = FaultPlan::new(seed, rates);
-            let mut table = fresh_table();
-            warm_up(&mut plan, &mut table, 48)
-        };
+        let run = |seed| warm_up(&mut FaultPlan::new(seed, rates), 48);
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
     }

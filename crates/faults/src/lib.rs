@@ -19,8 +19,8 @@
 //!   recorded.
 //! * [`degrade`] — the ABOM degradation policy: a site whose patch is
 //!   vetoed or rolled back ([`xc_abom::patcher::Abom::rollback`]) is
-//!   permanently demoted to the trap route
-//!   ([`xc_libos::syscalls::DispatchTable::demote`]).
+//!   permanently demoted to the trap route, and [`WarmupReport::demoted`]
+//!   counts it.
 //! * [`chaos`] — a closed-loop DES world wiring all of the above through
 //!   the *real* [`xc_xen::events::EventChannels`] and
 //!   [`xc_xen::grant::GrantTable`], with conservation invariants (no

@@ -177,6 +177,32 @@ mod tests {
     }
 
     #[test]
+    fn only_the_optimized_xkernel_escapes_the_kpti_tax() {
+        // Only the ABOM function call skips the hardware trap, so only it
+        // escapes the KPTI tax (§5.4); every trap or bounce pays it.
+        let c = CostModel::skylake_cloud();
+        let mut patched = KernelConfig::xlibos_default();
+        patched.kpti = true;
+        let mut unpatched = patched.clone();
+        unpatched.kpti = false;
+        for (backend, optimized) in [
+            (Backend::Native, false),
+            (Backend::XenPv, false),
+            (Backend::XKernel, true),
+            (Backend::XKernel, false),
+        ] {
+            let tax = backend.syscall_cost(&c, &patched, optimized)
+                - backend.syscall_cost(&c, &unpatched, optimized);
+            let expected = if backend == Backend::XKernel && optimized {
+                Nanos::ZERO
+            } else {
+                c.kpti_trap_extra
+            };
+            assert_eq!(tax, expected, "{backend:?} optimized={optimized}");
+        }
+    }
+
+    #[test]
     fn unoptimized_xkernel_syscall_still_beats_pv() {
         let (c, patched, _) = env();
         let xk = Backend::XKernel.syscall_cost(&c, &patched, false);

@@ -25,9 +25,8 @@
 //!   microbenchmarks),
 //! * [`net`] — the network stack path model (iperf, macrobenchmarks,
 //!   Figure 9 load balancing),
-//! * [`syscalls`] — the x86-64 syscall numbers and the per-domain
-//!   [`DispatchTable`] of dispatch routes, which ABOM degradation
-//!   demotes (`xc-faults`).
+//! * [`syscalls`] — the x86-64 syscall numbers and the size of the ABOM
+//!   vsyscall table.
 //!
 //! # Example
 //!
@@ -59,4 +58,3 @@ pub mod vfs;
 pub use backend::Backend;
 pub use config::KernelConfig;
 pub use process::{Pid, ProcessTable};
-pub use syscalls::{DispatchTable, SyscallRoute};

@@ -3,11 +3,7 @@
 //! Binary compatibility (§2.3) means *numbers* are the interface: ABOM
 //! bakes them into vsyscall entries and the Table 1 profiles distribute
 //! dynamic calls over them. This module gives the numbers names so
-//! profiles and tests read like strace output instead of integer soup,
-//! and provides the per-domain [`DispatchTable`] that resolves every
-//! number's dispatch route once per kernel instead of on every syscall.
-
-use crate::backend::Backend;
+//! profiles and tests read like strace output instead of integer soup.
 
 /// `read` — the Figure 2 case-1 example.
 pub const SYS_READ: u64 = 0;
@@ -124,96 +120,9 @@ pub const UNIXBENCH_SYSCALL_LOOP: [u64; 5] =
 /// fall back to the generic bounce.
 pub const VSYSCALL_TABLE_ENTRIES: u64 = 352;
 
-/// How a syscall leaves the process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyscallRoute {
-    /// Hardware `syscall` trap into a ring-0 kernel (native Linux).
-    Trap,
-    /// Bounced through the hypervisor ABI into an isolated or
-    /// same-privilege guest kernel (Xen PV, unoptimized X-LibOS).
-    Forwarded,
-    /// ABOM-rewritten function call straight into the X-LibOS — no
-    /// privilege crossing at all (§4.4).
-    FunctionCall,
-}
-
-/// Per-domain syscall dispatch routes.
-///
-/// The route of every syscall number (trap vs bounce vs function call)
-/// is fixed once a kernel's backend and ABOM setting are known, so a
-/// [`DispatchTable`] resolves them a single time into a dense
-/// `SyscallRoute` table indexed by syscall number. ABOM degradation
-/// (`xc-faults`) then demotes the numbers whose patches it rolls back.
-#[derive(Debug, Clone)]
-pub struct DispatchTable {
-    /// Route per syscall number (dense, `VSYSCALL_TABLE_ENTRIES` long);
-    /// numbers past the table's end take `fallback`.
-    routes: Box<[SyscallRoute]>,
-    /// Route for numbers without a dedicated vsyscall entry.
-    fallback: SyscallRoute,
-    /// Sites permanently demoted from their resolved route back to the
-    /// fallback (see [`DispatchTable::demote`]).
-    demoted: u64,
-}
-
-impl DispatchTable {
-    /// Resolves the route for every syscall number under the given
-    /// kernel deployment.
-    pub fn resolve(backend: Backend, optimized: bool) -> Self {
-        let (table_route, fallback) = match backend {
-            Backend::Native => (SyscallRoute::Trap, SyscallRoute::Trap),
-            Backend::XenPv => (SyscallRoute::Forwarded, SyscallRoute::Forwarded),
-            // Only numbers with a dedicated vsyscall entry become ABOM
-            // function calls; the rest still bounce.
-            Backend::XKernel if optimized => (SyscallRoute::FunctionCall, SyscallRoute::Forwarded),
-            Backend::XKernel => (SyscallRoute::Forwarded, SyscallRoute::Forwarded),
-        };
-        DispatchTable {
-            routes: vec![table_route; VSYSCALL_TABLE_ENTRIES as usize].into_boxed_slice(),
-            fallback,
-            demoted: 0,
-        }
-    }
-
-    /// Permanently demotes syscall `nr` to the fallback route — the
-    /// graceful-degradation escape hatch: when an ABOM patch for a site
-    /// is rolled back (failed post-patch verification, repeated patch
-    /// faults), the number stops dispatching as a function call and
-    /// takes the always-correct forwarded/trap path instead. Returns
-    /// whether the route actually changed (demoting an already-fallback
-    /// number is a no-op and is not counted).
-    pub fn demote(&mut self, nr: u64) -> bool {
-        match self.routes.get_mut(nr as usize) {
-            Some(route) if *route != self.fallback => {
-                *route = self.fallback;
-                self.demoted += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of syscall numbers demoted to the fallback route.
-    pub fn demoted(&self) -> u64 {
-        self.demoted
-    }
-
-    /// The dispatch route for syscall number `nr`.
-    #[inline]
-    pub fn route(&self, nr: u64) -> SyscallRoute {
-        self.routes
-            .get(nr as usize)
-            .copied()
-            .unwrap_or(self.fallback)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KernelConfig;
-    use xc_sim::cost::CostModel;
-    use xc_sim::time::Nanos;
 
     #[test]
     fn figure2_numbers() {
@@ -246,71 +155,5 @@ mod tests {
             assert!(nr <= 351, "nr {nr} must have a dedicated entry");
         }
         const _: () = assert!(SYS_ACCEPT4 <= 351);
-    }
-
-    #[test]
-    fn dispatch_routes_per_backend() {
-        let native = DispatchTable::resolve(Backend::Native, false);
-        let pv = DispatchTable::resolve(Backend::XenPv, false);
-        let xc = DispatchTable::resolve(Backend::XKernel, true);
-        assert_eq!(native.route(SYS_READ), SyscallRoute::Trap);
-        assert_eq!(pv.route(SYS_READ), SyscallRoute::Forwarded);
-        assert_eq!(xc.route(SYS_READ), SyscallRoute::FunctionCall);
-        // Numbers beyond the vsyscall table keep bouncing even under ABOM.
-        assert_eq!(xc.route(VSYSCALL_TABLE_ENTRIES), SyscallRoute::Forwarded);
-        assert_eq!(xc.route(9999), SyscallRoute::Forwarded);
-        assert_eq!(native.route(9999), SyscallRoute::Trap);
-    }
-
-    #[test]
-    fn dispatch_cost_matches_backend_composition() {
-        // `Backend::syscall_cost` and the resolved route describe the
-        // same crossing: only a function-call route skips the hardware
-        // trap, so only it escapes the KPTI tax (§5.4).
-        let costs = CostModel::skylake_cloud();
-        let mut patched = KernelConfig::xlibos_default();
-        patched.kpti = true;
-        let mut unpatched = patched.clone();
-        unpatched.kpti = false;
-        for (backend, optimized) in [
-            (Backend::Native, false),
-            (Backend::XenPv, false),
-            (Backend::XKernel, true),
-            (Backend::XKernel, false),
-        ] {
-            let route = DispatchTable::resolve(backend, optimized).route(SYS_READ);
-            let tax = backend.syscall_cost(&costs, &patched, optimized)
-                - backend.syscall_cost(&costs, &unpatched, optimized);
-            let expected = if route == SyscallRoute::FunctionCall {
-                Nanos::ZERO
-            } else {
-                costs.kpti_trap_extra
-            };
-            assert_eq!(tax, expected, "{backend:?} optimized={optimized} {route:?}");
-        }
-    }
-
-    #[test]
-    fn demote_falls_back_permanently() {
-        let mut xc = DispatchTable::resolve(Backend::XKernel, true);
-        assert_eq!(xc.route(SYS_READ), SyscallRoute::FunctionCall);
-        assert!(xc.demote(SYS_READ));
-        assert_eq!(xc.route(SYS_READ), SyscallRoute::Forwarded);
-        assert_eq!(xc.demoted(), 1);
-        // Idempotent: re-demoting an already-fallback number is a no-op.
-        assert!(!xc.demote(SYS_READ));
-        assert_eq!(xc.demoted(), 1);
-        // Numbers past the dense table are already on the fallback.
-        assert!(!xc.demote(VSYSCALL_TABLE_ENTRIES + 5));
-        // Other numbers keep their optimized route.
-        assert_eq!(xc.route(SYS_WRITE), SyscallRoute::FunctionCall);
-    }
-
-    #[test]
-    fn unoptimized_xkernel_never_routes_function_calls() {
-        let xc = DispatchTable::resolve(Backend::XKernel, false);
-        for nr in 0..VSYSCALL_TABLE_ENTRIES {
-            assert_eq!(xc.route(nr), SyscallRoute::Forwarded);
-        }
     }
 }

@@ -27,6 +27,15 @@
 //! arithmetic on registers), so interval endpoints are drawn from the
 //! finite set of program constants and the fixpoint terminates; a
 //! per-block visit cap widens to `Top` as defence in depth.
+//!
+//! ## Driver
+//!
+//! The fixpoint keeps one [`AbsState`] per block (its in-state), and an
+//! incoming edge state joins into it in place. Once it converges, one
+//! more pass over every reached block records the `%rax` value before
+//! each instruction, the only fact the verifier reads
+//! ([`AbsInt::rax_at`] at `syscall` ids); the other registers and the
+//! stack slots are dropped with the block states.
 
 use std::collections::BTreeMap;
 
@@ -35,7 +44,7 @@ use xc_isa::inst::{Inst, Reg};
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::disasm::Disassembly;
-use crate::profile::{AbsIntProfile, NoProbe, Probe};
+use crate::profile::{NoProbe, Probe};
 use crate::summaries::{reg_bit, RaxEffect, Summaries};
 
 /// Abstract value of one register or stack slot.
@@ -142,44 +151,33 @@ impl AbsState {
         self.regs[reg.code() as usize]
     }
 
-    /// Writes `reg`, reporting whether the value actually moved — the
-    /// transfer function's dirty bit is the OR of these.
-    fn set_reg(&mut self, reg: Reg, v: AbsValue) -> bool {
-        let slot = &mut self.regs[reg.code() as usize];
-        if *slot == v {
-            false
-        } else {
-            *slot = v;
-            true
-        }
+    fn set_reg(&mut self, reg: Reg, v: AbsValue) {
+        self.regs[reg.code() as usize] = v;
     }
 
-    /// Drops every tracked slot, reporting whether any existed.
-    fn clear_slots(&mut self) -> bool {
-        if self.slots.is_empty() {
-            false
-        } else {
-            self.slots.clear();
-            true
+    /// Joins `other` into this state pointwise, reporting whether it
+    /// moved. Slots join by key intersection (absent = `Top`): a slot
+    /// survives only where both sides track it.
+    fn join_from(&mut self, other: &AbsState) -> bool {
+        let mut changed = false;
+        for (mine, &theirs) in self.regs.iter_mut().zip(&other.regs) {
+            let j = mine.join(theirs);
+            changed |= j != *mine;
+            *mine = j;
         }
-    }
-
-    /// Pointwise join. Slots join by key intersection (absent = `Top`).
-    fn join(&self, other: &AbsState) -> AbsState {
-        let mut regs = [AbsValue::Top; 8];
-        for (i, slot) in regs.iter_mut().enumerate() {
-            *slot = self.regs[i].join(other.regs[i]);
-        }
-        let mut slots = BTreeMap::new();
-        for (&k, &v) in &self.slots {
-            if let Some(&w) = other.slots.get(&k) {
-                let j = v.join(w);
-                if j != AbsValue::Top {
-                    slots.insert(k, j);
+        self.slots
+            .retain(|k, v| match other.slots.get(k).map(|&w| v.join(w)) {
+                Some(j) if j != AbsValue::Top => {
+                    changed |= j != *v;
+                    *v = j;
+                    true
                 }
-            }
-        }
-        AbsState { regs, slots }
+                _ => {
+                    changed = true;
+                    false
+                }
+            });
+        changed
     }
 
     /// State a resolved callee starts in when entered from here: the
@@ -193,19 +191,13 @@ impl AbsState {
     }
 }
 
-/// Result of the interprocedural pass.
-///
-/// Pre-states are interned: `states` is a dense arena and `state_in`
-/// maps instruction ids to arena ids, so the many program points that
-/// share one abstract state (every instruction that does not move the
-/// lattice) share one allocation instead of each holding a clone.
+/// Result of the interprocedural pass: the abstract `%rax` value before
+/// every instruction.
 #[derive(Debug, Clone, Default)]
 pub struct AbsInt {
-    /// Interned abstract states (the copy-on-write arena).
-    states: Vec<AbsState>,
-    /// Per instruction id: the arena id of its pre-state, `None` where
-    /// the instruction was never reached.
-    state_in: Vec<Option<u32>>,
+    /// Per instruction id: `%rax` just before it
+    /// ([`AbsValue::Unreached`] where the instruction was never reached).
+    rax_in: Vec<AbsValue>,
 }
 
 /// A block is re-queued at most this many times before its in-state is
@@ -258,17 +250,13 @@ impl Worklist {
 }
 
 impl AbsInt {
-    /// The interned pre-state of instruction `inst` (an id), if reached.
-    pub fn state_at(&self, inst: usize) -> Option<&AbsState> {
-        let id = (*self.state_in.get(inst)?)?;
-        Some(&self.states[id as usize])
-    }
-
     /// The abstract `%rax` value just before instruction `inst` (an id;
     /// [`AbsValue::Unreached`] if the point was never reached).
     pub fn rax_at(&self, inst: usize) -> AbsValue {
-        self.state_at(inst)
-            .map_or(AbsValue::Unreached, |s| s.reg(Reg::Rax))
+        self.rax_in
+            .get(inst)
+            .copied()
+            .unwrap_or(AbsValue::Unreached)
     }
 
     /// Runs the fixpoint.
@@ -281,37 +269,14 @@ impl AbsInt {
         Self::analyze_with(disasm, cfg, cg, summaries, &mut NoProbe)
     }
 
-    /// Runs the fixpoint with a counting probe attached, returning the
-    /// analysis plus its worklist counters. [`AbsInt::analyze`]
-    /// monomorphizes the same driver against a no-op probe, so the
-    /// production path pays nothing for the instrumentation seam.
-    pub fn analyze_profiled(
-        disasm: &Disassembly,
-        cfg: &Cfg,
-        cg: &CallGraph,
-        summaries: &Summaries,
-    ) -> (AbsInt, AbsIntProfile) {
-        let mut probe = AbsIntProfile::default();
-        let out = Self::analyze_with(disasm, cfg, cg, summaries, &mut probe);
-        (out, probe)
-    }
-
-    /// The worklist driver behind both entry points.
+    /// The worklist driver behind [`AbsInt::analyze`] and the profiled
+    /// pipeline ([`crate::Verifier::analyze_profiled`] counts its pops).
     ///
-    /// Block in-states are *interned*: the arena (`AbsInt::states`)
-    /// holds the actual `AbsState`s and `block_in` maps block ids to
-    /// arena ids. The arena is copy-on-write — `owned[id]`
-    /// says whether block `id` is the sole referent of its slot. When a
-    /// popped block's transfer chain leaves the state untouched (the
-    /// per-pop dirty bit stays clear), successors receive the in-state
-    /// *by id* instead of by clone, and both sides drop ownership so a
-    /// later join interns a fresh slot rather than mutating a shared
-    /// one. Join order, widening points and the pop schedule
-    /// (lowest block id first) do not depend on the sharing; only the
-    /// clone traffic does, which [`Probe::state_cloned`] /
-    /// [`Probe::state_shared`] account for (each share replaces what
-    /// the pre-CoW driver cloned, so `cloned + shared` is the old clone
-    /// count).
+    /// Each block holds one optional in-state; an edge or call seed
+    /// joins into it in place and re-queues the block when the join
+    /// moves it. A popped block's in-state is copied once into a
+    /// reusable scratch, which the block's transfer chain then rewrites
+    /// into its out-state.
     pub(crate) fn analyze_with<P: Probe>(
         disasm: &Disassembly,
         cfg: &Cfg,
@@ -321,191 +286,71 @@ impl AbsInt {
     ) -> AbsInt {
         let window = u16::from(STACK_WINDOW_SLOTS) * 8;
         let blocks = cfg.blocks.len();
-        let mut arena: Vec<AbsState> = Vec::with_capacity(blocks);
-        let mut block_in: Vec<Option<u32>> = vec![None; blocks];
-        let mut owned: Vec<bool> = vec![false; blocks];
+        let mut block_in: Vec<Option<AbsState>> = vec![None; blocks];
         let mut visits: Vec<u32> = vec![0; blocks];
         let mut work = Worklist::new(blocks);
         for &e in &disasm.entries {
             if let Some(id) = cfg.block_at(e) {
-                if block_in[id].is_none() {
-                    arena.push(AbsState::top());
-                    block_in[id] = Some((arena.len() - 1) as u32);
-                    owned[id] = true;
-                }
+                block_in[id].get_or_insert_with(AbsState::top);
                 work.insert(id);
             }
         }
 
-        // Scratch out-state, refreshed per pop (the one unavoidable
-        // copy per fixpoint iteration — `clone_from` reuses its
+        // Scratch out-state, refreshed per pop (`clone_from` reuses its
         // allocations where the collections allow).
         let mut scratch = AbsState::top();
 
         while let Some(id) = work.pop_first() {
             probe.block_popped();
             visits[id] += 1;
-            let cur = block_in[id].expect("queued block has a state") as usize;
             if visits[id] > BLOCK_VISIT_CAP {
-                if owned[id] {
-                    arena[cur] = AbsState::top();
-                } else {
-                    arena.push(AbsState::top());
-                    block_in[id] = Some((arena.len() - 1) as u32);
-                    owned[id] = true;
-                }
+                block_in[id] = Some(AbsState::top());
             }
-            let in_id = block_in[id].expect("queued block has a state");
-            scratch.clone_from(&arena[in_id as usize]);
-            probe.state_cloned();
+            scratch.clone_from(block_in[id].as_ref().expect("queued block has a state"));
             let block = &cfg.blocks[id];
-            let mut dirty = false;
             for inst in block.insts.clone() {
                 let (at, d) = disasm.insts[inst];
                 if let Some(tid) = resolved_call_target(cg, inst, d.inst) {
-                    let seed = scratch.call_seed();
-                    let m = merge_into(
-                        &mut arena,
-                        &mut block_in,
-                        &mut owned,
-                        probe,
-                        tid,
-                        &seed,
-                        None,
-                    );
-                    if m.changed {
+                    if merge_into(&mut block_in[tid], &scratch.call_seed()) {
                         work.insert(tid);
-                        // A self-targeted seed may have joined into our
-                        // own (owned) slot in place; don't offer that
-                        // slot's id to successors as the clean in-state.
-                        dirty |= tid == id;
                     }
                 }
-                dirty |= transfer(&mut scratch, d.inst, inst, at, window, cg, summaries);
+                transfer(&mut scratch, d.inst, inst, at, window, cg, summaries);
             }
-            // A clean chain means the out-state *is* the in-state, so
-            // successors may share its arena id.
-            let out_id = if dirty { None } else { Some(in_id) };
             for &sid in block.succs() {
-                let m = merge_into(
-                    &mut arena,
-                    &mut block_in,
-                    &mut owned,
-                    probe,
-                    sid,
-                    &scratch,
-                    out_id,
-                );
-                if m.shared {
-                    // Two blocks now reference the slot; neither may
-                    // join into it in place.
-                    owned[id] = false;
-                }
-                if m.changed {
+                if merge_into(&mut block_in[sid], &scratch) {
                     work.insert(sid);
                 }
             }
         }
 
-        // Converged: materialise per-instruction pre-states in order.
-        // Instructions whose transfer left the state untouched share
-        // the previous arena id; only a lattice-moving instruction
-        // interns a fresh state.
-        let mut state_in = vec![None; disasm.insts.len()];
-        for (id, block) in cfg.blocks.iter().enumerate() {
-            let Some(mut cur_id) = block_in[id] else {
+        // Converged: replay each reached block once, keeping `%rax`.
+        let mut rax_in = vec![AbsValue::Unreached; disasm.insts.len()];
+        for (state, block) in block_in.iter().zip(&cfg.blocks) {
+            let Some(state) = state else {
                 continue;
             };
-            scratch.clone_from(&arena[cur_id as usize]);
-            probe.state_cloned();
-            let mut dirty = false;
+            scratch.clone_from(state);
             for inst in block.insts.clone() {
-                if dirty {
-                    arena.push(scratch.clone());
-                    probe.state_cloned();
-                    cur_id = (arena.len() - 1) as u32;
-                    dirty = false;
-                } else {
-                    probe.state_shared();
-                }
-                state_in[inst] = Some(cur_id);
+                rax_in[inst] = scratch.reg(Reg::Rax);
                 let (at, d) = disasm.insts[inst];
-                dirty |= transfer(&mut scratch, d.inst, inst, at, window, cg, summaries);
+                transfer(&mut scratch, d.inst, inst, at, window, cg, summaries);
             }
         }
-        AbsInt {
-            states: arena,
-            state_in,
-        }
+        AbsInt { rax_in }
     }
 }
 
-/// What [`merge_into`] did: whether the join moved the target's lattice
-/// (re-queue it) and whether the incoming state was adopted by arena id
-/// (the donor must then give up in-place mutation rights).
-struct MergeOutcome {
-    changed: bool,
-    shared: bool,
-}
-
-/// Merges `state` into block `id`'s in-state under the copy-on-write
-/// discipline. `src` carries the incoming state's arena id when it is
-/// already interned (a clean out-state); a first merge then shares the
-/// id instead of cloning. Joins mutate in place only when the target
-/// owns its slot; otherwise the joined state is interned fresh so
-/// sharers never observe the write.
-fn merge_into<P: Probe>(
-    arena: &mut Vec<AbsState>,
-    block_in: &mut [Option<u32>],
-    owned: &mut [bool],
-    probe: &mut P,
-    id: usize,
-    state: &AbsState,
-    src: Option<u32>,
-) -> MergeOutcome {
-    let outcome = match block_in[id] {
-        Some(cur) => {
-            let old = &arena[cur as usize];
-            let joined = old.join(state);
-            let changed = &joined != old;
-            if changed {
-                if owned[id] {
-                    arena[cur as usize] = joined;
-                } else {
-                    arena.push(joined);
-                    block_in[id] = Some((arena.len() - 1) as u32);
-                    owned[id] = true;
-                }
-            }
-            MergeOutcome {
-                changed,
-                shared: false,
-            }
+/// Joins `state` into one block's in-state, reporting whether it moved
+/// (a block's first state always does).
+fn merge_into(slot: &mut Option<AbsState>, state: &AbsState) -> bool {
+    match slot {
+        Some(cur) => cur.join_from(state),
+        None => {
+            *slot = Some(state.clone());
+            true
         }
-        None => match src {
-            Some(sid) => {
-                block_in[id] = Some(sid);
-                owned[id] = false;
-                probe.state_shared();
-                MergeOutcome {
-                    changed: true,
-                    shared: true,
-                }
-            }
-            None => {
-                arena.push(state.clone());
-                block_in[id] = Some((arena.len() - 1) as u32);
-                owned[id] = true;
-                probe.state_cloned();
-                MergeOutcome {
-                    changed: true,
-                    shared: false,
-                }
-            }
-        },
-    };
-    probe.state_merged(outcome.changed);
-    outcome
+    }
 }
 
 /// Resolved callee head (block id) of instruction `id`, when it is a
@@ -518,9 +363,7 @@ fn resolved_call_target(cg: &CallGraph, id: usize, inst: Inst) -> Option<usize> 
 }
 
 /// One-instruction transfer function for instruction `id` at `at`
-/// (mutates `state` in place). Returns whether the state actually moved
-/// — the copy-on-write driver uses this dirty bit to share untouched
-/// states by arena id.
+/// (mutates `state` in place).
 fn transfer(
     state: &mut AbsState,
     inst: Inst,
@@ -529,7 +372,7 @@ fn transfer(
     window: u16,
     cg: &CallGraph,
     summaries: &Summaries,
-) -> bool {
+) {
     match inst {
         Inst::MovImm32 { reg, imm } => state.set_reg(
             reg,
@@ -554,7 +397,7 @@ fn transfer(
         ),
         Inst::MovRegReg64 { dst, src } => {
             let v = state.reg(src).redef(at, 3);
-            state.set_reg(dst, v)
+            state.set_reg(dst, v);
         }
         Inst::LoadRspDisp8R64 { reg, disp } => {
             let v = state
@@ -563,7 +406,7 @@ fn transfer(
                 .copied()
                 .unwrap_or(AbsValue::Top)
                 .redef(at, 5);
-            state.set_reg(reg, v)
+            state.set_reg(reg, v);
         }
         Inst::LoadRspDisp8R32 { reg, disp } => {
             // 32-bit load zero-extends; only constants already in u32
@@ -577,49 +420,38 @@ fn transfer(
                 }
                 _ => AbsValue::Top,
             };
-            state.set_reg(reg, v)
+            state.set_reg(reg, v);
         }
         Inst::StoreRspDisp8R64 { reg, disp } => {
             // An 8-byte store invalidates any tracked slot it overlaps,
             // then records the stored value at `disp` when it is inside
             // the tracked window and informative.
-            let lo = disp.saturating_sub(7);
-            let hi = disp.saturating_add(7);
+            let overlap = disp.saturating_sub(7)..=disp.saturating_add(7);
             let new = if u16::from(disp) < window {
                 Some(state.reg(reg)).filter(|&v| v != AbsValue::Top)
             } else {
                 None
             };
-            let stale: Vec<u8> = state
+            state
                 .slots
-                .range(lo..=hi)
-                .map(|(&k, _)| k)
-                .filter(|&k| k != disp)
-                .collect();
-            let mut changed = !stale.is_empty();
-            for k in stale {
-                state.slots.remove(&k);
-            }
+                .retain(|&k, _| k == disp || !overlap.contains(&k));
             match new {
-                Some(v) => changed |= state.slots.insert(disp, v) != Some(v),
-                None => changed |= state.slots.remove(&disp).is_some(),
-            }
-            changed
+                Some(v) => state.slots.insert(disp, v),
+                None => state.slots.remove(&disp),
+            };
         }
         Inst::Syscall => {
-            let mut changed = state.set_reg(Reg::Rax, AbsValue::Top);
-            changed |= state.set_reg(Reg::Rcx, AbsValue::Top);
-            changed | state.clear_slots()
+            state.set_reg(Reg::Rax, AbsValue::Top);
+            state.set_reg(Reg::Rcx, AbsValue::Top);
+            state.slots.clear();
         }
         Inst::CallRel32 { .. } | Inst::CallAbsIndirect { .. } => {
-            let mut changed = match resolved_call_target(cg, id, inst) {
+            match resolved_call_target(cg, id, inst) {
                 Some(target) => {
                     let s = summaries.summary(target);
                     let pre_rax = state.reg(Reg::Rax);
-                    let mut changed = false;
                     for code in 0..8u8 {
                         if s.clobbers & (1 << code) != 0 {
-                            changed |= state.regs[code as usize] != AbsValue::Top;
                             state.regs[code as usize] = AbsValue::Top;
                         }
                     }
@@ -636,24 +468,20 @@ fn transfer(
                             }
                         }
                     };
-                    changed | state.set_reg(Reg::Rax, rax)
+                    state.set_reg(Reg::Rax, rax);
                 }
-                None => {
-                    let changed = state.regs != [AbsValue::Top; 8];
-                    state.regs = [AbsValue::Top; 8];
-                    changed
-                }
-            };
-            changed |= state.clear_slots();
-            changed
+                None => state.regs = [AbsValue::Top; 8],
+            }
+            state.slots.clear();
         }
         Inst::PushRbp | Inst::AddRspImm8 { .. } | Inst::SubRspImm8 { .. } => {
-            state.set_reg(Reg::Rsp, AbsValue::Top) | state.clear_slots()
+            state.set_reg(Reg::Rsp, AbsValue::Top);
+            state.slots.clear();
         }
         Inst::PopRbp | Inst::Leave => {
-            state.set_reg(Reg::Rsp, AbsValue::Top)
-                | state.set_reg(Reg::Rbp, AbsValue::Top)
-                | state.clear_slots()
+            state.set_reg(Reg::Rsp, AbsValue::Top);
+            state.set_reg(Reg::Rbp, AbsValue::Top);
+            state.slots.clear();
         }
         Inst::Nop
         | Inst::Ret
@@ -662,7 +490,7 @@ fn transfer(
         | Inst::TestEaxEax
         | Inst::JmpRel8 { .. }
         | Inst::JmpRel32 { .. }
-        | Inst::JccRel8 { .. } => false,
+        | Inst::JccRel8 { .. } => {}
     }
 }
 
@@ -820,16 +648,27 @@ mod tests {
         });
         a.call_to("noisy");
         let after_call = a.here();
+        a.inst(Inst::MovRegReg64 {
+            dst: Reg::Rax,
+            src: Reg::Rbx,
+        });
+        let read_rbx = a.here();
         a.inst(Inst::Syscall);
         a.inst(Inst::Ret);
         a.label("noisy").unwrap();
         a.inst(Inst::Syscall); // clobbers rax + rcx
         a.inst(Inst::Ret);
         let (d, ai) = run(a);
-        let state = ai.state_at(d.id_of(after_call).unwrap()).unwrap();
-        // rax was clobbered by the callee's syscall; rbx survived.
-        assert_eq!(state.reg(Reg::Rax), AbsValue::Top);
-        assert_eq!(state.reg(Reg::Rbx).as_const(), Some(11));
+        // rax was clobbered by the callee's syscall; rbx survived, and
+        // the copy carries it to the caller's syscall.
+        assert_eq!(ai.rax_at(d.id_of(after_call).unwrap()), AbsValue::Top);
+        assert_eq!(
+            ai.rax_at(d.id_of(read_rbx).unwrap()),
+            AbsValue::Const {
+                v: 11,
+                def: Some((after_call, 3)),
+            }
+        );
     }
 
     #[test]

@@ -45,9 +45,14 @@
 //! is its index, holding its range of instruction ids and its
 //! successors' block ids. The dataflow, call graph, summaries and
 //! abstract interpretation run their worklists over those ids into
-//! `Vec`s. Addresses enter only at the edges — judging, the
-//! [`AnalysisCache`] views, the offline patcher — and become ids by
+//! `Vec`s. Addresses enter only at the edges — judging and the
+//! patchers' verdict, site and hazard queries — and become ids by
 //! binary search.
+//!
+//! An [`Analysis`] speaks the addresses of the image it was run on.
+//! [`AnalysisCache`] memoizes it per loaded image (base, bytes, symbols
+//! and configuration), and the online pre-flight and the offline patcher
+//! query the shared analysis directly.
 //!
 //! # Example
 //!
@@ -84,7 +89,7 @@ pub mod summaries;
 pub mod verifier;
 
 pub use absint::{AbsInt, AbsState, AbsValue};
-pub use cache::{AnalysisCache, CachedAnalysis};
+pub use cache::AnalysisCache;
 pub use callgraph::CallGraph;
 pub use cfg::{BasicBlock, Cfg, Edge, EdgeKind};
 pub use dataflow::{Dataflow, RaxValue, SyscallFacts};
@@ -92,7 +97,7 @@ pub use disasm::{disassemble_image, Disassembly};
 pub use lint::{
     lint_report, render_json, render_text, summarize, LintFinding, LintSummary, Severity,
 };
-pub use profile::{AbsIntProfile, PipelineProfile, Stage};
+pub use profile::{PipelineProfile, Stage};
 pub use report::{
     ReasonChain, SiteKind, SiteReport, UnknownReason, UnsafeReason, Verdict, VerifyReport,
 };

@@ -1,13 +1,12 @@
-//! Self-timing probes for the analysis pipeline.
+//! Self-timing probe for the analysis pipeline.
 //!
-//! [`crate::Verifier::analyze`] and [`crate::AbsInt::analyze`] run
-//! through generic drivers that call into a [`Probe`] after each pipeline
-//! stage and at the abstract interpreter's worklist hot points. The
-//! default probe methods are empty `#[inline]` bodies and the production
-//! path monomorphizes against the [`NoProbe`] ZST, so the hooks compile
-//! to nothing unless a caller runs [`crate::Verifier::analyze_profiled`]
-//! or [`crate::AbsInt::analyze_profiled`] — the classic zero-cost
-//! instrumentation seam.
+//! [`crate::Verifier::analyze`] runs through a generic driver that calls
+//! into a [`Probe`] after each pipeline stage and at every pop of the
+//! abstract interpreter's worklist. The default probe methods are empty
+//! `#[inline]` bodies and the production path monomorphizes against the
+//! [`NoProbe`] ZST, so the hooks compile to nothing unless a caller runs
+//! [`crate::Verifier::analyze_profiled`], which times every stage and
+//! counts the pops.
 
 use std::time::Instant;
 
@@ -63,26 +62,6 @@ pub(crate) trait Probe {
     #[inline]
     fn block_popped(&mut self) {}
 
-    /// An edge state was merged into a block's in-state; `changed` is
-    /// whether the join moved the lattice (and re-queued the target).
-    #[inline]
-    fn state_merged(&mut self, changed: bool) {
-        let _ = changed;
-    }
-
-    /// An `AbsState` was physically copied (scratch refresh, first-merge
-    /// intern, or a materialisation intern). Together with
-    /// [`Probe::state_shared`] this accounts for every point the
-    /// pre-copy-on-write driver cloned: `cloned + shared` is the old
-    /// clone count.
-    #[inline]
-    fn state_cloned(&mut self) {}
-
-    /// An `AbsState` was adopted by arena id where the pre-CoW driver
-    /// would have cloned it.
-    #[inline]
-    fn state_shared(&mut self) {}
-
     /// `stage` finished.
     #[inline]
     fn stage_done(&mut self, stage: Stage) {
@@ -95,57 +74,15 @@ pub(crate) struct NoProbe;
 
 impl Probe for NoProbe {}
 
-/// Worklist counters from one profiled abstract interpretation (see
-/// [`crate::AbsInt::analyze_profiled`]). They are a pure function of
-/// the image.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AbsIntProfile {
-    /// Worklist pops (fixpoint iterations).
-    pub pops: u64,
-    /// Edge-state merges attempted.
-    pub merges: u64,
-    /// Merges that moved the lattice and re-queued a block.
-    pub merges_changed: u64,
-    /// `AbsState`s physically copied (scratch refreshes plus arena
-    /// interns). `states_cloned + states_shared` is what the
-    /// pre-copy-on-write driver cloned.
-    pub states_cloned: u64,
-    /// `AbsState`s adopted by arena id instead of cloned.
-    pub states_shared: u64,
-}
-
-impl Probe for AbsIntProfile {
-    #[inline]
-    fn block_popped(&mut self) {
-        self.pops += 1;
-    }
-
-    #[inline]
-    fn state_merged(&mut self, changed: bool) {
-        self.merges += 1;
-        self.merges_changed += u64::from(changed);
-    }
-
-    #[inline]
-    fn state_cloned(&mut self) {
-        self.states_cloned += 1;
-    }
-
-    #[inline]
-    fn state_shared(&mut self) {
-        self.states_shared += 1;
-    }
-}
-
 /// Wall time of every stage of one [`crate::Verifier::analyze_profiled`]
-/// run, plus the abstract interpreter's worklist counters. The times are
-/// host-dependent; the counters are not.
+/// run, plus the abstract interpreter's worklist pops. The times are
+/// host-dependent; the pop count is a pure function of the image.
 #[derive(Debug, Clone)]
 pub struct PipelineProfile {
     /// Nanoseconds per stage, indexed by `Stage as usize`.
     stage_nanos: [u64; 7],
-    /// The abstract interpreter's worklist counters.
-    pub absint: AbsIntProfile,
+    /// Worklist pops (fixpoint iterations) of the abstract interpreter.
+    pub pops: u64,
     lap: Instant,
 }
 
@@ -153,7 +90,7 @@ impl PipelineProfile {
     pub(crate) fn start() -> Self {
         PipelineProfile {
             stage_nanos: [0; 7],
-            absint: AbsIntProfile::default(),
+            pops: 0,
             lap: Instant::now(),
         }
     }
@@ -172,22 +109,7 @@ impl PipelineProfile {
 impl Probe for PipelineProfile {
     #[inline]
     fn block_popped(&mut self) {
-        self.absint.block_popped();
-    }
-
-    #[inline]
-    fn state_merged(&mut self, changed: bool) {
-        self.absint.state_merged(changed);
-    }
-
-    #[inline]
-    fn state_cloned(&mut self) {
-        self.absint.state_cloned();
-    }
-
-    #[inline]
-    fn state_shared(&mut self) {
-        self.absint.state_shared();
+        self.pops += 1;
     }
 
     fn stage_done(&mut self, stage: Stage) {

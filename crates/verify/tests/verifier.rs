@@ -6,10 +6,7 @@
 use xc_isa::asm::Assembler;
 use xc_isa::image::BinaryImage;
 use xc_isa::inst::{Cond, Inst, Reg};
-use xc_verify::{
-    disassemble_image, AbsInt, CallGraph, Cfg, DetourHazard, SiteKind, Summaries, UnknownReason,
-    UnsafeReason, Verdict, Verifier,
-};
+use xc_verify::{DetourHazard, SiteKind, UnknownReason, UnsafeReason, Verdict, Verifier};
 
 /// A small synthetic libc: one wrapper of every patchable shape, padded
 /// between functions like a linker would.
@@ -274,11 +271,7 @@ fn visit_cap_ladder(rungs: u32) -> (BinaryImage, u64) {
 
 /// Worklist pops of the abstract interpretation over `image`.
 fn absint_pops(image: &BinaryImage) -> u64 {
-    let d = disassemble_image(image);
-    let cfg = Cfg::build(&d);
-    let cg = CallGraph::build(&d, &cfg);
-    let summaries = Summaries::build(&d, &cfg, &cg);
-    AbsInt::analyze_profiled(&d, &cfg, &cg, &summaries).1.pops
+    Verifier::new().analyze_profiled(image).1.pops
 }
 
 #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository hygiene gate: formatting, lints, rustdoc links, the runner
-# determinism suite, the release-mode verifier and ABOM tests, the golden
-# table and the examples. Fails on any diff,
+# determinism suite, the release-mode verifier, ABOM and fault-injection
+# tests, the golden table and the examples. Fails on any diff,
 # warning, test failure or failing example. The golden test
 # (crates/bench/tests/golden.rs) runs every harness binary at --jobs 1 and
 # -j 3 and checks its exit status, that it left only its results file, its
@@ -30,8 +30,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== runner determinism suite (incl. panicking_cell_is_isolated_from_the_grid) =="
 cargo test -q -p xc-bench --test determinism
 
-echo "== release-mode tests: xc-verify and xc-abom (integer overflow wraps, debug_assert! is off) =="
-cargo test --release -q -p xc-verify -p xc-abom
+echo "== release-mode tests: xc-verify, xc-abom and xc-faults (integer overflow wraps, debug_assert! is off) =="
+cargo test --release -q -p xc-verify -p xc-abom -p xc-faults
 
 echo "== golden table: every harness binary, --jobs 1 and 3 =="
 cargo test -q -p xc-bench --test golden
@@ -51,4 +51,4 @@ for src in examples/*.rs; do
     fi
 done
 
-echo "ok: formatting clean, no lints, docs link, deterministic at any --jobs, verifier and ABOM pass in release, every harness at its golden row, every example runs"
+echo "ok: formatting clean, no lints, docs link, deterministic at any --jobs, verifier, ABOM and fault injection pass in release, every harness at its golden row, every example runs"
