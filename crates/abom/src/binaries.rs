@@ -43,10 +43,10 @@ pub enum WrapperStyle {
     /// libc-style `syscall(nr, ...)` shim pair: the wrapper materializes
     /// the number as an *argument* (`mov $nr,%edi`) and calls a shared
     /// identity shim (`mov %rdi,%rax; syscall; ret`). Neither half is
-    /// recognizable to online ABOM or the default offline scan — but the
-    /// v2 interprocedural verifier proves the shim's syscall number
-    /// constant through the call edge, so the offline tool in
-    /// interprocedural mode can detour it.
+    /// recognizable to online ABOM or to the offline tool's default
+    /// configuration — but the v2 interprocedural verifier proves the
+    /// shim's syscall number constant through the call edge, so the
+    /// offline tool in interprocedural mode can detour it.
     LibcShim,
 }
 
@@ -62,8 +62,8 @@ impl WrapperStyle {
         )
     }
 
-    /// Whether the offline detour tool in its **default** (single-pass,
-    /// intraprocedural) configuration can patch this style.
+    /// Whether the offline detour tool in its **default**
+    /// (immediate-number only) configuration can patch this style.
     /// [`WrapperStyle::LibcShim`] additionally becomes patchable when
     /// the offline tool runs with `interprocedural` enabled.
     pub fn offline_patchable(self) -> bool {

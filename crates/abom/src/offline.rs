@@ -7,36 +7,40 @@
 //! the `mov $nr,%eax` and the `syscall` — patching two such locations lifts
 //! MySQL from 44.6% to 92.2% syscall reduction (Table 1).
 //!
-//! The tool performs classic **detour patching**:
+//! The tool performs classic **detour patching**, driven by one `xc-verify`
+//! static analysis of the image:
 //!
-//! 1. linear-sweep disassemble the text section ([`xc_verify::disasm::sweep`]),
-//! 2. dataflow-track the syscall number: the most recent immediate `mov`
-//!    into `%rax` that provably survives to each `syscall`,
-//! 3. adjacent `mov`+`syscall` pairs are handed to the online patcher
-//!    logic (same 7/9-byte replacements),
-//! 4. non-adjacent pairs are detoured: the region from the `mov` through
-//!    the `syscall` is replaced by a `jmp rel32` to a trampoline appended
-//!    to the image, which re-executes the displaced instructions with the
+//! 1. the analysis report lists every `syscall` site with the region the
+//!    verifier's straight-line `%rax` walk found for it and the verdict it
+//!    reached for that region,
+//! 2. sites whose preceding bytes [`recognize`] matches are handed to the
+//!    online patcher logic (same 7/9-byte replacements),
+//! 3. any other site is detoured when its number is an immediate (or, with
+//!    [`OfflineConfig::interprocedural`], a propagated constant), its
+//!    region from the defining instruction through the `syscall` can hold
+//!    a 5-byte `jmp rel32`, and its verdict is `Safe`: the region is
+//!    replaced by a `jmp rel32` to a trampoline appended to the image,
+//!    which re-executes the displaced instructions with the
 //!    `mov`+`syscall` collapsed into a vsyscall-table call, then jumps
-//!    back.
+//!    back,
+//! 4. every other site is left to trap, with a [`SkipReason`] that carries
+//!    the verdict when the verifier did not prove the region safe.
 //!
 //! Historically, detour patchers *assume* no external jump targets the
-//! interior of a detoured region. This tool **proves** it instead: before
-//! any detour is written, the `xc-verify` static analyzer (CFG +
-//! dataflow over the same image) checks each candidate region, and
-//! regions with a proven interior jump target are refused with
-//! [`SkipReason::InteriorJumpTarget`]. Interior bytes of regions that do
-//! get detoured are still filled with `int3` so even an unproven
-//! violation fails loudly rather than silently.
+//! interior of a detoured region. This tool **proves** it instead: a
+//! `Safe` verdict means the CFG and dataflow over the same image found no
+//! entrance into the region's interior, no interior branch the trampoline
+//! cannot relocate, one constant number in the table and a dead `%rcx`
+//! after the site. Interior bytes of regions that do get detoured are
+//! still filled with `int3` so even an unproven violation fails loudly
+//! rather than silently.
 
 use std::error::Error;
 use std::fmt;
 
-use xc_isa::decode::DecodeError;
 use xc_isa::image::{BinaryImage, PAGE_SIZE};
-use xc_isa::inst::{Inst, Reg};
-use xc_verify::disasm::sweep;
-use xc_verify::{AnalysisCache, DetourHazard, SiteKind, Verdict, Verifier};
+use xc_isa::inst::Inst;
+use xc_verify::{AnalysisCache, SiteKind, SiteReport, Verdict, Verifier};
 
 use crate::patcher::{Abom, PatchOutcome};
 use crate::patterns::recognize;
@@ -46,32 +50,23 @@ use crate::table::VsyscallTable;
 /// Why a syscall site was left unpatched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
-    /// No immediate `mov` into `%rax` reaches this syscall.
+    /// No immediate `mov` into `%rax` (nor, with
+    /// [`OfflineConfig::interprocedural`], a propagated constant) defines
+    /// the number.
     UnknownNumber,
-    /// The tracked number is outside the vsyscall table.
-    NumberOutOfRange,
     /// The detour region is too small to hold the redirect jump.
     RegionTooSmall,
-    /// The static analyzer proved that control enters the detour region's
-    /// interior from outside it; a detour would break that entrance.
-    InteriorJumpTarget,
-    /// The static analyzer proved that an instruction inside the region
-    /// branches somewhere the trampoline relocation cannot preserve.
-    InteriorBranchEscape,
+    /// The static analyzer did not prove the region safe to detour; this
+    /// is its verdict for the site (never `Safe`).
+    Verdict(Verdict),
 }
 
 impl fmt::Display for SkipReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SkipReason::UnknownNumber => write!(f, "syscall number not statically known"),
-            SkipReason::NumberOutOfRange => write!(f, "syscall number outside entry table"),
             SkipReason::RegionTooSmall => write!(f, "region too small for detour"),
-            SkipReason::InteriorJumpTarget => {
-                write!(f, "region interior is a jump target from outside")
-            }
-            SkipReason::InteriorBranchEscape => {
-                write!(f, "region interior branch escapes the relocatable window")
-            }
+            SkipReason::Verdict(v) => write!(f, "verifier verdict: {v}"),
         }
     }
 }
@@ -100,15 +95,14 @@ pub struct OfflineReport {
     pub adjacent_patched: u64,
     /// Sites patched via detour trampolines.
     pub detour_patched: u64,
-    /// Sites skipped, with reasons.
+    /// Sites skipped, with reasons, in address order.
     pub skipped: Vec<(u64, SkipReason)>,
-    /// Counters from the run's ABOM instance: the adjacent-replacement
-    /// pass plus [`AbomStats::hazard_scans_saved`], the edge-list walks
-    /// amortized away by batching the per-region hazard queries.
+    /// Counters from the run's ABOM instance (the adjacent-replacement
+    /// pass).
     pub abom: AbomStats,
-    /// Sites the linear scan gave up on ([`SkipReason::UnknownNumber`])
-    /// that the interprocedural verifier recovered into detour
-    /// candidates (only nonzero with [`OfflineConfig::interprocedural`]).
+    /// Detours of sites whose number the interprocedural verifier
+    /// propagated ([`SiteKind::PropagatedNumber`]; only nonzero with
+    /// [`OfflineConfig::interprocedural`]).
     pub interprocedural_recovered: u64,
 }
 
@@ -117,44 +111,20 @@ impl OfflineReport {
     pub fn total_patched(&self) -> u64 {
         self.adjacent_patched + self.detour_patched
     }
-
-    /// Sites refused because the verifier proved the region interior is
-    /// entered from outside (either hazard kind).
-    pub fn interior_jump_skips(&self) -> u64 {
-        self.skipped
-            .iter()
-            .filter(|(_, r)| {
-                matches!(
-                    r,
-                    SkipReason::InteriorJumpTarget | SkipReason::InteriorBranchEscape
-                )
-            })
-            .count() as u64
-    }
 }
 
 /// Configuration for the offline tool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OfflineConfig {
-    /// Consult the interprocedural verifier for sites the linear scan
-    /// cannot resolve: a [`SkipReason::UnknownNumber`] site whose
-    /// verdict is `Safe` with kind `PropagatedNumber` (constant proven
-    /// through copies, spills, or call edges) becomes a detour
-    /// candidate, with the region anchored at the propagating
-    /// instruction the verifier names. Off by default: the default tool
-    /// mirrors the paper's single-pass scan, so existing Table-1
-    /// numbers are unchanged unless a caller opts in.
+    /// Also detour the sites whose number the interprocedural verifier
+    /// proved constant through copies, spills or call edges (`Safe`
+    /// [`SiteKind::PropagatedNumber`] sites), with the region anchored at
+    /// the propagating instruction the verifier names. Off by default:
+    /// the default tool detours only immediate-number sites, like the
+    /// paper's tool, and skips propagated ones as
+    /// [`SkipReason::UnknownNumber`], so existing Table-1 numbers are
+    /// unchanged unless a caller opts in.
     pub interprocedural: bool,
-}
-
-/// One discovered syscall site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Site {
-    mov_addr: u64,
-    mov_len: usize,
-    syscall_addr: u64,
-    nr: u64,
-    adjacent: bool,
 }
 
 /// The offline patching tool.
@@ -191,194 +161,127 @@ impl OfflinePatcher {
         }
     }
 
-    /// Scans and patches `image`, returning a rewritten image (original
-    /// bytes plus appended trampolines) and a report.
+    /// Patches `image`, returning a rewritten image (original bytes plus
+    /// appended trampolines) and a report.
     ///
     /// # Errors
     ///
-    /// Returns [`OfflineError`] if an internal rewrite fails — scan misses
-    /// are reported in [`OfflineReport::skipped`], not as errors.
+    /// Returns [`OfflineError`] if an internal rewrite fails — sites left
+    /// unpatched are reported in [`OfflineReport::skipped`], not as errors.
     pub fn patch(&self, image: &BinaryImage) -> Result<(BinaryImage, OfflineReport), OfflineError> {
         let mut cache = AnalysisCache::new();
         self.patch_with_cache(image, &mut cache)
     }
 
-    /// Like [`OfflinePatcher::patch`], but serving the pre-flight static
-    /// analysis through a caller-owned [`AnalysisCache`]. Callers that
-    /// already analyzed `image` (study harnesses, batch pipelines) share
-    /// the cache so the image's text section is decoded once, not once per
-    /// consumer.
+    /// Like [`OfflinePatcher::patch`], but serving the static analysis
+    /// through a caller-owned [`AnalysisCache`], with one lookup per call.
+    /// Callers that already analyzed `image` (study harnesses, batch
+    /// pipelines) share the cache so the image is analyzed once, not once
+    /// per consumer.
+    ///
+    /// The analysis decides every site, in address order: a site whose
+    /// preceding bytes [`recognize`] matches gets the online 7/9-byte
+    /// replacement, and any other site is detoured iff its
+    /// [`SiteReport`] kind is [`SiteKind::ImmediateNumber`] (or
+    /// [`SiteKind::PropagatedNumber`] with
+    /// [`OfflineConfig::interprocedural`]), its region from the defining
+    /// instruction through the `syscall` is at least 5 bytes, and its
+    /// verdict is `Safe`.
     ///
     /// # Errors
     ///
-    /// Returns [`OfflineError`] if an internal rewrite fails — scan misses
-    /// are reported in [`OfflineReport::skipped`], not as errors.
+    /// Returns [`OfflineError`] if an internal rewrite fails — sites left
+    /// unpatched are reported in [`OfflineReport::skipped`], not as errors.
     pub fn patch_with_cache(
         &self,
         image: &BinaryImage,
         cache: &mut AnalysisCache,
     ) -> Result<(BinaryImage, OfflineReport), OfflineError> {
-        let (mut sites, mut skipped) = self.scan(image);
-        // One static analysis of the unpatched image backs every detour
-        // decision below (memoized: a hit if the caller analyzed it first).
+        // Memoized: a hit if the caller analyzed the image first.
         let analysis = cache.analyze(&Verifier::new(), image);
 
-        // Interprocedural recovery: sites the linear scan could not
-        // resolve but the abstract interpreter proved constant get a
-        // region anchored at the propagating instruction. The hazard
-        // checks below still apply to every recovered region.
-        let mut recovered = 0u64;
-        if self.config.interprocedural {
-            skipped.retain(|&(addr, reason)| {
-                if reason != SkipReason::UnknownNumber {
-                    return true;
-                }
-                let Some(site) = analysis.report().site(addr) else {
-                    return true;
-                };
-                let propagated =
-                    site.verdict == Verdict::Safe && site.kind == SiteKind::PropagatedNumber;
-                let (Some(mov_addr), Some(mov_len), Some(nr), true) =
-                    (site.mov_addr, site.mov_len, site.number, propagated)
-                else {
-                    return true;
-                };
-                sites.push(Site {
-                    mov_addr,
-                    mov_len: mov_len as usize,
-                    syscall_addr: addr,
-                    nr: nr as u64,
-                    adjacent: false,
-                });
-                recovered += 1;
-                false
-            });
-            sites.sort_by_key(|s| s.syscall_addr);
-        }
-
         // Build the output: original bytes + page-aligned trampoline area.
+        let base = image.base();
         let text_len = image.len();
         let tramp_start_off = (text_len as u64).div_ceil(PAGE_SIZE) * PAGE_SIZE;
         let mut bytes = image
-            .read_bytes(image.base(), text_len)
+            .read_bytes(base, text_len)
             .map_err(|e| OfflineError::Rewrite(e.to_string()))?
             .to_vec();
         bytes.resize(tramp_start_off as usize, 0xcc);
 
-        let mut report = OfflineReport {
-            skipped,
-            interprocedural_recovered: recovered,
-            ..OfflineReport::default()
-        };
-        let mut detours: Vec<(Site, u64)> = Vec::new();
-        let mut tramp_cursor = image.base() + tramp_start_off;
-        let mut abom = Abom::new();
-
-        // Cheap shape checks first, so the hazard queries for every
-        // surviving candidate region can be answered by one batched
-        // edge-list walk instead of one full walk per site.
-        let mut prechecked: Vec<(&Site, Result<u64, SkipReason>)> = Vec::new();
-        for site in &sites {
-            if site.adjacent {
-                continue; // handled by the online-style pass below
+        let mut report = OfflineReport::default();
+        let mut adjacent = Vec::new();
+        let mut tramp_cursor = base + tramp_start_off;
+        for site in &analysis.report().sites {
+            if recognize(image, site.syscall_addr).is_some() {
+                // Adjacent patterns (including the stack-dispatch case,
+                // whose number is never statically known) go through the
+                // online replacement logic below.
+                adjacent.push(site.syscall_addr);
+                continue;
             }
-            let region_len = (site.syscall_addr + 2 - site.mov_addr) as usize;
-            let verdict = if region_len < 5 {
-                Err(SkipReason::RegionTooSmall)
-            } else if let Some(entry) = self.table.entry_for_number(site.nr) {
-                Ok(entry)
-            } else {
-                Err(SkipReason::NumberOutOfRange)
-            };
-            prechecked.push((site, verdict));
-        }
-        // Pre-flight safety proof for every candidate at once: refuse
-        // regions whose interior is reachable from outside the region.
-        let queries: Vec<(u64, u64, u64)> = prechecked
-            .iter()
-            .filter(|(_, v)| v.is_ok())
-            .map(|(s, _)| (s.mov_addr, s.mov_addr + s.mov_len as u64, s.syscall_addr))
-            .collect();
-        abom.stats_mut().hazard_scans_saved += (queries.len() as u64).saturating_sub(1);
-        let mut hazards = analysis.region_detour_hazards(&queries).into_iter();
-
-        for (site, verdict) in prechecked {
-            let region_start = site.mov_addr;
-            let region_end = site.syscall_addr + 2;
-            let entry = match verdict {
-                Ok(entry) => entry,
+            let (mov_addr, mov_len, entry) = match self.detour_region(site) {
+                Ok(region) => region,
                 Err(reason) => {
                     report.skipped.push((site.syscall_addr, reason));
                     continue;
                 }
             };
-            if let Some(hazard) = hazards.next().expect("one hazard result per candidate") {
-                let reason = match hazard {
-                    DetourHazard::InteriorJumpTarget { .. } => SkipReason::InteriorJumpTarget,
-                    DetourHazard::EscapingInteriorBranch { .. } => SkipReason::InteriorBranchEscape,
-                };
-                report.skipped.push((site.syscall_addr, reason));
-                continue;
-            }
+            let region_end = site.syscall_addr + 2;
 
             // Trampoline: displaced interior (minus mov and syscall), then
             // the vsyscall call, then a jump back to the region end.
-            let interior_start = (region_start - image.base()) as usize + site.mov_len;
-            let interior_end = (site.syscall_addr - image.base()) as usize;
-            let mut tramp = Vec::new();
-            tramp.extend_from_slice(&bytes[interior_start..interior_end]);
+            let interior_start = (mov_addr - base) as usize + usize::from(mov_len);
+            let interior_end = (site.syscall_addr - base) as usize;
+            let mut tramp = bytes[interior_start..interior_end].to_vec();
             Inst::CallAbsIndirect { target: entry }.encode_into(&mut tramp);
-            // jmp rel32 back to region_end.
             let jmp_at = tramp_cursor + tramp.len() as u64;
             let rel = region_end as i64 - (jmp_at + 5) as i64;
             Inst::JmpRel32 { rel: rel as i32 }.encode_into(&mut tramp);
-
-            detours.push((*site, tramp_cursor));
-            let off = (tramp_cursor - image.base()) as usize;
+            let off = (tramp_cursor - base) as usize;
             if bytes.len() < off + tramp.len() {
                 bytes.resize(off + tramp.len(), 0xcc);
             }
             bytes[off..off + tramp.len()].copy_from_slice(&tramp);
-            // Pack trampolines back-to-back: each is only entered via its
-            // detour jump and left via its closing jump, so alignment
-            // padding between them bought nothing (ROADMAP item 5).
-            tramp_cursor += tramp.len() as u64;
-        }
 
-        // Write the detour jumps into the text copy.
-        for (site, tramp_addr) in &detours {
-            let region_start = site.mov_addr;
-            let region_end = site.syscall_addr + 2;
-            let off = (region_start - image.base()) as usize;
-            let rel = *tramp_addr as i64 - (region_start + 5) as i64;
+            // The detour jump over the region, whose remaining bytes are
+            // int3-filled so stray jumps fail loudly. Regions never
+            // overlap (each ends at its own `syscall` and holds no other),
+            // so later trampolines still copy original bytes.
+            let region_off = (mov_addr - base) as usize;
+            let rel = tramp_cursor as i64 - (mov_addr + 5) as i64;
             let mut jmp = Vec::new();
             Inst::JmpRel32 { rel: rel as i32 }.encode_into(&mut jmp);
-            bytes[off..off + 5].copy_from_slice(&jmp);
-            // int3-fill the rest of the region so stray jumps fail loudly.
-            for b in &mut bytes[off + 5..(region_end - image.base()) as usize] {
-                *b = 0xcc;
-            }
+            bytes[region_off..region_off + 5].copy_from_slice(&jmp);
+            bytes[region_off + 5..(region_end - base) as usize].fill(0xcc);
+
+            // Pack trampolines back-to-back: each is only entered via its
+            // detour jump and left via its closing jump, so alignment
+            // padding between them would buy nothing.
+            tramp_cursor += tramp.len() as u64;
             report.detour_patched += 1;
+            if site.kind == SiteKind::PropagatedNumber {
+                report.interprocedural_recovered += 1;
+            }
         }
 
-        let mut out = BinaryImage::new(image.base(), bytes);
+        let mut out = BinaryImage::new(base, bytes);
         for (name, addr) in image.symbols() {
             out.add_symbol(name, addr);
         }
 
         // Adjacent sites: run the online replacement logic on the copy.
-        for site in &sites {
-            if site.adjacent {
-                match abom.on_syscall_trap(&mut out, site.syscall_addr) {
-                    PatchOutcome::Patched(_) | PatchOutcome::AlreadyPatched => {
-                        report.adjacent_patched += 1;
-                    }
-                    other => {
-                        return Err(OfflineError::Rewrite(format!(
-                            "adjacent site at {:#x} failed: {other:?}",
-                            site.syscall_addr
-                        )))
-                    }
+        let mut abom = Abom::new();
+        for syscall_addr in adjacent {
+            match abom.on_syscall_trap(&mut out, syscall_addr) {
+                PatchOutcome::Patched(_) | PatchOutcome::AlreadyPatched => {
+                    report.adjacent_patched += 1;
+                }
+                other => {
+                    return Err(OfflineError::Rewrite(format!(
+                        "adjacent site at {syscall_addr:#x} failed: {other:?}"
+                    )))
                 }
             }
         }
@@ -388,99 +291,27 @@ impl OfflinePatcher {
         Ok((out, report))
     }
 
-    /// Linear sweep + `%rax` immediate tracking.
-    fn scan(&self, image: &BinaryImage) -> (Vec<Site>, Vec<(u64, SkipReason)>) {
-        let mut sites = Vec::new();
-        let mut skipped = Vec::new();
-        // (mov_addr, mov_len, nr) of the live immediate load into rax.
-        let mut live: Option<(u64, usize, u64)> = None;
-
-        for (addr, decoded) in sweep(image) {
-            let d = match decoded {
-                Ok(d) => d,
-                Err(DecodeError::InvalidOpcode(_)) | Err(DecodeError::Unsupported(_)) => {
-                    // Padding or data: the sweep resyncs one byte at a time.
-                    live = None;
-                    continue;
-                }
-                Err(DecodeError::Truncated) => break,
-            };
-            match d.inst {
-                Inst::MovImm32 { reg: Reg::Rax, imm } => {
-                    live = Some((addr, d.len, u64::from(imm)));
-                }
-                Inst::MovImm32SxR64 { reg: Reg::Rax, imm } if imm >= 0 => {
-                    live = Some((addr, d.len, imm as u64));
-                }
-                Inst::MovImm32SxR64 { reg: Reg::Rax, .. } => live = None,
-                // The zeroing idiom: rax is statically 0 (syscall read),
-                // but the 2-byte instruction leaves no room for a detour
-                // redirect in small wrappers — recorded and usually
-                // skipped as RegionTooSmall.
-                Inst::XorEaxEax => {
-                    live = Some((addr, d.len, 0));
-                }
-                Inst::Syscall => {
-                    if recognize(image, addr).is_some() {
-                        // Adjacent patterns (including the stack-dispatch
-                        // case, whose number is never statically known) go
-                        // through the online replacement logic.
-                        sites.push(Site {
-                            mov_addr: addr,
-                            mov_len: 0,
-                            syscall_addr: addr,
-                            nr: 0,
-                            adjacent: true,
-                        });
-                    } else {
-                        match live {
-                            Some((mov_addr, mov_len, nr)) => {
-                                sites.push(Site {
-                                    mov_addr,
-                                    mov_len,
-                                    syscall_addr: addr,
-                                    nr,
-                                    adjacent: false,
-                                });
-                            }
-                            None => skipped.push((addr, SkipReason::UnknownNumber)),
-                        }
-                    }
-                    live = None; // syscall clobbers rax (return value)
-                }
-                // Instructions that overwrite rax.
-                Inst::MovImm32 { .. } | Inst::MovImm32SxR64 { .. } => {} // other regs
-                Inst::LoadRspDisp8R32 { reg: Reg::Rax, .. }
-                | Inst::LoadRspDisp8R64 { reg: Reg::Rax, .. }
-                | Inst::MovRegReg64 { dst: Reg::Rax, .. } => live = None,
-                // Calls clobber rax; unconditional control flow ends the
-                // block.
-                Inst::CallRel32 { .. }
-                | Inst::CallAbsIndirect { .. }
-                | Inst::Ret
-                | Inst::JmpRel8 { .. }
-                | Inst::JmpRel32 { .. } => live = None,
-                Inst::Int3 => live = None,
-                // rax-preserving instructions. A conditional branch keeps
-                // the live number: libpthread's cancellable wrappers
-                // branch on the cancel state between the `mov` and the
-                // `syscall`, and both paths reach it with `%rax` intact.
-                Inst::JccRel8 { .. }
-                | Inst::Nop
-                | Inst::Ud2
-                | Inst::Leave
-                | Inst::PushRbp
-                | Inst::PopRbp
-                | Inst::TestEaxEax
-                | Inst::AddRspImm8 { .. }
-                | Inst::SubRspImm8 { .. }
-                | Inst::LoadRspDisp8R32 { .. }
-                | Inst::LoadRspDisp8R64 { .. }
-                | Inst::StoreRspDisp8R64 { .. }
-                | Inst::MovRegReg64 { .. } => {}
-            }
+    /// The detour region `(mov_addr, mov_len, vsyscall entry)` of a site
+    /// [`recognize`] does not match, or why the site is skipped.
+    fn detour_region(&self, site: &SiteReport) -> Result<(u64, u8, u64), SkipReason> {
+        let detourable = site.kind == SiteKind::ImmediateNumber
+            || (self.config.interprocedural && site.kind == SiteKind::PropagatedNumber);
+        let (true, Some(mov_addr), Some(mov_len)) = (detourable, site.mov_addr, site.mov_len)
+        else {
+            return Err(SkipReason::UnknownNumber);
+        };
+        if site.syscall_addr + 2 - mov_addr < 5 {
+            return Err(SkipReason::RegionTooSmall);
         }
-        (sites, skipped)
+        if site.verdict != Verdict::Safe {
+            return Err(SkipReason::Verdict(site.verdict));
+        }
+        let entry = site
+            .number
+            .and_then(|nr| u64::try_from(nr).ok())
+            .and_then(|nr| self.table.entry_for_number(nr))
+            .expect("a Safe verdict proves the number is in the table");
+        Ok((mov_addr, mov_len, entry))
     }
 }
 
@@ -492,6 +323,7 @@ mod tests {
         WrapperStyle,
     };
     use crate::handler::XContainerKernel;
+    use xc_isa::inst::Reg;
 
     #[test]
     fn detour_patches_cancellable_wrapper() {
@@ -553,10 +385,6 @@ mod tests {
         let (mut patched, report) = OfflinePatcher::new().patch(&image).unwrap();
         assert_eq!(report.adjacent_patched, 2);
         assert_eq!(report.detour_patched, 2);
-        assert_eq!(
-            report.abom.hazard_scans_saved, 1,
-            "two detour candidates must share one batched edge-list walk"
-        );
         assert_eq!(report.abom.patched_sites(), 2, "adjacent pass counters");
 
         let mut kernel = XContainerKernel::new();
@@ -602,6 +430,39 @@ mod tests {
         assert_eq!(report.total_patched(), 0);
         assert_eq!(report.skipped.len(), 1);
         assert_eq!(report.skipped[0].1, SkipReason::UnknownNumber);
+    }
+
+    #[test]
+    fn rcx_consumer_is_not_detoured() {
+        // A non-adjacent pair whose caller reads the %rcx the syscall
+        // clobbers: the replacement call would preserve it, so the
+        // verifier proves the detour unsafe and the site keeps trapping.
+        use xc_isa::asm::Assembler;
+        use xc_verify::UnsafeReason;
+        let mut a = Assembler::new(0x40_0000);
+        a.label("probe").unwrap();
+        a.inst(Inst::MovImm32 {
+            reg: Reg::Rax,
+            imm: 39,
+        });
+        a.inst(Inst::Nop);
+        let syscall_at = a.here();
+        a.inst(Inst::Syscall);
+        a.inst(Inst::MovRegReg64 {
+            dst: Reg::Rdx,
+            src: Reg::Rcx,
+        });
+        a.inst(Inst::Ret);
+        let image = a.finish().unwrap();
+        let (_, report) = OfflinePatcher::new().patch(&image).unwrap();
+        assert_eq!(report.total_patched(), 0);
+        assert_eq!(
+            report.skipped,
+            vec![(
+                syscall_at,
+                SkipReason::Verdict(Verdict::Unsafe(UnsafeReason::RcxLiveAfterSite))
+            )]
+        );
     }
 
     #[test]

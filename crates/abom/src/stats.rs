@@ -36,11 +36,6 @@ pub struct AbomStats {
     pub verify_cache_hits: u64,
     /// Pre-flight lookups that ran the full static-analysis pipeline.
     pub verify_cache_misses: u64,
-    /// Full CFG edge-list walks avoided by the offline patcher's batched
-    /// hazard query: answering R candidate regions in one walk saves
-    /// R − 1 walks over re-issuing the query per region. Always zero for
-    /// the online (trap-driven) path, which patches one site at a time.
-    pub hazard_scans_saved: u64,
     /// Patches undone by [`crate::patcher::Abom::rollback`] after a
     /// post-patch failure was detected: the site's original bytes were
     /// restored and the syscall trap path is its permanent fallback.
@@ -89,19 +84,7 @@ impl AbomStats {
         self.verify_rejected += other.verify_rejected;
         self.verify_cache_hits += other.verify_cache_hits;
         self.verify_cache_misses += other.verify_cache_misses;
-        self.hazard_scans_saved += other.hazard_scans_saved;
         self.rolled_back += other.rolled_back;
-    }
-
-    /// Fraction of pre-flight verifications served from the analysis
-    /// cache, in `[0, 1]` (0 when pre-flight verification never ran).
-    pub fn verify_cache_hit_rate(&self) -> f64 {
-        let total = self.verify_cache_hits + self.verify_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.verify_cache_hits as f64 / total as f64
-        }
     }
 }
 

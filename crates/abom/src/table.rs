@@ -78,11 +78,6 @@ impl VsyscallTable {
         VSYSCALL_BASE
     }
 
-    /// Address of the generic `%rax` dispatcher entry.
-    pub fn rax_dispatch_entry(&self) -> u64 {
-        VSYSCALL_BASE
-    }
-
     /// Address of the dedicated entry for syscall `nr`, or `None` if the
     /// number is outside the table.
     pub fn entry_for_number(&self, nr: u64) -> Option<u64> {

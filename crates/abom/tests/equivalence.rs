@@ -14,6 +14,7 @@ use xc_abom::binaries::{
     invoke, invoke_reusing, invoke_with, library_image, WrapperSpec, WrapperStyle,
 };
 use xc_abom::handler::XContainerKernel;
+use xc_abom::offline::{OfflineConfig, OfflinePatcher};
 use xc_abom::patcher::AbomConfig;
 use xc_abom::table::MAX_SYSCALL_NR;
 use xc_isa::cpu::Cpu;
@@ -27,6 +28,7 @@ fn arb_style() -> impl Strategy<Value = WrapperStyle> {
         Just(WrapperStyle::PthreadCancellable),
         Just(WrapperStyle::IndirectNumber),
         Just(WrapperStyle::XorZeroRead),
+        Just(WrapperStyle::LibcShim),
     ]
 }
 
@@ -89,10 +91,11 @@ fn run_plan(plan: &LibraryPlan, config: AbomConfig) -> Vec<u64> {
     kernel.syscall_numbers()
 }
 
-/// Runs the plan with offline patching applied first, ABOM disabled.
-fn run_plan_offline(plan: &LibraryPlan) -> Vec<u64> {
+/// Runs the plan with offline patching under `config` applied first,
+/// ABOM disabled.
+fn run_plan_offline(plan: &LibraryPlan, config: OfflineConfig) -> Vec<u64> {
     let image = library_image(&plan.specs);
-    let (mut patched, _) = xc_abom::offline::OfflinePatcher::new()
+    let (mut patched, _) = OfflinePatcher::with_config(config)
         .patch(&image)
         .expect("offline patch");
     let mut kernel = XContainerKernel::with_config(AbomConfig {
@@ -126,13 +129,17 @@ proptest! {
         prop_assert_eq!(baseline, phase1);
     }
 
-    /// The offline detour patcher preserves semantics, including for the
-    /// cancellable wrappers online ABOM cannot touch.
+    /// The offline detour patcher preserves semantics under both
+    /// configurations, including for the cancellable wrappers online ABOM
+    /// cannot touch and, with `interprocedural`, the libc shims whose
+    /// number arrives through a call edge.
     #[test]
     fn offline_patching_preserves_traces(plan in arb_plan()) {
         let baseline = run_plan(&plan, AbomConfig { enabled: false, nine_byte_phase2: true, preflight_verify: false });
-        let offline = run_plan_offline(&plan);
-        prop_assert_eq!(baseline, offline);
+        for interprocedural in [false, true] {
+            let offline = run_plan_offline(&plan, OfflineConfig { interprocedural });
+            prop_assert_eq!(&baseline, &offline);
+        }
     }
 
     /// One CPU rewound for every call behaves like a fresh CPU per call:

@@ -11,7 +11,7 @@ use xc_isa::cpu::Cpu;
 use xc_isa::image::{BinaryImage, PAGE_SIZE};
 use xc_isa::inst::{Inst, Reg};
 use xc_verify::reverify::VSYSCALL_BASE;
-use xc_verify::{disassemble_image, reverify, ReverifyReport, Violation};
+use xc_verify::{disassemble_image, reverify, ReverifyReport, UnsafeReason, Verdict, Violation};
 
 use xc_abom::binaries::{invoke, library_image, WrapperSpec, WrapperStyle};
 use xc_abom::handler::XContainerKernel;
@@ -19,9 +19,9 @@ use xc_abom::offline::{OfflineConfig, OfflinePatcher, SkipReason};
 use xc_abom::patcher::{Abom, AbomConfig, PatchOutcome};
 
 /// A library whose second wrapper has a side entrance: another routine
-/// tail-jumps into the wrapper's interior with its own `%rax` setup. The
-/// linear scanner alone would detour the whole region and break the side
-/// entrance; the verifier must veto it.
+/// tail-jumps into the wrapper's interior with its own `%rax` setup. A
+/// straight-line patcher alone would detour the whole region and break the
+/// side entrance; the verifier must veto it.
 fn poisoned_library() -> BinaryImage {
     let mut a = Assembler::new(0x40_0000);
     // A clean detour candidate (mov / nop / syscall).
@@ -57,15 +57,21 @@ fn poisoned_library() -> BinaryImage {
 #[test]
 fn offline_refuses_interior_jump_target_region() {
     let image = poisoned_library();
-    let victim_syscall = image.symbol("victim_interior").unwrap() + 1;
+    let interior = image.symbol("victim_interior").unwrap();
     let (mut patched, report) = OfflinePatcher::new().patch(&image).unwrap();
 
-    // The clean wrapper is detoured; the poisoned one is refused.
+    // The clean wrapper is detoured; the poisoned one is refused with the
+    // verifier's verdict.
     assert_eq!(report.detour_patched, 1);
-    assert_eq!(report.interior_jump_skips(), 1);
-    assert!(report
-        .skipped
-        .contains(&(victim_syscall, SkipReason::InteriorJumpTarget)));
+    assert_eq!(
+        report.skipped,
+        vec![(
+            interior + 1,
+            SkipReason::Verdict(Verdict::Unsafe(UnsafeReason::InteriorJumpTarget {
+                target: interior
+            }))
+        )]
+    );
 
     // Execution proof that the refusal matters: the side entrance still
     // works (its target was not turned into int3 fill), with the side

@@ -2,10 +2,10 @@
 //! its coverage gates. The logic lives in
 //! [`xc_bench::harness::verify_lint`].
 //!
-//! The binary prints the table and findings (or, with `--json`, the
-//! machine-readable sweep), writes `results/verify_lint.json`, and
-//! exits 1 if coverage falls below [`COVERAGE_FLOOR_PCT`] or the
-//! `Unknown` count exceeds [`UNKNOWN_CEILING`]. The golden table
+//! The binary prints the table and findings, writes
+//! `results/verify_lint.json`, and exits 1 if coverage falls below
+//! [`COVERAGE_FLOOR_PCT`] or the `Unknown` count exceeds
+//! [`UNKNOWN_CEILING`]. The golden table
 //! (`crates/bench/tests/golden.rs`) pins the full output, so any
 //! verifier change that moves a verdict, a rule id, or a reason chain
 //! is caught before it lands.
@@ -17,11 +17,9 @@ use xc_bench::record;
 use xc_bench::runner::Runner;
 
 fn main() {
-    let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             // Every --jobs form is handled by Runner::from_args; the
             // space-separated ones need their value consumed here too.
             "--jobs" | "-j" => {
@@ -37,11 +35,7 @@ fn main() {
 
     let out = verify_lint::run(&Runner::from_args());
 
-    if json {
-        println!("{}", out.machine_json());
-    } else {
-        print!("{}", out.render());
-    }
+    print!("{}", out.render());
     record("verify_lint", &out.findings());
 
     println!(

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use xcontainers::prelude::*;
-use xcontainers::verify::{lint_report, render_json, summarize, LintFinding, Severity, Verifier};
+use xcontainers::verify::{lint_report, summarize, LintFinding, Severity, Verifier};
 use xcontainers::workloads::table1::table1_profiles;
 
 use crate::runner::Runner;
@@ -190,36 +190,6 @@ impl Output {
         }
         out
     }
-
-    /// Machine-readable sweep: one JSON object with per-app finding
-    /// arrays (hand-rolled, stable key order).
-    pub fn machine_json(&self) -> String {
-        let mut out = String::from("{\"apps\":[");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"sites\":{},\"safe\":{},\"unknown\":{},\
-                 \"unsafe\":{},\"upgraded\":{},\"findings\":{}}}",
-                r.name,
-                r.total,
-                r.safe,
-                r.unknown,
-                r.unsafe_,
-                r.upgraded,
-                render_json(&r.findings)
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"coverage_pct\":{:.3},\"unknown\":{}}}",
-            self.coverage_pct(),
-            self.total_unknown()
-        );
-        out
-    }
 }
 
 /// Lints one application's wrapper library.
@@ -268,8 +238,5 @@ mod tests {
         let text = out.render();
         assert!(text.contains("--- MySQL ---"), "{text}");
         assert!(text.contains("note[XV000]"), "{text}");
-        let json = out.machine_json();
-        assert!(json.starts_with("{\"apps\":["));
-        assert!(json.contains("\"rule\":\"XV000\""));
     }
 }

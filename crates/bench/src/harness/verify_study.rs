@@ -22,8 +22,8 @@
 //!
 //! Each application is one runner cell carrying its own
 //! [`AnalysisCache`]: the coverage pass populates it and the offline
-//! patcher's pre-flight re-reads it, so every profile contributes one
-//! guaranteed cache hit. The per-row analysis wall time is the only
+//! patcher plans from it, so every profile contributes one guaranteed
+//! cache hit. The per-row analysis wall time is the only
 //! nondeterministic value; it stays out of [`Output::render`] and the
 //! findings (the binary prints it to stderr), so runs compare
 //! byte-for-byte.

@@ -97,16 +97,13 @@ fn verify_study_slice_is_jobs_invariant() {
 }
 
 /// The lint sweep has no wall-time columns at all, so its full output —
-/// table, per-rule counts, rendered findings, machine JSON — must be
-/// byte-identical at every worker count.
+/// table, per-rule counts, rendered findings — must be byte-identical at
+/// every worker count.
 #[test]
 fn verify_lint_is_jobs_invariant() {
     assert_jobs_invariant(|r| {
         let out = verify_lint::run(r);
-        (
-            format!("{}\n{}", out.render(), out.machine_json()),
-            findings_json(&out.findings()),
-        )
+        (out.render(), findings_json(&out.findings()))
     });
 }
 

@@ -344,8 +344,7 @@ fn decode_rex_w(bytes: &[u8]) -> Result<Decoded, DecodeError> {
 /// Disassembles a byte range, stopping at the first undecodable position.
 ///
 /// Returns the decoded instructions with their offsets, plus the offset and
-/// error of the first failure (if any). Useful in tests and for the offline
-/// ABOM scanner.
+/// error of the first failure (if any). Useful in tests.
 pub fn disassemble(bytes: &[u8]) -> (Vec<(usize, Inst)>, DisassembleStop) {
     let mut out = Vec::new();
     let mut pos = 0;

@@ -142,19 +142,6 @@ impl Summary {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Folds `others` into `self` in slice order.
-    ///
-    /// Welford combination is a float computation, so unlike
-    /// [`Histogram::merge_many`] the order matters for bit-identity: this
-    /// is defined as the exact sequential left fold the callers previously
-    /// spelled out, kept as a method so sharded reducers have one entry
-    /// point for both statistic kinds.
-    pub fn merge_many(&mut self, others: &[&Summary]) {
-        for other in others {
-            self.merge(other);
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -511,20 +498,6 @@ mod tests {
         let b: Summary = [2.0, 3.0, 4.0].into_iter().collect();
         a.merge(&b);
         assert_eq!(a.count(), u64::MAX);
-    }
-
-    #[test]
-    fn summary_merge_many_is_sequential_fold() {
-        let parts: Vec<Summary> = (0..5)
-            .map(|i| (i * 50..(i + 1) * 50).map(f64::from).collect())
-            .collect();
-        let mut seq = Summary::new();
-        for p in &parts {
-            seq.merge(p);
-        }
-        let mut many = Summary::new();
-        many.merge_many(&parts.iter().collect::<Vec<_>>());
-        assert_eq!(seq, many);
     }
 
     #[test]

@@ -281,32 +281,6 @@ proptest! {
         }
     }
 
-    /// `Summary::merge_many` is defined as exactly the sequential fold
-    /// (float joins are order-sensitive, so the batch entry point must
-    /// not re-associate) — bit-for-bit across every moment.
-    #[test]
-    fn summary_merge_many_is_the_sequential_fold(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..300),
-        shards in 1usize..9,
-    ) {
-        let parts: Vec<Summary> = xs
-            .chunks(xs.len().div_ceil(shards))
-            .map(|c| c.iter().copied().collect())
-            .collect();
-        let mut sequential = Summary::new();
-        for p in &parts {
-            sequential.merge(p);
-        }
-        let mut batched = Summary::new();
-        batched.merge_many(&parts.iter().collect::<Vec<_>>());
-        prop_assert_eq!(batched.count(), sequential.count());
-        prop_assert_eq!(batched.min().to_bits(), sequential.min().to_bits());
-        prop_assert_eq!(batched.max().to_bits(), sequential.max().to_bits());
-        prop_assert_eq!(batched.sum().to_bits(), sequential.sum().to_bits());
-        prop_assert_eq!(batched.mean().to_bits(), sequential.mean().to_bits());
-        prop_assert_eq!(batched.stddev().to_bits(), sequential.stddev().to_bits());
-    }
-
     /// Merging per-shard summaries across any shard count matches the
     /// single-stream summary (count/min/max exactly, moments within fp
     /// tolerance) — the contract the parallel runner's sharded

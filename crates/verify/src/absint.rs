@@ -117,14 +117,6 @@ impl AbsValue {
             other => other,
         }
     }
-
-    /// The constant value, if this is a `Const`.
-    pub fn as_const(self) -> Option<i64> {
-        match self {
-            AbsValue::Const { v, .. } => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// Abstract machine state at one program point.

@@ -1,9 +1,9 @@
 //! Hybrid linear-sweep + recursive-descent disassembly of a
 //! [`BinaryImage`] text section.
 //!
-//! [`sweep`] is the one resynchronizing linear sweep. Three passes read
-//! it: [`disassemble_image`], [`reverify`](crate::reverify::reverify)
-//! and the offline ABOM scanner. Here it yields the *authoritative*
+//! [`sweep`] is the one resynchronizing linear sweep. Two passes read
+//! it: [`disassemble_image`] and [`reverify`](crate::reverify::reverify).
+//! Here it yields the *authoritative*
 //! instruction list: every byte is either inside exactly one sweep
 //! instruction or undecodable, in a gap between two of them (or after
 //! the last, for a truncated tail). The recursive descent then

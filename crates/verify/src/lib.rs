@@ -31,13 +31,13 @@
 //!    [`SiteKind::PropagatedNumber`] sites when a constant provably
 //!    reaches the syscall through copies, spills, or call boundaries,
 //! 6. [`lint`] — structured findings (stable rule ids, severities, reason
-//!    chains, fix hints) rendered as text or JSON,
+//!    chains, fix hints) rendered as text,
 //! 7. [`reverify`](mod@reverify) — post-patch shape checking: patched sites decode
 //!    to the documented 7/9-byte replacements and trampolines are
 //!    reachable only through their detour jump. It reads the image's
 //!    linear [`disasm::sweep`] directly, not the full disassembly:
-//!    `sweep` is the one linear sweep, read by [`disassemble_image`],
-//!    `reverify` and the offline ABOM scan.
+//!    `sweep` is the one linear sweep, read by [`disassemble_image`] and
+//!    `reverify`.
 //!
 //! Stages 1–5 share one dense id space. The disassembly keeps its sweep
 //! in one address-sorted `Vec`, and an instruction's id is its index;
@@ -46,13 +46,15 @@
 //! successors' block ids. The dataflow, call graph, summaries and
 //! abstract interpretation run their worklists over those ids into
 //! `Vec`s. Addresses enter only at the edges — judging and the
-//! patchers' verdict, site and hazard queries — and become ids by
-//! binary search.
+//! patchers' verdict and site queries — and become ids by binary
+//! search.
 //!
 //! An [`Analysis`] speaks the addresses of the image it was run on.
 //! [`AnalysisCache`] memoizes it per loaded image (base, bytes, symbols
 //! and configuration), and the online pre-flight and the offline patcher
-//! query the shared analysis directly.
+//! query the shared analysis directly. The per-site report is the one
+//! place that decides which sites may be rewritten: the offline patcher
+//! detours a non-adjacent site only when its verdict is `Safe`.
 //!
 //! # Example
 //!
@@ -94,13 +96,11 @@ pub use callgraph::CallGraph;
 pub use cfg::{BasicBlock, Cfg, Edge, EdgeKind};
 pub use dataflow::{Dataflow, RaxValue, SyscallFacts};
 pub use disasm::{disassemble_image, Disassembly};
-pub use lint::{
-    lint_report, render_json, render_text, summarize, LintFinding, LintSummary, Severity,
-};
+pub use lint::{lint_report, render_text, summarize, LintFinding, LintSummary, Severity};
 pub use profile::{PipelineProfile, Stage};
 pub use report::{
     ReasonChain, SiteKind, SiteReport, UnknownReason, UnsafeReason, Verdict, VerifyReport,
 };
 pub use reverify::{reverify, ReverifyReport, Violation};
 pub use summaries::{FnSummary, RaxEffect, Summaries};
-pub use verifier::{Analysis, DetourHazard, Verifier, VerifierConfig, MAX_SYSCALL_NR};
+pub use verifier::{Analysis, Verifier, VerifierConfig, MAX_SYSCALL_NR};

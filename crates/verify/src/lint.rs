@@ -5,9 +5,8 @@
 //! rendered reason *chain* (terminal reason plus the blocking and
 //! defining instructions when known), and a fix hint. Sites the
 //! interprocedural pass upgraded get an informational finding so
-//! coverage tooling can see *why* the count moved. Findings render both
-//! human-readable ([`render_text`]) and machine-readable
-//! ([`render_json`], hand-rolled — no serde in the workspace).
+//! coverage tooling can see *why* the count moved. Findings render the
+//! way a compiler prints diagnostics ([`render_text`]).
 //!
 //! Rule space: `XV0xx` = coverage gaps (`Unknown` verdicts, patcher must
 //! trap), `XV1xx` = proven-unsafe structure, `XV000` = informational
@@ -210,44 +209,6 @@ pub fn render_text(findings: &[LintFinding]) -> String {
     out
 }
 
-/// Renders findings as a stable JSON array (hand-rolled; keys in fixed
-/// order, findings in site order).
-pub fn render_json(findings: &[LintFinding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"addr\":{},\"reason\":\"{}\",\"hint\":\"{}\"}}",
-            f.rule,
-            f.severity.as_str(),
-            f.addr,
-            escape_json(&f.reason),
-            escape_json(f.hint)
-        );
-    }
-    out.push(']');
-    out
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,20 +305,14 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_is_stable_and_escaped() {
+    fn text_rendering_leads_with_severity_rule_and_site() {
         let findings = vec![LintFinding {
             rule: "XV001",
             severity: Severity::Warning,
             addr: 0x1003,
-            reason: "has \"quotes\"\nand newline".to_string(),
+            reason: "r".to_string(),
             hint: "h",
         }];
-        let json = render_json(&findings);
-        assert_eq!(
-            json,
-            "[{\"rule\":\"XV001\",\"severity\":\"warning\",\"addr\":4099,\
-             \"reason\":\"has \\\"quotes\\\"\\nand newline\",\"hint\":\"h\"}]"
-        );
         let text = render_text(&findings);
         assert!(text.starts_with("warning[XV001] site 0x1003:"));
     }

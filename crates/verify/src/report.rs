@@ -188,8 +188,9 @@ pub struct SiteReport {
     pub number: Option<i64>,
     /// Address of the single defining `mov`, when one exists.
     pub mov_addr: Option<u64>,
-    /// Encoded length of that defining instruction (needed by an
-    /// offline patcher to place the detour for propagated sites).
+    /// Encoded length of that defining instruction (the offline
+    /// patcher drops it from the detour trampoline and re-executes the
+    /// rest of the region).
     pub mov_len: Option<u8>,
     /// Causal chain for non-`Safe` verdicts (empty for `Safe`).
     pub chain: ReasonChain,

@@ -1,4 +1,4 @@
-//! The verifier: per-site verdicts and detour-region hazard queries.
+//! The verifier: per-site verdicts.
 
 use xc_isa::image::BinaryImage;
 use xc_isa::inst::{Inst, Reg};
@@ -40,23 +40,6 @@ impl Default for VerifierConfig {
             interprocedural_upgrades: true,
         }
     }
-}
-
-/// Why a detour cannot safely overwrite a region (the offline patcher's
-/// pre-flight query; see [`Analysis::region_detour_hazard`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetourHazard {
-    /// Control enters the region interior from outside it.
-    InteriorJumpTarget {
-        /// The interior address entered from outside.
-        target: u64,
-    },
-    /// An interior branch targets an address the trampoline relocation
-    /// cannot preserve.
-    EscapingInteriorBranch {
-        /// Address of the escaping branch.
-        src: u64,
-    },
 }
 
 /// The static patch-safety analyzer.
@@ -159,96 +142,6 @@ impl Analysis {
         self.report.site(syscall_addr).map(|s| s.verdict)
     }
 
-    /// Pre-flight check for an offline detour over
-    /// `[region_start, syscall_addr + 2)` whose displaced interior is
-    /// `[mov_end, syscall_addr)`.
-    ///
-    /// The detour overwrites the region with a `jmp rel32` + `int3` fill
-    /// and re-materializes the interior in a trampoline at the same
-    /// offset from the trampoline's start that it had from `mov_end`, so:
-    ///
-    /// * control entering the interior from **outside** the region lands
-    ///   on `int3` fill — [`DetourHazard::InteriorJumpTarget`];
-    /// * an **interior** branch stays correct only if its destination is
-    ///   within `[mov_end, syscall_addr]` (the `syscall_addr` endpoint
-    ///   maps onto the trampoline's vsyscall call, which is exactly the
-    ///   replacement semantics) — anything else is
-    ///   [`DetourHazard::EscapingInteriorBranch`].
-    pub fn region_detour_hazard(
-        &self,
-        region_start: u64,
-        mov_end: u64,
-        syscall_addr: u64,
-    ) -> Option<DetourHazard> {
-        let region_end = syscall_addr + 2;
-        // Outside → interior edges. The region start itself is fine: the
-        // detour jump lives there.
-        for e in self.cfg.edges_into(region_start + 1, region_end) {
-            if !(region_start..region_end).contains(&e.src) {
-                return Some(DetourHazard::InteriorJumpTarget { target: e.target });
-            }
-        }
-        self.region_hazard_tail(region_start, mov_end, syscall_addr)
-    }
-
-    /// Batched form of [`Analysis::region_detour_hazard`]: answers every
-    /// `(region_start, mov_end, syscall_addr)` query with **one** pass
-    /// over the CFG edge list instead of one full-list walk per region.
-    /// The remaining per-region checks (entry points, interior branches)
-    /// binary-search the sorted entry and instruction lists and scan the
-    /// region only, so they stay per-region. Results are index-aligned with `queries` and identical
-    /// to calling the single-region form on each query.
-    pub fn region_detour_hazards(&self, queries: &[(u64, u64, u64)]) -> Vec<Option<DetourHazard>> {
-        let mut out: Vec<Option<DetourHazard>> = vec![None; queries.len()];
-        // Outside → interior edges, every region in one edge-list walk.
-        // The first matching edge in list order wins for each region,
-        // exactly as `edges_into` iteration would find it.
-        for e in &self.cfg.edges {
-            for (slot, &(region_start, _, syscall_addr)) in out.iter_mut().zip(queries) {
-                let region_end = syscall_addr + 2;
-                if slot.is_none()
-                    && (region_start + 1..region_end).contains(&e.target)
-                    && !(region_start..region_end).contains(&e.src)
-                {
-                    *slot = Some(DetourHazard::InteriorJumpTarget { target: e.target });
-                }
-            }
-        }
-        for (slot, &(region_start, mov_end, syscall_addr)) in out.iter_mut().zip(queries) {
-            if slot.is_none() {
-                *slot = self.region_hazard_tail(region_start, mov_end, syscall_addr);
-            }
-        }
-        out
-    }
-
-    /// The per-region half of the hazard check (everything after the
-    /// edge-list walk), shared by the single and batched forms.
-    fn region_hazard_tail(
-        &self,
-        region_start: u64,
-        mov_end: u64,
-        syscall_addr: u64,
-    ) -> Option<DetourHazard> {
-        let region_end = syscall_addr + 2;
-        // An external entry point inside the region interior.
-        let entries = &self.disasm.entries;
-        let first = entries.partition_point(|&e| e <= region_start);
-        if let Some(&entry) = entries.get(first).filter(|&&e| e < region_end) {
-            return Some(DetourHazard::InteriorJumpTarget { target: entry });
-        }
-        // Interior branches that escape the relocatable window.
-        let interior = self.disasm.ids_in(mov_end..syscall_addr);
-        for &(at, d) in &self.disasm.insts[interior] {
-            if let Some(t) = d.inst.branch_target(at) {
-                if !(mov_end..=syscall_addr).contains(&t) {
-                    return Some(DetourHazard::EscapingInteriorBranch { src: at });
-                }
-            }
-        }
-        None
-    }
-
     /// Judges every `syscall` site, in address order.
     fn judge_all(&self) -> VerifyReport {
         let sites = self
@@ -265,32 +158,32 @@ impl Analysis {
         let id = facts.inst;
         let syscall_addr = self.disasm.addr(id);
 
-        // Pick the candidate patch region the way the *linear* offline
-        // scanner would (straight-line, flow-insensitive), then let the
-        // CFG and dataflow refine or veto it. This ordering matters: the
-        // verifier's job is to judge the region a naive patcher would
-        // pick, including regions the dataflow already knows are entered
-        // from elsewhere.
-        let (kind, number, mov_addr, mov_len, region) =
-            if let Some((mov, len, nr)) = self.syntactic_region(id) {
-                (
-                    SiteKind::ImmediateNumber,
-                    Some(nr),
-                    Some(mov),
-                    Some(len as u8),
-                    Some((mov, mov + len)),
-                )
-            } else if let Some((load_addr, load_len)) = self.adjacent_stack_load(id) {
-                (
-                    SiteKind::StackNumber,
-                    None,
-                    Some(load_addr),
-                    Some(load_len),
-                    Some((load_addr, syscall_addr)),
-                )
-            } else {
-                (SiteKind::Other, None, None, None, None)
-            };
+        // Pick the candidate patch region by a straight-line,
+        // flow-insensitive walk, then let the CFG and dataflow refine or
+        // veto it. This ordering matters: the offline patcher detours
+        // exactly this region when the verdict is `Safe`, so the verdict
+        // judges the bytes a detour would overwrite, including regions the
+        // dataflow already knows are entered from elsewhere.
+        let walk = self.syntactic_region(id);
+        let (kind, number, mov_addr, mov_len, region) = if let Ok((mov, len, nr)) = walk {
+            (
+                SiteKind::ImmediateNumber,
+                Some(nr),
+                Some(mov),
+                Some(len),
+                Some((mov, mov + u64::from(len))),
+            )
+        } else if let Some((load_addr, load_len)) = self.adjacent_stack_load(id) {
+            (
+                SiteKind::StackNumber,
+                None,
+                Some(load_addr),
+                Some(load_len),
+                Some((load_addr, syscall_addr)),
+            )
+        } else {
+            (SiteKind::Other, None, None, None, None)
+        };
 
         let verdict = self.judge_region(facts, kind, number, region);
 
@@ -315,7 +208,7 @@ impl Analysis {
             }
         }
 
-        let chain = self.chain_for(id, verdict, region);
+        let chain = self.chain_for(id, verdict, region, walk.err().flatten());
         SiteReport {
             syscall_addr,
             kind,
@@ -330,11 +223,12 @@ impl Analysis {
     /// Attempts to prove the `Unknown` site at `syscall_addr` patchable
     /// using the interprocedural constant: the abstract `%rax` value must
     /// be a constant with a **unique defining instruction** in front of
-    /// the syscall, and the region `[def, syscall+2)` must pass every
-    /// structural check the v1 immediate path applies — plus one more:
-    /// the defining instruction is *dropped* from the detour trampoline
-    /// (the vsyscall entry supplies the number), so nothing in the
-    /// displaced interior may read `%rax`.
+    /// the syscall, and the region `[def, syscall+2)` must be judged
+    /// `Safe` by the same structural checks the v1 immediate path applies
+    /// ([`Analysis::judge_region`]) — plus two more: the region must hold
+    /// the detour's `jmp rel32`, and, since the defining instruction is
+    /// *dropped* from the detour trampoline (the vsyscall entry supplies
+    /// the number), nothing in the displaced interior may read `%rax`.
     ///
     /// Returns `(number, def_addr, def_len)` on success.
     fn try_upgrade(&self, facts: &SyscallFacts) -> Option<(i64, u64, u8)> {
@@ -346,23 +240,11 @@ impl Analysis {
         else {
             return None;
         };
-        if !in_syscall_range(v) {
+        if !in_syscall_range(v) || def_addr >= syscall_addr {
             return None;
         }
-        if def_addr >= syscall_addr {
-            return None;
-        }
-        let region_end = syscall_addr + 2;
-        if region_end - def_addr < 5 {
+        if syscall_addr + 2 - def_addr < 5 {
             return None; // detour needs room for a jmp rel32
-        }
-        self.disasm.contiguous_code(def_addr, region_end).ok()?;
-        if self
-            .disasm
-            .first_overlapping_target(def_addr..region_end)
-            .is_some()
-        {
-            return None;
         }
         let mov_end = def_addr + u64::from(def_len);
         let interior = self.disasm.ids_in(mov_end..syscall_addr);
@@ -372,22 +254,22 @@ impl Analysis {
         {
             return None;
         }
-        if self
-            .region_detour_hazard(def_addr, mov_end, syscall_addr)
-            .is_some()
-        {
-            return None;
-        }
-        if facts.rcx_live_out {
-            return None;
-        }
-        Some((v, def_addr, def_len))
+        let region = Some((def_addr, mov_end));
+        let verdict = self.judge_region(facts, SiteKind::PropagatedNumber, Some(v), region);
+        (verdict == Verdict::Safe).then_some((v, def_addr, def_len))
     }
 
     /// Builds the causal chain for a non-`Safe` verdict: which
     /// instruction blocked the proof and where the abstract interpreter
-    /// last saw the value defined.
-    fn chain_for(&self, id: usize, verdict: Verdict, region: Option<(u64, u64)>) -> ReasonChain {
+    /// last saw the value defined. `walk_blocker` is the instruction that
+    /// stopped [`Analysis::syntactic_region`]'s walk, if one did.
+    fn chain_for(
+        &self,
+        id: usize,
+        verdict: Verdict,
+        region: Option<(u64, u64)>,
+        walk_blocker: Option<u64>,
+    ) -> ReasonChain {
         let definer = match self.absint.rax_at(id) {
             AbsValue::Const {
                 def: Some((at, _)), ..
@@ -401,41 +283,13 @@ impl Analysis {
             Verdict::Unsafe(UnsafeReason::RcxLiveAfterSite) => self.first_rcx_reader_after(id),
             Verdict::Unknown(
                 UnknownReason::NumberNotConstant | UnknownReason::MultipleDefinitions,
-            ) => self.syntactic_blocker(id).or(region.map(|r| r.0)),
+            ) => walk_blocker.or(region.map(|r| r.0)),
             Verdict::Unknown(UnknownReason::NumberOutOfRange { .. }) => region.map(|r| r.0),
             Verdict::Unknown(
                 UnknownReason::OverlappingDecode { at } | UnknownReason::UndecodedBytes { at },
             ) => Some(at),
         };
         ReasonChain { blocker, definer }
-    }
-
-    /// The instruction that stopped the syntactic backward walk from the
-    /// `syscall` with id `id` (the first rax-clobbering or flow-breaking
-    /// instruction behind the site), when the walk failed to find a
-    /// defining immediate.
-    fn syntactic_blocker(&self, id: usize) -> Option<u64> {
-        let mut cur = id;
-        loop {
-            cur = self.disasm.prev_adjacent(cur)?;
-            let (prev, d) = self.disasm.insts[cur];
-            match d.inst {
-                Inst::MovImm32 { reg: Reg::Rax, .. } | Inst::XorEaxEax => return None,
-                Inst::MovImm32SxR64 { reg: Reg::Rax, imm } if imm >= 0 => return None,
-                Inst::MovImm32SxR64 { reg: Reg::Rax, .. }
-                | Inst::LoadRspDisp8R32 { reg: Reg::Rax, .. }
-                | Inst::LoadRspDisp8R64 { reg: Reg::Rax, .. }
-                | Inst::MovRegReg64 { dst: Reg::Rax, .. }
-                | Inst::Syscall
-                | Inst::CallRel32 { .. }
-                | Inst::CallAbsIndirect { .. }
-                | Inst::Ret
-                | Inst::JmpRel8 { .. }
-                | Inst::JmpRel32 { .. }
-                | Inst::Int3 => return Some(prev),
-                _ => {}
-            }
-        }
     }
 
     /// First instruction shortly after the site that reads `%rcx`
@@ -456,23 +310,24 @@ impl Analysis {
             .map(|&(a, _)| a)
     }
 
-    /// The region a straight-line scan would patch: walks backwards from
-    /// the syscall over rax-preserving instructions to the defining
-    /// immediate load. Mirrors the kill set of `xc-abom`'s offline
-    /// scanner (rax writes, calls, unconditional control flow and `int3`
-    /// end the walk; conditional branches do not). The walk stops at a
-    /// gap: the region must be one contiguous decode.
-    fn syntactic_region(&self, id: usize) -> Option<(u64, u64, i64)> {
+    /// The region a straight-line patcher would detour: walks backwards
+    /// from the `syscall` with id `id` over rax-preserving instructions
+    /// to the defining immediate load, `Ok((mov_addr, mov_len, number))`.
+    /// Rax writes, calls, unconditional control flow and `int3` end the
+    /// walk without one (conditional branches do not), `Err(Some(at))`
+    /// naming that instruction. The walk also stops at a gap or the image
+    /// start, `Err(None)`: the region must be one contiguous decode.
+    fn syntactic_region(&self, id: usize) -> Result<(u64, u8, i64), Option<u64>> {
         let mut cur = id;
         loop {
-            cur = self.disasm.prev_adjacent(cur)?;
+            cur = self.disasm.prev_adjacent(cur).ok_or(None)?;
             let (prev, d) = self.disasm.insts[cur];
             match d.inst {
-                Inst::MovImm32 { reg: Reg::Rax, imm } => return Some((prev, 5, i64::from(imm))),
+                Inst::MovImm32 { reg: Reg::Rax, imm } => return Ok((prev, 5, i64::from(imm))),
                 Inst::MovImm32SxR64 { reg: Reg::Rax, imm } if imm >= 0 => {
-                    return Some((prev, 7, i64::from(imm)))
+                    return Ok((prev, 7, i64::from(imm)))
                 }
-                Inst::XorEaxEax => return Some((prev, 2, 0)),
+                Inst::XorEaxEax => return Ok((prev, 2, 0)),
                 Inst::MovImm32SxR64 { reg: Reg::Rax, .. }
                 | Inst::LoadRspDisp8R32 { reg: Reg::Rax, .. }
                 | Inst::LoadRspDisp8R64 { reg: Reg::Rax, .. }
@@ -483,7 +338,7 @@ impl Analysis {
                 | Inst::Ret
                 | Inst::JmpRel8 { .. }
                 | Inst::JmpRel32 { .. }
-                | Inst::Int3 => return None,
+                | Inst::Int3 => return Err(Some(prev)),
                 _ => {}
             }
         }
@@ -500,6 +355,53 @@ impl Analysis {
                 | Inst::LoadRspDisp8R32 { reg: Reg::Rax, .. }
         );
         is_load.then_some((at, d.len as u8))
+    }
+
+    /// Why a detour over `[region_start, syscall_addr + 2)` whose
+    /// displaced interior is `[mov_end, syscall_addr)` would change an
+    /// execution, if it would.
+    ///
+    /// The detour overwrites the region with a `jmp rel32` + `int3` fill
+    /// and re-materializes the interior in a trampoline at the same
+    /// offset from the trampoline's start that it had from `mov_end`, so:
+    ///
+    /// * control entering the interior from **outside** the region lands
+    ///   on `int3` fill — [`UnsafeReason::InteriorJumpTarget`];
+    /// * an **interior** branch stays correct only if its destination is
+    ///   within `[mov_end, syscall_addr]` (the `syscall_addr` endpoint
+    ///   maps onto the trampoline's vsyscall call, which is exactly the
+    ///   replacement semantics) — anything else is
+    ///   [`UnsafeReason::InteriorBranchEscapes`].
+    fn detour_hazard(
+        &self,
+        region_start: u64,
+        mov_end: u64,
+        syscall_addr: u64,
+    ) -> Option<UnsafeReason> {
+        let region_end = syscall_addr + 2;
+        // Outside → interior edges. The region start itself is fine: the
+        // detour jump lives there.
+        for e in self.cfg.edges_into(region_start + 1, region_end) {
+            if !(region_start..region_end).contains(&e.src) {
+                return Some(UnsafeReason::InteriorJumpTarget { target: e.target });
+            }
+        }
+        // An external entry point inside the region interior.
+        let entries = &self.disasm.entries;
+        let first = entries.partition_point(|&e| e <= region_start);
+        if let Some(&entry) = entries.get(first).filter(|&&e| e < region_end) {
+            return Some(UnsafeReason::InteriorJumpTarget { target: entry });
+        }
+        // Interior branches that escape the relocatable window.
+        let interior = self.disasm.ids_in(mov_end..syscall_addr);
+        for &(at, d) in &self.disasm.insts[interior] {
+            if let Some(t) = d.inst.branch_target(at) {
+                if !(mov_end..=syscall_addr).contains(&t) {
+                    return Some(UnsafeReason::InteriorBranchEscapes { src: at });
+                }
+            }
+        }
+        None
     }
 
     fn judge_region(
@@ -532,15 +434,8 @@ impl Analysis {
         }
 
         // Proven-unsafe conditions.
-        if let Some(h) = self.region_detour_hazard(region_start, mov_end, syscall_addr) {
-            return Verdict::Unsafe(match h {
-                DetourHazard::InteriorJumpTarget { target } => {
-                    UnsafeReason::InteriorJumpTarget { target }
-                }
-                DetourHazard::EscapingInteriorBranch { src } => {
-                    UnsafeReason::InteriorBranchEscapes { src }
-                }
-            });
+        if let Some(reason) = self.detour_hazard(region_start, mov_end, syscall_addr) {
+            return Verdict::Unsafe(reason);
         }
         if facts.rcx_live_out {
             return Verdict::Unsafe(UnsafeReason::RcxLiveAfterSite);

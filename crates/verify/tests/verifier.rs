@@ -6,7 +6,7 @@
 use xc_isa::asm::Assembler;
 use xc_isa::image::BinaryImage;
 use xc_isa::inst::{Cond, Inst, Reg};
-use xc_verify::{DetourHazard, SiteKind, UnknownReason, UnsafeReason, Verdict, Verifier};
+use xc_verify::{SiteKind, UnknownReason, UnsafeReason, Verdict, Verifier};
 
 /// A small synthetic libc: one wrapper of every patchable shape, padded
 /// between functions like a linker would.
@@ -80,8 +80,9 @@ fn clean_library_proves_every_site_safe() {
 
 /// The same library with one poisoned wrapper: a helper elsewhere in the
 /// image jumps straight to the wrapper's `syscall`, skipping the `mov`.
-/// A linear scanner still sees `mov …; nop; syscall` and would happily
-/// detour the whole region — breaking the side entrance.
+/// A straight-line walk still sees `mov …; nop; syscall`, and a patcher
+/// without the CFG would happily detour the whole region — breaking the
+/// side entrance.
 fn poisoned_library() -> (BinaryImage, u64) {
     let mut a = Assembler::new(0x40_0000);
     a.label("__read").unwrap();
@@ -130,33 +131,6 @@ fn interior_jump_target_binary_is_flagged_unsafe() {
     // The clean wrapper in the same image is unaffected.
     let read_syscall = image.symbol("__read").unwrap() + 5;
     assert_eq!(analysis.verdict_at(read_syscall), Some(Verdict::Safe));
-}
-
-#[test]
-fn batched_hazard_queries_match_single_region_form() {
-    // The offline patcher's batched pre-flight must agree, query for
-    // query, with the single-region form — on both a clean region and
-    // one with a proven interior entrance.
-    let (image, victim_syscall) = poisoned_library();
-    let analysis = Verifier::new().analyze(&image);
-    let read_mov = image.symbol("__read").unwrap();
-    let write_mov = image.symbol("__write").unwrap();
-    let queries = [
-        (read_mov, read_mov + 5, read_mov + 5),
-        (write_mov, write_mov + 5, victim_syscall),
-    ];
-    let batched = analysis.region_detour_hazards(&queries);
-    assert_eq!(batched.len(), queries.len());
-    for (&(rs, me, sa), got) in queries.iter().zip(&batched) {
-        assert_eq!(*got, analysis.region_detour_hazard(rs, me, sa));
-    }
-    assert_eq!(batched[0], None);
-    assert_eq!(
-        batched[1],
-        Some(DetourHazard::InteriorJumpTarget {
-            target: image.symbol("__write_interior").unwrap()
-        })
-    );
 }
 
 #[test]

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Repository hygiene gate: formatting, lints, rustdoc links, the runner
 # determinism suite, the release-mode verifier, ABOM and fault-injection
-# tests, the golden table and the examples. Fails on any diff,
-# warning, test failure or failing example. The golden test
-# (crates/bench/tests/golden.rs) runs every harness binary at --jobs 1 and
-# -j 3 and checks its exit status, that it left only its results file, its
-# findings and the FNV-1a of its stdout and results/*.json against
-# crates/bench/golden/outputs.txt. Each example in examples/ runs from an
-# empty directory, must exit 0 and must leave that directory empty.
-# Speed is measured by the benchmark in benchmark/ (see
-# benchmark/README.md). Takes no arguments.
+# tests, the golden table, the benchmark's own tests and the examples.
+# Fails on any diff, warning, test failure or failing example. The golden
+# test (crates/bench/tests/golden.rs) runs every harness binary at
+# --jobs 1 and -j 3 and checks its exit status, that it left only its
+# results file, its findings and the FNV-1a of its stdout and
+# results/*.json against crates/bench/golden/outputs.txt. Each example
+# in examples/ runs from an empty directory, must exit 0 and must leave
+# that directory empty. Speed is measured by the benchmark in benchmark/
+# (see benchmark/README.md); this script only runs its tests. Takes no
+# arguments.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +37,22 @@ cargo test --release -q -p xc-verify -p xc-abom -p xc-faults
 echo "== golden table: every harness binary, --jobs 1 and 3 =="
 cargo test -q -p xc-bench --test golden
 
+echo "== benchmark tests (the separate workspace in benchmark/) =="
+# Nothing above compiles the benchmark, which uses the crates' public API,
+# and its equivalence tests pin the verify_corpus rows to verify_study.
+# Building it rewrites benchmark/Cargo.lock (the lock predates xc-verify's
+# xc-sim dependency), so the committed lock is put back afterwards and
+# the step leaves benchmark/ as it found it.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+bench_status=0
+cargo test -q --manifest-path benchmark/Cargo.toml || bench_status=$?
+cp "$lock_copy" benchmark/Cargo.lock
+rm -f "$lock_copy"
+if [ "$bench_status" -ne 0 ]; then
+    exit "$bench_status"
+fi
+
 echo "== examples: each exits 0 and writes no file =="
 root=$PWD
 workdir=$(mktemp -d)
@@ -51,4 +68,4 @@ for src in examples/*.rs; do
     fi
 done
 
-echo "ok: formatting clean, no lints, docs link, deterministic at any --jobs, verifier, ABOM and fault injection pass in release, every harness at its golden row, every example runs"
+echo "ok: formatting clean, no lints, docs link, deterministic at any --jobs, verifier, ABOM and fault injection pass in release, every harness at its golden row, benchmark tests pass, every example runs"
