@@ -90,6 +90,7 @@ pub fn concurrent_score(single: f64, platform: &Platform, copies: u32) -> f64 {
 mod tests {
     use super::*;
     use xc_runtimes::cloud::CloudEnv;
+    use xc_sim::fnv::{fnv1a_u64, FNV_OFFSET};
 
     #[test]
     fn all_benches_produce_positive_scores() {
@@ -136,6 +137,26 @@ mod tests {
             "spawn {}",
             rel(MicroBench::ProcessCreation)
         );
+    }
+
+    #[test]
+    fn scores_are_pinned() {
+        // The golden rows print these scores as ratios to two decimals;
+        // this digest pins every platform's score to the last bit.
+        let costs = CostModel::skylake_cloud();
+        let mut digest = FNV_OFFSET;
+        for cloud in CloudEnv::ALL {
+            let mut platforms = Platform::cloud_configurations(cloud);
+            platforms.push(Platform::x_container_no_abom(cloud, true));
+            platforms.push(Platform::graphene(cloud));
+            platforms.push(Platform::unikernel(cloud));
+            for platform in &platforms {
+                for bench in MicroBench::ALL {
+                    digest = fnv1a_u64(digest, bench.score(platform, &costs).to_bits());
+                }
+            }
+        }
+        assert_eq!(digest, 0x32c4_7146_5a33_165f, "got {digest:#x}");
     }
 
     #[test]
