@@ -19,8 +19,8 @@
 //! | [`isa`] | x86-64 subset: codec, assembler, binary images, mini interpreter |
 //! | [`abom`] | the Automatic Binary Optimization Module (§4.4), online + offline |
 //! | [`verify`] | static patch-safety analyzer: disassembly, CFG, dataflow, verdicts |
-//! | [`xen`] | hypervisor substrate: domains, hypercalls, event channels, grant tables, page tables, PV vs X-Kernel ABI |
-//! | [`libos`] | guest Linux / X-LibOS: kernel config, syscall dispatch, processes, VFS, pipes, network paths |
+//! | [`xen`] | hypervisor substrate: domain ids, hypercalls, event channels, grant tables, PV vs X-Kernel ABI, reference TLB |
+//! | [`libos`] | guest Linux / X-LibOS: kernel config, syscall / switch / fork / exec costs, network paths |
 //! | [`faults`] | deterministic fault injection: seeded fault plans, retry/backoff, watchdog restarts, ABOM degradation, the chaos world |
 //! | [`runtimes`] | platform compositions: Docker, Xen-Container, X-Container, gVisor, Clear Containers, Graphene, Unikernel |
 //! | [`workloads`] | UnixBench, iperf, macrobenchmarks, Table 1, Figures 6, 8, 9 |
@@ -133,7 +133,7 @@ mod tests {
         let analysis = Verifier::new().analyze(&image);
         assert_eq!(analysis.report().tally(), (1, 0, 0));
         let _: &VerifyReport = analysis.report();
-        assert!(Verdict::Safe.allows_patch());
+        assert_eq!(analysis.report().sites[0].verdict, Verdict::Safe);
         let mut plan = FaultPlan::new(1, FaultRates::disabled());
         assert!(!plan.should_inject(FaultKind::DomainCrash));
         assert!(RetryPolicy::event_default().delay_for(0).is_some());

@@ -111,19 +111,12 @@ impl Backend {
         }
     }
 
-    /// Cost of `execve()` of an image with `image_pages` pages whose
-    /// loading performs `loader_syscalls` syscalls (ELF headers, mmaps,
-    /// dynamic-linker reads). The loader syscalls are charged at this
-    /// backend's dispatch rate — which is why cheap syscalls speed up
-    /// `exec` (Figure 5's Execl panel).
-    pub fn exec_cost(
-        self,
-        costs: &CostModel,
-        config: &KernelConfig,
-        image_pages: u64,
-        loader_syscalls: u64,
-        optimized: bool,
-    ) -> Nanos {
+    /// Kernel-side cost of `execve()` of an image with `image_pages`
+    /// pages: the exec itself plus mapping the image, validated by the
+    /// hypervisor on the virtualized backends. The loader's syscalls are
+    /// charged by the platform, at its own dispatch rate
+    /// (`Platform::exec_cost`).
+    pub fn exec_cost(self, costs: &CostModel, image_pages: u64) -> Nanos {
         let map_cost = match self {
             Backend::Native => costs.fork_per_page * image_pages,
             Backend::XenPv | Backend::XKernel => self
@@ -131,7 +124,7 @@ impl Backend {
                 .expect("virtualized backend")
                 .fork_page_table_cost(costs, image_pages, MMU_BATCH),
         };
-        costs.exec_base + map_cost + self.syscall_cost(costs, config, optimized) * loader_syscalls
+        costs.exec_base + map_cost
     }
 }
 
@@ -250,16 +243,6 @@ mod tests {
         let xk = Backend::XKernel.fork_cost(&c, pages);
         assert!(xk > native, "PT ops must go through the X-Kernel (§5.4)");
         assert!(xk < native * 4, "batching keeps it in the same ballpark");
-    }
-
-    #[test]
-    fn exec_benefits_from_cheap_syscalls() {
-        let (c, patched, xlibos) = env();
-        let docker = Backend::Native.exec_cost(&c, &patched, 600, 150, false);
-        let xc = Backend::XKernel.exec_cost(&c, &xlibos, 600, 150, true);
-        // The loader's syscalls dominate the difference; X wins Execl
-        // despite paying hypervisor PT costs.
-        assert!(xc < docker);
     }
 
     #[test]

@@ -17,12 +17,6 @@
 //! * [`backend`] — the [`Backend`] enum composing
 //!   syscall / context-switch / fork / exec costs for the three
 //!   deployments,
-//! * [`process`] — processes, threads, fork/exec/exit with address-space
-//!   bookkeeping through `xc-xen`,
-//! * [`vfs`] — a small in-memory VFS with a page-cache cost model
-//!   (File Copy microbenchmark),
-//! * [`pipe`] — kernel pipes (Pipe Throughput and Context Switching
-//!   microbenchmarks),
 //! * [`net`] — the network stack path model (iperf, macrobenchmarks,
 //!   Figure 9 load balancing),
 //! * [`syscalls`] — the x86-64 syscall numbers and the size of the ABOM
@@ -50,11 +44,7 @@
 pub mod backend;
 pub mod config;
 pub mod net;
-pub mod pipe;
-pub mod process;
 pub mod syscalls;
-pub mod vfs;
 
 pub use backend::Backend;
 pub use config::KernelConfig;
-pub use process::{Pid, ProcessTable};

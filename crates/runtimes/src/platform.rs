@@ -410,21 +410,13 @@ impl Platform {
         }
     }
 
-    /// `execve()` of an image.
+    /// `execve()` of an image with `image_pages` pages whose loading
+    /// performs `loader_syscalls` syscalls (ELF headers, mmaps,
+    /// dynamic-linker reads). The loader's syscalls are charged at this
+    /// platform's dispatch rate, which is why cheap syscalls speed up
+    /// `exec` (Figure 5's Execl panel).
     pub fn exec_cost(&self, costs: &CostModel, image_pages: u64, loader_syscalls: u64) -> Nanos {
-        match self.kind {
-            PlatformKind::Gvisor => {
-                self.backend
-                    .exec_cost(costs, &self.guest_config, image_pages, 0, false)
-                    + self.syscall_cost(costs) * loader_syscalls
-            }
-            _ => {
-                let dispatch = self.syscall_cost(costs);
-                self.backend
-                    .exec_cost(costs, &self.guest_config, image_pages, 0, false)
-                    + dispatch * loader_syscalls
-            }
-        }
+        self.backend.exec_cost(costs, image_pages) + self.syscall_cost(costs) * loader_syscalls
     }
 
     /// The network stack endpoint for servers on this platform.

@@ -76,23 +76,6 @@ impl Rng {
         Rng::new(splitmix64(&mut mixed))
     }
 
-    /// Derives an independent child generator for a named subsystem.
-    ///
-    /// Deriving (rather than sharing) generators keeps experiment components
-    /// order-independent: adding a draw in one workload does not perturb the
-    /// stream seen by another.
-    pub fn derive(&self, label: &str) -> Rng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        // Mix the label hash with this generator's current state without
-        // advancing it.
-        let mut seed = h ^ self.state[0].rotate_left(17) ^ self.state[2];
-        Rng::new(splitmix64(&mut seed))
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -388,16 +371,6 @@ mod tests {
         let mut b = Rng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 4, "streams should be nearly disjoint");
-    }
-
-    #[test]
-    fn derive_is_stable_and_independent() {
-        let root = Rng::new(99);
-        let mut c1 = root.derive("net");
-        let mut c2 = root.derive("net");
-        let mut c3 = root.derive("disk");
-        assert_eq!(c1.next_u64(), c2.next_u64());
-        assert_ne!(c1.next_u64(), c3.next_u64());
     }
 
     #[test]

@@ -103,14 +103,6 @@ proptest! {
         }
     }
 
-    /// Derived RNG streams are stable functions of (parent seed, label).
-    #[test]
-    fn rng_derivation_is_stable(seed in any::<u64>(), label in "[a-z]{1,12}") {
-        let a = Rng::new(seed).derive(&label).next_u64();
-        let b = Rng::new(seed).derive(&label).next_u64();
-        prop_assert_eq!(a, b);
-    }
-
     /// Merging per-shard histograms (in any chunking) is *exactly* the
     /// single-stream histogram: every bucket count, and therefore every
     /// quantile, matches — including values sitting right on power-of-two

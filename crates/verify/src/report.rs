@@ -96,13 +96,6 @@ pub enum Verdict {
     Unknown(UnknownReason),
 }
 
-impl Verdict {
-    /// Whether a patcher may rewrite this site.
-    pub fn allows_patch(&self) -> bool {
-        matches!(self, Verdict::Safe)
-    }
-}
-
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

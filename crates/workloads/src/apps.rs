@@ -8,8 +8,6 @@
 //! platform-dependent *cost* of that footprint is what
 //! [`RequestProfile::service_time`] computes.
 
-use xc_runtimes::platform::Platform;
-use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
 
 use crate::http::RequestProfile;
@@ -172,16 +170,12 @@ pub fn figure3_profiles() -> Vec<RequestProfile> {
     vec![nginx_static(), memcached(), redis()]
 }
 
-/// Convenience: service time of a profile on a platform.
-pub fn service_time(profile: &RequestProfile, platform: &Platform, costs: &CostModel) -> Nanos {
-    profile.service_time(platform, costs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xc_runtimes::cloud::CloudEnv;
     use xc_runtimes::platform::Platform;
+    use xc_sim::cost::CostModel;
 
     fn ratio(profile: &RequestProfile, cloud: CloudEnv) -> f64 {
         let costs = CostModel::skylake_cloud();

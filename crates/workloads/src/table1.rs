@@ -445,6 +445,8 @@ pub fn run_table1(syscalls_per_app: u64, seed: u64) -> Vec<(AppProfile, AppMeasu
         .collect()
 }
 
+// Not `xc_sim::fnv`: the multiplier is 0x1000_0000_01b3, not the FNV
+// prime 0x100_0000_01b3, and each app's seed (so Table 1) depends on it.
 fn fxhash(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)

@@ -6,10 +6,8 @@
 //! per round trip — the benchmark where X-Containers *lose* to Docker
 //! because page-table installation must cross into the X-Kernel.
 
-use xc_libos::pipe::Pipe;
 use xc_runtimes::platform::Platform;
 use xc_sim::cost::CostModel;
-use xc_sim::time::Nanos;
 
 /// Token size (UnixBench spopen-style ping-pong).
 pub const TOKEN: usize = 4;
@@ -21,28 +19,14 @@ pub const ROUND_TRIPS: u64 = 1_000;
 pub struct ContextSwitchBench;
 
 impl ContextSwitchBench {
-    /// Round trips per second (each round trip = 2 switches + 4 pipe
-    /// syscalls).
+    /// Round trips per second. A round trip is four pipe syscalls (each
+    /// side writes the token and reads the reply) and two switches, with
+    /// two processes alive; the pipe work pays no kernel multiplier.
     pub fn score(platform: &Platform, costs: &CostModel) -> f64 {
-        let mut a_to_b = Pipe::new();
-        let mut b_to_a = Pipe::new();
-        let dispatch = platform.syscall_cost(costs);
-        // Two processes alive; blockers leave the runqueue short.
-        let switch = platform.context_switch_cost(costs, 2);
-        let token = [0xffu8; TOKEN];
-        let mut buf = [0u8; TOKEN];
-        let mut total = Nanos::ZERO;
-        for _ in 0..ROUND_TRIPS {
-            // A writes, blocks reading the reply → switch to B.
-            let (_, w1) = a_to_b.write(&token, costs).expect("a→b write");
-            total += dispatch + w1 + switch;
-            let (_, r1) = a_to_b.read(&mut buf, costs).expect("b reads");
-            let (_, w2) = b_to_a.write(&token, costs).expect("b→a write");
-            total += dispatch * 2 + r1 + w2 + switch;
-            let (_, r2) = b_to_a.read(&mut buf, costs).expect("a reads");
-            total += dispatch + r2;
-        }
-        let total = platform.environment_adjust(total);
+        let pipe_call =
+            platform.syscall_cost(costs) + costs.pipe_op + costs.copy_bytes(TOKEN as u64);
+        let per_round_trip = pipe_call * 4 + platform.context_switch_cost(costs, 2) * 2;
+        let total = platform.environment_adjust(per_round_trip * ROUND_TRIPS);
         ROUND_TRIPS as f64 / total.as_secs_f64()
     }
 }

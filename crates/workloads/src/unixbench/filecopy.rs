@@ -1,15 +1,12 @@
 //! UnixBench **File Copy** with a 1 KiB buffer (Figure 5).
 //!
 //! Per iteration the benchmark `read`s 1 KiB from a source file and
-//! `write`s it to a destination file — two syscalls plus VFS/page-cache
-//! work. The bytes really move through the `xc-libos` VFS so the copy
-//! loop is exercised end to end; the platform determines the dispatch
-//! cost attached to each call.
+//! `write`s it to a destination file: two syscalls, each paying a VFS
+//! traversal plus a page-cache copy per KiB. The platform determines the
+//! dispatch cost of each call and the multiplier on the in-kernel work.
 
-use xc_libos::vfs::Vfs;
 use xc_runtimes::platform::Platform;
 use xc_sim::cost::CostModel;
-use xc_sim::time::Nanos;
 
 /// Copy buffer size (the paper's 1 KB variant).
 pub const BUFFER: usize = 1024;
@@ -23,31 +20,11 @@ pub struct FileCopyBench;
 impl FileCopyBench {
     /// Copy iterations (1 KiB read+write pairs) per second.
     pub fn score(platform: &Platform, costs: &CostModel) -> f64 {
-        let mut fs = Vfs::new();
-        fs.create("/src").expect("fresh fs");
-        fs.create("/dst").expect("fresh fs");
-        let src = fs.open("/src").expect("open src");
-        fs.write(src, &vec![0xabu8; FILE_SIZE], costs)
-            .expect("seed src");
-        fs.seek(src, 0).expect("rewind");
-        let dst = fs.open("/dst").expect("open dst");
-
-        let dispatch = platform.syscall_cost(costs);
-        let kernel_mult = platform.kernel_ops_multiplier();
-        let mut buf = [0u8; BUFFER];
-        let mut total = Nanos::ZERO;
-        let mut iterations = 0u64;
-        loop {
-            let (n, read_cost) = fs.read(src, &mut buf, costs).expect("read");
-            if n == 0 {
-                break;
-            }
-            let write_cost = fs.write(dst, &buf[..n], costs).expect("write");
-            total += dispatch * 2 + (read_cost + write_cost).scale(kernel_mult);
-            iterations += 1;
-        }
-        assert_eq!(fs.size("/dst").expect("dst exists"), FILE_SIZE);
-        let total = platform.environment_adjust(total);
+        let iterations = (FILE_SIZE / BUFFER) as u64;
+        let vfs_call = costs.vfs_op + costs.page_cache_per_kb * (BUFFER as u64).div_ceil(1024);
+        let per_iteration = platform.syscall_cost(costs) * 2
+            + (vfs_call * 2).scale(platform.kernel_ops_multiplier());
+        let total = platform.environment_adjust(per_iteration * iterations);
         iterations as f64 / total.as_secs_f64()
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Each benchmark reports a *score* in iterations per second of simulated
 //! time; the figure harnesses normalize scores to patched Docker exactly
-//! as the paper does. The File Copy, Pipe and Context Switching
-//! benchmarks move real bytes through the `xc-libos` VFS and pipes; the
-//! others compose costs from the platform model.
+//! as the paper does. Each score is a closed form: one iteration's cost,
+//! composed from the platform model's primitives (§5.4 explains each bar
+//! by the crossings one iteration makes), times the iteration count,
+//! adjusted once for the environment.
 
 mod ctxswitch;
 mod execl;

@@ -5,10 +5,8 @@
 //! immediately read back — two syscalls and two small copies per
 //! iteration, no context switch.
 
-use xc_libos::pipe::Pipe;
 use xc_runtimes::platform::Platform;
 use xc_sim::cost::CostModel;
-use xc_sim::time::Nanos;
 
 /// Payload per write/read pair (UnixBench uses 512 bytes).
 pub const PAYLOAD: usize = 512;
@@ -22,21 +20,10 @@ pub struct PipeThroughputBench;
 impl PipeThroughputBench {
     /// Write+read pairs per second.
     pub fn score(platform: &Platform, costs: &CostModel) -> f64 {
-        let mut pipe = Pipe::new();
-        let dispatch = platform.syscall_cost(costs);
-        let kernel_mult = platform.kernel_ops_multiplier();
-        let payload = [0x5au8; PAYLOAD];
-        let mut buf = [0u8; PAYLOAD];
-        let mut total = Nanos::ZERO;
-        for _ in 0..ITERATIONS {
-            let (written, wcost) = pipe.write(&payload, costs).expect("pipe write");
-            assert_eq!(written, PAYLOAD);
-            let (read, rcost) = pipe.read(&mut buf, costs).expect("pipe read");
-            assert_eq!(read, PAYLOAD);
-            total += dispatch * 2 + (wcost + rcost).scale(kernel_mult);
-        }
-        assert_eq!(pipe.bytes_through(), ITERATIONS * PAYLOAD as u64);
-        let total = platform.environment_adjust(total);
+        let pipe_call = costs.pipe_op + costs.copy_bytes(PAYLOAD as u64);
+        let per_iteration = platform.syscall_cost(costs) * 2
+            + (pipe_call * 2).scale(platform.kernel_ops_multiplier());
+        let total = platform.environment_adjust(per_iteration * ITERATIONS);
         ITERATIONS as f64 / total.as_secs_f64()
     }
 }

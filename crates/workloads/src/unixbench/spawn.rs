@@ -6,12 +6,8 @@
 //! the other benchmark X-Containers lose, since every PTE update is
 //! validated by the X-Kernel.
 
-use xc_libos::process::ProcessTable;
 use xc_runtimes::platform::Platform;
 use xc_sim::cost::CostModel;
-use xc_sim::time::Nanos;
-use xc_xen::domain::DomainId;
-use xc_xen::pgtable::PageTables;
 
 /// Resident pages of the forking benchmark process.
 pub const BENCH_PAGES: u64 = 500;
@@ -23,31 +19,14 @@ pub const FORKS: u64 = 200;
 pub struct ProcessCreationBench;
 
 impl ProcessCreationBench {
-    /// fork+exit pairs per second, driven through the real process table
-    /// (address spaces are created and destroyed in the hypervisor model).
+    /// fork+exit pairs per second: the `fork` and `wait` syscalls, the
+    /// platform's fork of a `BENCH_PAGES` process, and the child's
+    /// teardown.
     pub fn score(platform: &Platform, costs: &CostModel) -> f64 {
-        let mut pt = PageTables::new();
-        let mut procs = ProcessTable::new(platform.backend(), DomainId(1));
-        let (init, _) = procs
-            .spawn_init("unixbench", BENCH_PAGES, &mut pt, costs)
-            .expect("spawn init");
-        let dispatch = platform.syscall_cost(costs);
-        let mut total = Nanos::ZERO;
-        for _ in 0..FORKS {
-            // fork syscall + platform-specific fork work.
-            let (child, fork_cost) = procs.fork(init, &mut pt, costs).expect("fork");
-            // Platform interposition surcharge (e.g. gVisor sentry
-            // emulation) over the raw backend fork.
-            let surcharge = platform
-                .fork_cost(costs, BENCH_PAGES)
-                .saturating_sub(fork_cost);
-            // child exits; parent waits.
-            let teardown = procs.exit(child, &mut pt, costs).expect("exit");
-            total += dispatch * 2 + fork_cost + surcharge + teardown;
-        }
-        assert_eq!(procs.total_forks(), FORKS);
-        assert_eq!(procs.len(), 1, "all children reaped");
-        let total = platform.environment_adjust(total);
+        let per_fork = platform.syscall_cost(costs) * 2
+            + platform.fork_cost(costs, BENCH_PAGES)
+            + costs.process_teardown;
+        let total = platform.environment_adjust(per_fork * FORKS);
         FORKS as f64 / total.as_secs_f64()
     }
 }

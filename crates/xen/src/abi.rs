@@ -12,7 +12,7 @@
 //!
 //! [`XenAbi`] encodes exactly those differences as cost compositions over
 //! the shared [`CostModel`]. Everything `xc-runtimes` reports for
-//! Xen-Containers vs X-Containers flows through these four methods.
+//! Xen-Containers vs X-Containers flows through these methods.
 
 use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
@@ -111,16 +111,6 @@ impl XenAbi {
         }
     }
 
-    /// Cost of switching between vCPUs of *different* containers/guests on
-    /// one physical CPU: always a full flush, global pages included
-    /// ("context switches between different X-Containers do trigger a full
-    /// TLB flush", §4.3).
-    pub fn container_switch_cost(self, costs: &CostModel) -> Nanos {
-        costs.hypercall * SWITCH_HYPERCALLS
-            + costs.page_table_switch
-            + costs.tlb_flush_with_refill(KERNEL_HOT_PAGES + USER_HOT_PAGES)
-    }
-
     /// Cost of the page-table side of `fork()`: `pages` PTE updates
     /// validated by the hypervisor in batches of `batch` entries.
     pub fn fork_page_table_cost(self, costs: &CostModel, pages: u64, batch: u64) -> Nanos {
@@ -176,19 +166,6 @@ mod tests {
         assert!(xk < pv);
         // The saving is exactly the kernel working-set refill.
         assert_eq!(pv - xk, c.tlb_refill_per_page * KERNEL_HOT_PAGES);
-    }
-
-    #[test]
-    fn container_switch_flushes_everything() {
-        let c = costs();
-        // Cross-container switches lose the global-bit advantage.
-        assert!(
-            XenAbi::XKernel.container_switch_cost(&c) > XenAbi::XKernel.process_switch_cost(&c)
-        );
-        assert_eq!(
-            XenAbi::XKernel.container_switch_cost(&c),
-            XenAbi::XenPv.container_switch_cost(&c)
-        );
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! Domains and physical-machine bookkeeping.
+//! Domain identifiers.
 //!
 //! In the X-Container architecture every container is a domain: Domain-0
 //! runs only the control toolstack (no applications, §4.1), driver domains
-//! own hardware, and each X-Container/guest is an unprivileged DomU. The
-//! [`Machine`] tracks physical memory and enforces the density limits that
-//! shape Figure 8 (the host ran out of memory before Xen HVM reached 200
-//! instances).
+//! own hardware, and each X-Container/guest is an unprivileged DomU. Event
+//! channels and grant tables name domains by [`DomainId`]. No memory is
+//! reserved per domain: Figure 8's density limits are the instance caps
+//! of `xc-workloads`' `ScalabilityConfig::max_instances`.
 
-use std::collections::BTreeMap;
 use std::fmt;
-
-use crate::error::XenError;
 
 /// Identifier of a domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -19,265 +16,5 @@ pub struct DomainId(pub u32);
 impl fmt::Display for DomainId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "dom{}", self.0)
-    }
-}
-
-/// The role a domain plays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DomainKind {
-    /// The control domain: runs the toolstack, no applications.
-    Dom0,
-    /// An unprivileged driver domain owning (virtual) hardware.
-    Driver,
-    /// A paravirtualized guest running an unmodified Linux kernel
-    /// (Xen-Container / LightVM style).
-    PvGuest,
-    /// An X-Container: guest kernel converted to X-LibOS, sharing the
-    /// user privilege level with its processes.
-    XContainer,
-    /// A hardware-virtualized guest (the Xen HVM baseline of Figure 8).
-    HvmGuest,
-}
-
-impl DomainKind {
-    /// Whether this domain may invoke privileged control operations.
-    pub fn is_privileged(self) -> bool {
-        matches!(self, DomainKind::Dom0)
-    }
-}
-
-/// One domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Domain {
-    id: DomainId,
-    name: String,
-    kind: DomainKind,
-    memory_mb: u64,
-    vcpus: u32,
-}
-
-impl Domain {
-    /// Domain identifier.
-    pub fn id(&self) -> DomainId {
-        self.id
-    }
-
-    /// Human-readable name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Role of this domain.
-    pub fn kind(&self) -> DomainKind {
-        self.kind
-    }
-
-    /// Reserved memory in MiB.
-    pub fn memory_mb(&self) -> u64 {
-        self.memory_mb
-    }
-
-    /// Number of virtual CPUs.
-    pub fn vcpus(&self) -> u32 {
-        self.vcpus
-    }
-}
-
-/// The physical machine: domains plus memory accounting.
-///
-/// # Example
-///
-/// ```
-/// use xc_xen::domain::{DomainKind, Machine};
-///
-/// let mut machine = Machine::new(96 * 1024); // the paper's 96 GB server
-/// let dom0 = machine.create_domain("dom0", DomainKind::Dom0, 4096, 4)?;
-/// let xc = machine.create_domain("nginx-1", DomainKind::XContainer, 128, 1)?;
-/// assert_ne!(dom0, xc);
-/// assert_eq!(machine.domain(xc).unwrap().memory_mb(), 128);
-/// # Ok::<(), xc_xen::XenError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Machine {
-    total_memory_mb: u64,
-    used_memory_mb: u64,
-    next_id: u32,
-    domains: BTreeMap<DomainId, Domain>,
-}
-
-impl Machine {
-    /// Creates a machine with the given physical memory.
-    pub fn new(total_memory_mb: u64) -> Self {
-        Machine {
-            total_memory_mb,
-            used_memory_mb: 0,
-            next_id: 0,
-            domains: BTreeMap::new(),
-        }
-    }
-
-    /// Remaining unreserved memory in MiB.
-    pub fn free_memory_mb(&self) -> u64 {
-        self.total_memory_mb - self.used_memory_mb
-    }
-
-    /// Total physical memory in MiB.
-    pub fn total_memory_mb(&self) -> u64 {
-        self.total_memory_mb
-    }
-
-    /// Creates a domain, reserving its memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XenError::OutOfMemory`] when the reservation does not fit
-    /// — this is the limit that stops Xen PV/HVM instances in Figure 8.
-    pub fn create_domain(
-        &mut self,
-        name: &str,
-        kind: DomainKind,
-        memory_mb: u64,
-        vcpus: u32,
-    ) -> Result<DomainId, XenError> {
-        if memory_mb > self.free_memory_mb() {
-            return Err(XenError::OutOfMemory {
-                requested_mb: memory_mb,
-                available_mb: self.free_memory_mb(),
-            });
-        }
-        let id = DomainId(self.next_id);
-        self.next_id += 1;
-        self.used_memory_mb += memory_mb;
-        self.domains.insert(
-            id,
-            Domain {
-                id,
-                name: name.to_owned(),
-                kind,
-                memory_mb,
-                vcpus,
-            },
-        );
-        Ok(id)
-    }
-
-    /// Destroys a domain, releasing its memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XenError::NoSuchDomain`] for unknown ids.
-    pub fn destroy_domain(&mut self, id: DomainId) -> Result<(), XenError> {
-        match self.domains.remove(&id) {
-            Some(dom) => {
-                self.used_memory_mb -= dom.memory_mb();
-                Ok(())
-            }
-            None => Err(XenError::NoSuchDomain(id)),
-        }
-    }
-
-    /// Looks up a domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XenError::NoSuchDomain`] for unknown ids.
-    pub fn domain(&self, id: DomainId) -> Result<&Domain, XenError> {
-        self.domains.get(&id).ok_or(XenError::NoSuchDomain(id))
-    }
-
-    /// Iterates over all live domains in id order.
-    pub fn domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.values()
-    }
-
-    /// Number of live domains.
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// Maximum additional domains of `memory_mb` MiB each that still fit.
-    pub fn capacity_for(&self, memory_mb: u64) -> u64 {
-        self.free_memory_mb()
-            .checked_div(memory_mb)
-            .unwrap_or(u64::MAX)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn create_and_destroy_tracks_memory() {
-        let mut m = Machine::new(1024);
-        let a = m
-            .create_domain("a", DomainKind::XContainer, 128, 1)
-            .unwrap();
-        let b = m.create_domain("b", DomainKind::PvGuest, 512, 1).unwrap();
-        assert_eq!(m.free_memory_mb(), 384);
-        assert_eq!(m.domain_count(), 2);
-        m.destroy_domain(a).unwrap();
-        assert_eq!(m.free_memory_mb(), 512);
-        assert!(m.domain(a).is_err());
-        assert!(m.domain(b).is_ok());
-    }
-
-    #[test]
-    fn out_of_memory_rejected() {
-        let mut m = Machine::new(256);
-        m.create_domain("a", DomainKind::PvGuest, 200, 1).unwrap();
-        let err = m
-            .create_domain("b", DomainKind::PvGuest, 100, 1)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            XenError::OutOfMemory {
-                requested_mb: 100,
-                available_mb: 56
-            }
-        );
-    }
-
-    #[test]
-    fn figure8_density_envelope() {
-        // 96 GB host: ~190 Ubuntu VMs at 512 MiB (minus Dom0) vs >700
-        // X-Containers at 128 MiB — the structural reason Figure 8's PV/HVM
-        // curves stop early.
-        let mut m = Machine::new(96 * 1024);
-        m.create_domain("dom0", DomainKind::Dom0, 4096, 4).unwrap();
-        assert!(m.capacity_for(512) < 200);
-        assert!(m.capacity_for(128) > 400);
-    }
-
-    #[test]
-    fn ids_are_unique_and_ordered() {
-        let mut m = Machine::new(10_000);
-        let ids: Vec<DomainId> = (0..10)
-            .map(|i| {
-                m.create_domain(&format!("d{i}"), DomainKind::XContainer, 64, 1)
-                    .unwrap()
-            })
-            .collect();
-        for w in ids.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        let listed: Vec<DomainId> = m.domains().map(Domain::id).collect();
-        assert_eq!(listed, ids);
-    }
-
-    #[test]
-    fn privilege_classification() {
-        assert!(DomainKind::Dom0.is_privileged());
-        assert!(!DomainKind::XContainer.is_privileged());
-        assert!(!DomainKind::Driver.is_privileged());
-    }
-
-    #[test]
-    fn destroy_unknown_errors() {
-        let mut m = Machine::new(100);
-        assert!(matches!(
-            m.destroy_domain(DomainId(9)),
-            Err(XenError::NoSuchDomain(DomainId(9)))
-        ));
     }
 }

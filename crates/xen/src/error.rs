@@ -12,8 +12,6 @@ use crate::domain::DomainId;
 /// model validates too, and rejections are typed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XenError {
-    /// Reference to a domain that does not exist (or was destroyed).
-    NoSuchDomain(DomainId),
     /// The calling domain lacks the privilege for this operation (e.g. a
     /// domain mapping a grant made out to another, or revoking one it did
     /// not make).
@@ -36,19 +34,11 @@ pub enum XenError {
         /// Reason the hypervisor refused the update.
         reason: &'static str,
     },
-    /// Physical memory is exhausted (Figure 8's VM-density limit).
-    OutOfMemory {
-        /// MiB requested.
-        requested_mb: u64,
-        /// MiB available.
-        available_mb: u64,
-    },
 }
 
 impl fmt::Display for XenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            XenError::NoSuchDomain(id) => write!(f, "no such domain {id}"),
             XenError::PermissionDenied { caller, op } => {
                 write!(f, "domain {caller} denied operation `{op}`")
             }
@@ -59,13 +49,6 @@ impl fmt::Display for XenError {
             XenError::BadPageTableUpdate { reason } => {
                 write!(f, "page table update rejected: {reason}")
             }
-            XenError::OutOfMemory {
-                requested_mb,
-                available_mb,
-            } => write!(
-                f,
-                "out of memory: requested {requested_mb} MiB, {available_mb} MiB available"
-            ),
         }
     }
 }
@@ -78,15 +61,12 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert!(XenError::NoSuchDomain(DomainId(3))
-            .to_string()
-            .contains('3'));
-        assert!(XenError::NoFreePorts.to_string().contains("ports"));
-        assert!(XenError::OutOfMemory {
-            requested_mb: 512,
-            available_mb: 100
+        assert!(XenError::PermissionDenied {
+            caller: DomainId(3),
+            op: "map"
         }
         .to_string()
-        .contains("512"));
+        .contains("dom3"));
+        assert!(XenError::NoFreePorts.to_string().contains("ports"));
     }
 }

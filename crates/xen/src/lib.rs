@@ -5,15 +5,12 @@
 //! isolation. This crate models the hypervisor layer both architectures
 //! share and the exact points where they diverge:
 //!
-//! * [`domain`] — domains (Dom0, driver domains, guests) and their vCPUs,
+//! * [`domain`] — domain identifiers (Dom0, driver domains, guests),
 //! * [`hypercall`] — the hypercall interface with validation and cost
 //!   accounting (the "small number of well-documented system calls" that
 //!   §3 credits for the small attack surface),
 //! * [`events`] — event channels (Xen's virtualized interrupts),
 //! * [`grant`] — grant tables used by split drivers for shared-memory I/O,
-//! * [`pgtable`] — hypervisor-validated page-table management, including
-//!   the global-bit policy that distinguishes X-Containers from plain PV
-//!   (§4.3),
 //! * [`abi`] — the [`XenAbi`] enum capturing the Xen-PV vs
 //!   X-Kernel differences in syscall forwarding, `iret`, interrupt
 //!   delivery and context switching (§4.1–4.3),
@@ -47,10 +44,9 @@ pub mod error;
 pub mod events;
 pub mod grant;
 pub mod hypercall;
-pub mod pgtable;
 pub mod tlb;
 
 pub use abi::XenAbi;
-pub use domain::{Domain, DomainId, DomainKind};
+pub use domain::DomainId;
 pub use error::XenError;
 pub use hypercall::{Hypercall, HypercallNr, HypervisorAccounting};
