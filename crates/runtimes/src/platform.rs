@@ -251,11 +251,6 @@ impl Platform {
         &self.guest_config
     }
 
-    /// The kernel deployment backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// Whether ABOM rewrites this platform's syscalls.
     pub fn abom_enabled(&self) -> bool {
         self.abom_enabled
