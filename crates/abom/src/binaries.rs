@@ -8,6 +8,8 @@
 //! byte-faithful equivalents of those wrappers, which both the ABOM test
 //! suite and the Table-1 reproduction in `xc-workloads` execute.
 
+use std::mem;
+
 use xc_isa::asm::Assembler;
 use xc_isa::cpu::{Cpu, CpuError};
 use xc_isa::image::BinaryImage;
@@ -221,7 +223,8 @@ pub fn pthread_cancellable_wrapper_image(nr: u64) -> BinaryImage {
     single(WrapperStyle::PthreadCancellable, nr)
 }
 
-/// Invokes the wrapper at `entry` once on a fresh mini-CPU under `kernel`.
+/// Invokes the wrapper at `entry` once under `kernel`, on the kernel's
+/// own CPU.
 ///
 /// For stack-number wrappers pass `Some(nr)`; it is pushed where the Go
 /// calling convention expects it.
@@ -241,6 +244,14 @@ pub fn invoke(
 /// Like [`invoke`], additionally loading `%rdi` for register-number
 /// wrappers.
 ///
+/// The call runs on the CPU `kernel` owns, rewound with [`Cpu::reset`]
+/// to the state a fresh [`Cpu::new`]`(entry)` has: the CPU is moved out
+/// for the run (the hooks borrow the kernel), with an empty `Cpu::new(0)`
+/// standing in, which allocates nothing, and is put back on every path,
+/// errors included. Its stack buffer is thus allocated once per kernel,
+/// not once per call, which is a visible share of a call of a few
+/// instructions (the Table 1 study makes 480,000 of them).
+///
 /// # Errors
 ///
 /// Propagates interpreter faults ([`CpuError`]).
@@ -251,35 +262,17 @@ pub fn invoke_with(
     stack_nr: Option<u64>,
     rdi: Option<u64>,
 ) -> Result<(), CpuError> {
-    invoke_reusing(&mut Cpu::new(entry), image, kernel, entry, stack_nr, rdi)
-}
-
-/// Like [`invoke_with`], but rewinds and reuses a caller-owned CPU instead
-/// of building a fresh one. Drivers that invoke wrappers in a tight loop
-/// keep one CPU alive this way and skip the small stack allocation a fresh
-/// CPU makes per call: the Table 1 study executes 480,000 invocations of
-/// a few instructions each, where that allocation is a visible share.
-///
-/// # Errors
-///
-/// Propagates interpreter faults ([`CpuError`]).
-pub fn invoke_reusing(
-    cpu: &mut Cpu,
-    image: &mut BinaryImage,
-    kernel: &mut XContainerKernel,
-    entry: u64,
-    stack_nr: Option<u64>,
-    rdi: Option<u64>,
-) -> Result<(), CpuError> {
+    let mut cpu = mem::replace(&mut kernel.cpu, Cpu::new(0));
     cpu.reset(entry);
     if let Some(v) = rdi {
         cpu.set_reg(Reg::Rdi, v);
     }
-    if let Some(nr) = stack_nr {
-        cpu.push(nr)?;
-    }
-    cpu.push_halt_frame()?;
-    cpu.run(image, kernel, 10_000)
+    let result = stack_nr
+        .map_or(Ok(()), |nr| cpu.push(nr))
+        .and_then(|()| cpu.push_halt_frame())
+        .and_then(|()| cpu.run(image, kernel, 10_000));
+    kernel.cpu = cpu;
+    result
 }
 
 #[cfg(test)]

@@ -45,10 +45,24 @@ pub const SYS_EXIT_GROUP: u64 = 231;
 /// See the crate-level example for typical use. The recorded
 /// [`trace`](XContainerKernel::trace) is what the equivalence tests compare
 /// across patched/unpatched/mid-patch executions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct XContainerKernel {
     abom: Abom,
     trace: Vec<SyscallEvent>,
+    /// The vCPU [`invoke_with`](crate::binaries::invoke_with) runs every
+    /// wrapper call on, rewound per call, so its stack buffer is
+    /// allocated once per kernel rather than once per call.
+    pub(crate) cpu: Cpu,
+}
+
+impl Default for XContainerKernel {
+    fn default() -> Self {
+        XContainerKernel {
+            abom: Abom::default(),
+            trace: Vec::new(),
+            cpu: Cpu::new(0),
+        }
+    }
 }
 
 impl XContainerKernel {
@@ -62,7 +76,7 @@ impl XContainerKernel {
     pub fn with_config(config: AbomConfig) -> Self {
         XContainerKernel {
             abom: Abom::with_config(config),
-            trace: Vec::new(),
+            ..XContainerKernel::default()
         }
     }
 

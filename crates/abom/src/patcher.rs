@@ -42,7 +42,8 @@ pub struct AbomConfig {
     /// The per-trap analysis is affordable because an
     /// [`xc_verify::AnalysisCache`] keyed on the image as loaded runs the
     /// pipeline once per image state; every other trap is a hit that
-    /// returns the shared analysis.
+    /// loads the image's memoized [`digest`](BinaryImage::digest), probes
+    /// the map once and returns the shared analysis.
     pub preflight_verify: bool,
 }
 

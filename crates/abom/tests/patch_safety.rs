@@ -8,8 +8,10 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use xc_isa::asm::Assembler;
 use xc_isa::cpu::Cpu;
+use xc_isa::decode::Decoded;
 use xc_isa::image::{BinaryImage, PAGE_SIZE};
-use xc_isa::inst::{Inst, Reg};
+use xc_isa::inst::{BranchKind, Inst, Reg};
+use xc_verify::disasm::sweep;
 use xc_verify::reverify::VSYSCALL_BASE;
 use xc_verify::{disassemble_image, reverify, ReverifyReport, UnsafeReason, Verdict, Violation};
 
@@ -458,6 +460,126 @@ fn reverify_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
     report
 }
 
+/// The previous `reverify` body, kept as the reference its `int3`-run
+/// skipping must agree with: it decodes every byte of the sweep,
+/// `int3` fill included, and then drops the `int3`s.
+fn reverify_sweep_reference(image: &BinaryImage, text_len: usize) -> ReverifyReport {
+    let base = image.base();
+    let text_end = base + text_len as u64;
+    let area_end = image.end();
+    let insts: Vec<(u64, Decoded)> = sweep(image, base)
+        .filter_map(|(at, decoded)| Some((at, decoded.ok().filter(|d| d.inst != Inst::Int3)?)))
+        .collect();
+    let split = insts.partition_point(|&(at, _)| at < text_end);
+    let (text, area) = insts.split_at(split);
+    let mut report = ReverifyReport::default();
+
+    // Classify vsyscall call sites in the text: 9-byte when the sweep's
+    // next instruction is the `jmp -9` right behind the call.
+    for (i, &(at, d)) in text.iter().enumerate() {
+        if let Inst::CallAbsIndirect { target } = d.inst {
+            if !is_vsyscall(target) {
+                continue;
+            }
+            let nine = matches!(
+                insts.get(i + 1),
+                Some(&(next, n)) if next == at + d.len as u64 && n.inst == Inst::JmpRel8 { rel: -9 }
+            );
+            if nine {
+                report.nine_byte.push(at);
+            } else {
+                report.seven_byte.push(at);
+            }
+        }
+    }
+
+    // Detour jumps: text jumps landing in the trampoline area, as
+    // `(destination, jump address)` sorted by destination.
+    let mut targeted: Vec<(u64, u64)> = text
+        .iter()
+        .filter(|(_, d)| d.inst.branch_kind() == BranchKind::DirectJump)
+        .filter_map(|&(at, d)| Some((d.inst.branch_target(at)?, at)))
+        .filter(|(t, _)| (text_end..area_end).contains(t))
+        .collect();
+    targeted.sort_unstable();
+    let sources = |start: u64| targeted.iter().filter(move |&&(t, _)| t == start);
+
+    // Walk the trampoline area: every instruction not consumed by an
+    // earlier trampoline starts one, which runs through contiguous
+    // instructions up to and including a `jmp rel32`.
+    let mut tramp_spans: Vec<(u64, u64)> = Vec::new();
+    let mut i = 0;
+    while i < area.len() {
+        let start = area[i].0;
+        match sources(start).count() {
+            0 => report
+                .violations
+                .push(Violation::TrampolineUntargeted { at: start }),
+            1 => {}
+            _ => report
+                .violations
+                .push(Violation::TrampolineMultiplyTargeted { at: start }),
+        }
+        let mut at = start;
+        let mut calls = 0usize;
+        let mut returned = false;
+        while let Some(&(next, d)) = area.get(i) {
+            if next != at {
+                break;
+            }
+            i += 1;
+            at += d.len as u64;
+            match d.inst {
+                Inst::CallAbsIndirect { target } if is_vsyscall(target) => calls += 1,
+                Inst::JmpRel32 { .. } => {
+                    let t = d.inst.branch_target(next).expect("jmp has target");
+                    returned = (base..text_end).contains(&t);
+                    break;
+                }
+                _ => {}
+            }
+        }
+        if calls != 1 {
+            report
+                .violations
+                .push(Violation::TrampolineMissingCall { at: start });
+        }
+        if !returned {
+            report
+                .violations
+                .push(Violation::TrampolineMissingReturn { at: start });
+        }
+        tramp_spans.push((start, at));
+        report
+            .detours
+            .extend(sources(start).map(|&(_, src)| (src, start)));
+    }
+
+    // Detour jumps must land exactly on trampoline starts.
+    for &(t, src) in &targeted {
+        if !tramp_spans.iter().any(|&(s, _)| s == t) {
+            report
+                .violations
+                .push(Violation::DetourIntoNonTrampoline { at: src });
+        }
+    }
+
+    // Nothing may branch strictly into a trampoline.
+    for &(at, d) in &insts {
+        if let Some(t) = d.inst.branch_target(at) {
+            for &(s, e) in &tramp_spans {
+                if t > s && t < e && !(s..e).contains(&at) {
+                    report
+                        .violations
+                        .push(Violation::TrampolineInteriorTargeted { target: t });
+                }
+            }
+        }
+    }
+
+    report
+}
+
 const STYLES: [WrapperStyle; 7] = [
     WrapperStyle::GlibcSmall,
     WrapperStyle::GlibcLarge,
@@ -512,5 +634,46 @@ proptest! {
             _ => image.len(),
         };
         prop_assert_eq!(reverify(&m, len), reverify_reference(&m, len));
+    }
+
+    /// `reverify` equals [`reverify_sweep_reference`] on offline-patched
+    /// libraries under both `OfflineConfig`s, with up to four runs of
+    /// bytes overwritten by `int3` or by one random byte: runs that
+    /// lengthen, split or cut short the fill before the trampolines and
+    /// inside detoured regions. One case in ten also moves the text
+    /// boundary.
+    #[test]
+    fn reverify_matches_the_sweep_reference(
+        wrappers in proptest::collection::vec((0usize..STYLES.len(), 0u64..352), 1..=8),
+        runs in proptest::collection::vec((any::<u64>(), 1usize..=24, any::<bool>(), any::<u8>()), 0..=4),
+        len_draw in (0u8..10, any::<u64>()),
+    ) {
+        let specs: Vec<WrapperSpec> = wrappers
+            .iter()
+            .enumerate()
+            .map(|(index, &(style, nr))| WrapperSpec {
+                index,
+                style: STYLES[style],
+                nr,
+            })
+            .collect();
+        let image = library_image(&specs);
+        for interprocedural in [false, true] {
+            let (patched, _) = OfflinePatcher::with_config(OfflineConfig { interprocedural })
+                .patch(&image)
+                .unwrap();
+            let mut bytes = patched.read_bytes(patched.base(), patched.len()).unwrap().to_vec();
+            for &(pos, len, int3, random) in &runs {
+                let start = (pos % bytes.len() as u64) as usize;
+                let end = (start + len).min(bytes.len());
+                bytes[start..end].fill(if int3 { 0xcc } else { random });
+            }
+            let m = BinaryImage::new(patched.base(), bytes);
+            let len = match len_draw {
+                (0, raw) => (raw % (m.len() as u64 + 1)) as usize,
+                _ => image.len(),
+            };
+            prop_assert_eq!(reverify(&m, len), reverify_sweep_reference(&m, len));
+        }
     }
 }

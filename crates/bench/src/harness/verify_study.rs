@@ -265,7 +265,7 @@ fn cell(profile: &AppProfile, syscalls: u64, rng: Rng) -> ProfileRow {
 
     // 1. Pre-patch verdicts + analysis wall time (populates the cache).
     //    The v1 baseline (upgrades off) runs uncached so the study and
-    //    offline pre-flight keep sharing one fingerprint.
+    //    offline pre-flight keep sharing one cache entry.
     let start = Instant::now();
     let analysis = cache.analyze(&Verifier::new(), &image);
     let micros = start.elapsed().as_secs_f64() * 1e6;

@@ -182,11 +182,10 @@ impl Cpu {
     }
 
     /// Rewinds this CPU to exactly the state [`Cpu::new`]`(entry)` would
-    /// produce, but keeps the stack buffer's capacity. Drivers that invoke
-    /// many short functions reuse one CPU this way to skip the small
-    /// allocation a fresh CPU makes on its first push: the Table 1 study
-    /// runs 480,000 wrappers of a few instructions each, where that one
-    /// allocation is a visible share of every call.
+    /// produce, but keeps the stack buffer's capacity, so a driver that
+    /// invokes many short functions on one CPU allocates only on the
+    /// first call's push. `xc-abom`'s kernel keeps one CPU this way and
+    /// rewinds it for every wrapper call.
     pub fn reset(&mut self, entry: u64) {
         self.stack.clear();
         self.regs = [0u64; 8];

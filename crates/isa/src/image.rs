@@ -12,10 +12,17 @@
 //!   manipulation,
 //! * successful patches set the page dirty bit, which the X-LibOS may later
 //!   flush or ignore (§4.4, last paragraph).
+//!
+//! [`BinaryImage::digest`] names the content state (base, bytes and
+//! symbol addresses) in one word, memoized until the next write, exchange
+//! or new symbol; analysis caches key on it.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
+
+use xc_sim::fnv::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
 /// Page size used for protection and dirty tracking.
 pub const PAGE_SIZE: u64 = 4096;
@@ -80,14 +87,31 @@ impl Error for ImageError {}
 /// assert_eq!(img.read_bytes(0x400000, 1).unwrap(), [0xcc]);
 /// assert!(img.is_dirty(0x400000));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct BinaryImage {
     base: u64,
     bytes: Vec<u8>,
     writable: Vec<bool>,
     dirty: Vec<bool>,
     symbols: BTreeMap<String, u64>,
+    /// [`BinaryImage::digest`] of the current content, once computed;
+    /// emptied by every change to the bytes or symbols.
+    digest: OnceLock<u64>,
 }
+
+/// Equality of everything but the digest memo, which only caches a
+/// function of the compared fields.
+impl PartialEq for BinaryImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.base == other.base
+            && self.bytes == other.bytes
+            && self.writable == other.writable
+            && self.dirty == other.dirty
+            && self.symbols == other.symbols
+    }
+}
+
+impl Eq for BinaryImage {}
 
 impl BinaryImage {
     /// Creates an image of `bytes` mapped at virtual address `base`, with
@@ -100,6 +124,7 @@ impl BinaryImage {
             writable: vec![true; pages],
             dirty: vec![false; pages],
             symbols: BTreeMap::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -142,6 +167,7 @@ impl BinaryImage {
     /// Defines a symbol at a virtual address.
     pub fn add_symbol(&mut self, name: &str, addr: u64) {
         self.symbols.insert(name.to_owned(), addr);
+        self.digest.take();
     }
 
     /// Looks up a symbol address.
@@ -152,6 +178,20 @@ impl BinaryImage {
     /// Iterates over `(name, addr)` pairs in name order.
     pub fn symbols(&self) -> impl Iterator<Item = (&str, u64)> {
         self.symbols.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+
+    /// FNV-1a digest of the content state: the base address, the length,
+    /// the bytes, then every symbol address in [`BinaryImage::symbols`]
+    /// (name) order; page protection and dirty bits are not part of it.
+    /// Computed on the first call after a change to the bytes or symbols
+    /// and memoized, so a repeat costs one load.
+    pub fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut h = fnv1a_u64(FNV_OFFSET, self.base);
+            h = fnv1a_u64(h, self.bytes.len() as u64);
+            h = fnv1a(h, &self.bytes);
+            self.symbols.values().fold(h, |h, &addr| fnv1a_u64(h, addr))
+        })
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -193,6 +233,7 @@ impl BinaryImage {
             }
         }
         self.bytes[off..off + data.len()].copy_from_slice(data);
+        self.digest.take();
         for page in first..=last {
             self.dirty[page] = true;
         }
@@ -251,6 +292,7 @@ impl BinaryImage {
             return Err(ImageError::ExchangeMismatch { addr });
         }
         self.bytes[off..off + new.len()].copy_from_slice(new);
+        self.digest.take();
         for page in first..=last {
             self.dirty[page] = true;
         }
@@ -402,6 +444,61 @@ mod tests {
         assert_eq!(img.symbol("missing"), None);
         let names: Vec<&str> = img.symbols().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["__read", "__write"]);
+    }
+
+    #[test]
+    fn digest_is_memoized_until_the_bytes_or_symbols_change() {
+        let mut img = image();
+        img.add_symbol("b", 0x40_0020);
+        img.add_symbol("a", 0x40_0010);
+        // Base, length, bytes, then symbol addresses in name order.
+        let mut h = fnv1a_u64(FNV_OFFSET, 0x40_0000);
+        h = fnv1a_u64(h, 8192);
+        h = fnv1a(h, &[0x90; 8192]);
+        h = fnv1a_u64(fnv1a_u64(h, 0x40_0010), 0x40_0020);
+        assert_eq!(img.digest(), h);
+        assert_eq!(img.digest.get(), Some(&h));
+
+        // Protection and dirty bits are not content: the memo stays.
+        img.protect_page(0x40_1000, false);
+        img.protect_all(true);
+        assert_eq!(img.flush_dirty(), 0);
+        assert_eq!(img.digest.get(), Some(&h));
+        assert_eq!(img.clone().digest.get(), Some(&h), "a clone carries it");
+
+        // Each content change empties the memo, and the next digest is
+        // that of the new content.
+        let mut seen = vec![h];
+        let changes: [fn(&mut BinaryImage); 3] = [
+            |img| img.write(0x40_0000, &[0xcc]).unwrap(),
+            |img| img.cmpxchg(0x40_1000, &[0x90], &[0xc3], true).unwrap(),
+            |img| img.add_symbol("c", 0x40_0030),
+        ];
+        for change in changes {
+            change(&mut img);
+            assert_eq!(img.digest.get(), None);
+            let mut fresh = BinaryImage::new(
+                img.base(),
+                img.read_bytes(img.base(), img.len()).unwrap().to_vec(),
+            );
+            for (name, addr) in img.symbols() {
+                fresh.add_symbol(name, addr);
+            }
+            assert_eq!(img.digest(), fresh.digest());
+            assert!(!seen.contains(&img.digest()));
+            seen.push(img.digest());
+        }
+    }
+
+    #[test]
+    fn equality_ignores_the_digest_memo() {
+        let hashed = image();
+        hashed.digest();
+        assert_eq!(hashed, image());
+        assert_eq!(image(), hashed);
+        let mut moved = image();
+        moved.add_symbol("a", 0x40_0010);
+        assert_ne!(hashed, moved);
     }
 
     #[test]

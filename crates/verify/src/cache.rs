@@ -7,16 +7,19 @@
 //! per query: the online patcher's pre-flight check analyzes the image on
 //! *every* trapped syscall, and the offline patcher re-analyzes an image
 //! the caller often just analyzed itself. [`AnalysisCache`] memoizes
-//! [`Verifier::analyze`] behind an FNV-1a fingerprint of all of them and
-//! returns the shared [`Analysis`], which answers in the caller's own
-//! addresses. The same bytes loaded at two bases are two entries; every
-//! cache in the workspace sees a single base.
+//! [`Verifier::analyze`] behind the image's [`BinaryImage::digest`] (an
+//! FNV-1a hash of the first three) and the configuration, and returns the
+//! shared [`Analysis`], which answers in the caller's own addresses. The
+//! same bytes loaded at two bases are two entries; every cache in the
+//! workspace sees a single base.
 //!
 //! Keying on the byte content makes invalidation automatic: the moment a
-//! patcher rewrites a site, the fingerprint changes and the stale analysis
-//! is simply never consulted again. Entries are [`Arc`]-shared, so a hit
-//! costs one hash of the image plus a reference-count bump — no
-//! re-decode, no clone of the analysis.
+//! patcher rewrites a site, the digest changes and the stale analysis is
+//! simply never consulted again. The image memoizes its digest until its
+//! next change, so each content state is hashed once, and entries are
+//! [`Arc`]-shared: a hit costs one load of the memo, one map probe and a
+//! reference-count bump — no re-hash, no re-decode, no clone of the
+//! analysis.
 //!
 //! # Example
 //!
@@ -46,32 +49,17 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use xc_isa::image::BinaryImage;
-use xc_sim::fnv::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
 use crate::verifier::{Analysis, Verifier};
 
-/// Fingerprint of everything [`Verifier::analyze`] depends on: the load
-/// address, the length and bytes of the image, the address of **every**
-/// symbol (entry points and local labels alike: all of them seed the
+/// Key of everything [`Verifier::analyze`] depends on: the image's
+/// [`BinaryImage::digest`] (load address, length, bytes and the address
+/// of **every** symbol: entry points and local labels alike seed the
 /// recursive descent, and which of them are entries depends on the
-/// bytes), and the verifier's configuration. Symbols are folded in
-/// [`BinaryImage::symbols`] order, which is already deterministic, so a
-/// lookup sorts nothing.
-fn fingerprint(verifier: &Verifier, image: &BinaryImage) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv1a_u64(h, image.base());
-    h = fnv1a_u64(h, image.len() as u64);
-    // Gating upgrades changes verdicts, so the two configurations must
-    // not share them.
-    h = fnv1a(h, &[u8::from(verifier.config().interprocedural_upgrades)]);
-    let body = image
-        .read_bytes(image.base(), image.len())
-        .expect("whole-image read is in bounds by construction");
-    h = fnv1a(h, body);
-    for (_, addr) in image.symbols() {
-        h = fnv1a_u64(h, addr);
-    }
-    h
+/// bytes) and the verifier's configuration, since gating upgrades changes
+/// verdicts.
+fn key(verifier: &Verifier, image: &BinaryImage) -> (u64, bool) {
+    (image.digest(), verifier.config().interprocedural_upgrades)
 }
 
 /// A memo table over [`Verifier::analyze`] with hit/miss accounting.
@@ -82,7 +70,7 @@ fn fingerprint(verifier: &Verifier, image: &BinaryImage) -> u64 {
 /// study corpora is a handful of small images.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisCache {
-    entries: HashMap<u64, Arc<Analysis>>,
+    entries: HashMap<(u64, bool), Arc<Analysis>>,
     hits: u64,
     misses: u64,
 }
@@ -94,10 +82,11 @@ impl AnalysisCache {
     }
 
     /// Returns the memoized analysis of `image` under `verifier`, running
-    /// the full pipeline only when the image's fingerprint (load address,
-    /// bytes, symbol addresses, configuration) has not been seen before.
+    /// the full pipeline only when the image's content (load address,
+    /// bytes, symbol addresses) has not been seen before under this
+    /// configuration.
     pub fn analyze(&mut self, verifier: &Verifier, image: &BinaryImage) -> Arc<Analysis> {
-        match self.entries.entry(fingerprint(verifier, image)) {
+        match self.entries.entry(key(verifier, image)) {
             Entry::Occupied(hit) => {
                 self.hits += 1;
                 Arc::clone(hit.get())

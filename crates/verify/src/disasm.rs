@@ -149,15 +149,19 @@ impl Disassembly {
     }
 }
 
-/// The resynchronizing linear sweep over all of `image`, in ascending
-/// address order: `Ok` for each decoded instruction, one
-/// `Err(InvalidOpcode | Unsupported)` for each byte it resyncs over, and
-/// one `Err(Truncated)` where the image ends mid-instruction, after which
-/// it ends.
+/// The resynchronizing linear sweep of `image` from address `from` to
+/// its end, in ascending address order: `Ok` for each decoded
+/// instruction, one `Err(InvalidOpcode | Unsupported)` for each byte it
+/// resyncs over, and one `Err(Truncated)` where the image ends
+/// mid-instruction, after which it ends. From the image base it covers
+/// all of the image; from an address the sweep from the base yields, it
+/// yields the rest of that sweep. It is empty when `from` is outside the
+/// image.
 pub fn sweep(
     image: &BinaryImage,
+    from: u64,
 ) -> impl Iterator<Item = (u64, Result<Decoded, DecodeError>)> + '_ {
-    let mut addr = image.base();
+    let mut addr = from;
     std::iter::from_fn(move || {
         let at = addr;
         let decoded = decode(image.read_upto(at, 16).ok()?);
@@ -179,7 +183,7 @@ pub fn disassemble_image(image: &BinaryImage) -> Disassembly {
     // Pass 1: resynchronizing linear sweep. Undecodable bytes (padding
     // it resynced over, or a truncated tail) are the gaps left between
     // the instructions it keeps.
-    let insts: Vec<(u64, Decoded)> = sweep(image)
+    let insts: Vec<(u64, Decoded)> = sweep(image, base)
         .filter_map(|(at, decoded)| Some((at, decoded.ok()?)))
         .collect();
 
@@ -287,7 +291,7 @@ mod tests {
     fn sweep_yields_one_error_per_resynced_byte_and_stops_at_a_truncated_tail() {
         // ret; 0x60 (#UD); ret; truncated mov.
         let image = BinaryImage::new(0x1000, vec![0xc3, 0x60, 0xc3, 0xb8, 0x01]);
-        let items: Vec<_> = sweep(&image).collect();
+        let items: Vec<_> = sweep(&image, 0x1000).collect();
         let ret = Ok(Decoded {
             inst: Inst::Ret,
             len: 1,
@@ -301,7 +305,9 @@ mod tests {
                 (0x1003, Err(DecodeError::Truncated)),
             ]
         );
-        assert_eq!(sweep(&BinaryImage::new(0x1000, vec![])).count(), 0);
+        assert_eq!(items[2..], sweep(&image, 0x1002).collect::<Vec<_>>());
+        assert_eq!(sweep(&image, 0x1005).count(), 0);
+        assert_eq!(sweep(&BinaryImage::new(0x1000, vec![]), 0x1000).count(), 0);
     }
 
     #[test]

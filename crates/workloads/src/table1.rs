@@ -21,10 +21,9 @@
 
 use std::fmt;
 
-use xc_abom::binaries::{invoke_reusing, library_image, WrapperSpec, WrapperStyle};
+use xc_abom::binaries::{invoke_with, library_image, WrapperSpec, WrapperStyle};
 use xc_abom::handler::XContainerKernel;
 use xc_abom::offline::OfflinePatcher;
-use xc_isa::cpu::Cpu;
 use xc_isa::image::BinaryImage;
 use xc_sim::rng::Rng;
 
@@ -136,9 +135,8 @@ impl AppProfile {
 
     fn run(&self, template: &BinaryImage, syscalls: u64, rng: &mut Rng) -> XContainerKernel {
         let weights: Vec<f64> = self.sites.iter().map(|s| s.weight).collect();
-        // Resolve every wrapper entry once up front — the addresses are
-        // identical in every clone of the template — and reuse one CPU
-        // across invocations; both lookups sat on the hot loop before.
+        // Resolve every wrapper entry once up front: the addresses are
+        // identical in every clone of the template.
         let entries: Vec<u64> = (0..self.sites.len())
             .map(|idx| {
                 template
@@ -147,7 +145,6 @@ impl AppProfile {
             })
             .collect();
         let mut kernel = XContainerKernel::new();
-        let mut cpu = Cpu::new(0);
         // Fresh process image: patches do not persist across exec unless
         // the dirty pages were flushed (we model the no-flush prototype).
         let mut image = template.clone();
@@ -163,7 +160,7 @@ impl AppProfile {
             let site = self.sites[idx];
             let stack = site.style.takes_stack_number().then_some(site.nr);
             let rdi = site.style.takes_register_number().then_some(site.nr);
-            invoke_reusing(&mut cpu, &mut image, &mut kernel, entries[idx], stack, rdi)
+            invoke_with(&mut image, &mut kernel, entries[idx], stack, rdi)
                 .expect("wrapper invocation");
             in_process += 1;
         }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repository hygiene gate: formatting, lints, rustdoc links, the runner
-# determinism suite, the release-mode verifier, ABOM and fault-injection
-# tests, the golden table, the benchmark's own tests and the examples.
-# Fails on any diff, warning, test failure or failing example. The golden
+# Repository hygiene gate: declared dependencies, formatting, lints,
+# rustdoc links, the runner determinism suite, the release-mode ISA,
+# verifier, ABOM and fault-injection tests, the golden table, the
+# benchmark's own tests and the examples. Fails on an unused dependency,
+# any diff, warning, test failure or failing example. The golden
 # test (crates/bench/tests/golden.rs) runs every harness binary at
 # --jobs 1 and -j 3 and checks its exit status, that it left only its
 # results file, its findings and the FNV-1a of its stdout and
@@ -19,6 +20,30 @@ if [ "$#" -ne 0 ]; then
     exit 2
 fi
 
+echo "== declared dependencies: each xc-* crate a manifest lists is named in its src/ or tests/ =="
+# An unused edge still orders the build and moves Cargo.lock. Both
+# manifest forms count: `xc-foo.workspace = true` under [dependencies],
+# and a [dependencies.xc-foo] table.
+unused=0
+for manifest in crates/*/Cargo.toml tests/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    deps=$(awk '
+        /^\[/ { section = $0 }
+        section == "[dependencies]" && /^xc-[a-z0-9-]+[ .=]/ { sub(/[ .=].*/, ""); print }
+        /^\[dependencies\.xc-[a-z0-9-]+\]/ { gsub(/^\[dependencies\.|\]$/, ""); print }
+    ' "$manifest")
+    for dep in $deps; do
+        name=${dep//-/_}
+        if ! grep -rqw "$name" "$dir/src" "$dir/tests" 2>/dev/null; then
+            echo "$manifest lists $dep, but nothing in $dir/src or $dir/tests names $name" >&2
+            unused=1
+        fi
+    done
+done
+if [ "$unused" -ne 0 ]; then
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -31,8 +56,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== runner determinism suite (incl. panicking_cell_is_isolated_from_the_grid) =="
 cargo test -q -p xc-bench --test determinism
 
-echo "== release-mode tests: xc-verify, xc-abom and xc-faults (integer overflow wraps, debug_assert! is off) =="
-cargo test --release -q -p xc-verify -p xc-abom -p xc-faults
+echo "== release-mode tests: xc-isa, xc-verify, xc-abom and xc-faults (integer overflow wraps, debug_assert! is off) =="
+cargo test --release -q -p xc-isa -p xc-verify -p xc-abom -p xc-faults
 
 echo "== golden table: every harness binary, --jobs 1 and 3 =="
 cargo test -q -p xc-bench --test golden
@@ -40,9 +65,10 @@ cargo test -q -p xc-bench --test golden
 echo "== benchmark tests (the separate workspace in benchmark/) =="
 # Nothing above compiles the benchmark, which uses the crates' public API,
 # and its equivalence tests pin the verify_corpus rows to verify_study.
-# Building it rewrites benchmark/Cargo.lock (the lock predates xc-verify's
-# xc-sim dependency), so the committed lock is put back afterwards and
-# the step leaves benchmark/ as it found it.
+# Building it rewrites benchmark/Cargo.lock (the lock predates xc-isa's
+# xc-sim dependency and lists edges the manifests no longer declare), so
+# the committed lock is put back afterwards and the step leaves
+# benchmark/ as it found it.
 lock_copy=$(mktemp)
 cp benchmark/Cargo.lock "$lock_copy"
 bench_status=0
@@ -68,4 +94,4 @@ for src in examples/*.rs; do
     fi
 done
 
-echo "ok: formatting clean, no lints, docs link, deterministic at any --jobs, verifier, ABOM and fault injection pass in release, every harness at its golden row, benchmark tests pass, every example runs"
+echo "ok: no unused dependency, formatting clean, no lints, docs link, deterministic at any --jobs, ISA, verifier, ABOM and fault injection pass in release, every harness at its golden row, benchmark tests pass, every example runs"
