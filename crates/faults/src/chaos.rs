@@ -884,6 +884,51 @@ mod tests {
     }
 
     #[test]
+    fn results_are_pinned() {
+        // Every number a run reports (`ChaosResult::digest`), over cells
+        // without and with an ABOM warm-up corpus, folded into one FNV-1a
+        // value. A rewrite of the world's internals must leave it as is.
+        const PINNED: u64 = 0xd0c2_1d42_f4e4_ad81;
+        let mut h = FNV_OFFSET;
+        let mut fired = [0u64; crate::FAULT_KINDS];
+        let mut rewarmed = false;
+        let outages = FaultRates::scaled(0.05)
+            .with_rate(FaultKind::VcpuStall, 0.002)
+            .with_rate(FaultKind::DomainCrash, 0.002);
+        let revokes = FaultRates::disabled().with_rate(FaultKind::GrantRevoke, 0.5);
+        for corpus_sites in [0, 128] {
+            for (seed, rates) in [
+                (1, FaultRates::disabled()),
+                (2, FaultRates::scaled(0.01)),
+                (3, FaultRates::scaled(0.05)),
+                (4, outages),
+                (5, revokes),
+            ] {
+                let params = ChaosParams {
+                    duration: Nanos::from_millis(400),
+                    corpus_sites,
+                    ..ChaosParams::default()
+                };
+                let r = run_chaos(params, FaultPlan::new(seed, rates), seed);
+                r.check_conservation().expect("pinned cell conserves");
+                h = fnv1a_u64(h, r.digest());
+                for (total, n) in fired.iter_mut().zip(r.fault_stats.injected) {
+                    *total += n;
+                }
+                // Each warm-up draws one veto decision per site, so more
+                // than one corpus' worth means a restart re-warmed ABOM.
+                rewarmed |= corpus_sites > 0
+                    && r.fault_stats.drawn[FaultKind::VerifyReject.index()] > corpus_sites;
+            }
+        }
+        for kind in FaultKind::ALL {
+            assert!(fired[kind.index()] > 0, "{} never fired", kind.name());
+        }
+        assert!(rewarmed, "no restart re-ran the ABOM warm-up");
+        assert_eq!(h, PINNED, "chaos results moved: digest {h:#018x}");
+    }
+
+    #[test]
     fn abom_demotions_surcharge_service() {
         let params = ChaosParams {
             corpus_sites: 64,
