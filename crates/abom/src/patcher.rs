@@ -273,32 +273,6 @@ impl Abom {
         }
     }
 
-    /// Rolls back a just-applied patch: atomically restores `original`
-    /// over the `patched` bytes at `addr` (CR0.WP overridden exactly as
-    /// when patching), returning the site to its trap-path form. The
-    /// graceful-degradation layer calls this when a patched site is
-    /// later deemed unsafe — e.g. a failed post-patch verification — so
-    /// the site falls back permanently to the (slow but always-correct)
-    /// `syscall` trap of §4.4.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::ExchangeMismatch`] if the bytes at `addr` are no
-    /// longer `patched` (a concurrent rollback already restored them —
-    /// callers may treat that as success), or any image-level error for
-    /// out-of-range addresses.
-    pub fn rollback(
-        &mut self,
-        image: &mut BinaryImage,
-        addr: u64,
-        patched: &[u8],
-        original: &[u8],
-    ) -> Result<(), ImageError> {
-        image.cmpxchg(addr, patched, original, true)?;
-        self.stats.rolled_back += 1;
-        Ok(())
-    }
-
     /// One atomic exchange with the CR0.WP override. `Ok(true)` means this
     /// call performed the patch; `Ok(false)` means the expected bytes were
     /// already gone (concurrent patch — treated as success per §4.4).
@@ -532,47 +506,6 @@ mod tests {
         // pattern matcher would rewrite can be rejected.
         assert_eq!(abom.stats().unrecognized, 3);
         assert_eq!(abom.stats().verify_rejected, 0);
-    }
-
-    #[test]
-    fn rollback_restores_trap_path() {
-        let (mut img, at) = case1_image(0);
-        let entry = 0x40_0000;
-        let original = img.read_bytes(entry, 7).unwrap().to_vec();
-        let mut abom = Abom::new();
-        assert!(matches!(
-            abom.on_syscall_trap(&mut img, at),
-            PatchOutcome::Patched(_)
-        ));
-        let patched = img.read_bytes(entry, 7).unwrap().to_vec();
-        assert_ne!(patched, original);
-
-        abom.rollback(&mut img, entry, &patched, &original).unwrap();
-        assert_eq!(img.read_bytes(entry, 7).unwrap(), original.as_slice());
-        assert_eq!(abom.stats().rolled_back, 1);
-        // The restored site is a live trap site again: a later trap can
-        // re-patch it (the degradation layer instead demotes the route).
-        assert!(matches!(
-            abom.on_syscall_trap(&mut img, at),
-            PatchOutcome::Patched(_)
-        ));
-    }
-
-    #[test]
-    fn double_rollback_reports_mismatch() {
-        let (mut img, at) = case1_image(1);
-        let entry = 0x40_0000;
-        let original = img.read_bytes(entry, 7).unwrap().to_vec();
-        let mut abom = Abom::new();
-        abom.on_syscall_trap(&mut img, at);
-        let patched = img.read_bytes(entry, 7).unwrap().to_vec();
-        abom.rollback(&mut img, entry, &patched, &original).unwrap();
-        // Second rollback finds the original bytes, not the patch.
-        assert!(matches!(
-            abom.rollback(&mut img, entry, &patched, &original),
-            Err(ImageError::ExchangeMismatch { .. })
-        ));
-        assert_eq!(abom.stats().rolled_back, 1);
     }
 
     #[test]

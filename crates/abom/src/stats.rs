@@ -36,10 +36,6 @@ pub struct AbomStats {
     pub verify_cache_hits: u64,
     /// Pre-flight lookups that ran the full static-analysis pipeline.
     pub verify_cache_misses: u64,
-    /// Patches undone by [`crate::patcher::Abom::rollback`] after a
-    /// post-patch failure was detected: the site's original bytes were
-    /// restored and the syscall trap path is its permanent fallback.
-    pub rolled_back: u64,
 }
 
 impl AbomStats {
@@ -84,7 +80,6 @@ impl AbomStats {
         self.verify_rejected += other.verify_rejected;
         self.verify_cache_hits += other.verify_cache_hits;
         self.verify_cache_misses += other.verify_cache_misses;
-        self.rolled_back += other.rolled_back;
     }
 }
 

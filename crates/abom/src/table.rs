@@ -14,12 +14,10 @@
 
 use std::fmt;
 
-/// Base virtual address of the vsyscall page (fixed by the x86-64 ABI).
-pub const VSYSCALL_BASE: u64 = 0xffff_ffff_ff60_0000;
-
 /// Offset of the stack-dispatch entry region within the vsyscall page.
 pub const STACK_DISPATCH_OFFSET: u64 = 0xc00;
 
+pub use xc_verify::reverify::VSYSCALL_BASE;
 pub use xc_verify::MAX_SYSCALL_NR;
 
 /// How a vsyscall-table entry resolves the syscall number.

@@ -4,7 +4,7 @@
 //! Sweeps fault rate × platform over the closed-loop chaos world
 //! (`xcontainers::faults::chaos`). Each grid cell gets its own
 //! [`FaultPlan`] derived from `(SEED, cell index)`, so the whole sweep
-//! is byte-identical at any `--jobs` value, and every cell's three
+//! is byte-identical at any `--jobs` value, and every cell's two
 //! conservation ledgers are asserted after the run: faults may slow
 //! work down or route it onto fallback paths, but never lose it.
 

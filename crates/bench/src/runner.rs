@@ -17,9 +17,8 @@
 //!    generator `Rng::substream(seed, i)`, a function of the shard
 //!    index alone, never of the executing worker or claim order.
 //! 3. **Index-ordered merge** — workers record `(index, result)` pairs;
-//!    the merge sorts by index before any fold, so order-sensitive
-//!    reducers (`Histogram::merge`, `Summary::merge`, report
-//!    rendering) see the serial order.
+//!    the merge sorts by index before any fold, so reducers
+//!    (`Histogram::merge`, report rendering) see the serial order.
 //!
 //! Every grid goes through one path, [`Runner::try_run`]: each cell runs
 //! once under `catch_unwind`, so a panicking cell becomes a

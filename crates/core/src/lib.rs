@@ -19,7 +19,7 @@
 //! | [`isa`] | x86-64 subset: codec, assembler, binary images, mini interpreter |
 //! | [`abom`] | the Automatic Binary Optimization Module (§4.4), online + offline |
 //! | [`verify`] | static patch-safety analyzer: disassembly, CFG, dataflow, verdicts |
-//! | [`xen`] | hypervisor substrate: domain ids, hypercalls, event channels, grant tables, PV vs X-Kernel ABI, reference TLB |
+//! | [`xen`] | hypervisor substrate: domain ids, hypercalls, event channels, PV vs X-Kernel ABI, reference TLB |
 //! | [`libos`] | guest Linux / X-LibOS: kernel config, syscall / switch / fork / exec costs, network paths |
 //! | [`faults`] | deterministic fault injection: seeded fault plans, retry/backoff, watchdog restarts, ABOM degradation, the chaos world |
 //! | [`runtimes`] | platform compositions: Docker, Xen-Container, X-Container, gVisor, Clear Containers, Graphene, Unikernel |
@@ -100,7 +100,7 @@ pub mod prelude {
     pub use xc_sim::cost::CostModel;
     pub use xc_sim::report::{json_array, json_object, Cell, Json, Table};
     pub use xc_sim::rng::Rng;
-    pub use xc_sim::stats::{shard_share, Histogram, Summary};
+    pub use xc_sim::stats::{shard_share, Histogram};
     pub use xc_sim::time::Nanos;
     pub use xc_verify::{AnalysisCache, Verdict, Verifier, VerifyReport};
     pub use xc_workloads::cluster::{run_cluster, run_cluster_range, ClusterParams, ClusterResult};
@@ -125,7 +125,6 @@ mod tests {
         let p = Platform::x_container(CloudEnv::GoogleGce, true);
         assert!(p.syscall_cost(&costs) < Nanos::from_nanos(100));
         let _ = Rng::new(1);
-        let _ = Summary::new();
         let _ = Histogram::new();
         let _ = Table::new("t", &["a"]);
         let mut image = xc_abom::binaries::glibc_wrapper_image(0);
@@ -137,7 +136,7 @@ mod tests {
         let mut plan = FaultPlan::new(1, FaultRates::disabled());
         assert!(!plan.should_inject(FaultKind::DomainCrash));
         assert!(RetryPolicy::event_default().delay_for(0).is_some());
-        let _ = Watchdog::new(1, Nanos::from_millis(1));
+        let _ = Watchdog::new(Nanos::from_millis(1));
         let r: ChaosResult = run_chaos(
             ChaosParams {
                 duration: Nanos::from_millis(20),

@@ -1,9 +1,10 @@
 //! The chaos world: a closed-loop request/response service driven
-//! through the *real* hypervisor subsystems under injected faults.
+//! through the hypervisor's event channels and hypercall accounting under
+//! injected faults.
 //!
 //! A client domain issues requests over per-connection event channels;
 //! a server domain drains its pending bitmap into one reused buffer,
-//! negotiates a grant for the payload, copies it, and finishes after a
+//! pays the grant hypercalls that move the payload, and finishes after a
 //! modeled service time.
 //! Every layer can fail on the plan's schedule:
 //!
@@ -13,23 +14,26 @@
 //!   only for a dropped notification, recovers the request (bounded
 //!   resends, then abandon);
 //! * delivery is delayed by a bounded random amount;
-//! * the grant is revoked mid-transfer → the mapper observes
-//!   [`xc_xen::XenError::BadGrantRef`] and re-negotiates;
-//! * ABOM patches are vetoed or rolled back during warm-up → demoted
-//!   sites pay the trap surcharge on every request
-//!   ([`crate::degrade::warm_up`]);
+//! * the grant is revoked mid-transfer → the pair pays one retry delay
+//!   and a second grant hypercall, and the copy goes ahead;
+//! * ABOM patches are vetoed or fail during warm-up → demoted sites pay
+//!   the trap surcharge on every request ([`crate::degrade::warm_up`]);
 //! * the server vCPU stalls or the domain crashes → the watchdog
 //!   detects the missing progress, restarts the domain at full spawn
 //!   cost, re-warms ABOM, and requeues in-flight work.
 //!
-//! Faults move work between paths but never lose it. Three conservation
+//! A grant lives only inside the `try_start` step that starts its
+//! request, so the world keeps no grant table: each start charges its
+//! `GrantTableOp` hypercalls and counts its payload in
+//! [`ChaosResult::bytes_copied`].
+//!
+//! Faults move work between paths but never lose it. Two conservation
 //! ledgers make that checkable after every run
 //! ([`ChaosResult::check_conservation`]):
 //!
 //! 1. `issued == completed + abandoned + in_flight`;
 //! 2. `sends == deliveries + drops + pending` (the event-channel
-//!    ledger);
-//! 3. `live_grants == 0` (every grant cycle closes).
+//!    ledger).
 //!
 //! Determinism: all randomness flows from the [`FaultPlan`]'s per-kind
 //! substreams plus one jitter stream, so a cell's result is a pure
@@ -45,7 +49,6 @@ use xc_sim::time::Nanos;
 use xc_sim::CostModel;
 use xc_xen::domain::DomainId;
 use xc_xen::events::EventChannels;
-use xc_xen::grant::{GrantAccess, GrantTable};
 use xc_xen::{Hypercall, HypervisorAccounting, XenError};
 
 use crate::backoff::RetryPolicy;
@@ -57,8 +60,6 @@ use crate::watchdog::Watchdog;
 const SERVER: DomainId = DomainId(1);
 /// The client (frontend) domain.
 const CLIENT: DomainId = DomainId(2);
-/// Watchdog slot for the server domain.
-const SERVER_SLOT: usize = 0;
 
 /// Parameters of one chaos run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,7 +173,6 @@ struct ChaosWorld {
     jitter: Rng,
     costs: CostModel,
     ev: EventChannels,
-    gt: GrantTable,
     acct: HypervisorAccounting,
     /// Sites the last ABOM warm-up demoted to the trap path.
     demoted: u64,
@@ -199,6 +199,7 @@ struct ChaosWorld {
     resends: u64,
     hypercall_retries: u64,
     grant_faults: u64,
+    bytes_copied: u64,
     stalls: u64,
     crashes: u64,
     restarts: u64,
@@ -302,7 +303,7 @@ impl ChaosWorld {
             };
             self.conns[conn].state = ConnState::InService;
             self.in_service.push(conn);
-            self.wd.note_progress(SERVER_SLOT, now);
+            self.wd.note_progress(now);
             if self.plan.should_inject(FaultKind::DomainCrash) {
                 self.crashed = true;
                 self.crashes += 1;
@@ -315,52 +316,27 @@ impl ChaosWorld {
                 self.stall_since = now;
                 break;
             }
-            let mut extra = Nanos::ZERO;
-            let frame = 0x9000 + conn as u64;
-            let mut gref = self
-                .gt
-                .grant(CLIENT, SERVER, frame, GrantAccess::ReadWrite)
-                .expect("grant table has room for the working set");
-            extra += self
+            // Grant, then copy the payload; a revocation mid-transfer
+            // costs one retry delay and a fresh grant first.
+            let mut extra = self
                 .acct
                 .charge(Hypercall::GrantTableOp { copy_kb: 0 }, &self.costs);
             if self.plan.should_inject(FaultKind::GrantRevoke) {
-                // The client revokes mid-transfer; the server's map must
-                // observe a dead reference, then the pair re-negotiates.
-                self.gt
-                    .revoke(CLIENT, gref)
-                    .expect("unmapped grant is revocable");
-                let stale = self.gt.map(SERVER, gref);
-                assert!(
-                    matches!(stale, Err(XenError::BadGrantRef(_))),
-                    "revoked grant must be dead, got {stale:?}"
-                );
                 self.grant_faults += 1;
                 if let Some(delay) = self.p.retry.delay_for(0) {
                     extra += delay;
                 }
-                gref = self
-                    .gt
-                    .grant(CLIENT, SERVER, frame, GrantAccess::ReadWrite)
-                    .expect("re-grant after revocation");
                 extra += self
                     .acct
                     .charge(Hypercall::GrantTableOp { copy_kb: 0 }, &self.costs);
             }
-            self.gt.map(SERVER, gref).expect("live grant maps");
-            self.gt
-                .copy(SERVER, gref, self.p.payload_bytes)
-                .expect("mapped grant copies");
             extra += self.acct.charge(
                 Hypercall::GrantTableOp {
                     copy_kb: self.p.payload_bytes / 1024,
                 },
                 &self.costs,
             );
-            self.gt.unmap(SERVER, gref).expect("mapped grant unmaps");
-            self.gt
-                .revoke(CLIENT, gref)
-                .expect("unmapped grant is revocable");
+            self.bytes_copied += self.p.payload_bytes;
             let jitter =
                 Nanos::from_nanos(self.jitter.next_below(self.p.service_jitter.as_nanos() + 1));
             let service = self.p.base_service + self.demotion_extra + extra + jitter;
@@ -437,13 +413,13 @@ impl World for ChaosWorld {
                 self.latency
                     .record_nanos(now.saturating_sub(self.conns[conn].issued_at));
                 self.conns[conn].state = ConnState::Idle;
-                self.wd.note_progress(SERVER_SLOT, now);
+                self.wd.note_progress(now);
                 queue.schedule_at(now + self.p.rtt, Ev::Issue { conn });
                 self.try_start(now, queue);
             }
             Ev::Watchdog => {
                 queue.schedule_at(now + self.p.watchdog_period, Ev::Watchdog);
-                if (self.crashed || self.wd.is_stuck(SERVER_SLOT, now)) && !self.restarting {
+                if (self.crashed || self.wd.is_stuck(now)) && !self.restarting {
                     self.restarting = true;
                     self.restarts += 1;
                     // Recovery latency is measured from when the outage
@@ -452,7 +428,7 @@ impl World for ChaosWorld {
                     self.detected_origin = if self.stalled || self.crashed {
                         self.stall_since
                     } else {
-                        self.wd.last_progress(SERVER_SLOT)
+                        self.wd.last_progress()
                     };
                     queue.schedule_at(now + self.p.restart_cost, Ev::Restarted);
                 }
@@ -473,7 +449,7 @@ impl World for ChaosWorld {
                     self.conns[conn].state = ConnState::Queued;
                     self.waiting.push_back(conn);
                 }
-                self.wd.note_progress(SERVER_SLOT, now);
+                self.wd.note_progress(now);
                 self.try_start(now, queue);
             }
         }
@@ -529,8 +505,6 @@ pub struct ChaosResult {
     pub hypervisor_ns: Nanos,
     /// Bytes moved through grant copies.
     pub bytes_copied: u64,
-    /// Grants still live at the end (must be zero).
-    pub live_grants: u64,
     /// ABOM sites demoted to the trap path by the last warm-up.
     pub demoted: u64,
     /// ABOM warm-up corpus size.
@@ -555,7 +529,7 @@ impl ChaosResult {
         }
     }
 
-    /// Checks the three conservation ledgers (module docs); returns a
+    /// Checks the two conservation ledgers (module docs); returns a
     /// description of the first violated one.
     ///
     /// # Errors
@@ -572,12 +546,6 @@ impl ChaosResult {
             return Err(format!(
                 "event ledger: sends {} != deliveries {} + drops {} + pending {}",
                 self.sends, self.deliveries, self.drops, self.pending
-            ));
-        }
-        if self.live_grants != 0 {
-            return Err(format!(
-                "grant ledger: {} grants still live",
-                self.live_grants
             ));
         }
         Ok(())
@@ -670,11 +638,10 @@ pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> Chao
         jitter: Rng::new(jitter_seed),
         costs,
         ev,
-        gt: GrantTable::new(),
         acct: HypervisorAccounting::default(),
         demoted: 0,
         demotion_extra: Nanos::ZERO,
-        wd: Watchdog::new(1, params.watchdog_timeout),
+        wd: Watchdog::new(params.watchdog_timeout),
         conns,
         drained: Vec::with_capacity(params.connections),
         waiting: VecDeque::with_capacity(params.connections),
@@ -691,6 +658,7 @@ pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> Chao
         resends: 0,
         hypercall_retries: 0,
         grant_faults: 0,
+        bytes_copied: 0,
         stalls: 0,
         crashes: 0,
         restarts: 0,
@@ -731,8 +699,7 @@ pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> Chao
         pending: w.ev.pending_count(SERVER) as u64,
         hypercalls: w.acct.total_calls(),
         hypervisor_ns: w.acct.total_time(),
-        bytes_copied: w.gt.bytes_copied(),
-        live_grants: w.gt.live_grants() as u64,
+        bytes_copied: w.bytes_copied,
         demoted: w.demoted,
         corpus_sites: w.p.corpus_sites,
         latency: w.latency,
@@ -826,7 +793,6 @@ mod tests {
         let r = run_chaos(params, FaultPlan::new(9, rates), 1);
         r.check_conservation().expect("grant-fault run conserves");
         assert!(r.grant_faults > 0, "revocation stream must fire");
-        assert_eq!(r.live_grants, 0);
         // Copies happen once per service start, in whole payloads.
         assert_eq!(r.bytes_copied % params.payload_bytes, 0);
         assert!(

@@ -2,26 +2,23 @@
 //!
 //! §4.4's safety story: every patched site keeps the `syscall` trap as a
 //! correct fallback. This module exercises it under injected failure —
-//! during a warm-up pass over a synthetic wrapper corpus, the plan can
-//! veto a site's verification ([`FaultKind::VerifyReject`], the site is
-//! never patched) or fail a patch after the fact
-//! ([`FaultKind::PatchFail`], the patch is undone with
-//! [`Abom::rollback`]). Either way the site is permanently demoted to
-//! the forwarded/trap route; it costs more per syscall but never
-//! computes wrongly. The chaos world converts the demoted fraction into
-//! a per-request syscall surcharge.
+//! during a warm-up pass over a corpus of glibc-style wrappers, one per
+//! syscall number, the plan can veto a site's verification
+//! ([`FaultKind::VerifyReject`], the site is never patched) or fail a
+//! patch after the fact ([`FaultKind::PatchFail`]). Either way the site is
+//! permanently demoted to the forwarded/trap route; it costs more per
+//! syscall but never computes wrongly. The chaos world converts the
+//! demoted fraction into a per-request syscall surcharge.
+//!
+//! The pass is a closed form: ABOM patches a case-1 wrapper for number
+//! `nr` exactly when the vsyscall table has an entry for it
+//! (`nr <= MAX_SYSCALL_NR`), so the pass assembles and patches nothing.
+//! It draws the plan's decisions in the order a patching pass would and
+//! counts the outcomes; the unit tests compare it with that pass.
 
-use xc_abom::binaries::glibc_wrapper_image;
-use xc_abom::patcher::{Abom, PatchOutcome};
-use xc_abom::AbomStats;
-use xc_libos::syscalls::VSYSCALL_TABLE_ENTRIES;
+use xc_abom::table::MAX_SYSCALL_NR;
 
 use crate::plan::{FaultKind, FaultPlan};
-
-/// Width of the case-1 pattern ABOM rewrites (`mov $nr,%eax; syscall`).
-const CASE1_PATTERN_LEN: usize = 7;
-/// Offset of the `syscall` instruction inside the case-1 wrapper.
-const CASE1_SYSCALL_OFFSET: u64 = 5;
 
 /// Outcome of one warm-up pass over the wrapper corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,88 +29,100 @@ pub struct WarmupReport {
     pub patched: u64,
     /// Sites whose verification was vetoed (never patched).
     pub verify_rejected: u64,
-    /// Sites patched and then rolled back after an injected failure.
-    pub rolled_back: u64,
-    /// Sites demoted to the fallback route (vetoed + rolled back +
-    /// anything ABOM itself refused), counting only numbers with a
-    /// vsyscall entry: the rest never left the fallback.
+    /// Sites patched and then failed by an injected post-patch fault.
+    pub patch_failed: u64,
+    /// Sites demoted to the fallback route (vetoed or failed), counting
+    /// only numbers with a vsyscall entry: the rest never left the
+    /// fallback.
     pub demoted: u64,
-    /// The optimizer's own counters for the pass.
-    pub abom: AbomStats,
 }
 
-/// Runs ABOM over a corpus of `sites` glibc-style wrappers (one per
+/// Warms ABOM up over a corpus of `sites` glibc-style wrappers (one per
 /// syscall number), injecting verification vetoes and patch failures
 /// from `plan`, and demotes every site that cannot stay on the
 /// function-call path.
 ///
-/// Deterministic: decisions come from the plan's
-/// [`FaultKind::VerifyReject`] and [`FaultKind::PatchFail`] streams in
-/// site order. With a disabled plan every recognizable site ends up
+/// Deterministic: every site draws from the plan's
+/// [`FaultKind::VerifyReject`] stream, and every site ABOM patches (one
+/// with a vsyscall entry) then draws from [`FaultKind::PatchFail`], in
+/// site order. With a disabled plan every site with an entry ends up
 /// patched and nothing is demoted.
-///
-/// # Panics
-///
-/// Panics if the synthetic wrapper corpus is malformed (assembler
-/// invariants, not inputs).
 pub fn warm_up(plan: &mut FaultPlan, sites: u64) -> WarmupReport {
-    let mut abom = Abom::new();
     let mut report = WarmupReport {
         sites,
         patched: 0,
         verify_rejected: 0,
-        rolled_back: 0,
+        patch_failed: 0,
         demoted: 0,
-        abom: AbomStats::new(),
     };
     for nr in 0..sites {
         // Each number is visited once, so leaving the function-call path
         // demotes it exactly when it had a vsyscall entry to leave.
-        let demotable = u64::from(nr < VSYSCALL_TABLE_ENTRIES);
+        let has_entry = nr <= MAX_SYSCALL_NR;
         if plan.should_inject(FaultKind::VerifyReject) {
-            // Pre-flight verification vetoes the site: never patched,
-            // permanently on the trap path.
             report.verify_rejected += 1;
-            report.demoted += demotable;
-            continue;
-        }
-        let mut image = glibc_wrapper_image(nr);
-        let entry = image.symbol("wrapper").expect("wrapper symbol exists");
-        let original: Vec<u8> = image
-            .read_bytes(entry, CASE1_PATTERN_LEN)
-            .expect("wrapper prologue readable")
-            .to_vec();
-        match abom.on_syscall_trap(&mut image, entry + CASE1_SYSCALL_OFFSET) {
-            PatchOutcome::Patched(_) if plan.should_inject(FaultKind::PatchFail) => {
-                // Post-patch failure: undo the rewrite and fall back.
-                let patched: Vec<u8> = image
-                    .read_bytes(entry, CASE1_PATTERN_LEN)
-                    .expect("patched prologue readable")
-                    .to_vec();
-                abom.rollback(&mut image, entry, &patched, &original)
-                    .expect("rollback of a fresh patch succeeds");
-                report.rolled_back += 1;
-                report.demoted += demotable;
-            }
-            PatchOutcome::Patched(_) | PatchOutcome::AlreadyPatched => {
+            report.demoted += u64::from(has_entry);
+        } else if has_entry {
+            if plan.should_inject(FaultKind::PatchFail) {
+                report.patch_failed += 1;
+                report.demoted += 1;
+            } else {
                 report.patched += 1;
-            }
-            // ABOM itself refused (unrecognized, disabled, …): the site
-            // keeps trapping, so it counts as demoted too.
-            _ => {
-                report.demoted += demotable;
             }
         }
     }
-    report.abom = *abom.stats();
     report
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use proptest::prelude::*;
+    use xc_abom::binaries::glibc_wrapper_image;
+    use xc_abom::patcher::{Abom, PatchOutcome};
 
+    use super::*;
     use crate::plan::FaultRates;
+
+    /// Offset of the `syscall` instruction inside the case-1 wrapper.
+    const CASE1_SYSCALL_OFFSET: u64 = 5;
+
+    /// The warm-up as a patching pass, the reference [`warm_up`] must
+    /// match: assemble each wrapper, let ABOM handle its trap, and draw a
+    /// post-patch failure only for a site ABOM patched.
+    fn patching_pass(plan: &mut FaultPlan, sites: u64) -> WarmupReport {
+        let mut abom = Abom::new();
+        let mut report = WarmupReport {
+            sites,
+            patched: 0,
+            verify_rejected: 0,
+            patch_failed: 0,
+            demoted: 0,
+        };
+        for nr in 0..sites {
+            let demotable = u64::from(abom.table().entry_for_number(nr).is_some());
+            if plan.should_inject(FaultKind::VerifyReject) {
+                report.verify_rejected += 1;
+                report.demoted += demotable;
+                continue;
+            }
+            let mut image = glibc_wrapper_image(nr);
+            let entry = image.symbol("wrapper").expect("wrapper symbol exists");
+            match abom.on_syscall_trap(&mut image, entry + CASE1_SYSCALL_OFFSET) {
+                PatchOutcome::Patched(_) if plan.should_inject(FaultKind::PatchFail) => {
+                    report.patch_failed += 1;
+                    report.demoted += demotable;
+                }
+                PatchOutcome::Patched(_) | PatchOutcome::AlreadyPatched => {
+                    report.patched += 1;
+                }
+                // ABOM itself refused: the site keeps trapping.
+                _ => {
+                    report.demoted += demotable;
+                }
+            }
+        }
+        report
+    }
 
     #[test]
     fn disabled_plan_patches_everything() {
@@ -121,8 +130,7 @@ mod tests {
         let report = warm_up(&mut plan, 32);
         assert_eq!(report.patched, 32);
         assert_eq!(report.demoted, 0);
-        assert_eq!(report.rolled_back, 0);
-        assert_eq!(report.abom.patched_case1, 32);
+        assert_eq!(report.patch_failed, 0);
     }
 
     #[test]
@@ -133,14 +141,13 @@ mod tests {
         let mut plan = FaultPlan::new(7, rates);
         let report = warm_up(&mut plan, 64);
         assert!(report.verify_rejected > 0, "veto stream must fire");
-        assert!(report.rolled_back > 0, "rollback stream must fire");
+        assert!(report.patch_failed > 0, "patch-failure stream must fire");
         assert_eq!(
             report.demoted,
-            report.verify_rejected + report.rolled_back,
+            report.verify_rejected + report.patch_failed,
             "every failed site is demoted exactly once"
         );
         assert_eq!(report.patched + report.demoted, 64);
-        assert_eq!(report.abom.rolled_back, report.rolled_back);
     }
 
     #[test]
@@ -149,5 +156,26 @@ mod tests {
         let run = |seed| warm_up(&mut FaultPlan::new(seed, rates), 48);
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
+    }
+
+    proptest! {
+        /// Any seed, rates and corpus size, including numbers past the
+        /// vsyscall table, give the patching pass's report and leave the
+        /// plan's counters where the patching pass leaves them.
+        #[test]
+        fn closed_form_matches_the_patching_pass(
+            seed in any::<u64>(),
+            verify_reject in 0.0f64..1.0,
+            patch_fail in 0.0f64..1.0,
+            sites in 0u64..=400,
+        ) {
+            let rates = FaultRates::disabled()
+                .with_rate(FaultKind::VerifyReject, verify_reject)
+                .with_rate(FaultKind::PatchFail, patch_fail);
+            let mut closed = FaultPlan::new(seed, rates);
+            let mut reference = closed.clone();
+            prop_assert_eq!(warm_up(&mut closed, sites), patching_pass(&mut reference, sites));
+            prop_assert_eq!(closed.stats(), reference.stats());
+        }
     }
 }

@@ -18,12 +18,11 @@
 //!   with the full restart cost charged and the recovery latency
 //!   recorded.
 //! * [`degrade`] — the ABOM degradation policy: a site whose patch is
-//!   vetoed or rolled back ([`xc_abom::patcher::Abom::rollback`]) is
-//!   permanently demoted to the trap route, and [`WarmupReport::demoted`]
-//!   counts it.
+//!   vetoed or fails is permanently demoted to the trap route, and
+//!   [`WarmupReport::demoted`] counts it.
 //! * [`chaos`] — a closed-loop DES world wiring all of the above through
 //!   the *real* [`xc_xen::events::EventChannels`] and
-//!   [`xc_xen::grant::GrantTable`], with conservation invariants (no
+//!   [`xc_xen::HypervisorAccounting`], with conservation invariants (no
 //!   request lost, every event delivered/dropped/pending) checked by
 //!   [`ChaosResult::check_conservation`].
 //!

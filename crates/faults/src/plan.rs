@@ -31,15 +31,14 @@ pub enum FaultKind {
     EventDrop = 1,
     /// An event-channel delivery is delayed by a bounded random amount.
     EventDelay = 2,
-    /// A grant is revoked mid-transfer; the mapper sees
-    /// [`XenError::BadGrantRef`] and must re-negotiate.
+    /// A grant is revoked mid-transfer; the pair waits one retry delay
+    /// and pays a second grant hypercall before the copy.
     GrantRevoke = 3,
     /// ABOM pre-flight verification vetoes a site
     /// (`PatchOutcome::VerifyRejected`): it stays on the trap path.
     VerifyReject = 4,
-    /// An applied ABOM patch fails post-patch checks and is rolled back
-    /// ([`xc_abom::patcher::Abom::rollback`]); the site is permanently
-    /// demoted to the trap route.
+    /// An applied ABOM patch fails post-patch checks; the site is
+    /// permanently demoted to the trap route.
     PatchFail = 5,
     /// A vCPU stops making progress until the watchdog restarts the
     /// domain.

@@ -1,71 +1,46 @@
 //! Progress-based stuck-domain detection.
 //!
-//! The watchdog tracks the last simulated instant each domain made
-//! observable progress (completed a request, started service). A domain
-//! whose progress timestamp falls more than `timeout` behind the clock
-//! is declared stuck; the chaos world then restarts it, paying the
+//! The watchdog tracks the last simulated instant the server domain made
+//! observable progress (completed a request, started service). When that
+//! timestamp falls more than `timeout` behind the clock the domain is
+//! declared stuck; the chaos world then restarts it, paying the
 //! platform's full spawn cost and recording the detection-to-recovery
 //! latency. Progress-based (rather than flag-based) detection means the
 //! watchdog also catches stalls nobody explicitly signalled.
 
 use xc_sim::time::Nanos;
 
-/// Tracks per-domain progress timestamps against a stuck timeout.
+/// Tracks one domain's progress timestamp against a stuck timeout.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     timeout: Nanos,
-    last_progress: Vec<Nanos>,
+    last_progress: Nanos,
 }
 
 impl Watchdog {
-    /// A watchdog over `domains` domains, all considered fresh (progress
-    /// at time zero) with the given stuck `timeout`.
-    pub fn new(domains: usize, timeout: Nanos) -> Self {
+    /// A watchdog over a fresh domain (progress at time zero) with the
+    /// given stuck `timeout`.
+    pub fn new(timeout: Nanos) -> Self {
         Watchdog {
             timeout,
-            last_progress: vec![Nanos::ZERO; domains],
+            last_progress: Nanos::ZERO,
         }
     }
 
-    /// Records that domain `dom` made progress at `now`. Timestamps are
-    /// monotonic: an out-of-order note never moves a domain backwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dom` is out of range.
-    pub fn note_progress(&mut self, dom: usize, now: Nanos) {
-        let slot = &mut self.last_progress[dom];
-        *slot = (*slot).max(now);
+    /// Records that the domain made progress at `now`. The timestamp is
+    /// monotonic: an out-of-order note never moves it backwards.
+    pub fn note_progress(&mut self, now: Nanos) {
+        self.last_progress = self.last_progress.max(now);
     }
 
-    /// The last instant `dom` made progress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dom` is out of range.
-    pub fn last_progress(&self, dom: usize) -> Nanos {
-        self.last_progress[dom]
+    /// The last instant the domain made progress.
+    pub fn last_progress(&self) -> Nanos {
+        self.last_progress
     }
 
-    /// Whether `dom` has gone at least the timeout without progress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dom` is out of range.
-    pub fn is_stuck(&self, dom: usize, now: Nanos) -> bool {
-        now.saturating_sub(self.last_progress[dom]) >= self.timeout
-    }
-
-    /// Every domain currently stuck at `now`.
-    pub fn stuck(&self, now: Nanos) -> Vec<usize> {
-        (0..self.last_progress.len())
-            .filter(|&d| self.is_stuck(d, now))
-            .collect()
-    }
-
-    /// The configured stuck timeout.
-    pub fn timeout(&self) -> Nanos {
-        self.timeout
+    /// Whether the domain has gone at least the timeout without progress.
+    pub fn is_stuck(&self, now: Nanos) -> bool {
+        now.saturating_sub(self.last_progress) >= self.timeout
     }
 }
 
@@ -75,29 +50,26 @@ mod tests {
 
     #[test]
     fn fresh_domains_become_stuck_only_after_timeout() {
-        let wd = Watchdog::new(2, Nanos::from_millis(10));
-        assert!(!wd.is_stuck(0, Nanos::from_millis(9)));
-        assert!(wd.is_stuck(0, Nanos::from_millis(10)));
-        assert_eq!(wd.stuck(Nanos::from_millis(10)), vec![0, 1]);
+        let wd = Watchdog::new(Nanos::from_millis(10));
+        assert!(!wd.is_stuck(Nanos::from_millis(9)));
+        assert!(wd.is_stuck(Nanos::from_millis(10)));
     }
 
     #[test]
     fn progress_resets_the_clock_per_domain() {
-        let mut wd = Watchdog::new(3, Nanos::from_millis(5));
-        wd.note_progress(1, Nanos::from_millis(8));
-        let now = Nanos::from_millis(10);
-        assert!(wd.is_stuck(0, now));
-        assert!(!wd.is_stuck(1, now));
-        assert!(wd.is_stuck(2, now));
-        assert_eq!(wd.stuck(now), vec![0, 2]);
-        assert_eq!(wd.last_progress(1), Nanos::from_millis(8));
+        let mut wd = Watchdog::new(Nanos::from_millis(5));
+        assert!(wd.is_stuck(Nanos::from_millis(10)));
+        wd.note_progress(Nanos::from_millis(8));
+        assert!(!wd.is_stuck(Nanos::from_millis(10)));
+        assert!(wd.is_stuck(Nanos::from_millis(13)));
+        assert_eq!(wd.last_progress(), Nanos::from_millis(8));
     }
 
     #[test]
     fn progress_is_monotonic() {
-        let mut wd = Watchdog::new(1, Nanos::from_millis(5));
-        wd.note_progress(0, Nanos::from_millis(7));
-        wd.note_progress(0, Nanos::from_millis(3)); // stale note, ignored
-        assert_eq!(wd.last_progress(0), Nanos::from_millis(7));
+        let mut wd = Watchdog::new(Nanos::from_millis(5));
+        wd.note_progress(Nanos::from_millis(7));
+        wd.note_progress(Nanos::from_millis(3)); // stale note, ignored
+        assert_eq!(wd.last_progress(), Nanos::from_millis(7));
     }
 }

@@ -18,9 +18,7 @@
 //!   syscall / context-switch / fork / exec costs for the three
 //!   deployments,
 //! * [`net`] — the network stack path model (iperf, macrobenchmarks,
-//!   Figure 9 load balancing),
-//! * [`syscalls`] — the x86-64 syscall numbers and the size of the ABOM
-//!   vsyscall table.
+//!   Figure 9 load balancing).
 //!
 //! # Example
 //!
@@ -44,7 +42,6 @@
 pub mod backend;
 pub mod config;
 pub mod net;
-pub mod syscalls;
 
 pub use backend::Backend;
 pub use config::KernelConfig;

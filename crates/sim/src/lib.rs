@@ -10,7 +10,7 @@
 //! * [`calendar`] — the engine's pending events, kept in one sorted
 //!   buffer, and the binary heap it is tested against,
 //! * [`fnv`] — the stable FNV-1a hash behind digests and fingerprints,
-//! * [`stats`] — streaming summaries and log-bucketed latency histograms,
+//! * [`stats`] — log-bucketed latency histograms and the shard split,
 //! * [`cost`] — the primitive cost model all container architectures are
 //!   composed from,
 //! * [`report`] — text tables and a minimal JSON emitter for experiment
@@ -49,5 +49,5 @@ pub mod time;
 pub use cost::CostModel;
 pub use engine::{EventQueue, Simulation, World};
 pub use rng::Rng;
-pub use stats::{Histogram, Summary};
+pub use stats::Histogram;
 pub use time::Nanos;

@@ -1,180 +1,12 @@
-//! Streaming statistics and latency histograms.
+//! Latency histograms and the deterministic shard split.
 //!
-//! Two accumulators cover everything the experiment harnesses need:
-//!
-//! * [`Summary`] — count / mean / standard deviation / min / max via
-//!   Welford's online algorithm (the paper reports mean ± stddev of five
-//!   runs; the harnesses do the same),
-//! * [`Histogram`] — an HDR-style log-bucketed histogram for request
-//!   latencies, supporting arbitrary quantiles with bounded relative error.
+//! [`Histogram`] is an HDR-style log-bucketed histogram for request
+//! latencies, supporting arbitrary quantiles with bounded relative error;
+//! [`shard_share`] splits a count across equal shards.
 
 use std::fmt;
 
 use crate::time::Nanos;
-
-/// Streaming count / mean / variance / extrema accumulator.
-///
-/// # Example
-///
-/// ```
-/// use xc_sim::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 8);
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.stddev() - 2.138089935).abs() < 1e-6);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Summary {
-    /// Same as [`Summary::new`]: a derived `Default` would zero `min`/`max`
-    /// instead of installing the ±infinity sentinels, silently corrupting
-    /// the extrema of anything recorded afterwards.
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or 0 for an empty summary.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample standard deviation (n−1 denominator), or 0 with fewer than two
-    /// observations.
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation, or 0 for an empty summary.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation, or 0 for an empty summary.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Merges another summary into this one (parallel Welford combination).
-    ///
-    /// Empty operands are handled by explicit count checks — an empty
-    /// `other` leaves `self` untouched and an empty `self` copies `other`
-    /// wholesale — so the result never depends on the ±infinity min/max
-    /// sentinels an empty summary carries. The observation count saturates
-    /// instead of wrapping when the combined total would exceed `u64::MAX`.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            // Nothing to fold in; in particular other's sentinel extrema
-            // must not leak into ours.
-            return;
-        }
-        if self.count == 0 {
-            // Our own sentinels are equally meaningless: adopt other as-is.
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count = self.count.saturating_add(other.count);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.stddev(),
-            self.min(),
-            self.max()
-        )
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Summary::new();
-        for x in iter {
-            s.record(x);
-        }
-        s
-    }
-}
-
-impl Extend<f64> for Summary {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.record(x);
-        }
-    }
-}
 
 /// Number of linear sub-buckets per power-of-two bucket.
 ///
@@ -376,8 +208,8 @@ impl Histogram {
     /// Merges every histogram in `others` into `self` in one pass over the
     /// bucket array.
     ///
-    /// Integer bucket counts are exact and order-independent, so unlike
-    /// [`Summary`] this is safe for tree reduction: folding N shards here
+    /// Integer bucket counts are exact and order-independent, so this is
+    /// safe for tree reduction: folding N shards here
     /// touches each of the 2 048 buckets once (sources inner, buckets
     /// outer) instead of N times, and produces bytes identical to N
     /// sequential [`merge`](Self::merge) calls in any order. All counters
@@ -463,74 +295,6 @@ impl FromIterator<u64> for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basic_moments() {
-        let s: Summary = [1.0, 2.0, 3.0, 4.0, 5.0].into_iter().collect();
-        assert_eq!(s.count(), 5);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert!((s.stddev() - (2.5f64).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 5.0);
-        assert!((s.sum() - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_default_matches_new() {
-        // A derived Default would zero the extrema sentinels; recording
-        // through a default-constructed summary must behave like new().
-        let mut d = Summary::default();
-        d.record(7.0);
-        assert_eq!(d.min(), 7.0);
-        assert_eq!(d.max(), 7.0);
-        let mut m = Summary::default();
-        m.merge(&d);
-        assert_eq!(m.min(), 7.0);
-    }
-
-    #[test]
-    fn summary_count_saturates_on_merge() {
-        let mut a = Summary::new();
-        a.count = u64::MAX - 1;
-        a.mean = 1.0;
-        a.min = 1.0;
-        a.max = 1.0;
-        let b: Summary = [2.0, 3.0, 4.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), u64::MAX);
-    }
-
-    #[test]
-    fn summary_empty_is_safe() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential() {
-        let mut a: Summary = (0..100).map(f64::from).collect();
-        let b: Summary = (100..250).map(f64::from).collect();
-        let all: Summary = (0..250).map(f64::from).collect();
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.stddev() - all.stddev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        let b: Summary = [7.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.mean(), 7.0);
-        let mut c = a;
-        c.merge(&Summary::new());
-        assert_eq!(c.count(), 1);
-    }
 
     #[test]
     fn histogram_small_values_exact() {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use xc_sim::calendar::{key, HeapQueue, SortedQueue};
 use xc_sim::engine::{EventQueue, Simulation, World};
 use xc_sim::rng::Rng;
-use xc_sim::stats::{Histogram, Summary};
+use xc_sim::stats::Histogram;
 use xc_sim::time::Nanos;
 
 /// World that records (time, tag) for every event it sees.
@@ -57,25 +57,6 @@ proptest! {
         prop_assert_eq!(before, expected_before);
         sim.run();
         prop_assert_eq!(sim.world().log.len(), times.len());
-    }
-
-    /// Summary mean/min/max always bracket correctly and merging any
-    /// split equals the whole.
-    #[test]
-    fn summary_merge_invariant(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let whole: Summary = xs.iter().copied().collect();
-        let mut left: Summary = xs[..split].iter().copied().collect();
-        let right: Summary = xs[split..].iter().copied().collect();
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert_eq!(left.min(), whole.min());
-        prop_assert_eq!(left.max(), whole.max());
-        prop_assert!(whole.min() <= whole.mean() && whole.mean() <= whole.max());
     }
 
     /// Histogram quantiles are monotone in q and bounded by min/max.
@@ -271,33 +252,5 @@ proptest! {
                 prop_assert_eq!(h.quantile(q), sequential.quantile(q));
             }
         }
-    }
-
-    /// Merging per-shard summaries across any shard count matches the
-    /// single-stream summary (count/min/max exactly, moments within fp
-    /// tolerance) — the contract the parallel runner's sharded
-    /// statistics rely on.
-    #[test]
-    fn summary_shard_merge_equals_single_stream(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..300),
-        shards in 1usize..8,
-    ) {
-        let whole: Summary = xs.iter().copied().collect();
-        let mut merged = Summary::new();
-        for chunk in xs.chunks(xs.len().div_ceil(shards)) {
-            let shard: Summary = chunk.iter().copied().collect();
-            merged.merge(&shard);
-        }
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert_eq!(merged.min(), whole.min());
-        prop_assert_eq!(merged.max(), whole.max());
-        let tol = 1e-9 * (1.0 + whole.sum().abs());
-        prop_assert!((merged.sum() - whole.sum()).abs() <= tol);
-        prop_assert!(
-            (merged.mean() - whole.mean()).abs() <= 1e-9 * (1.0 + whole.mean().abs())
-        );
-        prop_assert!(
-            (merged.stddev() - whole.stddev()).abs() <= 1e-6 * (1.0 + whole.stddev().abs())
-        );
     }
 }

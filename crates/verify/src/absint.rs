@@ -452,7 +452,7 @@ fn transfer(
                         // A summary constant has no caller-side defining
                         // instruction, so it never yields a region.
                         RaxEffect::Const(v) => AbsValue::Const { v, def: None },
-                        RaxEffect::ArgReg(_) | RaxEffect::Unknown => {
+                        RaxEffect::Unknown => {
                             if s.clobbers & reg_bit(Reg::Rax) != 0 {
                                 AbsValue::Top
                             } else {

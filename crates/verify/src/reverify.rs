@@ -17,8 +17,8 @@ use xc_isa::inst::{BranchKind, Inst};
 
 use crate::disasm::sweep;
 
-/// Base of the vsyscall page (mirrors `xc_abom::table::VSYSCALL_BASE`;
-/// this crate sits below `xc-abom` in the dependency order).
+/// Base virtual address of the vsyscall page (fixed by the x86-64 ABI).
+/// `xc_abom::table` re-exports it.
 pub const VSYSCALL_BASE: u64 = 0xffff_ffff_ff60_0000;
 
 /// Whether `addr` points into the vsyscall page.

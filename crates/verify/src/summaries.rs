@@ -17,9 +17,8 @@
 //!   are *refined* for the same number of rounds, so any intermediate
 //!   state is already sound. The effect is read off a straight-line scan
 //!   of the entry block: `mov $imm, %eax`-family gives
-//!   [`RaxEffect::Const`], `mov %reg, %rax` from an unwritten register
-//!   gives [`RaxEffect::ArgReg`], and a function that provably never
-//!   writes `%rax` is [`RaxEffect::Preserved`].
+//!   [`RaxEffect::Const`], and a function that provably never writes
+//!   `%rax` is [`RaxEffect::Preserved`].
 
 use xc_isa::inst::{Inst, Reg};
 
@@ -48,9 +47,6 @@ pub enum RaxEffect {
     Preserved,
     /// The callee returns this constant on every path.
     Const(i64),
-    /// The callee returns its caller's value of this register
-    /// (libc-style `syscall(nr, ...)` identity shims).
-    ArgReg(Reg),
     /// No claim.
     Unknown,
 }
@@ -207,31 +203,19 @@ fn entry_block_rax_effect(
     summaries: &Summaries,
 ) -> RaxEffect {
     let mut effect = RaxEffect::Preserved;
-    let mut written = 0u8;
     for id in cfg.blocks[head].insts.clone() {
         let inst = disasm.insts[id].1.inst;
         match inst {
             Inst::MovImm32 { reg: Reg::Rax, imm } => effect = RaxEffect::Const(i64::from(imm)),
             Inst::MovImm32SxR64 { reg: Reg::Rax, imm } => effect = RaxEffect::Const(i64::from(imm)),
             Inst::XorEaxEax => effect = RaxEffect::Const(0),
-            Inst::MovRegReg64 { dst: Reg::Rax, src } => {
-                effect = if written & reg_bit(src) == 0 {
-                    RaxEffect::ArgReg(src)
-                } else {
-                    RaxEffect::Unknown
-                };
-            }
             Inst::CallRel32 { .. } | Inst::CallAbsIndirect { .. } => {
-                let callee = cg.target_of(id).map(|t| summaries.summary(t));
-                effect = match callee.map_or(RaxEffect::Unknown, |s| s.rax) {
-                    RaxEffect::Preserved => effect,
-                    RaxEffect::Const(v) => RaxEffect::Const(v),
-                    // The callee's "argument register" is in *its* frame;
-                    // translating through two frames is not worth it.
-                    RaxEffect::ArgReg(_) | RaxEffect::Unknown => RaxEffect::Unknown,
-                };
-                written |= callee.map_or(CLOBBER_ALL, |s| s.clobbers);
-                continue;
+                let callee = cg
+                    .target_of(id)
+                    .map_or(RaxEffect::Unknown, |t| summaries.summary(t).rax);
+                if callee != RaxEffect::Preserved {
+                    effect = callee;
+                }
             }
             Inst::Syscall => effect = RaxEffect::Unknown,
             Inst::Ret => return effect,
@@ -241,7 +225,6 @@ fn entry_block_rax_effect(
                 }
             }
         }
-        written |= inst_clobbers(inst);
     }
     // Fell off the entry block into more control flow: keep the claim
     // only if the whole function provably never writes `%rax`.

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use xc_isa::asm::Assembler;
 use xc_isa::image::BinaryImage;
 use xc_isa::inst::{Cond, Inst, Reg};
+use xc_verify::reverify::VSYSCALL_BASE;
 use xc_verify::{SiteKind, Verdict, Verifier, VerifierConfig};
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
@@ -15,9 +16,6 @@ fn arb_reg() -> impl Strategy<Value = Reg> {
 fn arb_cond() -> impl Strategy<Value = Cond> {
     prop_oneof![Just(Cond::E), Just(Cond::Ne)]
 }
-
-/// Base of the vsyscall page (unresolved `call *abs` destinations).
-const VSYSCALL_BASE: u64 = 0xffff_ffff_ff60_0000;
 
 /// Straight-line-ish function bodies: every instruction the number
 /// tracker models, plus short forward/backward branches so regions

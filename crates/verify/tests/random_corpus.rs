@@ -23,6 +23,7 @@ use xc_isa::image::BinaryImage;
 use xc_isa::inst::{Cond, Inst, Reg};
 use xc_sim::fnv::{fnv1a, FNV_OFFSET};
 use xc_sim::rng::Rng;
+use xc_verify::reverify::VSYSCALL_BASE;
 use xc_verify::{SiteKind, Verdict, Verifier, VerifierConfig};
 
 /// Bodies in the corpus.
@@ -33,8 +34,6 @@ const SEED: u64 = 0x5eed_0024;
 const LABELS: u64 = 4;
 /// Where every body is assembled.
 const BASE: u64 = 0x40_0000;
-/// Base of the vsyscall page (unresolved `call *abs` destinations).
-const VSYSCALL_BASE: u64 = 0xffff_ffff_ff60_0000;
 
 /// The pinned digest of every rendered report, both configurations.
 const DIGEST: u64 = 0x6fce_838c_cab1_df69;

@@ -3,9 +3,9 @@
 //! In the X-Container architecture every container is a domain: Domain-0
 //! runs only the control toolstack (no applications, §4.1), driver domains
 //! own hardware, and each X-Container/guest is an unprivileged DomU. Event
-//! channels and grant tables name domains by [`DomainId`]. No memory is
-//! reserved per domain: Figure 8's density limits are the instance caps
-//! of `xc-workloads`' `ScalabilityConfig::max_instances`.
+//! channels name domains by [`DomainId`]. No memory is reserved per
+//! domain: Figure 8's density limits are the instance caps of
+//! `xc-workloads`' `ScalabilityConfig::max_instances`.
 
 use std::fmt;
 

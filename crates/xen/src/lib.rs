@@ -10,7 +10,6 @@
 //!   accounting (the "small number of well-documented system calls" that
 //!   §3 credits for the small attack surface),
 //! * [`events`] — event channels (Xen's virtualized interrupts),
-//! * [`grant`] — grant tables used by split drivers for shared-memory I/O,
 //! * [`abi`] — the [`XenAbi`] enum capturing the Xen-PV vs
 //!   X-Kernel differences in syscall forwarding, `iret`, interrupt
 //!   delivery and context switching (§4.1–4.3),
@@ -42,7 +41,6 @@ pub mod blanket;
 pub mod domain;
 pub mod error;
 pub mod events;
-pub mod grant;
 pub mod hypercall;
 pub mod tlb;
 

@@ -8,7 +8,7 @@ use xcontainers::workloads::apps::nginx_static;
 use xcontainers::workloads::http::run_closed_loop;
 use xcontainers::xen::domain::DomainId;
 use xcontainers::xen::events::EventChannels;
-use xcontainers::xen::grant::{GrantAccess, GrantTable};
+use xcontainers::xen::{Hypercall, HypervisorAccounting};
 
 /// Assemble a binary → run it on the interpreter under the X-Kernel →
 /// verify patching → keep running on the *patched image* and confirm the
@@ -51,34 +51,34 @@ fn bytes_to_steady_state() {
     assert!(kernel.stats().reduction_percent() > 97.0);
 }
 
-/// A full split-driver handshake through the hypervisor substrate:
-/// event channels and grant tables cooperating between a guest and its
-/// driver domain, as the netfront/netback path the runtime models price.
+/// A full split-driver handshake through the hypervisor substrate: the
+/// event channel between a guest and its driver domain, with the grant
+/// copy priced as the `grant_table_op` hypercall the netfront/netback
+/// path the runtime models pays.
 #[test]
 fn split_driver_handshake() {
     let (guest, backend) = (DomainId(1), DomainId(2));
+    let costs = CostModel::skylake_cloud();
 
     let mut events = EventChannels::new();
     let fe_port = events.alloc_unbound(guest).unwrap();
     let be_port = events.alloc_unbound(backend).unwrap();
     events.bind(guest, fe_port, backend, be_port).unwrap();
 
-    let mut grants = GrantTable::new();
-    // Frontend grants a TX buffer to the backend, notifies, backend
-    // copies and completes.
-    let gref = grants
-        .grant(guest, backend, 0xabc0, GrantAccess::ReadOnly)
-        .unwrap();
+    // Frontend notifies, backend drains, copies a TX buffer and
+    // completes.
+    let mut acct = HypervisorAccounting::default();
     events.send(guest, fe_port).unwrap();
     assert!(events.has_pending(backend));
     let mut pending = Vec::new();
     events.take_pending(backend, &mut pending);
     assert_eq!(pending, [be_port]);
-    let copied = grants.copy(backend, gref, 1448).unwrap();
-    assert_eq!(copied, 1448);
+    let copy = acct.charge(Hypercall::GrantTableOp { copy_kb: 2 }, &costs);
+    assert_eq!(copy, costs.hypercall + costs.grant_copy_per_kb * 2);
     events.send(backend, be_port).unwrap(); // completion interrupt
     assert!(events.has_pending(guest));
-    grants.revoke(guest, gref).unwrap();
+    assert_eq!(acct.total_calls(), 1);
+    assert_eq!(acct.total_time(), copy);
 }
 
 /// The offline tool and the online patcher agree: an offline-patched
