@@ -469,6 +469,7 @@ impl fmt::Display for Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xc_sim::fnv::{fnv1a_u64, FNV_OFFSET};
 
     fn c() -> CostModel {
         CostModel::skylake_cloud()
@@ -588,6 +589,40 @@ mod tests {
         assert!(g.multiprocess_ipc_cost(&costs) > Nanos::from_micros(2));
         let xc = Platform::x_container(CloudEnv::LocalCluster, true);
         assert_eq!(xc.multiprocess_ipc_cost(&costs), Nanos::ZERO);
+    }
+
+    #[test]
+    fn costs_are_pinned() {
+        // Every cost a harness derives from a platform, on every
+        // constructor, cloud and patch state, folded to the last bit.
+        let costs = c();
+        let mut digest = FNV_OFFSET;
+        for cloud in CloudEnv::ALL {
+            let mut platforms = Platform::cloud_configurations(cloud);
+            for patched in [true, false] {
+                platforms.push(Platform::x_container_no_abom(cloud, patched));
+            }
+            platforms.push(Platform::graphene(cloud));
+            platforms.push(Platform::unikernel(cloud));
+            for p in &platforms {
+                let net = p.net_stack(&costs);
+                let mut fold = |n: Nanos| digest = fnv1a_u64(digest, n.as_nanos());
+                fold(p.syscall_cost(&costs));
+                fold(p.syscall_cost_trapped(&costs));
+                fold(p.event_entry_cost(&costs));
+                fold(p.context_switch_cost(&costs, 1));
+                fold(p.context_switch_cost(&costs, 1_600));
+                fold(p.fork_cost(&costs, 2_000));
+                fold(p.exec_cost(&costs, 600, 150));
+                fold(p.multiprocess_ipc_cost(&costs));
+                for bytes in [64, 1_448, 64 * 1024] {
+                    fold(net.send_cost(&costs, bytes));
+                    fold(net.recv_cost(&costs, bytes));
+                    fold(net.forward_cost(&costs, bytes));
+                }
+            }
+        }
+        assert_eq!(digest, 0x2e87_7f07_337a_1b59, "got {digest:#x}");
     }
 
     #[test]
