@@ -96,11 +96,6 @@ impl XContainerKernel {
         self.trace.iter().map(|e| e.nr).collect()
     }
 
-    /// Clears the trace (keeps patch statistics).
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
     /// Access to the underlying patcher (for table lookups in tests).
     pub fn abom(&self) -> &Abom {
         &self.abom
@@ -300,16 +295,5 @@ mod tests {
         cpu.run(&mut image, &mut kernel, 100).unwrap();
         assert!(cpu.is_halted());
         assert!(kernel.trace().is_empty());
-    }
-
-    #[test]
-    fn clear_trace_keeps_stats() {
-        let mut image = binaries::glibc_wrapper_image(1);
-        let entry = image.symbol("wrapper").unwrap();
-        let mut kernel = XContainerKernel::new();
-        run(&mut image, entry, &mut kernel);
-        kernel.clear_trace();
-        assert!(kernel.trace().is_empty());
-        assert_eq!(kernel.stats().trapped, 1);
     }
 }

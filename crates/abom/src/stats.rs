@@ -66,21 +66,6 @@ impl AbomStats {
             100.0 * self.via_function_call as f64 / total as f64
         }
     }
-
-    /// Merges counters from another run.
-    pub fn merge(&mut self, other: &AbomStats) {
-        self.trapped += other.trapped;
-        self.via_function_call += other.via_function_call;
-        self.patched_case1 += other.patched_case1;
-        self.patched_case2 += other.patched_case2;
-        self.patched_case3 += other.patched_case3;
-        self.unrecognized += other.unrecognized;
-        self.ud_fixups += other.ud_fixups;
-        self.return_fixups += other.return_fixups;
-        self.verify_rejected += other.verify_rejected;
-        self.verify_cache_hits += other.verify_cache_hits;
-        self.verify_cache_misses += other.verify_cache_misses;
-    }
 }
 
 impl fmt::Display for AbomStats {
@@ -113,25 +98,6 @@ mod tests {
         s.via_function_call = 990;
         assert!((s.reduction_percent() - 99.0).abs() < 1e-12);
         assert_eq!(s.total_syscalls(), 1000);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = AbomStats {
-            trapped: 1,
-            via_function_call: 2,
-            ..AbomStats::new()
-        };
-        let b = AbomStats {
-            trapped: 10,
-            via_function_call: 20,
-            patched_case3: 3,
-            ..AbomStats::new()
-        };
-        a.merge(&b);
-        assert_eq!(a.trapped, 11);
-        assert_eq!(a.via_function_call, 22);
-        assert_eq!(a.patched_case3, 3);
     }
 
     #[test]

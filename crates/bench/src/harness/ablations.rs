@@ -23,7 +23,6 @@ use xcontainers::abom::binaries::{glibc_large_nr_wrapper_image, invoke};
 use xcontainers::prelude::*;
 use xcontainers::workloads::apps::memcached;
 use xcontainers::workloads::scalability::{throughput, ScalabilityConfig};
-use xcontainers::xen::abi::XenAbi;
 
 use super::HarnessOutput;
 use crate::runner::Runner;
@@ -76,8 +75,8 @@ fn abom_on_off(cloud: CloudEnv, costs: &CostModel) -> CellOut {
 }
 
 fn global_bit(costs: &CostModel) -> CellOut {
-    let xk = XenAbi::XKernel.process_switch_cost(costs);
-    let pv = XenAbi::XenPv.process_switch_cost(costs);
+    let xk = Backend::XKernel.process_switch_cost(costs);
+    let pv = Backend::XenPv.process_switch_cost(costs);
     let mut t = Table::new(
         "Ablation 2: global-bit kernel mappings (§4.3)",
         &["configuration", "process switch"],

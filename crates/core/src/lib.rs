@@ -19,8 +19,8 @@
 //! | [`isa`] | x86-64 subset: codec, assembler, binary images, mini interpreter |
 //! | [`abom`] | the Automatic Binary Optimization Module (§4.4), online + offline |
 //! | [`verify`] | static patch-safety analyzer: disassembly, CFG, dataflow, verdicts |
-//! | [`xen`] | hypervisor substrate: domain ids, hypercalls, event channels, PV vs X-Kernel ABI, reference TLB |
-//! | [`libos`] | guest Linux / X-LibOS: kernel config, syscall / switch / fork / exec costs, network paths |
+//! | [`xen`] | hypervisor substrate: domain ids, hypercalls, event channels, Xen-Blanket shim, reference TLB |
+//! | [`libos`] | guest Linux / X-LibOS: kernel config, the PV vs X-Kernel ABI's syscall / switch / fork / exec costs, network paths |
 //! | [`faults`] | deterministic fault injection: seeded fault plans, retry/backoff, watchdog restarts, ABOM degradation, the chaos world |
 //! | [`runtimes`] | platform compositions: Docker, Xen-Container, X-Container, gVisor, Clear Containers, Graphene, Unikernel |
 //! | [`workloads`] | UnixBench, iperf, macrobenchmarks, Table 1, Figures 6, 8, 9 |

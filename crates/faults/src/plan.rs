@@ -118,16 +118,6 @@ impl FaultRates {
         self.rates[kind.index()] = rate.clamp(0.0, 1.0);
         self
     }
-
-    /// This kind's injection probability.
-    pub fn rate(&self, kind: FaultKind) -> f64 {
-        self.rates[kind.index()]
-    }
-
-    /// Whether any kind can fire.
-    pub fn any_enabled(&self) -> bool {
-        self.rates.iter().any(|&r| r > 0.0)
-    }
 }
 
 /// Draw/injection counters per kind.
@@ -143,19 +133,6 @@ impl FaultStats {
     /// Total faults injected across all kinds.
     pub fn injected_total(&self) -> u64 {
         self.injected.iter().sum()
-    }
-
-    /// Faults injected for one kind.
-    pub fn injected_of(&self, kind: FaultKind) -> u64 {
-        self.injected[kind.index()]
-    }
-
-    /// Accumulates another run's counters (shard merges).
-    pub fn merge(&mut self, other: &FaultStats) {
-        for k in 0..FAULT_KINDS {
-            self.drawn[k] += other.drawn[k];
-            self.injected[k] += other.injected[k];
-        }
     }
 }
 
@@ -195,16 +172,6 @@ impl FaultPlan {
     /// A plan that never fires (and consumes no draws).
     pub fn disabled(seed: u64) -> Self {
         FaultPlan::new(seed, FaultRates::disabled())
-    }
-
-    /// Whether any fault kind can fire.
-    pub fn enabled(&self) -> bool {
-        self.rates.any_enabled()
-    }
-
-    /// The configured rates.
-    pub fn rates(&self) -> FaultRates {
-        self.rates
     }
 
     /// Decides whether the next potential fault of `kind` fires.
@@ -310,7 +277,6 @@ mod tests {
                 assert!(!plan.should_inject(kind));
             }
         }
-        assert!(!plan.enabled());
         assert_eq!(plan.stats().injected_total(), 0);
         assert_eq!(plan.stats().drawn[0], 100);
     }
@@ -328,7 +294,7 @@ mod tests {
         assert!(transient > 1500, "transient={transient}");
         assert!(crashes < 60, "crashes={crashes}");
         assert_eq!(
-            plan.stats().injected_of(FaultKind::HypercallTransient),
+            plan.stats().injected[FaultKind::HypercallTransient.index()],
             transient
         );
     }

@@ -2,19 +2,36 @@
 //!
 //! [`Backend`] captures where the (guest) Linux kernel sits relative to
 //! the hardware privilege boundary, which determines what every
-//! kernel-crossing operation costs. All platform comparisons in
-//! `xc-runtimes` reduce to these compositions plus per-workload operation
-//! counts.
+//! kernel-crossing operation costs. §4.1 explains why classic Xen PV is
+//! slow on x86-64: without segment protection the guest kernel must live
+//! in a separate address space, so **every syscall** is forwarded by the
+//! hypervisor as a virtual exception and pays two page-table switches and
+//! TLB flushes. §4.2–4.3 describe the X-Kernel changes: guest kernel
+//! mapped into every process at the same privilege level (no page-table
+//! switch on syscalls), `iret`/`sysret` emulated in user mode, interrupts
+//! delivered without trapping, and global-bit kernel mappings that
+//! survive intra-container context switches. Each method below writes
+//! those differences as sums over the shared [`CostModel`]; all platform
+//! comparisons in `xc-runtimes` reduce to these sums plus per-workload
+//! operation counts.
 
 use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
-use xc_xen::abi::{XenAbi, USER_HOT_PAGES};
+use xc_xen::tlb::{KERNEL_HOT_PAGES, USER_HOT_PAGES};
 
 use crate::config::KernelConfig;
 
 /// PTE updates batched per `mmu_update` hypercall (Linux's PV backend
 /// batches aggressively).
 pub const MMU_BATCH: u64 = 512;
+
+/// Hypercalls a paravirtual guest issues per process context switch:
+/// install the new page-table base, switch the registered kernel stack,
+/// update the fs/gs segment bases, and flush queued VA updates. (Linux's
+/// PV `__switch_to` really does issue a handful of hypercalls per
+/// switch — the structural reason §5.4's context-switch panel favours
+/// Docker.)
+pub const SWITCH_HYPERCALLS: u64 = 6;
 
 /// Where the kernel runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,18 +48,16 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The hypervisor ABI underneath, if any.
-    pub fn abi(self) -> Option<XenAbi> {
-        match self {
-            Backend::Native => None,
-            Backend::XenPv => Some(XenAbi::XenPv),
-            Backend::XKernel => Some(XenAbi::XKernel),
-        }
-    }
-
     /// Dispatch cost of one syscall (excluding the syscall body's own
     /// work). `optimized` selects the ABOM function-call path, which only
-    /// exists under [`Backend::XKernel`].
+    /// exists under [`Backend::XKernel`]; PV guests cannot express it and
+    /// take the forwarded path.
+    ///
+    /// PV pays: trap into Xen, virtual-exception bounce with a page-table
+    /// switch and TLB flush into the guest kernel, then the `iret`
+    /// hypercall and a second switch/flush back to the process. The
+    /// X-Kernel pays: trap, a direct transfer to X-LibOS in the *same*
+    /// address space, and a user-mode return.
     ///
     /// The KPTI tax applies to every *hardware* privilege crossing, so an
     /// optimized X-Container syscall escapes it entirely — the paper's
@@ -51,80 +66,108 @@ impl Backend {
     pub fn syscall_cost(self, costs: &CostModel, config: &KernelConfig, optimized: bool) -> Nanos {
         match self {
             Backend::Native => costs.syscall_trap + config.kpti_tax(costs),
-            Backend::XenPv => XenAbi::XenPv.forwarded_syscall_cost(costs) + config.kpti_tax(costs),
+            Backend::XenPv => {
+                costs.syscall_trap
+                    + costs.upcall_delivery
+                    + costs.page_table_switch
+                    + costs.tlb_flush_with_refill(KERNEL_HOT_PAGES)
+                    + costs.iret_hypercall
+                    + costs.page_table_switch
+                    + costs.tlb_flush_with_refill(USER_HOT_PAGES)
+                    + config.kpti_tax(costs)
+            }
+            Backend::XKernel if optimized => costs.function_call + costs.vsyscall_dispatch,
             Backend::XKernel => {
-                if optimized {
-                    XenAbi::XKernel.optimized_syscall_cost(costs)
-                } else {
-                    XenAbi::XKernel.forwarded_syscall_cost(costs) + config.kpti_tax(costs)
-                }
+                costs.syscall_trap
+                    + costs.vsyscall_dispatch
+                    + costs.iret_userspace
+                    + config.kpti_tax(costs)
             }
         }
     }
 
     /// Cost of taking one device/network event into the kernel (softirq
-    /// entry or event-channel delivery).
+    /// entry or event-channel delivery; the sender's hypercall is charged
+    /// separately).
+    ///
+    /// PV guests issue a hypercall to have events delivered and return
+    /// via the `iret` hypercall; X-LibOS "can emulate the interrupt stack
+    /// frame when it sees any pending events and jump directly into
+    /// interrupt handlers without trapping into the X-Kernel" (§4.2), so
+    /// it crosses no hardware boundary and pays no KPTI tax.
     pub fn event_entry_cost(self, costs: &CostModel, config: &KernelConfig) -> Nanos {
         match self {
             Backend::Native => costs.softirq_entry + config.kpti_tax(costs),
             Backend::XenPv => {
                 costs.softirq_entry
-                    + XenAbi::XenPv.event_delivery_cost(costs)
+                    + costs.hypercall
+                    + costs.upcall_delivery
+                    + costs.iret_hypercall
                     + config.kpti_tax(costs)
             }
             Backend::XKernel => {
-                // Delivered by the §4.2 user-mode emulation: no hardware
-                // crossing, no KPTI tax.
-                costs.softirq_entry + XenAbi::XKernel.event_delivery_cost(costs)
+                costs.softirq_entry + costs.vsyscall_dispatch + costs.iret_userspace
             }
         }
+    }
+
+    /// The address-space share of a switch between two *processes* of
+    /// this kernel: the page-table install and the TLB refill.
+    ///
+    /// Both virtualized backends must install the new page-table base
+    /// through the hypervisor ("process creation and context switches
+    /// involve page table operations, which must be done in the
+    /// X-Kernel", §5.4). The difference is the TLB: PV disables the
+    /// global bit, so the whole working set refills; the X-Kernel keeps
+    /// X-LibOS mappings global, so only the user share refills (§4.3), as
+    /// on native Linux.
+    pub fn process_switch_cost(self, costs: &CostModel) -> Nanos {
+        let (hypercalls, refilled_pages) = match self {
+            Backend::Native => (0, USER_HOT_PAGES),
+            Backend::XenPv => (SWITCH_HYPERCALLS, KERNEL_HOT_PAGES + USER_HOT_PAGES),
+            Backend::XKernel => (SWITCH_HYPERCALLS, USER_HOT_PAGES),
+        };
+        costs.hypercall * hypercalls
+            + costs.page_table_switch
+            + costs.tlb_flush_with_refill(refilled_pages)
     }
 
     /// Cost of a context switch between two *processes* of this kernel,
-    /// with `runnable` tasks on the runqueue.
+    /// with `runnable` tasks on the runqueue: the scheduler's pick plus
+    /// [`Backend::process_switch_cost`].
     pub fn context_switch_cost(self, costs: &CostModel, runnable: u64) -> Nanos {
-        let sched =
-            costs.context_switch_base + costs.sched_per_runnable * runnable.saturating_sub(1);
-        match self {
-            Backend::Native => {
-                sched + costs.page_table_switch + costs.tlb_flush_with_refill(USER_HOT_PAGES)
-            }
-            Backend::XenPv => sched + XenAbi::XenPv.process_switch_cost(costs),
-            Backend::XKernel => sched + XenAbi::XKernel.process_switch_cost(costs),
-        }
-    }
-
-    /// Cost of a switch between two *threads* of one process (no
-    /// address-space change).
-    pub fn thread_switch_cost(self, costs: &CostModel, runnable: u64) -> Nanos {
-        costs.thread_switch + costs.sched_per_runnable * runnable.saturating_sub(1)
+        costs.context_switch_base
+            + costs.sched_per_runnable * runnable.saturating_sub(1)
+            + self.process_switch_cost(costs)
     }
 
     /// Cost of `fork()` for a process with `resident_pages` mapped pages.
     pub fn fork_cost(self, costs: &CostModel, resident_pages: u64) -> Nanos {
-        match self {
-            Backend::Native => costs.fork_base + costs.fork_per_page * resident_pages,
-            Backend::XenPv | Backend::XKernel => {
-                let abi = self.abi().expect("virtualized backend");
-                costs.fork_base + abi.fork_page_table_cost(costs, resident_pages, MMU_BATCH)
-            }
-        }
+        costs.fork_base + self.page_table_cost(costs, resident_pages)
     }
 
     /// Kernel-side cost of `execve()` of an image with `image_pages`
-    /// pages: the exec itself plus mapping the image, validated by the
-    /// hypervisor on the virtualized backends. The loader's syscalls are
-    /// charged by the platform, at its own dispatch rate
+    /// pages: the exec itself plus mapping the image. The loader's
+    /// syscalls are charged by the platform, at its own dispatch rate
     /// (`Platform::exec_cost`).
     pub fn exec_cost(self, costs: &CostModel, image_pages: u64) -> Nanos {
-        let map_cost = match self {
-            Backend::Native => costs.fork_per_page * image_pages,
-            Backend::XenPv | Backend::XKernel => self
-                .abi()
-                .expect("virtualized backend")
-                .fork_page_table_cost(costs, image_pages, MMU_BATCH),
-        };
-        costs.exec_base + map_cost
+        costs.exec_base + self.page_table_cost(costs, image_pages)
+    }
+
+    /// Cost of writing `pages` PTEs: directly on native Linux, validated
+    /// by the hypervisor in `mmu_update` batches of [`MMU_BATCH`] entries
+    /// on the virtualized backends.
+    fn page_table_cost(self, costs: &CostModel, pages: u64) -> Nanos {
+        match self {
+            Backend::Native => costs.fork_per_page * pages,
+            Backend::XenPv | Backend::XKernel => {
+                let tail = match pages % MMU_BATCH {
+                    0 => Nanos::ZERO,
+                    rest => costs.mmu_update_batch(rest),
+                };
+                costs.mmu_update_batch(MMU_BATCH) * (pages / MMU_BATCH) + tail
+            }
+        }
     }
 }
 
@@ -176,7 +219,7 @@ mod tests {
         let c = CostModel::skylake_cloud();
         let mut patched = KernelConfig::xlibos_default();
         patched.kpti = true;
-        let mut unpatched = patched.clone();
+        let mut unpatched = patched;
         unpatched.kpti = false;
         for (backend, optimized) in [
             (Backend::Native, false),
@@ -193,6 +236,33 @@ mod tests {
             };
             assert_eq!(tax, expected, "{backend:?} optimized={optimized}");
         }
+    }
+
+    #[test]
+    fn pv_syscall_forwarding_is_expensive() {
+        let c = CostModel::skylake_cloud();
+        let unpatched = KernelConfig::docker_unpatched();
+        let pv = Backend::XenPv.syscall_cost(&c, &unpatched, false);
+        let xk = Backend::XKernel.syscall_cost(&c, &unpatched, false);
+        // The PV bounce is the reason §4.1 gives for 64-bit PV being slow:
+        // it should be several times the X-Kernel bounce.
+        assert!(pv > xk * 4, "pv={pv} xk={xk}");
+        // And the PV bounce exceeds a native trap by far.
+        assert!(pv > c.syscall_trap * 5);
+    }
+
+    #[test]
+    fn optimized_syscall_beats_everything() {
+        let c = CostModel::skylake_cloud();
+        let unpatched = KernelConfig::docker_unpatched();
+        let opt = Backend::XKernel.syscall_cost(&c, &unpatched, true);
+        assert!(opt < Backend::XKernel.syscall_cost(&c, &unpatched, false));
+        assert!(opt < c.syscall_trap);
+        // PV cannot optimize.
+        assert_eq!(
+            Backend::XenPv.syscall_cost(&c, &unpatched, true),
+            Backend::XenPv.syscall_cost(&c, &unpatched, false)
+        );
     }
 
     #[test]
@@ -228,11 +298,30 @@ mod tests {
     }
 
     #[test]
-    fn thread_switch_cheaper_than_process_switch() {
+    fn global_bit_speeds_up_process_switches() {
         let c = CostModel::skylake_cloud();
-        for b in [Backend::Native, Backend::XenPv, Backend::XKernel] {
-            assert!(b.thread_switch_cost(&c, 4) < b.context_switch_cost(&c, 4));
-        }
+        let pv = Backend::XenPv.process_switch_cost(&c);
+        let xk = Backend::XKernel.process_switch_cost(&c);
+        assert!(xk < pv);
+        // The saving is exactly the kernel working-set refill.
+        assert_eq!(pv - xk, c.tlb_refill_per_page * KERNEL_HOT_PAGES);
+    }
+
+    #[test]
+    fn fork_batching_amortizes() {
+        let c = CostModel::skylake_cloud();
+        let xk = Backend::XKernel;
+        // Exact composition: two full batches.
+        let batched = xk.fork_cost(&c, 1024);
+        assert_eq!(batched, c.fork_base + c.mmu_update_batch(MMU_BATCH) * 2);
+        assert!(batched < c.fork_base + c.mmu_update_batch(1) * 1024);
+        // Remainder handling.
+        assert_eq!(
+            xk.fork_cost(&c, 513),
+            c.fork_base + c.mmu_update_batch(MMU_BATCH) + c.mmu_update_batch(1)
+        );
+        // Zero pages add nothing to the base.
+        assert_eq!(xk.fork_cost(&c, 0), c.fork_base);
     }
 
     #[test]
@@ -254,5 +343,15 @@ mod tests {
         let xk = Backend::XKernel.event_entry_cost(&c, &xlibos);
         assert!(native_patched > native_unpatched);
         assert!(xk < Backend::XenPv.event_entry_cost(&c, &patched));
+    }
+
+    #[test]
+    fn event_delivery_avoids_hypercalls_on_xkernel() {
+        let c = CostModel::skylake_cloud();
+        let unpatched = KernelConfig::docker_unpatched();
+        // The delivery share: what each backend adds to the softirq entry.
+        let pv = Backend::XenPv.event_entry_cost(&c, &unpatched) - c.softirq_entry;
+        let xk = Backend::XKernel.event_entry_cost(&c, &unpatched) - c.softirq_entry;
+        assert!(xk < pv / 5, "pv={pv} xk={xk}");
     }
 }

@@ -3,40 +3,27 @@
 //! §3.2: "a customized Linux kernel can be very small and highly
 //! optimized … Turning the Linux kernel into a LibOS and dedicating it to
 //! a single application can unlock its full potential." The knobs modelled
-//! here are the ones the evaluation actually exercises: the Meltdown/KPTI
-//! patch (§5.1's patched/unpatched configurations), SMP (disabling it
-//! removes locking/TLB-shootdown overhead for single-threaded apps), and
-//! loadable kernel modules (IPVS in §5.7).
-
-use std::collections::BTreeSet;
+//! here are the three a cost reads: the Meltdown/KPTI patch (§5.1's
+//! patched/unpatched configurations), SMP (disabling it removes
+//! locking/TLB-shootdown overhead for single-threaded apps), and
+//! dedicated-kernel tuning.
 
 use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
-
-/// Loadable kernel modules that experiments insert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum KernelModule {
-    /// IP Virtual Server — kernel-level load balancing (Figure 9).
-    Ipvs,
-    /// Soft-iWARP software RDMA (§5.7 mentions Soft-iwarp support).
-    SoftIwarp,
-    /// Soft-RoCE software RDMA.
-    SoftRoce,
-}
 
 /// A guest kernel configuration.
 ///
 /// # Example
 ///
 /// ```
-/// use xc_libos::config::{KernelConfig, KernelModule};
+/// use xc_libos::config::KernelConfig;
 ///
-/// let mut cfg = KernelConfig::xlibos_default();
+/// let cfg = KernelConfig::xlibos_default();
 /// assert!(!cfg.kpti); // no user/kernel boundary left to harden
-/// cfg.load_module(KernelModule::Ipvs);
-/// assert!(cfg.has_module(KernelModule::Ipvs));
+/// let patched = KernelConfig { kpti: true, ..cfg };
+/// assert!(patched.dedicated && patched.smp);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Symmetric multi-processing support. Disabling it for
     /// single-threaded apps removes locking and TLB shoot-downs (§3.2).
@@ -47,21 +34,17 @@ pub struct KernelConfig {
     /// Kernel dedicated to a single application (LibOS mode): scheduler
     /// and locking tuned for one workload.
     pub dedicated: bool,
-    /// Number of vCPUs this kernel believes it has.
-    pub vcpus: u32,
-    modules: BTreeSet<KernelModule>,
 }
 
 impl KernelConfig {
     /// The stock cloud host kernel under Docker: SMP, KPTI patched,
-    /// shared among all containers.
+    /// shared among all containers. A Xen-Container's guest (unmodified
+    /// Linux 4.4 PV) is configured the same way.
     pub fn docker_default() -> Self {
         KernelConfig {
             smp: true,
             kpti: true,
             dedicated: false,
-            vcpus: 8,
-            modules: BTreeSet::new(),
         }
     }
 
@@ -74,17 +57,6 @@ impl KernelConfig {
         }
     }
 
-    /// Guest kernel inside a Xen-Container (unmodified Linux 4.4 PV).
-    pub fn pv_guest_default() -> Self {
-        KernelConfig {
-            smp: true,
-            kpti: true,
-            dedicated: false,
-            vcpus: 1,
-            modules: BTreeSet::new(),
-        }
-    }
-
     /// X-LibOS: dedicated, KPTI off (there is no kernel/user isolation
     /// boundary left to protect inside the container — isolation is the
     /// X-Kernel's job, which carries its own patch).
@@ -93,8 +65,6 @@ impl KernelConfig {
             smp: true,
             kpti: false,
             dedicated: true,
-            vcpus: 1,
-            modules: BTreeSet::new(),
         }
     }
 
@@ -105,18 +75,6 @@ impl KernelConfig {
             smp: false,
             ..KernelConfig::xlibos_default()
         }
-    }
-
-    /// Loads a kernel module (requires no root-in-host under X-Containers,
-    /// unlike Docker — the point of §5.7).
-    pub fn load_module(&mut self, module: KernelModule) -> &mut Self {
-        self.modules.insert(module);
-        self
-    }
-
-    /// Whether a module is loaded.
-    pub fn has_module(&self, module: KernelModule) -> bool {
-        self.modules.contains(&module)
     }
 
     /// Extra cost per hardware kernel entry/exit pair from the KPTI patch
@@ -192,16 +150,5 @@ mod tests {
             tuned.kernel_work_factor() > 0.8,
             "customization is a trim, not magic"
         );
-    }
-
-    #[test]
-    fn module_loading() {
-        let mut cfg = KernelConfig::xlibos_default();
-        assert!(!cfg.has_module(KernelModule::Ipvs));
-        cfg.load_module(KernelModule::Ipvs)
-            .load_module(KernelModule::SoftRoce);
-        assert!(cfg.has_module(KernelModule::Ipvs));
-        assert!(cfg.has_module(KernelModule::SoftRoce));
-        assert!(!cfg.has_module(KernelModule::SoftIwarp));
     }
 }

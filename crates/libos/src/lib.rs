@@ -12,11 +12,12 @@
 //!
 //! Modules:
 //!
-//! * [`config`] — kernel configuration: SMP, the Meltdown/KPTI patch,
-//!   loadable modules (IPVS for Figure 9), dedicated-kernel tuning (§3.2),
-//! * [`backend`] — the [`Backend`] enum composing
-//!   syscall / context-switch / fork / exec costs for the three
-//!   deployments,
+//! * [`config`] — kernel configuration: SMP, the Meltdown/KPTI patch and
+//!   dedicated-kernel tuning (§3.2),
+//! * [`backend`] — the [`Backend`] enum: where the kernel sits relative
+//!   to the privilege boundary, and the PV and X-Kernel ABI sums (§4.1–4.3)
+//!   for syscall, event delivery, context-switch, fork and exec costs in
+//!   the three deployments,
 //! * [`net`] — the network stack path model (iperf, macrobenchmarks,
 //!   Figure 9 load balancing).
 //!

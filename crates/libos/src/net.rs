@@ -202,7 +202,7 @@ mod tests {
         let cfg = KernelConfig::docker_unpatched();
         let native = NetStack::new(
             Backend::Native,
-            cfg.clone(),
+            cfg,
             NetPath::NativeBridge { iptables_rules: 1 },
         );
         let xc = NetStack::new(

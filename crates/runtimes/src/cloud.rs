@@ -65,15 +65,6 @@ impl CloudEnv {
             CloudEnv::LocalCluster => 16,
         }
     }
-
-    /// Host memory in MiB.
-    pub fn memory_mb(self) -> u64 {
-        match self {
-            CloudEnv::AmazonEc2 => 15 * 1024,
-            CloudEnv::GoogleGce => 16 * 1024,
-            CloudEnv::LocalCluster => 96 * 1024,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +88,6 @@ mod tests {
     #[test]
     fn testbed_shapes() {
         assert_eq!(CloudEnv::LocalCluster.cores(), 16);
-        assert_eq!(CloudEnv::LocalCluster.memory_mb(), 96 * 1024);
         assert_eq!(CloudEnv::AmazonEc2.name(), "Amazon");
         for env in CloudEnv::ALL {
             assert!(env.speed_factor() > 0.5 && env.speed_factor() < 2.0);

@@ -1,11 +1,12 @@
-//! Container lifecycle: spawning, memory footprint, density.
+//! Container lifecycle: spawning.
 //!
 //! §4.5 quantifies X-Container startup: the Docker-Wrapper bootloader
 //! brings up an X-LibOS with a bash process in **180 ms**, but Xen's `xl`
 //! toolstack inflates total instantiation to **3 s**; LightVM's toolstack
 //! redesign gets the toolstack down to **4 ms** and "can be also applied
-//! to X-Containers". This module models those paths plus the per-platform
-//! memory footprints that bound Figure 8's density.
+//! to X-Containers". This module models those paths. Figure 8's density
+//! limits are `xc-workloads`' `ScalabilityConfig::max_instances`, not a
+//! memory reservation.
 
 use std::fmt;
 
@@ -72,49 +73,25 @@ impl fmt::Display for SpawnMethod {
 pub struct Container {
     name: String,
     platform: Platform,
-    memory_mb: u64,
     spawn: SpawnMethod,
 }
 
 impl Container {
     /// Creates a container on `platform` with the platform's default
-    /// memory footprint and spawn method.
+    /// spawn method.
     pub fn new(name: &str, platform: Platform) -> Container {
-        let memory_mb = Container::default_memory_mb(&platform);
         let spawn = SpawnMethod::default_for(&platform);
         Container {
             name: name.to_owned(),
             platform,
-            memory_mb,
             spawn,
         }
-    }
-
-    /// Overrides the memory reservation (Figure 8 squeezes VM memory to
-    /// fit more instances).
-    pub fn with_memory_mb(mut self, memory_mb: u64) -> Container {
-        self.memory_mb = memory_mb;
-        self
     }
 
     /// Overrides the spawn method (e.g. the LightVM toolstack).
     pub fn with_spawn(mut self, spawn: SpawnMethod) -> Container {
         self.spawn = spawn;
         self
-    }
-
-    /// Default memory footprint per instance:
-    /// Docker-family containers share the host kernel (tens of MiB);
-    /// X-Containers boot in 128 MiB ("also work with 64 MB", §5.6);
-    /// ordinary VMs need 512 MiB ("the recommended minimum size for
-    /// Ubuntu-16").
-    pub fn default_memory_mb(platform: &Platform) -> u64 {
-        match platform.kind() {
-            PlatformKind::Docker | PlatformKind::Gvisor | PlatformKind::Graphene => 32,
-            PlatformKind::XContainer => 128,
-            PlatformKind::Unikernel => 64,
-            PlatformKind::XenContainer | PlatformKind::ClearContainer => 512,
-        }
     }
 
     /// Container name.
@@ -125,11 +102,6 @@ impl Container {
     /// The platform this container runs on.
     pub fn platform(&self) -> &Platform {
         &self.platform
-    }
-
-    /// Memory reservation in MiB.
-    pub fn memory_mb(&self) -> u64 {
-        self.memory_mb
     }
 
     /// Instantiation latency for this container.
@@ -166,18 +138,6 @@ mod tests {
         let docker = Container::new("web", Platform::docker(CloudEnv::AmazonEc2, true));
         assert!(xc.spawn_time() > docker.spawn_time());
         assert!(improved.spawn_time() < docker.spawn_time());
-    }
-
-    #[test]
-    fn memory_footprints_drive_density() {
-        let cloud = CloudEnv::LocalCluster;
-        let xc = Container::new("a", Platform::x_container(cloud, true));
-        let pv = Container::new("b", Platform::xen_container(cloud, true));
-        let docker = Container::new("c", Platform::docker(cloud, true));
-        assert!(docker.memory_mb() < xc.memory_mb());
-        assert!(xc.memory_mb() < pv.memory_mb());
-        let squeezed = pv.with_memory_mb(256);
-        assert_eq!(squeezed.memory_mb(), 256);
     }
 
     #[test]

@@ -60,81 +60,55 @@ pub struct Platform {
     patched: bool,
     backend: Backend,
     guest_config: KernelConfig,
-    /// [`Platform::guest_config`] with `kpti` forced to the host patch
-    /// state — precomputed so the syscall-cost hot path never clones a
-    /// `KernelConfig` (see [`Platform::trap_config`]).
-    trap_config: KernelConfig,
     abom_enabled: bool,
 }
 
-impl Platform {
-    /// Assembles a platform, precomputing the trap-path kernel
-    /// configuration once so per-syscall cost queries stay allocation-free.
-    fn assemble(
-        kind: PlatformKind,
-        cloud: CloudEnv,
-        patched: bool,
-        backend: Backend,
-        guest_config: KernelConfig,
-        abom_enabled: bool,
-    ) -> Platform {
-        let mut trap_config = guest_config.clone();
-        trap_config.kpti = patched;
-        Platform {
-            kind,
-            cloud,
-            patched,
-            backend,
-            guest_config,
-            trap_config,
-            abom_enabled,
-        }
+/// The stock kernel with the Meltdown patch as the host has it.
+fn stock_kernel(patched: bool) -> KernelConfig {
+    KernelConfig {
+        kpti: patched,
+        ..KernelConfig::docker_default()
     }
+}
 
+impl Platform {
     /// Native Docker: shared host kernel, default seccomp profile,
     /// bridge + iptables networking.
     pub fn docker(cloud: CloudEnv, patched: bool) -> Platform {
-        let guest = if patched {
-            KernelConfig::docker_default()
-        } else {
-            KernelConfig::docker_unpatched()
-        };
-        Platform::assemble(
-            PlatformKind::Docker,
+        Platform {
+            kind: PlatformKind::Docker,
             cloud,
             patched,
-            Backend::Native,
-            guest,
-            false,
-        )
+            backend: Backend::Native,
+            guest_config: stock_kernel(patched),
+            abom_enabled: false,
+        }
     }
 
     /// Xen-Container: "exactly the same software stack … as X-Containers.
     /// The only difference is the underlying hypervisor (unmodified Xen vs
     /// X-Kernel) and guest kernel (unmodified Linux vs X-LibOS)" (§5.1).
     pub fn xen_container(cloud: CloudEnv, patched: bool) -> Platform {
-        let mut cfg = KernelConfig::pv_guest_default();
-        cfg.kpti = patched;
-        Platform::assemble(
-            PlatformKind::XenContainer,
+        Platform {
+            kind: PlatformKind::XenContainer,
             cloud,
             patched,
-            Backend::XenPv,
-            cfg,
-            false,
-        )
+            backend: Backend::XenPv,
+            guest_config: stock_kernel(patched),
+            abom_enabled: false,
+        }
     }
 
     /// X-Container: X-LibOS on the X-Kernel with ABOM enabled.
     pub fn x_container(cloud: CloudEnv, patched: bool) -> Platform {
-        Platform::assemble(
-            PlatformKind::XContainer,
+        Platform {
+            kind: PlatformKind::XContainer,
             cloud,
             patched,
-            Backend::XKernel,
-            KernelConfig::xlibos_default(),
-            true,
-        )
+            backend: Backend::XKernel,
+            guest_config: KernelConfig::xlibos_default(),
+            abom_enabled: true,
+        }
     }
 
     /// X-Container with ABOM disabled — the §5.2 ablation baseline.
@@ -147,19 +121,14 @@ impl Platform {
 
     /// gVisor with the ptrace platform (as deployed in the paper's era).
     pub fn gvisor(cloud: CloudEnv, patched: bool) -> Platform {
-        let guest = if patched {
-            KernelConfig::docker_default()
-        } else {
-            KernelConfig::docker_unpatched()
-        };
-        Platform::assemble(
-            PlatformKind::Gvisor,
+        Platform {
+            kind: PlatformKind::Gvisor,
             cloud,
             patched,
-            Backend::Native,
-            guest,
-            false,
-        )
+            backend: Backend::Native,
+            guest_config: stock_kernel(patched),
+            abom_enabled: false,
+        }
     }
 
     /// Clear Containers under nested KVM. Returns `None` where nested
@@ -168,41 +137,39 @@ impl Platform {
     /// Per §5.1, only the host kernel is ever patched; the guest kernel in
     /// the nested VM stays unpatched in both configurations.
     pub fn clear_container(cloud: CloudEnv, patched: bool) -> Option<Platform> {
-        cloud.nested_virt_available().then(|| {
-            Platform::assemble(
-                PlatformKind::ClearContainer,
-                cloud,
-                patched,
-                Backend::Native,
-                KernelConfig::docker_unpatched(),
-                false,
-            )
+        cloud.nested_virt_available().then(|| Platform {
+            kind: PlatformKind::ClearContainer,
+            cloud,
+            patched,
+            backend: Backend::Native,
+            guest_config: KernelConfig::docker_unpatched(),
+            abom_enabled: false,
         })
     }
 
     /// Graphene on Linux, compiled without the security isolation module
     /// (§5.5).
     pub fn graphene(cloud: CloudEnv) -> Platform {
-        Platform::assemble(
-            PlatformKind::Graphene,
+        Platform {
+            kind: PlatformKind::Graphene,
             cloud,
-            false,
-            Backend::Native,
-            KernelConfig::docker_unpatched(),
-            false,
-        )
+            patched: false,
+            backend: Backend::Native,
+            guest_config: KernelConfig::docker_unpatched(),
+            abom_enabled: false,
+        }
     }
 
     /// Rumprun unikernel on Xen (§5.5).
     pub fn unikernel(cloud: CloudEnv) -> Platform {
-        Platform::assemble(
-            PlatformKind::Unikernel,
+        Platform {
+            kind: PlatformKind::Unikernel,
             cloud,
-            false,
-            Backend::XKernel, // same-privilege LibOS structure
-            KernelConfig::xlibos_uniprocessor(),
-            true, // statically linked: calls, not traps
-        )
+            patched: false,
+            backend: Backend::XKernel, // same-privilege LibOS structure
+            guest_config: KernelConfig::xlibos_uniprocessor(),
+            abom_enabled: true, // statically linked: calls, not traps
+        }
     }
 
     /// The ten §5.1 cloud configurations for `cloud`, in figure order
@@ -244,11 +211,6 @@ impl Platform {
         } else {
             format!("{}-unpatched", self.kind.label())
         }
-    }
-
-    /// The guest kernel configuration.
-    pub fn guest_config(&self) -> &KernelConfig {
-        &self.guest_config
     }
 
     /// Whether ABOM rewrites this platform's syscalls.
@@ -315,7 +277,7 @@ impl Platform {
             }
             PlatformKind::XContainer => {
                 self.backend
-                    .syscall_cost(costs, self.trap_config(), self.abom_enabled)
+                    .syscall_cost(costs, &self.trap_kernel(), self.abom_enabled)
             }
             PlatformKind::Gvisor => {
                 // Entry + exit ptrace stops, the sentry's own work, and
@@ -351,18 +313,20 @@ impl Platform {
     pub fn syscall_cost_trapped(&self, costs: &CostModel) -> Nanos {
         match self.kind {
             PlatformKind::XContainer | PlatformKind::Unikernel => {
-                self.backend.syscall_cost(costs, self.trap_config(), false)
+                self.backend.syscall_cost(costs, &self.trap_kernel(), false)
             }
             _ => self.syscall_cost(costs),
         }
     }
 
-    /// The trap path crosses into the X-Kernel, which carries the patch
-    /// when `patched` (the §5.1 port of KPTI to Xen). Precomputed at
-    /// construction: `syscall_cost` sits on every simulated request path.
-    #[inline]
-    fn trap_config(&self) -> &KernelConfig {
-        &self.trap_config
+    /// The guest kernel as the trap path sees it: the trap crosses into
+    /// the X-Kernel, which carries the patch when `patched` (the §5.1
+    /// port of KPTI to Xen).
+    fn trap_kernel(&self) -> KernelConfig {
+        KernelConfig {
+            kpti: self.patched,
+            ..self.guest_config
+        }
     }
 
     /// Cost of taking one device/network event batch into the kernel.
@@ -430,7 +394,7 @@ impl Platform {
                 iptables_rules: 0,
             },
         };
-        let stack = NetStack::new(self.backend, self.guest_config.clone(), path);
+        let stack = NetStack::new(self.backend, self.guest_config, path);
         // Interposition layers tax every kernel entry on the data path.
         match self.kind {
             PlatformKind::ClearContainer => {

@@ -10,9 +10,9 @@
 //! Default magnitudes are taken from public measurements of Skylake-era Xeon
 //! servers (lmbench-style microbenchmarks, the KPTI performance litigation of
 //! 2018, Xen and KVM transition-cost studies). They are inputs to the model;
-//! see `DESIGN.md` §1 for the measured-vs-asserted boundary. All values can
-//! be overridden through [`CostModelBuilder`] — the ablation benches do
-//! exactly that.
+//! see `DESIGN.md` §1 for the measured-vs-asserted boundary. Every field
+//! is public, so a variant model is [`CostModel::skylake_cloud`] with
+//! fields reassigned; the harnesses all price against the default.
 
 use std::fmt;
 
@@ -28,7 +28,7 @@ macro_rules! cost_model {
         /// Primitive operation costs, in simulated nanoseconds.
         ///
         /// Construct via [`CostModel::skylake_cloud`] (the calibrated
-        /// default) or customize with [`CostModel::builder`].
+        /// default) and reassign fields to customize.
         ///
         /// # Example
         ///
@@ -36,10 +36,9 @@ macro_rules! cost_model {
         /// use xc_sim::cost::CostModel;
         /// use xc_sim::time::Nanos;
         ///
-        /// let costs = CostModel::builder()
-        ///     .kpti_trap_extra(Nanos::ZERO) // pre-Meltdown world
-        ///     .build();
-        /// assert_eq!(costs.kpti_trap_extra, Nanos::ZERO);
+        /// let mut costs = CostModel::skylake_cloud();
+        /// costs.kpti_trap_extra = Nanos::ZERO; // pre-Meltdown world
+        /// assert!(costs.syscall_trap > costs.function_call);
         /// ```
         #[derive(Debug, Clone, PartialEq, Eq)]
         #[non_exhaustive]
@@ -50,27 +49,6 @@ macro_rules! cost_model {
             )*
         }
 
-        /// Builder for [`CostModel`] (see [`CostModel::builder`]).
-        #[derive(Debug, Clone)]
-        pub struct CostModelBuilder {
-            model: CostModel,
-        }
-
-        impl CostModelBuilder {
-            $(
-                $(#[$meta])*
-                pub fn $field(mut self, value: Nanos) -> Self {
-                    self.model.$field = value;
-                    self
-                }
-            )*
-
-            /// Finishes the builder.
-            pub fn build(self) -> CostModel {
-                self.model
-            }
-        }
-
         impl CostModel {
             /// The calibrated default model: a dual-socket Skylake-era Xeon
             /// cloud server (the paper used EC2 c4.2xlarge, GCE custom-8, and
@@ -79,11 +57,6 @@ macro_rules! cost_model {
                 CostModel {
                     $($field: Nanos::from_nanos($default),)*
                 }
-            }
-
-            /// Starts a builder seeded with [`CostModel::skylake_cloud`].
-            pub fn builder() -> CostModelBuilder {
-                CostModelBuilder { model: CostModel::skylake_cloud() }
             }
 
             /// Iterates over `(name, value)` pairs — used by the report
@@ -286,16 +259,6 @@ mod tests {
     #[test]
     fn default_is_skylake() {
         assert_eq!(CostModel::default(), CostModel::skylake_cloud());
-    }
-
-    #[test]
-    fn builder_overrides_single_field() {
-        let m = CostModel::builder()
-            .syscall_trap(Nanos::from_nanos(999))
-            .build();
-        assert_eq!(m.syscall_trap.as_nanos(), 999);
-        // Everything else untouched.
-        assert_eq!(m.hypercall, CostModel::skylake_cloud().hypercall);
     }
 
     #[test]

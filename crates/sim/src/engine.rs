@@ -136,12 +136,6 @@ impl<E> EventQueue<E> {
         self.schedule_at(at, event);
     }
 
-    /// The instant of the next pending event, if any.
-    #[inline]
-    pub fn peek_at(&self) -> Option<Nanos> {
-        self.sorted.peek_key().map(key_time)
-    }
-
     #[inline]
     fn pop(&mut self) -> Option<(Nanos, E)> {
         self.sorted.pop().map(|(key, event)| {
@@ -387,7 +381,6 @@ mod tests {
         q.schedule_at(Nanos::MAX, 2);
         q.schedule_in(Nanos::MAX, 3); // saturates to MAX, fires after 2
         assert_eq!(q.pop(), Some((Nanos::from_nanos(3), 1)));
-        assert_eq!(q.peek_at(), Some(Nanos::MAX));
         assert_eq!(q.pop(), Some((Nanos::MAX, 2)));
         assert_eq!(q.pop(), Some((Nanos::MAX, 3)));
         assert_eq!(q.pop(), None);
@@ -413,17 +406,6 @@ mod tests {
         assert_eq!(log.len(), 3 * 101 + 1);
         assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "time order");
         assert_eq!(log.last(), Some(&(1_000_000, u32::MAX)));
-    }
-
-    #[test]
-    fn peek_at_reports_next_event_without_popping() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert_eq!(q.peek_at(), None);
-        q.schedule_at(Nanos::from_nanos(9), 1);
-        q.schedule_at(Nanos::from_nanos(4), 2);
-        assert_eq!(q.peek_at(), Some(Nanos::from_nanos(4)));
-        assert_eq!(q.len(), 2, "peek must not consume");
-        assert_eq!(q.pop(), Some((Nanos::from_nanos(4), 2)));
     }
 
     #[test]

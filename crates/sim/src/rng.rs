@@ -165,14 +165,6 @@ impl Rng {
         -mean * (1.0 - self.next_f64()).ln()
     }
 
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     ///
     /// # Panics
@@ -553,16 +545,6 @@ mod tests {
                 prop_assert_eq!(z.sample(&mut sampled), reference.zipf(n, theta));
             }
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(41);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

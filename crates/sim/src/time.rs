@@ -58,17 +58,6 @@ impl Nanos {
         Nanos(s * 1_000_000_000)
     }
 
-    /// Creates a `Nanos` from fractional seconds, rounding to the nearest
-    /// nanosecond. Negative inputs saturate to zero.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            Nanos::ZERO
-        } else {
-            Nanos((s * 1e9).round() as u64)
-        }
-    }
-
     /// Raw nanosecond count.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -228,8 +217,6 @@ mod tests {
         assert_eq!(Nanos::from_micros(3).as_nanos(), 3_000);
         assert_eq!(Nanos::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(Nanos::from_secs(3).as_nanos(), 3_000_000_000);
-        assert_eq!(Nanos::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(Nanos::from_secs_f64(-1.0), Nanos::ZERO);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! rules — possible in an X-Container because the kernel is *yours*, and
 //! not possible in Docker without host root (§5.7's point).
 
-use xc_libos::config::KernelModule;
 use xc_runtimes::cloud::CloudEnv;
 use xc_runtimes::platform::Platform;
 use xc_sim::cost::CostModel;
@@ -66,25 +65,14 @@ impl LbMode {
         }
     }
 
-    /// Whether this mode needs a kernel module the platform must permit.
-    pub fn needs_ipvs(self) -> bool {
-        matches!(self, LbMode::IpvsNat | LbMode::IpvsDirectRouting)
-    }
-
     fn backend_platform(self) -> Platform {
         match self {
             LbMode::HaproxyDocker => Platform::docker(CloudEnv::LocalCluster, true),
             // Direct routing additionally rewires the backends' kernels
             // (ARP rules + the IPVS module) — free on X-Containers, whose
-            // kernels are their own; see `requires_backend_module`.
+            // kernels are their own.
             _ => Platform::x_container(CloudEnv::LocalCluster, true),
         }
-    }
-
-    /// Whether the backends themselves need the IPVS module and ARP
-    /// rewiring (direct routing's extra requirement, §5.7).
-    pub fn requires_backend_module(self) -> Option<KernelModule> {
-        matches!(self, LbMode::IpvsDirectRouting).then_some(KernelModule::Ipvs)
     }
 
     fn balancer_platform(self) -> Platform {
@@ -210,17 +198,5 @@ mod tests {
         for pair in values.windows(2) {
             assert!(pair[1] > pair[0], "figure bars must increase: {values:?}");
         }
-    }
-
-    #[test]
-    fn ipvs_flag() {
-        assert!(LbMode::IpvsNat.needs_ipvs());
-        assert!(!LbMode::HaproxyDocker.needs_ipvs());
-        assert!(LbMode::IpvsDirectRouting.label().contains("Route"));
-        assert_eq!(
-            LbMode::IpvsDirectRouting.requires_backend_module(),
-            Some(KernelModule::Ipvs)
-        );
-        assert_eq!(LbMode::IpvsNat.requires_backend_module(), None);
     }
 }

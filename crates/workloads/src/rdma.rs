@@ -13,7 +13,6 @@
 //! runs the wire protocol in the kernel. The capability gate is the real
 //! point: loading `rdma_rxe`/`siw` needs a kernel *you own*.
 
-use xc_libos::config::KernelModule;
 use xc_runtimes::platform::{Platform, PlatformKind};
 use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
@@ -39,15 +38,6 @@ pub fn transport_available(platform: &Platform, transport: Transport) -> bool {
             PlatformKind::XContainer | PlatformKind::XenContainer | PlatformKind::Unikernel
         ),
     }
-}
-
-/// Loads the soft-RDMA module into an X-Container's kernel config,
-/// returning the updated config (a no-op capability demonstration for
-/// other platforms — see [`transport_available`]).
-pub fn with_soft_rdma(platform: &Platform) -> xc_libos::config::KernelConfig {
-    let mut cfg = platform.guest_config().clone();
-    cfg.load_module(KernelModule::SoftRoce);
-    cfg
 }
 
 /// One-way latency of a `bytes`-sized message on `platform` over
@@ -117,8 +107,7 @@ mod tests {
     fn x_container_loads_the_module_and_wins_small_messages() {
         let costs = c();
         let xc = Platform::x_container(CloudEnv::LocalCluster, true);
-        let cfg = with_soft_rdma(&xc);
-        assert!(cfg.has_module(KernelModule::SoftRoce));
+        assert!(transport_available(&xc, Transport::SoftRdma));
         let tcp = ping_pong_latency(&xc, Transport::TcpSockets, 64, &costs).unwrap();
         let rdma = ping_pong_latency(&xc, Transport::SoftRdma, 64, &costs).unwrap();
         assert!(

@@ -2,12 +2,11 @@
 //!
 //! "Exceptions and interrupts are virtualized through efficient event
 //! channels" (§4.1). The model implements the port state machine
-//! (allocate → bind → send → pending → deliver). Pending and mask state
-//! live in per-domain `u64` bitmaps, as in Xen's shared-info page
-//! (`evtchn_pending`/`evtchn_mask`): port `p` is bit `p % 64` of word
-//! `p / 64`, so a drain tests 64 ports at a time. Delivery *costs* are
-//! charged by the caller through
-//! [`crate::abi::XenAbi::event_delivery_cost`].
+//! (allocate → bind → send → pending → deliver). Pending state lives in
+//! a per-domain `u64` bitmap, as in Xen's shared-info page
+//! (`evtchn_pending`): port `p` is bit `p % 64` of word `p / 64`, so a
+//! drain tests 64 ports at a time. Delivery *costs* are charged by the
+//! caller (`xc-libos`' `Backend::event_entry_cost`).
 
 use crate::domain::DomainId;
 use crate::error::XenError;
@@ -30,16 +29,15 @@ enum PortState {
 
 /// Per-domain event channel table. Ports are allocated sequentially and
 /// never freed, so the port number *is* the `Vec` index of its state and
-/// picks its word and bit in the two bitmaps, which grow one word per
-/// 64 ports.
+/// picks its word and bit in the pending bitmap, which grows one word
+/// per 64 ports.
 #[derive(Debug, Clone, Default)]
 struct DomainPorts {
     ports: Vec<PortState>,
     pending: Vec<u64>,
-    masked: Vec<u64>,
 }
 
-/// Word index and bit mask of `port` in a domain's bitmaps.
+/// Word index and bit mask of `port` in a domain's pending bitmap.
 fn word_bit(port: u32) -> (usize, u64) {
     ((port / WORD_BITS) as usize, 1 << (port % WORD_BITS))
 }
@@ -98,7 +96,6 @@ impl EventChannels {
         table.ports.push(PortState::Unbound);
         if port.is_multiple_of(WORD_BITS) {
             table.pending.push(0);
-            table.masked.push(0);
         }
         Ok(port)
     }
@@ -158,46 +155,17 @@ impl EventChannels {
         Ok(())
     }
 
-    /// Masks or unmasks a port (masked ports accumulate pending state but
-    /// are not reported by [`EventChannels::take_pending`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XenError::BadEventPort`] for unknown ports.
-    pub fn set_masked(&mut self, dom: DomainId, port: u32, masked: bool) -> Result<(), XenError> {
-        let (word, bit) = word_bit(port);
-        let mask = &mut self.table_mut(dom, port)?.masked[word];
-        if masked {
-            *mask |= bit;
-        } else {
-            *mask &= !bit;
-        }
-        Ok(())
-    }
-
-    /// Whether any unmasked event is pending for `dom` (the shared
-    /// variable the guest polls, §4.2).
-    pub fn has_pending(&self, dom: DomainId) -> bool {
-        self.domains.get(dom.0 as usize).is_some_and(|t| {
-            t.pending
-                .iter()
-                .zip(&t.masked)
-                .any(|(pending, masked)| pending & !masked != 0)
-        })
-    }
-
-    /// Takes (clears) every unmasked pending port of `dom` and writes
-    /// them to `out` in port order, replacing its contents. The drain
-    /// walks `pending & !masked` one word at a time, so a caller that
-    /// keeps one buffer drains without allocating.
+    /// Takes (clears) every pending port of `dom` and writes them to
+    /// `out` in port order, replacing its contents. The drain walks the
+    /// bitmap one word at a time, so a caller that keeps one buffer
+    /// drains without allocating.
     pub fn take_pending(&mut self, dom: DomainId, out: &mut Vec<u32>) {
         out.clear();
         let Some(table) = self.domains.get_mut(dom.0 as usize) else {
             return;
         };
-        for (word, (pending, masked)) in table.pending.iter_mut().zip(&table.masked).enumerate() {
-            let mut ready = *pending & !masked;
-            *pending &= masked;
+        for (word, pending) in table.pending.iter_mut().enumerate() {
+            let mut ready = std::mem::take(pending);
             let base = word as u32 * WORD_BITS;
             while ready != 0 {
                 out.push(base + ready.trailing_zeros());
@@ -229,8 +197,8 @@ impl EventChannels {
         Ok(was_pending)
     }
 
-    /// Number of ports currently pending (masked or not) for `dom` — the
-    /// outstanding side of the send/delivery conservation ledger.
+    /// Number of ports currently pending for `dom` — the outstanding side
+    /// of the send/delivery conservation ledger.
     pub fn pending_count(&self, dom: DomainId) -> usize {
         self.domains.get(dom.0 as usize).map_or(0, |t| {
             t.pending.iter().map(|w| w.count_ones() as usize).sum()
@@ -277,10 +245,10 @@ mod tests {
     fn send_sets_peer_pending() {
         let (mut ev, a, ap, b, bp) = setup();
         ev.send(a, ap).unwrap();
-        assert!(ev.has_pending(b));
-        assert!(!ev.has_pending(a));
+        assert_eq!(ev.pending_count(b), 1);
+        assert_eq!(ev.pending_count(a), 0);
         assert_eq!(drain(&mut ev, b), vec![bp]);
-        assert!(!ev.has_pending(b));
+        assert_eq!(ev.pending_count(b), 0);
     }
 
     #[test]
@@ -296,22 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn masking_defers_delivery() {
-        let (mut ev, a, ap, b, bp) = setup();
-        ev.set_masked(b, bp, true).unwrap();
-        ev.send(a, ap).unwrap();
-        assert!(!ev.has_pending(b));
-        assert!(drain(&mut ev, b).is_empty());
-        ev.set_masked(b, bp, false).unwrap();
-        assert!(ev.has_pending(b));
-        assert_eq!(drain(&mut ev, b), vec![bp]);
-    }
-
-    #[test]
     fn bidirectional_channel() {
         let (mut ev, a, ap, b, bp) = setup();
         ev.send(b, bp).unwrap();
-        assert!(ev.has_pending(a));
+        assert_eq!(ev.pending_count(a), 1);
         assert_eq!(drain(&mut ev, a), vec![ap]);
     }
 
@@ -335,10 +291,6 @@ mod tests {
     fn bad_port_rejected() {
         let mut ev = EventChannels::new();
         assert_eq!(ev.send(DomainId(9), 0), Err(XenError::BadEventPort(0)));
-        assert_eq!(
-            ev.set_masked(DomainId(9), 7, true),
-            Err(XenError::BadEventPort(7))
-        );
         let mut ports = vec![1, 2];
         ev.take_pending(DomainId(9), &mut ports);
         assert!(ports.is_empty(), "an unknown domain drains nothing");
@@ -348,10 +300,9 @@ mod tests {
     fn drop_pending_suppresses_and_balances() {
         let (mut ev, a, ap, b, bp) = setup();
         ev.send(a, ap).unwrap();
-        assert!(ev.has_pending(b));
         assert_eq!(ev.pending_count(b), 1);
         assert_eq!(ev.drop_pending(b, bp), Ok(true));
-        assert!(!ev.has_pending(b));
+        assert_eq!(ev.pending_count(b), 0);
         assert!(drain(&mut ev, b).is_empty());
         // Dropping an already-clear bit suppresses nothing.
         assert_eq!(ev.drop_pending(b, bp), Ok(false));

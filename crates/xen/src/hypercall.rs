@@ -2,96 +2,21 @@
 //!
 //! §3.4: "X-Containers rely on a small X-Kernel … with a small number of
 //! hypervisor calls that lead to a smaller number of vulnerabilities in
-//! practice." This module enumerates the hypercalls the model uses, maps
-//! each to its primitive cost, and keeps per-call accounting so harnesses
-//! can report *how many privileged crossings* each architecture performed
-//! — the quantity the paper's performance arguments reduce to.
-
-use std::fmt;
+//! practice." This module enumerates the hypercalls the model charges,
+//! maps each to its primitive cost, and keeps running totals of how many
+//! privileged crossings a run performed and what they cost.
 
 use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
 
-/// Dense hypercall number: one variant per [`Hypercall`] kind, used to
-/// index the accounting arrays. The engine charges a hypercall on every
-/// privileged crossing, so the accounting path must be a pair of array
-/// stores, not tree lookups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum HypercallNr {
-    /// `mmu_update`
-    MmuUpdate = 0,
-    /// `iret`
-    Iret = 1,
-    /// `event_channel_op`
-    EventChannelOp = 2,
-    /// `grant_table_op`
-    GrantTableOp = 3,
-    /// `sched_op`
-    SchedOp = 4,
-    /// `new_baseptr`
-    NewBaseptr = 5,
-    /// `update_va_mapping`
-    UpdateVaMapping = 6,
-    /// `set_trap_table`
-    SetTrapTable = 7,
-    /// `set_timer_op`
-    SetTimerOp = 8,
-}
-
-/// Number of distinct hypercall kinds (the accounting array length).
-pub const NUM_HYPERCALLS: usize = 9;
-
-/// Hypercall names indexed by [`HypercallNr`].
-const NAMES: [&str; NUM_HYPERCALLS] = [
-    "mmu_update",
-    "iret",
-    "event_channel_op",
-    "grant_table_op",
-    "sched_op",
-    "new_baseptr",
-    "update_va_mapping",
-    "set_trap_table",
-    "set_timer_op",
-];
-
-/// [`HypercallNr`]s in lexicographic name order, so reports iterate the
-/// dense arrays in exactly the order the former `BTreeMap<&str, _>` did.
-const NAME_ORDER: [HypercallNr; NUM_HYPERCALLS] = [
-    HypercallNr::EventChannelOp,
-    HypercallNr::GrantTableOp,
-    HypercallNr::Iret,
-    HypercallNr::MmuUpdate,
-    HypercallNr::NewBaseptr,
-    HypercallNr::SchedOp,
-    HypercallNr::SetTimerOp,
-    HypercallNr::SetTrapTable,
-    HypercallNr::UpdateVaMapping,
-];
-
-impl HypercallNr {
-    /// A stable name for accounting keys.
-    pub fn name(self) -> &'static str {
-        NAMES[self as usize]
-    }
-
-    /// Resolves an accounting-key name back to its number.
-    pub fn from_name(name: &str) -> Option<HypercallNr> {
-        NAME_ORDER.into_iter().find(|nr| nr.name() == name)
-    }
-}
-
-/// The modelled hypercall set (names follow Xen's).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The hypercalls the model charges (names follow Xen's).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hypercall {
     /// Batched page-table updates; carries the number of entries.
     MmuUpdate {
         /// PTE updates in the batch.
         entries: u64,
     },
-    /// Atomic return-from-interrupt with privilege switch (PV guests
-    /// only; X-LibOS replaces it with a user-mode `ret`, §4.2).
-    Iret,
     /// Event-channel operation (bind/send/unmask).
     EventChannelOp,
     /// Grant-table operation (map/unmap/copy).
@@ -101,59 +26,20 @@ pub enum Hypercall {
     },
     /// Scheduler operation (yield/block).
     SchedOp,
-    /// Install a new page-table base (context switch).
-    NewBaseptr,
-    /// Update a single VA mapping.
-    UpdateVaMapping,
-    /// Set the guest's trap/exception table.
-    SetTrapTable,
-    /// Set per-vCPU timer.
-    SetTimerOp,
 }
 
 impl Hypercall {
-    /// The dense number of this hypercall (its accounting index).
-    pub fn nr(&self) -> HypercallNr {
-        match self {
-            Hypercall::MmuUpdate { .. } => HypercallNr::MmuUpdate,
-            Hypercall::Iret => HypercallNr::Iret,
-            Hypercall::EventChannelOp => HypercallNr::EventChannelOp,
-            Hypercall::GrantTableOp { .. } => HypercallNr::GrantTableOp,
-            Hypercall::SchedOp => HypercallNr::SchedOp,
-            Hypercall::NewBaseptr => HypercallNr::NewBaseptr,
-            Hypercall::UpdateVaMapping => HypercallNr::UpdateVaMapping,
-            Hypercall::SetTrapTable => HypercallNr::SetTrapTable,
-            Hypercall::SetTimerOp => HypercallNr::SetTimerOp,
-        }
-    }
-
-    /// A stable name for accounting keys.
-    pub fn name(&self) -> &'static str {
-        self.nr().name()
-    }
-
     /// Cost of this hypercall under the given model: the base trap plus
     /// per-operation work.
     pub fn cost(&self, costs: &CostModel) -> Nanos {
         match *self {
             Hypercall::MmuUpdate { entries } => costs.mmu_update_batch(entries),
-            Hypercall::Iret => costs.iret_hypercall,
             Hypercall::EventChannelOp => costs.event_channel_send,
             Hypercall::GrantTableOp { copy_kb } => {
                 costs.hypercall + costs.grant_copy_per_kb * copy_kb
             }
-            Hypercall::SchedOp
-            | Hypercall::NewBaseptr
-            | Hypercall::UpdateVaMapping
-            | Hypercall::SetTrapTable
-            | Hypercall::SetTimerOp => costs.hypercall,
+            Hypercall::SchedOp => costs.hypercall,
         }
-    }
-}
-
-impl fmt::Display for Hypercall {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -167,15 +53,14 @@ impl fmt::Display for Hypercall {
 ///
 /// let costs = CostModel::skylake_cloud();
 /// let mut acct = HypervisorAccounting::new();
-/// acct.charge(Hypercall::Iret, &costs);
+/// acct.charge(Hypercall::SchedOp, &costs);
 /// acct.charge(Hypercall::MmuUpdate { entries: 32 }, &costs);
 /// assert_eq!(acct.total_calls(), 2);
-/// assert!(acct.total_time() > costs.iret_hypercall);
+/// assert!(acct.total_time() > costs.hypercall);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HypervisorAccounting {
-    calls: [u64; NUM_HYPERCALLS],
-    time: [Nanos; NUM_HYPERCALLS],
+    total_calls: u64,
     total_time: Nanos,
 }
 
@@ -188,60 +73,19 @@ impl HypervisorAccounting {
     /// Records one hypercall and returns its cost.
     pub fn charge(&mut self, call: Hypercall, costs: &CostModel) -> Nanos {
         let cost = call.cost(costs);
-        let i = call.nr() as usize;
-        self.calls[i] += 1;
-        self.time[i] += cost;
+        self.total_calls += 1;
         self.total_time += cost;
         cost
     }
 
-    /// Number of invocations of a particular hypercall.
-    pub fn calls_of(&self, name: &str) -> u64 {
-        HypercallNr::from_name(name).map_or(0, |nr| self.calls[nr as usize])
-    }
-
     /// Total hypercalls issued.
     pub fn total_calls(&self) -> u64 {
-        self.calls.iter().sum()
+        self.total_calls
     }
 
     /// Total simulated time spent in the hypervisor.
     pub fn total_time(&self) -> Nanos {
         self.total_time
-    }
-
-    /// Iterates `(name, count, time)` over charged hypercalls in name
-    /// order (zero-count entries are skipped, matching the sparse map
-    /// this used to be).
-    pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64, Nanos)> + '_ {
-        NAME_ORDER
-            .into_iter()
-            .filter(|&nr| self.calls[nr as usize] > 0)
-            .map(|nr| (nr.name(), self.calls[nr as usize], self.time[nr as usize]))
-    }
-
-    /// Merges another accounting into this one.
-    pub fn merge(&mut self, other: &HypervisorAccounting) {
-        for i in 0..NUM_HYPERCALLS {
-            self.calls[i] += other.calls[i];
-            self.time[i] += other.time[i];
-        }
-        self.total_time += other.total_time;
-    }
-}
-
-impl fmt::Display for HypervisorAccounting {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "hypervisor crossings ({} total, {}):",
-            self.total_calls(),
-            self.total_time
-        )?;
-        for (name, count, time) in self.entries() {
-            writeln!(f, "  {name:<20} {count:>10}  {time}")?;
-        }
-        Ok(())
     }
 }
 
@@ -273,52 +117,13 @@ mod tests {
         let costs = CostModel::skylake_cloud();
         let mut acct = HypervisorAccounting::new();
         for _ in 0..3 {
-            acct.charge(Hypercall::Iret, &costs);
+            acct.charge(Hypercall::EventChannelOp, &costs);
         }
         acct.charge(Hypercall::SchedOp, &costs);
-        assert_eq!(acct.calls_of("iret"), 3);
-        assert_eq!(acct.calls_of("sched_op"), 1);
-        assert_eq!(acct.calls_of("mmu_update"), 0);
         assert_eq!(acct.total_calls(), 4);
         assert_eq!(
             acct.total_time(),
-            costs.iret_hypercall * 3 + costs.hypercall
+            costs.event_channel_send * 3 + costs.hypercall
         );
-    }
-
-    #[test]
-    fn merge_combines() {
-        let costs = CostModel::skylake_cloud();
-        let mut a = HypervisorAccounting::new();
-        a.charge(Hypercall::Iret, &costs);
-        let mut b = HypervisorAccounting::new();
-        b.charge(Hypercall::Iret, &costs);
-        b.charge(Hypercall::SetTimerOp, &costs);
-        a.merge(&b);
-        assert_eq!(a.calls_of("iret"), 2);
-        assert_eq!(a.total_calls(), 3);
-    }
-
-    #[test]
-    fn name_order_is_sorted_and_covers_every_nr() {
-        let names: Vec<&str> = NAME_ORDER.iter().map(|nr| nr.name()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted, "entries() must iterate in name order");
-        let mut indices: Vec<usize> = NAME_ORDER.iter().map(|&nr| nr as usize).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, (0..NUM_HYPERCALLS).collect::<Vec<_>>());
-        for &nr in &NAME_ORDER {
-            assert_eq!(HypercallNr::from_name(nr.name()), Some(nr));
-        }
-        assert_eq!(HypercallNr::from_name("no_such_call"), None);
-    }
-
-    #[test]
-    fn display_lists_calls() {
-        let costs = CostModel::skylake_cloud();
-        let mut acct = HypervisorAccounting::new();
-        acct.charge(Hypercall::EventChannelOp, &costs);
-        assert!(acct.to_string().contains("event_channel_op"));
     }
 }

@@ -2,41 +2,49 @@
 //!
 //! The X-Containers paper modifies the Xen paravirtualization architecture
 //! into an exokernel ("X-Kernel") whose only job is inter-container
-//! isolation. This crate models the hypervisor layer both architectures
-//! share and the exact points where they diverge:
+//! isolation. This crate models the hypervisor state both architectures
+//! share; where the guest kernel sits relative to it, and what each
+//! crossing costs, is `xc-libos`' `Backend`:
 //!
 //! * [`domain`] — domain identifiers (Dom0, driver domains, guests),
-//! * [`hypercall`] — the hypercall interface with validation and cost
-//!   accounting (the "small number of well-documented system calls" that
-//!   §3 credits for the small attack surface),
+//! * [`hypercall`] — the hypercalls the model charges, priced from the
+//!   cost model, with running totals of calls and time (the "small
+//!   number of well-documented system calls" that §3 credits for the
+//!   small attack surface),
 //! * [`events`] — event channels (Xen's virtualized interrupts),
-//! * [`abi`] — the [`XenAbi`] enum capturing the Xen-PV vs
-//!   X-Kernel differences in syscall forwarding, `iret`, interrupt
-//!   delivery and context switching (§4.1–4.3),
 //! * [`blanket`] — the Xen-Blanket shim that lets the whole stack run
 //!   nested inside cloud VMs,
-//! * [`tlb`] — a tagged TLB with global-bit semantics, the reference
-//!   model the integration suite checks the cost model's §4.3 refill
-//!   constants against.
+//! * [`tlb`] — a tagged TLB with global-bit semantics and the hot working
+//!   sets a flush refills, the reference model the integration suite
+//!   checks the §4.3 refill constants against.
 //!
 //! # Example
 //!
 //! ```
 //! use xc_sim::cost::CostModel;
-//! use xc_xen::abi::XenAbi;
+//! use xc_xen::domain::DomainId;
+//! use xc_xen::events::EventChannels;
+//! use xc_xen::hypercall::{Hypercall, HypervisorAccounting};
 //!
 //! let costs = CostModel::skylake_cloud();
-//! // A forwarded PV syscall is dramatically more expensive than the
-//! // X-Kernel bounce (which itself loses to an ABOM function call):
-//! let pv = XenAbi::XenPv.forwarded_syscall_cost(&costs);
-//! let xk = XenAbi::XKernel.forwarded_syscall_cost(&costs);
-//! assert!(pv > xk);
+//! let (guest, driver) = (DomainId(1), DomainId(2));
+//! let mut ev = EventChannels::new();
+//! let gp = ev.alloc_unbound(guest)?;
+//! let dp = ev.alloc_unbound(driver)?;
+//! ev.bind(guest, gp, driver, dp)?;
+//!
+//! // The guest kicks its driver domain: one event-channel hypercall.
+//! let mut acct = HypervisorAccounting::new();
+//! ev.send(guest, gp)?;
+//! acct.charge(Hypercall::EventChannelOp, &costs);
+//! assert_eq!(ev.pending_count(driver), 1);
+//! assert_eq!(acct.total_time(), costs.event_channel_send);
+//! # Ok::<(), xc_xen::XenError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod abi;
 pub mod blanket;
 pub mod domain;
 pub mod error;
@@ -44,7 +52,6 @@ pub mod events;
 pub mod hypercall;
 pub mod tlb;
 
-pub use abi::XenAbi;
 pub use domain::DomainId;
 pub use error::XenError;
-pub use hypercall::{Hypercall, HypercallNr, HypervisorAccounting};
+pub use hypercall::{Hypercall, HypervisorAccounting};

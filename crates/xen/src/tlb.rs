@@ -1,13 +1,22 @@
 //! A working TLB model — the mechanism behind the §4.3 numbers.
 //!
 //! The cost model charges a context switch for "refilling the hot working
-//! set" after a flush, with the kernel's share skipped when its mappings
-//! carry the global bit. This module implements the TLB itself — tagged
+//! set" ([`KERNEL_HOT_PAGES`] + [`USER_HOT_PAGES`]) after a flush, with
+//! the kernel's share skipped when its mappings carry the global bit.
+//! This module implements the TLB itself — tagged
 //! entries, global-bit semantics, non-global flushes — so tests can
 //! *measure* the miss counts those charges assume instead of trusting
 //! them.
 
 use std::collections::BTreeMap;
+
+/// Typical hot TLB working set of the kernel's syscall/interrupt paths,
+/// in pages: what a flush forces the kernel to refill unless its
+/// mappings carry the global bit.
+pub const KERNEL_HOT_PAGES: u64 = 24;
+
+/// Typical hot TLB working set of a user process, in pages.
+pub const USER_HOT_PAGES: u64 = 40;
 
 /// One translation entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +122,6 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abi::{KERNEL_HOT_PAGES, USER_HOT_PAGES};
 
     /// Touches a process's working set: kernel pages (global under the
     /// X-Kernel ABI) + user pages. Returns misses incurred.

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repository hygiene gate: declared dependencies, formatting, lints,
 # rustdoc links, the runner determinism suite, the release-mode ISA,
-# verifier, ABOM and fault-injection tests, the golden table, the
+# verifier, ABOM, fault-injection, hypervisor, guest-kernel and platform
+# tests (the cost pins and gates in the arithmetic the benchmark's
+# release binaries use), the golden table, the
 # benchmark's own tests and the examples. Fails on an unused dependency,
 # any diff, warning, test failure or failing example. The golden
 # test (crates/bench/tests/golden.rs) runs every harness binary at
@@ -56,8 +58,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== runner determinism suite (incl. panicking_cell_is_isolated_from_the_grid) =="
 cargo test -q -p xc-bench --test determinism
 
-echo "== release-mode tests: xc-isa, xc-verify, xc-abom and xc-faults (integer overflow wraps, debug_assert! is off) =="
-cargo test --release -q -p xc-isa -p xc-verify -p xc-abom -p xc-faults
+echo "== release-mode tests: xc-isa, xc-verify, xc-abom, xc-faults, xc-xen, xc-libos and xc-runtimes (integer overflow wraps, debug_assert! is off) =="
+cargo test --release -q -p xc-isa -p xc-verify -p xc-abom -p xc-faults -p xc-xen -p xc-libos -p xc-runtimes
 
 echo "== golden table: every harness binary, --jobs 1 and 3 =="
 cargo test -q -p xc-bench --test golden
@@ -94,4 +96,4 @@ for src in examples/*.rs; do
     fi
 done
 
-echo "ok: no unused dependency, formatting clean, no lints, docs link, deterministic at any --jobs, ISA, verifier, ABOM and fault injection pass in release, every harness at its golden row, benchmark tests pass, every example runs"
+echo "ok: no unused dependency, formatting clean, no lints, docs link, deterministic at any --jobs, ISA, verifier, ABOM, fault injection, hypervisor, guest kernel and platforms pass in release, every harness at its golden row, benchmark tests pass, every example runs"

@@ -1,12 +1,13 @@
-//! Cross-representation consistency: the closed-form ABI cost formulas,
-//! the hypercall accounting ledger, and the working TLB model must all
-//! tell the same story. A drift between any two would mean a figure
-//! harness and the substrate disagree about what an operation costs.
+//! Cross-representation consistency: the closed-form backend cost
+//! formulas, the hypercall accounting ledger, and the working TLB model
+//! must all tell the same story. A drift between any two would mean a
+//! figure harness and the substrate disagree about what an operation
+//! costs.
 
+use xcontainers::libos::backend::{MMU_BATCH, SWITCH_HYPERCALLS};
 use xcontainers::prelude::*;
-use xcontainers::xen::abi::{XenAbi, KERNEL_HOT_PAGES, SWITCH_HYPERCALLS, USER_HOT_PAGES};
 use xcontainers::xen::hypercall::{Hypercall, HypervisorAccounting};
-use xcontainers::xen::tlb::{Lookup, Tlb};
+use xcontainers::xen::tlb::{Lookup, Tlb, KERNEL_HOT_PAGES, USER_HOT_PAGES};
 
 #[test]
 fn process_switch_formula_matches_ledger_reconstruction() {
@@ -23,7 +24,7 @@ fn process_switch_formula_matches_ledger_reconstruction() {
         ledger_part + costs.page_table_switch + costs.tlb_flush_with_refill(USER_HOT_PAGES);
 
     assert_eq!(
-        XenAbi::XKernel.process_switch_cost(&costs),
+        Backend::XKernel.process_switch_cost(&costs),
         reconstructed,
         "formula and ledger must agree"
     );
@@ -33,7 +34,7 @@ fn process_switch_formula_matches_ledger_reconstruction() {
 fn pv_switch_extra_cost_is_exactly_the_kernel_refill() {
     let costs = CostModel::skylake_cloud();
     let delta =
-        XenAbi::XenPv.process_switch_cost(&costs) - XenAbi::XKernel.process_switch_cost(&costs);
+        Backend::XenPv.process_switch_cost(&costs) - Backend::XKernel.process_switch_cost(&costs);
     assert_eq!(delta, costs.tlb_refill_per_page * KERNEL_HOT_PAGES);
 }
 
@@ -72,18 +73,17 @@ fn tlb_model_reproduces_the_refill_constants() {
 fn fork_cost_matches_batched_mmu_ledger() {
     let costs = CostModel::skylake_cloud();
     let pages = 2_000u64;
-    let batch = xcontainers::libos::backend::MMU_BATCH;
 
     let mut ledger = HypervisorAccounting::new();
     let mut remaining = pages;
     while remaining > 0 {
-        let this = remaining.min(batch);
+        let this = remaining.min(MMU_BATCH);
         ledger.charge(Hypercall::MmuUpdate { entries: this }, &costs);
         remaining -= this;
     }
     assert_eq!(
-        XenAbi::XKernel.fork_page_table_cost(&costs, pages, batch),
-        ledger.total_time()
+        Backend::XKernel.fork_cost(&costs, pages),
+        costs.fork_base + ledger.total_time()
     );
-    assert_eq!(ledger.calls_of("mmu_update"), pages.div_ceil(batch));
+    assert_eq!(ledger.total_calls(), pages.div_ceil(MMU_BATCH));
 }

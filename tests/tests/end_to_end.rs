@@ -69,14 +69,14 @@ fn split_driver_handshake() {
     // completes.
     let mut acct = HypervisorAccounting::default();
     events.send(guest, fe_port).unwrap();
-    assert!(events.has_pending(backend));
+    assert_eq!(events.pending_count(backend), 1);
     let mut pending = Vec::new();
     events.take_pending(backend, &mut pending);
     assert_eq!(pending, [be_port]);
     let copy = acct.charge(Hypercall::GrantTableOp { copy_kb: 2 }, &costs);
     assert_eq!(copy, costs.hypercall + costs.grant_copy_per_kb * 2);
     events.send(backend, be_port).unwrap(); // completion interrupt
-    assert!(events.has_pending(guest));
+    assert_eq!(events.pending_count(guest), 1);
     assert_eq!(acct.total_calls(), 1);
     assert_eq!(acct.total_time(), copy);
 }
