@@ -5,10 +5,11 @@
 //! leaves its acceptance band. `results/all_experiments.json` is the
 //! concatenation of those seven results files, in that order.
 //!
-//! The logic lives in [`xc_bench::harness::all_experiments`]; the grid
-//! harnesses run through the deterministic parallel [`Runner`]
+//! The logic lives in [`xc_bench::harness::all_experiments`]; the
+//! Figure 3 grid runs through the deterministic parallel [`Runner`]
 //! (`--jobs N`, default: available parallelism), so stdout is
-//! byte-identical across `--jobs` values.
+//! byte-identical across `--jobs` values, and the other six harnesses
+//! run serially.
 
 use xc_bench::harness::all_experiments;
 use xc_bench::record;

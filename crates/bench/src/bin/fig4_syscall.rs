@@ -3,15 +3,14 @@
 //! UnixBench System Call on all ten configurations, single and
 //! concurrent (4 copies), on both clouds, normalized to patched Docker —
 //! the paper's exact presentation. The logic lives in
-//! [`xc_bench::harness::fig4`]; this wrapper parses `--jobs`, prints the
-//! result and records findings.
+//! [`xc_bench::harness::fig4`]; this wrapper prints the result and
+//! records findings.
 
 use xc_bench::harness::fig4;
 use xc_bench::record;
-use xc_bench::runner::Runner;
 
 fn main() {
-    let out = fig4::run(&Runner::from_args());
+    let out = fig4::run();
     print!("{}", out.text);
     record("fig4", &out.findings);
 }

@@ -2,15 +2,14 @@
 //! better): Execl, File Copy, Pipe Throughput, Context Switching,
 //! Process Creation, and iperf, in the paper's four panels
 //! (Amazon/Google × single/concurrent), normalized to patched Docker.
-//! The logic lives in [`xc_bench::harness::fig5`]; this wrapper parses
-//! `--jobs`, prints the result and records findings.
+//! The logic lives in [`xc_bench::harness::fig5`]; this wrapper prints
+//! the result and records findings.
 
 use xc_bench::harness::fig5;
 use xc_bench::record;
-use xc_bench::runner::Runner;
 
 fn main() {
-    let out = fig5::run(&Runner::from_args());
+    let out = fig5::run();
     print!("{}", out.text);
     record("fig5", &out.findings);
 }

@@ -5,35 +5,23 @@
 //! The binary prints the table and findings, writes
 //! `results/verify_lint.json`, and exits 1 if coverage falls below
 //! [`COVERAGE_FLOOR_PCT`] or the `Unknown` count exceeds
-//! [`UNKNOWN_CEILING`]. The golden table
-//! (`crates/bench/tests/golden.rs`) pins the full output, so any
-//! verifier change that moves a verdict, a rule id, or a reason chain
-//! is caught before it lands.
+//! [`UNKNOWN_CEILING`]. It takes no arguments: any argument is a usage
+//! error (exit 2). The golden table (`crates/bench/tests/golden.rs`)
+//! pins the full output, so any verifier change that moves a verdict, a
+//! rule id, or a reason chain is caught before it lands.
 
 use xc_bench::harness::verify_lint::{
     self, within_unknown_ceiling, COVERAGE_FLOOR_PCT, UNKNOWN_CEILING,
 };
 use xc_bench::record;
-use xc_bench::runner::Runner;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            // Every --jobs form is handled by Runner::from_args; the
-            // space-separated ones need their value consumed here too.
-            "--jobs" | "-j" => {
-                args.next();
-            }
-            other if other.starts_with("--jobs=") => {}
-            other => {
-                eprintln!("verify_lint: unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("verify_lint: unknown argument {arg:?}");
+        std::process::exit(2);
     }
 
-    let out = verify_lint::run(&Runner::from_args());
+    let out = verify_lint::run();
 
     print!("{}", out.render());
     record("verify_lint", &out.findings());

@@ -96,21 +96,16 @@ struct CellOutcome {
 /// The sweep's cell grid (fault rate × platform): geometry and the cell
 /// function that [`run_with`] runs.
 pub struct Grid {
-    rates: Vec<f64>,
+    rates: &'static [f64],
     duration: Nanos,
     costs: CostModel,
     platforms: Vec<(&'static str, Platform)>,
 }
 
 impl Grid {
-    /// Builds the grid for one mode (`rate_override` pins the fault
-    /// axis to `[0, rate]`, mirroring the `--fault-rate` flag).
-    pub fn new(quick: bool, rate_override: Option<f64>) -> Self {
-        let rates: Vec<f64> = match rate_override {
-            Some(r) => vec![0.0, r],
-            None if quick => QUICK_RATES.to_vec(),
-            None => RATES.to_vec(),
-        };
+    /// Builds the grid for one mode.
+    pub fn new(quick: bool) -> Self {
+        let rates: &'static [f64] = if quick { &QUICK_RATES } else { &RATES };
         let duration = if quick {
             Nanos::from_millis(1000)
         } else {
@@ -148,12 +143,11 @@ impl Grid {
 }
 
 /// Runs the sweep. `quick` shrinks the grid and the simulated duration
-/// (the check-script smoke gate); `rate_override` pins the fault axis
-/// to `[0, rate]` (the `--fault-rate` flag).
-pub fn run_with(runner: &Runner, quick: bool, rate_override: Option<f64>) -> HarnessOutput {
-    let grid = Grid::new(quick, rate_override);
+/// (the check-script smoke gate).
+pub fn run_with(runner: &Runner, quick: bool) -> HarnessOutput {
+    let grid = Grid::new(quick);
     let outcomes: Vec<CellOutcome> = runner.run(grid.cells(), |i| grid.cell(i));
-    render_cells(&grid.rates, &outcomes)
+    render_cells(grid.rates, &outcomes)
 }
 
 /// Renders the sweep table, shape notes and findings from the
@@ -278,19 +272,14 @@ fn render_cells(rates: &[f64], outcomes: &[CellOutcome]) -> HarnessOutput {
     HarnessOutput { text, findings }
 }
 
-/// Full sweep with default axes.
-pub fn run(runner: &Runner) -> HarnessOutput {
-    run_with(runner, false, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quick_sweep_is_clean_and_jobs_invariant() {
-        let serial = run_with(&Runner::new(1), true, None);
-        let parallel = run_with(&Runner::new(4), true, None);
+        let serial = run_with(&Runner::new(1), true);
+        let parallel = run_with(&Runner::new(4), true);
         assert_eq!(serial.text, parallel.text);
         assert_eq!(
             crate::findings_json(&serial.findings),
@@ -312,12 +301,5 @@ mod tests {
         {
             assert!(f.in_band, "{} out of band", f.metric);
         }
-    }
-
-    #[test]
-    fn pinned_rate_restricts_the_axis() {
-        let out = run_with(&Runner::new(1), true, Some(0.05));
-        assert!(out.text.contains("0.050"));
-        assert!(!out.text.contains("0.002"));
     }
 }

@@ -244,5 +244,5 @@ fn render_cells(
         });
     }
 
-    HarnessOutput::merge(vec![(text, findings)])
+    HarnessOutput { text, findings }
 }

@@ -138,8 +138,13 @@ pub fn run_with(runner: &Runner, cache: &ClosedLoopCache) -> HarnessOutput {
         let (cloud, profile) = &grid[i];
         cell(*cloud, profile, &costs, cache)
     });
-    let gains: Vec<f64> = cells.iter().map(|c| c.2).collect();
-    let mut out = HarnessOutput::merge(cells.into_iter().map(|(t, f, _)| (t, f)).collect());
+    let mut out = HarnessOutput::default();
+    let mut gains = Vec::with_capacity(cells.len());
+    for (text, findings, gain) in cells {
+        out.text.push_str(&text);
+        out.findings.extend(findings);
+        gains.push(gain);
+    }
     // §5.3's ordering: memcached gains most, then NGINX, then Redis.
     for (cloud, gains) in clouds().into_iter().zip(gains.chunks(profiles.len())) {
         let gain = |name: &str| {

@@ -7,14 +7,13 @@ use xcontainers::prelude::*;
 use xcontainers::workloads::unixbench::concurrent_score;
 
 use super::HarnessOutput;
-use crate::runner::Runner;
 use crate::{clouds, platform_matrix, ratio, Finding};
 
-/// One cloud cell: the full ten-configuration table plus its findings,
-/// and patched X-Container's single-copy ratio to patched Docker (the
-/// headline).
-fn cell(cloud: CloudEnv, costs: &CostModel) -> (String, Vec<Finding>, f64) {
-    let mut findings = Vec::new();
+/// One cloud: appends the full ten-configuration table and its findings
+/// to `out`, and returns patched X-Container's single-copy ratio to
+/// patched Docker (the headline).
+fn cloud_table(cloud: CloudEnv, costs: &CostModel, out: &mut HarnessOutput) -> f64 {
+    let findings = &mut out.findings;
     let mut table = Table::new(
         &format!("Figure 4: relative syscall throughput — {}", cloud.name()),
         &["configuration", "single", "concurrent (4x)"],
@@ -82,20 +81,21 @@ fn cell(cloud: CloudEnv, costs: &CostModel) -> (String, Vec<Finding>, f64) {
             in_band: effect == 0.0,
         });
     }
-    let mut text = String::new();
-    table.render_into(&mut text);
-    text.push('\n');
-    (text, findings, headline)
+    table.render_into(&mut out.text);
+    out.text.push('\n');
+    headline
 }
 
-/// Runs both clouds, one cell each, then the headline comparison.
-pub fn run(runner: &Runner) -> HarnessOutput {
+/// Runs both clouds in order, then the headline comparison.
+pub fn run() -> HarnessOutput {
     let costs = CostModel::skylake_cloud();
-    let grid = clouds();
-    let cells = runner.run(grid.len(), |i| cell(grid[i], &costs));
+    let mut out = HarnessOutput::default();
+    let headlines: Vec<f64> = clouds()
+        .into_iter()
+        .map(|cloud| cloud_table(cloud, &costs, &mut out))
+        .collect();
     // `clouds()` lists EC2 first: its ratio is the headline.
-    let headline = cells[0].2;
-    let mut out = HarnessOutput::merge(cells.into_iter().map(|(t, f, _)| (t, f)).collect());
+    let headline = headlines[0];
     let _ = write!(
         out.text,
         "Headline: X-Container raw syscall throughput = {} Docker (paper: up to 27x).\n\

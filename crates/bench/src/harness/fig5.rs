@@ -7,7 +7,6 @@ use xcontainers::workloads::iperf::IperfBench;
 use xcontainers::workloads::unixbench::{concurrent_score, MicroBench};
 
 use super::HarnessOutput;
-use crate::runner::Runner;
 use crate::{clouds, platform_matrix, Finding};
 
 /// Patched X-Container's claim on each microbenchmark, in
@@ -21,12 +20,13 @@ const X_CLAIMS: [(&str, &str, bool); 5] = [
     ("proccreate", "below 1", false),
 ];
 
-/// One cloud cell: scores every microbenchmark once per platform, then
-/// renders the Single and Concurrent panels from that matrix. The
-/// concurrent panel is pure arithmetic over the single-copy scores
-/// ([`concurrent_score`]), so hoisting the score computation halves the
-/// model evaluations without moving a single byte of output.
-fn cell(cloud: CloudEnv, costs: &CostModel) -> (String, Vec<Finding>) {
+/// One cloud: scores every microbenchmark once per platform, then
+/// appends the Single and Concurrent panels and their findings to `out`
+/// from that matrix. The concurrent panel is pure arithmetic over the
+/// single-copy scores ([`concurrent_score`]), so hoisting the score
+/// computation halves the model evaluations without moving a single
+/// byte of output.
+fn cloud_panels(cloud: CloudEnv, costs: &CostModel, out: &mut HarnessOutput) {
     let (baseline, matrix) = platform_matrix(cloud);
     let score_vec = |p: &Platform| -> (Vec<f64>, f64) {
         (
@@ -44,8 +44,7 @@ fn cell(cloud: CloudEnv, costs: &CostModel) -> (String, Vec<Finding>) {
         .collect();
 
     let cloud_name = cloud.name().to_lowercase();
-    let mut text = String::new();
-    let mut findings = Vec::new();
+    let HarnessOutput { text, findings } = out;
     for concurrent in [false, true] {
         let mode = if concurrent { "Concurrent" } else { "Single" };
         let mut table = Table::new(
@@ -102,7 +101,7 @@ fn cell(cloud: CloudEnv, costs: &CostModel) -> (String, Vec<Finding>) {
                 }
             }
         }
-        table.render_into(&mut text);
+        table.render_into(text);
         text.push('\n');
     }
 
@@ -125,16 +124,16 @@ fn cell(cloud: CloudEnv, costs: &CostModel) -> (String, Vec<Finding>) {
         measured: patch_effect,
         in_band: patch_effect == 0.0,
     });
-    (text, findings)
 }
 
-/// Runs one cell per cloud; each renders its Single and Concurrent
+/// Runs the clouds in order; each renders its Single and Concurrent
 /// panels in the figure's order.
-pub fn run(runner: &Runner) -> HarnessOutput {
+pub fn run() -> HarnessOutput {
     let costs = CostModel::skylake_cloud();
-    let grid = clouds();
-    let cells = runner.run(grid.len(), |i| cell(grid[i], &costs));
-    let mut out = HarnessOutput::merge(cells);
+    let mut out = HarnessOutput::default();
+    for cloud in clouds() {
+        cloud_panels(cloud, &costs, &mut out);
+    }
     out.text.push_str(
         "Shape (§5.4): X-Containers win the syscall-dominated benchmarks\n\
          (Execl, File Copy, Pipe) and lose Context Switching and Process\n\

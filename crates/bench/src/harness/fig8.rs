@@ -1,46 +1,25 @@
 //! Figure 8 — throughput scalability as the number of containers
-//! increases (see the `fig8_scalability` binary). The four platform
-//! sweeps are split into point-range sub-cells over a flattened
-//! `(configuration, chunk)` grid — 16 cells instead of 4 — so `--jobs N`
-//! keeps scaling past four workers; the index-ordered merge reassembles
-//! each sweep before the table interleaves them, so the output is
-//! byte-identical at any worker count (the model is closed-form and
-//! RNG-free).
+//! increases (see the `fig8_scalability` binary). Each platform's sweep
+//! is the closed-form, RNG-free model of
+//! [`xcontainers::workloads::scalability`], evaluated once per
+//! configuration.
 
 use std::fmt::Write as _;
 
 use xcontainers::prelude::*;
-use xcontainers::workloads::scalability::{
-    figure8_points, throughput, ScalabilityConfig, ScalabilityPoint,
-};
+use xcontainers::workloads::scalability::{figure8_points, sweep, ScalabilityConfig};
 
 use super::HarnessOutput;
-use crate::runner::Runner;
 use crate::Finding;
 
-/// Sweep points evaluated per sub-cell.
-const POINTS_PER_CELL: usize = 4;
-
-/// Runs the four platform sweeps as point-range sub-cells.
-pub fn run(runner: &Runner) -> HarnessOutput {
+/// Runs the four platform sweeps, in `ScalabilityConfig::ALL` order.
+pub fn run() -> HarnessOutput {
     let costs = CostModel::skylake_cloud();
     let points = figure8_points();
-    let chunks = points.len().div_ceil(POINTS_PER_CELL);
-    let cells = runner.run(ScalabilityConfig::ALL.len() * chunks, |i| {
-        let config = ScalabilityConfig::ALL[i / chunks];
-        let lo = (i % chunks) * POINTS_PER_CELL;
-        let hi = (lo + POINTS_PER_CELL).min(points.len());
-        points[lo..hi]
-            .iter()
-            .map(|&n| ScalabilityPoint {
-                containers: n,
-                throughput_rps: throughput(config, n, &costs),
-            })
-            .collect::<Vec<_>>()
-    });
-    // Reassemble each configuration's full sweep from its chunk run,
-    // in index order.
-    let sweeps: Vec<Vec<ScalabilityPoint>> = cells.chunks(chunks).map(|c| c.concat()).collect();
+    let sweeps: Vec<_> = ScalabilityConfig::ALL
+        .into_iter()
+        .map(|config| sweep(config, &costs))
+        .collect();
 
     let mut table = Table::new(
         "Figure 8: aggregate throughput (requests/s) vs container count",
@@ -54,8 +33,7 @@ pub fn run(runner: &Runner) -> HarnessOutput {
         table.row([Cell::from(*n), cell(0), cell(1), cell(2), cell(3)]);
     }
 
-    // Pull the headline points straight out of the sweeps (the sub-cells
-    // evaluate the same closed-form model as throughput(cfg, n)).
+    // Pull the headline points straight out of the sweeps.
     let at = |cfg_idx: usize, n: u64| {
         let i = points.iter().position(|p| *p == n).expect("figure 8 point");
         sweeps[cfg_idx][i].throughput_rps.expect("bootable point")

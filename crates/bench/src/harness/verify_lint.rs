@@ -21,7 +21,6 @@ use xcontainers::prelude::*;
 use xcontainers::verify::{lint_report, summarize, LintFinding, Severity, Verifier};
 use xcontainers::workloads::table1::table1_profiles;
 
-use crate::runner::Runner;
 use crate::Finding;
 
 /// Minimum corpus coverage (percent of sites proved `Safe`) the gate
@@ -193,7 +192,7 @@ impl Output {
 }
 
 /// Lints one application's wrapper library.
-fn cell(name: &'static str, image: &BinaryImage, sites: usize) -> LintRow {
+fn lint_row(name: &'static str, image: &BinaryImage, sites: usize) -> LintRow {
     let analysis = Verifier::new().analyze(image);
     let summary = summarize(analysis.report());
     LintRow {
@@ -207,13 +206,12 @@ fn cell(name: &'static str, image: &BinaryImage, sites: usize) -> LintRow {
     }
 }
 
-/// Runs the sweep.
-pub fn run(runner: &Runner) -> Output {
-    let profiles = table1_profiles();
-    let rows = runner.run(profiles.len(), |i| {
-        let p = &profiles[i];
-        cell(p.name, &p.library(), p.sites.len())
-    });
+/// Runs the sweep, one application at a time in Table 1 order.
+pub fn run() -> Output {
+    let rows = table1_profiles()
+        .iter()
+        .map(|p| lint_row(p.name, &p.library(), p.sites.len()))
+        .collect();
     Output { rows }
 }
 
@@ -223,7 +221,7 @@ mod tests {
 
     #[test]
     fn corpus_is_fully_covered_and_gates_pass() {
-        let out = run(&Runner::new(1));
+        let out = run();
         assert_eq!(out.rows.len(), 12);
         assert_eq!(out.total_unknown(), 0);
         assert!(out.coverage_pct() >= COVERAGE_FLOOR_PCT);
@@ -234,7 +232,7 @@ mod tests {
 
     #[test]
     fn render_mentions_the_upgrade_note() {
-        let out = run(&Runner::new(1));
+        let out = run();
         let text = out.render();
         assert!(text.contains("--- MySQL ---"), "{text}");
         assert!(text.contains("note[XV000]"), "{text}");

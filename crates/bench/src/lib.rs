@@ -29,10 +29,12 @@
 //!
 //! The experiment logic itself lives in [`harness`] (one module per
 //! binary); every binary parses its flags, calls its module's `run`,
-//! prints the text and calls [`record`]. The grid harnesses run through
-//! the deterministic parallel [`runner`]: they accept `--jobs N`
-//! (default: available parallelism, `--jobs 1` = serial path) and
-//! produce byte-identical output at every worker count.
+//! prints the text and calls [`record`]. The five grid harnesses
+//! (`fig3_macro`, `verify_study`, `chaos_study`, `cluster_study` and
+//! `all_experiments`) run through the deterministic parallel
+//! [`runner`]: they accept `--jobs N` (default: available parallelism,
+//! `--jobs 1` = serial path) and produce byte-identical output at every
+//! worker count. The other eleven are serial and read no `--jobs`.
 //! `tests/golden.rs` pins each binary's stdout and `results/*.json`
 //! against one committed table, `golden/outputs.txt` (see DESIGN.md §4d
 //! for how to update a row), and checks that every finding is in band.

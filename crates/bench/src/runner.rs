@@ -20,73 +20,14 @@
 //!    the merge sorts by index before any fold, so reducers
 //!    (`Histogram::merge`, report rendering) see the serial order.
 //!
-//! Every grid goes through one path, [`Runner::try_run`]: each cell runs
-//! once under `catch_unwind`, so a panicking cell becomes a
-//! [`CellFailure`] in the [`RunReport`] while every healthy cell still
-//! runs. Cells are pure, so a retry would only panic the same way again.
+//! Every grid goes through one path, [`Runner::run`]: each cell runs
+//! once under `catch_unwind`, so a panicking cell cannot stop the other
+//! cells, and only once the whole grid has run does `run` panic, naming
+//! every failed cell and its message in index order. Cells are pure, so
+//! a retry would only panic the same way again.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Environment variable consulted for the worker count when no `--jobs`
-/// flag is present. Parsed as strictly as the flag: a malformed or zero
-/// value is an error, not a silent fallback.
-pub const JOBS_ENV: &str = "XC_JOBS";
-
-/// One cell that panicked.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellFailure {
-    /// The cell's grid index.
-    pub index: usize,
-    /// The panic's message.
-    pub message: String,
-}
-
-/// Outcome of [`Runner::try_run`]: per-cell results in index order,
-/// with failed cells as `None` plus a structured failure record.
-#[derive(Debug)]
-pub struct RunReport<T> {
-    /// `results[i]` is `Some` iff cell `i` succeeded; index order.
-    pub results: Vec<Option<T>>,
-    /// Failed cells, in index order.
-    pub failures: Vec<CellFailure>,
-}
-
-impl<T> RunReport<T> {
-    /// Whether no cell failed.
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line-per-cell failure summary (empty string when all passed).
-    pub fn failure_summary(&self) -> String {
-        if self.failures.is_empty() {
-            return String::new();
-        }
-        let mut s = format!(
-            "{} of {} cells failed:",
-            self.failures.len(),
-            self.results.len()
-        );
-        for f in &self.failures {
-            s.push_str(&format!("\n  cell {}: {}", f.index, f.message));
-        }
-        s
-    }
-
-    /// Unwraps into the plain result vector.
-    ///
-    /// # Errors
-    ///
-    /// The failure summary, if any cell failed.
-    pub fn into_results(self) -> Result<Vec<T>, String> {
-        if self.ok() {
-            Ok(self.results.into_iter().flatten().collect())
-        } else {
-            Err(self.failure_summary())
-        }
-    }
-}
 
 /// A deterministic parallel cell executor (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,14 +43,12 @@ impl Runner {
     }
 
     /// A runner configured from the process arguments: `--jobs N`,
-    /// `--jobs=N` or `-j N`; then the [`JOBS_ENV`] environment variable;
-    /// then the host's available parallelism. Malformed or zero values
-    /// from either source are a usage error (exit 2), never silently
+    /// `--jobs=N` or `-j N`, else the host's available parallelism. A
+    /// malformed or zero value is a usage error (exit 2), never silently
     /// clamped — a typo'd worker count should fail loudly, not run a
     /// multi-minute sweep at the wrong width.
     pub fn from_args() -> Self {
-        let env = std::env::var(JOBS_ENV).ok();
-        match jobs_from(std::env::args().skip(1), env.as_deref()) {
+        match jobs_from(std::env::args().skip(1)) {
             Ok(jobs) => Runner::new(jobs),
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -124,31 +63,17 @@ impl Runner {
     }
 
     /// Evaluates `cell(i)` for `i in 0..cells` and returns the results in
-    /// index order — identically at every worker count.
+    /// index order — identically at every worker count. Each cell runs
+    /// once under `catch_unwind`, so one bad cell cannot poison its
+    /// worker's remaining claims.
     ///
     /// # Panics
     ///
     /// A panicking cell does not take the whole grid down mid-flight:
-    /// every other cell still runs to completion ([`Runner::try_run`]),
-    /// and only then does the runner panic with a structured per-cell
-    /// report naming each failed index and its panic message.
+    /// every other cell still runs to completion, and only then does the
+    /// runner panic with one message naming each failed index and its
+    /// panic message, in index order.
     pub fn run<T, F>(&self, cells: usize, cell: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self.try_run(cells, cell).into_results() {
-            Ok(results) => results,
-            Err(summary) => panic!("{summary}"),
-        }
-    }
-
-    /// The one grid-run path: evaluates `cell(i)` for `i in 0..cells`,
-    /// each cell once under `catch_unwind`, so one bad cell cannot
-    /// poison its worker's remaining claims. Results come back in index
-    /// order with failures recorded per cell — identically at every
-    /// worker count.
-    pub fn try_run<T, F>(&self, cells: usize, cell: F) -> RunReport<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -186,23 +111,22 @@ impl Runner {
             indexed.sort_unstable_by_key(|&(i, _)| i);
             indexed
         };
-        let mut report = RunReport {
-            results: (0..cells).map(|_| None).collect(),
-            failures: Vec::new(),
-        };
+        let mut results = Vec::with_capacity(cells);
+        let mut failures = Vec::new();
         for (index, outcome) in outcomes {
             match outcome {
-                Ok(v) => report.results[index] = Some(v),
-                Err(message) => report.failures.push(CellFailure { index, message }),
+                Ok(v) => results.push(v),
+                Err(message) => failures.push(format!("\n  cell {index}: {message}")),
             }
         }
-        report
-    }
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::from_args()
+        if !failures.is_empty() {
+            panic!(
+                "{} of {cells} cells failed:{}",
+                failures.len(),
+                failures.concat()
+            );
+        }
+        results
     }
 }
 
@@ -218,37 +142,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Parses the worker count from an argument stream (`--jobs N`,
-/// `--jobs=N`, `-j N`), falling back to the [`JOBS_ENV`] value when no
-/// flag is present (an empty/whitespace value counts as unset), then to
-/// the host's available parallelism.
+/// `--jobs=N`, `-j N`), falling back to the host's available
+/// parallelism when no flag is present.
 ///
-/// Strict by design: zero and non-numeric values are errors. The flag
-/// wins over the environment, so a malformed `XC_JOBS` is only
-/// diagnosed when it would actually be used.
-fn jobs_from<I: Iterator<Item = String>>(mut args: I, env: Option<&str>) -> Result<usize, String> {
-    fn parse(value: &str, source: &str) -> Result<usize, String> {
+/// Strict by design: zero and non-numeric values are errors.
+fn jobs_from<I: Iterator<Item = String>>(mut args: I) -> Result<usize, String> {
+    fn parse(value: &str) -> Result<usize, String> {
         match value.parse::<usize>() {
-            Ok(0) => Err(format!(
-                "{source} expects a positive integer, got 0 (use 1 for a serial run)"
-            )),
+            Ok(0) => {
+                Err("--jobs expects a positive integer, got 0 (use 1 for a serial run)".to_owned())
+            }
             Ok(n) => Ok(n),
-            Err(_) => Err(format!(
-                "{source} expects a positive integer, got {value:?}"
-            )),
+            Err(_) => Err(format!("--jobs expects a positive integer, got {value:?}")),
         }
     }
     while let Some(arg) = args.next() {
         if arg == "--jobs" || arg == "-j" {
             return match args.next() {
-                Some(v) => parse(&v, "--jobs"),
+                Some(v) => parse(&v),
                 None => Err("--jobs expects a value".to_owned()),
             };
         } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            return parse(v, "--jobs");
+            return parse(v);
         }
-    }
-    if let Some(v) = env.map(str::trim).filter(|v| !v.is_empty()) {
-        return parse(v, JOBS_ENV);
     }
     Ok(std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -278,7 +194,7 @@ mod tests {
 
     #[test]
     fn jobs_flag_parsing() {
-        let parse = |args: &[&str]| jobs_from(args.iter().map(|s| (*s).to_owned()), None);
+        let parse = |args: &[&str]| jobs_from(args.iter().map(|s| (*s).to_owned()));
         assert_eq!(parse(&["--jobs", "4"]), Ok(4));
         assert_eq!(parse(&["--jobs=2"]), Ok(2));
         assert_eq!(parse(&["-j", "8"]), Ok(8));
@@ -288,7 +204,7 @@ mod tests {
 
     #[test]
     fn jobs_parsing_rejects_zero_and_garbage() {
-        let parse = |args: &[&str]| jobs_from(args.iter().map(|s| (*s).to_owned()), None);
+        let parse = |args: &[&str]| jobs_from(args.iter().map(|s| (*s).to_owned()));
         assert!(
             parse(&["--jobs", "0"]).is_err(),
             "zero is rejected, not clamped"
@@ -298,59 +214,6 @@ mod tests {
         assert!(parse(&["--jobs", "-2"]).is_err());
         assert!(parse(&["--jobs=2.5"]).is_err());
         assert!(parse(&["--jobs"]).is_err(), "missing value is rejected");
-    }
-
-    #[test]
-    fn jobs_env_is_fallback_only_and_just_as_strict() {
-        let parse = |args: &[&str], env| jobs_from(args.iter().map(|s| (*s).to_owned()), env);
-        assert_eq!(parse(&[], Some("6")), Ok(6));
-        assert_eq!(parse(&[], Some(" 3 ")), Ok(3), "surrounding whitespace ok");
-        assert!(parse(&[], Some("0")).is_err());
-        assert!(parse(&[], Some("lots")).is_err());
-        // Empty counts as unset, not malformed.
-        assert!(parse(&[], Some("")).is_ok());
-        assert!(parse(&[], Some("  ")).is_ok());
-        // The flag wins; a malformed env var is not even consulted.
-        assert_eq!(parse(&["--jobs", "2"], Some("bogus")), Ok(2));
-        assert_eq!(parse(&["--jobs=5"], Some("1")), Ok(5));
-    }
-
-    #[test]
-    fn panicking_cell_is_isolated_and_reported() {
-        for jobs in [1, 4] {
-            let report = Runner::new(jobs).try_run(10, |i| {
-                assert!(i != 3 && i != 7, "cell {i} exploded");
-                i * 2
-            });
-            assert!(!report.ok());
-            // Every healthy cell still produced its result.
-            for i in [0, 1, 2, 4, 5, 6, 8, 9] {
-                assert_eq!(report.results[i], Some(i * 2), "jobs={jobs}");
-            }
-            assert_eq!(report.results[3], None);
-            assert_eq!(report.results[7], None);
-            let indices: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
-            assert_eq!(
-                indices,
-                vec![3, 7],
-                "failures in index order at jobs={jobs}"
-            );
-            assert!(report.failures[0].message.contains("cell 3 exploded"));
-            let summary = report.failure_summary();
-            assert!(summary.contains("2 of 10 cells failed"), "{summary}");
-            assert!(summary.contains("cell 7"), "{summary}");
-        }
-    }
-
-    #[test]
-    fn try_run_with_no_failures_matches_run() {
-        let report = Runner::new(4).try_run(20, |i| i + 1);
-        assert!(report.ok());
-        assert!(report.failure_summary().is_empty());
-        assert_eq!(
-            report.into_results().expect("all cells passed"),
-            Runner::new(4).run(20, |i| i + 1)
-        );
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! The runner's core contract: every harness produces byte-identical
-//! output at every `--jobs` value. These tests exercise the cheap
-//! harnesses end-to-end (text *and* serialized findings) and a reduced
-//! verify-study slice, at 1, 2 and 4 workers on whatever host runs the
-//! suite — worker count, not host core count, is what the contract
-//! quantifies over. `tests/golden.rs` pins the binaries' bytes.
+//! The runner's core contract: every grid harness produces
+//! byte-identical output at every `--jobs` value. These tests exercise
+//! the grid harnesses end-to-end (text *and* serialized findings; the
+//! cluster and chaos studies at their quick size, verify-study on a
+//! reduced slice) at 1, 2 and 4 workers on whatever host runs the suite
+//! — worker count, not host core count, is what the contract quantifies
+//! over. `tests/golden.rs` pins the binaries' bytes.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use xc_bench::findings_json;
-use xc_bench::harness::{chaos, cluster, fig3, fig4, fig5, fig8, verify_lint, verify_study};
+use xc_bench::harness::{chaos, cluster, fig3, verify_study};
 use xc_bench::runner::Runner;
 use xcontainers::prelude::{ClosedLoopCache, FaultPlan, FaultRates, Rng};
 
@@ -60,30 +64,6 @@ fn cluster_quick_is_jobs_invariant() {
     });
 }
 
-#[test]
-fn fig4_is_jobs_invariant() {
-    assert_jobs_invariant(|r| {
-        let out = fig4::run(r);
-        (out.text, findings_json(&out.findings))
-    });
-}
-
-#[test]
-fn fig5_is_jobs_invariant() {
-    assert_jobs_invariant(|r| {
-        let out = fig5::run(r);
-        (out.text, findings_json(&out.findings))
-    });
-}
-
-#[test]
-fn fig8_is_jobs_invariant() {
-    assert_jobs_invariant(|r| {
-        let out = fig8::run(r);
-        (out.text, findings_json(&out.findings))
-    });
-}
-
 /// A reduced verify-study pass (300 syscalls/app instead of 3000) must
 /// render the same tables and findings at every worker count,
 /// including the RNG-dependent ablation columns fed by per-cell
@@ -92,17 +72,6 @@ fn fig8_is_jobs_invariant() {
 fn verify_study_slice_is_jobs_invariant() {
     assert_jobs_invariant(|r| {
         let out = verify_study::run_with(r, 300, verify_study::SEED);
-        (out.render(), findings_json(&out.findings()))
-    });
-}
-
-/// The lint sweep has no wall-time columns at all, so its full output —
-/// table, per-rule counts, rendered findings — must be byte-identical at
-/// every worker count.
-#[test]
-fn verify_lint_is_jobs_invariant() {
-    assert_jobs_invariant(|r| {
-        let out = verify_lint::run(r);
         (out.render(), findings_json(&out.findings()))
     });
 }
@@ -122,7 +91,7 @@ fn verify_study_slice_reports_cache_hits() {
 #[test]
 fn chaos_quick_sweep_is_jobs_invariant() {
     assert_jobs_invariant(|r| {
-        let out = chaos::run_with(r, true, None);
+        let out = chaos::run_with(r, true);
         (out.text, findings_json(&out.findings))
     });
 }
@@ -163,25 +132,31 @@ fn fault_plan_schedule_is_jobs_and_merge_order_invariant() {
     }
 }
 
-/// A cell that panics must not take down the rest of the grid: the
-/// runner isolates it and reports a structured failure while every
-/// other cell's result survives — at any worker count.
+/// A cell that panics must not take down the rest of the grid: every
+/// cell still runs exactly once, and only then does the runner panic,
+/// naming each failed cell and its message in index order — at any
+/// worker count.
 #[test]
 fn panicking_cell_is_isolated_from_the_grid() {
     for jobs in [1, 4] {
-        let report = Runner::new(jobs).try_run(6, |i| {
-            assert!(i != 3, "cell 3 always panics");
-            i * 10
-        });
-        assert!(!report.ok());
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].index, 3);
-        assert!(report.failures[0].message.contains("cell 3 always panics"));
-        let got: Vec<Option<usize>> = report.results;
+        let runs: Vec<AtomicUsize> = (0..10).map(|_| AtomicUsize::new(0)).collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            Runner::new(jobs).run(runs.len(), |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                assert!(i != 3 && i != 7, "cell {i} always panics");
+                i * 10
+            })
+        }))
+        .expect_err("a panicking cell must fail the grid");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the runner panics with a formatted message");
         assert_eq!(
-            got,
-            vec![Some(0), Some(10), Some(20), None, Some(40), Some(50)],
-            "surviving cells diverged at --jobs {jobs}"
+            message,
+            "2 of 10 cells failed:\n  cell 3: cell 3 always panics\n  cell 7: cell 7 always panics",
+            "at --jobs {jobs}"
         );
+        let counts: Vec<usize> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+        assert_eq!(counts, vec![1; 10], "each cell runs once at --jobs {jobs}");
     }
 }

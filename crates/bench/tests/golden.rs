@@ -10,7 +10,8 @@
 //! finding outside its band (`tests/paper_claims.rs` groups the same
 //! findings into one test per claim). Grid
 //! harnesses run at `--jobs 1` and `-j 3` against one row, which pins
-//! worker-count invariance and both spellings of the flag. A flag that
+//! worker-count invariance and both spellings of the flag; the serial
+//! harnesses take no `--jobs` and run once. A flag that
 //! only adds diagnostics on stderr (`verify_study --profile`) runs
 //! against the row of the plain case, which pins that it leaves stdout
 //! and the results file alone. On a
@@ -22,7 +23,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use xc_bench::runner::{Runner, JOBS_ENV};
+use xc_bench::runner::Runner;
 use xc_bench::RESULTS_DIR;
 use xc_sim::fnv::{fnv1a, FNV_OFFSET};
 use xc_sim::report::Json;
@@ -54,12 +55,12 @@ macro_rules! case {
 
 const CASES: &[Case] = &[
     case!("fig3_macro"; true),
-    case!("fig4_syscall"; true),
-    case!("fig5_micro"; true),
-    case!("fig8_scalability"; true),
-    case!("ablations"; true),
+    case!("fig4_syscall"; false),
+    case!("fig5_micro"; false),
+    case!("fig8_scalability"; false),
+    case!("ablations"; false),
     case!("verify_study"; true; "--profile"),
-    case!("verify_lint"; true),
+    case!("verify_lint"; false),
     case!("all_experiments"; true),
     case!("cluster_study"; true),
     case!("cluster_study", "--quick"; true),
@@ -129,7 +130,6 @@ fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String
     let out = Command::new(CASES[run.case].exe)
         .args(&run.args)
         .current_dir(dir)
-        .env_remove(JOBS_ENV)
         .output()
         .expect("spawn harness binary");
     if !out.status.success() {

@@ -34,18 +34,11 @@ fn on_both_clouds(patterns: &[&str]) -> Vec<String> {
         .collect()
 }
 
-fn serial() -> Runner {
-    Runner::new(1)
-}
-
 /// Abstract: "X-Containers have up to 27× higher raw system call
 /// throughput compared to Docker containers running in the cloud."
 #[test]
 fn claim_syscall_throughput_27x() {
-    assert_claims(
-        &fig4::run(&serial()),
-        on_both_clouds(&["x_vs_docker_{cloud}"]),
-    );
+    assert_claims(&fig4::run(), on_both_clouds(&["x_vs_docker_{cloud}"]));
 }
 
 /// Table 1: every application row within 2 percentage points, measured
@@ -74,7 +67,7 @@ fn claim_mysql_offline_recovery() {
 #[test]
 fn claim_macrobenchmark_ordering() {
     assert_claims(
-        &fig3::run(&serial()),
+        &fig3::run(&Runner::new(1)),
         on_both_clouds(&[
             "x_memcached_{cloud}_throughput",
             "x_nginx-static_{cloud}_throughput",
@@ -90,7 +83,7 @@ fn claim_macrobenchmark_ordering() {
 #[test]
 fn claim_fig3b_latency_ordering() {
     assert_claims(
-        &fig3::run(&serial()),
+        &fig3::run(&Runner::new(1)),
         on_both_clouds(&[
             "x_memcached_{cloud}_latency",
             "gvisor_memcached_{cloud}_latency",
@@ -103,7 +96,7 @@ fn claim_fig3b_latency_ordering() {
 #[test]
 fn claim_concurrent_panel_gvisor_flat() {
     assert_claims(
-        &fig4::run(&serial()),
+        &fig4::run(),
         on_both_clouds(&[
             "x_concurrent_scaling_{cloud}",
             "gvisor_concurrent_scaling_{cloud}",
@@ -116,7 +109,7 @@ fn claim_concurrent_panel_gvisor_flat() {
 #[test]
 fn claim_microbenchmark_win_loss_pattern() {
     assert_claims(
-        &fig5::run(&serial()),
+        &fig5::run(),
         on_both_clouds(&[
             "x_execl_{cloud}",
             "x_filecopy_{cloud}",
@@ -131,11 +124,8 @@ fn claim_microbenchmark_win_loss_pattern() {
 /// X-Containers and Clear Containers."
 #[test]
 fn claim_meltdown_immunity() {
-    assert_claims(
-        &fig5::run(&serial()),
-        on_both_clouds(&["x_patch_effect_{cloud}"]),
-    );
-    assert_claims(&fig4::run(&serial()), ["clear_patch_effect_google"]);
+    assert_claims(&fig5::run(), on_both_clouds(&["x_patch_effect_{cloud}"]));
+    assert_claims(&fig4::run(), ["clear_patch_effect_google"]);
 }
 
 /// §5.5 / Figure 6: the LibOS comparison — comparable to Unikernel and
@@ -161,7 +151,7 @@ fn claim_libos_comparison() {
 #[test]
 fn claim_scalability_crossover() {
     assert_claims(
-        &fig8::run(&serial()),
+        &fig8::run(),
         [
             "docker_leads_at_50",
             "x_gain_over_docker_at_400",

@@ -103,8 +103,8 @@ impl FaultRates {
     }
 
     /// One knob for the whole ladder: each kind fires with probability
-    /// `rate × weight` (weights above, clamped to `[0, 0.95]`). This is
-    /// the `--fault-rate` axis the `chaos_study` harness sweeps.
+    /// `rate × weight` (weights above, clamped to `[0, 0.95]`). The
+    /// `chaos_study` harness sweeps `rate` along its fault-rate axis.
     pub fn scaled(rate: f64) -> Self {
         let mut rates = [0.0; FAULT_KINDS];
         for (slot, w) in rates.iter_mut().zip(SCALE_WEIGHTS) {

@@ -1,6 +1,6 @@
 //! Network stack path model.
 //!
-//! Every networked experiment in the paper funnels through one of three
+//! Every networked experiment in the paper funnels through one of two
 //! data paths:
 //!
 //! * **native bridge** — Docker's veth + bridge + iptables port
@@ -8,13 +8,13 @@
 //!   clients via port forwarding in iptables"),
 //! * **split driver** — netfront in the guest, netback in the driver
 //!   domain, grant copies in between (Xen-Containers and X-Containers),
-//!   optionally nested through Xen-Blanket in public clouds,
-//! * **kernel forward** — IPVS-style in-kernel forwarding without a
-//!   user-space socket round trip (Figure 9's NAT and direct-routing
-//!   modes).
+//!   optionally nested through Xen-Blanket in public clouds.
 //!
 //! The model composes the per-message kernel cost of a send or receive
 //! from segments, kernel entries, copies, and path-specific extras.
+//! IPVS-style in-kernel forwarding without a user-space socket round
+//! trip (Figure 9's NAT and direct-routing modes) is
+//! [`NetStack::forward_cost`] on the forwarding node's stack.
 
 use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
@@ -41,12 +41,6 @@ pub enum NetPath {
         blanket: XenBlanket,
         /// NAT rule sets traversed per packet.
         iptables_rules: u32,
-    },
-    /// In-kernel forwarding (IPVS): packets never reach user space.
-    KernelForward {
-        /// Whether responses also traverse this hop (NAT mode) or bypass
-        /// it (direct routing).
-        responses_return: bool,
     },
 }
 
@@ -78,11 +72,6 @@ impl NetStack {
         self
     }
 
-    /// The configured path.
-    pub fn path(&self) -> NetPath {
-        self.path
-    }
-
     /// Number of MSS segments for a payload.
     pub fn segments(bytes: u64) -> u64 {
         bytes.div_ceil(MSS).max(1)
@@ -104,7 +93,6 @@ impl NetStack {
                     + costs.iptables_nat * u64::from(iptables_rules)
                     + blanket.io_batch_overhead(costs, 2) / 8
             }
-            NetPath::KernelForward { .. } => costs.iptables_nat,
         }
     }
 
@@ -236,15 +224,8 @@ mod tests {
     fn kernel_forward_cheaper_than_proxy_round_trip() {
         // Figure 9: IPVS beats HAProxy because forwarding skips user space.
         let (_, xc, costs) = stacks();
-        let fwd = NetStack::new(
-            Backend::XKernel,
-            KernelConfig::xlibos_default(),
-            NetPath::KernelForward {
-                responses_return: true,
-            },
-        );
         let proxy_cost = xc.recv_cost(&costs, 4096) + xc.send_cost(&costs, 4096);
-        let forward_cost = fwd.forward_cost(&costs, 4096);
+        let forward_cost = xc.forward_cost(&costs, 4096);
         assert!(forward_cost < proxy_cost / 2);
     }
 

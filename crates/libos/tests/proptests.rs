@@ -6,6 +6,7 @@ use xc_libos::backend::Backend;
 use xc_libos::config::KernelConfig;
 use xc_libos::net::{NetPath, NetStack};
 use xc_sim::cost::CostModel;
+use xc_xen::blanket::XenBlanket;
 
 proptest! {
     /// Network costs are monotone in payload size for every path.
@@ -14,7 +15,7 @@ proptest! {
         let costs = CostModel::skylake_cloud();
         for path in [
             NetPath::NativeBridge { iptables_rules: 1 },
-            NetPath::KernelForward { responses_return: true },
+            NetPath::SplitDriver { blanket: XenBlanket::cloud(), iptables_rules: 1 },
         ] {
             let stack = NetStack::new(Backend::Native, KernelConfig::docker_default(), path);
             prop_assert!(stack.send_cost(&costs, small + delta) >= stack.send_cost(&costs, small));

@@ -111,12 +111,6 @@ impl<E> HeapQueue<E> {
     pub fn pop(&mut self) -> Option<(u128, E)> {
         self.heap.pop().map(|e| (e.key, e.event))
     }
-
-    /// The smallest pending key, if any.
-    #[inline]
-    pub fn peek_key(&self) -> Option<u128> {
-        self.heap.peek().map(|e| e.key)
-    }
 }
 
 impl<E> Default for HeapQueue<E> {
@@ -197,12 +191,6 @@ impl<E> SortedQueue<E> {
         self.slots.pop().map(|s| (s.key(), s.event))
     }
 
-    /// The smallest pending key, if any.
-    #[inline]
-    pub fn peek_key(&self) -> Option<u128> {
-        self.slots.last().map(Slot::key)
-    }
-
     /// Removes and returns the smallest-keyed event iff its key is at
     /// most `limit`.
     #[inline]
@@ -241,7 +229,6 @@ mod tests {
     fn drain_both(mut sorted: SortedQueue<u32>, mut heap: HeapQueue<u32>) {
         assert_eq!(sorted.len(), heap.len());
         loop {
-            assert_eq!(sorted.peek_key(), heap.peek_key());
             let (a, b) = (sorted.pop(), heap.pop());
             assert_eq!(a, b);
             if a.is_none() {

@@ -11,7 +11,6 @@
 //! simulation can observe.
 
 use xc_sim::cost::CostModel;
-use xc_sim::fnv::{fnv1a_u64, FNV_OFFSET};
 use xc_sim::time::Nanos;
 
 use crate::http::ServerModel;
@@ -46,20 +45,6 @@ impl PlatformCosts {
             rtt: server.platform.net_stack(costs).wire_latency(costs),
             parallelism: server.parallelism(),
         }
-    }
-
-    /// FNV-1a digest of the derived values — a compact identity for
-    /// reports and bench metadata. Cache lookups compare the full
-    /// values, not this digest, so a collision can never alias two
-    /// simulations.
-    pub fn fingerprint(&self) -> u64 {
-        [
-            self.service.as_nanos(),
-            self.rtt.as_nanos(),
-            u64::from(self.parallelism),
-        ]
-        .into_iter()
-        .fold(FNV_OFFSET, fnv1a_u64)
     }
 
     /// Open-loop capacity ceiling in requests/second.
@@ -133,14 +118,12 @@ mod tests {
             &costs,
         );
         assert_ne!(docker, xc);
-        assert_ne!(docker.fingerprint(), xc.fingerprint());
-        // X-Containers ignore host patch state: identical tables,
-        // identical fingerprints — the collapse the cache exploits.
+        // X-Containers ignore host patch state: identical tables — the
+        // collapse the cache exploits.
         let xc_unpatched = PlatformCosts::derive(
             &mk(Platform::x_container(CloudEnv::AmazonEc2, false)),
             &costs,
         );
         assert_eq!(xc, xc_unpatched);
-        assert_eq!(xc.fingerprint(), xc_unpatched.fingerprint());
     }
 }

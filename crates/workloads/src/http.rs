@@ -120,13 +120,6 @@ pub struct ClosedLoopResult {
     pub latency: Histogram,
 }
 
-impl ClosedLoopResult {
-    /// Mean latency in microseconds.
-    pub fn mean_latency_us(&self) -> f64 {
-        self.latency.mean() / 1_000.0
-    }
-}
-
 /// One worker's closed-loop world: a fixed set of connections, each with
 /// one outstanding request, against a single server draining a FIFO.
 struct WorkerLoop {
@@ -447,7 +440,7 @@ mod tests {
         let s = server(Platform::docker(CloudEnv::AmazonEc2, true), 1);
         let low = run_closed_loop(&s, &costs, 1, Nanos::from_millis(200), 1);
         let high = run_closed_loop(&s, &costs, 64, Nanos::from_millis(200), 1);
-        assert!(high.mean_latency_us() > low.mean_latency_us() * 4.0);
+        assert!(high.latency.mean() > low.latency.mean() * 4.0);
     }
 
     #[test]

@@ -45,14 +45,6 @@ pub enum ConcurrencyModel {
     ProcessPerTask,
 }
 
-impl ConcurrencyModel {
-    /// Whether the model dedicates a process to each client — the §2.2
-    /// survey found none of the popular images do.
-    pub fn process_per_client(self) -> bool {
-        false // by construction of the observed models
-    }
-}
-
 impl fmt::Display for ConcurrencyModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -554,13 +546,6 @@ mod tests {
         // either a single-threaded event-driven model or multi-threading
         // instead of multiple processes" — worker pools serve many
         // clients per process; nothing isolates clients by process.
-        for p in table1_profiles() {
-            assert!(
-                !p.concurrency.process_per_client(),
-                "{} must not use process-per-client",
-                p.name
-            );
-        }
         let pools = table1_profiles()
             .iter()
             .filter(|p| p.concurrency == ConcurrencyModel::WorkerProcessPool)

@@ -6,10 +6,11 @@
 # release binaries use), the golden table, the
 # benchmark's own tests and the examples. Fails on an unused dependency,
 # any diff, warning, test failure or failing example. The golden
-# test (crates/bench/tests/golden.rs) runs every harness binary at
-# --jobs 1 and -j 3 and checks its exit status, that it left only its
-# results file, its findings and the FNV-1a of its stdout and
-# results/*.json against crates/bench/golden/outputs.txt. Each example
+# test (crates/bench/tests/golden.rs) runs every harness binary, the
+# grid ones at --jobs 1 and -j 3 and the rest once, and checks its exit
+# status, that it left only its results file, its findings and the
+# FNV-1a of its stdout and results/*.json against
+# crates/bench/golden/outputs.txt. Each example
 # in examples/ runs from an empty directory, must exit 0 and must leave
 # that directory empty. Speed is measured by the benchmark in benchmark/
 # (see benchmark/README.md); this script only runs its tests. Takes no
@@ -61,7 +62,7 @@ cargo test -q -p xc-bench --test determinism
 echo "== release-mode tests: xc-isa, xc-verify, xc-abom, xc-faults, xc-xen, xc-libos and xc-runtimes (integer overflow wraps, debug_assert! is off) =="
 cargo test --release -q -p xc-isa -p xc-verify -p xc-abom -p xc-faults -p xc-xen -p xc-libos -p xc-runtimes
 
-echo "== golden table: every harness binary, --jobs 1 and 3 =="
+echo "== golden table: every harness binary, the grid ones at --jobs 1 and -j 3, the rest once =="
 cargo test -q -p xc-bench --test golden
 
 echo "== benchmark tests (the separate workspace in benchmark/) =="
@@ -96,4 +97,4 @@ for src in examples/*.rs; do
     fi
 done
 
-echo "ok: no unused dependency, formatting clean, no lints, docs link, deterministic at any --jobs, ISA, verifier, ABOM, fault injection, hypervisor, guest kernel and platforms pass in release, every harness at its golden row, benchmark tests pass, every example runs"
+echo "ok: no unused dependency, formatting clean, no lints, docs link, grid harnesses deterministic at any --jobs, ISA, verifier, ABOM, fault injection, hypervisor, guest kernel and platforms pass in release, every harness at its golden row (grid binaries at --jobs 1 and -j 3, the rest once), benchmark tests pass, every example runs"
