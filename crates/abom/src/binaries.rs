@@ -175,7 +175,7 @@ fn emit_wrapper(a: &mut Assembler, style: WrapperStyle, nr: u64) {
 }
 
 /// Builds a library containing the given wrappers, each exported as
-/// `wrapper_<index>` and 16-byte aligned, with text pages read-only.
+/// `wrapper_<index>` and 16-byte aligned.
 ///
 /// # Panics
 ///
@@ -188,18 +188,14 @@ pub fn library_image(specs: &[WrapperSpec]) -> BinaryImage {
             .expect("duplicate wrapper index");
         emit_wrapper(&mut a, spec.style, spec.nr);
     }
-    let mut image = a.finish().expect("library assembly cannot fail");
-    image.protect_all(false);
-    image
+    a.finish().expect("library assembly cannot fail")
 }
 
 fn single(style: WrapperStyle, nr: u64) -> BinaryImage {
     let mut a = Assembler::new(LIB_BASE);
     a.label("wrapper").expect("first label");
     emit_wrapper(&mut a, style, nr);
-    let mut image = a.finish().expect("wrapper assembly cannot fail");
-    image.protect_all(false);
-    image
+    a.finish().expect("wrapper assembly cannot fail")
 }
 
 /// A single glibc-style case-1 wrapper for syscall `nr`, exported as
@@ -310,7 +306,6 @@ mod tests {
                 .expect("symbol exported");
             assert_eq!(addr % 16, 0, "wrapper_{} unaligned", spec.index);
         }
-        assert!(!image.is_writable(LIB_BASE), "text must be read-only");
     }
 
     #[test]

@@ -287,7 +287,6 @@ impl OfflinePatcher {
         }
 
         report.abom = *abom.stats();
-        out.protect_all(false);
         Ok((out, report))
     }
 

@@ -6,8 +6,9 @@
 //! describes:
 //!
 //! * interrupts are disabled and the CR0 write-protect bit cleared for the
-//!   duration of the patch (modelled by the `wp_override` flag on
-//!   [`BinaryImage::cmpxchg`]),
+//!   duration of the patch, so every exchange writes through the read-only
+//!   text mapping; [`BinaryImage`] keeps no page protection for it to
+//!   clear, and [`BinaryImage::cmpxchg`] is the exchange itself,
 //! * 7-byte patterns are replaced in one exchange,
 //! * the 9-byte pattern is replaced in two phases, each of which leaves the
 //!   binary execution-equivalent: phase 1 turns the 7-byte `mov` into the
@@ -273,7 +274,7 @@ impl Abom {
         }
     }
 
-    /// One atomic exchange with the CR0.WP override. `Ok(true)` means this
+    /// One atomic exchange (CR0.WP cleared). `Ok(true)` means this
     /// call performed the patch; `Ok(false)` means the expected bytes were
     /// already gone (concurrent patch — treated as success per §4.4).
     fn exchange(
@@ -283,7 +284,7 @@ impl Abom {
         expected: &[u8],
         new: &[u8],
     ) -> Result<bool, ImageError> {
-        match image.cmpxchg(addr, expected, new, true) {
+        match image.cmpxchg(addr, expected, new) {
             Ok(()) => Ok(true),
             Err(ImageError::ExchangeMismatch { .. }) => {
                 // Already patched by a concurrent vCPU: verify the new bytes
@@ -325,9 +326,7 @@ mod tests {
         let syscall_at = a.here();
         a.inst(Inst::Syscall);
         a.inst(Inst::Ret);
-        let mut img = a.finish().unwrap();
-        img.protect_all(false); // text is read-only, as loaded
-        (img, syscall_at)
+        (a.finish().unwrap(), syscall_at)
     }
 
     #[test]
@@ -344,8 +343,6 @@ mod tests {
             [0xff, 0x14, 0x25, 0x08, 0x00, 0x60, 0xff]
         );
         assert_eq!(abom.stats().patched_case1, 1);
-        // Patch wrote through the read-only protection and dirtied the page.
-        assert!(img.is_dirty(0x40_0000));
     }
 
     #[test]
@@ -521,7 +518,7 @@ mod tests {
         }
         .encode();
         original.extend_from_slice(&Inst::Syscall.encode());
-        img.cmpxchg(at - 5, &original, &call, true).unwrap();
+        img.cmpxchg(at - 5, &original, &call).unwrap();
         // Our exchange sees the mismatch but verifies the new bytes.
         let abom2 = Abom::new();
         let result = abom2.apply(

@@ -80,7 +80,6 @@ fn offline_refuses_interior_jump_target_region() {
     // entrance's own syscall number.
     let mut kernel = XContainerKernel::new();
     let side = patched.symbol("side_entrance").unwrap();
-    patched.protect_all(false);
     invoke(&mut patched, &mut kernel, side, None).unwrap();
     assert_eq!(kernel.syscall_numbers(), vec![2]);
 
@@ -199,7 +198,6 @@ fn preflight_verify_rejects_rcx_consumer() {
     });
     a.inst(Inst::Ret);
     let mut image = a.finish().unwrap();
-    image.protect_all(false);
     let syscall_addr = image.symbol("wrapper").unwrap() + 5;
 
     let mut abom = Abom::with_config(AbomConfig {
@@ -235,9 +233,7 @@ fn poisonless_copy() -> BinaryImage {
         src: Reg::Rcx,
     });
     a.inst(Inst::Ret);
-    let mut image = a.finish().unwrap();
-    image.protect_all(false);
-    image
+    a.finish().unwrap()
 }
 
 /// Deterministic regression: the mid-patch interleaving the paper worries
@@ -308,7 +304,6 @@ fn jump_into_patched_call_interior_recovers() {
     });
     a.jmp_to("sysc");
     let mut image = a.finish().unwrap();
-    image.protect_all(false);
 
     let wrapper = image.symbol("wrapper").unwrap();
     let jumper = image.symbol("jumper").unwrap();

@@ -51,9 +51,9 @@ proptest! {
         let mut image = base_image();
         let addr = image.base() + offset as u64;
         if image.contains(addr) {
-            // Corrupt through the patcher's own WP-override primitive.
+            // Corrupt through the patcher's own primitive.
             let original = image.read_bytes(addr, 1).unwrap()[0];
-            let _ = image.cmpxchg(addr, &[original], &[value], true);
+            let _ = image.cmpxchg(addr, &[original], &[value]);
         }
         let entry = image
             .symbol(&format!("wrapper_{entry_idx}"))

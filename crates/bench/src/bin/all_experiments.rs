@@ -6,17 +6,17 @@
 //! concatenation of those seven results files, in that order.
 //!
 //! The logic lives in [`xc_bench::harness::all_experiments`]; the
-//! Figure 3 grid runs through the deterministic parallel [`Runner`]
-//! (`--jobs N`, default: available parallelism), so stdout is
-//! byte-identical across `--jobs` values, and the other six harnesses
-//! run serially.
+//! Figure 3 grid runs through the deterministic parallel
+//! [`Runner`](xc_bench::runner::Runner) (`--jobs N`, default: available
+//! parallelism), so stdout is byte-identical across `--jobs` values, and
+//! the other six harnesses run serially. Any other argument exits 2.
 
 use xc_bench::harness::all_experiments;
 use xc_bench::record;
-use xc_bench::runner::Runner;
+use xc_bench::runner::{Args, Flag};
 
 fn main() {
-    let out = all_experiments::run(&Runner::from_args());
+    let out = all_experiments::run(&Args::parse(&[Flag::Jobs]).runner());
     print!("{}", out.text);
     record("all_experiments", &out.findings);
 

@@ -5,15 +5,15 @@
 //! degradation, retry/abandon counts, and watchdog recovery latency.
 //! The logic lives in [`xc_bench::harness::chaos`]; this wrapper parses
 //! `--jobs` and `--quick` (smaller grid, shorter simulated duration),
-//! prints the result and records findings.
+//! prints the result and records findings. Any other argument exits 2.
 
 use xc_bench::harness::chaos;
 use xc_bench::record;
-use xc_bench::runner::Runner;
+use xc_bench::runner::{Args, Flag};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let out = chaos::run_with(&Runner::from_args(), quick);
+    let args = Args::parse(&[Flag::Jobs, Flag::Quick]);
+    let out = chaos::run_with(&args.runner(), args.quick);
     print!("{}", out.text);
     record("chaos", &out.findings);
 }

@@ -5,15 +5,15 @@
 //!
 //! Flags: `--quick` runs the 8-host CI smoke configuration instead of
 //! the full 120-host study; `--jobs N` controls the worker pool (the
-//! output is byte-identical at every value).
+//! output is byte-identical at every value). Any other argument exits 2.
 
 use xc_bench::harness::cluster;
 use xc_bench::record;
-use xc_bench::runner::Runner;
+use xc_bench::runner::{Args, Flag};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let out = cluster::run(&Runner::from_args(), quick);
+    let args = Args::parse(&[Flag::Jobs, Flag::Quick]);
+    let out = cluster::run(&args.runner(), args.quick);
     print!("{}", out.text);
     record("cluster", &out.findings);
 }

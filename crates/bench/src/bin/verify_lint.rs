@@ -14,13 +14,10 @@ use xc_bench::harness::verify_lint::{
     self, within_unknown_ceiling, COVERAGE_FLOOR_PCT, UNKNOWN_CEILING,
 };
 use xc_bench::record;
+use xc_bench::runner::Args;
 
 fn main() {
-    if let Some(arg) = std::env::args().nth(1) {
-        eprintln!("verify_lint: unknown argument {arg:?}");
-        std::process::exit(2);
-    }
-
+    Args::parse(&[]);
     let out = verify_lint::run();
 
     print!("{}", out.render());

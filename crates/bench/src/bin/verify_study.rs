@@ -8,22 +8,23 @@
 //! `--profile` also writes a per-library profile of the verifier
 //! pipeline to stderr: the median wall time of each stage (disassembly,
 //! CFG, dataflow, call graph, summaries, abstract interpretation,
-//! judging), with the sweep, block and worklist-pop counts.
+//! judging), with the sweep, block and worklist-pop counts. Any other
+//! argument exits 2.
 
 use xc_bench::harness::verify_study;
 use xc_bench::record;
-use xc_bench::runner::Runner;
+use xc_bench::runner::{Args, Flag};
 
 fn main() {
-    let profile = std::env::args().any(|a| a == "--profile");
-    let runner = Runner::from_args();
+    let args = Args::parse(&[Flag::Jobs, Flag::Profile]);
+    let runner = args.runner();
     let out = verify_study::run(&runner);
     print!("{}", out.render());
     for r in &out.rows {
         eprintln!("verify_study: {} analysis {:.1} µs", r.name, r.micros);
     }
     record("verify_study", &out.findings());
-    if profile {
+    if args.profile {
         let rows = verify_study::stage_profiles(&runner);
         eprint!("\n{}", verify_study::render_stage_profiles(&rows));
     }

@@ -31,11 +31,7 @@ pub fn run() -> HarnessOutput {
     let mut findings = Vec::new();
 
     for (profile, m) in run_table1(SYSCALLS_PER_APP, SEED) {
-        let offline_cell = if profile.paper_manual.is_some() {
-            Cell::Num(m.offline_reduction, 2)
-        } else {
-            Cell::Blank
-        };
+        let offline_cell = m.offline_reduction.map_or(Cell::Blank, |r| Cell::Num(r, 2));
         table.row([
             Cell::from(profile.name),
             Cell::from(profile.language),
@@ -51,13 +47,13 @@ pub fn run() -> HarnessOutput {
             measured: m.online_reduction,
             in_band: (m.online_reduction - profile.paper_reduction).abs() < 2.0,
         });
-        if let Some(manual) = profile.paper_manual {
+        if let Some((manual, offline)) = profile.paper_manual.zip(m.offline_reduction) {
             findings.push(Finding {
                 experiment: "table1",
                 metric: format!("{}_manual_reduction", profile.name),
                 paper: format!("{manual:.2}%"),
-                measured: m.offline_reduction,
-                in_band: (m.offline_reduction - manual).abs() < 2.0,
+                measured: offline,
+                in_band: (offline - manual).abs() < 2.0,
             });
         }
     }

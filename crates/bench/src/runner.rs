@@ -25,6 +25,9 @@
 //! cells, and only once the whole grid has run does `run` panic, naming
 //! every failed cell and its message in index order. Cells are pure, so
 //! a retry would only panic the same way again.
+//!
+//! [`Args`] is every harness binary's command line: each binary names
+//! the [`Flag`]s it takes, and anything else exits 2 before it runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,21 +43,6 @@ impl Runner {
     /// `1` is the legacy serial path — no threads are spawned).
     pub fn new(jobs: usize) -> Self {
         Runner { jobs: jobs.max(1) }
-    }
-
-    /// A runner configured from the process arguments: `--jobs N`,
-    /// `--jobs=N` or `-j N`, else the host's available parallelism. A
-    /// malformed or zero value is a usage error (exit 2), never silently
-    /// clamped — a typo'd worker count should fail loudly, not run a
-    /// multi-minute sweep at the wrong width.
-    pub fn from_args() -> Self {
-        match jobs_from(std::env::args().skip(1)) {
-            Ok(jobs) => Runner::new(jobs),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// Worker count this runner shards across.
@@ -141,34 +129,95 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Parses the worker count from an argument stream (`--jobs N`,
-/// `--jobs=N`, `-j N`), falling back to the host's available
-/// parallelism when no flag is present.
-///
-/// Strict by design: zero and non-numeric values are errors.
-fn jobs_from<I: Iterator<Item = String>>(mut args: I) -> Result<usize, String> {
-    fn parse(value: &str) -> Result<usize, String> {
-        match value.parse::<usize>() {
-            Ok(0) => {
-                Err("--jobs expects a positive integer, got 0 (use 1 for a serial run)".to_owned())
+/// A flag a harness binary can take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--jobs N`, `--jobs=N` or `-j N`: the runner's worker count.
+    Jobs,
+    /// `--quick`: the smaller grid.
+    Quick,
+    /// `--profile`: extra timings on stderr.
+    Profile,
+}
+
+impl Flag {
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Jobs => " [--jobs N]",
+            Flag::Quick => " [--quick]",
+            Flag::Profile => " [--profile]",
+        }
+    }
+}
+
+/// A harness binary's command line, parsed against the flags it takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Args {
+    /// The `--jobs` value, if one was given.
+    jobs: Option<usize>,
+    /// Whether `--quick` was given.
+    pub quick: bool,
+    /// Whether `--profile` was given.
+    pub profile: bool,
+}
+
+impl Args {
+    /// Parses the process arguments against `takes`, the flags this
+    /// binary accepts. Any other argument, and a zero, malformed or
+    /// missing `--jobs` value, is a usage error: the message and a usage
+    /// line go to stderr and the process exits 2 before anything runs —
+    /// a typo should fail loudly, not run a different experiment.
+    pub fn parse(takes: &[Flag]) -> Args {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        Args::parse_from(takes, argv).unwrap_or_else(|msg| {
+            let name = std::path::Path::new(&bin)
+                .file_name()
+                .unwrap_or(bin.as_ref());
+            let flags: String = takes.iter().map(|f| f.usage()).collect();
+            eprintln!("error: {msg}\nusage: {}{flags}", name.to_string_lossy());
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Args::parse`] over an argument stream (without the program
+    /// name), returning the usage error instead of exiting.
+    fn parse_from(takes: &[Flag], mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+        fn jobs(value: &str) -> Result<usize, String> {
+            match value.parse::<usize>() {
+                Ok(0) => Err(
+                    "--jobs expects a positive integer, got 0 (use 1 for a serial run)".to_owned(),
+                ),
+                Ok(n) => Ok(n),
+                Err(_) => Err(format!("--jobs expects a positive integer, got {value:?}")),
             }
-            Ok(n) => Ok(n),
-            Err(_) => Err(format!("--jobs expects a positive integer, got {value:?}")),
         }
-    }
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" || arg == "-j" {
-            return match args.next() {
-                Some(v) => parse(&v),
-                None => Err("--jobs expects a value".to_owned()),
-            };
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            return parse(v);
+        let takes_jobs = takes.contains(&Flag::Jobs);
+        let mut args = Args::default();
+        while let Some(arg) = argv.next() {
+            match arg.as_str() {
+                "--jobs" | "-j" if takes_jobs => {
+                    let value = argv.next().ok_or("--jobs expects a value")?;
+                    args.jobs = Some(jobs(&value)?);
+                }
+                "--quick" if takes.contains(&Flag::Quick) => args.quick = true,
+                "--profile" if takes.contains(&Flag::Profile) => args.profile = true,
+                _ => match arg.strip_prefix("--jobs=") {
+                    Some(value) if takes_jobs => args.jobs = Some(jobs(value)?),
+                    _ => return Err(format!("unknown argument {arg:?}")),
+                },
+            }
         }
+        Ok(args)
     }
-    Ok(std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1))
+
+    /// A runner at the `--jobs` worker count, else at the host's
+    /// available parallelism.
+    pub fn runner(&self) -> Runner {
+        Runner::new(self.jobs.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -192,9 +241,13 @@ mod tests {
         assert_eq!(Runner::new(64).run(3, |i| i), vec![0, 1, 2]);
     }
 
+    fn parse_with(takes: &[Flag], args: &[&str]) -> Result<Args, String> {
+        Args::parse_from(takes, args.iter().map(|s| (*s).to_owned()))
+    }
+
     #[test]
     fn jobs_flag_parsing() {
-        let parse = |args: &[&str]| jobs_from(args.iter().map(|s| (*s).to_owned()));
+        let parse = |args: &[&str]| parse_with(&[Flag::Jobs], args).map(|a| a.runner().jobs());
         assert_eq!(parse(&["--jobs", "4"]), Ok(4));
         assert_eq!(parse(&["--jobs=2"]), Ok(2));
         assert_eq!(parse(&["-j", "8"]), Ok(8));
@@ -204,7 +257,7 @@ mod tests {
 
     #[test]
     fn jobs_parsing_rejects_zero_and_garbage() {
-        let parse = |args: &[&str]| jobs_from(args.iter().map(|s| (*s).to_owned()));
+        let parse = |args: &[&str]| parse_with(&[Flag::Jobs], args);
         assert!(
             parse(&["--jobs", "0"]).is_err(),
             "zero is rejected, not clamped"
@@ -214,6 +267,30 @@ mod tests {
         assert!(parse(&["--jobs", "-2"]).is_err());
         assert!(parse(&["--jobs=2.5"]).is_err());
         assert!(parse(&["--jobs"]).is_err(), "missing value is rejected");
+        assert!(parse(&["--jobs="]).is_err(), "empty value is rejected");
+    }
+
+    #[test]
+    fn flags_a_binary_does_not_take_are_unknown() {
+        let all = [Flag::Jobs, Flag::Quick, Flag::Profile];
+        let args = parse_with(&all, &["--profile", "-j", "3", "--quick"]).expect("all taken");
+        assert!(args.quick && args.profile);
+        assert_eq!(args.runner().jobs(), 3);
+        assert_eq!(parse_with(&all, &[]), Ok(Args::default()));
+        let unknown = |takes: &[Flag], arg: &str| {
+            parse_with(takes, &[arg]) == Err(format!("unknown argument {arg:?}"))
+        };
+        for arg in ["--quik", "--fault-rate", "0.05", "-j3", "--Quick", ""] {
+            assert!(unknown(&all, arg), "{arg:?} must be unknown");
+        }
+        for arg in ["--jobs", "-j", "--jobs=4", "--quick", "--profile"] {
+            assert!(
+                unknown(&[], arg),
+                "{arg:?} must be unknown to a serial binary"
+            );
+        }
+        assert!(unknown(&[Flag::Jobs], "--quick"));
+        assert!(unknown(&[Flag::Jobs, Flag::Quick], "--profile"));
     }
 
     #[test]

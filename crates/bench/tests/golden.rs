@@ -14,10 +14,12 @@
 //! harnesses take no `--jobs` and run once. A flag that
 //! only adds diagnostics on stderr (`verify_study --profile`) runs
 //! against the row of the plain case, which pins that it leaves stdout
-//! and the results file alone. On a
+//! and the results file alone. Each case also runs once more with an
+//! argument no binary takes, which must exit 2 before anything runs:
+//! nothing on stdout and no file left. On a
 //! mismatch the failure prints the whole corrected table: check that
 //! only the rows meant to move did, and paste it over
-//! `golden/outputs.txt`.
+//! `golden/outputs.txt`. Every binary in `src/bin/` must have a case.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -30,6 +32,9 @@ use xc_sim::report::Json;
 
 /// Comment lines, then one `<binary> [args] <digest>` row per case.
 const TABLE: &str = include_str!("../golden/outputs.txt");
+
+/// An argument no harness binary takes.
+const UNKNOWN_ARG: &str = "--no-such-flag";
 
 /// One table row: the binary and the arguments that shape its output,
 /// whether it runs a `Runner` grid (and so takes `--jobs`), and flags
@@ -97,6 +102,8 @@ fn plan() -> Vec<Run> {
                 runs.push(Run { case, args });
             }
         }
+        let args = [&args[..], &[UNKNOWN_ARG]].concat();
+        runs.push(Run { case, args });
     }
     runs
 }
@@ -120,7 +127,8 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 
 /// Executes `run` in `dir` and checks it against the committed digest
 /// `want`; returns the digest it measured (when it wrote one results
-/// file) and every problem found.
+/// file) and every problem found. A run with [`UNKNOWN_ARG`] is checked
+/// for a usage error instead: exit 2, empty stdout, and no file left.
 fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String>) {
     let bin = CASES[run.case].key.split(' ').next().unwrap_or_default();
     let label = format!("`{}`", [&[bin], &run.args[..]].concat().join(" "));
@@ -132,6 +140,22 @@ fn execute(run: &Run, dir: &Path, want: Option<u64>) -> (Option<u64>, Vec<String
         .current_dir(dir)
         .output()
         .expect("spawn harness binary");
+    if run.args.contains(&UNKNOWN_ARG) {
+        if out.status.code() != Some(2) {
+            problems.push(format!("{label}: {}, want exit 2", out.status));
+        }
+        if !out.stdout.is_empty() {
+            problems.push(format!("{label}: printed to stdout, want nothing"));
+        }
+        let left = files_under(dir);
+        if !left.is_empty() {
+            problems.push(format!("{label}: left {left:?}, want no file"));
+        }
+        if problems.is_empty() {
+            let _ = fs::remove_dir_all(dir);
+        }
+        return (None, problems);
+    }
     if !out.status.success() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         problems.push(format!("{label}: {}, want exit 0:\n{stderr}", out.status));
@@ -252,6 +276,24 @@ fn every_harness_binary_matches_its_golden_row() {
         "{} golden problem(s):\n{}\n\ncorrected golden/outputs.txt:\n\n{corrected}",
         problems.len(),
         problems.join("\n"),
+    );
+}
+
+#[test]
+fn every_harness_binary_has_a_case() {
+    let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let mut missing: Vec<String> = fs::read_dir(&bins)
+        .expect("read src/bin")
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .filter_map(|p| Some(p.file_stem()?.to_string_lossy().into_owned()))
+        .filter(|bin| !CASES.iter().any(|c| c.key.split(' ').next() == Some(bin)))
+        .collect();
+    missing.sort();
+    assert!(
+        missing.is_empty(),
+        "binaries in {} without a golden case: {missing:?}",
+        bins.display()
     );
 }
 

@@ -16,10 +16,10 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`sim`] | deterministic discrete-event engine, RNG, statistics, cost model |
-//! | [`isa`] | x86-64 subset: codec, assembler, binary images, mini interpreter |
+//! | [`isa`] | x86-64 subset: codec, assembler, binary images with the `cmpxchg` patch primitive, mini interpreter |
 //! | [`abom`] | the Automatic Binary Optimization Module (§4.4), online + offline |
 //! | [`verify`] | static patch-safety analyzer: disassembly, CFG, dataflow, verdicts |
-//! | [`xen`] | hypervisor substrate: domain ids, hypercalls, event channels, Xen-Blanket shim, reference TLB |
+//! | [`xen`] | hypervisor substrate: hypercalls, event channels (one pending bitmap per domain), typed transient failures, Xen-Blanket shim, reference TLB |
 //! | [`libos`] | guest Linux / X-LibOS: kernel config, the PV vs X-Kernel ABI's syscall / switch / fork / exec costs, network paths |
 //! | [`faults`] | deterministic fault injection: seeded fault plans, retry/backoff, watchdog restarts, ABOM degradation, the chaos world |
 //! | [`runtimes`] | platform compositions: Docker, Xen-Container, X-Container, gVisor, Clear Containers, Graphene, Unikernel |
@@ -127,8 +127,7 @@ mod tests {
         let _ = Rng::new(1);
         let _ = Histogram::new();
         let _ = Table::new("t", &["a"]);
-        let mut image = xc_abom::binaries::glibc_wrapper_image(0);
-        image.protect_all(true);
+        let image = xc_abom::binaries::glibc_wrapper_image(0);
         let analysis = Verifier::new().analyze(&image);
         assert_eq!(analysis.report().tally(), (1, 0, 0));
         let _: &VerifyReport = analysis.report();

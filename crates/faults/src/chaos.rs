@@ -2,7 +2,8 @@
 //! through the hypervisor's event channels and hypercall accounting under
 //! injected faults.
 //!
-//! A client domain issues requests over per-connection event channels;
+//! A client domain issues requests over per-connection event channels
+//! (connection `i` notifies on channel `i` of the server's bitmap);
 //! a server domain drains its pending bitmap into one reused buffer,
 //! pays the grant hypercalls that move the payload, and finishes after a
 //! modeled service time.
@@ -47,7 +48,6 @@ use xc_sim::rng::Rng;
 use xc_sim::stats::Histogram;
 use xc_sim::time::Nanos;
 use xc_sim::CostModel;
-use xc_xen::domain::DomainId;
 use xc_xen::events::EventChannels;
 use xc_xen::{Hypercall, HypervisorAccounting, XenError};
 
@@ -55,11 +55,6 @@ use crate::backoff::RetryPolicy;
 use crate::degrade::warm_up;
 use crate::plan::{FaultKind, FaultPlan, FaultStats};
 use crate::watchdog::Watchdog;
-
-/// The server (backend) domain.
-const SERVER: DomainId = DomainId(1);
-/// The client (frontend) domain.
-const CLIENT: DomainId = DomainId(2);
 
 /// Parameters of one chaos run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,8 +158,6 @@ struct Conn {
     issued_at: Nanos,
     token: u64,
     resend_attempts: u32,
-    port_server: u32,
-    port_client: u32,
 }
 
 struct ChaosWorld {
@@ -172,6 +165,7 @@ struct ChaosWorld {
     plan: FaultPlan,
     jitter: Rng,
     costs: CostModel,
+    /// The server's pending bitmap; channel `i` is connection `i`.
     ev: EventChannels,
     acct: HypervisorAccounting,
     /// Sites the last ABOM warm-up demoted to the trap path.
@@ -180,7 +174,7 @@ struct ChaosWorld {
     demotion_extra: Nanos,
     wd: Watchdog,
     conns: Vec<Conn>,
-    /// Server ports the last `Deliver` drained, reused across drains.
+    /// Channels the last `Deliver` drained, reused across drains.
     drained: Vec<u32>,
     waiting: VecDeque<usize>,
     in_service: Vec<usize>,
@@ -236,7 +230,10 @@ impl ChaosWorld {
             if !self.plan.should_inject(FaultKind::HypercallTransient) {
                 break;
             }
-            // Typed transient failure; drawn so failures are attributed.
+            // Nothing reads the typed error. It is drawn because the draw
+            // advances the `HypercallTransient` stream that the next
+            // injection decision reads, in the order the chaos pin and
+            // `FaultPlan::schedule_digest` depend on.
             let _err: XenError = self.plan.transient_error();
             self.hypercall_retries += 1;
             match self.p.retry.delay_for(attempt) {
@@ -257,17 +254,9 @@ impl ChaosWorld {
         c.token += 1;
         let token = c.token;
         c.state = ConnState::AwaitDelivery { token };
-        let (port_server, port_client) = (c.port_server, c.port_client);
-        self.ev
-            .send(CLIENT, port_client)
-            .expect("connection ports stay bound");
-        let mut dropped = false;
-        if self.plan.should_inject(FaultKind::EventDrop) {
-            dropped = self
-                .ev
-                .drop_pending(SERVER, port_server)
-                .expect("server port exists");
-        }
+        let ch = conn as u32;
+        self.ev.send(ch);
+        let dropped = self.plan.should_inject(FaultKind::EventDrop) && self.ev.drop_pending(ch);
         if dropped {
             // Nothing else moves a request whose notification was lost,
             // so this timer finds it still AwaitDelivery { token }.
@@ -367,12 +356,12 @@ impl World for ChaosWorld {
             }
             Ev::Deliver => {
                 // Level-triggered drain: one scan picks up every pending
-                // port, possibly acknowledging other connections' sends
+                // channel, possibly acknowledging other connections' sends
                 // early — exactly how the shared bitmap behaves. Intake
                 // keeps running during a stall; only *service* stops.
-                self.ev.take_pending(SERVER, &mut self.drained);
-                for &port in &self.drained {
-                    let conn = port as usize;
+                self.ev.take_pending(&mut self.drained);
+                for &ch in &self.drained {
+                    let conn = ch as usize;
                     if matches!(self.conns[conn].state, ConnState::AwaitDelivery { .. }) {
                         self.conns[conn].state = ConnState::Queued;
                         self.waiting.push_back(conn);
@@ -614,35 +603,23 @@ pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> Chao
         params.delay_max,
         params.resend_timeout
     );
-    let costs = CostModel::skylake_cloud();
-    let mut ev = EventChannels::new();
-    let mut conns = Vec::with_capacity(params.connections);
-    for i in 0..params.connections {
-        let port_server = ev.alloc_unbound(SERVER).expect("server ports available");
-        let port_client = ev.alloc_unbound(CLIENT).expect("client ports available");
-        debug_assert_eq!(port_server as usize, i, "port index is the conn index");
-        ev.bind(SERVER, port_server, CLIENT, port_client)
-            .expect("fresh ports bind");
-        conns.push(Conn {
-            state: ConnState::Idle,
-            issued_at: Nanos::ZERO,
-            token: 0,
-            resend_attempts: 0,
-            port_server,
-            port_client,
-        });
-    }
+    let idle = Conn {
+        state: ConnState::Idle,
+        issued_at: Nanos::ZERO,
+        token: 0,
+        resend_attempts: 0,
+    };
     let mut world = ChaosWorld {
         p: params,
         plan,
         jitter: Rng::new(jitter_seed),
-        costs,
-        ev,
+        costs: CostModel::skylake_cloud(),
+        ev: EventChannels::new(params.connections as u32),
         acct: HypervisorAccounting::default(),
         demoted: 0,
         demotion_extra: Nanos::ZERO,
         wd: Watchdog::new(params.watchdog_timeout),
-        conns,
+        conns: vec![idle; params.connections],
         drained: Vec::with_capacity(params.connections),
         waiting: VecDeque::with_capacity(params.connections),
         in_service: Vec::with_capacity(params.parallelism),
@@ -696,7 +673,7 @@ pub fn run_chaos(params: ChaosParams, plan: FaultPlan, jitter_seed: u64) -> Chao
         sends: w.ev.sends(),
         deliveries: w.ev.deliveries(),
         drops: w.ev.drops(),
-        pending: w.ev.pending_count(SERVER) as u64,
+        pending: w.ev.pending_count() as u64,
         hypercalls: w.acct.total_calls(),
         hypervisor_ns: w.acct.total_time(),
         bytes_copied: w.bytes_copied,

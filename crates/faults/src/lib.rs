@@ -4,7 +4,9 @@
 //! X-Kernel validates and rejects bad hypercalls (§4.1), and ABOM keeps
 //! the `syscall` trap as a permanent fallback whenever a site cannot be
 //! safely rewritten (§4.4). This crate exercises those degradation paths
-//! under sustained, *reproducible* failure:
+//! under sustained, *reproducible* failure; a rejected hypercall is a
+//! typed [`xc_xen::XenError`] the plan injects, since the model validates
+//! no hypercall argument itself:
 //!
 //! * [`plan`] — a seeded [`FaultPlan`] that decides, per typed
 //!   [`FaultKind`], whether each potential fault fires. Every kind draws
@@ -21,7 +23,8 @@
 //!   vetoed or fails is permanently demoted to the trap route, and
 //!   [`WarmupReport::demoted`] counts it.
 //! * [`chaos`] — a closed-loop DES world wiring all of the above through
-//!   the *real* [`xc_xen::events::EventChannels`] and
+//!   the *real* [`xc_xen::events::EventChannels`] (the server's pending
+//!   bitmap, one channel per connection) and
 //!   [`xc_xen::HypervisorAccounting`], with conservation invariants (no
 //!   request lost, every event delivered/dropped/pending) checked by
 //!   [`ChaosResult::check_conservation`].

@@ -161,7 +161,6 @@ pub struct Cpu {
     /// below it read as zero.
     stack: Vec<u8>,
     halted: bool,
-    steps: u64,
 }
 
 impl Cpu {
@@ -177,7 +176,6 @@ impl Cpu {
             zf: false,
             stack: Vec::new(),
             halted: false,
-            steps: 0,
         }
     }
 
@@ -193,7 +191,6 @@ impl Cpu {
         self.rip = entry;
         self.zf = false;
         self.halted = false;
-        self.steps = 0;
     }
 
     /// Current instruction pointer.
@@ -219,11 +216,6 @@ impl Cpu {
     /// Whether the CPU has halted.
     pub fn is_halted(&self) -> bool {
         self.halted
-    }
-
-    /// Instructions executed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
     }
 
     /// Index in the top-down stack of the 8-byte access at `addr`:
@@ -312,7 +304,6 @@ impl Cpu {
         if !image.contains(self.rip) {
             return Err(CpuError::FetchOutsideImage { addr: self.rip });
         }
-        self.steps += 1;
         let at = self.rip;
         // Fetch and decode in one expression so the image borrow ends
         // before the hooks need it mutably — no copy of the window.
@@ -721,7 +712,9 @@ mod tests {
             cpu.run(&mut image, &mut hooks, 50),
             Err(CpuError::StepLimit)
         );
-        assert_eq!(cpu.steps(), 50);
+        // Out of budget mid-loop: still spinning on the `jmp`.
+        assert!(!cpu.is_halted());
+        assert_eq!(cpu.rip(), 0x1000);
     }
 
     #[test]
@@ -925,7 +918,6 @@ mod tests {
         reused.reset(0x1000);
         let fresh = Cpu::new(0x1000);
         assert_eq!(reused.rip(), fresh.rip());
-        assert_eq!(reused.steps(), 0);
         assert!(!reused.is_halted());
         for r in [
             Reg::Rax,

@@ -1,17 +1,14 @@
 //! Loaded binary images.
 //!
 //! A [`BinaryImage`] is a contiguous range of virtual memory holding code,
-//! split into 4 KiB pages with per-page protection and dirty bits. ABOM
-//! patches text pages that are mapped **read-only**: it temporarily clears
-//! the CR0 write-protect bit and writes through with `cmpxchg` (§4.4). The
-//! image models exactly that:
-//!
-//! * plain writes honour page protection,
-//! * [`BinaryImage::cmpxchg`] is the ≤ 8-byte atomic compare-exchange used
-//!   by the patcher, with a `wp_override` flag standing in for the CR0.WP
-//!   manipulation,
-//! * successful patches set the page dirty bit, which the X-LibOS may later
-//!   flush or ignore (§4.4, last paragraph).
+//! with symbols. ABOM patches text pages that are mapped read-only: it
+//! clears the CR0 write-protect bit and writes through with `cmpxchg`,
+//! which sets the page's dirty bit (§4.4). The image keeps neither bit:
+//! every patch clears CR0.WP first, so a protection check could never
+//! refuse one, and no output reads a dirty bit. What it models is the
+//! primitive itself: [`BinaryImage::cmpxchg`] is the ≤ 8-byte atomic
+//! compare-exchange the patcher writes through, and
+//! [`BinaryImage::write`] is a plain write.
 //!
 //! [`BinaryImage::digest`] names the content state (base, bytes and
 //! symbol addresses) in one word, memoized until the next write, exchange
@@ -24,7 +21,7 @@ use std::sync::OnceLock;
 
 use xc_sim::fnv::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
-/// Page size used for protection and dirty tracking.
+/// Page size; the offline patcher page-aligns its trampoline area.
 pub const PAGE_SIZE: u64 = 4096;
 
 /// Errors raised by image memory operations.
@@ -32,11 +29,6 @@ pub const PAGE_SIZE: u64 = 4096;
 pub enum ImageError {
     /// Address (or range end) is outside the image.
     OutOfBounds {
-        /// Offending virtual address.
-        addr: u64,
-    },
-    /// Write to a read-only page without write-protect override.
-    WriteProtected {
         /// Offending virtual address.
         addr: u64,
     },
@@ -56,9 +48,6 @@ impl fmt::Display for ImageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ImageError::OutOfBounds { addr } => write!(f, "address {addr:#x} outside image"),
-            ImageError::WriteProtected { addr } => {
-                write!(f, "write to protected page at {addr:#x}")
-            }
             ImageError::ExchangeTooWide { len } => {
                 write!(f, "cmpxchg of {len} bytes exceeds 8-byte hardware limit")
             }
@@ -71,8 +60,7 @@ impl fmt::Display for ImageError {
 
 impl Error for ImageError {}
 
-/// A loaded code image: bytes at a base virtual address, with page
-/// protection, dirty tracking, and symbols.
+/// A loaded code image: bytes at a base virtual address, and symbols.
 ///
 /// # Example
 ///
@@ -80,19 +68,16 @@ impl Error for ImageError {}
 /// use xc_isa::image::BinaryImage;
 ///
 /// let mut img = BinaryImage::new(0x400000, vec![0x90; 4096]);
-/// img.protect_all(false); // text pages are read-only
-/// assert!(img.write(0x400000, &[0xcc]).is_err());
-/// // ABOM-style patch: WP override + compare-exchange.
-/// img.cmpxchg(0x400000, &[0x90], &[0xcc], true).unwrap();
+/// // ABOM-style patch: one compare-exchange.
+/// img.cmpxchg(0x400000, &[0x90], &[0xcc]).unwrap();
 /// assert_eq!(img.read_bytes(0x400000, 1).unwrap(), [0xcc]);
-/// assert!(img.is_dirty(0x400000));
+/// // The expected byte is gone, so a repeat exchange fails.
+/// assert!(img.cmpxchg(0x400000, &[0x90], &[0xcc]).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct BinaryImage {
     base: u64,
     bytes: Vec<u8>,
-    writable: Vec<bool>,
-    dirty: Vec<bool>,
     symbols: BTreeMap<String, u64>,
     /// [`BinaryImage::digest`] of the current content, once computed;
     /// emptied by every change to the bytes or symbols.
@@ -103,11 +88,7 @@ pub struct BinaryImage {
 /// function of the compared fields.
 impl PartialEq for BinaryImage {
     fn eq(&self, other: &Self) -> bool {
-        self.base == other.base
-            && self.bytes == other.bytes
-            && self.writable == other.writable
-            && self.dirty == other.dirty
-            && self.symbols == other.symbols
+        self.base == other.base && self.bytes == other.bytes && self.symbols == other.symbols
     }
 }
 
@@ -115,14 +96,11 @@ impl Eq for BinaryImage {}
 
 impl BinaryImage {
     /// Creates an image of `bytes` mapped at virtual address `base`, with
-    /// all pages initially writable and clean.
+    /// no symbols.
     pub fn new(base: u64, bytes: Vec<u8>) -> Self {
-        let pages = (bytes.len() as u64).div_ceil(PAGE_SIZE) as usize;
         BinaryImage {
             base,
             bytes,
-            writable: vec![true; pages],
-            dirty: vec![false; pages],
             symbols: BTreeMap::new(),
             digest: OnceLock::new(),
         }
@@ -160,10 +138,6 @@ impl BinaryImage {
         Ok((addr - self.base) as usize)
     }
 
-    fn page_index(&self, addr: u64) -> usize {
-        ((addr - self.base) / PAGE_SIZE) as usize
-    }
-
     /// Defines a symbol at a virtual address.
     pub fn add_symbol(&mut self, name: &str, addr: u64) {
         self.symbols.insert(name.to_owned(), addr);
@@ -182,8 +156,7 @@ impl BinaryImage {
 
     /// FNV-1a digest of the content state: the base address, the length,
     /// the bytes, then every symbol address in [`BinaryImage::symbols`]
-    /// (name) order; page protection and dirty bits are not part of it.
-    /// Computed on the first call after a change to the bytes or symbols
+    /// (name) order. Computed on the first call after a change to the bytes or symbols
     /// and memoized, so a repeat costs one load.
     pub fn digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
@@ -215,57 +188,33 @@ impl BinaryImage {
         Ok(&self.bytes[off..off + avail])
     }
 
-    /// Plain write honouring page protection.
+    /// Plain write.
     ///
     /// # Errors
     ///
-    /// Returns [`ImageError::WriteProtected`] if any touched page is
-    /// read-only, and [`ImageError::OutOfBounds`] for bad ranges.
+    /// Returns [`ImageError::OutOfBounds`] for bad ranges.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), ImageError> {
         let off = self.offset(addr, data.len())?;
-        let first = self.page_index(addr);
-        let last = self.page_index(addr + data.len().max(1) as u64 - 1);
-        for page in first..=last {
-            if !self.writable[page] {
-                return Err(ImageError::WriteProtected {
-                    addr: self.base + page as u64 * PAGE_SIZE,
-                });
-            }
-        }
         self.bytes[off..off + data.len()].copy_from_slice(data);
         self.digest.take();
-        for page in first..=last {
-            self.dirty[page] = true;
-        }
         Ok(())
     }
 
-    /// Atomic compare-exchange of up to 8 bytes, the ABOM patch primitive.
-    ///
-    /// `wp_override` models clearing CR0.WP so kernel-mode code can write
-    /// read-only pages (§4.4). On success the touched pages are marked
-    /// dirty — "the patch is mostly transparent to X-LibOS, except that the
-    /// page table dirty bit will be set for read-only pages".
+    /// Atomic compare-exchange of up to 8 bytes, the ABOM patch primitive
+    /// (§4.4; the patcher clears CR0.WP first, so no page protection
+    /// applies).
     ///
     /// # Errors
     ///
     /// * [`ImageError::ExchangeTooWide`] if `expected.len() > 8`,
     /// * [`ImageError::ExchangeMismatch`] if memory does not equal
     ///   `expected`,
-    /// * [`ImageError::WriteProtected`] if a page is read-only and
-    ///   `wp_override` is false,
     /// * [`ImageError::OutOfBounds`] for bad ranges.
     ///
     /// # Panics
     ///
     /// Panics if `expected.len() != new.len()` — a caller bug.
-    pub fn cmpxchg(
-        &mut self,
-        addr: u64,
-        expected: &[u8],
-        new: &[u8],
-        wp_override: bool,
-    ) -> Result<(), ImageError> {
+    pub fn cmpxchg(&mut self, addr: u64, expected: &[u8], new: &[u8]) -> Result<(), ImageError> {
         assert_eq!(
             expected.len(),
             new.len(),
@@ -277,70 +226,12 @@ impl BinaryImage {
             });
         }
         let off = self.offset(addr, expected.len())?;
-        let first = self.page_index(addr);
-        let last = self.page_index(addr + expected.len().max(1) as u64 - 1);
-        if !wp_override {
-            for page in first..=last {
-                if !self.writable[page] {
-                    return Err(ImageError::WriteProtected {
-                        addr: self.base + page as u64 * PAGE_SIZE,
-                    });
-                }
-            }
-        }
         if &self.bytes[off..off + expected.len()] != expected {
             return Err(ImageError::ExchangeMismatch { addr });
         }
         self.bytes[off..off + new.len()].copy_from_slice(new);
         self.digest.take();
-        for page in first..=last {
-            self.dirty[page] = true;
-        }
         Ok(())
-    }
-
-    /// Sets the writable flag for the page containing `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the image.
-    pub fn protect_page(&mut self, addr: u64, writable: bool) {
-        assert!(self.contains(addr), "protect_page outside image");
-        let page = self.page_index(addr);
-        self.writable[page] = writable;
-    }
-
-    /// Sets the writable flag for all pages (text segments load read-only).
-    pub fn protect_all(&mut self, writable: bool) {
-        for w in &mut self.writable {
-            *w = writable;
-        }
-    }
-
-    /// Whether the page containing `addr` is writable.
-    pub fn is_writable(&self, addr: u64) -> bool {
-        self.contains(addr) && self.writable[self.page_index(addr)]
-    }
-
-    /// Whether the page containing `addr` is dirty.
-    pub fn is_dirty(&self, addr: u64) -> bool {
-        self.contains(addr) && self.dirty[self.page_index(addr)]
-    }
-
-    /// Number of dirty pages.
-    pub fn dirty_pages(&self) -> usize {
-        self.dirty.iter().filter(|d| **d).count()
-    }
-
-    /// Clears all dirty bits (modelling a flush to disk so "the same patch
-    /// is not needed in the future", §4.4). Returns how many pages were
-    /// dirty.
-    pub fn flush_dirty(&mut self) -> usize {
-        let n = self.dirty_pages();
-        for d in &mut self.dirty {
-            *d = false;
-        }
-        n
     }
 }
 
@@ -373,30 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn write_respects_protection() {
+    fn cmpxchg_happy_path_writes_the_new_bytes() {
         let mut img = image();
-        img.protect_page(0x40_0000, false);
-        assert_eq!(
-            img.write(0x40_0000, &[1]),
-            Err(ImageError::WriteProtected { addr: 0x40_0000 })
-        );
-        // Second page is still writable.
-        img.write(0x40_1000, &[1]).unwrap();
-        assert!(img.is_dirty(0x40_1000));
-        assert!(!img.is_dirty(0x40_0000));
-    }
-
-    #[test]
-    fn cmpxchg_happy_path_sets_dirty() {
-        let mut img = image();
-        img.protect_all(false);
-        img.cmpxchg(0x40_0000, &[0x90, 0x90], &[0x0f, 0x05], true)
+        img.cmpxchg(0x40_0000, &[0x90, 0x90], &[0x0f, 0x05])
             .unwrap();
-        assert_eq!(img.read_bytes(0x40_0000, 2).unwrap(), [0x0f, 0x05]);
-        assert!(img.is_dirty(0x40_0000));
-        assert_eq!(img.dirty_pages(), 1);
-        assert_eq!(img.flush_dirty(), 1);
-        assert_eq!(img.dirty_pages(), 0);
+        assert_eq!(img.read_bytes(0x40_0000, 3).unwrap(), [0x0f, 0x05, 0x90]);
     }
 
     #[test]
@@ -404,11 +276,10 @@ mod tests {
         let mut img = image();
         let before = img.read_bytes(0x40_0000, 4).unwrap().to_vec();
         let err = img
-            .cmpxchg(0x40_0000, &[1, 2, 3, 4], &[5, 6, 7, 8], true)
+            .cmpxchg(0x40_0000, &[1, 2, 3, 4], &[5, 6, 7, 8])
             .unwrap_err();
         assert_eq!(err, ImageError::ExchangeMismatch { addr: 0x40_0000 });
         assert_eq!(img.read_bytes(0x40_0000, 4).unwrap(), before.as_slice());
-        assert_eq!(img.dirty_pages(), 0);
     }
 
     #[test]
@@ -417,22 +288,11 @@ mod tests {
         let nine_old = [0x90; 9];
         let nine_new = [0xcc; 9];
         assert_eq!(
-            img.cmpxchg(0x40_0000, &nine_old, &nine_new, true),
+            img.cmpxchg(0x40_0000, &nine_old, &nine_new),
             Err(ImageError::ExchangeTooWide { len: 9 })
         );
         // 8 bytes is the hardware maximum and works.
-        img.cmpxchg(0x40_0000, &[0x90; 8], &[0xcc; 8], true)
-            .unwrap();
-    }
-
-    #[test]
-    fn cmpxchg_without_override_respects_protection() {
-        let mut img = image();
-        img.protect_all(false);
-        assert_eq!(
-            img.cmpxchg(0x40_0000, &[0x90], &[0xcc], false),
-            Err(ImageError::WriteProtected { addr: 0x40_0000 })
-        );
+        img.cmpxchg(0x40_0000, &[0x90; 8], &[0xcc; 8]).unwrap();
     }
 
     #[test]
@@ -458,12 +318,6 @@ mod tests {
         h = fnv1a_u64(fnv1a_u64(h, 0x40_0010), 0x40_0020);
         assert_eq!(img.digest(), h);
         assert_eq!(img.digest.get(), Some(&h));
-
-        // Protection and dirty bits are not content: the memo stays.
-        img.protect_page(0x40_1000, false);
-        img.protect_all(true);
-        assert_eq!(img.flush_dirty(), 0);
-        assert_eq!(img.digest.get(), Some(&h));
         assert_eq!(img.clone().digest.get(), Some(&h), "a clone carries it");
 
         // Each content change empties the memo, and the next digest is
@@ -471,7 +325,7 @@ mod tests {
         let mut seen = vec![h];
         let changes: [fn(&mut BinaryImage); 3] = [
             |img| img.write(0x40_0000, &[0xcc]).unwrap(),
-            |img| img.cmpxchg(0x40_1000, &[0x90], &[0xc3], true).unwrap(),
+            |img| img.cmpxchg(0x40_1000, &[0x90], &[0xc3]).unwrap(),
             |img| img.add_symbol("c", 0x40_0030),
         ];
         for change in changes {
@@ -502,10 +356,16 @@ mod tests {
     }
 
     #[test]
-    fn cross_page_write_marks_both_pages() {
+    fn cross_page_write_lands_on_both_pages() {
         let mut img = image();
         img.write(0x40_0ffe, &[1, 2, 3, 4]).unwrap();
-        assert!(img.is_dirty(0x40_0000));
-        assert!(img.is_dirty(0x40_1000));
+        assert_eq!(
+            img.read_bytes(0x40_0ffd, 6).unwrap(),
+            [0x90, 1, 2, 3, 4, 0x90]
+        );
+        assert_eq!(
+            img.write(0x40_1ffe, &[1, 2, 3]),
+            Err(ImageError::OutOfBounds { addr: 0x40_1ffe })
+        );
     }
 }

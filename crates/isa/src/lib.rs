@@ -17,8 +17,9 @@
 //! * [`asm`] — an assembler with labels for building synthetic binaries
 //!   (glibc-style wrappers, Go-style wrappers, libpthread-style cancellable
 //!   wrappers),
-//! * [`image`] — loaded binary images with page protection, dirty tracking
-//!   and the ≤ 8-byte atomic `cmpxchg` primitive ABOM patches through,
+//! * [`image`] — loaded binary images with symbols, a memoized content
+//!   digest and the ≤ 8-byte atomic `cmpxchg` primitive ABOM patches
+//!   through,
 //! * [`cpu`] — a mini interpreter used to prove execution equivalence of
 //!   patched/unpatched/mid-patch binaries.
 //!

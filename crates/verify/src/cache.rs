@@ -200,7 +200,6 @@ mod tests {
         let mut cache = AnalysisCache::new();
         let before = cache.analyze(&verifier, &image);
         // Rewrite the mov+syscall pair the way ABOM's case 1 would.
-        image.protect_all(true);
         image
             .write(0x40_0000, &[0xff, 0x14, 0x25, 0x08, 0x00, 0x60, 0xff])
             .unwrap();

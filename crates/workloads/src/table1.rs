@@ -19,42 +19,11 @@
 //! What is measured (outputs): trap vs function-call counts from
 //! `xc-abom`'s kernel, identical in kind to the paper's X-Kernel counter.
 
-use std::fmt;
-
 use xc_abom::binaries::{invoke_with, library_image, WrapperSpec, WrapperStyle};
 use xc_abom::handler::XContainerKernel;
 use xc_abom::offline::OfflinePatcher;
 use xc_isa::image::BinaryImage;
 use xc_sim::rng::Rng;
-
-/// How an application achieves concurrency (§2.2's informal survey: all
-/// top-10 containerized applications use an event loop or threads, never
-/// a process per client — the observation that makes intra-container
-/// process isolation redundant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConcurrencyModel {
-    /// Single-threaded event loop (Redis, Node-style).
-    EventDriven,
-    /// One process, many threads (memcached, JVM, BEAM, Go runtimes).
-    MultiThreaded,
-    /// A small pool of worker processes, each serving many clients
-    /// (NGINX, Fluentd, Apache-style) — processes for *concurrency*,
-    /// not per-client isolation.
-    WorkerProcessPool,
-    /// Batch tools spawning short-lived processes (compilers).
-    ProcessPerTask,
-}
-
-impl fmt::Display for ConcurrencyModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ConcurrencyModel::EventDriven => "event-driven",
-            ConcurrencyModel::MultiThreaded => "multi-threaded",
-            ConcurrencyModel::WorkerProcessPool => "worker process pool",
-            ConcurrencyModel::ProcessPerTask => "process per task",
-        })
-    }
-}
 
 /// One wrapper site in an application's profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,8 +41,6 @@ pub struct SiteMix {
 pub struct AppProfile {
     /// Application name as printed in the table.
     pub name: &'static str,
-    /// Role description (Table 1 column 2).
-    pub description: &'static str,
     /// Implementation language/runtime (column 3).
     pub language: &'static str,
     /// Benchmark used as the driver (column 4).
@@ -88,8 +55,6 @@ pub struct AppProfile {
     /// fresh one (`None` = long-lived daemon). Kernel compilation's
     /// process churn re-traps every site once per process.
     pub syscalls_per_process: Option<u64>,
-    /// §2.2 concurrency classification.
-    pub concurrency: ConcurrencyModel,
 }
 
 /// Measured outcome for one app.
@@ -99,9 +64,10 @@ pub struct AppMeasurement {
     pub name: &'static str,
     /// Percentage of syscalls converted to function calls by online ABOM.
     pub online_reduction: f64,
-    /// Reduction with the offline tool applied first (only meaningfully
-    /// different for apps with cancellable wrappers).
-    pub offline_reduction: f64,
+    /// Reduction with the offline tool applied first, measured only for
+    /// rows the paper also reports after manual patching
+    /// ([`AppProfile::paper_manual`]).
+    pub offline_reduction: Option<f64>,
     /// Total syscalls executed in the measurement.
     pub total_syscalls: u64,
 }
@@ -125,7 +91,8 @@ impl AppProfile {
         library_image(&specs)
     }
 
-    fn run(&self, template: &BinaryImage, syscalls: u64, rng: &mut Rng) -> XContainerKernel {
+    fn run(&self, template: &BinaryImage, syscalls: u64, seed: u64) -> XContainerKernel {
+        let mut rng = Rng::new(seed);
         let weights: Vec<f64> = self.sites.iter().map(|s| s.weight).collect();
         // Resolve every wrapper entry once up front: the addresses are
         // identical in every clone of the template.
@@ -137,8 +104,9 @@ impl AppProfile {
             })
             .collect();
         let mut kernel = XContainerKernel::new();
-        // Fresh process image: patches do not persist across exec unless
-        // the dirty pages were flushed (we model the no-flush prototype).
+        // Fresh process image: patches do not persist across exec, since
+        // the model never flushes patched pages to disk (§4.4 leaves that
+        // choice to the X-LibOS).
         let mut image = template.clone();
         let mut in_process = 0u64;
         for _ in 0..syscalls {
@@ -160,22 +128,22 @@ impl AppProfile {
     }
 
     /// Runs `syscalls` dynamic syscalls through the app's wrappers under
-    /// online ABOM, and again with the offline tool pre-applied.
+    /// online ABOM, and, for a row with a [`AppProfile::paper_manual`]
+    /// number, again with the offline tool pre-applied.
     pub fn measure(&self, syscalls: u64, seed: u64) -> AppMeasurement {
         let template = self.library();
-        let mut rng = Rng::new(seed);
-        let online = self.run(&template, syscalls, &mut rng);
-
-        let (offline_template, _) = OfflinePatcher::new()
-            .patch(&template)
-            .expect("offline patching");
-        let mut rng = Rng::new(seed);
-        let offline = self.run(&offline_template, syscalls, &mut rng);
-
+        let online = self.run(&template, syscalls, seed);
+        let offline_reduction = self.paper_manual.map(|_| {
+            let (offline_template, _) = OfflinePatcher::new()
+                .patch(&template)
+                .expect("offline patching");
+            let offline = self.run(&offline_template, syscalls, seed);
+            offline.stats().reduction_percent()
+        });
         AppMeasurement {
             name: self.name,
             online_reduction: online.stats().reduction_percent(),
-            offline_reduction: offline.stats().reduction_percent(),
+            offline_reduction,
             total_syscalls: online.stats().total_syscalls(),
         }
     }
@@ -229,7 +197,6 @@ pub fn table1_profiles() -> Vec<AppProfile> {
     vec![
         AppProfile {
             name: "memcached",
-            description: "Memory caching system",
             language: "C/C++",
             benchmark: "memtier_benchmark",
             paper_reduction: 100.0,
@@ -237,22 +204,18 @@ pub fn table1_profiles() -> Vec<AppProfile> {
             // Event loop on glibc wrappers only.
             sites: glibc_sites(&[(0, 0.30), (1, 0.30), (232, 0.25), (288, 0.15)]),
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::MultiThreaded,
         },
         AppProfile {
             name: "Redis",
-            description: "In-memory database",
             language: "C/C++",
             benchmark: "redis-benchmark",
             paper_reduction: 100.0,
             paper_manual: None,
             sites: glibc_sites(&[(0, 0.35), (1, 0.35), (232, 0.20), (35, 0.10)]),
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::EventDriven,
         },
         AppProfile {
             name: "etcd",
-            description: "Key-value store",
             language: "Go",
             benchmark: "etcd-benchmark",
             paper_reduction: 100.0,
@@ -267,33 +230,27 @@ pub fn table1_profiles() -> Vec<AppProfile> {
                 },
             ],
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::MultiThreaded,
         },
         AppProfile {
             name: "MongoDB",
-            description: "NoSQL Database",
             language: "C/C++",
             benchmark: "YCSB",
             paper_reduction: 100.0,
             paper_manual: None,
             sites: glibc_sites(&[(0, 0.25), (1, 0.25), (17, 0.20), (18, 0.15), (281, 0.15)]),
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::MultiThreaded,
         },
         AppProfile {
             name: "InfluxDB",
-            description: "Time series database",
             language: "Go",
             benchmark: "influxdb-comparisons",
             paper_reduction: 100.0,
             paper_manual: None,
             sites: vec![go_sites(1.0)],
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::MultiThreaded,
         },
         AppProfile {
             name: "Postgres",
-            description: "Database",
             language: "C/C++",
             benchmark: "pgbench",
             paper_reduction: 99.80,
@@ -305,11 +262,9 @@ pub fn table1_profiles() -> Vec<AppProfile> {
                 s
             },
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::WorkerProcessPool,
         },
         AppProfile {
             name: "Fluentd",
-            description: "Data collector",
             language: "Ruby",
             benchmark: "fluentd-benchmark",
             paper_reduction: 99.40,
@@ -320,11 +275,9 @@ pub fn table1_profiles() -> Vec<AppProfile> {
                 s
             },
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::WorkerProcessPool,
         },
         AppProfile {
             name: "Elasticsearch",
-            description: "Search engine",
             language: "JAVA",
             benchmark: "elasticsearch-stress-test",
             paper_reduction: 98.80,
@@ -336,11 +289,9 @@ pub fn table1_profiles() -> Vec<AppProfile> {
                 s
             },
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::MultiThreaded,
         },
         AppProfile {
             name: "RabbitMQ",
-            description: "Message broker",
             language: "Erlang",
             benchmark: "rabbitmq-perf-test",
             paper_reduction: 98.60,
@@ -351,11 +302,9 @@ pub fn table1_profiles() -> Vec<AppProfile> {
                 s
             },
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::MultiThreaded,
         },
         AppProfile {
             name: "Kernel Compilation",
-            description: "Code Compilation",
             language: "Various tools",
             benchmark: "Linux kernel with tiny config",
             paper_reduction: 95.30,
@@ -379,11 +328,9 @@ pub fn table1_profiles() -> Vec<AppProfile> {
                 (8, 0.02),
             ]),
             syscalls_per_process: Some(300),
-            concurrency: ConcurrencyModel::ProcessPerTask,
         },
         AppProfile {
             name: "Nginx",
-            description: "Webserver",
             language: "C/C++",
             benchmark: "Apache ab",
             paper_reduction: 92.30,
@@ -396,11 +343,9 @@ pub fn table1_profiles() -> Vec<AppProfile> {
                 s
             },
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::WorkerProcessPool,
         },
         AppProfile {
             name: "MySQL",
-            description: "Database",
             language: "C/C++",
             benchmark: "sysbench",
             paper_reduction: 44.60,
@@ -418,7 +363,6 @@ pub fn table1_profiles() -> Vec<AppProfile> {
                 s
             },
             syscalls_per_process: None,
-            concurrency: ConcurrencyModel::MultiThreaded,
         },
     ]
 }
@@ -508,13 +452,10 @@ mod tests {
             "online {:.2}",
             m.online_reduction
         );
+        let offline = m.offline_reduction.expect("MySQL reports a manual row");
+        assert!((offline - 92.2).abs() < 2.0, "offline {offline:.2}");
         assert!(
-            (m.offline_reduction - 92.2).abs() < 2.0,
-            "offline {:.2}",
-            m.offline_reduction
-        );
-        assert!(
-            m.offline_reduction < 99.0,
+            offline < 99.0,
             "shim residue must remain under the default (intraprocedural) tool"
         );
     }
@@ -538,19 +479,5 @@ mod tests {
     #[test]
     fn twelve_rows_like_the_paper() {
         assert_eq!(table1_profiles().len(), 12);
-    }
-
-    #[test]
-    fn section_2_2_survey_no_process_per_client() {
-        // "All the top 10 most popular containerized applications … use
-        // either a single-threaded event-driven model or multi-threading
-        // instead of multiple processes" — worker pools serve many
-        // clients per process; nothing isolates clients by process.
-        let pools = table1_profiles()
-            .iter()
-            .filter(|p| p.concurrency == ConcurrencyModel::WorkerProcessPool)
-            .count();
-        assert!(pools >= 2, "NGINX and Fluentd use worker pools (§2.2)");
-        assert!(!ConcurrencyModel::EventDriven.to_string().is_empty());
     }
 }

@@ -1,17 +1,17 @@
-//! Hypervisor error types.
+//! Typed transient hypercall failures.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors returned by hypervisor operations.
+/// A typed transient hypercall failure.
 ///
-/// Hypercall argument validation is part of the paper's security story
-/// (§4.1: hypercalls "are validated by Xen before being served"), so the
-/// model validates too, and rejections are typed.
+/// The model validates no hypercall argument: it keeps no port table,
+/// grant table or page table to check one against. These are the
+/// failures `xc-faults`' fault plan injects into a hypercall
+/// (`FaultPlan::transient_error`), named after rejections Xen returns
+/// (§4.1: hypercalls "are validated by Xen before being served").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XenError {
-    /// Event-channel port is invalid or not bound.
-    BadEventPort(u32),
     /// All event-channel ports are in use.
     NoFreePorts,
     /// The grant table is full.
@@ -26,7 +26,6 @@ pub enum XenError {
 impl fmt::Display for XenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            XenError::BadEventPort(p) => write!(f, "bad event channel port {p}"),
             XenError::NoFreePorts => write!(f, "no free event channel ports"),
             XenError::GrantTableFull => write!(f, "grant table full"),
             XenError::BadPageTableUpdate { reason } => {
@@ -44,7 +43,9 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert!(XenError::BadEventPort(7).to_string().contains("port 7"));
         assert!(XenError::NoFreePorts.to_string().contains("ports"));
+        assert!(XenError::GrantTableFull.to_string().contains("grant"));
+        let update = XenError::BadPageTableUpdate { reason: "stale" };
+        assert!(update.to_string().ends_with("rejected: stale"));
     }
 }

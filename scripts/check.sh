@@ -10,7 +10,9 @@
 # grid ones at --jobs 1 and -j 3 and the rest once, and checks its exit
 # status, that it left only its results file, its findings and the
 # FNV-1a of its stdout and results/*.json against
-# crates/bench/golden/outputs.txt. Each example
+# crates/bench/golden/outputs.txt; it runs each once more with an
+# unknown argument, which must exit 2, print nothing and write nothing,
+# and fails if a binary has no case. Each example
 # in examples/ runs from an empty directory, must exit 0 and must leave
 # that directory empty. Speed is measured by the benchmark in benchmark/
 # (see benchmark/README.md); this script only runs its tests. Takes no
@@ -62,7 +64,7 @@ cargo test -q -p xc-bench --test determinism
 echo "== release-mode tests: xc-isa, xc-verify, xc-abom, xc-faults, xc-xen, xc-libos and xc-runtimes (integer overflow wraps, debug_assert! is off) =="
 cargo test --release -q -p xc-isa -p xc-verify -p xc-abom -p xc-faults -p xc-xen -p xc-libos -p xc-runtimes
 
-echo "== golden table: every harness binary, the grid ones at --jobs 1 and -j 3, the rest once =="
+echo "== golden table: every harness binary, the grid ones at --jobs 1 and -j 3, the rest once, each once more with an unknown argument (exit 2, no output) =="
 cargo test -q -p xc-bench --test golden
 
 echo "== benchmark tests (the separate workspace in benchmark/) =="
@@ -97,4 +99,4 @@ for src in examples/*.rs; do
     fi
 done
 
-echo "ok: no unused dependency, formatting clean, no lints, docs link, grid harnesses deterministic at any --jobs, ISA, verifier, ABOM, fault injection, hypervisor, guest kernel and platforms pass in release, every harness at its golden row (grid binaries at --jobs 1 and -j 3, the rest once), benchmark tests pass, every example runs"
+echo "ok: no unused dependency, formatting clean, no lints, docs link, grid harnesses deterministic at any --jobs, ISA, verifier, ABOM, fault injection, hypervisor, guest kernel and platforms pass in release, every harness at its golden row (grid binaries at --jobs 1 and -j 3, the rest once) and exiting 2 on an unknown argument, benchmark tests pass, every example runs"

@@ -6,7 +6,6 @@ use xcontainers::abom::offline::OfflinePatcher;
 use xcontainers::prelude::*;
 use xcontainers::workloads::apps::nginx_static;
 use xcontainers::workloads::http::run_closed_loop;
-use xcontainers::xen::domain::DomainId;
 use xcontainers::xen::events::EventChannels;
 use xcontainers::xen::{Hypercall, HypervisorAccounting};
 
@@ -52,31 +51,28 @@ fn bytes_to_steady_state() {
 }
 
 /// A full split-driver handshake through the hypervisor substrate: the
-/// event channel between a guest and its driver domain, with the grant
+/// event channel between a guest and its driver domain, one pending
+/// bitmap per domain as in each one's shared-info page, with the grant
 /// copy priced as the `grant_table_op` hypercall the netfront/netback
 /// path the runtime models pays.
 #[test]
 fn split_driver_handshake() {
-    let (guest, backend) = (DomainId(1), DomainId(2));
     let costs = CostModel::skylake_cloud();
-
-    let mut events = EventChannels::new();
-    let fe_port = events.alloc_unbound(guest).unwrap();
-    let be_port = events.alloc_unbound(backend).unwrap();
-    events.bind(guest, fe_port, backend, be_port).unwrap();
+    let (mut guest, mut backend) = (EventChannels::new(1), EventChannels::new(1));
 
     // Frontend notifies, backend drains, copies a TX buffer and
     // completes.
     let mut acct = HypervisorAccounting::default();
-    events.send(guest, fe_port).unwrap();
-    assert_eq!(events.pending_count(backend), 1);
+    backend.send(0);
+    assert_eq!(backend.pending_count(), 1);
     let mut pending = Vec::new();
-    events.take_pending(backend, &mut pending);
-    assert_eq!(pending, [be_port]);
+    backend.take_pending(&mut pending);
+    assert_eq!(pending, [0]);
     let copy = acct.charge(Hypercall::GrantTableOp { copy_kb: 2 }, &costs);
     assert_eq!(copy, costs.hypercall + costs.grant_copy_per_kb * 2);
-    events.send(backend, be_port).unwrap(); // completion interrupt
-    assert_eq!(events.pending_count(guest), 1);
+    guest.send(0); // completion interrupt
+    assert_eq!(guest.pending_count(), 1);
+    assert_eq!(backend.pending_count(), 0);
     assert_eq!(acct.total_calls(), 1);
     assert_eq!(acct.total_time(), copy);
 }
