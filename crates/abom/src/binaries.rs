@@ -246,7 +246,7 @@ pub fn invoke(
 /// standing in, which allocates nothing, and is put back on every path,
 /// errors included. Its stack buffer is thus allocated once per kernel,
 /// not once per call, which is a visible share of a call of a few
-/// instructions (the Table 1 study makes 480,000 of them).
+/// instructions (the Table 1 study makes 260,000 of them).
 ///
 /// # Errors
 ///

@@ -17,7 +17,7 @@ use xc_isa::inst::Reg;
 
 use crate::patcher::{Abom, AbomConfig};
 use crate::stats::AbomStats;
-use crate::table::EntryKind;
+use crate::table::{self, EntryKind};
 
 /// How a syscall reached the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,11 +96,6 @@ impl XContainerKernel {
         self.trace.iter().map(|e| e.nr).collect()
     }
 
-    /// Access to the underlying patcher (for table lookups in tests).
-    pub fn abom(&self) -> &Abom {
-        &self.abom
-    }
-
     fn record(&mut self, nr: u64, via: Via) -> Flow {
         self.trace.push(SyscallEvent { nr, via });
         match via {
@@ -125,7 +120,7 @@ impl Hooks for XContainerKernel {
     }
 
     fn on_vsyscall_call(&mut self, target: u64, cpu: &mut Cpu, image: &mut BinaryImage) -> Flow {
-        let nr = match self.abom.table().resolve(target) {
+        let nr = match table::resolve(target) {
             Some(EntryKind::Number(nr)) => nr,
             Some(EntryKind::RaxDispatch) => cpu.reg(Reg::Rax),
             Some(EntryKind::StackDisp(disp)) => {

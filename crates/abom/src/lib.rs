@@ -67,4 +67,4 @@ pub use handler::XContainerKernel;
 pub use patcher::{Abom, AbomConfig, PatchOutcome};
 pub use patterns::Pattern;
 pub use stats::AbomStats;
-pub use table::{EntryKind, VsyscallTable};
+pub use table::EntryKind;

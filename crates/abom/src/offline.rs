@@ -45,7 +45,7 @@ use xc_verify::{AnalysisCache, SiteKind, SiteReport, Verdict, Verifier};
 use crate::patcher::{Abom, PatchOutcome};
 use crate::patterns::recognize;
 use crate::stats::AbomStats;
-use crate::table::VsyscallTable;
+use crate::table;
 
 /// Why a syscall site was left unpatched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +143,6 @@ pub struct OfflineConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OfflinePatcher {
-    table: VsyscallTable,
     config: OfflineConfig,
 }
 
@@ -155,10 +154,7 @@ impl OfflinePatcher {
 
     /// Creates the tool with explicit configuration.
     pub fn with_config(config: OfflineConfig) -> Self {
-        OfflinePatcher {
-            table: VsyscallTable::new(),
-            config,
-        }
+        OfflinePatcher { config }
     }
 
     /// Patches `image`, returning a rewritten image (original bytes plus
@@ -308,7 +304,7 @@ impl OfflinePatcher {
         let entry = site
             .number
             .and_then(|nr| u64::try_from(nr).ok())
-            .and_then(|nr| self.table.entry_for_number(nr))
+            .and_then(table::entry_for_number)
             .expect("a Safe verdict proves the number is in the table");
         Ok((mov_addr, mov_len, entry))
     }

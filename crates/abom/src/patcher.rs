@@ -23,7 +23,7 @@ use xc_isa::inst::Inst;
 
 use crate::patterns::{recognize, Pattern};
 use crate::stats::AbomStats;
-use crate::table::VsyscallTable;
+use crate::table;
 
 /// Configuration knobs for the patcher (used by the ablation benches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,6 @@ impl PatchOutcome {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Abom {
-    table: VsyscallTable,
     config: AbomConfig,
     stats: AbomStats,
     /// Memoized pre-flight analyses (only populated with
@@ -133,21 +132,10 @@ impl Abom {
     /// Creates the patcher with explicit configuration.
     pub fn with_config(config: AbomConfig) -> Self {
         Abom {
-            table: VsyscallTable::new(),
             config,
             stats: AbomStats::new(),
             verify_cache: xc_verify::AnalysisCache::new(),
         }
-    }
-
-    /// The vsyscall table this patcher targets.
-    pub fn table(&self) -> &VsyscallTable {
-        &self.table
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> AbomConfig {
-        self.config
     }
 
     /// Accumulated statistics.
@@ -216,10 +204,7 @@ impl Abom {
     ) -> Result<PatchOutcome, ImageError> {
         match pattern {
             Pattern::MovEaxImm { mov_addr, nr } => {
-                let entry = self
-                    .table
-                    .entry_for_number(nr)
-                    .expect("recognize() validated the number");
+                let entry = table::entry_for_number(nr).expect("recognize() validated the number");
                 let call = Inst::CallAbsIndirect { target: entry }.encode();
                 let mut original = Vec::with_capacity(7);
                 Inst::MovImm32 {
@@ -232,7 +217,7 @@ impl Abom {
                     .map(|fresh| finish_outcome(fresh, pattern))
             }
             Pattern::MovRaxFromStack { mov_addr, disp } => {
-                let entry = self.table.stack_dispatch_entry(disp);
+                let entry = table::stack_dispatch_entry(disp);
                 let call = Inst::CallAbsIndirect { target: entry }.encode();
                 let mut original = Vec::with_capacity(7);
                 Inst::LoadRspDisp8R64 {
@@ -245,10 +230,7 @@ impl Abom {
                     .map(|fresh| finish_outcome(fresh, pattern))
             }
             Pattern::MovRaxImm { mov_addr, nr } => {
-                let entry = self
-                    .table
-                    .entry_for_number(nr)
-                    .expect("recognize() validated the number");
+                let entry = table::entry_for_number(nr).expect("recognize() validated the number");
                 // Phase 1: replace the 7-byte mov with the call; leave the
                 // syscall untouched. Intermediate state: call + syscall,
                 // which is execution-equivalent because the handler skips a
@@ -508,9 +490,8 @@ mod tests {
     #[test]
     fn concurrent_patch_race_is_benign() {
         let (mut img, at) = case1_image(2);
-        let abom = Abom::new();
         // Simulate a racing vCPU patching first.
-        let entry = abom.table().entry_for_number(2).unwrap();
+        let entry = table::entry_for_number(2).unwrap();
         let call = Inst::CallAbsIndirect { target: entry }.encode();
         let mut original = Inst::MovImm32 {
             reg: Reg::Rax,

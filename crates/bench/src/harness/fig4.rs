@@ -19,7 +19,7 @@ fn cloud_table(cloud: CloudEnv, costs: &CostModel, out: &mut HarnessOutput) -> f
         &["configuration", "single", "concurrent (4x)"],
     );
     let (baseline, matrix) = platform_matrix(cloud);
-    let base_single = SystemCallBench::score(&baseline, costs);
+    let base_single = syscall_score(&baseline, costs);
     let base_conc = concurrent_score(base_single, &baseline, 4);
     let cloud_name = cloud.name().to_lowercase();
     let mut headline = f64::NAN;
@@ -27,7 +27,7 @@ fn cloud_table(cloud: CloudEnv, costs: &CostModel, out: &mut HarnessOutput) -> f
     let mut clear = Vec::new();
 
     for platform in matrix {
-        let single = SystemCallBench::score(&platform, costs);
+        let single = syscall_score(&platform, costs);
         let conc = concurrent_score(single, &platform, 4);
         table.row([
             Cell::from(platform.name()),

@@ -3,7 +3,7 @@
 //! `fig5_micro` binary).
 
 use xcontainers::prelude::*;
-use xcontainers::workloads::iperf::IperfBench;
+use xcontainers::workloads::iperf;
 use xcontainers::workloads::unixbench::{concurrent_score, MicroBench};
 
 use super::HarnessOutput;
@@ -31,7 +31,7 @@ fn cloud_panels(cloud: CloudEnv, costs: &CostModel, out: &mut HarnessOutput) {
     let score_vec = |p: &Platform| -> (Vec<f64>, f64) {
         (
             MicroBench::ALL.iter().map(|b| b.score(p, costs)).collect(),
-            IperfBench::throughput_bps(p, costs),
+            iperf::throughput_bps(p, costs),
         )
     };
     let (base_single, base_iperf) = score_vec(&baseline);

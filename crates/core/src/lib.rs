@@ -19,8 +19,8 @@
 //! | [`isa`] | x86-64 subset: codec, assembler, binary images with the `cmpxchg` patch primitive, mini interpreter |
 //! | [`abom`] | the Automatic Binary Optimization Module (§4.4), online + offline |
 //! | [`verify`] | static patch-safety analyzer: disassembly, CFG, dataflow, verdicts |
-//! | [`xen`] | hypervisor substrate: hypercalls, event channels (one pending bitmap per domain), typed transient failures, Xen-Blanket shim, reference TLB |
-//! | [`libos`] | guest Linux / X-LibOS: kernel config, the PV vs X-Kernel ABI's syscall / switch / fork / exec costs, network paths |
+//! | [`xen`] | hypervisor substrate: hypercalls, event channels (one pending bitmap per domain), reference TLB |
+//! | [`libos`] | guest Linux / X-LibOS: kernel config, the PV vs X-Kernel ABI's syscall / switch / fork / exec costs, network paths with the Xen-Blanket hop in clouds |
 //! | [`faults`] | deterministic fault injection: seeded fault plans, retry/backoff, watchdog restarts, ABOM degradation, the chaos world |
 //! | [`runtimes`] | platform compositions: Docker, Xen-Container, X-Container, gVisor, Clear Containers, Graphene, Unikernel |
 //! | [`workloads`] | UnixBench, iperf, macrobenchmarks, Table 1, Figures 6, 8, 9 |
@@ -37,8 +37,7 @@
 //! let docker = Platform::docker(CloudEnv::AmazonEc2, true);
 //! let xc = Platform::x_container(CloudEnv::AmazonEc2, true);
 //!
-//! let speedup = SystemCallBench::score(&xc, &costs)
-//!     / SystemCallBench::score(&docker, &costs);
+//! let speedup = syscall_score(&xc, &costs) / syscall_score(&docker, &costs);
 //! assert!(speedup > 15.0, "ABOM turns syscalls into function calls");
 //! ```
 //!
@@ -103,16 +102,15 @@ pub mod prelude {
     pub use xc_sim::stats::{shard_share, Histogram};
     pub use xc_sim::time::Nanos;
     pub use xc_verify::{AnalysisCache, Verdict, Verifier, VerifyReport};
-    pub use xc_workloads::cluster::{run_cluster, run_cluster_range, ClusterParams, ClusterResult};
+    pub use xc_workloads::cluster::{run_cluster_range, ClusterParams, ClusterResult};
     pub use xc_workloads::costs::PlatformCosts;
     pub use xc_workloads::fig6::{DbTopology, LibOsPlatform};
     pub use xc_workloads::http::{
-        run_closed_loop, run_closed_loop_cached, run_closed_loop_from, ClosedLoopCache,
-        ClosedLoopResult, RequestProfile, ServerModel,
+        run_closed_loop, ClosedLoopCache, ClosedLoopResult, RequestProfile, ServerModel,
     };
     pub use xc_workloads::loadbalance::LbMode;
     pub use xc_workloads::scalability::ScalabilityConfig;
-    pub use xc_workloads::unixbench::{MicroBench, SystemCallBench};
+    pub use xc_workloads::unixbench::{syscall_score, MicroBench};
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ use xc_sim::stats::Histogram;
 use xc_sim::time::Nanos;
 use xc_sim::CostModel;
 use xc_xen::events::EventChannels;
-use xc_xen::{Hypercall, HypervisorAccounting, XenError};
+use xc_xen::{Hypercall, HypervisorAccounting};
 
 use crate::backoff::RetryPolicy;
 use crate::degrade::warm_up;
@@ -230,11 +230,11 @@ impl ChaosWorld {
             if !self.plan.should_inject(FaultKind::HypercallTransient) {
                 break;
             }
-            // Nothing reads the typed error. It is drawn because the draw
+            // Nothing reads the error code. It is drawn because the draw
             // advances the `HypercallTransient` stream that the next
             // injection decision reads, in the order the chaos pin and
             // `FaultPlan::schedule_digest` depend on.
-            let _err: XenError = self.plan.transient_error();
+            let _code = self.plan.transient_error();
             self.hypercall_retries += 1;
             match self.p.retry.delay_for(attempt) {
                 Some(delay) => {

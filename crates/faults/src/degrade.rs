@@ -79,6 +79,7 @@ mod tests {
     use proptest::prelude::*;
     use xc_abom::binaries::glibc_wrapper_image;
     use xc_abom::patcher::{Abom, PatchOutcome};
+    use xc_abom::table::entry_for_number;
 
     use super::*;
     use crate::plan::FaultRates;
@@ -99,7 +100,7 @@ mod tests {
             demoted: 0,
         };
         for nr in 0..sites {
-            let demotable = u64::from(abom.table().entry_for_number(nr).is_some());
+            let demotable = u64::from(entry_for_number(nr).is_some());
             if plan.should_inject(FaultKind::VerifyReject) {
                 report.verify_rejected += 1;
                 report.demoted += demotable;

@@ -5,8 +5,8 @@
 //! the `syscall` trap as a permanent fallback whenever a site cannot be
 //! safely rewritten (§4.4). This crate exercises those degradation paths
 //! under sustained, *reproducible* failure; a rejected hypercall is a
-//! typed [`xc_xen::XenError`] the plan injects, since the model validates
-//! no hypercall argument itself:
+//! transient failure the plan injects, since the model validates no
+//! hypercall argument itself:
 //!
 //! * [`plan`] — a seeded [`FaultPlan`] that decides, per typed
 //!   [`FaultKind`], whether each potential fault fires. Every kind draws

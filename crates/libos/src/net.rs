@@ -18,7 +18,6 @@
 
 use xc_sim::cost::CostModel;
 use xc_sim::time::Nanos;
-use xc_xen::blanket::XenBlanket;
 
 use crate::backend::Backend;
 use crate::config::KernelConfig;
@@ -37,8 +36,10 @@ pub enum NetPath {
     /// Xen split driver (front-end/back-end with grant copies), plus the
     /// same iptables forwarding in the driver domain.
     SplitDriver {
-        /// Blanket nesting (cloud deployments).
-        blanket: XenBlanket,
+        /// Whether the stack runs nested in a cloud VM behind Xen-Blanket
+        /// drivers (§4: "to run the platform efficiently in public
+        /// clouds"), which adds a driver hop to every I/O batch.
+        blanket: bool,
         /// NAT rule sets traversed per packet.
         iptables_rules: u32,
     },
@@ -87,11 +88,18 @@ impl NetStack {
                 iptables_rules,
             } => {
                 // Grant copy of the segment + ring notify amortized over a
-                // batch of ~8 segments + iptables in the driver domain.
+                // batch of ~8 segments + iptables in the driver domain. The
+                // Blanket hop adds one more ring notify and a grant copy
+                // of the 2 KiB batch payload, amortized the same way.
+                let blanket_hop = if blanket {
+                    (costs.ring_notify + costs.grant_copy_per_kb * 2) / 8
+                } else {
+                    Nanos::ZERO
+                };
                 costs.grant_copy_bytes(MSS)
                     + costs.ring_notify / 8
                     + costs.iptables_nat * u64::from(iptables_rules)
-                    + blanket.io_batch_overhead(costs, 2) / 8
+                    + blanket_hop
             }
         }
     }
@@ -136,11 +144,6 @@ impl NetStack {
         self.backend.event_entry_cost(costs, &self.config) * entries
             + (costs.tcp_segment / 2 + costs.iptables_nat) * segments
     }
-
-    /// One-way wire latency to a peer in the same zone.
-    pub fn wire_latency(&self, costs: &CostModel) -> Nanos {
-        costs.wire_latency
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +161,7 @@ mod tests {
             Backend::XKernel,
             KernelConfig::xlibos_default(),
             NetPath::SplitDriver {
-                blanket: XenBlanket::cloud(),
+                blanket: true,
                 iptables_rules: 1,
             },
         );
@@ -197,11 +200,38 @@ mod tests {
             Backend::XKernel,
             cfg,
             NetPath::SplitDriver {
-                blanket: XenBlanket::cloud(),
+                blanket: true,
                 iptables_rules: 1,
             },
         );
         assert!(xc.send_cost(&costs, 16 * 1024) > native.send_cost(&costs, 16 * 1024));
+    }
+
+    #[test]
+    fn blanket_adds_one_notify_and_grant_copy_per_batch() {
+        // Xen-Blanket charges one more ring notification plus a grant
+        // copy of the 2 KiB batch payload, amortized over the 8-segment
+        // batch, on every segment of a split-driver send; bare metal pays
+        // nothing extra.
+        let costs = CostModel::skylake_cloud();
+        let split = |blanket| {
+            NetStack::new(
+                Backend::XKernel,
+                KernelConfig::xlibos_default(),
+                NetPath::SplitDriver {
+                    blanket,
+                    iptables_rules: 1,
+                },
+            )
+        };
+        let bytes = 16 * 1024;
+        let segments = NetStack::segments(bytes);
+        let hop = (costs.ring_notify + costs.grant_copy_per_kb * 2) / 8;
+        assert!(hop > Nanos::ZERO);
+        assert_eq!(
+            split(true).send_cost(&costs, bytes) - split(false).send_cost(&costs, bytes),
+            hop * segments
+        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Cloud environments — the paper's three testbeds (§5.1, §5.5).
 
-use xc_xen::blanket::XenBlanket;
-
 /// Where the experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CloudEnv {
@@ -39,11 +37,13 @@ impl CloudEnv {
         matches!(self, CloudEnv::GoogleGce)
     }
 
-    /// Whether the X-Container stack needs the Xen-Blanket shim here.
-    pub fn blanket(self) -> XenBlanket {
+    /// Whether the Xen-based stacks run nested here, behind Xen-Blanket
+    /// drivers (true in the public clouds, false on the bare-metal local
+    /// cluster).
+    pub fn blanket(self) -> bool {
         match self {
-            CloudEnv::AmazonEc2 | CloudEnv::GoogleGce => XenBlanket::cloud(),
-            CloudEnv::LocalCluster => XenBlanket::bare_metal(),
+            CloudEnv::AmazonEc2 | CloudEnv::GoogleGce => true,
+            CloudEnv::LocalCluster => false,
         }
     }
 
@@ -80,9 +80,9 @@ mod tests {
 
     #[test]
     fn blanket_only_in_clouds() {
-        assert!(CloudEnv::AmazonEc2.blanket().nested);
-        assert!(CloudEnv::GoogleGce.blanket().nested);
-        assert!(!CloudEnv::LocalCluster.blanket().nested);
+        assert!(CloudEnv::AmazonEc2.blanket());
+        assert!(CloudEnv::GoogleGce.blanket());
+        assert!(!CloudEnv::LocalCluster.blanket());
     }
 
     #[test]

@@ -169,11 +169,6 @@ impl Histogram {
         self.max
     }
 
-    /// Convenience: the median.
-    pub fn median(&self) -> u64 {
-        self.quantile(0.5)
-    }
-
     /// Merges another histogram into this one.
     ///
     /// Counts saturate instead of wrapping, and the bucket loop is the

@@ -415,12 +415,6 @@ pub fn run_cluster_range(
     out
 }
 
-/// Simulates the whole cluster serially — the golden reference the
-/// parallel harness cells must reproduce byte-for-byte.
-pub fn run_cluster(table: &PlatformCosts, params: &ClusterParams) -> ClusterResult {
-    run_cluster_range(table, params, 0, params.hosts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,8 +502,8 @@ mod tests {
     fn deterministic_and_range_merge_invariant() {
         let t = table(Platform::docker(CloudEnv::LocalCluster, true));
         let p = params();
-        let a = run_cluster(&t, &p);
-        let b = run_cluster(&t, &p);
+        let a = run_cluster_range(&t, &p, 0, p.hosts);
+        let b = run_cluster_range(&t, &p, 0, p.hosts);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.latency, b.latency);
         // Splitting the host range anywhere and merging in order is the
@@ -558,7 +552,7 @@ mod tests {
         sparse.duration = Nanos::from_secs(10);
         let idle = run_cluster_range(&t, &sparse, 3, 5);
         assert_eq!((idle.hosts, idle.completed, idle.dropped), (5, 0, 0));
-        let all = run_cluster(&t, &sparse);
+        let all = run_cluster_range(&t, &sparse, 0, sparse.hosts);
         assert_eq!(all.hosts, 8);
         assert!(all.completed > 0);
     }
@@ -566,8 +560,9 @@ mod tests {
     #[test]
     fn slow_platform_saturates_first() {
         let p = params();
-        let docker = run_cluster(&table(Platform::docker(CloudEnv::LocalCluster, true)), &p);
-        let gvisor = run_cluster(&table(Platform::gvisor(CloudEnv::LocalCluster, true)), &p);
+        let run = |platform| run_cluster_range(&table(platform), &p, 0, p.hosts);
+        let docker = run(Platform::docker(CloudEnv::LocalCluster, true));
+        let gvisor = run(Platform::gvisor(CloudEnv::LocalCluster, true));
         assert!(
             gvisor.completed < docker.completed,
             "gvisor {} vs docker {}",
@@ -593,8 +588,8 @@ mod tests {
         light.clients = 4_000;
         let mut heavy = params();
         heavy.clients = 200_000;
-        let l = run_cluster(&t, &light);
-        let h = run_cluster(&t, &heavy);
+        let l = run_cluster_range(&t, &light, 0, light.hosts);
+        let h = run_cluster_range(&t, &heavy, 0, heavy.hosts);
         assert!(h.utilization(16, heavy.duration) > l.utilization(16, light.duration) * 2.0);
         assert!(h.drop_rate() > l.drop_rate());
         assert!(h.quantile_ms(0.99) > l.quantile_ms(0.99));

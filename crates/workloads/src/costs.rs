@@ -42,7 +42,7 @@ impl PlatformCosts {
     pub fn derive(server: &ServerModel, costs: &CostModel) -> Self {
         PlatformCosts {
             service: server.profile.service_time(&server.platform, costs),
-            rtt: server.platform.net_stack(costs).wire_latency(costs),
+            rtt: costs.wire_latency,
             parallelism: server.parallelism(),
         }
     }
@@ -91,10 +91,7 @@ mod tests {
                             profile.name,
                             platform.name()
                         );
-                        assert_eq!(
-                            table.rtt,
-                            server.platform.net_stack(&costs).wire_latency(&costs)
-                        );
+                        assert_eq!(table.rtt, costs.wire_latency);
                         assert_eq!(table.parallelism, server.parallelism());
                     }
                 }

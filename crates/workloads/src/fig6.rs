@@ -130,7 +130,7 @@ fn query_latency(p: LibOsPlatform, merged: bool, costs: &CostModel) -> Nanos {
     if merged {
         LOOPBACK_LATENCY * 2 + LOCAL_WAKEUP * 2 + db_service
     } else {
-        let wire = platform.net_stack(costs).wire_latency(costs);
+        let wire = costs.wire_latency;
         // Wake-up handling runs in the guest kernel: slower kernels wake
         // slower.
         let wakeups = (CROSS_VM_WAKEUP * 2).scale(platform.kernel_ops_multiplier());

@@ -104,11 +104,6 @@ impl ServerModel {
             1
         }
     }
-
-    /// Open-loop capacity ceiling in requests/second.
-    pub fn capacity_rps(&self, costs: &CostModel) -> f64 {
-        PlatformCosts::derive(self, costs).capacity_rps()
-    }
 }
 
 /// Result of a closed-loop run.
@@ -254,11 +249,11 @@ fn run_worker(
     (world.completed, world.latency)
 }
 
-/// Runs a closed-loop benchmark from a precomputed [`PlatformCosts`]
-/// table: `connections` concurrent clients, for `duration` of simulated
-/// time. Worker worlds run one after another on the calling thread,
-/// results merged in worker-index order.
-pub fn run_closed_loop_from(
+/// Runs a closed-loop benchmark from a deployment's derived
+/// [`PlatformCosts`] table: `connections` concurrent clients, for
+/// `duration` of simulated time. Worker worlds run one after another on
+/// the calling thread, results merged in worker-index order.
+pub fn run_closed_loop(
     table: &PlatformCosts,
     connections: u32,
     duration: Nanos,
@@ -280,19 +275,6 @@ pub fn run_closed_loop_from(
         throughput_rps: completed as f64 / duration.as_secs_f64(),
         latency,
     }
-}
-
-/// Runs a closed-loop benchmark: `connections` concurrent clients against
-/// `server`, for `duration` of simulated time.
-pub fn run_closed_loop(
-    server: &ServerModel,
-    costs: &CostModel,
-    connections: u32,
-    duration: Nanos,
-    seed: u64,
-) -> ClosedLoopResult {
-    let table = PlatformCosts::derive(server, costs);
-    run_closed_loop_from(&table, connections, duration, seed)
 }
 
 /// Memoizes closed-loop results by the simulation's *true* inputs.
@@ -353,7 +335,7 @@ impl ClosedLoopCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Simulate outside the lock: a long run must not serialize the
         // runner's other cells behind the mutex.
-        let result = run_closed_loop_from(table, connections, duration, seed);
+        let result = run_closed_loop(table, connections, duration, seed);
         self.map
             .lock()
             .unwrap()
@@ -361,22 +343,6 @@ impl ClosedLoopCache {
             .or_insert_with(|| result.clone());
         result
     }
-}
-
-/// [`run_closed_loop`] behind a [`ClosedLoopCache`]: deployments whose
-/// derived [`PlatformCosts`] tables coincide share one run. Results are
-/// identical to the uncached path — the cache key is exactly the input
-/// of the (deterministic) simulation.
-pub fn run_closed_loop_cached(
-    server: &ServerModel,
-    costs: &CostModel,
-    connections: u32,
-    duration: Nanos,
-    seed: u64,
-    cache: &ClosedLoopCache,
-) -> ClosedLoopResult {
-    let table = PlatformCosts::derive(server, costs);
-    cache.get_or_run(&table, connections, duration, seed)
 }
 
 #[cfg(test)]
@@ -406,6 +372,11 @@ mod tests {
         }
     }
 
+    /// The derived table of [`server`]`(platform, workers)`.
+    fn table(platform: Platform, workers: u32) -> PlatformCosts {
+        PlatformCosts::derive(&server(platform, workers), &CostModel::skylake_cloud())
+    }
+
     #[test]
     fn service_time_platform_ordering() {
         let costs = CostModel::skylake_cloud();
@@ -422,34 +393,31 @@ mod tests {
 
     #[test]
     fn closed_loop_saturates_with_connections() {
-        let costs = CostModel::skylake_cloud();
-        let s = server(Platform::docker(CloudEnv::AmazonEc2, true), 1);
-        let low = run_closed_loop(&s, &costs, 1, Nanos::from_millis(200), 1);
-        let high = run_closed_loop(&s, &costs, 64, Nanos::from_millis(200), 1);
+        let t = table(Platform::docker(CloudEnv::AmazonEc2, true), 1);
+        let low = run_closed_loop(&t, 1, Nanos::from_millis(200), 1);
+        let high = run_closed_loop(&t, 64, Nanos::from_millis(200), 1);
         assert!(high.throughput_rps > low.throughput_rps * 2.0);
         // At 64 connections a single worker is saturated: throughput near
         // the capacity ceiling.
-        let cap = s.capacity_rps(&costs);
+        let cap = t.capacity_rps();
         assert!(high.throughput_rps <= cap * 1.01);
         assert!(high.throughput_rps > cap * 0.85, "high {high:?} cap {cap}");
     }
 
     #[test]
     fn latency_grows_with_saturation() {
-        let costs = CostModel::skylake_cloud();
-        let s = server(Platform::docker(CloudEnv::AmazonEc2, true), 1);
-        let low = run_closed_loop(&s, &costs, 1, Nanos::from_millis(200), 1);
-        let high = run_closed_loop(&s, &costs, 64, Nanos::from_millis(200), 1);
+        let t = table(Platform::docker(CloudEnv::AmazonEc2, true), 1);
+        let low = run_closed_loop(&t, 1, Nanos::from_millis(200), 1);
+        let high = run_closed_loop(&t, 64, Nanos::from_millis(200), 1);
         assert!(high.latency.mean() > low.latency.mean() * 4.0);
     }
 
     #[test]
     fn workers_scale_until_cores() {
-        let costs = CostModel::skylake_cloud();
-        let one = server(Platform::docker(CloudEnv::AmazonEc2, true), 1);
-        let four = server(Platform::docker(CloudEnv::AmazonEc2, true), 4);
+        let one = table(Platform::docker(CloudEnv::AmazonEc2, true), 1);
+        let four = table(Platform::docker(CloudEnv::AmazonEc2, true), 4);
         let eight = server(Platform::docker(CloudEnv::AmazonEc2, true), 8); // > cores
-        assert!(four.capacity_rps(&costs) > one.capacity_rps(&costs) * 3.5);
+        assert!(four.capacity_rps() > one.capacity_rps() * 3.5);
         assert_eq!(eight.parallelism(), 4, "capped by cores");
     }
 
@@ -457,11 +425,10 @@ mod tests {
     fn multiworker_throughput_scales_in_simulation() {
         // Not just the capacity formula: the per-worker decomposition
         // must actually serve ~4x with 4 workers under saturation.
-        let costs = CostModel::skylake_cloud();
-        let one = server(Platform::docker(CloudEnv::AmazonEc2, true), 1);
-        let four = server(Platform::docker(CloudEnv::AmazonEc2, true), 4);
-        let r1 = run_closed_loop(&one, &costs, 64, Nanos::from_millis(200), 1);
-        let r4 = run_closed_loop(&four, &costs, 64, Nanos::from_millis(200), 1);
+        let one = table(Platform::docker(CloudEnv::AmazonEc2, true), 1);
+        let four = table(Platform::docker(CloudEnv::AmazonEc2, true), 4);
+        let r1 = run_closed_loop(&one, 64, Nanos::from_millis(200), 1);
+        let r4 = run_closed_loop(&four, 64, Nanos::from_millis(200), 1);
         assert!(
             r4.throughput_rps > r1.throughput_rps * 3.5,
             "one {} four {}",
@@ -478,19 +445,18 @@ mod tests {
 
     #[test]
     fn cache_returns_identical_results_and_counts() {
-        let costs = CostModel::skylake_cloud();
-        let s = server(Platform::docker(CloudEnv::AmazonEc2, true), 2);
+        let t = table(Platform::docker(CloudEnv::AmazonEc2, true), 2);
         let cache = ClosedLoopCache::new();
-        let uncached = run_closed_loop(&s, &costs, 16, Nanos::from_millis(100), 7);
-        let a = run_closed_loop_cached(&s, &costs, 16, Nanos::from_millis(100), 7, &cache);
-        let b = run_closed_loop_cached(&s, &costs, 16, Nanos::from_millis(100), 7, &cache);
+        let uncached = run_closed_loop(&t, 16, Nanos::from_millis(100), 7);
+        let a = cache.get_or_run(&t, 16, Nanos::from_millis(100), 7);
+        let b = cache.get_or_run(&t, 16, Nanos::from_millis(100), 7);
         assert_eq!(a.throughput_rps, uncached.throughput_rps);
         assert_eq!(a.latency, uncached.latency);
         assert_eq!(b.throughput_rps, a.throughput_rps);
         assert_eq!(b.latency, a.latency);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // A different seed is a different simulation.
-        let _ = run_closed_loop_cached(&s, &costs, 16, Nanos::from_millis(100), 8, &cache);
+        let _ = cache.get_or_run(&t, 16, Nanos::from_millis(100), 8);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
@@ -499,22 +465,20 @@ mod tests {
         // An X-Container's guest kernel ignores the host patch state, so
         // the patched and unpatched deployments derive identical
         // PlatformCosts tables and share one cache entry.
-        let costs = CostModel::skylake_cloud();
-        let patched = server(Platform::x_container(CloudEnv::AmazonEc2, true), 2);
-        let unpatched = server(Platform::x_container(CloudEnv::AmazonEc2, false), 2);
+        let patched = table(Platform::x_container(CloudEnv::AmazonEc2, true), 2);
+        let unpatched = table(Platform::x_container(CloudEnv::AmazonEc2, false), 2);
         let cache = ClosedLoopCache::new();
-        let a = run_closed_loop_cached(&patched, &costs, 8, Nanos::from_millis(50), 3, &cache);
-        let b = run_closed_loop_cached(&unpatched, &costs, 8, Nanos::from_millis(50), 3, &cache);
+        let a = cache.get_or_run(&patched, 8, Nanos::from_millis(50), 3);
+        let b = cache.get_or_run(&unpatched, 8, Nanos::from_millis(50), 3);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(a.throughput_rps, b.throughput_rps);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let costs = CostModel::skylake_cloud();
-        let s = server(Platform::docker(CloudEnv::AmazonEc2, true), 2);
-        let a = run_closed_loop(&s, &costs, 16, Nanos::from_millis(100), 7);
-        let b = run_closed_loop(&s, &costs, 16, Nanos::from_millis(100), 7);
+        let t = table(Platform::docker(CloudEnv::AmazonEc2, true), 2);
+        let a = run_closed_loop(&t, 16, Nanos::from_millis(100), 7);
+        let b = run_closed_loop(&t, 16, Nanos::from_millis(100), 7);
         assert_eq!(a.throughput_rps, b.throughput_rps);
         assert_eq!(a.latency.quantile(0.99), b.latency.quantile(0.99));
     }

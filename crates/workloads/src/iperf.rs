@@ -15,23 +15,17 @@ pub const SEND_SIZE: u64 = 128 * 1024;
 /// cluster; cloud instances were also 10 Gb-class).
 pub const LINE_RATE_BPS: f64 = 10e9;
 
-/// The iperf benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IperfBench;
-
-impl IperfBench {
-    /// Achievable throughput in bits per second: the CPU-bound rate
-    /// capped at line rate.
-    pub fn throughput_bps(platform: &Platform, costs: &CostModel) -> f64 {
-        let net = platform.net_stack(costs);
-        let per_send = platform.syscall_cost(costs)
-            + net
-                .send_cost(costs, SEND_SIZE)
-                .scale(platform.net_work_multiplier());
-        let per_send = platform.environment_adjust(per_send);
-        let cpu_bound = SEND_SIZE as f64 * 8.0 / per_send.as_secs_f64();
-        cpu_bound.min(LINE_RATE_BPS)
-    }
+/// Achievable throughput in bits per second: the CPU-bound rate capped
+/// at line rate.
+pub fn throughput_bps(platform: &Platform, costs: &CostModel) -> f64 {
+    let net = platform.net_stack(costs);
+    let per_send = platform.syscall_cost(costs)
+        + net
+            .send_cost(costs, SEND_SIZE)
+            .scale(platform.net_work_multiplier());
+    let per_send = platform.environment_adjust(per_send);
+    let cpu_bound = SEND_SIZE as f64 * 8.0 / per_send.as_secs_f64();
+    cpu_bound.min(LINE_RATE_BPS)
 }
 
 #[cfg(test)]
@@ -44,9 +38,9 @@ mod tests {
         // Figure 5: iperf shows all platforms near Docker except gVisor.
         let costs = CostModel::skylake_cloud();
         let cloud = CloudEnv::AmazonEc2;
-        let docker = IperfBench::throughput_bps(&Platform::docker(cloud, true), &costs);
-        let xc = IperfBench::throughput_bps(&Platform::x_container(cloud, true), &costs);
-        let xen = IperfBench::throughput_bps(&Platform::xen_container(cloud, true), &costs);
+        let docker = throughput_bps(&Platform::docker(cloud, true), &costs);
+        let xc = throughput_bps(&Platform::x_container(cloud, true), &costs);
+        let xen = throughput_bps(&Platform::xen_container(cloud, true), &costs);
         let rel_x = xc / docker;
         let rel_xen = xen / docker;
         assert!((0.7..1.4).contains(&rel_x), "x rel {rel_x}");
@@ -57,8 +51,8 @@ mod tests {
     fn gvisor_network_collapses() {
         let costs = CostModel::skylake_cloud();
         let cloud = CloudEnv::AmazonEc2;
-        let docker = IperfBench::throughput_bps(&Platform::docker(cloud, true), &costs);
-        let gv = IperfBench::throughput_bps(&Platform::gvisor(cloud, true), &costs);
+        let docker = throughput_bps(&Platform::docker(cloud, true), &costs);
+        let gv = throughput_bps(&Platform::gvisor(cloud, true), &costs);
         assert!(gv < docker * 0.75, "gVisor {gv} vs docker {docker}");
     }
 
@@ -66,7 +60,7 @@ mod tests {
     fn line_rate_cap_applies() {
         let costs = CostModel::skylake_cloud();
         for p in Platform::cloud_configurations(CloudEnv::GoogleGce) {
-            assert!(IperfBench::throughput_bps(&p, &costs) <= LINE_RATE_BPS);
+            assert!(throughput_bps(&p, &costs) <= LINE_RATE_BPS);
         }
     }
 }

@@ -4,10 +4,12 @@
 //! the platform models of `xc-runtimes` (and, for Table 1, the *real*
 //! ABOM patcher of `xc-abom`):
 //!
-//! * [`unixbench`] — the §5.4 microbenchmark suite: System Call, Execl,
-//!   File Copy, Pipe Throughput, Context Switching, Process Creation
-//!   (Figures 4 and 5),
-//! * [`iperf`] — TCP stream throughput (Figure 5),
+//! * [`unixbench`] — the §5.4 microbenchmark suite, one closed form per
+//!   benchmark: System Call ([`unixbench::syscall_score`], Figure 4) and
+//!   Execl, File Copy, Pipe Throughput, Context Switching and Process
+//!   Creation ([`unixbench::MicroBench`], Figure 5),
+//! * [`iperf`] — TCP stream throughput ([`iperf::throughput_bps`],
+//!   Figure 5),
 //! * [`http`] — the closed-loop request/response engine behind `ab`,
 //!   `wrk` and `memtier_benchmark`, decomposed into per-worker worlds,
 //! * [`costs`] — the precomputed [`PlatformCosts`] table every
@@ -31,11 +33,11 @@
 //! ```
 //! use xc_runtimes::{CloudEnv, Platform};
 //! use xc_sim::cost::CostModel;
-//! use xc_workloads::unixbench::SystemCallBench;
+//! use xc_workloads::unixbench::syscall_score;
 //!
 //! let costs = CostModel::skylake_cloud();
-//! let docker = SystemCallBench::score(&Platform::docker(CloudEnv::AmazonEc2, true), &costs);
-//! let xc = SystemCallBench::score(&Platform::x_container(CloudEnv::AmazonEc2, true), &costs);
+//! let docker = syscall_score(&Platform::docker(CloudEnv::AmazonEc2, true), &costs);
+//! let xc = syscall_score(&Platform::x_container(CloudEnv::AmazonEc2, true), &costs);
 //! assert!(xc / docker > 10.0); // Figure 4's shape
 //! ```
 

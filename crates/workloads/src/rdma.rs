@@ -58,7 +58,7 @@ pub fn message_latency(
             // syscall on the other, plus the wire.
             platform.syscall_cost(costs)
                 + net.send_cost(costs, bytes)
-                + net.wire_latency(costs)
+                + costs.wire_latency
                 + net.recv_cost(costs, bytes)
                 + platform.syscall_cost(costs)
         }
@@ -70,7 +70,7 @@ pub fn message_latency(
             let soft_tx = (costs.tcp_segment / 2) * xc_libos::net::NetStack::segments(bytes)
                 + costs.copy_bytes(bytes);
             let completion_poll = costs.function_call * 2;
-            doorbell + soft_tx + net.wire_latency(costs) + completion_poll
+            doorbell + soft_tx + costs.wire_latency + completion_poll
         }
     };
     Some(platform.environment_adjust(latency))

@@ -61,10 +61,7 @@ proptest! {
             table.service,
             server.profile.service_time(&server.platform, &costs)
         );
-        prop_assert_eq!(
-            table.rtt,
-            server.platform.net_stack(&costs).wire_latency(&costs)
-        );
+        prop_assert_eq!(table.rtt, costs.wire_latency);
         prop_assert_eq!(table.parallelism, server.parallelism());
         // And the capacity ceiling follows from those fields alone.
         let expect = f64::from(server.parallelism()) / table.service.as_secs_f64();

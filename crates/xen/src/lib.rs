@@ -12,10 +12,6 @@
 //!   small attack surface),
 //! * [`events`] — event channels (Xen's virtualized interrupts): one
 //!   domain's pending bitmap over its bound channels,
-//! * [`error`] — the typed transient hypercall failures `xc-faults`
-//!   injects,
-//! * [`blanket`] — the Xen-Blanket shim that lets the whole stack run
-//!   nested inside cloud VMs,
 //! * [`tlb`] — a tagged TLB with global-bit semantics and the hot working
 //!   sets a flush refills, the reference model the integration suite
 //!   checks the §4.3 refill constants against.
@@ -42,11 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blanket;
-pub mod error;
 pub mod events;
 pub mod hypercall;
 pub mod tlb;
 
-pub use error::XenError;
 pub use hypercall::{Hypercall, HypervisorAccounting};

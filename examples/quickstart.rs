@@ -49,9 +49,9 @@ fn main() {
         &["platform", "dispatch", "relative throughput"],
     );
     let baseline = Platform::docker(CloudEnv::GoogleGce, true);
-    let base_score = SystemCallBench::score(&baseline, &costs);
+    let base_score = syscall_score(&baseline, &costs);
     for platform in Platform::cloud_configurations(CloudEnv::GoogleGce) {
-        let score = SystemCallBench::score(&platform, &costs);
+        let score = syscall_score(&platform, &costs);
         table.row([
             Cell::from(platform.name()),
             Cell::from(platform.syscall_cost(&costs).to_string()),

@@ -35,7 +35,8 @@ fn main() {
             workers: 1,
             cores: 4,
         };
-        let result = run_closed_loop(&server, &costs, connections, duration, 42);
+        let derived = PlatformCosts::derive(&server, &costs);
+        let result = run_closed_loop(&derived, connections, duration, 42);
         let baseline = *baseline_rps.get_or_insert(result.throughput_rps);
         table.row([
             Cell::from(platform.name()),

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repository hygiene gate: declared dependencies, formatting, lints,
 # rustdoc links, the runner determinism suite, the release-mode ISA,
-# verifier, ABOM, fault-injection, hypervisor, guest-kernel and platform
-# tests (the cost pins and gates in the arithmetic the benchmark's
-# release binaries use), the golden table, the
+# verifier, ABOM, fault-injection, hypervisor, guest-kernel, platform and
+# workload tests (the cost and score pins and gates in the arithmetic the
+# benchmark's release binaries use), the golden table, the
 # benchmark's own tests and the examples. Fails on an unused dependency,
 # any diff, warning, test failure or failing example. The golden
 # test (crates/bench/tests/golden.rs) runs every harness binary, the
@@ -61,8 +61,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== runner determinism suite (incl. panicking_cell_is_isolated_from_the_grid) =="
 cargo test -q -p xc-bench --test determinism
 
-echo "== release-mode tests: xc-isa, xc-verify, xc-abom, xc-faults, xc-xen, xc-libos and xc-runtimes (integer overflow wraps, debug_assert! is off) =="
-cargo test --release -q -p xc-isa -p xc-verify -p xc-abom -p xc-faults -p xc-xen -p xc-libos -p xc-runtimes
+echo "== release-mode tests: xc-isa, xc-verify, xc-abom, xc-faults, xc-xen, xc-libos, xc-runtimes and xc-workloads (integer overflow wraps, debug_assert! is off) =="
+cargo test --release -q -p xc-isa -p xc-verify -p xc-abom -p xc-faults -p xc-xen -p xc-libos -p xc-runtimes -p xc-workloads
 
 echo "== golden table: every harness binary, the grid ones at --jobs 1 and -j 3, the rest once, each once more with an unknown argument (exit 2, no output) =="
 cargo test -q -p xc-bench --test golden
@@ -99,4 +99,4 @@ for src in examples/*.rs; do
     fi
 done
 
-echo "ok: no unused dependency, formatting clean, no lints, docs link, grid harnesses deterministic at any --jobs, ISA, verifier, ABOM, fault injection, hypervisor, guest kernel and platforms pass in release, every harness at its golden row (grid binaries at --jobs 1 and -j 3, the rest once) and exiting 2 on an unknown argument, benchmark tests pass, every example runs"
+echo "ok: no unused dependency, formatting clean, no lints, docs link, grid harnesses deterministic at any --jobs, ISA, verifier, ABOM, fault injection, hypervisor, guest kernel, platforms and workloads pass in release, every harness at its golden row (grid binaries at --jobs 1 and -j 3, the rest once) and exiting 2 on an unknown argument, benchmark tests pass, every example runs"

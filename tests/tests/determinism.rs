@@ -34,9 +34,10 @@ fn closed_loop_differs_only_with_seed() {
         workers: 4,
         cores: 4,
     };
-    let a = run_closed_loop(&server, &costs, 50, Nanos::from_millis(150), 1);
-    let b = run_closed_loop(&server, &costs, 50, Nanos::from_millis(150), 1);
-    let c = run_closed_loop(&server, &costs, 50, Nanos::from_millis(150), 2);
+    let table = PlatformCosts::derive(&server, &costs);
+    let a = run_closed_loop(&table, 50, Nanos::from_millis(150), 1);
+    let b = run_closed_loop(&table, 50, Nanos::from_millis(150), 1);
+    let c = run_closed_loop(&table, 50, Nanos::from_millis(150), 2);
     assert_eq!(a.throughput_rps, b.throughput_rps);
     assert_eq!(a.latency.quantile(0.99), b.latency.quantile(0.99));
     // Different seed: jitter resamples; throughput stays close but the

@@ -122,12 +122,13 @@ fn closed_loop_consistency() {
         workers: 2,
         cores: 4,
     };
-    let a = run_closed_loop(&server, &costs, 32, Nanos::from_millis(300), 11);
-    let b = run_closed_loop(&server, &costs, 32, Nanos::from_millis(300), 11);
+    let table = PlatformCosts::derive(&server, &costs);
+    let a = run_closed_loop(&table, 32, Nanos::from_millis(300), 11);
+    let b = run_closed_loop(&table, 32, Nanos::from_millis(300), 11);
     assert_eq!(a.throughput_rps, b.throughput_rps, "determinism");
     assert_eq!(a.latency.quantile(0.999), b.latency.quantile(0.999));
 
-    let cap = server.capacity_rps(&costs);
+    let cap = table.capacity_rps();
     assert!(a.throughput_rps <= cap * 1.01);
     assert!(
         a.throughput_rps > cap * 0.8,
