@@ -207,30 +207,42 @@ mod tests {
         assert!(xc.send_cost(&costs, 16 * 1024) > native.send_cost(&costs, 16 * 1024));
     }
 
+    fn split_driver(blanket: bool) -> NetStack {
+        NetStack::new(
+            Backend::XKernel,
+            KernelConfig::xlibos_default(),
+            NetPath::SplitDriver {
+                blanket,
+                iptables_rules: 1,
+            },
+        )
+    }
+
     #[test]
-    fn blanket_adds_one_notify_and_grant_copy_per_batch() {
+    fn bare_metal_is_free() {
+        // Without Blanket nesting (the paper's bare-metal cluster) a
+        // split-driver segment pays its grant copy, its share of the ring
+        // notify and the NAT rule, and no driver hop.
+        let costs = CostModel::skylake_cloud();
+        assert_eq!(
+            split_driver(false).per_segment_path_extra(&costs),
+            costs.grant_copy_bytes(MSS) + costs.ring_notify / 8 + costs.iptables_nat
+        );
+    }
+
+    #[test]
+    fn cloud_charges_per_batch() {
         // Xen-Blanket charges one more ring notification plus a grant
         // copy of the 2 KiB batch payload, amortized over the 8-segment
-        // batch, on every segment of a split-driver send; bare metal pays
-        // nothing extra.
+        // batch, on every segment of a split-driver send.
         let costs = CostModel::skylake_cloud();
-        let split = |blanket| {
-            NetStack::new(
-                Backend::XKernel,
-                KernelConfig::xlibos_default(),
-                NetPath::SplitDriver {
-                    blanket,
-                    iptables_rules: 1,
-                },
-            )
-        };
         let bytes = 16 * 1024;
-        let segments = NetStack::segments(bytes);
         let hop = (costs.ring_notify + costs.grant_copy_per_kb * 2) / 8;
         assert!(hop > Nanos::ZERO);
         assert_eq!(
-            split(true).send_cost(&costs, bytes) - split(false).send_cost(&costs, bytes),
-            hop * segments
+            split_driver(true).send_cost(&costs, bytes)
+                - split_driver(false).send_cost(&costs, bytes),
+            hop * NetStack::segments(bytes)
         );
     }
 
