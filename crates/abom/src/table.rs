@@ -92,11 +92,6 @@ pub fn resolve(addr: u64) -> Option<EntryKind> {
     }
 }
 
-/// Whether `addr` points into the vsyscall page region.
-pub fn contains(addr: u64) -> bool {
-    (VSYSCALL_BASE..VSYSCALL_BASE + 0x1000).contains(&addr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,13 +133,6 @@ mod tests {
     fn number_and_stack_regions_disjoint() {
         let max_nr_entry = entry_for_number(MAX_SYSCALL_NR).unwrap();
         assert!(max_nr_entry < stack_dispatch_entry(0));
-    }
-
-    #[test]
-    fn contains_page() {
-        assert!(contains(VSYSCALL_BASE));
-        assert!(contains(VSYSCALL_BASE + 0xfff));
-        assert!(!contains(VSYSCALL_BASE + 0x1000));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Verify study — static patch-safety analysis over the Table 1 corpus:
-//! coverage, post-patch shape, and the pre-flight redundancy ablation.
+//! coverage, post-patch shape, the pre-flight redundancy ablation, and
+//! the lint diagnostics of every `Unknown`, `Unsafe` or upgraded site.
 //! The logic lives in [`xc_bench::harness::verify_study`]; this wrapper
-//! parses `--jobs`, prints the result and records findings. Each
-//! application's analysis wall time goes to stderr, so stdout stays
-//! byte-identical across runs and `--jobs` values.
+//! parses `--jobs`, prints the result and records findings, and exits 1
+//! when any finding is outside its band. Each application's analysis
+//! wall time goes to stderr, so stdout stays byte-identical across runs
+//! and `--jobs` values.
 //!
 //! `--profile` also writes a per-library profile of the verifier
 //! pipeline to stderr: the median wall time of each stage (disassembly,
@@ -23,9 +25,14 @@ fn main() {
     for r in &out.rows {
         eprintln!("verify_study: {} analysis {:.1} µs", r.name, r.micros);
     }
-    record("verify_study", &out.findings());
+    let findings = out.findings();
+    record("verify_study", &findings);
     if args.profile {
         let rows = verify_study::stage_profiles(&runner);
         eprint!("\n{}", verify_study::render_stage_profiles(&rows));
+    }
+
+    if findings.iter().any(|f| !f.in_band) {
+        std::process::exit(1);
     }
 }

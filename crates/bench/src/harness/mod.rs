@@ -14,7 +14,7 @@
 //! Five harnesses spread a grid of independent cells over a [`Runner`]
 //! and so take `--jobs`: [`fig3`], [`cluster`], [`chaos`],
 //! [`verify_study`] and [`all_experiments`] (for its fig3 grid): their
-//! cells run long enough for threads to pay off. The other eleven are
+//! cells run long enough for threads to pay off. The other ten are
 //! closed forms over platform costs or single short passes, and run
 //! serially.
 //!
@@ -42,7 +42,6 @@ pub mod rdma_study;
 pub mod security_matrix;
 pub mod spawn_time;
 pub mod table1;
-pub mod verify_lint;
 pub mod verify_study;
 
 use crate::Finding;

@@ -20,6 +20,14 @@
 //!    §4.4 pattern matcher is already sound on this corpus — now proved
 //!    rather than assumed.
 //!
+//! The same v2 analysis is linted: every `Unknown` or `Unsafe` site,
+//! and every `Safe` one owed to interprocedural propagation, becomes a
+//! [`LintFinding`] with a stable rule id (`XV0xx` coverage gaps, `XV1xx`
+//! proven-unsafe structure, `XV000` upgrade notes), its reason chain and
+//! a fix hint. [`Output::render`] ends with the per-rule counts and each
+//! application's diagnostics, so every verdict the findings count is
+//! also explained.
+//!
 //! Each application is one runner cell carrying its own
 //! [`AnalysisCache`]: the coverage pass populates it and the offline
 //! patcher plans from it, so every profile contributes one guaranteed
@@ -28,6 +36,7 @@
 //! findings (the binary prints it to stderr), so runs compare
 //! byte-for-byte.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -36,7 +45,10 @@ use xcontainers::abom::handler::XContainerKernel;
 use xcontainers::abom::offline::{OfflineConfig, OfflinePatcher};
 use xcontainers::abom::stats::AbomStats;
 use xcontainers::prelude::*;
-use xcontainers::verify::{reverify, summarize, PipelineProfile, Stage, Verifier, VerifierConfig};
+use xcontainers::verify::{
+    lint_report, render_text, reverify, summarize, LintFinding, PipelineProfile, Stage, Verifier,
+    VerifierConfig,
+};
 use xcontainers::workloads::table1::{table1_profiles, AppProfile};
 
 use crate::runner::Runner;
@@ -79,6 +91,8 @@ pub struct ProfileRow {
     pub v1_unknown: usize,
     /// Sites the interprocedural pass upgraded to `Safe`.
     pub upgraded: usize,
+    /// Lint findings over the v2 report, in site order.
+    pub lint: Vec<LintFinding>,
     /// Analysis wall time — nondeterministic, never rendered to stdout.
     pub micros: f64,
     pub reverify_ok: bool,
@@ -254,6 +268,22 @@ impl Output {
             misses = self.cache_misses(),
             rate = self.cache_hit_rate() * 100.0,
         );
+        let mut rules: BTreeMap<&str, usize> = BTreeMap::new();
+        for f in self.rows.iter().flat_map(|r| &r.lint) {
+            *rules.entry(f.rule).or_insert(0) += 1;
+        }
+        out.push_str("\nLint rule counts:");
+        if rules.is_empty() {
+            out.push_str(" none");
+        }
+        for (rule, count) in rules {
+            let _ = write!(out, " {rule}\u{d7}{count}");
+        }
+        out.push('\n');
+        for r in self.rows.iter().filter(|r| !r.lint.is_empty()) {
+            let _ = writeln!(out, "\n--- {} ---", r.name);
+            out.push_str(&render_text(&r.lint));
+        }
         out
     }
 }
@@ -271,6 +301,7 @@ fn cell(profile: &AppProfile, syscalls: u64, rng: Rng) -> ProfileRow {
     let micros = start.elapsed().as_secs_f64() * 1e6;
     let (safe, unsafe_, unknown) = analysis.report().tally();
     let upgraded = summarize(analysis.report()).upgraded;
+    let lint = lint_report(analysis.report());
     let (_, _, v1_unknown) = Verifier::with_config(VerifierConfig {
         interprocedural_upgrades: false,
     })
@@ -314,6 +345,7 @@ fn cell(profile: &AppProfile, syscalls: u64, rng: Rng) -> ProfileRow {
         unknown,
         v1_unknown,
         upgraded,
+        lint,
         micros,
         reverify_ok: shape.ok(),
         detours: shape.detours.len(),
@@ -429,4 +461,29 @@ pub fn render_stage_profiles(rows: &[StageProfile]) -> String {
     let mut out = String::new();
     table.render_into(&mut out);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn corpus_is_fully_covered_and_gates_pass() {
+        let out = run_with(&Runner::new(1), 300, SEED);
+        assert_eq!(out.rows.len(), 12);
+        assert_eq!(out.v2_unknown(), 0);
+        let upgraded: usize = out.rows.iter().map(|r| r.upgraded).sum();
+        assert_eq!(upgraded, 1, "MySQL's libc shim");
+        let lint: Vec<_> = out.rows.iter().flat_map(|r| &r.lint).collect();
+        assert_eq!(lint.len(), 1, "{lint:?}");
+        assert_eq!(lint[0].rule, "XV000");
+        assert!(out.findings().iter().all(|f| f.in_band));
+    }
+
+    #[test]
+    fn render_mentions_the_upgrade_note() {
+        let text = run_with(&Runner::new(1), 300, SEED).render();
+        assert!(text.contains("--- MySQL ---"), "{text}");
+        assert!(text.contains("note[XV000]"), "{text}");
+    }
 }

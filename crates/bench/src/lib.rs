@@ -16,8 +16,7 @@
 //! | `ablations` | DESIGN.md §4 — ABOM, global-bit, scheduling, KPTI ablations |
 //! | `security_matrix` | §3.4 — TCB and attack-surface comparison (extension) |
 //! | `rdma_study` | §5.7 — soft-RDMA capability study (extension) |
-//! | `verify_study` | §4.4 — static patch-safety verdicts, re-verification, pre-flight ablation (extension) |
-//! | `verify_lint` | §4.4 — structured diagnostics and coverage gates over the Table 1 corpus (extension) |
+//! | `verify_study` | §4.4 — static patch-safety verdicts, re-verification, pre-flight ablation and lint diagnostics (extension) |
 //! | `cluster_study` | DESIGN.md §4d — per-host container density and tail latency at cluster scale (extension) |
 //! | `chaos_study` | DESIGN.md §5 — fault rate × platform sweep with conservation checks (extension) |
 //! | `all_experiments` | the union of the findings of `table1`, `fig3_macro`, `fig4_syscall`, `fig5_micro`, `fig6_libos`, `fig8_scalability` and `fig9_loadbalance`, in paper order |
@@ -35,7 +34,7 @@
 //! `all_experiments`) run through the deterministic parallel
 //! [`runner`]: they accept `--jobs N` (default: available parallelism,
 //! `--jobs 1` = serial path) and produce byte-identical output at every
-//! worker count. The other eleven are serial and take no argument.
+//! worker count. The other ten are serial and take no argument.
 //! `tests/golden.rs` pins each binary's stdout and `results/*.json`
 //! against one committed table, `golden/outputs.txt` (see DESIGN.md §4d
 //! for how to update a row), and checks that every finding is in band.

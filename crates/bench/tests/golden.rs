@@ -65,7 +65,6 @@ const CASES: &[Case] = &[
     case!("fig8_scalability"; false),
     case!("ablations"; false),
     case!("verify_study"; true; "--profile"),
-    case!("verify_lint"; false),
     case!("all_experiments"; true),
     case!("cluster_study"; true),
     case!("cluster_study", "--quick"; true),

@@ -12,7 +12,6 @@
 //! trap), `XV1xx` = proven-unsafe structure, `XV000` = informational
 //! upgrade notes.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::report::{SiteKind, SiteReport, UnknownReason, UnsafeReason, Verdict, VerifyReport};
@@ -60,31 +59,9 @@ pub struct LintFinding {
 /// Aggregate counts for one report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LintSummary {
-    /// Total `syscall` sites.
-    pub total: usize,
-    /// Sites proven safe (including upgrades).
-    pub safe: usize,
-    /// Sites proven unsafe.
-    pub unsafe_sites: usize,
-    /// Sites the analysis could not decide.
-    pub unknown: usize,
     /// Safe sites owed to the interprocedural pass
     /// ([`SiteKind::PropagatedNumber`]).
     pub upgraded: usize,
-    /// Findings per rule id.
-    pub rule_counts: BTreeMap<&'static str, usize>,
-}
-
-impl LintSummary {
-    /// Percentage of sites proven safe, in `[0, 100]` (100 for an empty
-    /// report: nothing is unproven).
-    pub fn coverage_pct(&self) -> f64 {
-        if self.total == 0 {
-            100.0
-        } else {
-            100.0 * self.safe as f64 / self.total as f64
-        }
-    }
 }
 
 fn rule_for(site: &SiteReport) -> Option<(&'static str, Severity, &'static str)> {
@@ -171,25 +148,15 @@ pub fn lint_report(report: &VerifyReport) -> Vec<LintFinding> {
     out
 }
 
-/// Aggregates `report` into per-rule counts and coverage.
+/// Aggregates `report`: the count of interprocedural upgrades.
 pub fn summarize(report: &VerifyReport) -> LintSummary {
-    let (safe, unsafe_sites, unknown) = report.tally();
-    let mut summary = LintSummary {
-        total: report.sites.len(),
-        safe,
-        unsafe_sites,
-        unknown,
+    LintSummary {
         upgraded: report
             .sites
             .iter()
             .filter(|s| s.kind == SiteKind::PropagatedNumber && s.verdict == Verdict::Safe)
             .count(),
-        rule_counts: BTreeMap::new(),
-    };
-    for f in lint_report(report) {
-        *summary.rule_counts.entry(f.rule).or_insert(0) += 1;
     }
-    summary
 }
 
 /// Renders findings the way a compiler would print them.
@@ -286,22 +253,7 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "XV000");
         assert_eq!(findings[0].severity, Severity::Note);
-        let summary = summarize(&report);
-        assert_eq!(summary.upgraded, 1);
-        assert_eq!(summary.unknown, 0);
-        assert!((summary.coverage_pct() - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_counts_and_coverage() {
-        let summary = summarize(&mixed_report());
-        assert_eq!(summary.total, 3);
-        assert_eq!(summary.safe, 1);
-        assert_eq!(summary.unknown, 1);
-        assert_eq!(summary.unsafe_sites, 1);
-        assert_eq!(summary.rule_counts.get("XV001"), Some(&1));
-        assert_eq!(summary.rule_counts.get("XV103"), Some(&1));
-        assert!((summary.coverage_pct() - 100.0 / 3.0).abs() < 1e-9);
+        assert_eq!(summarize(&report).upgraded, 1);
     }
 
     #[test]

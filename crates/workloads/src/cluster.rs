@@ -284,23 +284,11 @@ pub struct ClusterResult {
 }
 
 impl ClusterResult {
-    /// Folds another merged range in. Callers must merge in host-index
-    /// order — the histogram merge is exact, so order only matters for
-    /// keeping the float throughput sums bit-identical across run
-    /// arrangements.
-    pub fn merge(&mut self, other: &ClusterResult) {
-        self.hosts += other.hosts;
-        self.completed += other.completed;
-        self.dropped += other.dropped;
-        self.latency.merge(&other.latency);
-        self.busy_ns += other.busy_ns;
-    }
-
     /// Folds a whole slice of merged ranges in with a single pass over
-    /// the latency buckets ([`Histogram::merge_many`]). The scalar
-    /// counters are integer sums, so this is byte-identical to calling
-    /// [`merge`](Self::merge) once per element in order — the bench
+    /// the latency buckets ([`Histogram::merge_many`]); the bench
     /// harness uses it to reduce a platform's host chunks in one go.
+    /// Every counter is an integer sum and the histogram merge is exact,
+    /// so the result does not depend on how the host range was split.
     pub fn merge_many(&mut self, others: &[&ClusterResult]) {
         for other in others {
             self.hosts += other.hosts;
@@ -509,8 +497,12 @@ mod tests {
         // Splitting the host range anywhere and merging in order is the
         // same computation.
         for split in [1, 2, 3] {
-            let mut merged = run_cluster_range(&t, &p, 0, split);
-            merged.merge(&run_cluster_range(&t, &p, split, p.hosts - split));
+            let parts = [
+                run_cluster_range(&t, &p, 0, split),
+                run_cluster_range(&t, &p, split, p.hosts - split),
+            ];
+            let mut merged = ClusterResult::default();
+            merged.merge_many(&parts.iter().collect::<Vec<_>>());
             assert_eq!(merged.hosts, a.hosts);
             assert_eq!(merged.completed, a.completed);
             assert_eq!(merged.dropped, a.dropped);

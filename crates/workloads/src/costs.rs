@@ -28,7 +28,11 @@ pub struct PlatformCosts {
     /// ([`RequestProfile::service_time`](crate::http::RequestProfile::service_time)
     /// on the deployment's platform).
     pub service: Nanos,
-    /// Wire round-trip between client and server.
+    /// The wire time charged per request as the client–server round
+    /// trip: [`CostModel::wire_latency`], which the cost model defines
+    /// as one way, so the two request worlds charge one wire crossing
+    /// where Fig 6c's `query_latency` charges two (EXPERIMENTS.md, Known
+    /// deviation 5).
     pub rtt: Nanos,
     /// Concurrent server workers
     /// ([`ServerModel::parallelism`]).

@@ -65,17 +65,11 @@ impl LbMode {
         }
     }
 
-    fn backend_platform(self) -> Platform {
-        match self {
-            LbMode::HaproxyDocker => Platform::docker(CloudEnv::LocalCluster, true),
-            // Direct routing additionally rewires the backends' kernels
-            // (ARP rules + the IPVS module) — free on X-Containers, whose
-            // kernels are their own.
-            _ => Platform::x_container(CloudEnv::LocalCluster, true),
-        }
-    }
-
-    fn balancer_platform(self) -> Platform {
+    /// The platform both the balancer and the backends run on. Direct
+    /// routing additionally rewires the backends' kernels (ARP rules +
+    /// the IPVS module) — free on X-Containers, whose kernels are their
+    /// own.
+    fn platform(self) -> Platform {
         match self {
             LbMode::HaproxyDocker => Platform::docker(CloudEnv::LocalCluster, true),
             _ => Platform::x_container(CloudEnv::LocalCluster, true),
@@ -85,7 +79,7 @@ impl LbMode {
 
 /// CPU cost for the balancer to shepherd one request+response pair.
 pub fn balancer_cost(mode: LbMode, costs: &CostModel) -> Nanos {
-    let platform = mode.balancer_platform();
+    let platform = mode.platform();
     match mode {
         LbMode::HaproxyDocker | LbMode::HaproxyXContainer => {
             // User-space proxy: terminate, re-originate, relay back.
@@ -115,7 +109,7 @@ pub fn balancer_cost(mode: LbMode, costs: &CostModel) -> Nanos {
 
 /// CPU cost for one backend to serve one request.
 pub fn backend_cost(mode: LbMode, costs: &CostModel) -> Nanos {
-    nginx_static().service_time(&mode.backend_platform(), costs)
+    nginx_static().service_time(&mode.platform(), costs)
 }
 
 /// Aggregate throughput: the slower of the balancer and the backend pool

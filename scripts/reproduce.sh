@@ -12,7 +12,7 @@ cargo test --workspace
 
 for bin in table1 fig3_macro fig4_syscall fig5_micro fig6_libos \
            fig8_scalability fig9_loadbalance spawn_time ablations \
-           security_matrix rdma_study verify_study verify_lint \
+           security_matrix rdma_study verify_study \
            chaos_study cluster_study; do
   echo
   echo "================ $bin ================"
